@@ -499,56 +499,3 @@ def ergodic_sic_analytic(params: AnalyticParams, variant: str = DERIVED) -> floa
         + preferred_order_term(params)
         + final
     )
-
-
-# --------------------------------------------- protocol difference
-
-
-def delta_rate(params: AnalyticParams, rel_tol: float = 1e-9, integrator=None) -> float:
-    """Ergodic-rate gap (rate splitting minus pure SIC) inside the band.
-
-    The protocols only differ where the secondary's full power would break
-    the primary's target: the rate-splitting protocol earns the split-band
-    rate there, pure SIC earns either the reduced-power rate or the
-    swapped-order rate depending on which side of the switch curve the
-    draw falls.  No closed form exists, so the three restricted
-    expectations are delegated to the adaptive-integration engine
-    (``integrator``, defaulting to the oracle's).
-
-    Nonnegative for every parameter set: inside the band the split-band
-    rate dominates both alternatives pointwise.
-    """
-    if integrator is None:
-        from .oracle import restricted_expectation
-
-        integrator = restricted_expectation
-    from .oracle import RegionSpec
-
-    lam_p, lam_s, theta, width = (
-        params.lambda_pu,
-        params.lambda_su,
-        params.theta,
-        params.bandwidth,
-    )
-    band = RegionSpec(
-        "contested band", pu_lower=theta, su_lower=lambda x: x / theta - 1.0
-    )
-    reduced = RegionSpec(
-        "reduced power",
-        pu_lower=theta,
-        su_lower=lambda x: x / theta - 1.0,
-        su_upper=lambda x: preferred_order_boundary(x, theta),
-    )
-    preferred = RegionSpec(
-        "secondary first preferred",
-        pu_lower=theta,
-        su_lower=lambda x: preferred_order_boundary(x, theta),
-    )
-    split_rate = lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta))
-    reduced_rate = lambda x, y: math.log2(x / theta)
-    swapped_rate = lambda x, y: math.log2(1.0 + y / (1.0 + x))
-    return width * (
-        integrator(split_rate, band, lam_p, lam_s, rel_tol)
-        - integrator(reduced_rate, reduced, lam_p, lam_s, rel_tol)
-        - integrator(swapped_rate, preferred, lam_p, lam_s, rel_tol)
-    )

@@ -24,24 +24,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import ScenarioConfig
-from .crosscheck import evaluate
-from .montecarlo import McConfig, mean_power_factor
+from .crosscheck import ANALYTIC_PROTOCOLS, evaluate
+from .montecarlo import METHODS, McConfig, mean_power_factor
 from .oracle import OracleAccuracyError, mean_power_factor_oracle
 from .protocols import ProtocolKind
 from .specfun import ConvergenceError
 
 CSV_HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
-ALL_PROTOCOLS = (
-    ProtocolKind.CR_RSMA,
-    ProtocolKind.CR_SIC,
-    ProtocolKind.CR_SIC_NORM,
-    ProtocolKind.BENCH_CSI,
-    ProtocolKind.BENCH_QOS,
-)
-ANALYTIC_CAPABLE = frozenset(
-    {ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM}
-)
-METHODS = ("mc", "analytic", "oracle")
+ALL_PROTOCOLS = tuple(ProtocolKind)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -177,7 +167,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         u=pick("u", 2.0),
         rate_th=pick("rate_th", 2.5),
         protocols=_parse_protocols(pick("protocol", "all")),
-        methods=_parse_methods(pick("method", "mc,analytic,oracle")),
+        methods=_parse_methods(pick("method", ",".join(METHODS))),
         samples=samples,
         seed=pick("seed", 0),
         nodes=pick("nodes", 100),
@@ -235,7 +225,7 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
         )
         for protocol in settings.protocols:
             for method in settings.methods:
-                if method == "analytic" and protocol not in ANALYTIC_CAPABLE:
+                if method == "analytic" and protocol not in ANALYTIC_PROTOCOLS:
                     continue
                 result = evaluate(
                     protocol, scenario, method, mc, nodes=settings.nodes
@@ -282,7 +272,7 @@ def write_plot_script(csv_path: str, settings: Settings) -> str:
     plot_specs = []
     for protocol in settings.protocols:
         for method in settings.methods:
-            if method == "analytic" and protocol not in ANALYTIC_CAPABLE:
+            if method == "analytic" and protocol not in ANALYTIC_PROTOCOLS:
                 continue
             style = "points pt 7" if method == "mc" else "lines"
             plot_specs.append(
@@ -387,7 +377,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--protocol", help="comma-separated protocol names, or 'all'"
     )
-    parser.add_argument("--method", help="comma-separated subset of mc,analytic,oracle")
+    parser.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
     parser.add_argument("--samples", type=int, help="Monte Carlo sample count")
     parser.add_argument("--seed", type=int, help="Monte Carlo stream seed")
     parser.add_argument("--nodes", type=int, help="quadrature order")

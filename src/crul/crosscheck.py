@@ -4,11 +4,13 @@ Every analytic total is a sum of per-case terms, and several of those
 terms exist in more than one written form (a transcription of the source
 expression, the re-derived expression, and an adaptive integration of the
 pre-quadrature kernel).  This module evaluates every available route for
-every term, compares each against that term's own restricted-expectation
-oracle, and assembles the arbitrated total from the first route in
-preference order that lands within tolerance — transcription first (keep
-the written form when it is right), then the derived form, then the
-adaptive kernel route, with the oracle value itself as the fallback.
+every term, compares each against that term's own region integral, and
+assembles the arbitrated total from the first route in preference order
+that lands within tolerance — transcription first (keep the written form
+when it is right), then the derived form, then the adaptive kernel route,
+with the oracle value itself as the fallback.  The region integrals are
+the per-case terms that :mod:`crul.oracle` owns and memoises, so the
+oracle rows and the arbitration share one integration per term.
 
 The full comparison table is exported as a JSON-ready deviation report so
 that a reader can see exactly which written forms disagree with the
@@ -24,13 +26,8 @@ from . import analytic
 from .analytic import DERIVED, STATED, AnalyticParams
 from .channel import ScenarioConfig
 from .montecarlo import EstimateResult, McConfig, estimate
-from .oracle import (
-    ergodic_rate_oracle,
-    mean_power_factor_oracle,
-    restricted_expectation,
-    rsma_case_regions,
-    sic_case_regions,
-)
+from .oracle import ergodic_rate_oracle, mean_power_factor_oracle, rsma_terms, sic_terms
+from .oracle import restricted_expectation  # noqa: F401 - perfbench/spans.py patches this name
 from .protocols import ProtocolKind
 
 #: Routes tried in order; the first within ARBITRATION_REL_TOL of the
@@ -48,7 +45,8 @@ ARBITRATION_REL_TOL = 1e-4
 #: deviation report.
 REPORT_REL_TOL = 1e-2
 
-_ANALYTIC_PROTOCOLS = (
+#: Protocols with a closed-form decomposition (the benchmarks have none).
+ANALYTIC_PROTOCOLS = (
     ProtocolKind.CR_RSMA,
     ProtocolKind.CR_SIC,
     ProtocolKind.CR_SIC_NORM,
@@ -112,25 +110,12 @@ def _report(protocol, term, routes, oracle_value, in_total=True) -> TermReport:
 
 
 def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: float):
-    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
-    theta, width = scenario.theta, scenario.bandwidth
-    below, band, clear = rsma_case_regions(theta)
-
-    oracle_below = restricted_expectation(
-        lambda x, y: width * math.log2(1.0 + y / (1.0 + x)), below, lam_p, lam_s, rel_tol
-    )
-    oracle_band = restricted_expectation(
-        lambda x, y: width * math.log2((1.0 + x + y) / (1.0 + theta)),
-        band,
-        lam_p,
-        lam_s,
-        rel_tol,
-    )
-    oracle_clear = restricted_expectation(
-        lambda x, y: width * math.log2(1.0 + y), clear, lam_p, lam_s, rel_tol
+    width = scenario.bandwidth
+    oracle_below, oracle_band, oracle_clear = (
+        width * term for term in rsma_terms(scenario, rel_tol)
     )
 
-    reports = [
+    return [
         _report(
             ProtocolKind.CR_RSMA,
             "interference_limited",
@@ -174,29 +159,12 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
             in_total=False,
         ),
     ]
-    return reports
 
 
 def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: float):
-    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
-    theta, width = scenario.theta, scenario.bandwidth
-    miss, reduced, preferred, clear = sic_case_regions(theta)
-
-    oracle_miss = restricted_expectation(
-        lambda x, y: width * math.log2(1.0 + y / (1.0 + x)), miss, lam_p, lam_s, rel_tol
-    )
-    oracle_reduced = restricted_expectation(
-        lambda x, y: width * math.log2(x / theta), reduced, lam_p, lam_s, rel_tol
-    )
-    oracle_preferred = restricted_expectation(
-        lambda x, y: width * math.log2(1.0 + y / (1.0 + x)),
-        preferred,
-        lam_p,
-        lam_s,
-        rel_tol,
-    )
-    oracle_clear = restricted_expectation(
-        lambda x, y: width * math.log2(1.0 + y), clear, lam_p, lam_s, rel_tol
+    width = scenario.bandwidth
+    oracle_miss, oracle_reduced, oracle_preferred, oracle_clear = (
+        width * term for term in sic_terms(scenario, rel_tol)
     )
 
     return [
@@ -291,7 +259,7 @@ def evaluate(
     if method == "mc":
         return estimate(protocol, scenario, mc or McConfig(), workers=workers)
     if method == "analytic":
-        if protocol not in _ANALYTIC_PROTOCOLS:
+        if protocol not in ANALYTIC_PROTOCOLS:
             raise ValueError(f"no closed form for {protocol.value}")
         value = arbitrated_rate(protocol, scenario, nodes=nodes)
         return EstimateResult(

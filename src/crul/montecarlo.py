@@ -36,7 +36,8 @@ from .protocols import (
 )
 
 _SEED_MASK = (1 << 64) - 1
-_METHODS = ("mc", "analytic", "oracle")
+#: Estimation routes, in the order the CLI runs them by default.
+METHODS = ("mc", "analytic", "oracle")
 
 #: Number of admission cases in each protocol's rate decomposition.
 CASE_FAMILIES = {
@@ -64,8 +65,8 @@ class EstimateResult:
     protocol: ProtocolKind
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.n_samples < 0:
             raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
         if self.method == "mc" and self.n_samples < 1:

@@ -20,10 +20,18 @@ estimate.  Two countermeasures, applied everywhere:
 * integrate the outer variable over geometrically growing panels
   (first panel an eighth of the decay length, doubling) so the
   integrator is never asked to find localized mass on its own.
+
+This module is the one home of the per-case region integrals.
+:func:`rsma_terms`, :func:`sic_terms` and :func:`mean_power_factor_oracle`
+are memoised per ``(scenario, rel_tol)``: the oracle rows sum the terms,
+the hard-QoS benchmark reads the rate-splitting clear-channel term, and
+:mod:`crul.crosscheck` arbitrates every closed-form term against the same
+values, so one grid point integrates each region once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,14 +49,13 @@ __all__ = [
     "region_probability",
     "rsma_case_regions",
     "sic_case_regions",
-    "qos_region",
+    "rsma_terms",
+    "sic_terms",
     "ergodic_rate_oracle",
     "ergodic_delta_oracle",
     "mean_power_factor_oracle",
     "expected_clean_rate",
 ]
-
-LN2 = math.log(2.0)
 
 
 class OracleAccuracyError(RuntimeError):
@@ -218,50 +225,50 @@ def rsma_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec]
 def sic_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec, RegionSpec]:
     """The four pure-SIC regions, in case-index order.
 
-    The secondary-first-preferred boundary is where the SU's full-power
-    rate under PU interference matches the reduced-power rate:
+    The first and last are the rate-splitting ones; SIC cuts the split
+    band in two where the SU's full-power rate under PU interference
+    matches the reduced-power rate:
     ``gamma_su = (1 + gamma_pu) (gamma_pu/theta - 1)``.
     """
-    if theta < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {theta}")
+    below, band, tolerant = rsma_case_regions(theta)
     if theta == 0.0:
-        empty = RegionSpec("empty", pu_lower=0.0, pu_upper=0.0)
-        return empty, empty, empty, RegionSpec("no protection constraint")
+        return below, below, below, tolerant
 
     def switch_level(x: float) -> float:
         return (1.0 + x) * (x / theta - 1.0)
 
     return (
-        RegionSpec("primary below threshold", pu_upper=theta),
+        below,
         RegionSpec(
             "reduced power",
             pu_lower=theta,
-            su_lower=lambda x: x / theta - 1.0,
+            su_lower=band.su_lower,
             su_upper=switch_level,
         ),
         RegionSpec("secondary first preferred", pu_lower=theta, su_lower=switch_level),
-        RegionSpec(
-            "interference tolerant",
-            pu_lower=theta,
-            su_upper=lambda x: x / theta - 1.0,
-        ),
+        tolerant,
     )
 
 
-def qos_region(theta: float) -> RegionSpec:
-    """Where the hard-QoS baseline lets the secondary transmit."""
-    if theta < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {theta}")
-    if theta == 0.0:
-        return RegionSpec("no protection constraint")
-    return RegionSpec(
-        "primary tolerates full interference",
-        pu_lower=theta,
-        su_upper=lambda x: x / theta - 1.0,
-    )
+# ------------------------------------------------------- per-case terms
 
+def _memoised(function):
+    """Cache ``function(scenario, rel_tol)`` per scenario and tolerance.
 
-# ------------------------------------------------------- ergodic rates
+    ``lru_cache`` keys on the call shape, so ``f(s)`` and ``f(s, 1e-9)``
+    would be separate entries; every caller reaches the cache through
+    the one positional call below instead.  A sweep point needs two
+    scenarios (its own and the power-normalized one); the release checks
+    revisit a few dozen.
+    """
+    cached = functools.lru_cache(maxsize=64)(function)
+
+    @functools.wraps(function)
+    def call(scenario: ScenarioConfig, rel_tol: float = 1e-9):
+        return cached(scenario, rel_tol)
+
+    call.cache_clear = cached.cache_clear
+    return call
 
 
 def _interference_limited(x: float, y: float) -> float:
@@ -272,35 +279,58 @@ def _clean(x: float, y: float) -> float:
     return math.log2(1.0 + y)
 
 
+@_memoised
+def rsma_terms(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> tuple[float, float, float]:
+    """Per-unit-bandwidth rate-splitting terms, in case-index order.
+
+    ``(below, band, clear)``: the interference-limited rate below the
+    threshold, the split rate in the band, the clean rate where the
+    primary tolerates full interference.
+    """
+    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    below, band, clear = rsma_case_regions(theta)
+    split_rate = lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta))
+    return (
+        restricted_expectation(_interference_limited, below, lam_pu, lam_su, rel_tol),
+        restricted_expectation(split_rate, band, lam_pu, lam_su, rel_tol),
+        restricted_expectation(_clean, clear, lam_pu, lam_su, rel_tol),
+    )
+
+
+@_memoised
+def sic_terms(
+    scenario: ScenarioConfig, rel_tol: float = 1e-9
+) -> tuple[float, float, float, float]:
+    """Per-unit-bandwidth pure-SIC terms, in case-index order.
+
+    ``(below, reduced, preferred, clear)``: below the threshold and in the
+    secondary-first region the SU is interference limited, in between it
+    backs its power off to the primary's tolerance.
+    """
+    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    below, reduced, preferred, clear = sic_case_regions(theta)
+    reduced_rate = lambda x, y: math.log2(x / theta)
+    return (
+        restricted_expectation(_interference_limited, below, lam_pu, lam_su, rel_tol),
+        restricted_expectation(reduced_rate, reduced, lam_pu, lam_su, rel_tol),
+        restricted_expectation(_interference_limited, preferred, lam_pu, lam_su, rel_tol),
+        restricted_expectation(_clean, clear, lam_pu, lam_su, rel_tol),
+    )
+
+
+# ------------------------------------------------------- ergodic rates
+
+
 def ergodic_rate_oracle(
     protocol: ProtocolKind, scenario: ScenarioConfig, rel_tol: float = 1e-9
 ) -> float:
     """Ergodic SU rate of ``protocol``, by nested adaptive integration."""
-    lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
-    theta, bandwidth = scenario.theta, scenario.bandwidth
-
+    bandwidth = scenario.bandwidth
     if protocol is ProtocolKind.CR_RSMA:
-        below, band, tolerant = rsma_case_regions(theta)
-        split_rate = lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta))
-        parts = (
-            restricted_expectation(_interference_limited, below, lam_pu, lam_su, rel_tol),
-            restricted_expectation(split_rate, band, lam_pu, lam_su, rel_tol),
-            restricted_expectation(_clean, tolerant, lam_pu, lam_su, rel_tol),
-        )
-        return bandwidth * math.fsum(parts)
+        return bandwidth * math.fsum(rsma_terms(scenario, rel_tol))
 
     if protocol is ProtocolKind.CR_SIC:
-        below, reduced, preferred, tolerant = sic_case_regions(theta)
-        reduced_rate = lambda x, y: math.log2(x / theta)
-        parts = (
-            restricted_expectation(_interference_limited, below, lam_pu, lam_su, rel_tol),
-            restricted_expectation(reduced_rate, reduced, lam_pu, lam_su, rel_tol)
-            if theta > 0.0
-            else 0.0,
-            restricted_expectation(_interference_limited, preferred, lam_pu, lam_su, rel_tol),
-            restricted_expectation(_clean, tolerant, lam_pu, lam_su, rel_tol),
-        )
-        return bandwidth * math.fsum(parts)
+        return bandwidth * math.fsum(sic_terms(scenario, rel_tol))
 
     if protocol is ProtocolKind.CR_SIC_NORM:
         factor = mean_power_factor_oracle(scenario, rel_tol)
@@ -309,13 +339,17 @@ def ergodic_rate_oracle(
 
     if protocol is ProtocolKind.BENCH_CSI:
         return bandwidth * restricted_expectation(
-            _interference_limited, FULL_QUADRANT, lam_pu, lam_su, rel_tol
+            _interference_limited,
+            FULL_QUADRANT,
+            scenario.lambda_pu,
+            scenario.lambda_su,
+            rel_tol,
         )
 
     if protocol is ProtocolKind.BENCH_QOS:
-        return bandwidth * restricted_expectation(
-            _clean, qos_region(theta), lam_pu, lam_su, rel_tol
-        )
+        # The hard gate admits the secondary exactly where rate splitting
+        # gives it the clear channel.
+        return bandwidth * rsma_terms(scenario, rel_tol)[2]
 
     raise ValueError(f"unknown protocol: {protocol}")
 
@@ -331,8 +365,7 @@ def ergodic_delta_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> flo
     """
     lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
     theta, bandwidth = scenario.theta, scenario.bandwidth
-    if theta == 0.0:
-        return 0.0
+    # Without a threshold both regions are empty and the gap is zero.
     _, reduced, preferred, _ = sic_case_regions(theta)
     split_rate = lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta))
     gap_vs_reduced = lambda x, y: split_rate(x, y) - math.log2(x / theta)
@@ -343,28 +376,19 @@ def ergodic_delta_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> flo
     )
 
 
+@_memoised
 def mean_power_factor_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> float:
     """Average of the pure-SIC control-law power scale.
 
     The scale is 1 below the threshold and beyond the tolerance edge,
-    and ``(gamma_pu/theta - 1)/gamma_su`` in between; each piece is
-    integrated over its own region so the integrands stay smooth.
+    and ``(gamma_pu/theta - 1)/gamma_su`` in the split band between; each
+    piece is integrated over its own region so the integrands stay smooth.
     """
     lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
     theta = scenario.theta
     if theta == 0.0:
         return 1.0
-    below = RegionSpec("primary below threshold", pu_upper=theta)
-    tolerant = RegionSpec(
-        "full power despite protection",
-        pu_lower=theta,
-        su_upper=lambda x: x / theta - 1.0,
-    )
-    band = RegionSpec(
-        "scaled power band",
-        pu_lower=theta,
-        su_lower=lambda x: x / theta - 1.0,
-    )
+    below, band, tolerant = rsma_case_regions(theta)
     scaled = lambda x, y: (x / theta - 1.0) / y
     return math.fsum(
         (

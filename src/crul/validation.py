@@ -22,7 +22,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .oracle import (
     expected_clean_rate,
     mean_power_factor_oracle,
 )
-from .protocols import ProtocolKind, rsma_rate_arrays, sic_rate_arrays
+from .protocols import ProtocolKind, rsma_case_array, rsma_rate_arrays, sic_rate_arrays
 from .specfun import expint_ei, gauss_laguerre
 
 ANALYTIC_GRID_DB = tuple(float(db) for db in range(0, 41, 5))
@@ -66,17 +65,6 @@ def _scenario(snr_db: float, secondary_db: float | None = None) -> ScenarioConfi
     return ScenarioConfig.from_snr_db(
         snr_db, snr_db if secondary_db is None else secondary_db
     )
-
-
-@lru_cache(maxsize=None)
-def _rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> float:
-    """Memoized oracle so overlapping check grids pay for each point once."""
-    return ergodic_rate_oracle(protocol, scenario)
-
-
-@lru_cache(maxsize=None)
-def _power_oracle(scenario: ScenarioConfig) -> float:
-    return mean_power_factor_oracle(scenario)
 
 
 def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
@@ -220,7 +208,7 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
         splitting = rsma_rate_arrays(pu_snr, su_snr, theta, scenario.bandwidth)[0]
         pure = sic_rate_arrays(pu_snr, su_snr, theta, scenario.bandwidth)[0]
         worst_gap = max(worst_gap, float((pure - splitting).max()))
-        band = (pu_snr >= theta) & (pu_snr < theta * (1.0 + su_snr))
+        band = rsma_case_array(pu_snr, su_snr, theta) == 1
         band_draws += int(np.count_nonzero(band))
         band_ties += int(np.count_nonzero(splitting[band] <= pure[band]))
     ergodic_gap = ergodic_delta_oracle(scenario)
@@ -305,15 +293,15 @@ def criterion_mc_consistency(
         scenario = _scenario(snr_db)
         for protocol in ProtocolKind:
             if protocol is ProtocolKind.CR_SIC_NORM:
-                scale = _power_oracle(scenario)
+                scale = mean_power_factor_oracle(scenario)
                 boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
                 estimated = estimate(
                     protocol, scenario, mc, norm_power_factor=scale
                 )
-                reference = _rate_oracle(ProtocolKind.CR_SIC, boosted)
+                reference = ergodic_rate_oracle(ProtocolKind.CR_SIC, boosted)
             else:
                 estimated = estimate(protocol, scenario, mc)
-                reference = _rate_oracle(protocol, scenario)
+                reference = ergodic_rate_oracle(protocol, scenario)
             sigma = abs(estimated.value - reference) / estimated.stderr
             if sigma > worst_sigma:
                 worst_sigma = sigma
@@ -352,10 +340,10 @@ def criterion_figure2_shape(
     scales: list[tuple[float, float]] = []
     for snr_db in grid:
         scenario = _scenario(snr_db)
-        splitting = _rate_oracle(ProtocolKind.CR_RSMA, scenario)
-        pure = _rate_oracle(ProtocolKind.CR_SIC, scenario)
-        informed = _rate_oracle(ProtocolKind.BENCH_CSI, scenario)
-        gated = _rate_oracle(ProtocolKind.BENCH_QOS, scenario)
+        splitting = ergodic_rate_oracle(ProtocolKind.CR_RSMA, scenario)
+        pure = ergodic_rate_oracle(ProtocolKind.CR_SIC, scenario)
+        informed = ergodic_rate_oracle(ProtocolKind.BENCH_CSI, scenario)
+        gated = ergodic_rate_oracle(ProtocolKind.BENCH_QOS, scenario)
         worst_violation = max(
             worst_violation, pure - splitting, max(informed, gated) - pure
         )
@@ -404,13 +392,13 @@ def criterion_figure3_asymptote() -> CheckResult:
         ProtocolKind.BENCH_QOS,
     )
     worst_gap = max(
-        abs(_rate_oracle(protocol, ceiling_scenario) - ceiling) / ceiling
+        abs(ergodic_rate_oracle(protocol, ceiling_scenario) - ceiling) / ceiling
         for protocol in convergent
     )
     low_scenario = _scenario(10.0, secondary_db)
-    gated = _rate_oracle(ProtocolKind.BENCH_QOS, low_scenario)
+    gated = ergodic_rate_oracle(ProtocolKind.BENCH_QOS, low_scenario)
     low_ratios = {
-        protocol.value: _rate_oracle(protocol, low_scenario) / gated
+        protocol.value: ergodic_rate_oracle(protocol, low_scenario) / gated
         for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC)
     }
     passed = worst_gap <= 0.01 and all(r >= 1.1 for r in low_ratios.values())

@@ -564,42 +564,35 @@ class TestSicTotal:
 # ------------------------------------------------------------ rate difference
 
 
+def gap_scenario(theta: float) -> ScenarioConfig:
+    """Unit primary rate, secondary rate 2, protection threshold ``theta``."""
+    return ScenarioConfig.from_snr_db(
+        0.0,
+        -10.0 * math.log10(2.0),
+        secondary_distance=1.0,
+        rate_threshold=math.log2(1.0 + theta),
+    )
+
+
 class TestDeltaRate:
-    def test_matches_band_gap_oracle(self, p20):
-        scenario = ScenarioConfig.from_snr_db(20.0, 20.0)
-        assert analytic.delta_rate(p20) == pytest.approx(
-            ergodic_delta_oracle(scenario), abs=1e-8
-        )
+    """The protocol gap has no closed form; the oracle integrates it over
+    the split band, which its two SIC regions must tile exactly."""
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0])
     def test_equals_difference_of_totals(self, gamma0_db):
         scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
-        p = AnalyticParams.from_scenario(scenario)
         difference = ergodic_rate_oracle(
             ProtocolKind.CR_RSMA, scenario
         ) - ergodic_rate_oracle(ProtocolKind.CR_SIC, scenario)
-        assert analytic.delta_rate(p) == pytest.approx(difference, abs=1e-6)
+        assert ergodic_delta_oracle(scenario) == pytest.approx(difference, abs=1e-6)
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0, 40.0])
     def test_nonnegative(self, gamma0_db):
-        assert analytic.delta_rate(params_at(gamma0_db)) >= 0.0
+        scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
+        assert ergodic_delta_oracle(scenario) >= 0.0
 
     def test_vanishes_with_threshold(self):
-        coarse = analytic.delta_rate(
-            AnalyticParams(lambda_pu=1.0, lambda_su=2.0, theta=1e-2)
-        )
-        fine = analytic.delta_rate(
-            AnalyticParams(lambda_pu=1.0, lambda_su=2.0, theta=1e-3)
-        )
+        coarse = ergodic_delta_oracle(gap_scenario(1e-2))
+        fine = ergodic_delta_oracle(gap_scenario(1e-3))
         assert 0.0 <= fine < coarse
         assert fine < 1e-6
-
-    def test_custom_integrator_is_used(self, p20):
-        calls = []
-
-        def fake(integrand, region, lam_p, lam_s, rel_tol=1e-9):
-            calls.append(region.description)
-            return 0.0
-
-        assert analytic.delta_rate(p20, integrator=fake) == 0.0
-        assert len(calls) == 3

@@ -23,7 +23,6 @@ from crul.oracle import (
     ergodic_rate_oracle,
     expected_clean_rate,
     mean_power_factor_oracle,
-    qos_region,
     region_probability,
     restricted_expectation,
     rsma_case_regions,
@@ -69,7 +68,8 @@ def test_qos_region_probability_closed_form():
         expected = (
             math.exp(-lam_pu * THETA) * lam_su / (lam_su + lam_pu * THETA)
         )
-        assert region_probability(qos_region(THETA), lam_pu, lam_su) == pytest.approx(
+        clear = rsma_case_regions(THETA)[2]
+        assert region_probability(clear, lam_pu, lam_su) == pytest.approx(
             expected, rel=1e-8
         )
 
@@ -249,3 +249,27 @@ def test_bandwidth_scales_every_protocol():
         assert ergodic_rate_oracle(protocol, wide) == pytest.approx(
             2.0 * ergodic_rate_oracle(protocol, base), rel=1e-8
         )
+
+
+def test_one_point_integrates_each_region_once(monkeypatch):
+    """Every protocol by analytic and oracle at one point needs 15 region
+    integrals: 3 for the mean power scale, 3 rate-splitting terms, 4 SIC
+    terms at the point and 4 at its power-normalized twin, 1 for the CSI
+    benchmark.  The QoS benchmark and the term arbitration reuse them."""
+    from crul import cli, oracle
+
+    for memoised in (oracle.rsma_terms, oracle.sic_terms, oracle.mean_power_factor_oracle):
+        memoised.cache_clear()
+    calls = []
+    integrate = oracle.restricted_expectation
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].description)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "restricted_expectation", counting)
+    argv = ["point", "--gamma0", "20", "--method", "analytic,oracle"]
+    settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
+    rows = cli.make_rows(settings, [(20.0, 20.0)])
+    assert len(rows) == 8
+    assert len(calls) <= 15, calls
