@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crul import cli, oracle
 from crul.channel import ScenarioConfig
 from crul.oracle import (
     FULL_QUADRANT,
@@ -256,8 +257,6 @@ def test_one_point_integrates_each_region_once(monkeypatch):
     integrals: 3 for the mean power scale, 3 rate-splitting terms, 4 SIC
     terms at the point and 4 at its power-normalized twin, 1 for the CSI
     benchmark.  The QoS benchmark and the term arbitration reuse them."""
-    from crul import cli, oracle
-
     for memoised in (oracle.rsma_terms, oracle.sic_terms, oracle.mean_power_factor_oracle):
         memoised.cache_clear()
     calls = []
