@@ -26,9 +26,10 @@ term by term:
   moderate-parameter regime they were stated for.
 * fixed half-line quadrature of the kernels (the headline approximation
   route).
-* adaptive panel integration of the same kernels.  This removes the fixed
-  rule's tail truncation: the largest order-100 node is near 375, so a
-  kernel decaying like ``exp(-lambda_su * x)`` loses visible mass once
+* adaptive panel integration of the same kernels on the Gauss-Kronrod
+  panels of :mod:`crul.panels`.  This removes the fixed rule's tail
+  truncation: the largest order-100 node is near 375, so a kernel
+  decaying like ``exp(-lambda_su * x)`` loses visible mass once
   ``1/lambda_su`` grows past the node range.
 
 :mod:`crul.crosscheck` arbitrates between the routes term by term against
@@ -41,9 +42,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .channel import ScenarioConfig
+from .panels import exponential_expectation, panel_integral
 from .specfun import QuadratureRule, expint_ei, gauss_laguerre, log_e1
 
 LN2 = math.log(2.0)
@@ -55,10 +56,6 @@ EQUAL_RATE_REL_TOL = 1e-9
 
 DERIVED = "derived"
 STATED = "stated"
-
-# Tail horizon for the adaptive routes, in units of the kernel decay
-# length: the neglected mass is below exp(-45) of the total.
-_TAIL_HORIZON = 45.0
 
 
 def _check_variant(variant: str) -> None:
@@ -117,29 +114,6 @@ def _exp_ei_neg(exponent: float, arg: float) -> float:
     against ``Ei(-lambda_su*(1+theta))``) while the product stays modest.
     """
     return -math.exp(exponent + log_e1(arg))
-
-
-def _adaptive_panels(f, lower: float, scale: float, rel_tol: float) -> float:
-    """Integrate ``f`` from ``lower`` over geometrically growing panels.
-
-    Plain adaptive quadrature on one huge interval misses mass that is
-    localized near the lower end; doubling panels keep every feature
-    resolved.  The upper truncation point neglects below ``exp(-45)`` of
-    relative mass.
-    """
-    upper = lower + (_TAIL_HORIZON + abs(math.log(rel_tol))) * scale
-    total = 0.0
-    position = lower
-    width = scale / 8.0
-    while position < upper:
-        edge = min(position + width, upper)
-        value = scipy.integrate.quad(
-            f, position, edge, epsabs=0.0, epsrel=rel_tol, limit=200, full_output=1
-        )[0]
-        total += value
-        position = edge
-        width *= 2.0
-    return total
 
 
 # --------------------------------------------- below-threshold term
@@ -203,8 +177,8 @@ def below_threshold_term(params: AnalyticParams, variant: str = DERIVED) -> floa
 
 def below_threshold_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:
     """Same contribution by adaptive integration of the ratio density."""
-    integrand = lambda z: math.log2(1.0 + z) * ratio_density(z, params)
-    return params.bandwidth * _adaptive_panels(integrand, 0.0, 1.0 / params.lambda_su, rel_tol)
+    integrand = lambda z: np.log2(1.0 + z) * ratio_density(z, params)
+    return params.bandwidth * panel_integral(integrand, 0.0, 1.0 / params.lambda_su, rel_tol)
 
 
 # --------------------------------------------- split-band closed form
@@ -419,8 +393,8 @@ def reduced_power_term(params: AnalyticParams, variant: str = DERIVED) -> float:
 
 def reduced_power_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:
     """Same contribution by adaptive integration of the closed-form kernel."""
-    integrand = lambda x: reduced_power_kernel(x, params)
-    return _adaptive_panels(integrand, 0.0, 1.0 / params.lambda_su, rel_tol)
+    integrand = np.vectorize(lambda x: reduced_power_kernel(x, params), otypes=[float])
+    return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, rel_tol)
 
 
 def preferred_order_kernel(su_snr, pu_snr, params: AnalyticParams):
@@ -464,24 +438,20 @@ def preferred_order_term(params: AnalyticParams) -> float:
 
 
 def preferred_order_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:
-    """Same contribution by nested adaptive integration of the kernel."""
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
-    inner_span = (_TAIL_HORIZON + abs(math.log(rel_tol))) / lam_s
+    """Same contribution by adaptive integration over the swapped-order region.
 
-    def shell(pu_snr: float) -> float:
-        low = preferred_order_boundary(pu_snr, theta)
-        value = scipy.integrate.quad(
-            lambda x: math.log2(1.0 + x / (1.0 + pu_snr)) * lam_s * math.exp(-lam_s * x),
-            low,
-            low + inner_span,
-            epsabs=0.0,
-            epsrel=rel_tol / 5.0,
-            limit=200,
-            full_output=1,
-        )[0]
-        return params.bandwidth * value * lam_p * math.exp(-lam_p * pu_snr)
-
-    return _adaptive_panels(shell, theta, 1.0 / lam_p, rel_tol)
+    The primary axis starts at the protection threshold and each secondary
+    slice at the order-switch boundary, as in :func:`preferred_order_term`.
+    """
+    theta = params.theta
+    return params.bandwidth * exponential_expectation(
+        lambda pu_snr, su_snr: np.log2(1.0 + su_snr / (1.0 + pu_snr)),
+        params.lambda_pu,
+        params.lambda_su,
+        rel_tol,
+        x_lower=theta,
+        y_lower=lambda pu_snr: preferred_order_boundary(pu_snr, theta),
+    )
 
 
 def ergodic_sic_analytic(params: AnalyticParams, variant: str = DERIVED) -> float:

@@ -28,10 +28,14 @@ from .crosscheck import ANALYTIC_PROTOCOLS, evaluate
 from .montecarlo import METHODS, McConfig, mean_power_factor
 from .oracle import OracleAccuracyError, mean_power_factor_oracle
 from .protocols import ProtocolKind
-from .specfun import ConvergenceError
+from .specfun import MAX_ORDER, ConvergenceError
 
 CSV_HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 ALL_PROTOCOLS = tuple(ProtocolKind)
+
+#: Mean SNRs accepted by --gamma0, --gamma0-pu and --gamma0-su (dB).  The
+#: three routes agree across the whole range, asymmetric corners included.
+SNR_DB_RANGE = (-100.0, 100.0)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -129,6 +133,11 @@ def _parse_methods(spec: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _require(flag: str, value, valid: bool, rule: str) -> None:
+    if not valid:
+        raise UsageError(f"--{flag} must be {rule}, got {value}")
+
+
 def resolve_settings(args: argparse.Namespace) -> Settings:
     """Merge command-line flags over config-file values over defaults."""
     file_values = load_config(args.config) if args.config else {}
@@ -148,6 +157,17 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     gamma0 = pick("gamma0", None)
     gamma0_pu = pick("gamma0_pu", None)
     gamma0_su = pick("gamma0_su", None)
+    dist_pu, dist_su = pick("dist_pu", 1.0), pick("dist_su", 2.0)
+    u, rate_th = pick("u", 2.0), pick("rate_th", 2.5)
+    # Comparisons are false for NaN, so each check also rejects it.
+    low, high = SNR_DB_RANGE
+    for flag, value in (("gamma0", gamma0), ("gamma0-pu", gamma0_pu), ("gamma0-su", gamma0_su)):
+        if value is not None:
+            _require(flag, value, low <= value <= high, f"a mean SNR in [{low:g}, {high:g}] dB")
+    for flag, value in (("dist-pu", dist_pu), ("dist-su", dist_su)):
+        _require(flag, value, 0.0 < value < math.inf, "finite and > 0")
+    for flag, value in (("u", u), ("rate-th", rate_th)):
+        _require(flag, value, 0.0 <= value < math.inf, "finite and >= 0")
     if gamma0 is not None:
         if gamma0_pu is not None or gamma0_su is not None:
             raise UsageError("--gamma0 conflicts with --gamma0-pu/--gamma0-su")
@@ -158,19 +178,21 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         samples = 10**5 if args.quick else 10**6
     if samples < 1:
         raise UsageError(f"--samples must be >= 1, got {samples}")
+    nodes = pick("nodes", 100)
+    _require("nodes", nodes, 1 <= nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
 
     return Settings(
         gamma0_pu=gamma0_pu,
         gamma0_su=gamma0_su,
-        dist_pu=pick("dist_pu", 1.0),
-        dist_su=pick("dist_su", 2.0),
-        u=pick("u", 2.0),
-        rate_th=pick("rate_th", 2.5),
+        dist_pu=dist_pu,
+        dist_su=dist_su,
+        u=u,
+        rate_th=rate_th,
         protocols=_parse_protocols(pick("protocol", "all")),
         methods=_parse_methods(pick("method", ",".join(METHODS))),
         samples=samples,
         seed=pick("seed", 0),
-        nodes=pick("nodes", 100),
+        nodes=nodes,
     )
 
 
@@ -186,8 +208,10 @@ def _scenario(settings: Settings, gamma0_pu: float, gamma0_su: float) -> Scenari
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0.0:
-        raise UsageError(f"--step must be > 0, got {step}")
+    low, high = SNR_DB_RANGE
+    for flag, value in (("start", start), ("stop", stop)):
+        _require(flag, value, low <= value <= high, f"a mean SNR in [{low:g}, {high:g}] dB")
+    _require("step", step, 0.0 < step < math.inf, "finite and > 0")
     if stop < start:
         raise UsageError(f"--stop must be >= --start, got {start}..{stop}")
     count = int(round((stop - start) / step))

@@ -15,6 +15,9 @@ oracle rows and the arbitration share one integration per term.
 The full comparison table is exported as a JSON-ready deviation report so
 that a reader can see exactly which written forms disagree with the
 integrals they claim to equal, by how much, and what was used instead.
+A route that raises (an as-printed form overflowing outside the regime it
+was stated for, say) is recorded as NaN with the reason and never wins,
+so it cannot take the row down with it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .montecarlo import EstimateResult, McConfig, estimate
 from .oracle import ergodic_rate_oracle, mean_power_factor_oracle, rsma_terms, sic_terms
 from .oracle import restricted_expectation  # noqa: F401 - perfbench/spans.py patches this name
 from .protocols import ProtocolKind
+from .specfun import ConvergenceError
 
 #: Routes tried in order; the first within ARBITRATION_REL_TOL of the
 #: term oracle wins.  "stated" is the transcription, "derived" the
@@ -44,6 +48,9 @@ ARBITRATION_REL_TOL = 1e-4
 #: Routes further off than this from the term oracle are flagged in the
 #: deviation report.
 REPORT_REL_TOL = 1e-2
+
+#: What a numerical route may raise; recorded in its report, not propagated.
+_ROUTE_ERRORS = (ArithmeticError, ValueError, ConvergenceError)
 
 #: Protocols with a closed-form decomposition (the benchmarks have none).
 ANALYTIC_PROTOCOLS = (
@@ -73,6 +80,8 @@ class TermReport:
     chosen_value: float
     #: Report-only rows (alternative groupings) are excluded from totals.
     in_total: bool = True
+    #: Why each route that raised has NaN in ``routes``.
+    route_errors: dict[str, str] = field(default_factory=dict)
 
     @property
     def deviations(self) -> dict[str, float]:
@@ -83,8 +92,9 @@ class TermReport:
 
     @property
     def flagged_routes(self) -> tuple[str, ...]:
+        """Routes off by more than the report tolerance, or that raised."""
         return tuple(
-            name for name, dev in self.deviations.items() if dev > REPORT_REL_TOL
+            name for name, dev in self.deviations.items() if not dev <= REPORT_REL_TOL
         )
 
 
@@ -97,15 +107,24 @@ def _arbitrate(routes: dict[str, float], oracle_value: float) -> tuple[str, floa
 
 
 def _report(protocol, term, routes, oracle_value, in_total=True) -> TermReport:
-    chosen_route, chosen_value = _arbitrate(routes, oracle_value)
+    """Evaluate every route (a zero-argument callable) and arbitrate."""
+    values, errors = {}, {}
+    for name, route in routes.items():
+        try:
+            values[name] = route()
+        except _ROUTE_ERRORS as exc:
+            values[name] = math.nan
+            errors[name] = f"{type(exc).__name__}: {exc}"
+    chosen_route, chosen_value = _arbitrate(values, oracle_value)
     return TermReport(
         protocol=protocol.value,
         term=term,
         oracle_value=oracle_value,
-        routes=dict(routes),
+        routes=values,
         chosen_route=chosen_route,
         chosen_value=chosen_value,
         in_total=in_total,
+        route_errors=errors,
     )
 
 
@@ -120,9 +139,9 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
             ProtocolKind.CR_RSMA,
             "interference_limited",
             {
-                "stated": analytic.below_threshold_term(params, STATED),
-                "derived": analytic.below_threshold_term(params, DERIVED),
-                "integral": analytic.below_threshold_term_integral(params),
+                "stated": lambda: analytic.below_threshold_term(params, STATED),
+                "derived": lambda: analytic.below_threshold_term(params, DERIVED),
+                "integral": lambda: analytic.below_threshold_term_integral(params),
             },
             oracle_below,
         ),
@@ -130,8 +149,8 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
             ProtocolKind.CR_RSMA,
             "split_band",
             {
-                "stated": analytic.split_band_term(params, STATED),
-                "derived": analytic.split_band_term(params, DERIVED),
+                "stated": lambda: analytic.split_band_term(params, STATED),
+                "derived": lambda: analytic.split_band_term(params, DERIVED),
             },
             oracle_band,
         ),
@@ -139,8 +158,8 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
             ProtocolKind.CR_RSMA,
             "clear_channel",
             {
-                "stated": analytic.clear_channel_term(params, STATED),
-                "derived": analytic.clear_channel_term(params, DERIVED),
+                "stated": lambda: analytic.clear_channel_term(params, STATED),
+                "derived": lambda: analytic.clear_channel_term(params, DERIVED),
             },
             oracle_clear,
         ),
@@ -151,8 +170,8 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
             ProtocolKind.CR_RSMA,
             "combined_tail",
             {
-                "stated": analytic.merged_tail_stated(params),
-                "derived": analytic.split_band_term(params, DERIVED)
+                "stated": lambda: analytic.merged_tail_stated(params),
+                "derived": lambda: analytic.split_band_term(params, DERIVED)
                 + analytic.clear_channel_term(params, DERIVED),
             },
             oracle_band + oracle_clear,
@@ -172,9 +191,9 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
             ProtocolKind.CR_SIC,
             "interference_limited",
             {
-                "stated": analytic.below_threshold_term(params, STATED),
-                "derived": analytic.below_threshold_term(params, DERIVED),
-                "integral": analytic.below_threshold_term_integral(params),
+                "stated": lambda: analytic.below_threshold_term(params, STATED),
+                "derived": lambda: analytic.below_threshold_term(params, DERIVED),
+                "integral": lambda: analytic.below_threshold_term_integral(params),
             },
             oracle_miss,
         ),
@@ -182,8 +201,8 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
             ProtocolKind.CR_SIC,
             "reduced_power",
             {
-                "derived": analytic.reduced_power_term(params, DERIVED),
-                "integral": analytic.reduced_power_term_integral(params),
+                "derived": lambda: analytic.reduced_power_term(params, DERIVED),
+                "integral": lambda: analytic.reduced_power_term_integral(params),
             },
             oracle_reduced,
         ),
@@ -191,8 +210,8 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
             ProtocolKind.CR_SIC,
             "preferred_order",
             {
-                "derived": analytic.preferred_order_term(params),
-                "integral": analytic.preferred_order_term_integral(params),
+                "derived": lambda: analytic.preferred_order_term(params),
+                "integral": lambda: analytic.preferred_order_term_integral(params),
             },
             oracle_preferred,
         ),
@@ -201,7 +220,7 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
         _report(
             ProtocolKind.CR_SIC,
             "clear_channel",
-            {"derived": analytic.clear_channel_term(params, DERIVED)},
+            {"derived": lambda: analytic.clear_channel_term(params, DERIVED)},
             oracle_clear,
         ),
     ]
@@ -299,6 +318,7 @@ def deviation_report(
                     "chosen_value": report.chosen_value,
                     "counts_toward_total": report.in_total,
                     "flagged_routes": list(report.flagged_routes),
+                    "route_errors": report.route_errors,
                 }
                 entries.append(entry)
                 for route in report.flagged_routes:

@@ -3,30 +3,29 @@
 The estimands are expectations of piecewise-smooth functions of two
 independent exponential SNRs.  This module evaluates them by brute
 force: split the plane into the protocol's decision regions (so each
-integrand is smooth where it is integrated), then run nested adaptive
-quadrature with the exponential densities written out explicitly.
+integrand is smooth where it is integrated), then integrate each region
+with the exponential densities written out explicitly.
 
 It deliberately shares no code with :mod:`crul.analytic` -- no
 Gauss-Laguerre rules, no exponential-integral identities -- so that
 agreement between the two routes is evidence, not tautology.
 
-Adaptive quadrature on ``[a, inf)`` has a classic failure mode here:
-with rates as small as 1e-4 the mass sits in a sliver of an enormous
-interval and QUADPACK can return a near-zero answer with a clean error
-estimate.  Two countermeasures, applied everywhere:
+The integrals run on :mod:`crul.panels`: 21-point Gauss-Kronrod rules on
+geometrically doubling panels along both axes, truncated where the
+neglected tail is below a tenth of the tolerance, with every inner slice
+of a panel's nodes evaluated in one numpy pass and ``|K21 - G10|``
+deciding which panels are bisected.  A slice or region whose error
+estimate misses its budget raises :class:`OracleAccuracyError`.
+Integrands take numpy arrays.
 
-* truncate at ``lower + horizon/rate`` where ``horizon`` leaves a
-  relative tail below one tenth of the requested tolerance, and
-* integrate the outer variable over geometrically growing panels
-  (first panel an eighth of the decay length, doubling) so the
-  integrator is never asked to find localized mass on its own.
-
-This module is the one home of the per-case region integrals.
-:func:`rsma_terms`, :func:`sic_terms` and :func:`mean_power_factor_oracle`
-are memoised per ``(scenario, rel_tol)``: the oracle rows sum the terms,
-the hard-QoS benchmark reads the rate-splitting clear-channel term, and
-:mod:`crul.crosscheck` arbitrates every closed-form term against the same
-values, so one grid point integrates each region once.
+This module is the one home of the per-case region integrals.  Each one
+is memoised per region, scenario and tolerance, so :func:`rsma_terms` and
+:func:`sic_terms` share the two regions they have in common, and
+:func:`mean_power_factor_oracle` is memoised per ``(scenario, rel_tol)``:
+the oracle rows sum the terms, the hard-QoS benchmark reads the
+rate-splitting clear-channel term, and :mod:`crul.crosscheck` arbitrates
+every closed-form term against the same values, so one grid point
+integrates each region once.
 """
 
 from __future__ import annotations
@@ -36,9 +35,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import scipy.integrate
+import numpy as np
 
 from .channel import ScenarioConfig
+from .panels import QuadratureError, exponential_expectation, panel_integral
 from .protocols import ProtocolKind
 
 __all__ = [
@@ -93,31 +93,8 @@ class RegionSpec:
 
 FULL_QUADRANT = RegionSpec("both SNRs unconstrained")
 
-# Tail horizon in units of the decay length 1/rate: exp(-45) ~ 3e-20 of
-# relative mass is ignored, far below any tolerance this module accepts.
-_TAIL_HORIZON = 45.0
-_FIRST_PANEL_FRACTION = 0.125
-
-
-def _panels(lower: float, upper: float, scale: float):
-    """Geometrically doubling subintervals of [lower, upper]."""
-    edges = [lower]
-    width = scale * _FIRST_PANEL_FRACTION
-    position = lower
-    while position + width < upper:
-        position += width
-        edges.append(position)
-        width *= 2.0
-    edges.append(upper)
-    return zip(edges[:-1], edges[1:])
-
-
-def _horizon(rel_tol: float) -> float:
-    return _TAIL_HORIZON + abs(math.log(rel_tol))
-
-
 def restricted_expectation(
-    integrand: Callable[[float, float], float],
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     region: RegionSpec,
     lambda_pu: float,
     lambda_su: float,
@@ -125,70 +102,29 @@ def restricted_expectation(
 ) -> float:
     """``E[integrand(gamma_pu, gamma_su) ; region]`` for exponential SNRs.
 
-    ``integrand`` must be smooth inside the region (split piecewise
+    ``integrand`` takes arrays and returns an array broadcastable to
+    their shape; it must be smooth inside the region (split piecewise
     integrands into one region per piece).  Raises
-    :class:`OracleAccuracyError` when the accumulated quadrature error
-    cannot be reconciled with ``rel_tol``.
+    :class:`OracleAccuracyError` when the quadrature error cannot be
+    reconciled with ``rel_tol``.
     """
     if not 0.0 < rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
     if lambda_pu <= 0.0 or lambda_su <= 0.0:
         raise ValueError("rate parameters must be > 0")
-
-    horizon = _horizon(rel_tol)
-    inner_span = horizon / lambda_su
-
-    def inner(x: float) -> float:
-        low, high = region.su_bounds(x)
-        high = min(high, low + inner_span)
-        if not high > low:
-            return 0.0
-        # full_output=1 keeps QUADPACK's advisory warnings off the console;
-        # its error estimate is enforced right here instead.
-        result = scipy.integrate.quad(
-            lambda y: integrand(x, y) * lambda_su * math.exp(-lambda_su * y),
-            low,
-            high,
-            epsabs=0.0,
-            epsrel=rel_tol / 5.0,
-            limit=200,
-            full_output=1,
+    try:
+        return exponential_expectation(
+            integrand,
+            lambda_pu,
+            lambda_su,
+            rel_tol,
+            x_lower=region.pu_lower,
+            x_upper=region.pu_upper,
+            y_lower=region.su_lower,
+            y_upper=region.su_upper,
         )
-        value, abserr = result[0], result[1]
-        if abserr > 20.0 * rel_tol * abs(value) + 1e-12:
-            raise OracleAccuracyError(
-                f"inner quadrature error {abserr:.3e} at gamma_pu={x:.5g} "
-                f"for value {value:.6e} ({region.description})"
-            )
-        return value
-
-    outer_low = region.pu_lower
-    outer_high = min(region.pu_upper, outer_low + horizon / lambda_pu)
-    if not outer_high > outer_low:
-        return 0.0
-
-    total = 0.0
-    error = 0.0
-    for a, b in _panels(outer_low, outer_high, 1.0 / lambda_pu):
-        result = scipy.integrate.quad(
-            lambda x: inner(x) * lambda_pu * math.exp(-lambda_pu * x),
-            a,
-            b,
-            epsabs=0.0,
-            epsrel=rel_tol / 2.0,
-            limit=100,
-            full_output=1,
-        )
-        value, abserr = result[0], result[1]
-        total += value
-        error += abserr
-
-    if error > 10.0 * rel_tol * abs(total) + 1e-12:
-        raise OracleAccuracyError(
-            f"quadrature error {error:.3e} exceeds budget for value {total:.6e} "
-            f"({region.description})"
-        )
-    return total
+    except QuadratureError as exc:
+        raise OracleAccuracyError(f"{exc} ({region.description})") from None
 
 
 def region_probability(
@@ -271,15 +207,49 @@ def _memoised(function):
     return call
 
 
-def _interference_limited(x: float, y: float) -> float:
-    return math.log2(1.0 + y / (1.0 + x))
+def _interference_limited(x, y):
+    return np.log2(1.0 + y / (1.0 + x))
 
 
-def _clean(x: float, y: float) -> float:
-    return math.log2(1.0 + y)
+def _clean(x, y):
+    return np.log2(1.0 + y)
 
 
-@_memoised
+def _case_integrands(theta: float) -> dict:
+    """Region and integrand of every per-case term, by name."""
+    below, reduced, preferred, clear = sic_case_regions(theta)
+    return {
+        "below": (below, _interference_limited),
+        "band": (
+            rsma_case_regions(theta)[1],
+            lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta)),
+        ),
+        "reduced": (reduced, lambda x, y: np.log2(x / theta)),
+        "preferred": (preferred, _interference_limited),
+        "clear": (clear, _clean),
+    }
+
+
+@functools.lru_cache(maxsize=512)
+def _case_term(
+    name: str, lambda_pu: float, lambda_su: float, theta: float, rel_tol: float
+) -> float:
+    """One per-case region integral, memoised per region, scenario and tolerance.
+
+    Rate splitting and pure SIC share the below-threshold and clear-channel
+    regions, so keying on the region rather than the protocol integrates
+    each once.  Reached only through :func:`_case_terms`, which passes
+    every argument positionally (see :func:`_memoised` on call shapes).
+    """
+    region, integrand = _case_integrands(theta)[name]
+    return restricted_expectation(integrand, region, lambda_pu, lambda_su, rel_tol)
+
+
+def _case_terms(names: tuple[str, ...], scenario: ScenarioConfig, rel_tol: float):
+    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    return tuple(_case_term(name, lam_pu, lam_su, theta, rel_tol) for name in names)
+
+
 def rsma_terms(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> tuple[float, float, float]:
     """Per-unit-bandwidth rate-splitting terms, in case-index order.
 
@@ -287,17 +257,9 @@ def rsma_terms(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> tuple[float, 
     threshold, the split rate in the band, the clean rate where the
     primary tolerates full interference.
     """
-    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    below, band, clear = rsma_case_regions(theta)
-    split_rate = lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta))
-    return (
-        restricted_expectation(_interference_limited, below, lam_pu, lam_su, rel_tol),
-        restricted_expectation(split_rate, band, lam_pu, lam_su, rel_tol),
-        restricted_expectation(_clean, clear, lam_pu, lam_su, rel_tol),
-    )
+    return _case_terms(("below", "band", "clear"), scenario, rel_tol)
 
 
-@_memoised
 def sic_terms(
     scenario: ScenarioConfig, rel_tol: float = 1e-9
 ) -> tuple[float, float, float, float]:
@@ -307,15 +269,7 @@ def sic_terms(
     secondary-first region the SU is interference limited, in between it
     backs its power off to the primary's tolerance.
     """
-    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    below, reduced, preferred, clear = sic_case_regions(theta)
-    reduced_rate = lambda x, y: math.log2(x / theta)
-    return (
-        restricted_expectation(_interference_limited, below, lam_pu, lam_su, rel_tol),
-        restricted_expectation(reduced_rate, reduced, lam_pu, lam_su, rel_tol),
-        restricted_expectation(_interference_limited, preferred, lam_pu, lam_su, rel_tol),
-        restricted_expectation(_clean, clear, lam_pu, lam_su, rel_tol),
-    )
+    return _case_terms(("below", "reduced", "preferred", "clear"), scenario, rel_tol)
 
 
 # ------------------------------------------------------- ergodic rates
@@ -324,7 +278,7 @@ def sic_terms(
 def ergodic_rate_oracle(
     protocol: ProtocolKind, scenario: ScenarioConfig, rel_tol: float = 1e-9
 ) -> float:
-    """Ergodic SU rate of ``protocol``, by nested adaptive integration."""
+    """Ergodic SU rate of ``protocol``, by integration over its decision regions."""
     bandwidth = scenario.bandwidth
     if protocol is ProtocolKind.CR_RSMA:
         return bandwidth * math.fsum(rsma_terms(scenario, rel_tol))
@@ -367,8 +321,8 @@ def ergodic_delta_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> flo
     theta, bandwidth = scenario.theta, scenario.bandwidth
     # Without a threshold both regions are empty and the gap is zero.
     _, reduced, preferred, _ = sic_case_regions(theta)
-    split_rate = lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta))
-    gap_vs_reduced = lambda x, y: split_rate(x, y) - math.log2(x / theta)
+    split_rate = lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta))
+    gap_vs_reduced = lambda x, y: split_rate(x, y) - np.log2(x / theta)
     gap_vs_preferred = lambda x, y: split_rate(x, y) - _interference_limited(x, y)
     return bandwidth * (
         restricted_expectation(gap_vs_reduced, reduced, lam_pu, lam_su, rel_tol)
@@ -409,22 +363,13 @@ def expected_clean_rate(
     """
     if rate_parameter <= 0.0:
         raise ValueError("rate parameter must be > 0")
-    horizon = _horizon(rel_tol)
-    total = 0.0
-    error = 0.0
-    for a, b in _panels(0.0, horizon / rate_parameter, 1.0 / rate_parameter):
-        result = scipy.integrate.quad(
-            lambda y: math.log2(1.0 + y) * rate_parameter * math.exp(-rate_parameter * y),
-            a,
-            b,
-            epsabs=0.0,
-            epsrel=rel_tol / 2.0,
-            limit=100,
-            full_output=1,
+    try:
+        total = panel_integral(
+            lambda y: np.log2(1.0 + y) * rate_parameter * np.exp(-rate_parameter * y),
+            0.0,
+            1.0 / rate_parameter,
+            rel_tol,
         )
-        value, abserr = result[0], result[1]
-        total += value
-        error += abserr
-    if error > 10.0 * rel_tol * abs(total) + 1e-12:
-        raise OracleAccuracyError("one-dimensional rate integral did not converge")
+    except QuadratureError as exc:
+        raise OracleAccuracyError(f"{exc} (one-dimensional rate integral)") from None
     return bandwidth * total

@@ -24,6 +24,7 @@ from crul.oracle import (
     rsma_case_regions,
     sic_case_regions,
 )
+from crul.panels import panel_integral
 from crul.protocols import ProtocolKind
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
@@ -102,7 +103,7 @@ class TestRatioDensity:
         # The density is defective: it carries exactly the probability of
         # the event that the primary misses its SINR target.
         for p in (p20, unit_params):
-            mass = analytic._adaptive_panels(
+            mass = panel_integral(
                 lambda z: analytic.ratio_density(z, p), 0.0, 1.0 / p.lambda_su, 1e-10
             )
             expected = 1.0 - math.exp(-p.lambda_pu * p.theta)
@@ -182,7 +183,7 @@ class TestBelowThresholdTerm:
     def test_matches_region_oracle(self, p20):
         below = rsma_case_regions(p20.theta)[0]
         reference = restricted_expectation(
-            lambda x, y: math.log2(1.0 + y / (1.0 + x)),
+            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             below,
             p20.lambda_pu,
             p20.lambda_su,
@@ -207,7 +208,7 @@ class TestSplitBandTerm:
         p = params_at(gamma0_db)
         band = rsma_case_regions(p.theta)[1]
         reference = restricted_expectation(
-            lambda x, y: math.log2((1.0 + x + y) / (1.0 + p.theta)),
+            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
             band,
             p.lambda_pu,
             p.lambda_su,
@@ -218,7 +219,7 @@ class TestSplitBandTerm:
         p = unit_params
         band = rsma_case_regions(p.theta)[1]
         reference = restricted_expectation(
-            lambda x, y: math.log2((1.0 + x + y) / (1.0 + p.theta)),
+            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
             band,
             p.lambda_pu,
             p.lambda_su,
@@ -244,7 +245,7 @@ class TestSplitBandTerm:
         p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
         band = rsma_case_regions(p.theta)[1]
         reference = restricted_expectation(
-            lambda x, y: math.log2((1.0 + x + y) / (1.0 + p.theta)),
+            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
             band,
             p.lambda_pu,
             p.lambda_su,
@@ -270,7 +271,7 @@ class TestSplitBandTerm:
     def test_stated_variant_deviates(self, p20):
         band = rsma_case_regions(p20.theta)[1]
         reference = restricted_expectation(
-            lambda x, y: math.log2((1.0 + x + y) / (1.0 + p20.theta)),
+            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p20.theta)),
             band,
             p20.lambda_pu,
             p20.lambda_su,
@@ -287,7 +288,7 @@ class TestClearChannelTerm:
         p = params_at(gamma0_db)
         tolerant = rsma_case_regions(p.theta)[2]
         reference = restricted_expectation(
-            lambda x, y: math.log2(1.0 + y),
+            lambda x, y: np.log2(1.0 + y),
             tolerant,
             p.lambda_pu,
             p.lambda_su,
@@ -327,7 +328,7 @@ class TestRsmaTotal:
         # quadrant and the total is the plain interference-limited rate.
         p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1e6)
         reference = restricted_expectation(
-            lambda x, y: math.log2(1.0 + y / (1.0 + x)),
+            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             FULL_QUADRANT,
             1.0,
             1.0,
@@ -420,7 +421,7 @@ class TestReducedPowerTerm:
         integral = analytic.reduced_power_term_integral(p20)
         reduced = sic_case_regions(p20.theta)[1]
         reference = restricted_expectation(
-            lambda x, y: math.log2(x / p20.theta),
+            lambda x, y: np.log2(x / p20.theta),
             reduced,
             p20.lambda_pu,
             p20.lambda_su,
@@ -437,7 +438,7 @@ class TestReducedPowerTerm:
         integral = analytic.reduced_power_term_integral(p)
         reduced = sic_case_regions(p.theta)[1]
         reference = restricted_expectation(
-            lambda x, y: math.log2(x / p.theta),
+            lambda x, y: np.log2(x / p.theta),
             reduced,
             p.lambda_pu,
             p.lambda_su,
@@ -490,7 +491,7 @@ class TestPreferredOrderTerm:
         integral = analytic.preferred_order_term_integral(p20)
         preferred = sic_case_regions(p20.theta)[2]
         reference = restricted_expectation(
-            lambda x, y: math.log2(1.0 + y / (1.0 + x)),
+            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             preferred,
             p20.lambda_pu,
             p20.lambda_su,
@@ -504,7 +505,7 @@ class TestPreferredOrderTerm:
         integral = analytic.preferred_order_term_integral(p)
         preferred = sic_case_regions(p.theta)[2]
         reference = restricted_expectation(
-            lambda x, y: math.log2(1.0 + y / (1.0 + x)),
+            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             preferred,
             p.lambda_pu,
             p.lambda_su,
@@ -552,7 +553,7 @@ class TestSicTotal:
         # collapse to the plain interference-limited expectation.
         p = AnalyticParams(lambda_pu=1e3, lambda_su=1.0, theta=THETA_DEFAULT)
         reference = restricted_expectation(
-            lambda x, y: math.log2(1.0 + y / (1.0 + x)),
+            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             FULL_QUADRANT,
             1e3,
             1.0,

@@ -105,6 +105,23 @@ class TestPoint:
         assert target.read_text(encoding="utf-8").startswith(HEADER)
 
 
+class TestFormerRuntimeFailures:
+    def test_secondary_at_60db_runs(self, capsys):
+        # The power-normalized SIC oracle used to miss its inner error
+        # budget here ("inner quadrature error 4.244e-06 ...") and exit 1.
+        status, out = run_cli(capsys, ["point", "--gamma0", "60", "--samples", "2000"])
+        assert status == 0
+        assert len(data_rows(out)) == 13
+
+    def test_overflowing_report_only_route_keeps_the_row(self, capsys):
+        # The as-printed split-band form overflows at this target ("math
+        # range error"); the derived route carries the term instead.
+        argv = ["point", "--rate-th", "12", "--gamma0", "0", "--samples", "2000"]
+        status, out = run_cli(capsys, argv)
+        assert status == 0
+        assert all(math.isfinite(float(row[4])) for row in data_rows(out))
+
+
 # ------------------------------------------------------------ usage errors
 
 
@@ -126,6 +143,51 @@ class TestUsageErrors:
     )
     def test_usage_problems_exit_2(self, capsys, argv):
         assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--gamma0", "nan"),
+            ("--gamma0", "inf"),
+            ("--gamma0", "-300"),
+            ("--gamma0-pu", "101"),
+            ("--gamma0-su", "-inf"),
+            ("--dist-pu", "nan"),
+            ("--dist-su", "0"),
+            ("--u", "inf"),
+            ("--u", "-1"),
+            ("--rate-th", "nan"),
+            ("--rate-th", "-1"),
+            ("--nodes", "0"),
+            ("--nodes", "257"),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error_naming_the_flag(self, capsys, flag, value):
+        # These used to fail deep in the numerics with exit 1 and a
+        # message such as "rate must be > 0, got nan".
+        others = {"--gamma0-pu": ["--gamma0-su", "10"], "--gamma0-su": ["--gamma0-pu", "10"]}
+        snr = others.get(flag, [] if flag == "--gamma0" else ["--gamma0", "10"])
+        argv = ["point", *snr, f"{flag}={value}", "--samples", "2000"]
+        assert cli.main(argv) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--start=-300", "--stop", "0"],
+            ["sweep", "--start", "0", "--stop", "inf"],
+            ["sweep", "--step", "nan"],
+        ],
+    )
+    def test_bad_sweep_grid_is_usage_error(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("gamma0 = nan\n", encoding="utf-8")
+        assert cli.main(["point", "--config", str(cfg)]) == 2
+        assert "--gamma0 must be" in capsys.readouterr().err
 
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         # A bad flag value, not an I/O failure: the run never started.

@@ -185,3 +185,34 @@ class TestDeviationReport:
     def test_tolerances_recorded(self, report):
         assert report["arbitration_rel_tol"] == ARBITRATION_REL_TOL
         assert report["report_rel_tol"] == REPORT_REL_TOL
+
+
+class TestRouteIsolation:
+    """A route that raises is recorded as NaN with its reason, never chosen."""
+
+    # The as-printed split-band forms multiply exp(lambda_pu * theta)
+    # factors that overflow at a 12 bit/s/Hz target and 0 dB.
+    SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, rate_threshold=12.0)
+
+    def test_raising_route_is_recorded_not_propagated(self):
+        reports = {r.term: r for r in term_reports(ProtocolKind.CR_RSMA, self.SCENARIO)}
+        for term in ("split_band", "combined_tail"):
+            report = reports[term]
+            assert math.isnan(report.routes["stated"])
+            assert report.route_errors["stated"].startswith("OverflowError")
+            assert report.chosen_route == "derived"
+            assert "stated" in report.flagged_routes
+        assert reports["interference_limited"].route_errors == {}
+        rate = arbitrated_rate(ProtocolKind.CR_RSMA, self.SCENARIO)
+        oracle = ergodic_rate_oracle(ProtocolKind.CR_RSMA, self.SCENARIO)
+        assert relative_deviation(rate, oracle) <= ARBITRATION_REL_TOL
+
+    def test_deviation_report_carries_the_reason(self):
+        report = deviation_report({"rate_th_12": self.SCENARIO})
+        failed = [e for e in report["entries"] if e["route_errors"]]
+        assert {(e["protocol"], e["term"]) for e in failed} == {
+            ("cr-rsma", "split_band"),
+            ("cr-rsma", "combined_tail"),
+        }
+        assert all(math.isnan(e["routes"]["stated"]) for e in failed)
+        assert all("stated" in e["flagged_routes"] for e in failed)
