@@ -82,6 +82,8 @@ class AnalyticParams:
     def __post_init__(self) -> None:
         for name in ("lambda_pu", "lambda_su", "theta", "bandwidth"):
             value = getattr(self, name)
+            if name == "theta" and value == 0.0:
+                continue  # a primary with no rate target: only the clear channel
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if self.pu_rule is None:

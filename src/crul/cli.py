@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .channel import ScenarioConfig
 from .crosscheck import ANALYTIC_PROTOCOLS, evaluate
-from .montecarlo import METHODS, McConfig, mean_power_factor
+from .montecarlo import METHODS, McConfig, sample_point
+from .montecarlo import mean_power_factor  # noqa: F401 - perfbench/spans.py patches this name
 from .oracle import OracleAccuracyError, mean_power_factor_oracle
 from .protocols import ProtocolKind
 from .specfun import MAX_ORDER, ConvergenceError
@@ -180,6 +181,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         raise UsageError(f"--samples must be >= 1, got {samples}")
     nodes = pick("nodes", 100)
     _require("nodes", nodes, 1 <= nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
+    seed = pick("seed", 0)
+    _require("seed", seed, 0 <= seed < 1 << 64, "in [0, 2**64)")
 
     return Settings(
         gamma0_pu=gamma0_pu,
@@ -191,7 +194,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         protocols=_parse_protocols(pick("protocol", "all")),
         methods=_parse_methods(pick("method", ",".join(METHODS))),
         samples=samples,
-        seed=pick("seed", 0),
+        seed=seed,
         nodes=nodes,
     )
 
@@ -230,20 +233,20 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
     Protocol/method pairs without an implementation (the benchmarks have
     no closed form) are silently omitted.  ``mean_c`` is filled only on
     plain CR-SIC rows, from the matching method family (sampled scale on
-    mc rows, integrated scale otherwise).
+    mc rows, integrated scale otherwise).  The mc rows and the sampled
+    scale of a point all come from one :func:`sample_point` call.
     """
     rows = []
     wants_sic = ProtocolKind.CR_SIC in settings.protocols
     wants_mc = "mc" in settings.methods
     wants_exact = bool({"analytic", "oracle"} & set(settings.methods))
+    mc = McConfig(n_samples=settings.samples, seed=settings.seed)
     for gamma0_pu, gamma0_su in points:
         scenario = _scenario(settings, gamma0_pu, gamma0_su)
-        mc = McConfig(n_samples=settings.samples, seed=settings.seed)
-        mean_c_mc = (
-            _fmt(mean_power_factor(scenario, mc).value)
-            if wants_sic and wants_mc
-            else ""
-        )
+        sampled, mean_c_mc = {}, ""
+        if wants_mc:
+            sampled, scale = sample_point(scenario, mc, settings.protocols)
+            mean_c_mc = _fmt(scale.value) if wants_sic else ""
         mean_c_exact = (
             _fmt(mean_power_factor_oracle(scenario)) if wants_sic and wants_exact else ""
         )
@@ -251,9 +254,10 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
             for method in settings.methods:
                 if method == "analytic" and protocol not in ANALYTIC_PROTOCOLS:
                     continue
-                result = evaluate(
-                    protocol, scenario, method, mc, nodes=settings.nodes
-                )
+                if method == "mc":
+                    result = sampled[protocol]
+                else:
+                    result = evaluate(protocol, scenario, method, nodes=settings.nodes)
                 if protocol is ProtocolKind.CR_SIC:
                     mean_c = mean_c_mc if method == "mc" else mean_c_exact
                 else:

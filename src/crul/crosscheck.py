@@ -133,6 +133,17 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
     oracle_below, oracle_band, oracle_clear = (
         width * term for term in rsma_terms(scenario, rel_tol)
     )
+    clear = _report(
+        ProtocolKind.CR_RSMA,
+        "clear_channel",
+        {
+            "stated": lambda: analytic.clear_channel_term(params, STATED),
+            "derived": lambda: analytic.clear_channel_term(params, DERIVED),
+        },
+        oracle_clear,
+    )
+    if params.theta == 0.0:
+        return [clear]  # the other regions are empty
 
     return [
         _report(
@@ -154,15 +165,7 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
             },
             oracle_band,
         ),
-        _report(
-            ProtocolKind.CR_RSMA,
-            "clear_channel",
-            {
-                "stated": lambda: analytic.clear_channel_term(params, STATED),
-                "derived": lambda: analytic.clear_channel_term(params, DERIVED),
-            },
-            oracle_clear,
-        ),
+        clear,
         # The source's headline groups the last two terms behind one
         # combined exponential factor; kept as a report-only row since
         # the separated terms above already cover the total.
@@ -185,6 +188,16 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
     oracle_miss, oracle_reduced, oracle_preferred, oracle_clear = (
         width * term for term in sic_terms(scenario, rel_tol)
     )
+    # The headline prints this term in the same form the derivation
+    # produces, so there is only one closed-form route.
+    clear = _report(
+        ProtocolKind.CR_SIC,
+        "clear_channel",
+        {"derived": lambda: analytic.clear_channel_term(params, DERIVED)},
+        oracle_clear,
+    )
+    if params.theta == 0.0:
+        return [clear]  # the other regions are empty
 
     return [
         _report(
@@ -215,14 +228,7 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
             },
             oracle_preferred,
         ),
-        # The headline prints this term in the same form the derivation
-        # produces, so there is only one closed-form route.
-        _report(
-            ProtocolKind.CR_SIC,
-            "clear_channel",
-            {"derived": lambda: analytic.clear_channel_term(params, DERIVED)},
-            oracle_clear,
-        ),
+        clear,
     ]
 
 
@@ -235,7 +241,9 @@ def term_reports(
     """Route-by-route comparison of every term against its own oracle.
 
     The normalized protocol reports the plain-SIC terms evaluated at the
-    power-normalized configuration (oracle mean scale).
+    power-normalized configuration (oracle mean scale).  With a zero
+    threshold only the clear-channel region is non-empty, so that is the
+    one term reported.
     """
     if protocol is ProtocolKind.CR_SIC_NORM:
         scale = mean_power_factor_oracle(scenario, rel_tol)

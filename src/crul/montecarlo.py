@@ -12,14 +12,23 @@ block (see ``channel.sample_snrs``), which pins down every realization
 bit-for-bit.  Because the stream key ignores the protocol, estimates for
 different protocols under one config share realizations — per-draw
 dominance claims can be checked sample by sample.
+
+One chunk kernel serves every quantity: it draws a chunk once and reduces
+it for each requested family (the four plain protocols, and the SIC power
+scale as a one-case family) into per-case sums and a squared sum, and one
+fold combines the chunks.  :func:`sample_point` takes every protocol of a
+grid point and the mean power scale from one such pass, plus the boosted
+pass of the power-normalized protocol; :func:`estimate` and
+:func:`mean_power_factor` are the same pass over a single family.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,18 +44,19 @@ from .protocols import (
     sic_rate_arrays,
 )
 
-_SEED_MASK = (1 << 64) - 1
 #: Estimation routes, in the order the CLI runs them by default.
 METHODS = ("mc", "analytic", "oracle")
 
-#: Number of admission cases in each protocol's rate decomposition.
+#: Number of admission cases in each plain protocol's rate decomposition.
 CASE_FAMILIES = {
     ProtocolKind.CR_RSMA: 3,
     ProtocolKind.CR_SIC: 4,
-    ProtocolKind.CR_SIC_NORM: 4,
     ProtocolKind.BENCH_CSI: 1,
     ProtocolKind.BENCH_QOS: 2,
 }
+#: The SIC control-law power scale, sampled as a one-case family beside
+#: the protocols.
+_POWER = "power scale"
 
 
 @dataclass(frozen=True)
@@ -88,8 +98,8 @@ class McConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if not -(1 << 63) <= self.seed < (1 << 64):
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if not 0 <= self.seed < (1 << 64):
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def n_chunks(self) -> int:
@@ -111,7 +121,7 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     pair, so streams for different chunks are statistically independent
     and reproducible without sequential jumping.
     """
-    key = np.array([seed & _SEED_MASK, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -156,40 +166,40 @@ def _rates_and_cases(protocol: ProtocolKind, scenario: ScenarioConfig, gamma_pu,
     raise ValueError(f"no per-realization rate rule for {protocol}")
 
 
-def _rate_chunk(protocol, scenario, mc, index, count, per_draw_norm=False):
-    """Per-case rate sums, squared-rate sum, and case counts for one chunk."""
-    rng = chunk_stream(mc.seed, index)
-    gamma_pu, gamma_su = sample_snrs(scenario, rng, count)
-    if per_draw_norm:
+def _family_sums(family, scenario: ScenarioConfig, gamma_pu, gamma_su):
+    """Per-case sums and the squared sum of one family over one chunk's draws."""
+    if family is _POWER:
         scale = sic_power_factor_array(gamma_pu, gamma_su, scenario.theta)
-        gamma_su = gamma_su / scale
-        protocol = ProtocolKind.CR_SIC
-    rates, cases = _rates_and_cases(protocol, scenario, gamma_pu, gamma_su)
-    n_cases = CASE_FAMILIES[protocol]
-    sums = np.bincount(cases, weights=rates, minlength=n_cases)
-    counts = np.bincount(cases, minlength=n_cases)
-    square_sum = float(np.sum(np.square(rates)))
-    return sums, square_sum, counts
+        return (float(np.sum(scale)),), float(np.sum(np.square(scale)))
+    rates, cases = _rates_and_cases(family, scenario, gamma_pu, gamma_su)
+    sums = np.bincount(cases, weights=rates, minlength=CASE_FAMILIES[family])
+    return sums, float(np.sum(np.square(rates)))
 
 
-def _combine_rate_chunks(chunks, n_cases):
-    """Fold per-chunk stats in chunk order into exact-order totals."""
-    case_sums = [
-        math.fsum(chunk[0][k] for chunk in chunks) for k in range(n_cases)
-    ]
-    square_sum = math.fsum(chunk[1] for chunk in chunks)
-    counts = [int(sum(int(chunk[2][k]) for chunk in chunks)) for k in range(n_cases)]
-    return case_sums, square_sum, counts
+def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int):
+    """Draw one chunk once, then reduce it for each family in turn.
+
+    Each family's arrays are dropped before the next family's are made,
+    so a chunk holds the draws plus one family's arrays at a time.
+    """
+    gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count)
+    return [_family_sums(family, scenario, gamma_pu, gamma_su) for family in families]
 
 
-def _collect_rates(protocol, scenario, mc, workers, per_draw_norm=False):
+def _sample(scenario: ScenarioConfig, mc: McConfig, families, workers) -> dict:
+    """One pass over the draws: the estimate of every family, by family."""
     chunks = _map_chunks(
-        lambda i, m: _rate_chunk(protocol, scenario, mc, i, m, per_draw_norm),
-        mc,
-        workers,
+        lambda i, m: _chunk_sums(scenario, families, mc.seed, i, m), mc, workers
     )
-    effective = ProtocolKind.CR_SIC if per_draw_norm else protocol
-    return _combine_rate_chunks(chunks, CASE_FAMILIES[effective])
+    results = {}
+    # Fold each family's chunks in chunk order, so the totals do not
+    # depend on scheduling.
+    for family, parts in zip(families, zip(*chunks)):
+        sums, squares = zip(*parts)
+        case_sums = [math.fsum(case) for case in zip(*sums)]
+        protocol = ProtocolKind.CR_SIC if family is _POWER else family
+        results[family] = _finish(case_sums, math.fsum(squares), mc, protocol)
+    return results
 
 
 def _finish(case_sums, square_sum, mc, protocol) -> EstimateResult:
@@ -207,6 +217,45 @@ def _finish(case_sums, square_sum, mc, protocol) -> EstimateResult:
     )
 
 
+def _normalized(
+    scenario: ScenarioConfig, mc: McConfig, scale: float, workers
+) -> EstimateResult:
+    """Pure SIC with the secondary's mean SNR boosted by ``1/scale``."""
+    if not scale > 0.0:
+        raise ValueError(f"power scale must be > 0, got {scale}")
+    boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
+    result = _sample(boosted, mc, (ProtocolKind.CR_SIC,), workers)[ProtocolKind.CR_SIC]
+    return replace(result, protocol=ProtocolKind.CR_SIC_NORM)
+
+
+def sample_point(
+    scenario: ScenarioConfig,
+    mc: McConfig,
+    protocols: Iterable[ProtocolKind],
+    *,
+    workers: int | None = None,
+) -> tuple[dict[ProtocolKind, EstimateResult], EstimateResult]:
+    """Monte Carlo estimates of every requested protocol at one grid point.
+
+    The plain protocols and the mean power scale come from one pass over
+    the draws.  The normalized protocol takes its scale from that pass and
+    adds one pass at the boosted secondary SNR.  Each estimate is
+    bit-identical to what :func:`estimate` and :func:`mean_power_factor`
+    return under the same config.
+
+    Returns ``(estimates by protocol, mean power scale)``.
+    """
+    requested = dict.fromkeys(protocols)
+    plain = tuple(p for p in requested if p is not ProtocolKind.CR_SIC_NORM)
+    estimates = _sample(scenario, mc, (*plain, _POWER), workers)
+    power = estimates.pop(_POWER)
+    if ProtocolKind.CR_SIC_NORM in requested:
+        estimates[ProtocolKind.CR_SIC_NORM] = _normalized(
+            scenario, mc, power.value, workers
+        )
+    return estimates, power
+
+
 def estimate(
     protocol: ProtocolKind,
     scenario: ScenarioConfig,
@@ -214,7 +263,6 @@ def estimate(
     *,
     workers: int | None = None,
     norm_power_factor: float | None = None,
-    norm_per_realization: bool = False,
 ) -> EstimateResult:
     """Monte Carlo ergodic SU rate under one protocol.
 
@@ -226,63 +274,15 @@ def estimate(
     equal average transmit power.  By default the average power scale is
     estimated first (same config, hence same draws) and the SIC run is
     repeated with the secondary's mean SNR boosted by its inverse;
-    ``norm_power_factor`` substitutes an externally computed scale, and
-    ``norm_per_realization=True`` switches to rescaling each draw by its
-    own control-law scale instead.
+    ``norm_power_factor`` substitutes an externally computed scale.
     """
-    if norm_power_factor is not None and protocol is not ProtocolKind.CR_SIC_NORM:
-        raise ValueError("norm_power_factor only applies to the normalized protocol")
-    if norm_per_realization and protocol is not ProtocolKind.CR_SIC_NORM:
-        raise ValueError("norm_per_realization only applies to the normalized protocol")
-
-    if protocol is ProtocolKind.CR_SIC_NORM:
-        if norm_per_realization:
-            sums, sq, _ = _collect_rates(
-                protocol, scenario, mc, workers, per_draw_norm=True
-            )
-        else:
-            scale = (
-                norm_power_factor
-                if norm_power_factor is not None
-                else mean_power_factor(scenario, mc, workers=workers).value
-            )
-            if not scale > 0.0:
-                raise ValueError(f"power scale must be > 0, got {scale}")
-            boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
-            sums, sq, _ = _collect_rates(ProtocolKind.CR_SIC, boosted, mc, workers)
-        return _finish(sums, sq, mc, protocol)
-
-    sums, sq, _ = _collect_rates(protocol, scenario, mc, workers)
-    return _finish(sums, sq, mc, protocol)
-
-
-def estimate_by_case(
-    protocol: ProtocolKind,
-    scenario: ScenarioConfig,
-    mc: McConfig,
-    *,
-    workers: int | None = None,
-) -> dict[int, float]:
-    """Mean rate contribution of each admission case (restricted means).
-
-    The values sum (``math.fsum``) to ``estimate(...).value`` exactly:
-    both are computed from the same per-case totals in the same order.
-    """
-    if protocol is ProtocolKind.CR_SIC_NORM:
-        scale = mean_power_factor(scenario, mc, workers=workers).value
-        scenario = scenario.with_secondary_snr_scaled(1.0 / scale)
-        sums, _, _ = _collect_rates(ProtocolKind.CR_SIC, scenario, mc, workers)
-    else:
-        sums, _, _ = _collect_rates(protocol, scenario, mc, workers)
-    n = mc.n_samples
-    return {k: s / n for k, s in enumerate(sums)}
-
-
-def _power_chunk(scenario, mc, index, count):
-    rng = chunk_stream(mc.seed, index)
-    gamma_pu, gamma_su = sample_snrs(scenario, rng, count)
-    scale = sic_power_factor_array(gamma_pu, gamma_su, scenario.theta)
-    return float(np.sum(scale)), float(np.sum(np.square(scale)))
+    if protocol is not ProtocolKind.CR_SIC_NORM:
+        if norm_power_factor is not None:
+            raise ValueError("norm_power_factor only applies to the normalized protocol")
+        return _sample(scenario, mc, (protocol,), workers)[protocol]
+    if norm_power_factor is None:
+        norm_power_factor = mean_power_factor(scenario, mc, workers=workers).value
+    return _normalized(scenario, mc, norm_power_factor, workers)
 
 
 def mean_power_factor(
@@ -294,61 +294,4 @@ def mean_power_factor(
     the primary sits inside the protected band, and 1 elsewhere (full
     power is admissible), so the mean lives in (0, 1].
     """
-    chunks = _map_chunks(
-        lambda i, m: _power_chunk(scenario, mc, i, m), mc, workers
-    )
-    total = math.fsum(chunk[0] for chunk in chunks)
-    square_sum = math.fsum(chunk[1] for chunk in chunks)
-    n = mc.n_samples
-    value = total / n
-    if n > 1:
-        variance = max(0.0, (square_sum - n * value * value) / (n - 1))
-        stderr = math.sqrt(variance / n)
-    else:
-        stderr = 0.0
-    return EstimateResult(
-        value=value,
-        stderr=stderr,
-        n_samples=n,
-        method="mc",
-        protocol=ProtocolKind.CR_SIC,
-    )
-
-
-def _count_chunk(scenario, mc, index, count):
-    rng = chunk_stream(mc.seed, index)
-    gamma_pu, gamma_su = sample_snrs(scenario, rng, count)
-    theta = scenario.theta
-    rsma = np.bincount(rsma_case_array(gamma_pu, gamma_su, theta), minlength=3)
-    sic = np.bincount(sic_case_array(gamma_pu, gamma_su, theta), minlength=4)
-    return rsma, sic
-
-
-def event_counts(
-    scenario: ScenarioConfig, mc: McConfig, *, workers: int | None = None
-) -> dict[str, int]:
-    """Integer occurrence counts of every admission case, one shared stream.
-
-    Both case families are tallied from the same draws, so each family's
-    counts sum to ``n_samples`` exactly — the partition property holds on
-    integers, before any float division.
-    """
-    chunks = _map_chunks(
-        lambda i, m: _count_chunk(scenario, mc, i, m), mc, workers
-    )
-    counts: dict[str, int] = {}
-    for k in range(3):
-        counts[f"rsma_case_{k}"] = int(sum(int(chunk[0][k]) for chunk in chunks))
-    for k in range(4):
-        counts[f"sic_case_{k}"] = int(sum(int(chunk[1][k]) for chunk in chunks))
-    return counts
-
-
-def event_probabilities(
-    scenario: ScenarioConfig, mc: McConfig, *, workers: int | None = None
-) -> dict[str, float]:
-    """Empirical frequency of every admission case (see ``event_counts``)."""
-    return {
-        label: count / mc.n_samples
-        for label, count in event_counts(scenario, mc, workers=workers).items()
-    }
+    return _sample(scenario, mc, (_POWER,), workers)[_POWER]

@@ -71,7 +71,7 @@ class TestAnalyticParams:
         [
             {"lambda_pu": 0.0},
             {"lambda_su": -1.0},
-            {"theta": 0.0},
+            {"theta": -1.0},
             {"bandwidth": 0.0},
             {"lambda_pu": math.inf},
             {"theta": math.nan},

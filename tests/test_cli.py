@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from crul import cli
+from crul.crosscheck import ARBITRATION_REL_TOL
 
 HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 
@@ -121,6 +122,17 @@ class TestFormerRuntimeFailures:
         assert status == 0
         assert all(math.isfinite(float(row[4])) for row in data_rows(out))
 
+    def test_zero_rate_target_has_analytic_rows(self, capsys):
+        # The closed forms used to reject theta = 0 ("theta must be a
+        # positive finite number") and take the run down with exit 1.
+        argv = ["point", "--gamma0", "20", "--rate-th", "0", "--method", "analytic,oracle"]
+        status, out = run_cli(capsys, argv)
+        assert status == 0
+        values = {(row[0], row[3]): float(row[4]) for row in data_rows(out)}
+        for protocol in ("cr-rsma", "cr-sic", "cr-sic-norm"):
+            analytic, oracle = values[protocol, "analytic"], values[protocol, "oracle"]
+            assert abs(analytic - oracle) <= ARBITRATION_REL_TOL * oracle
+
 
 # ------------------------------------------------------------ usage errors
 
@@ -160,6 +172,8 @@ class TestUsageErrors:
             ("--rate-th", "-1"),
             ("--nodes", "0"),
             ("--nodes", "257"),
+            ("--seed", "-1"),
+            ("--seed", "18446744073709551616"),
         ],
     )
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, capsys, flag, value):
@@ -357,3 +371,12 @@ class TestValidate:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert {"arbitration_rel_tol", "report_rel_tol", "entries", "flagged"} <= set(report)
         assert report["entries"], "deviation report should tabulate terms"
+
+    def test_quick_battery_runs_at_the_largest_seed(self, capsys, tmp_path):
+        # Criterion 9 offsets the seed; at 2**64 - 1 the offset used to
+        # leave the seed range and end the run with a traceback.
+        argv = ["validate", "--quick", "--seed", str(2**64 - 1),
+                "--out", str(tmp_path / "report.json")]
+        status, out = run_cli(capsys, argv)
+        assert status == 0
+        assert "criterion_9 PASS" in out

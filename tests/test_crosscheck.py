@@ -103,6 +103,21 @@ class TestTermReports:
         with pytest.raises(ValueError):
             term_reports(ProtocolKind.BENCH_CSI, SCENARIO_20DB)
 
+    @pytest.mark.parametrize("gamma0_db", [0.0, 20.0, 40.0])
+    @pytest.mark.parametrize(
+        "protocol", [ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM]
+    )
+    def test_zero_threshold_reports_only_the_clear_channel(self, protocol, gamma0_db):
+        # Without a rate target every draw is in the clear-channel region.
+        scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db, rate_threshold=0.0)
+        (report,) = term_reports(protocol, scenario)
+        assert report.term == "clear_channel"
+        assert report.chosen_route != "oracle"  # a closed form carries the term
+        reference = ergodic_rate_oracle(protocol, scenario)
+        assert relative_deviation(arbitrated_rate(protocol, scenario), reference) <= (
+            ARBITRATION_REL_TOL
+        )
+
 
 class TestArbitratedRate:
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0, 30.0, 40.0])

@@ -6,24 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crul import montecarlo
 from crul.channel import ScenarioConfig, sample_snrs
 from crul.montecarlo import (
     EstimateResult,
     McConfig,
     chunk_stream,
     estimate,
-    estimate_by_case,
-    event_counts,
-    event_probabilities,
     mean_power_factor,
     resolve_workers,
+    sample_point,
 )
 from crul.oracle import ergodic_rate_oracle
 from crul.protocols import (
     ProtocolKind,
     benchmark_su_rate,
+    csi_rate_array,
+    qos_rate_array,
+    rsma_case_array,
+    rsma_rate_arrays,
     rsma_rates,
+    sic_case_array,
     sic_power_factor_array,
+    sic_rate_arrays,
     sic_rates,
 )
 
@@ -55,6 +60,9 @@ class TestMcConfig:
             {"chunk_size": 0},
             {"seed": 1 << 64},
             {"seed": -(1 << 63) - 1},
+            # Negative seeds used to be masked onto the top of the range,
+            # so -1 and 2**64 - 1 drew the same stream.
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -232,10 +240,6 @@ class TestEstimate:
         mc = McConfig(n_samples=10, seed=0)
         with pytest.raises(ValueError):
             estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc, norm_power_factor=0.5)
-        with pytest.raises(ValueError):
-            estimate(
-                ProtocolKind.CR_RSMA, SCENARIO_20DB, mc, norm_per_realization=True
-            )
 
     def test_unit_power_scale_reduces_to_plain_sic(self):
         mc = McConfig(n_samples=50_000, seed=11)
@@ -253,16 +257,6 @@ class TestEstimate:
         normed = estimate(ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc)
         assert normed.value > plain.value
 
-    def test_per_realization_normalization_dominates_plain(self):
-        # Each draw's secondary SNR is divided by its own scale <= 1 and
-        # the per-draw SIC rate is nondecreasing in the secondary SNR.
-        mc = McConfig(n_samples=100_000, seed=29)
-        plain = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        per_draw = estimate(
-            ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc, norm_per_realization=True
-        )
-        assert per_draw.value >= plain.value - 1e-9
-
     def test_rejects_nonpositive_power_scale(self):
         mc = McConfig(n_samples=10, seed=0)
         with pytest.raises(ValueError):
@@ -274,26 +268,86 @@ class TestEstimate:
 # ------------------------------------------------------------ case breakdown
 
 
+def _case_means(protocol, scenario, mc):
+    """Restricted mean of each admission case, from the chunk draws.
+
+    A reference for the estimator's fold: per-chunk ``bincount`` sums,
+    combined with ``fsum`` in chunk order, divided by the sample count.
+    """
+    if protocol is ProtocolKind.CR_SIC_NORM:
+        scale = mean_power_factor(scenario, mc).value
+        scenario = scenario.with_secondary_snr_scaled(1.0 / scale)
+        protocol = ProtocolKind.CR_SIC
+    theta, width = scenario.theta, scenario.bandwidth
+    chunk_sums = []
+    for index, count in enumerate(mc.chunk_counts()):
+        pu, su = sample_snrs(scenario, chunk_stream(mc.seed, index), count)
+        if protocol is ProtocolKind.CR_RSMA:
+            rates = rsma_rate_arrays(pu, su, theta, width)[0]
+            cases = rsma_case_array(pu, su, theta)
+        elif protocol is ProtocolKind.CR_SIC:
+            rates = sic_rate_arrays(pu, su, theta, width)[0]
+            cases = sic_case_array(pu, su, theta)
+        elif protocol is ProtocolKind.BENCH_CSI:
+            rates = csi_rate_array(pu, su, theta, width)
+            cases = np.zeros(count, dtype=np.int8)
+        else:
+            rates = qos_rate_array(pu, su, theta, width)
+            cases = (pu > theta * (1.0 + su)).astype(np.int8)
+        chunk_sums.append(np.bincount(cases, weights=rates, minlength=4))
+    return [math.fsum(sums[k] for sums in chunk_sums) / mc.n_samples for k in range(4)]
+
+
 class TestEstimateByCase:
     @pytest.mark.parametrize("protocol", list(ProtocolKind))
     def test_case_means_sum_to_total_exactly(self, protocol):
-        mc = McConfig(n_samples=100_000, seed=13)
-        breakdown = estimate_by_case(protocol, SCENARIO_20DB, mc)
+        # Several chunks, so the fold order is part of what must match.
+        mc = McConfig(n_samples=100_000, seed=13, chunk_size=30_000)
+        breakdown = _case_means(protocol, SCENARIO_20DB, mc)
         total = estimate(protocol, SCENARIO_20DB, mc).value
-        assert math.fsum(breakdown.values()) == total
-
-    def test_family_sizes(self):
-        mc = McConfig(n_samples=1_000, seed=1)
-        assert len(estimate_by_case(ProtocolKind.CR_RSMA, SCENARIO_20DB, mc)) == 3
-        assert len(estimate_by_case(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)) == 4
-        assert len(estimate_by_case(ProtocolKind.BENCH_CSI, SCENARIO_20DB, mc)) == 1
-        assert len(estimate_by_case(ProtocolKind.BENCH_QOS, SCENARIO_20DB, mc)) == 2
+        assert math.fsum(breakdown) == total
 
     def test_case_means_nonnegative(self):
         mc = McConfig(n_samples=100_000, seed=3)
         for protocol in ProtocolKind:
-            for mean in estimate_by_case(protocol, SCENARIO_20DB, mc).values():
+            for mean in _case_means(protocol, SCENARIO_20DB, mc):
                 assert mean >= 0.0
+
+
+# ------------------------------------------------------------ one pass per point
+
+
+class TestSamplePoint:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        subset=st.sets(st.sampled_from(list(ProtocolKind))),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_equals_single_quantity_entries(self, subset, seed):
+        mc = McConfig(n_samples=300, seed=seed, chunk_size=64)
+        protocols = [p for p in ProtocolKind if p in subset]
+        power = mean_power_factor(SCENARIO_20DB, mc, workers=1)
+        singles = {p: estimate(p, SCENARIO_20DB, mc, workers=1) for p in protocols}
+        for workers in (1, 4):
+            estimates, scale = sample_point(SCENARIO_20DB, mc, protocols, workers=workers)
+            assert estimates == singles
+            assert scale == power
+
+    @pytest.mark.parametrize(
+        "protocols,passes",
+        [(tuple(ProtocolKind), 2), ((ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), 1)],
+    )
+    def test_draws_each_chunk_once_per_pass(self, monkeypatch, protocols, passes):
+        calls = []
+
+        def counted(seed, index):
+            calls.append(index)
+            return chunk_stream(seed, index)
+
+        monkeypatch.setattr(montecarlo, "chunk_stream", counted)
+        mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
+        sample_point(SCENARIO_20DB, mc, protocols, workers=1)
+        assert sorted(calls) == sorted(list(range(mc.n_chunks)) * passes)
 
 
 # ------------------------------------------------------------ power factor
@@ -334,43 +388,45 @@ class TestMeanPowerFactor:
         assert 0.0 < result.value <= 1.0
 
 
-# ------------------------------------------------------------ event counts
+# ------------------------------------------------------------ admission events
+
+
+def _cases(scenario, mc):
+    """Both case families over the estimator's draws, in sample order."""
+    theta = scenario.theta
+    rsma, sic = [], []
+    for index, count in enumerate(mc.chunk_counts()):
+        pu, su = sample_snrs(scenario, chunk_stream(mc.seed, index), count)
+        rsma.append(rsma_case_array(pu, su, theta))
+        sic.append(sic_case_array(pu, su, theta))
+    return np.concatenate(rsma), np.concatenate(sic)
 
 
 class TestEventCounts:
     def test_families_partition_the_samples(self):
         mc = McConfig(n_samples=100_000, seed=19)
-        counts = event_counts(SCENARIO_20DB, mc)
-        rsma = [v for k, v in counts.items() if k.startswith("rsma_")]
-        sic = [v for k, v in counts.items() if k.startswith("sic_")]
-        assert all(isinstance(v, int) for v in counts.values())
-        assert sum(rsma) == mc.n_samples
-        assert sum(sic) == mc.n_samples
+        rsma, sic = _cases(SCENARIO_20DB, mc)
+        assert len(rsma) == len(sic) == mc.n_samples
+        assert set(np.unique(rsma)) == {0, 1, 2}
+        assert set(np.unique(sic)) == {0, 1, 2, 3}
 
     def test_shared_draws_make_miss_events_identical(self):
         # Both decompositions lead with the same event (primary below its
         # target) evaluated on the same realizations.
         mc = McConfig(n_samples=100_000, seed=19)
-        counts = event_counts(SCENARIO_20DB, mc)
-        assert counts["rsma_case_0"] == counts["sic_case_0"]
+        rsma, sic = _cases(SCENARIO_20DB, mc)
+        assert np.array_equal(rsma == 0, sic == 0)
 
     def test_miss_probability_matches_exponential_cdf(self):
         mc = McConfig(n_samples=10**6, seed=71)
-        probs = event_probabilities(SCENARIO_20DB, mc)
+        rsma, _ = _cases(SCENARIO_20DB, mc)
         p = 1.0 - math.exp(-SCENARIO_20DB.lambda_pu * SCENARIO_20DB.theta)
         sigma = math.sqrt(p * (1.0 - p) / mc.n_samples)
-        assert abs(probs["rsma_case_0"] - p) <= 3.0 * sigma
+        assert abs(np.mean(rsma == 0) - p) <= 3.0 * sigma
 
     def test_unreachable_target_concentrates_on_miss_case(self):
         scenario = ScenarioConfig.from_snr_db(
             20.0, 20.0, rate_threshold=math.log2(1.0 + 1e6)
         )
-        probs = event_probabilities(scenario, McConfig(n_samples=100_000, seed=83))
-        assert probs["rsma_case_0"] > 0.999
-
-    def test_probabilities_are_counts_over_n(self):
-        mc = McConfig(n_samples=10_000, seed=4)
-        counts = event_counts(SCENARIO_20DB, mc)
-        probs = event_probabilities(SCENARIO_20DB, mc)
-        for label, count in counts.items():
-            assert probs[label] == count / mc.n_samples
+        rsma, _ = _cases(scenario, McConfig(n_samples=100_000, seed=83))
+        assert np.mean(rsma == 0) > 0.999
