@@ -38,6 +38,7 @@ the adaptive-integration oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +46,7 @@ import numpy as np
 
 from .channel import ScenarioConfig
 from .panels import exponential_expectation, panel_integral
+from .protocols import switch_level
 from .specfun import QuadratureRule, expint_ei, gauss_laguerre, log_e1
 
 LN2 = math.log(2.0)
@@ -308,18 +310,6 @@ def merged_tail_stated(params: AnalyticParams) -> float:
     return merged + second + split_band_branch_term(params, STATED)
 
 
-def ergodic_rsma_analytic(params: AnalyticParams, variant: str = DERIVED) -> float:
-    """Ergodic secondary rate under rate splitting: quadrature plus closed forms."""
-    _check_variant(variant)
-    if variant == STATED:
-        return below_threshold_term(params, STATED) + merged_tail_stated(params)
-    return (
-        below_threshold_term(params)
-        + split_band_term(params)
-        + clear_channel_term(params)
-    )
-
-
 # --------------------------------------------- pure-SIC terms
 
 
@@ -328,24 +318,14 @@ def order_switch_threshold(su_snr: float, theta: float) -> float:
 
     Below it, the secondary's full-power rate under primary interference
     exceeds the reduced-power rate, so the secondary is decoded first.
-    Inverse of :func:`preferred_order_boundary` along the switch curve.
+    Inverse of :func:`crul.protocols.switch_level`: the same curve, sliced
+    along the other axis.
     """
     if theta <= 0.0:
         raise ValueError(f"threshold must be > 0, got {theta}")
     if su_snr < 0.0:
         raise ValueError(f"secondary SNR must be >= 0, got {su_snr}")
     return 0.5 * (theta - 1.0 + math.sqrt((theta + 1.0) ** 2 + 4.0 * theta * su_snr))
-
-
-def preferred_order_boundary(pu_snr, theta: float):
-    """Secondary SNR above which the secondary-first order is preferred.
-
-    The same switch curve as :func:`order_switch_threshold`, sliced along
-    the other axis.  Accepts scalars or arrays.
-    """
-    if theta <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {theta}")
-    return (1.0 + pu_snr) * (pu_snr / theta - 1.0)
 
 
 def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = DERIVED) -> float:
@@ -426,7 +406,7 @@ def preferred_order_term(params: AnalyticParams) -> float:
     """
     su_rule, pu_rule = params.rule, params.pu_rule
     pu = pu_rule.nodes + params.theta
-    su_shift = preferred_order_boundary(pu, params.theta)
+    su_shift = switch_level(pu, params.theta)
     su = su_rule.nodes[:, None] + su_shift[None, :]
     values = preferred_order_kernel(su, pu[None, :], params)
     return float(
@@ -452,22 +432,5 @@ def preferred_order_term_integral(params: AnalyticParams, rel_tol: float = 1e-9)
         params.lambda_su,
         rel_tol,
         x_lower=theta,
-        y_lower=lambda pu_snr: preferred_order_boundary(pu_snr, theta),
-    )
-
-
-def ergodic_sic_analytic(params: AnalyticParams, variant: str = DERIVED) -> float:
-    """Ergodic secondary rate under pure SIC: quadrature terms plus closed form.
-
-    The stated variant only differs through the stated kernels (ratio
-    density, reduced-power kernel); the final closed-form term is stated
-    correctly where this headline formula originates.
-    """
-    _check_variant(variant)
-    final = clear_channel_term(params, DERIVED)
-    return (
-        below_threshold_term(params, variant)
-        + reduced_power_term(params, variant)
-        + preferred_order_term(params)
-        + final
+        y_lower=functools.partial(switch_level, theta=theta),
     )

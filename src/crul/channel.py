@@ -21,14 +21,11 @@ import numpy as np
 __all__ = [
     "LinkBudget",
     "ScenarioConfig",
-    "ChannelRealization",
     "db_to_linear",
     "path_loss",
-    "rate_param",
     "qos_threshold",
     "exponential_from_uniform",
     "sample_snrs",
-    "sample_realization",
 ]
 
 
@@ -44,11 +41,6 @@ def path_loss(distance_ratio: float, exponent: float) -> float:
     if exponent < 0.0:
         raise ValueError(f"path-loss exponent must be >= 0, got {exponent}")
     return float(distance_ratio) ** -float(exponent)
-
-
-def rate_param(mean_snr_db: float, distance_ratio: float, exponent: float) -> float:
-    """Exponential rate of the received SNR: ``1 / (snr_linear * loss)``."""
-    return 1.0 / (db_to_linear(mean_snr_db) * path_loss(distance_ratio, exponent))
 
 
 def qos_threshold(rate_over_bandwidth: float) -> float:
@@ -152,14 +144,6 @@ class ScenarioConfig:
         return ScenarioConfig(self.primary, scaled, self.rate_threshold, self.bandwidth)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Instantaneous received SNRs of one fading draw."""
-
-    gamma_pu: float
-    gamma_su: float
-
-
 def exponential_from_uniform(u, rate: float):
     """Map uniform draws on ``(0, 1]`` to Exp(rate) via the inverse CDF.
 
@@ -186,10 +170,3 @@ def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int):
     gamma_pu = exponential_from_uniform(1.0 - rng.random(count), scenario.lambda_pu)
     gamma_su = exponential_from_uniform(1.0 - rng.random(count), scenario.lambda_su)
     return gamma_pu, gamma_su
-
-
-def sample_realization(scenario: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw a single fading realization (primary SNR first)."""
-    gamma_pu = exponential_from_uniform(1.0 - rng.random(), scenario.lambda_pu)
-    gamma_su = exponential_from_uniform(1.0 - rng.random(), scenario.lambda_su)
-    return ChannelRealization(gamma_pu=gamma_pu, gamma_su=gamma_su)

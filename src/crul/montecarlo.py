@@ -13,12 +13,14 @@ bit-for-bit.  Because the stream key ignores the protocol, estimates for
 different protocols under one config share realizations — per-draw
 dominance claims can be checked sample by sample.
 
-One chunk kernel serves every quantity: it draws a chunk once and reduces
-it for each requested family (the four plain protocols, and the SIC power
-scale as a one-case family) into per-case sums and a squared sum, and one
-fold combines the chunks.  :func:`sample_point` takes every protocol of a
-grid point and the mean power scale from one such pass, plus the boosted
-pass of the power-normalized protocol; :func:`estimate` and
+One chunk kernel serves every quantity: it draws a chunk once, classifies
+it once into the decision cells of :mod:`crul.protocols`, and reduces it
+for each requested family (the four plain protocols, and the SIC power
+scale as a one-case family) into per-case sums and a squared sum, building
+each family's rates from the cells and the per-draw logs the families
+share.  One fold combines the chunks.  :func:`sample_point` takes every
+protocol of a grid point and the mean power scale from one such pass, plus
+the boosted pass of the power-normalized protocol; :func:`estimate` and
 :func:`mean_power_factor` are the same pass over a single family.
 """
 
@@ -34,6 +36,8 @@ import numpy as np
 
 from .channel import ScenarioConfig, sample_snrs
 from .protocols import (
+    TOLERANT,
+    CellDraws,
     ProtocolKind,
     csi_rate_array,
     qos_rate_array,
@@ -148,42 +152,38 @@ def _map_chunks(kernel, mc: McConfig, workers: int | None):
         return list(pool.map(lambda im: kernel(im[0], im[1]), tasks))
 
 
-def _rates_and_cases(protocol: ProtocolKind, scenario: ScenarioConfig, gamma_pu, gamma_su):
-    theta, width = scenario.theta, scenario.bandwidth
-    if protocol is ProtocolKind.CR_RSMA:
-        rates, _ = rsma_rate_arrays(gamma_pu, gamma_su, theta, width)
-        return rates, rsma_case_array(gamma_pu, gamma_su, theta)
-    if protocol is ProtocolKind.CR_SIC:
-        rates, _ = sic_rate_arrays(gamma_pu, gamma_su, theta, width)
-        return rates, sic_case_array(gamma_pu, gamma_su, theta)
-    if protocol is ProtocolKind.BENCH_CSI:
-        rates = csi_rate_array(gamma_pu, gamma_su, theta, width)
-        return rates, np.zeros(rates.shape, dtype=np.int8)
-    if protocol is ProtocolKind.BENCH_QOS:
-        rates = qos_rate_array(gamma_pu, gamma_su, theta, width)
-        admitted = (gamma_pu > theta * (1.0 + gamma_su)).astype(np.int8)
-        return rates, admitted
-    raise ValueError(f"no per-realization rate rule for {protocol}")
-
-
-def _family_sums(family, scenario: ScenarioConfig, gamma_pu, gamma_su):
+def _family_sums(family, draws: CellDraws, bandwidth: float):
     """Per-case sums and the squared sum of one family over one chunk's draws."""
     if family is _POWER:
-        scale = sic_power_factor_array(gamma_pu, gamma_su, scenario.theta)
+        scale = sic_power_factor_array(draws)
         return (float(np.sum(scale)),), float(np.sum(np.square(scale)))
-    rates, cases = _rates_and_cases(family, scenario, gamma_pu, gamma_su)
+    if family is ProtocolKind.CR_RSMA:
+        rates, cases = rsma_rate_arrays(draws, bandwidth), rsma_case_array(draws.cells)
+    elif family is ProtocolKind.CR_SIC:
+        rates, cases = sic_rate_arrays(draws, bandwidth), draws.cells
+    elif family is ProtocolKind.BENCH_CSI:
+        rates = csi_rate_array(draws, bandwidth)
+        cases = np.zeros(rates.shape, dtype=np.int8)
+    elif family is ProtocolKind.BENCH_QOS:
+        rates = qos_rate_array(draws, bandwidth)
+        cases = (draws.cells == TOLERANT).astype(np.int8)
+    else:
+        raise ValueError(f"no per-realization rate rule for {family}")
     sums = np.bincount(cases, weights=rates, minlength=CASE_FAMILIES[family])
     return sums, float(np.sum(np.square(rates)))
 
 
 def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int):
-    """Draw one chunk once, then reduce it for each family in turn.
+    """Draw one chunk once and classify it once, then reduce it for each family.
 
-    Each family's arrays are dropped before the next family's are made,
-    so a chunk holds the draws plus one family's arrays at a time.
+    The shared per-draw logs are computed once, by the first family that
+    reads them; each family's own arrays are dropped before the next
+    family's are made.
     """
     gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count)
-    return [_family_sums(family, scenario, gamma_pu, gamma_su) for family in families]
+    cells = sic_case_array(gamma_pu, gamma_su, scenario.theta)
+    draws = CellDraws(gamma_pu, gamma_su, scenario.theta, cells)
+    return [_family_sums(family, draws, scenario.bandwidth) for family in families]
 
 
 def _sample(scenario: ScenarioConfig, mc: McConfig, families, workers) -> dict:

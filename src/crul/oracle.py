@@ -18,6 +18,10 @@ deciding which panels are bisected.  A slice or region whose error
 estimate misses its budget raises :class:`OracleAccuracyError`.
 Integrands take numpy arrays.
 
+The decision regions slice the cells of :mod:`crul.protocols` along the
+secondary axis, with its tolerance and order-switch levels as bounds, so
+the regions and the Monte Carlo cells are one partition.
+
 This module is the one home of the per-case region integrals.  Each one
 is memoised per region, scenario and tolerance, so :func:`rsma_terms` and
 :func:`sic_terms` share the two regions they have in common, and
@@ -39,7 +43,7 @@ import numpy as np
 
 from .channel import ScenarioConfig
 from .panels import QuadratureError, exponential_expectation, panel_integral
-from .protocols import ProtocolKind
+from .protocols import ProtocolKind, switch_level, tolerance_level
 
 __all__ = [
     "OracleAccuracyError",
@@ -67,28 +71,16 @@ class RegionSpec:
     """A region of the positive SNR quadrant, sliced along the primary axis.
 
     For each primary SNR ``x`` in ``[pu_lower, pu_upper)`` the region
-    contains the secondary SNRs in ``[su_lower(x), su_upper(x))``.  ``None``
-    bounds mean 0 / infinity.  Every protocol decision region in this
-    package has this sliced form.
+    contains the secondary SNRs in ``[max(0, su_lower(x)), su_upper(x))``.
+    ``None`` bounds mean 0 / infinity.  Every protocol decision region in
+    this package has this sliced form.
     """
 
     description: str
     pu_lower: float = 0.0
     pu_upper: float = math.inf
-    su_lower: Callable[[float], float] | None = None
-    su_upper: Callable[[float], float] | None = None
-
-    def su_bounds(self, gamma_pu: float) -> tuple[float, float]:
-        low = 0.0 if self.su_lower is None else max(0.0, self.su_lower(gamma_pu))
-        high = math.inf if self.su_upper is None else self.su_upper(gamma_pu)
-        return low, high
-
-    def contains(self, gamma_pu: float, gamma_su: float) -> bool:
-        """Membership test (used by sampling cross-checks, not integration)."""
-        if not self.pu_lower <= gamma_pu < self.pu_upper:
-            return False
-        low, high = self.su_bounds(gamma_pu)
-        return low <= gamma_su < high
+    su_lower: Callable[[np.ndarray], np.ndarray] | None = None
+    su_upper: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 FULL_QUADRANT = RegionSpec("both SNRs unconstrained")
@@ -137,24 +129,21 @@ def region_probability(
 
 
 def rsma_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
-    """The three rate-splitting regions, in case-index order."""
+    """The three rate-splitting regions, in case-index order.
+
+    The band and the tolerant region meet at the tolerance level of
+    :mod:`crul.protocols`.
+    """
     if theta < 0.0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
     if theta == 0.0:
         empty = RegionSpec("empty", pu_lower=0.0, pu_upper=0.0)
         return empty, empty, RegionSpec("no protection constraint")
+    tolerance = functools.partial(tolerance_level, theta=theta)
     return (
         RegionSpec("primary below threshold", pu_upper=theta),
-        RegionSpec(
-            "split band",
-            pu_lower=theta,
-            su_lower=lambda x: x / theta - 1.0,
-        ),
-        RegionSpec(
-            "interference tolerant",
-            pu_lower=theta,
-            su_upper=lambda x: x / theta - 1.0,
-        ),
+        RegionSpec("split band", pu_lower=theta, su_lower=tolerance),
+        RegionSpec("interference tolerant", pu_lower=theta, su_upper=tolerance),
     )
 
 
@@ -162,26 +151,18 @@ def sic_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec, 
     """The four pure-SIC regions, in case-index order.
 
     The first and last are the rate-splitting ones; SIC cuts the split
-    band in two where the SU's full-power rate under PU interference
-    matches the reduced-power rate:
-    ``gamma_su = (1 + gamma_pu) (gamma_pu/theta - 1)``.
+    band in two at the switch level of :mod:`crul.protocols`, where the
+    SU's full-power rate under PU interference matches the reduced-power
+    rate.
     """
     below, band, tolerant = rsma_case_regions(theta)
     if theta == 0.0:
         return below, below, below, tolerant
-
-    def switch_level(x: float) -> float:
-        return (1.0 + x) * (x / theta - 1.0)
-
+    switch = functools.partial(switch_level, theta=theta)
     return (
         below,
-        RegionSpec(
-            "reduced power",
-            pu_lower=theta,
-            su_lower=band.su_lower,
-            su_upper=switch_level,
-        ),
-        RegionSpec("secondary first preferred", pu_lower=theta, su_lower=switch_level),
+        RegionSpec("reduced power", pu_lower=theta, su_lower=band.su_lower, su_upper=switch),
+        RegionSpec("secondary first preferred", pu_lower=theta, su_lower=switch),
         tolerant,
     )
 
@@ -318,15 +299,15 @@ def ergodic_delta_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> flo
     region plumbing.
     """
     lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
-    theta, bandwidth = scenario.theta, scenario.bandwidth
     # Without a threshold both regions are empty and the gap is zero.
-    _, reduced, preferred, _ = sic_case_regions(theta)
-    split_rate = lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta))
-    gap_vs_reduced = lambda x, y: split_rate(x, y) - np.log2(x / theta)
-    gap_vs_preferred = lambda x, y: split_rate(x, y) - _interference_limited(x, y)
-    return bandwidth * (
-        restricted_expectation(gap_vs_reduced, reduced, lam_pu, lam_su, rel_tol)
-        + restricted_expectation(gap_vs_preferred, preferred, lam_pu, lam_su, rel_tol)
+    integrands = _case_integrands(scenario.theta)
+    split_rate = integrands["band"][1]
+    return scenario.bandwidth * sum(
+        restricted_expectation(
+            lambda x, y, sic_rate=sic_rate: split_rate(x, y) - sic_rate(x, y),
+            region, lam_pu, lam_su, rel_tol,
+        )
+        for region, sic_rate in (integrands["reduced"], integrands["preferred"])
     )
 
 
@@ -343,7 +324,7 @@ def mean_power_factor_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) ->
     if theta == 0.0:
         return 1.0
     below, band, tolerant = rsma_case_regions(theta)
-    scaled = lambda x, y: (x / theta - 1.0) / y
+    scaled = lambda x, y: tolerance_level(x, theta) / y
     return math.fsum(
         (
             region_probability(below, lam_pu, lam_su, rel_tol),

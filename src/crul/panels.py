@@ -269,7 +269,10 @@ def exponential_expectation(
         )
         return inner.reshape(nodes.shape) * (rate_x * np.exp(-rate_x * nodes))
 
-    edges = geometric_edges(x_lower, x_high, 1.0 / rate_x)
+    # A slice's mass can fall off along the outer axis at the inner rate
+    # (the band regions hug x = theta when the secondary is weak), so the
+    # outer panels start from the shorter of the two decay lengths.
+    edges = geometric_edges(x_lower, x_high, min(1.0 / rate_x, 1.0 / rate_y))
     rows = np.zeros(edges.size - 1, dtype=np.intp)
     total, error = _integrate_rows(outer, rows, edges[:-1], edges[1:], 1, rel_tol / 2.0)
     return _checked(float(total[0]), float(error[0]), rel_tol)

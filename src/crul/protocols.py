@@ -20,41 +20,41 @@ Two non-cognitive baselines complete the comparison: ``bench-csi``
 always decodes the SU first (full interference from the PU), and
 ``bench-qos`` silences the SU unless the PU tolerates it at full power.
 
-Everything in this module is a pure function of one fading draw
-``(gamma_pu, gamma_su)`` plus the threshold; averaging over fading lives
-in :mod:`crul.montecarlo`, :mod:`crul.analytic` and :mod:`crul.oracle`.
+This module is the one home of the decision cells.  Pure SIC's four
+cells refine rate splitting's three cases (its split band is the reduced
+and preferred cells together), and ``bench-qos`` admits exactly the
+tolerant cell.  :func:`sic_case_array` classifies a batch of fading draws
+``(gamma_pu, gamma_su)`` once, every rule builds its rates from the
+cells, and the oracle's regions slice the same cells with
+:func:`tolerance_level` and :func:`switch_level`.  Averaging over fading
+lives in :mod:`crul.montecarlo`, :mod:`crul.analytic` and :mod:`crul.oracle`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "ProtocolKind",
-    "DecodingOrder",
-    "RateOutcome",
-    "rsma_alpha",
-    "rsma_rates",
-    "rsma_case_index",
-    "sic_power_factor",
-    "sic_decoding_order",
-    "sic_case_index",
-    "sic_rates",
-    "benchmark_su_rate",
-    "rsma_alpha_array",
-    "rsma_rate_arrays",
-    "rsma_case_array",
-    "sic_power_factor_array",
-    "sic_rate_arrays",
+    "BELOW",
+    "REDUCED",
+    "PREFERRED",
+    "TOLERANT",
+    "tolerance_level",
+    "switch_level",
     "sic_case_array",
+    "rsma_case_array",
+    "CellDraws",
+    "rsma_rate_arrays",
+    "sic_rate_arrays",
+    "primary_rate_arrays",
+    "sic_power_factor_array",
     "csi_rate_array",
     "qos_rate_array",
-    "RSMA_CASE_LABELS",
-    "SIC_CASE_LABELS",
 ]
 
 
@@ -76,318 +76,161 @@ class ProtocolKind(enum.Enum):
         raise ValueError(f"unknown protocol {name!r} (expected one of: {valid})")
 
 
-class DecodingOrder(enum.Enum):
-    SU_FIRST = "su-first"
-    PU_FIRST = "pu-first"
+#: Pure SIC's decision cells, which are also its case indices: the PU
+#: misses ``theta`` even alone; the SU backs its power off; decoding the SU
+#: first beats backing off; the PU meets ``theta`` under full interference.
+BELOW, REDUCED, PREFERRED, TOLERANT = range(4)
+# Rate splitting's case of each cell: below threshold, split band, tolerant.
+_RSMA_CASE_OF_CELL = np.array((0, 1, 1, 2), dtype=np.int8)
 
 
-@dataclass(frozen=True)
-class RateOutcome:
-    """Rates realized by one protocol on one fading draw.
+# ------------------------------------------------------------ boundaries
 
-    ``power_factor`` is the control knob the protocol actually applied:
-    the split fraction ``alpha`` for rate splitting, the transmitted
-    power scale for pure SIC (1 whenever the SU is decoded first or the
-    PU is safe at full interference).  ``case_index`` indexes the
-    protocol's case labels below.
+
+def tolerance_level(gamma_pu, theta: float):
+    """Most SU SNR the PU tolerates at full power: ``gamma_pu/theta - 1``.
+
+    Scalars or arrays, ``theta > 0``.
     """
-
-    su_rate: float
-    pu_rate: float
-    power_factor: float
-    case_index: int
-    decoding_order: DecodingOrder | None = None
+    return gamma_pu / theta - 1.0
 
 
-RSMA_CASE_LABELS = (
-    "primary-below-threshold",  # even alone the PU cannot reach theta
-    "split",                    # alpha tuned so the PU sits exactly at theta
-    "interference-tolerant",    # PU meets theta under full SU interference
-)
-
-SIC_CASE_LABELS = (
-    "primary-below-threshold",  # SU decoded first at full power
-    "reduced-power",            # PU decoded first, SU power scaled down
-    "secondary-first-preferred",  # SU first beats the reduced-power rate
-    "interference-tolerant",    # PU first, SU at full power
-)
+def switch_level(gamma_pu, theta: float):
+    """SU SNR where decoding it first (``log2(1 + y/(1+x))``) starts to
+    beat backing its power off (``log2(x/theta)``).  Scalars or arrays."""
+    return (1.0 + gamma_pu) * tolerance_level(gamma_pu, theta)
 
 
-def _validate_draw(gamma_pu: float, gamma_su: float, theta: float, bandwidth: float):
-    if gamma_pu < 0.0 or gamma_su < 0.0:
-        raise ValueError(f"SNRs must be >= 0, got ({gamma_pu}, {gamma_su})")
-    if theta < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {theta}")
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-
-
-# -------------------------------------------------------- rate splitting
-
-
-def rsma_alpha(gamma_pu: float, gamma_su: float, theta: float) -> float:
-    """Fraction of SU power on the early-decoded message part.
-
-    Chosen so the PU's SINR after the early part is cancelled equals
-    ``theta`` exactly when a genuine split is needed; pinned at the
-    endpoints when protection is impossible (PU below threshold alone)
-    or free (PU meets threshold under full interference).  Continuous in
-    both SNRs.
-    """
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
-    if gamma_pu >= theta * (1.0 + gamma_su):
-        return 0.0
-    if gamma_pu < theta:
-        return 1.0
-    # theta <= gamma_pu < theta*(1+gamma_su) implies gamma_su > 0, theta > 0
-    return 1.0 - (gamma_pu / theta - 1.0) / gamma_su
-
-
-def rsma_case_index(gamma_pu: float, gamma_su: float, theta: float) -> int:
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
-    if gamma_pu < theta:
-        return 0
-    if gamma_pu < theta * (1.0 + gamma_su):
-        return 1
-    return 2
-
-
-def rsma_rates(
-    gamma_pu: float, gamma_su: float, theta: float, bandwidth: float = 1.0
-) -> RateOutcome:
-    """Rates under rate splitting: early part, then PU, then late part.
-
-    The SU rate is the sum of its two parts' rates: the early part sees
-    the PU plus the late part as interference, the late part is decoded
-    interference-free.  The PU sees only the late part.
-    """
-    _validate_draw(gamma_pu, gamma_su, theta, bandwidth)
-    alpha = rsma_alpha(gamma_pu, gamma_su, theta)
-    late_power = (1.0 - alpha) * gamma_su
-    early = math.log2(1.0 + alpha * gamma_su / (gamma_pu + late_power + 1.0))
-    late = math.log2(1.0 + late_power)
-    pu = math.log2(1.0 + gamma_pu / (late_power + 1.0))
-    return RateOutcome(
-        su_rate=bandwidth * (early + late),
-        pu_rate=bandwidth * pu,
-        power_factor=alpha,
-        case_index=rsma_case_index(gamma_pu, gamma_su, theta),
-        decoding_order=None,
-    )
-
-
-# --------------------------------------------------------------- pure SIC
-
-
-def sic_power_factor(gamma_pu: float, gamma_su: float, theta: float) -> float:
-    """Power scale that parks the PU's full-interference SINR on ``theta``.
-
-    This is the protocol's *control law*: inside the band where partial
-    power helps (PU above threshold but not under full interference) it
-    solves ``gamma_pu / (1 + c*gamma_su) = theta``; outside the band the
-    SU keeps full power, either because protection is impossible or
-    because it is free.  The fleet-average of this quantity is the
-    energy diagnostic reported alongside sweeps.
-    """
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
-    if theta <= 0.0:
-        return 1.0
-    if theta <= gamma_pu < theta * (1.0 + gamma_su):
-        return (gamma_pu / theta - 1.0) / gamma_su
-    return 1.0
-
-
-def sic_decoding_order(gamma_pu: float, gamma_su: float, theta: float) -> DecodingOrder:
-    """Receiver's order choice: decode the SU first whenever that is
-    feasible for the PU and not worse for the SU.
-
-    SU first is forced when the PU is below threshold alone (protection
-    impossible, nothing to preserve) and preferred when the SU's rate
-    under full PU interference beats the reduced-power alternative
-    ``log2(gamma_pu/theta)`` while the PU still clears ``theta`` after
-    the SU is cancelled.
-    """
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
-    if gamma_pu <= theta:
-        return DecodingOrder.SU_FIRST
-    if theta == 0.0:
-        # no protection target: PU first costs the SU nothing and decodes clean
-        return DecodingOrder.PU_FIRST
-    if gamma_su / (1.0 + gamma_pu) > gamma_pu / theta - 1.0:
-        return DecodingOrder.SU_FIRST
-    return DecodingOrder.PU_FIRST
-
-
-def sic_case_index(gamma_pu: float, gamma_su: float, theta: float) -> int:
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
-    if gamma_pu < theta:
-        return 0
-    if sic_decoding_order(gamma_pu, gamma_su, theta) is DecodingOrder.SU_FIRST:
-        return 2
-    if gamma_pu >= theta * (1.0 + gamma_su):
-        return 3
-    return 1
-
-
-def sic_rates(
-    gamma_pu: float, gamma_su: float, theta: float, bandwidth: float = 1.0
-) -> RateOutcome:
-    """Rates under pure SIC with the order/power choices above."""
-    _validate_draw(gamma_pu, gamma_su, theta, bandwidth)
-    case = sic_case_index(gamma_pu, gamma_su, theta)
-    if case in (0, 2):
-        order = DecodingOrder.SU_FIRST
-        su = math.log2(1.0 + gamma_su / (1.0 + gamma_pu))
-        pu = math.log2(1.0 + gamma_pu)
-        factor = 1.0
-    elif case == 1:
-        order = DecodingOrder.PU_FIRST
-        factor = (gamma_pu / theta - 1.0) / gamma_su
-        su = math.log2(gamma_pu / theta)  # = log2(1 + c*gamma_su)
-        pu = math.log2(1.0 + theta)
-    else:
-        order = DecodingOrder.PU_FIRST
-        factor = 1.0
-        su = math.log2(1.0 + gamma_su)
-        pu = math.log2(1.0 + gamma_pu / (1.0 + gamma_su))
-    return RateOutcome(
-        su_rate=bandwidth * su,
-        pu_rate=bandwidth * pu,
-        power_factor=factor,
-        case_index=case,
-        decoding_order=order,
-    )
-
-
-# ------------------------------------------------------------- baselines
-
-
-def benchmark_su_rate(
-    kind: ProtocolKind,
-    gamma_pu: float,
-    gamma_su: float,
-    theta: float,
-    bandwidth: float = 1.0,
-) -> float:
-    """SU rate of the two non-cognitive baselines.
-
-    ``BENCH_CSI`` decodes the SU first unconditionally (PU interference
-    always present); ``BENCH_QOS`` lets the SU transmit at full power
-    only when the PU strictly clears the threshold despite it, else the
-    SU stays silent.
-    """
-    _validate_draw(gamma_pu, gamma_su, theta, bandwidth)
-    if kind is ProtocolKind.BENCH_CSI:
-        return bandwidth * math.log2(1.0 + gamma_su / (1.0 + gamma_pu))
-    if kind is ProtocolKind.BENCH_QOS:
-        if gamma_pu > theta * (1.0 + gamma_su):
-            return bandwidth * math.log2(1.0 + gamma_su)
-        return 0.0
-    raise ValueError(f"not a benchmark protocol: {kind}")
-
-
-# ------------------------------------------------------ vectorized kernels
-#
-# Mask-based mirrors of the scalar rules above, used by the Monte Carlo
-# estimator on whole chunks.  The scalar forms stay the readable source
-# of truth; an elementwise-agreement property test keeps them in sync.
-
-
-def _validate_arrays(gamma_pu, gamma_su, theta: float, bandwidth: float):
-    gamma_pu = np.asarray(gamma_pu, dtype=float)
-    gamma_su = np.asarray(gamma_su, dtype=float)
-    if gamma_pu.shape != gamma_su.shape:
-        raise ValueError("SNR arrays must have matching shapes")
-    if np.any(gamma_pu < 0.0) or np.any(gamma_su < 0.0):
-        raise ValueError("SNRs must be >= 0")
-    if theta < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {theta}")
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    return gamma_pu, gamma_su
-
-
-def rsma_case_array(gamma_pu, gamma_su, theta: float) -> np.ndarray:
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, 1.0)
-    cases = np.ones(gamma_pu.shape, dtype=np.int8)
-    cases[gamma_pu < theta] = 0
-    cases[gamma_pu >= theta * (1.0 + gamma_su)] = 2
-    return cases
-
-
-def rsma_alpha_array(gamma_pu, gamma_su, theta: float) -> np.ndarray:
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, 1.0)
-    cases = rsma_case_array(gamma_pu, gamma_su, theta)
-    safe_su = np.where(gamma_su > 0.0, gamma_su, 1.0)
-    safe_theta = theta if theta > 0.0 else 1.0
-    split = 1.0 - (gamma_pu / safe_theta - 1.0) / safe_su
-    return np.where(cases == 0, 1.0, np.where(cases == 2, 0.0, split))
-
-
-def rsma_rate_arrays(gamma_pu, gamma_su, theta: float, bandwidth: float = 1.0):
-    """``(su_rates, pu_rates)`` under rate splitting, elementwise."""
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, bandwidth)
-    alpha = rsma_alpha_array(gamma_pu, gamma_su, theta)
-    late_power = (1.0 - alpha) * gamma_su
-    su = np.log2(1.0 + alpha * gamma_su / (gamma_pu + late_power + 1.0)) + np.log2(
-        1.0 + late_power
-    )
-    pu = np.log2(1.0 + gamma_pu / (late_power + 1.0))
-    return bandwidth * su, bandwidth * pu
+# --------------------------------------------------------------- the cells
 
 
 def sic_case_array(gamma_pu, gamma_su, theta: float) -> np.ndarray:
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, 1.0)
+    """Decision cell of every draw (the pure-SIC case index), as ``int8``.
+
+    Below is ``gamma_pu < theta``, tolerant ``gamma_pu >= theta*(1 +
+    gamma_su)``.  Between them the SU goes first where ``gamma_su/(1 +
+    gamma_pu) > gamma_pu/theta - 1`` or the PU sits on ``theta``.  Where
+    SU-first and tolerant overlap (zero-measure ties with equal rates)
+    the draw is tolerant, so the cells refine rate splitting's cases.
+    """
+    cells = np.full(gamma_pu.shape, REDUCED, dtype=np.int8)
     if theta > 0.0:
         su_first = (gamma_pu <= theta) | (
-            gamma_su / (1.0 + gamma_pu) > gamma_pu / theta - 1.0
+            gamma_su / (1.0 + gamma_pu) > tolerance_level(gamma_pu, theta)
         )
-    else:
-        su_first = gamma_pu <= 0.0
-    cases = np.full(gamma_pu.shape, 1, dtype=np.int8)
-    cases[(gamma_pu >= theta * (1.0 + gamma_su)) & ~su_first] = 3
-    cases[su_first] = 2
-    cases[gamma_pu < theta] = 0
-    return cases
+        cells[su_first] = PREFERRED
+    cells[gamma_pu >= theta * (1.0 + gamma_su)] = TOLERANT
+    cells[gamma_pu < theta] = BELOW
+    return cells
 
 
-def sic_power_factor_array(gamma_pu, gamma_su, theta: float) -> np.ndarray:
-    """Elementwise control-law power scale (the energy diagnostic)."""
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, 1.0)
-    if theta <= 0.0:
-        return np.ones(gamma_pu.shape)
-    in_band = (gamma_pu >= theta) & (gamma_pu < theta * (1.0 + gamma_su))
-    safe_su = np.where(gamma_su > 0.0, gamma_su, 1.0)
-    return np.where(in_band, (gamma_pu / theta - 1.0) / safe_su, 1.0)
+def rsma_case_array(cells: np.ndarray) -> np.ndarray:
+    """Rate splitting's case of every cell: below, split band, tolerant."""
+    return _RSMA_CASE_OF_CELL[cells]
 
 
-def sic_rate_arrays(gamma_pu, gamma_su, theta: float, bandwidth: float = 1.0):
-    """``(su_rates, pu_rates)`` under pure SIC, elementwise."""
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, bandwidth)
-    cases = sic_case_array(gamma_pu, gamma_su, theta)
-    safe_theta = theta if theta > 0.0 else 1.0
-    su_first = np.log2(1.0 + gamma_su / (1.0 + gamma_pu))
-    reduced = np.log2(np.where(cases == 1, gamma_pu / safe_theta, 1.0))
-    clear = np.log2(1.0 + gamma_su)
-    su = np.where(
-        (cases == 0) | (cases == 2), su_first, np.where(cases == 1, reduced, clear)
-    )
-    pu_su_first = np.log2(1.0 + gamma_pu)
-    pu_clear = np.log2(1.0 + gamma_pu / (1.0 + gamma_su))
-    pu = np.where(
-        (cases == 0) | (cases == 2),
-        pu_su_first,
-        np.where(cases == 1, math.log2(1.0 + theta), pu_clear),
-    )
-    return bandwidth * su, bandwidth * pu
+class CellDraws:
+    """Fading draws with their decision cells from :func:`sic_case_array`.
+
+    What several rules read is computed on first use and kept.  Selections
+    are index arrays from ``np.flatnonzero``: gathering and scattering by
+    index is several times cheaper than by boolean mask.
+    """
+
+    def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray):
+        self.gamma_pu = gamma_pu
+        self.gamma_su = gamma_su
+        self.theta = theta
+        self.cells = cells
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        """Indices of rate splitting's split band: the reduced and preferred cells."""
+        return np.flatnonzero(rsma_case_array(self.cells) == 1)
+
+    @cached_property
+    def band_scale(self) -> np.ndarray:
+        """``(gamma_pu/theta - 1)/gamma_su`` on the band: the pure-SIC power
+        scale, and one minus rate splitting's early fraction ``alpha``."""
+        return tolerance_level(self.gamma_pu[self.band], self.theta) / self.gamma_su[self.band]
+
+    @cached_property
+    def interference_limited(self) -> np.ndarray:
+        """SU decoded first at full power: ``log2(1 + gamma_su/(1 + gamma_pu))``."""
+        return np.log2(1.0 + self.gamma_su / (1.0 + self.gamma_pu))
+
+    @cached_property
+    def clean(self) -> np.ndarray:
+        """SU decoded after the PU at full power: ``log2(1 + gamma_su)``."""
+        return np.log2(1.0 + self.gamma_su)
+
+    def full_power(self) -> np.ndarray:
+        """A fresh array of the full-power SU rate: clean where tolerant."""
+        return np.where(self.cells == TOLERANT, self.clean, self.interference_limited)
 
 
-def csi_rate_array(gamma_pu, gamma_su, theta: float, bandwidth: float = 1.0):
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, bandwidth)
-    return bandwidth * np.log2(1.0 + gamma_su / (1.0 + gamma_pu))
+# -------------------------------------------------------------- the rules
 
 
-def qos_rate_array(gamma_pu, gamma_su, theta: float, bandwidth: float = 1.0):
-    gamma_pu, gamma_su = _validate_arrays(gamma_pu, gamma_su, theta, bandwidth)
-    allowed = gamma_pu > theta * (1.0 + gamma_su)
-    return bandwidth * np.where(allowed, np.log2(1.0 + gamma_su), 0.0)
+def _split_powers(draws: CellDraws):
+    """Rate splitting's early fraction ``alpha`` and late-part SNR, on the band."""
+    alpha = 1.0 - draws.band_scale
+    return alpha, (1.0 - alpha) * draws.gamma_su[draws.band]
+
+
+def rsma_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+    """SU rates under rate splitting: early part, then PU, then late part.
+
+    In the band the early part sees the PU and the late part as
+    interference.  Outside it ``alpha`` is 1 (below) or 0 (tolerant), where
+    the two parts reduce exactly to the full-power rates.
+    """
+    rates = draws.full_power()
+    alpha, late_power = _split_powers(draws)
+    early = alpha * draws.gamma_su[draws.band] / (draws.gamma_pu[draws.band] + late_power + 1.0)
+    rates[draws.band] = np.log2(1.0 + early) + np.log2(1.0 + late_power)
+    return bandwidth * rates
+
+
+def sic_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+    """SU rates under pure SIC: ``log2(gamma_pu/theta)`` when backed off
+    (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
+    rates = draws.full_power()
+    reduced = np.flatnonzero(draws.cells == REDUCED)
+    rates[reduced] = np.log2(draws.gamma_pu[reduced] / draws.theta)
+    return bandwidth * rates
+
+
+def primary_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """``(rate splitting, pure SIC)`` PU rates: clean when the SU goes first,
+    under full interference when tolerant, and on ``theta`` when backed off."""
+    gamma_pu, gamma_su = draws.gamma_pu, draws.gamma_su
+    tolerant = np.flatnonzero(draws.cells == TOLERANT)
+    rates = np.log2(1.0 + gamma_pu)
+    rates[tolerant] = np.log2(1.0 + gamma_pu[tolerant] / (1.0 + gamma_su[tolerant]))
+    splitting, pure = rates, rates.copy()
+    _, late_power = _split_powers(draws)
+    splitting[draws.band] = np.log2(1.0 + gamma_pu[draws.band] / (late_power + 1.0))
+    pure[np.flatnonzero(draws.cells == REDUCED)] = math.log2(1.0 + draws.theta)
+    return bandwidth * splitting, bandwidth * pure
+
+
+def sic_power_factor_array(draws: CellDraws) -> np.ndarray:
+    """The pure-SIC control-law power scale (the energy diagnostic).
+
+    In the split band it solves ``gamma_pu / (1 + c*gamma_su) = theta``,
+    the secondary-first cell included; elsewhere the SU keeps full power.
+    """
+    scale = np.ones(draws.gamma_pu.shape)
+    scale[draws.band] = draws.band_scale
+    return scale
+
+
+def csi_rate_array(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+    """SU rates of ``bench-csi``: always decoded first, under full PU interference."""
+    return bandwidth * draws.interference_limited
+
+
+def qos_rate_array(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+    """SU rates of ``bench-qos``: the clean rate in the tolerant cell, else silent."""
+    return bandwidth * np.where(draws.cells == TOLERANT, draws.clean, 0.0)

@@ -79,20 +79,6 @@ class QuadratureRule:
         return np.exp(self.nodes + self.log_weights)
 
 
-def laguerre_eval(order: int, x: float) -> float:
-    """Evaluate the Laguerre polynomial ``L_order`` at ``x`` (unscaled).
-
-    Only meant for small orders where the recurrence cannot overflow;
-    the rule builder uses the rescaled variant internally.
-    """
-    if order < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {order}")
-    current, previous = 1.0, 0.0
-    for k in range(1, order + 1):
-        current, previous = ((2 * k - 1 - x) * current - (k - 1) * previous) / k, current
-    return current
-
-
 def _laguerre_pair_scaled(order: int, x: float) -> tuple[float, float, float]:
     """Return ``(L_order(x), L_{order-1}(x))`` up to a common scale.
 
@@ -177,24 +163,6 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     for array in (rule.nodes, rule.weights, rule.log_weights):
         array.flags.writeable = False
     return rule
-
-
-def quad_integrate(f, rule: QuadratureRule | int) -> float:
-    """Approximate ``int_0^inf f(x) dx`` with a Gauss-Laguerre rule.
-
-    ``rule`` may be a prebuilt :class:`QuadratureRule` or an order to build.
-    ``f`` is called once per node with a float argument.  Non-finite values
-    from ``f`` abort the integration rather than silently poisoning it.
-    """
-    if isinstance(rule, QuadratureRule):
-        built = rule
-    else:
-        built = gauss_laguerre(rule)
-    values = np.array([float(f(x)) for x in built.nodes])
-    if not np.all(np.isfinite(values)):
-        bad = built.nodes[~np.isfinite(values)][0]
-        raise ValueError(f"integrand returned a non-finite value at x = {bad}")
-    return float(values @ built.integration_weights)
 
 
 def _ei_series(x: float) -> float:

@@ -36,7 +36,14 @@ from .oracle import (
     expected_clean_rate,
     mean_power_factor_oracle,
 )
-from .protocols import ProtocolKind, rsma_case_array, rsma_rate_arrays, sic_rate_arrays
+from .protocols import (
+    CellDraws,
+    ProtocolKind,
+    primary_rate_arrays,
+    rsma_rate_arrays,
+    sic_case_array,
+    sic_rate_arrays,
+)
 from .specfun import expint_ei, gauss_laguerre
 
 ANALYTIC_GRID_DB = tuple(float(db) for db in range(0, 41, 5))
@@ -68,10 +75,12 @@ def _scenario(snr_db: float, secondary_db: float | None = None) -> ScenarioConfi
 
 
 def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
-    """Yield ``(pu_snr, su_snr)`` chunks from the seeded substreams."""
+    """Yield the classified draws of each chunk of the seeded substreams."""
     mc = McConfig(n_samples=samples, seed=seed)
+    theta = scenario.theta
     for index, count in enumerate(mc.chunk_counts()):
-        yield sample_snrs(scenario, chunk_stream(seed, index), count)
+        pu_snr, su_snr = sample_snrs(scenario, chunk_stream(seed, index), count)
+        yield CellDraws(pu_snr, su_snr, theta, sic_case_array(pu_snr, su_snr, theta))
 
 
 # --------------------------------------------------------------- criterion 1
@@ -165,11 +174,10 @@ def criterion_pu_protection(seed: int = 0, samples: int = 10**6) -> CheckResult:
         scenario = _scenario(snr_db)
         theta = scenario.theta
         floor = scenario.bandwidth * math.log2(1.0 + theta) - _PROTECTION_FLOOR_SLACK
-        for pu_snr, su_snr in _draw_chunks(scenario, seed, samples):
-            protected = pu_snr >= theta
+        for draws in _draw_chunks(scenario, seed, samples):
+            protected = draws.gamma_pu >= theta
             protected_draws += int(np.count_nonzero(protected))
-            for rate_arrays in (rsma_rate_arrays, sic_rate_arrays):
-                pu_rate = rate_arrays(pu_snr, su_snr, theta, scenario.bandwidth)[1]
+            for pu_rate in primary_rate_arrays(draws, scenario.bandwidth):
                 covered = pu_rate[protected]
                 if covered.size:
                     worst_margin = min(worst_margin, float(covered.min()) - floor)
@@ -200,16 +208,15 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     """
     start = time.perf_counter()
     scenario = _scenario(20.0)
-    theta = scenario.theta
     worst_gap = -math.inf
     band_draws = 0
     band_ties = 0
-    for pu_snr, su_snr in _draw_chunks(scenario, seed, samples):
-        splitting = rsma_rate_arrays(pu_snr, su_snr, theta, scenario.bandwidth)[0]
-        pure = sic_rate_arrays(pu_snr, su_snr, theta, scenario.bandwidth)[0]
+    for draws in _draw_chunks(scenario, seed, samples):
+        splitting = rsma_rate_arrays(draws, scenario.bandwidth)
+        pure = sic_rate_arrays(draws, scenario.bandwidth)
         worst_gap = max(worst_gap, float((pure - splitting).max()))
-        band = rsma_case_array(pu_snr, su_snr, theta) == 1
-        band_draws += int(np.count_nonzero(band))
+        band = draws.band
+        band_draws += band.size
         band_ties += int(np.count_nonzero(splitting[band] <= pure[band]))
     ergodic_gap = ergodic_delta_oracle(scenario)
     passed = worst_gap <= 1e-12 and band_ties == 0 and ergodic_gap >= -1e-6

@@ -25,7 +25,7 @@ from crul.oracle import (
     sic_case_regions,
 )
 from crul.panels import panel_integral
-from crul.protocols import ProtocolKind
+from crul.protocols import ProtocolKind, switch_level
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
 
@@ -37,6 +37,28 @@ def params_at(gamma0_db: float, nodes: int = 100) -> AnalyticParams:
 
 def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
+
+
+def rsma_total(p: AnalyticParams, variant: str = DERIVED) -> float:
+    """Rate splitting's closed-form total: its three region terms, or the
+    stated headline's merged form."""
+    if variant == STATED:
+        return analytic.below_threshold_term(p, STATED) + analytic.merged_tail_stated(p)
+    return (
+        analytic.below_threshold_term(p)
+        + analytic.split_band_term(p)
+        + analytic.clear_channel_term(p)
+    )
+
+
+def sic_total(p: AnalyticParams) -> float:
+    """Pure SIC's fixed-rule total: its four region terms."""
+    return (
+        analytic.below_threshold_term(p)
+        + analytic.reduced_power_term(p)
+        + analytic.preferred_order_term(p)
+        + analytic.clear_channel_term(p)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -314,13 +336,13 @@ class TestRsmaTotal:
         scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
         p = AnalyticParams.from_scenario(scenario)
         reference = ergodic_rate_oracle(ProtocolKind.CR_RSMA, scenario)
-        assert rel_err(analytic.ergodic_rsma_analytic(p), reference) < 1e-3
+        assert rel_err(rsma_total(p), reference) < 1e-3
 
     def test_node_count_converged(self, p20):
         # Order 100 against order 120: the approximation is already
         # settled well past the headline tolerance.
-        coarse = analytic.ergodic_rsma_analytic(params_at(20.0, nodes=100))
-        fine = analytic.ergodic_rsma_analytic(params_at(20.0, nodes=120))
+        coarse = rsma_total(params_at(20.0, nodes=100))
+        fine = rsma_total(params_at(20.0, nodes=120))
         assert rel_err(coarse, fine) < 1e-6
 
     def test_huge_threshold_collapses_to_first_term(self):
@@ -333,16 +355,16 @@ class TestRsmaTotal:
             1.0,
             1.0,
         )
-        assert rel_err(analytic.ergodic_rsma_analytic(p), reference) < 1e-3
+        assert rel_err(rsma_total(p), reference) < 1e-3
 
     def test_vanishing_secondary_snr(self):
         p = AnalyticParams(lambda_pu=1.0, lambda_su=1e6, theta=THETA_DEFAULT)
-        assert abs(analytic.ergodic_rsma_analytic(p)) < 1e-6
+        assert abs(rsma_total(p)) < 1e-6
 
     def test_stated_total_deviates(self, p20):
         scenario = ScenarioConfig.from_snr_db(20.0, 20.0)
         reference = ergodic_rate_oracle(ProtocolKind.CR_RSMA, scenario)
-        stated = analytic.ergodic_rsma_analytic(p20, STATED)
+        stated = rsma_total(p20, STATED)
         assert rel_err(stated, reference) > 0.01
 
     def test_bandwidth_scales_linearly(self):
@@ -350,8 +372,8 @@ class TestRsmaTotal:
         doubled = AnalyticParams(
             lambda_pu=0.1, lambda_su=0.2, theta=THETA_DEFAULT, bandwidth=2.0
         )
-        assert analytic.ergodic_rsma_analytic(doubled) == pytest.approx(
-            2.0 * analytic.ergodic_rsma_analytic(base), rel=1e-12
+        assert rsma_total(doubled) == pytest.approx(
+            2.0 * rsma_total(base), rel=1e-12
         )
 
 
@@ -468,7 +490,7 @@ class TestOrderSwitchGeometry:
     )
     def test_threshold_inverts_boundary(self, pu, theta):
         pu_snr = pu + theta  # boundary only meaningful from the threshold up
-        level = analytic.preferred_order_boundary(pu_snr, theta)
+        level = switch_level(pu_snr, theta)
         assert analytic.order_switch_threshold(level, theta) == pytest.approx(
             pu_snr, rel=1e-12
         )
@@ -481,8 +503,6 @@ class TestOrderSwitchGeometry:
             analytic.order_switch_threshold(1.0, 0.0)
         with pytest.raises(ValueError):
             analytic.order_switch_threshold(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            analytic.preferred_order_boundary(1.0, 0.0)
 
 
 class TestPreferredOrderTerm:
@@ -523,7 +543,7 @@ class TestSicTotal:
         scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
         p = AnalyticParams.from_scenario(scenario)
         reference = ergodic_rate_oracle(ProtocolKind.CR_SIC, scenario)
-        assert rel_err(analytic.ergodic_sic_analytic(p), reference) < 1e-3
+        assert rel_err(sic_total(p), reference) < 1e-3
 
     @pytest.mark.parametrize("gamma0_db", [30.0, 40.0])
     def test_adaptive_routes_cover_high_snr(self, gamma0_db):
@@ -544,7 +564,7 @@ class TestSicTotal:
     def test_rate_splitting_dominates(self, gamma0_db):
         p = params_at(gamma0_db)
         assert (
-            analytic.ergodic_rsma_analytic(p) - analytic.ergodic_sic_analytic(p)
+            rsma_total(p) - sic_total(p)
             >= -1e-6
         )
 
@@ -558,8 +578,8 @@ class TestSicTotal:
             1e3,
             1.0,
         )
-        assert rel_err(analytic.ergodic_sic_analytic(p), reference) < 1e-2
-        assert rel_err(analytic.ergodic_rsma_analytic(p), reference) < 1e-2
+        assert rel_err(sic_total(p), reference) < 1e-2
+        assert rel_err(rsma_total(p), reference) < 1e-2
 
 
 # ------------------------------------------------------------ rate difference

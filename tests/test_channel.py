@@ -9,15 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crul.channel import (
-    ChannelRealization,
     LinkBudget,
     ScenarioConfig,
     db_to_linear,
     exponential_from_uniform,
     path_loss,
     qos_threshold,
-    rate_param,
-    sample_realization,
     sample_snrs,
 )
 
@@ -46,9 +43,9 @@ def test_path_loss_rejects_bad_inputs():
 
 def test_rate_param_hand_values():
     # 1 / (10^(dB/10) * ratio^-u)
-    assert rate_param(0.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
-    assert rate_param(20.0, 2.0, 2.0) == pytest.approx(0.04, rel=1e-15)
-    assert rate_param(10.0, 1.0, 2.0) == pytest.approx(0.1, rel=1e-15)
+    assert LinkBudget(0.0, 1.0, 2.0).rate_parameter == pytest.approx(1.0, rel=1e-15)
+    assert LinkBudget(20.0, 2.0, 2.0).rate_parameter == pytest.approx(0.04, rel=1e-15)
+    assert LinkBudget(10.0, 1.0, 2.0).rate_parameter == pytest.approx(0.1, rel=1e-15)
 
 
 def test_qos_threshold_hand_values():
@@ -189,12 +186,11 @@ def test_sampling_is_deterministic_per_seed():
 
 def test_single_realization_consumes_primary_draw_first():
     scenario = make_scenario(0.0, 0.0, secondary_distance=1.0)
-    single = sample_realization(scenario, np.random.Generator(np.random.Philox(41)))
+    gamma_pu, gamma_su = sample_snrs(scenario, np.random.Generator(np.random.Philox(41)), 1)
     rng = np.random.Generator(np.random.Philox(41))
     first, second = 1.0 - rng.random(), 1.0 - rng.random()
-    assert single.gamma_pu == pytest.approx(-math.log(first), rel=1e-14)
-    assert single.gamma_su == pytest.approx(-math.log(second), rel=1e-14)
-    assert isinstance(single, ChannelRealization)
+    assert gamma_pu[0] == pytest.approx(-math.log(first), rel=1e-14)
+    assert gamma_su[0] == pytest.approx(-math.log(second), rel=1e-14)
 
 
 def test_snrs_are_nonnegative_and_finite():

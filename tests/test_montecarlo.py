@@ -19,18 +19,18 @@ from crul.montecarlo import (
 )
 from crul.oracle import ergodic_rate_oracle
 from crul.protocols import (
+    TOLERANT,
+    CellDraws,
     ProtocolKind,
-    benchmark_su_rate,
     csi_rate_array,
     qos_rate_array,
     rsma_case_array,
     rsma_rate_arrays,
-    rsma_rates,
     sic_case_array,
     sic_power_factor_array,
     sic_rate_arrays,
-    sic_rates,
 )
+from reference_rules import benchmark_su_rate, rsma_rates, sic_rates
 
 SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 UNIT_SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, secondary_distance=1.0)
@@ -186,11 +186,11 @@ class TestEstimate:
         assert abs(result.value - reference) <= 3.0 * result.stderr
 
     def test_rate_splitting_matches_closed_form(self):
-        from crul.analytic import AnalyticParams, ergodic_rsma_analytic
+        from crul.crosscheck import arbitrated_rate
 
         mc = McConfig(n_samples=10**6, seed=31)
         result = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, mc)
-        reference = ergodic_rsma_analytic(AnalyticParams.from_scenario(SCENARIO_20DB))
+        reference = arbitrated_rate(ProtocolKind.CR_RSMA, SCENARIO_20DB)
         assert abs(result.value - reference) <= 3.0 * result.stderr
 
     def test_single_sample_equals_per_realization_rate(self):
@@ -268,6 +268,11 @@ class TestEstimate:
 # ------------------------------------------------------------ case breakdown
 
 
+def _classified(scenario, mc, index, count):
+    pu, su = sample_snrs(scenario, chunk_stream(mc.seed, index), count)
+    return CellDraws(pu, su, scenario.theta, sic_case_array(pu, su, scenario.theta))
+
+
 def _case_means(protocol, scenario, mc):
     """Restricted mean of each admission case, from the chunk draws.
 
@@ -278,22 +283,22 @@ def _case_means(protocol, scenario, mc):
         scale = mean_power_factor(scenario, mc).value
         scenario = scenario.with_secondary_snr_scaled(1.0 / scale)
         protocol = ProtocolKind.CR_SIC
-    theta, width = scenario.theta, scenario.bandwidth
+    width = scenario.bandwidth
     chunk_sums = []
     for index, count in enumerate(mc.chunk_counts()):
-        pu, su = sample_snrs(scenario, chunk_stream(mc.seed, index), count)
+        draws = _classified(scenario, mc, index, count)
         if protocol is ProtocolKind.CR_RSMA:
-            rates = rsma_rate_arrays(pu, su, theta, width)[0]
-            cases = rsma_case_array(pu, su, theta)
+            rates = rsma_rate_arrays(draws, width)
+            cases = rsma_case_array(draws.cells)
         elif protocol is ProtocolKind.CR_SIC:
-            rates = sic_rate_arrays(pu, su, theta, width)[0]
-            cases = sic_case_array(pu, su, theta)
+            rates = sic_rate_arrays(draws, width)
+            cases = draws.cells
         elif protocol is ProtocolKind.BENCH_CSI:
-            rates = csi_rate_array(pu, su, theta, width)
+            rates = csi_rate_array(draws, width)
             cases = np.zeros(count, dtype=np.int8)
         else:
-            rates = qos_rate_array(pu, su, theta, width)
-            cases = (pu > theta * (1.0 + su)).astype(np.int8)
+            rates = qos_rate_array(draws, width)
+            cases = (draws.cells == TOLERANT).astype(np.int8)
         chunk_sums.append(np.bincount(cases, weights=rates, minlength=4))
     return [math.fsum(sums[k] for sums in chunk_sums) / mc.n_samples for k in range(4)]
 
@@ -349,6 +354,22 @@ class TestSamplePoint:
         sample_point(SCENARIO_20DB, mc, protocols, workers=1)
         assert sorted(calls) == sorted(list(range(mc.n_chunks)) * passes)
 
+    @pytest.mark.parametrize(
+        "protocols,passes",
+        [(tuple(ProtocolKind), 2), ((ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), 1)],
+    )
+    def test_classifies_each_chunk_once_per_pass(self, monkeypatch, protocols, passes):
+        sizes = []
+
+        def counted(gamma_pu, gamma_su, theta):
+            sizes.append(gamma_pu.size)
+            return sic_case_array(gamma_pu, gamma_su, theta)
+
+        monkeypatch.setattr(montecarlo, "sic_case_array", counted)
+        mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
+        sample_point(SCENARIO_20DB, mc, protocols, workers=1)
+        assert sizes == mc.chunk_counts() * passes
+
 
 # ------------------------------------------------------------ power factor
 
@@ -380,7 +401,8 @@ class TestMeanPowerFactor:
 
     def test_control_law_spot_value(self):
         # (pu, su, target) = (6, 2, 4): scale (6/4 - 1)/2 = 1/4 exactly.
-        scale = sic_power_factor_array(np.array([6.0]), np.array([2.0]), 4.0)
+        pu, su = np.array([6.0]), np.array([2.0])
+        scale = sic_power_factor_array(CellDraws(pu, su, 4.0, sic_case_array(pu, su, 4.0)))
         assert scale[0] == 0.25
 
     def test_lives_in_unit_interval(self):
@@ -393,12 +415,11 @@ class TestMeanPowerFactor:
 
 def _cases(scenario, mc):
     """Both case families over the estimator's draws, in sample order."""
-    theta = scenario.theta
     rsma, sic = [], []
     for index, count in enumerate(mc.chunk_counts()):
-        pu, su = sample_snrs(scenario, chunk_stream(mc.seed, index), count)
-        rsma.append(rsma_case_array(pu, su, theta))
-        sic.append(sic_case_array(pu, su, theta))
+        cells = _classified(scenario, mc, index, count).cells
+        rsma.append(rsma_case_array(cells))
+        sic.append(cells)
     return np.concatenate(rsma), np.concatenate(sic)
 
 

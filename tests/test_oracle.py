@@ -7,16 +7,16 @@ against direct numpy sampling, never against the quadrature route this
 oracle exists to audit.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from crul import cli, oracle
-from crul.channel import ScenarioConfig
-from crul.montecarlo import McConfig, estimate
+from crul.analytic import AnalyticParams, preferred_order_term, reduced_power_term
+from crul.channel import ScenarioConfig, sample_snrs
+from crul.montecarlo import McConfig, chunk_stream, estimate
 from crul.oracle import (
     FULL_QUADRANT,
     OracleAccuracyError,
@@ -31,10 +31,15 @@ from crul.oracle import (
     sic_case_regions,
 )
 from crul.protocols import (
+    CellDraws,
     ProtocolKind,
-    rsma_case_index,
-    sic_case_index,
+    csi_rate_array,
+    qos_rate_array,
+    rsma_case_array,
+    rsma_rate_arrays,
+    sic_case_array,
     sic_power_factor_array,
+    sic_rate_arrays,
 )
 
 THETA = 2.0**2.5 - 1.0  # default scenario threshold
@@ -42,6 +47,22 @@ THETA = 2.0**2.5 - 1.0  # default scenario threshold
 
 def scenario(primary_db, secondary_db):
     return ScenarioConfig.from_snr_db(primary_db, secondary_db)
+
+
+def classified(gamma_pu, gamma_su, theta):
+    return CellDraws(gamma_pu, gamma_su, theta, sic_case_array(gamma_pu, gamma_su, theta))
+
+
+def in_region(region, gamma_pu, gamma_su):
+    """Which draws the region's slice bounds hold."""
+    low = 0.0 if region.su_lower is None else np.maximum(0.0, region.su_lower(gamma_pu))
+    high = np.inf if region.su_upper is None else region.su_upper(gamma_pu)
+    return (
+        (region.pu_lower <= gamma_pu)
+        & (gamma_pu < region.pu_upper)
+        & (low <= gamma_su)
+        & (gamma_su < high)
+    )
 
 
 # ------------------------------------------------- plumbing & hand algebra
@@ -94,36 +115,79 @@ def test_case_regions_partition_probability(builder, count):
         assert math.fsum(probs) == pytest.approx(1.0, rel=1e-8)
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_sic_regions_agree_with_classifier(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    gamma_pu = rng.exponential(20.0, size=40)
-    gamma_su = rng.exponential(15.0, size=40)
-    regions = sic_case_regions(THETA)
-    for x, y in zip(gamma_pu, gamma_su):
-        memberships = [r.contains(x, y) for r in regions]
-        assert sum(memberships) == 1
-        assert memberships.index(True) == sic_case_index(x, y, THETA)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rsma_regions_agree_with_classifier(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    gamma_pu = rng.exponential(20.0, size=40)
-    gamma_su = rng.exponential(15.0, size=40)
-    regions = rsma_case_regions(THETA)
-    for x, y in zip(gamma_pu, gamma_su):
-        memberships = [r.contains(x, y) for r in regions]
-        assert sum(memberships) == 1
-        assert memberships.index(True) == rsma_case_index(x, y, THETA)
+@pytest.mark.parametrize(
+    "primary_db,secondary_db,rate_threshold",
+    [(0.0, 0.0, 2.5), (20.0, 20.0, 2.5), (40.0, 10.0, 0.5), (10.0, 40.0, 6.0),
+     (51.217, 31.017, 2.5), (30.0, 30.0, 0.0)],
+)
+def test_region_slices_hold_exactly_the_classified_draws(
+    primary_db, secondary_db, rate_threshold
+):
+    """The oracle's regions (sliced with the level functions) and the Monte
+    Carlo cells (decided by the product comparisons) are one partition."""
+    config = ScenarioConfig.from_snr_db(
+        primary_db, secondary_db, rate_threshold=rate_threshold
+    )
+    gamma_pu, gamma_su = sample_snrs(config, chunk_stream(3, 0), 100_000)
+    cells = sic_case_array(gamma_pu, gamma_su, config.theta)
+    for cell, region in enumerate(sic_case_regions(config.theta)):
+        assert np.array_equal(in_region(region, gamma_pu, gamma_su), cells == cell)
+    cases = rsma_case_array(cells)
+    for case, region in enumerate(rsma_case_regions(config.theta)):
+        assert np.array_equal(in_region(region, gamma_pu, gamma_su), cases == case)
 
 
 def test_zero_threshold_regions_degenerate_cleanly():
     regions = sic_case_regions(0.0)
     assert all(region_probability(r, 0.1, 0.1) == 0.0 for r in regions[:3])
     assert region_probability(regions[3], 0.1, 0.1) == pytest.approx(1.0, rel=1e-9)
-    assert not regions[0].contains(1.0, 1.0)
-    assert regions[3].contains(1.0, 1.0)
+    assert not in_region(regions[0], 1.0, 1.0)
+    assert in_region(regions[3], 1.0, 1.0)
+
+
+def test_rsma_region_probabilities_match_closed_forms_on_a_wide_grid():
+    """Below threshold, the band and the tolerant region have one-line
+    closed forms.  With the outer panels on the primary's decay length
+    alone, strong primaries lost the band's mass near x = theta: 0.0 for
+    the band, and a power scale above 1."""
+    grid = itertools.product(
+        (-20.0, 20.0, 50.0, 80.0, 100.0), (-20.0, 0.0, 40.0, 80.0), (0.05, 2.5, 8.0)
+    )
+    misses = []
+    for primary_db, secondary_db, rate_threshold in [*grid, (20.0, -20.0, 0.5)]:
+        config = ScenarioConfig.from_snr_db(
+            primary_db, secondary_db, rate_threshold=rate_threshold
+        )
+        lam_pu, lam_su, theta = config.lambda_pu, config.lambda_su, config.theta
+        clear = math.exp(-lam_pu * theta)
+        expected = (
+            -math.expm1(-lam_pu * theta),
+            clear * lam_pu * theta / (lam_su + lam_pu * theta),
+            clear * lam_su / (lam_su + lam_pu * theta),
+        )
+        for region, value in zip(rsma_case_regions(theta), expected):
+            got = region_probability(region, lam_pu, lam_su)
+            if not abs(got - value) <= max(1e-7 * value, 1e-12):
+                misses.append((primary_db, secondary_db, rate_threshold, region.description))
+        if not mean_power_factor_oracle(config) <= 1.0:
+            misses.append((primary_db, secondary_db, rate_threshold, "mean power scale"))
+    assert not misses
+
+
+@pytest.mark.parametrize("primary_db", [80.0, 90.0, 100.0])
+def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
+    """The band's mass sits within a few units of theta; all 21 outer nodes
+    used to miss it and the oracle returned exactly 0.0.  Past 80 dB the
+    fixed-order reduced-power kernel loses digits to cancellation in its
+    four-term bracket (7e-5 at 100 dB), so there it is checked against the
+    nested-QUADPACK reference of test_panels.py instead."""
+    config = scenario(primary_db, 0.0)
+    params = AnalyticParams.from_scenario(config)
+    _, reduced, preferred, _ = oracle.sic_terms(config)
+    assert preferred == pytest.approx(preferred_order_term(params), rel=1e-6)
+    if primary_db == 80.0:
+        assert reduced == pytest.approx(reduced_power_term(params), rel=1e-6)
+    assert reduced > 0.0
 
 
 def test_restricted_expectation_validation():
@@ -157,7 +221,7 @@ def test_mean_power_factor_matches_direct_sampling():
     rng = np.random.Generator(np.random.Philox(2024))
     gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=400_000)
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=400_000)
-    sample = sic_power_factor_array(gamma_pu, gamma_su, config.theta)
+    sample = sic_power_factor_array(classified(gamma_pu, gamma_su, config.theta))
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)
     assert abs(value - float(sample.mean())) < 4.0 * stderr
     assert 0.0 < value <= 1.0
@@ -165,23 +229,17 @@ def test_mean_power_factor_matches_direct_sampling():
 
 def test_rates_match_direct_sampling_at_one_point():
     """One end-to-end spot check per protocol against raw numpy sampling."""
-    from crul.protocols import (
-        csi_rate_array,
-        qos_rate_array,
-        rsma_rate_arrays,
-        sic_rate_arrays,
-    )
-
     config = scenario(10.0, 15.0)
     rng = np.random.Generator(np.random.Philox(77))
     n = 400_000
     gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=n)
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=n)
+    draws = classified(gamma_pu, gamma_su, config.theta)
     samples = {
-        ProtocolKind.CR_RSMA: rsma_rate_arrays(gamma_pu, gamma_su, config.theta)[0],
-        ProtocolKind.CR_SIC: sic_rate_arrays(gamma_pu, gamma_su, config.theta)[0],
-        ProtocolKind.BENCH_CSI: csi_rate_array(gamma_pu, gamma_su, config.theta),
-        ProtocolKind.BENCH_QOS: qos_rate_array(gamma_pu, gamma_su, config.theta),
+        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws),
+        ProtocolKind.CR_SIC: sic_rate_arrays(draws),
+        ProtocolKind.BENCH_CSI: csi_rate_array(draws),
+        ProtocolKind.BENCH_QOS: qos_rate_array(draws),
     }
     for protocol, values in samples.items():
         oracle_value = ergodic_rate_oracle(protocol, config)
@@ -235,8 +293,6 @@ def test_high_snr_localized_mass_is_not_lost():
     rng = np.random.Generator(np.random.Philox(5))
     gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=2_000_000)
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=2_000_000)
-    from crul.protocols import sic_case_array
-
     mask = sic_case_array(gamma_pu, gamma_su, config.theta) == 1
     sample = np.where(mask, np.log2(np.where(mask, gamma_pu, 1.0) / config.theta), 0.0)
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)

@@ -50,7 +50,8 @@ def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9)
     offsets = geometric_edges(0.0, horizon / lambda_su, 1.0 / lambda_su)
 
     def inner(x):
-        low, high = region.su_bounds(x)
+        low = 0.0 if region.su_lower is None else max(0.0, region.su_lower(x))
+        high = math.inf if region.su_upper is None else region.su_upper(x)
         high = min(high, low + offsets[-1])
         total = 0.0
         for a, b in zip(offsets[:-1], offsets[1:]):
@@ -204,6 +205,18 @@ def test_region_integrals_match_nested_quadpack(label):
         value = restricted_expectation(vector, region, lam_pu, lam_su)
         reference = reference_expectation(scalar, region, lam_pu, lam_su)
         assert value == pytest.approx(reference, rel=1e-10), name
+
+
+def test_strong_primary_band_regions_match_nested_quadpack():
+    # At (100, 0) dB the band regions hug x = theta, a 1e-10 sliver of the
+    # primary's decay length.
+    scenario = ScenarioConfig.from_snr_db(100.0, 0.0)
+    lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
+    for name, region, scalar, vector in case_integrals(scenario.theta):
+        if name in ("reduced", "preferred"):
+            value = restricted_expectation(vector, region, lam_pu, lam_su)
+            reference = reference_expectation(scalar, region, lam_pu, lam_su)
+            assert value == pytest.approx(reference, rel=1e-10), name
 
 
 def test_boosted_60db_scenario_matches_nested_quadpack():

@@ -14,25 +14,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crul.protocols import (
+    BELOW,
+    PREFERRED,
+    REDUCED,
+    TOLERANT,
+    CellDraws,
+    ProtocolKind,
+    csi_rate_array,
+    primary_rate_arrays,
+    qos_rate_array,
+    rsma_case_array,
+    rsma_rate_arrays,
+    sic_case_array,
+    sic_power_factor_array,
+    sic_rate_arrays,
+)
+from reference_rules import (
     RSMA_CASE_LABELS,
     SIC_CASE_LABELS,
     DecodingOrder,
-    ProtocolKind,
     benchmark_su_rate,
-    csi_rate_array,
-    qos_rate_array,
     rsma_alpha,
-    rsma_alpha_array,
-    rsma_case_array,
     rsma_case_index,
-    rsma_rate_arrays,
     rsma_rates,
-    sic_case_array,
     sic_case_index,
     sic_decoding_order,
     sic_power_factor,
-    sic_power_factor_array,
-    sic_rate_arrays,
     sic_rates,
 )
 
@@ -261,6 +268,11 @@ def test_dominance_is_strict_inside_the_split_band(gamma_su, theta, position):
 # --------------------------------------------------- vectorized kernels
 
 
+def classified(gamma_pu, gamma_su, theta):
+    gamma_pu, gamma_su = np.asarray(gamma_pu, float), np.asarray(gamma_su, float)
+    return CellDraws(gamma_pu, gamma_su, theta, sic_case_array(gamma_pu, gamma_su, theta))
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_vectorized_kernels_match_scalar_rules(seed):
     rng = np.random.Generator(np.random.Philox(seed))
@@ -269,14 +281,16 @@ def test_vectorized_kernels_match_scalar_rules(seed):
     # sprinkle exact boundary points into the batch
     gamma_pu[:3] = (THETA, THETA * (1.0 + gamma_su[1]), 0.0)
 
-    su, pu = rsma_rate_arrays(gamma_pu, gamma_su, THETA)
-    alpha = rsma_alpha_array(gamma_pu, gamma_su, THETA)
-    r_cases = rsma_case_array(gamma_pu, gamma_su, THETA)
-    s_su, s_pu = sic_rate_arrays(gamma_pu, gamma_su, THETA)
-    factor = sic_power_factor_array(gamma_pu, gamma_su, THETA)
-    s_cases = sic_case_array(gamma_pu, gamma_su, THETA)
-    csi = csi_rate_array(gamma_pu, gamma_su, THETA)
-    qos = qos_rate_array(gamma_pu, gamma_su, THETA)
+    draws = classified(gamma_pu, gamma_su, THETA)
+    su = rsma_rate_arrays(draws)
+    pu, s_pu = primary_rate_arrays(draws)
+    alpha = np.full(gamma_pu.shape, np.nan)
+    alpha[draws.band] = 1.0 - draws.band_scale
+    r_cases = rsma_case_array(draws.cells)
+    s_su = sic_rate_arrays(draws)
+    factor = sic_power_factor_array(draws)
+    csi = csi_rate_array(draws)
+    qos = qos_rate_array(draws)
 
     for i in range(len(gamma_pu)):
         draw = (float(gamma_pu[i]), float(gamma_su[i]), THETA)
@@ -284,25 +298,56 @@ def test_vectorized_kernels_match_scalar_rules(seed):
         sic = sic_rates(*draw)
         assert su[i] == pytest.approx(rsma.su_rate, rel=1e-12, abs=1e-15)
         assert pu[i] == pytest.approx(rsma.pu_rate, rel=1e-12, abs=1e-15)
-        assert alpha[i] == pytest.approx(rsma_alpha(*draw), rel=1e-12, abs=1e-15)
+        if r_cases[i] == 1:
+            assert alpha[i] == pytest.approx(rsma_alpha(*draw), rel=1e-12, abs=1e-15)
         assert r_cases[i] == rsma_case_index(*draw)
         assert s_su[i] == pytest.approx(sic.su_rate, rel=1e-12, abs=1e-15)
         assert s_pu[i] == pytest.approx(sic.pu_rate, rel=1e-12, abs=1e-15)
         assert factor[i] == pytest.approx(sic_power_factor(*draw), rel=1e-12, abs=1e-15)
-        assert s_cases[i] == sic_case_index(*draw)
+        assert draws.cells[i] == sic_case_index(*draw)
         assert csi[i] == pytest.approx(
             benchmark_su_rate(ProtocolKind.BENCH_CSI, *draw), rel=1e-12, abs=1e-15
         )
-        assert qos[i] == pytest.approx(
-            benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw), rel=1e-12, abs=1e-15
-        )
+        gated = benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw)
+        if gamma_pu[i] == THETA * (1.0 + gamma_su[i]):
+            # The gate is strict, the tolerant cell is not: see the tie test.
+            gated = math.log2(1.0 + gamma_su[i])
+        assert qos[i] == pytest.approx(gated, rel=1e-12, abs=1e-15)
 
 
-def test_vectorized_validation():
-    with pytest.raises(ValueError):
-        rsma_rate_arrays(np.array([-1.0]), np.array([1.0]), THETA)
-    with pytest.raises(ValueError):
-        sic_rate_arrays(np.array([1.0, 2.0]), np.array([1.0]), THETA)
+@pytest.mark.parametrize(
+    "gamma_pu,gamma_su,theta,cell",
+    [
+        (3.0, 5.0, THETA, BELOW),
+        # the PU exactly on its threshold: SU first protects it for free
+        (THETA, 2.0, THETA, PREFERRED),
+        # rates equal on the switch curve; SU first must be strictly better
+        (6.0, 3.5, THETA, REDUCED),
+        # product ties on the tolerance edge are tolerant (>=), also where
+        # the level form rounds below the SU SNR (4.8/4 - 1 < 0.2); so
+        # bench-qos admits them, where its scalar gate (strictly above the
+        # edge, test_benchmark_fixed_points) keeps the SU silent
+        (12.0, 2.0, THETA, TOLERANT),
+        (4.8, 0.2, THETA, TOLERANT),
+        # SU first and tolerant overlap, with equal rates either way: the
+        # cell is tolerant where the scalar rule says SU first
+        (THETA, 0.0, THETA, TOLERANT),
+        (0.0, 2.0, 0.0, TOLERANT),
+        # without a threshold every draw is tolerant
+        (5.0, 2.0, 0.0, TOLERANT),
+    ],
+)
+def test_exact_ties_fall_in_pinned_cells(gamma_pu, gamma_su, theta, cell):
+    draws = classified([gamma_pu], [gamma_su], theta)
+    assert draws.cells[0] == cell
+    assert rsma_case_array(draws.cells)[0] == (0, 1, 1, 2)[cell]
+    # Where the cell and the scalar case index part, the rates still agree.
+    draw = (gamma_pu, gamma_su, theta)
+    assert sic_rate_arrays(draws)[0] == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
+    assert rsma_rate_arrays(draws)[0] == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
+    # bench-qos admits exactly the tolerant cell
+    expected = math.log2(1.0 + gamma_su) if cell == TOLERANT else 0.0
+    assert qos_rate_array(draws)[0] == expected
 
 
 def test_negative_inputs_raise():

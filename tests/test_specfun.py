@@ -19,9 +19,7 @@ from crul.specfun import (
     QuadratureRule,
     expint_ei,
     gauss_laguerre,
-    laguerre_eval,
     log_e1,
-    quad_integrate,
 )
 
 # Frozen from mpmath.ei / mpmath.e1 at 30-digit precision.
@@ -65,21 +63,10 @@ def test_order_two_rule_matches_hand_algebra():
     assert rule.weights == pytest.approx([(2.0 + root) / 4.0, (2.0 - root) / 4.0], rel=1e-14)
 
 
-def test_laguerre_eval_small_orders():
-    assert laguerre_eval(0, 7.3) == 1.0
-    assert laguerre_eval(1, 3.0) == pytest.approx(-2.0, abs=1e-15)
-    assert laguerre_eval(2, 2.0) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_laguerre_eval_rejects_negative_order():
-    with pytest.raises(ValueError):
-        laguerre_eval(-1, 1.0)
-
-
 def test_nodes_are_laguerre_roots():
     rule = gauss_laguerre(7)
-    for node in rule.nodes:
-        assert abs(laguerre_eval(7, node)) < 1e-10
+    l7 = np.polynomial.laguerre.lagval(rule.nodes, [0.0] * 7 + [1.0])
+    assert np.all(np.abs(l7) < 1e-10)
 
 
 @pytest.mark.parametrize("order", [2, 5, 20, 100])
@@ -111,7 +98,7 @@ def test_high_order_linear_weights_underflow_but_log_survives():
     assert rule.weights.min() == 0.0  # the documented underflow
     assert np.all(np.isfinite(rule.log_weights))
     # exp(-x) integrates to 1 and only touches the log path.
-    assert quad_integrate(lambda x: math.exp(-x), rule) == pytest.approx(1.0, rel=1e-10)
+    assert integrate(lambda x: np.exp(-x), rule) == pytest.approx(1.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("order", [0, -1, 257, 2.5, "10"])
@@ -129,26 +116,21 @@ def test_rule_arrays_are_read_only():
 # ------------------------------------------------------------ integrals
 
 
+def integrate(f, rule):
+    """``int_0^inf f`` by the rule's plain-integral weights, as the closed forms use it."""
+    return float(rule.integration_weights @ f(rule.nodes))
+
+
 def test_integrates_exponential():
-    assert quad_integrate(lambda x: math.exp(-2.0 * x), 40) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_accepts_prebuilt_rule():
-    rule = gauss_laguerre(40)
-    direct = quad_integrate(lambda x: math.exp(-2.0 * x), rule)
-    assert direct == quad_integrate(lambda x: math.exp(-2.0 * x), 40)
+    value = integrate(lambda x: np.exp(-2.0 * x), gauss_laguerre(40))
+    assert value == pytest.approx(0.5, abs=1e-8)
 
 
 @given(st.integers(min_value=0, max_value=39))
 def test_weighted_monomials_integrate_to_factorials(k):
     # f = x^k exp(-x) on a 20-point rule is inside the exactness degree.
-    value = quad_integrate(lambda x, k=k: x**k * math.exp(-x), 20)
+    value = integrate(lambda x: x**k * np.exp(-x), gauss_laguerre(20))
     assert value == pytest.approx(math.factorial(k), rel=1e-10)
-
-
-def test_non_finite_integrand_raises():
-    with pytest.raises(ValueError, match="non-finite"):
-        quad_integrate(lambda x: math.inf, 5)
 
 
 # ------------------------------------------------------- exponential Ei
