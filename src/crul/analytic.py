@@ -69,9 +69,8 @@ def _check_variant(variant: str) -> None:
 class AnalyticParams:
     """Immutable inputs of the closed-form rate approximations.
 
-    ``rule`` drives every single quadrature sum; ``pu_rule`` is the second
-    axis (primary-side offsets) of the double sum in the preferred-order
-    term.
+    ``rule`` drives every quadrature sum, both axes of the double sum in
+    the preferred-order term included.
     """
 
     lambda_pu: float
@@ -79,7 +78,6 @@ class AnalyticParams:
     theta: float
     bandwidth: float = 1.0
     rule: QuadratureRule = field(default_factory=lambda: gauss_laguerre(100))
-    pu_rule: QuadratureRule | None = None
 
     def __post_init__(self) -> None:
         for name in ("lambda_pu", "lambda_su", "theta", "bandwidth"):
@@ -88,20 +86,15 @@ class AnalyticParams:
                 continue  # a primary with no rate target: only the clear channel
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if self.pu_rule is None:
-            object.__setattr__(self, "pu_rule", self.rule)
 
     @classmethod
-    def from_scenario(
-        cls, scenario: ScenarioConfig, nodes: int = 100, pu_nodes: int | None = None
-    ) -> "AnalyticParams":
+    def from_scenario(cls, scenario: ScenarioConfig, nodes: int = 100) -> "AnalyticParams":
         return cls(
             lambda_pu=scenario.lambda_pu,
             lambda_su=scenario.lambda_su,
             theta=scenario.theta,
             bandwidth=scenario.bandwidth,
             rule=gauss_laguerre(nodes),
-            pu_rule=gauss_laguerre(pu_nodes) if pu_nodes is not None else None,
         )
 
     @property
@@ -404,19 +397,12 @@ def preferred_order_term(params: AnalyticParams) -> float:
     threshold, the secondary axis at the order-switch boundary for that
     primary SNR.
     """
-    su_rule, pu_rule = params.rule, params.pu_rule
-    pu = pu_rule.nodes + params.theta
-    su_shift = switch_level(pu, params.theta)
-    su = su_rule.nodes[:, None] + su_shift[None, :]
+    rule = params.rule
+    pu = rule.nodes + params.theta
+    su = rule.nodes[:, None] + switch_level(pu, params.theta)[None, :]
     values = preferred_order_kernel(su, pu[None, :], params)
-    return float(
-        np.einsum(
-            "i,j,ij->",
-            su_rule.integration_weights,
-            pu_rule.integration_weights,
-            values,
-        )
-    )
+    weights = rule.integration_weights
+    return float(np.einsum("i,j,ij->", weights, weights, values))
 
 
 def preferred_order_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:

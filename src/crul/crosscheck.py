@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import analytic
 from .analytic import DERIVED, STATED, AnalyticParams
 from .channel import ScenarioConfig
-from .montecarlo import EstimateResult, McConfig, estimate
+from .montecarlo import EstimateResult, estimate  # noqa: F401 - perfbench/spans.py patches estimate
 from .oracle import ergodic_rate_oracle, mean_power_factor_oracle, rsma_terms, sic_terms
 from .oracle import restricted_expectation  # noqa: F401 - perfbench/spans.py patches this name
 from .protocols import ProtocolKind
@@ -272,19 +272,14 @@ def evaluate(
     protocol: ProtocolKind,
     scenario: ScenarioConfig,
     method: str,
-    mc: McConfig | None = None,
     *,
     nodes: int = 100,
-    workers: int | None = None,
 ) -> EstimateResult:
-    """Uniform front door over the three estimation routes.
-
-    ``mc`` estimates carry their sampling stderr; ``analytic`` (the
-    arbitrated closed form, defined only for the protocols that have one)
-    and ``oracle`` rows are deterministic and record zero samples.
+    """Front door over the two deterministic routes, which record zero samples:
+    ``analytic`` (the arbitrated closed form, defined only for the protocols
+    that have one) and ``oracle``.  Monte Carlo rows come from
+    :func:`crul.montecarlo.sample_point`.
     """
-    if method == "mc":
-        return estimate(protocol, scenario, mc or McConfig(), workers=workers)
     if method == "analytic":
         if protocol not in ANALYTIC_PROTOCOLS:
             raise ValueError(f"no closed form for {protocol.value}")

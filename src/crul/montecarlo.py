@@ -36,7 +36,6 @@ import numpy as np
 
 from .channel import ScenarioConfig, sample_snrs
 from .protocols import (
-    TOLERANT,
     CellDraws,
     ProtocolKind,
     csi_rate_array,
@@ -166,7 +165,7 @@ def _family_sums(family, draws: CellDraws, bandwidth: float):
         cases = np.zeros(rates.shape, dtype=np.int8)
     elif family is ProtocolKind.BENCH_QOS:
         rates = qos_rate_array(draws, bandwidth)
-        cases = (draws.cells == TOLERANT).astype(np.int8)
+        cases = draws.qos_admitted.astype(np.int8)
     else:
         raise ValueError(f"no per-realization rate rule for {family}")
     sums = np.bincount(cases, weights=rates, minlength=CASE_FAMILIES[family])

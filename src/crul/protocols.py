@@ -22,8 +22,8 @@ always decodes the SU first (full interference from the PU), and
 
 This module is the one home of the decision cells.  Pure SIC's four
 cells refine rate splitting's three cases (its split band is the reduced
-and preferred cells together), and ``bench-qos`` admits exactly the
-tolerant cell.  :func:`sic_case_array` classifies a batch of fading draws
+and preferred cells together), and ``bench-qos`` admits the tolerant cell
+off its edge.  :func:`sic_case_array` classifies a batch of fading draws
 ``(gamma_pu, gamma_su)`` once, every rule builds its rates from the
 cells, and the oracle's regions slice the same cells with
 :func:`tolerance_level` and :func:`switch_level`.  Averaging over fading
@@ -110,8 +110,9 @@ def sic_case_array(gamma_pu, gamma_su, theta: float) -> np.ndarray:
     Below is ``gamma_pu < theta``, tolerant ``gamma_pu >= theta*(1 +
     gamma_su)``.  Between them the SU goes first where ``gamma_su/(1 +
     gamma_pu) > gamma_pu/theta - 1`` or the PU sits on ``theta``.  Where
-    SU-first and tolerant overlap (zero-measure ties with equal rates)
-    the draw is tolerant, so the cells refine rate splitting's cases.
+    SU-first and tolerant overlap (zero-measure ties such as ``gamma_pu =
+    theta``, ``gamma_su = 0``) the draw is tolerant, so the cells refine
+    rate splitting's cases.
     """
     cells = np.full(gamma_pu.shape, REDUCED, dtype=np.int8)
     if theta > 0.0:
@@ -153,6 +154,12 @@ class CellDraws:
         """``(gamma_pu/theta - 1)/gamma_su`` on the band: the pure-SIC power
         scale, and one minus rate splitting's early fraction ``alpha``."""
         return tolerance_level(self.gamma_pu[self.band], self.theta) / self.gamma_su[self.band]
+
+    @cached_property
+    def qos_admitted(self) -> np.ndarray:
+        """Where ``bench-qos`` lets the SU transmit: the PU strictly clears
+        ``theta`` under full interference, so the tolerant cell less its edge."""
+        return self.gamma_pu > self.theta * (1.0 + self.gamma_su)
 
     @cached_property
     def interference_limited(self) -> np.ndarray:
@@ -232,5 +239,5 @@ def csi_rate_array(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
 
 
 def qos_rate_array(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
-    """SU rates of ``bench-qos``: the clean rate in the tolerant cell, else silent."""
-    return bandwidth * np.where(draws.cells == TOLERANT, draws.clean, 0.0)
+    """SU rates of ``bench-qos``: the clean rate where admitted, else silent."""
+    return bandwidth * np.where(draws.qos_admitted, draws.clean, 0.0)

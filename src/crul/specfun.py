@@ -57,16 +57,13 @@ class QuadratureRule:
         Number of nodes.
     nodes:
         Abscissas, strictly ascending.
-    weights:
-        Linear-domain weights.  These sum to 1 but individually underflow
-        to 0.0 for high orders; use ``log_weights`` in that regime.
     log_weights:
-        ``log(weights)``, finite for every supported order.
+        Logs of the weights, finite for every supported order, where the
+        linear weights underflow to 0.0.
     """
 
     order: int
     nodes: np.ndarray
-    weights: np.ndarray
     log_weights: np.ndarray
 
     @property
@@ -154,15 +151,9 @@ def gauss_laguerre(order: int) -> QuadratureRule:
             math.log((order + 1) * abs(above)) + log_scale
         )
 
-    rule = QuadratureRule(
-        order=order,
-        nodes=nodes,
-        weights=np.exp(log_weights),
-        log_weights=log_weights,
-    )
-    for array in (rule.nodes, rule.weights, rule.log_weights):
+    for array in (nodes, log_weights):
         array.flags.writeable = False
-    return rule
+    return QuadratureRule(order=order, nodes=nodes, log_weights=log_weights)
 
 
 def _ei_series(x: float) -> float:
@@ -197,48 +188,25 @@ def _e1_cf_factor(x: float) -> float:
     raise ConvergenceError(f"E1 continued fraction did not converge at x = {x}")
 
 
-def _ei_asymptotic(x: float) -> float:
-    """Optimally truncated asymptotic series for ``Ei(x)``, large positive x."""
-    if x > 700.0:
-        return math.inf
-    total = 1.0
-    term = 1.0
-    for k in range(1, int(x) + 1):
-        next_term = term * k / x
-        if abs(next_term) >= abs(term):
-            break
-        term = next_term
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return math.exp(x) / x * total
-
-
 def expint_ei(x: float) -> float:
-    """The exponential integral ``Ei(x)`` for real nonzero ``x``.
+    """The exponential integral ``Ei(x)`` for real negative ``x``, the
+    only arguments the rate formulas take.
 
-    Negative arguments (the case the rate formulas live on) use the power
-    series up to ``|x| = 4`` and a modified-Lentz continued fraction for
-    ``E1`` beyond it.  Positive arguments use the series up to ``x = 40``
-    (all terms positive, so no cancellation constraint) and the optimally
-    truncated asymptotic expansion after that.
+    Uses the power series up to ``|x| = 4`` and a modified-Lentz continued
+    fraction for ``E1(-x) = -Ei(x)`` beyond it.
     """
     x = float(x)
-    if x == 0.0:
-        raise ValueError("Ei(x) is undefined at x = 0")
     if math.isnan(x):
         return math.nan
-    if x < 0.0:
-        magnitude = -x
-        if magnitude <= _E1_SERIES_MAX:
-            return _ei_series(x)
-        if magnitude > 745.0:
-            # exp(-x) underflows; the true value is below 1e-324 anyway.
-            return -0.0
-        return -math.exp(-magnitude) * _e1_cf_factor(magnitude)
-    if x <= 40.0:
+    if not x < 0.0:
+        raise ValueError(f"expint_ei requires x < 0, got {x}")
+    magnitude = -x
+    if magnitude <= _E1_SERIES_MAX:
         return _ei_series(x)
-    return _ei_asymptotic(x)
+    if magnitude > 745.0:
+        # exp(-x) underflows; the true value is below 1e-324 anyway.
+        return -0.0
+    return -math.exp(-magnitude) * _e1_cf_factor(magnitude)
 
 
 def log_e1(x: float) -> float:

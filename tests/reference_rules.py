@@ -141,18 +141,20 @@ def sic_decoding_order(gamma_pu: float, gamma_su: float, theta: float) -> Decodi
     feasible for the PU and not worse for the SU.
 
     SU first is forced when the PU is below threshold alone (protection
-    impossible, nothing to preserve) and preferred when the SU's rate
-    under full PU interference beats the reduced-power alternative
-    ``log2(gamma_pu/theta)`` while the PU still clears ``theta`` after
-    the SU is cancelled.
+    impossible, nothing to preserve).  PU first wins whenever the PU
+    tolerates the SU at full power, since the SU then decodes clean; this
+    also settles the zero-measure ties where both orders give the same
+    rates (``gamma_pu = theta`` with ``gamma_su = 0``, or ``theta = 0``).
+    Otherwise SU first is preferred when the SU's rate under full PU
+    interference beats the reduced-power alternative ``log2(gamma_pu/theta)``,
+    or when the PU sits on ``theta`` and reduced power would mean silence.
     """
     _validate_draw(gamma_pu, gamma_su, theta, 1.0)
-    if gamma_pu <= theta:
+    if gamma_pu < theta:
         return DecodingOrder.SU_FIRST
-    if theta == 0.0:
-        # no protection target: PU first costs the SU nothing and decodes clean
+    if gamma_pu >= theta * (1.0 + gamma_su):
         return DecodingOrder.PU_FIRST
-    if gamma_su / (1.0 + gamma_pu) > gamma_pu / theta - 1.0:
+    if gamma_pu == theta or gamma_su / (1.0 + gamma_pu) > gamma_pu / theta - 1.0:
         return DecodingOrder.SU_FIRST
     return DecodingOrder.PU_FIRST
 

@@ -80,13 +80,10 @@ class TestAnalyticParams:
         assert p20.lambda_su == pytest.approx(0.04)
         assert p20.theta == pytest.approx(THETA_DEFAULT)
         assert p20.rule.order == 100
-        assert p20.pu_rule is p20.rule
 
-    def test_separate_pu_rule(self):
+    def test_nodes_set_the_rule(self):
         scenario = ScenarioConfig.from_snr_db(10.0, 10.0)
-        p = AnalyticParams.from_scenario(scenario, nodes=40, pu_nodes=20)
-        assert p.rule.order == 40
-        assert p.pu_rule.order == 20
+        assert AnalyticParams.from_scenario(scenario, nodes=40).rule.order == 40
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -15,7 +15,6 @@ from crul.crosscheck import (
     relative_deviation,
     term_reports,
 )
-from crul.montecarlo import McConfig, estimate
 from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle
 from crul.protocols import ProtocolKind
 
@@ -151,20 +150,15 @@ class TestEvaluate:
         assert result.method == "analytic"
         assert result.n_samples == 0
 
-    def test_mc_method_delegates(self):
-        mc = McConfig(n_samples=10_000, seed=5)
-        via_evaluate = evaluate(ProtocolKind.BENCH_QOS, SCENARIO_20DB, "mc", mc)
-        direct = estimate(ProtocolKind.BENCH_QOS, SCENARIO_20DB, mc)
-        assert via_evaluate == direct
-
     def test_benchmarks_reject_analytic(self):
         for protocol in (ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS):
             with pytest.raises(ValueError):
                 evaluate(protocol, SCENARIO_20DB, "analytic")
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate(ProtocolKind.CR_RSMA, SCENARIO_20DB, "guess")
+        for method in ("guess", "mc"):
+            with pytest.raises(ValueError):
+                evaluate(ProtocolKind.CR_RSMA, SCENARIO_20DB, method)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,6 @@ from crul.montecarlo import (
 )
 from crul.oracle import ergodic_rate_oracle
 from crul.protocols import (
-    TOLERANT,
     CellDraws,
     ProtocolKind,
     csi_rate_array,
@@ -298,7 +297,7 @@ def _case_means(protocol, scenario, mc):
             cases = np.zeros(count, dtype=np.int8)
         else:
             rates = qos_rate_array(draws, width)
-            cases = (draws.cells == TOLERANT).astype(np.int8)
+            cases = (draws.gamma_pu > draws.theta * (1.0 + draws.gamma_su)).astype(np.int8)
         chunk_sums.append(np.bincount(cases, weights=rates, minlength=4))
     return [math.fsum(sums[k] for sums in chunk_sums) / mc.n_samples for k in range(4)]
 

@@ -308,46 +308,42 @@ def test_vectorized_kernels_match_scalar_rules(seed):
         assert csi[i] == pytest.approx(
             benchmark_su_rate(ProtocolKind.BENCH_CSI, *draw), rel=1e-12, abs=1e-15
         )
-        gated = benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw)
-        if gamma_pu[i] == THETA * (1.0 + gamma_su[i]):
-            # The gate is strict, the tolerant cell is not: see the tie test.
-            gated = math.log2(1.0 + gamma_su[i])
-        assert qos[i] == pytest.approx(gated, rel=1e-12, abs=1e-15)
+        assert qos[i] == pytest.approx(
+            benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw), rel=1e-12, abs=1e-15
+        )
 
 
 @pytest.mark.parametrize(
-    "gamma_pu,gamma_su,theta,cell",
+    "gamma_pu,gamma_su,theta,cell,admitted",
     [
-        (3.0, 5.0, THETA, BELOW),
+        (3.0, 5.0, THETA, BELOW, False),
         # the PU exactly on its threshold: SU first protects it for free
-        (THETA, 2.0, THETA, PREFERRED),
+        (THETA, 2.0, THETA, PREFERRED, False),
         # rates equal on the switch curve; SU first must be strictly better
-        (6.0, 3.5, THETA, REDUCED),
+        (6.0, 3.5, THETA, REDUCED, False),
         # product ties on the tolerance edge are tolerant (>=), also where
-        # the level form rounds below the SU SNR (4.8/4 - 1 < 0.2); so
-        # bench-qos admits them, where its scalar gate (strictly above the
-        # edge, test_benchmark_fixed_points) keeps the SU silent
-        (12.0, 2.0, THETA, TOLERANT),
-        (4.8, 0.2, THETA, TOLERANT),
-        # SU first and tolerant overlap, with equal rates either way: the
-        # cell is tolerant where the scalar rule says SU first
-        (THETA, 0.0, THETA, TOLERANT),
-        (0.0, 2.0, 0.0, TOLERANT),
+        # the level form rounds below the SU SNR (4.8/4 - 1 < 0.2); the
+        # bench-qos gate is strict (>), so the SU stays silent on them
+        (12.0, 2.0, THETA, TOLERANT, False),
+        (4.8, 0.2, THETA, TOLERANT, False),
+        # SU first and tolerant overlap: the draw is tolerant
+        (THETA, 0.0, THETA, TOLERANT, False),
+        (0.0, 2.0, 0.0, TOLERANT, False),
         # without a threshold every draw is tolerant
-        (5.0, 2.0, 0.0, TOLERANT),
+        (5.0, 2.0, 0.0, TOLERANT, True),
+        (13.0, 2.0, THETA, TOLERANT, True),
     ],
 )
-def test_exact_ties_fall_in_pinned_cells(gamma_pu, gamma_su, theta, cell):
+def test_exact_ties_fall_in_pinned_cells(gamma_pu, gamma_su, theta, cell, admitted):
     draws = classified([gamma_pu], [gamma_su], theta)
-    assert draws.cells[0] == cell
-    assert rsma_case_array(draws.cells)[0] == (0, 1, 1, 2)[cell]
-    # Where the cell and the scalar case index part, the rates still agree.
     draw = (gamma_pu, gamma_su, theta)
+    assert draws.cells[0] == cell == sic_case_index(*draw)
+    assert rsma_case_array(draws.cells)[0] == (0, 1, 1, 2)[cell] == rsma_case_index(*draw)
     assert sic_rate_arrays(draws)[0] == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
     assert rsma_rate_arrays(draws)[0] == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
-    # bench-qos admits exactly the tolerant cell
-    expected = math.log2(1.0 + gamma_su) if cell == TOLERANT else 0.0
-    assert qos_rate_array(draws)[0] == expected
+    qos = qos_rate_array(draws)[0]
+    assert qos == (math.log2(1.0 + gamma_su) if admitted else 0.0)
+    assert qos == benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw)
 
 
 def test_negative_inputs_raise():

@@ -32,11 +32,6 @@ EI_NEGATIVE = {
     20.0: -9.8355252906498816904e-11,
     100.0: -3.6835977616820321802e-46,
 }
-EI_POSITIVE = {
-    0.5: 0.45421990486317357992,
-    5.0: 40.185275355803177455,
-    45.0: 794391603570445377.15,
-}
 LOG_E1 = {
     20.0: -23.042435162184236996,
     100.0: -104.6150243505053549,
@@ -51,7 +46,7 @@ def test_order_one_rule_is_exact_point():
     # Single root of L_1(x) = 1 - x, weight = full mass of exp(-x).
     rule = gauss_laguerre(1)
     assert rule.nodes == pytest.approx([1.0], abs=1e-15)
-    assert rule.weights == pytest.approx([1.0], abs=1e-15)
+    assert np.exp(rule.log_weights) == pytest.approx([1.0], abs=1e-15)
 
 
 def test_order_two_rule_matches_hand_algebra():
@@ -60,7 +55,9 @@ def test_order_two_rule_matches_hand_algebra():
     rule = gauss_laguerre(2)
     root = math.sqrt(2.0)
     assert rule.nodes == pytest.approx([2.0 - root, 2.0 + root], rel=1e-14)
-    assert rule.weights == pytest.approx([(2.0 + root) / 4.0, (2.0 - root) / 4.0], rel=1e-14)
+    assert np.exp(rule.log_weights) == pytest.approx(
+        [(2.0 + root) / 4.0, (2.0 - root) / 4.0], rel=1e-14
+    )
 
 
 def test_nodes_are_laguerre_roots():
@@ -84,18 +81,18 @@ def test_moment_exactness_log_space(order):
 def test_rule_shape_invariants(order):
     rule = gauss_laguerre(order)
     assert rule.order == order
-    assert rule.nodes.shape == rule.weights.shape == rule.log_weights.shape == (order,)
+    assert rule.nodes.shape == rule.log_weights.shape == (order,)
     assert rule.nodes[0] > 0.0
     assert np.all(np.diff(rule.nodes) > 0.0)
     assert np.all(np.isfinite(rule.log_weights))
     assert np.all(np.isfinite(rule.integration_weights))
     assert np.all(rule.integration_weights > 0.0)
-    assert math.fsum(rule.weights) == pytest.approx(1.0, rel=1e-10)
+    assert math.fsum(np.exp(rule.log_weights)) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_high_order_linear_weights_underflow_but_log_survives():
     rule = gauss_laguerre(256)
-    assert rule.weights.min() == 0.0  # the documented underflow
+    assert np.exp(rule.log_weights).min() == 0.0  # the documented underflow
     assert np.all(np.isfinite(rule.log_weights))
     # exp(-x) integrates to 1 and only touches the log path.
     assert integrate(lambda x: np.exp(-x), rule) == pytest.approx(1.0, rel=1e-10)
@@ -141,19 +138,9 @@ def test_ei_negative_frozen(x, expected):
     assert expint_ei(-x) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("x,expected", sorted(EI_POSITIVE.items()))
-def test_ei_positive_frozen(x, expected):
-    assert expint_ei(x) == pytest.approx(expected, rel=1e-12)
-
-
 @given(st.floats(min_value=1e-4, max_value=500.0))
 def test_ei_agrees_with_scipy_e1(x):
     assert expint_ei(-x) == pytest.approx(-scipy.special.exp1(x), rel=1e-12, abs=5e-324)
-
-
-@given(st.floats(min_value=1e-4, max_value=200.0))
-def test_ei_positive_agrees_with_scipy(x):
-    assert expint_ei(x) == pytest.approx(scipy.special.expi(x), rel=1e-12)
 
 
 @given(
@@ -169,13 +156,12 @@ def test_ei_negative_is_decreasing_in_magnitude(x, factor):
 def test_ei_continuous_at_series_boundary():
     below, above = expint_ei(-4.0 + 1e-9), expint_ei(-4.0 - 1e-9)
     assert below == pytest.approx(above, rel=1e-7)
-    below, above = expint_ei(40.0 - 1e-9), expint_ei(40.0 + 1e-9)
-    assert below == pytest.approx(above, rel=1e-7)
 
 
-def test_ei_zero_is_a_domain_error():
-    with pytest.raises(ValueError):
-        expint_ei(0.0)
+def test_ei_non_negative_is_a_domain_error():
+    for x in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            expint_ei(x)
 
 
 def test_ei_far_negative_underflows_to_zero():
