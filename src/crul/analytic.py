@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ScenarioConfig
-from .panels import exponential_expectation, panel_integral
+from .panels import REL_TOL, exponential_expectation, panel_integral
 from .protocols import switch_level
 from .specfun import QuadratureRule, expint_ei, gauss_laguerre, log_e1
 
@@ -76,11 +76,10 @@ class AnalyticParams:
     lambda_pu: float
     lambda_su: float
     theta: float
-    bandwidth: float = 1.0
     rule: QuadratureRule = field(default_factory=lambda: gauss_laguerre(100))
 
     def __post_init__(self) -> None:
-        for name in ("lambda_pu", "lambda_su", "theta", "bandwidth"):
+        for name in ("lambda_pu", "lambda_su", "theta"):
             value = getattr(self, name)
             if name == "theta" and value == 0.0:
                 continue  # a primary with no rate target: only the clear channel
@@ -93,7 +92,6 @@ class AnalyticParams:
             lambda_pu=scenario.lambda_pu,
             lambda_su=scenario.lambda_su,
             theta=scenario.theta,
-            bandwidth=scenario.bandwidth,
             rule=gauss_laguerre(nodes),
         )
 
@@ -162,20 +160,18 @@ def ratio_density(z, params: AnalyticParams, variant: str = DERIVED):
 def below_threshold_term(params: AnalyticParams, variant: str = DERIVED) -> float:
     """Rate contribution of the protected-primary event, by quadrature.
 
-    Weighted sum of ``B log2(1+z)`` times the ratio density over the
+    Weighted sum of ``log2(1+z)`` times the ratio density over the
     half-line rule's nodes.
     """
     rule = params.rule
     density = ratio_density(rule.nodes, params, variant)
-    return params.bandwidth * float(
-        np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density)
-    )
+    return float(np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density))
 
 
-def below_threshold_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:
+def below_threshold_term_integral(params: AnalyticParams) -> float:
     """Same contribution by adaptive integration of the ratio density."""
     integrand = lambda z: np.log2(1.0 + z) * ratio_density(z, params)
-    return params.bandwidth * panel_integral(integrand, 0.0, 1.0 / params.lambda_su, rel_tol)
+    return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, REL_TOL)
 
 
 # --------------------------------------------- split-band closed form
@@ -189,33 +185,28 @@ def split_band_branch_term(params: AnalyticParams, variant: str = DERIVED) -> fl
     cancellation the equal branch resolves analytically.
     """
     _check_variant(variant)
-    lam_p, lam_s, theta, width = (
-        params.lambda_pu,
-        params.lambda_su,
-        params.theta,
-        params.bandwidth,
-    )
+    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
     ei_arg_full = lam_s * (1.0 + theta)
     if variant == DERIVED:
         if params.equal_rates:
             lam = lam_s
-            return (width / LN2) * (
+            return (1.0 / LN2) * (
                 lam * theta * _exp_ei_neg(lam, lam * (1.0 + theta))
                 + theta * math.exp(-lam * theta) / (1.0 + theta)
             )
         diff = lam_s - lam_p
         ei_arg_band = lam_s + lam_p * theta
-        return (width / LN2) * (lam_s / diff) * (
+        return (1.0 / LN2) * (lam_s / diff) * (
             _exp_ei_neg(lam_s + theta * diff, ei_arg_full) - _exp_ei_neg(lam_s, ei_arg_band)
         )
     if params.equal_rates:
         return (
-            width * lam_s * theta / LN2
+            lam_s * theta / LN2
             + lam_s * theta * (lam_p * theta + 1.0) / (LN2 * (1.0 + theta) * lam_p)
         ) * math.exp(lam_p) * expint_ei(-lam_p * (theta + 1.0)) + (
-            width * lam_p * theta * math.exp(-lam_p * theta) / (LN2 * (1.0 + theta) * lam_p)
+            lam_p * theta * math.exp(-lam_p * theta) / (LN2 * (1.0 + theta) * lam_p)
         )
-    return (width * lam_s * math.exp(lam_s) / ((lam_p - lam_s) * LN2)) * (
+    return (lam_s * math.exp(lam_s) / ((lam_p - lam_s) * LN2)) * (
         expint_ei(-(lam_s + lam_p * theta))
         - math.exp(theta * (lam_p - lam_s)) * expint_ei(-ei_arg_full)
     )
@@ -226,15 +217,10 @@ def split_band_term(params: AnalyticParams, variant: str = DERIVED) -> float:
 
     Covers the event where the primary meets its target only thanks to the
     secondary's split (or reduced) transmission; the rate-splitting
-    protocol earns ``B log2((1+x+y)/(1+theta))`` there.
+    protocol earns ``log2((1+x+y)/(1+theta))`` there.
     """
     _check_variant(variant)
-    lam_p, lam_s, theta, width = (
-        params.lambda_pu,
-        params.lambda_su,
-        params.theta,
-        params.bandwidth,
-    )
+    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
     ei_arg_band = lam_s + lam_p * theta
     ei_arg_full = lam_s * (1.0 + theta)
     branch = split_band_branch_term(params, variant)
@@ -242,13 +228,13 @@ def split_band_term(params: AnalyticParams, variant: str = DERIVED) -> float:
         diff = lam_s - lam_p
         head = -_exp_ei_neg(lam_s + theta * diff, ei_arg_full)
         middle = lam_s * _exp_ei_neg(lam_s, ei_arg_band) / ei_arg_band
-        return (width / LN2) * (head + middle) + branch
+        return (1.0 / LN2) * (head + middle) + branch
     head = (
-        (width * lam_s * math.exp(lam_p * theta) / (LN2 * ei_arg_band))
+        (lam_s * math.exp(lam_p * theta) / (LN2 * ei_arg_band))
         * math.exp(lam_p * theta + lam_s)
         * expint_ei(-ei_arg_band)
     )
-    middle = -(width / LN2) * math.exp(theta * (lam_s - lam_p) + lam_s) * expint_ei(-ei_arg_full)
+    middle = -(1.0 / LN2) * math.exp(theta * (lam_s - lam_p) + lam_s) * expint_ei(-ei_arg_full)
     return head + middle + branch
 
 
@@ -259,17 +245,12 @@ def clear_channel_term(params: AnalyticParams, variant: str = DERIVED) -> float:
     squared; kept for the validation report.
     """
     _check_variant(variant)
-    lam_p, lam_s, theta, width = (
-        params.lambda_pu,
-        params.lambda_su,
-        params.theta,
-        params.bandwidth,
-    )
+    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
     ei_arg_band = lam_s + lam_p * theta
     if variant == DERIVED:
-        return -(width / LN2) * lam_s * _exp_ei_neg(lam_s, ei_arg_band) / ei_arg_band
+        return -(1.0 / LN2) * lam_s * _exp_ei_neg(lam_s, ei_arg_band) / ei_arg_band
     return (
-        -(width * lam_s * math.exp(-lam_p * theta) / (LN2 * ei_arg_band))
+        -(lam_s * math.exp(-lam_p * theta) / (LN2 * ei_arg_band))
         * math.exp(-lam_p * theta + lam_s)
         * expint_ei(-ei_arg_band)
     )
@@ -283,20 +264,15 @@ def merged_tail_stated(params: AnalyticParams) -> float:
     factor; re-derivation shows the two leading pieces actually cancel.
     Preserved verbatim for the validation report.
     """
-    lam_p, lam_s, theta, width = (
-        params.lambda_pu,
-        params.lambda_su,
-        params.theta,
-        params.bandwidth,
-    )
+    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
     ei_arg_band = lam_s + lam_p * theta
     merged = (
-        (width * lam_s * (math.exp(lam_p * theta) - math.exp(-lam_p * theta)) / (LN2 * ei_arg_band))
+        (lam_s * (math.exp(lam_p * theta) - math.exp(-lam_p * theta)) / (LN2 * ei_arg_band))
         * math.exp(lam_p * theta + lam_s)
         * expint_ei(-ei_arg_band)
     )
     second = (
-        -(width / LN2)
+        -(1.0 / LN2)
         * math.exp(theta * (lam_s - lam_p) + lam_s)
         * expint_ei(-lam_s * (theta + 1.0))
     )
@@ -324,13 +300,13 @@ def order_switch_threshold(su_snr: float, theta: float) -> float:
 def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = DERIVED) -> float:
     """Closed-form inner integral of the reduced-power rate at one SU SNR.
 
-    For fixed secondary SNR ``x``, integrates ``B log2(y/theta)`` over the
+    For fixed secondary SNR ``x``, integrates ``log2(y/theta)`` over the
     primary band where the secondary transmits at reduced power, times the
     secondary density factor.  Vanishes at ``x = 0`` (the band collapses)
     and is nonnegative everywhere.
 
-    The stated variant omits the bandwidth factor but is otherwise the
-    same algebra (kept verbatim for the validation report).
+    The stated variant is the same algebra with its terms written in
+    another order (kept verbatim for the validation report).
     """
     _check_variant(variant)
     if su_snr < 0.0:
@@ -343,7 +319,7 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = D
         # the square root can land the switch point one ulp past the edge.
         return 0.0
     if variant == DERIVED:
-        return (params.bandwidth * lam_s * math.exp(-lam_s * su_snr) / LN2) * (
+        return (lam_s * math.exp(-lam_s * su_snr) / LN2) * (
             math.exp(-lam_p * switch) * math.log(switch / theta)
             - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
             + expint_ei(-lam_p * band_edge)
@@ -366,23 +342,22 @@ def reduced_power_term(params: AnalyticParams, variant: str = DERIVED) -> float:
     )
 
 
-def reduced_power_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:
+def reduced_power_term_integral(params: AnalyticParams) -> float:
     """Same contribution by adaptive integration of the closed-form kernel."""
     integrand = np.vectorize(lambda x: reduced_power_kernel(x, params), otypes=[float])
-    return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, rel_tol)
+    return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, REL_TOL)
 
 
 def preferred_order_kernel(su_snr, pu_snr, params: AnalyticParams):
     """Joint-density-weighted secondary rate for the swapped decoding order.
 
-    ``B log2(1 + x/(1+y))`` times the joint exponential density, evaluated
+    ``log2(1 + x/(1+y))`` times the joint exponential density, evaluated
     at secondary SNR ``x`` and primary SNR ``y``.  Accepts scalars or
     arrays (broadcasting).
     """
     lam_p, lam_s = params.lambda_pu, params.lambda_su
     return (
-        params.bandwidth
-        * np.log2(1.0 + np.asarray(su_snr) / (1.0 + np.asarray(pu_snr)))
+        np.log2(1.0 + np.asarray(su_snr) / (1.0 + np.asarray(pu_snr)))
         * lam_s
         * lam_p
         * np.exp(-lam_s * np.asarray(su_snr))
@@ -405,18 +380,18 @@ def preferred_order_term(params: AnalyticParams) -> float:
     return float(np.einsum("i,j,ij->", weights, weights, values))
 
 
-def preferred_order_term_integral(params: AnalyticParams, rel_tol: float = 1e-9) -> float:
+def preferred_order_term_integral(params: AnalyticParams) -> float:
     """Same contribution by adaptive integration over the swapped-order region.
 
     The primary axis starts at the protection threshold and each secondary
     slice at the order-switch boundary, as in :func:`preferred_order_term`.
     """
     theta = params.theta
-    return params.bandwidth * exponential_expectation(
+    return exponential_expectation(
         lambda pu_snr, su_snr: np.log2(1.0 + su_snr / (1.0 + pu_snr)),
         params.lambda_pu,
         params.lambda_su,
-        rel_tol,
+        REL_TOL,
         x_lower=theta,
         y_lower=functools.partial(switch_level, theta=theta),
     )

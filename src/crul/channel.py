@@ -84,20 +84,16 @@ class ScenarioConfig:
     """Full two-user scenario: both links plus the primary's rate target.
 
     ``rate_threshold`` is the primary user's target in bit/s/Hz (so the
-    protection SINR is ``2**rate_threshold - 1``); ``bandwidth`` scales
-    every reported rate and defaults to 1 so results read as spectral
-    efficiencies.
+    protection SINR is ``2**rate_threshold - 1``).  Every rate computed
+    from a scenario is per unit bandwidth, a spectral efficiency.
     """
 
     primary: LinkBudget
     secondary: LinkBudget
     rate_threshold: float = 2.5
-    bandwidth: float = 1.0
 
     def __post_init__(self):
         qos_threshold(self.rate_threshold)  # validates
-        if not self.bandwidth > 0.0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 
     @classmethod
     def from_snr_db(
@@ -109,14 +105,12 @@ class ScenarioConfig:
         secondary_distance: float = 2.0,
         path_loss_exponent: float = 2.0,
         rate_threshold: float = 2.5,
-        bandwidth: float = 1.0,
     ) -> "ScenarioConfig":
         """The common construction: shared exponent, per-link SNR/distance."""
         return cls(
             primary=LinkBudget(primary_snr_db, primary_distance, path_loss_exponent),
             secondary=LinkBudget(secondary_snr_db, secondary_distance, path_loss_exponent),
             rate_threshold=rate_threshold,
-            bandwidth=bandwidth,
         )
 
     @property
@@ -141,7 +135,7 @@ class ScenarioConfig:
             self.secondary.distance_ratio,
             self.secondary.path_loss_exponent,
         )
-        return ScenarioConfig(self.primary, scaled, self.rate_threshold, self.bandwidth)
+        return ScenarioConfig(self.primary, scaled, self.rate_threshold)
 
 
 def exponential_from_uniform(u, rate: float):

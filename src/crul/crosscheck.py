@@ -128,11 +128,8 @@ def _report(protocol, term, routes, oracle_value, in_total=True) -> TermReport:
     )
 
 
-def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: float):
-    width = scenario.bandwidth
-    oracle_below, oracle_band, oracle_clear = (
-        width * term for term in rsma_terms(scenario, rel_tol)
-    )
+def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams):
+    oracle_below, oracle_band, oracle_clear = rsma_terms(scenario)
     clear = _report(
         ProtocolKind.CR_RSMA,
         "clear_channel",
@@ -183,11 +180,8 @@ def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: flo
     ]
 
 
-def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: float):
-    width = scenario.bandwidth
-    oracle_miss, oracle_reduced, oracle_preferred, oracle_clear = (
-        width * term for term in sic_terms(scenario, rel_tol)
-    )
+def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams):
+    oracle_miss, oracle_reduced, oracle_preferred, oracle_clear = sic_terms(scenario)
     # The headline prints this term in the same form the derivation
     # produces, so there is only one closed-form route.
     clear = _report(
@@ -233,10 +227,7 @@ def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams, rel_tol: floa
 
 
 def term_reports(
-    protocol: ProtocolKind,
-    scenario: ScenarioConfig,
-    nodes: int = 100,
-    rel_tol: float = 1e-9,
+    protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = 100
 ) -> list[TermReport]:
     """Route-by-route comparison of every term against its own oracle.
 
@@ -246,25 +237,20 @@ def term_reports(
     one term reported.
     """
     if protocol is ProtocolKind.CR_SIC_NORM:
-        scale = mean_power_factor_oracle(scenario, rel_tol)
+        scale = mean_power_factor_oracle(scenario)
         scenario = scenario.with_secondary_snr_scaled(1.0 / scale)
         protocol = ProtocolKind.CR_SIC
     params = AnalyticParams.from_scenario(scenario, nodes=nodes)
     if protocol is ProtocolKind.CR_RSMA:
-        return _rsma_reports(scenario, params, rel_tol)
+        return _rsma_reports(scenario, params)
     if protocol is ProtocolKind.CR_SIC:
-        return _sic_reports(scenario, params, rel_tol)
+        return _sic_reports(scenario, params)
     raise ValueError(f"no closed-form decomposition for {protocol}")
 
 
-def arbitrated_rate(
-    protocol: ProtocolKind,
-    scenario: ScenarioConfig,
-    nodes: int = 100,
-    rel_tol: float = 1e-9,
-) -> float:
+def arbitrated_rate(protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = 100) -> float:
     """Oracle-arbitrated analytic ergodic rate (sum of chosen term routes)."""
-    reports = term_reports(protocol, scenario, nodes=nodes, rel_tol=rel_tol)
+    reports = term_reports(protocol, scenario, nodes=nodes)
     return math.fsum(r.chosen_value for r in reports if r.in_total)
 
 
@@ -295,12 +281,9 @@ def evaluate(
     raise ValueError(f"unknown method {method!r}")
 
 
-def deviation_report(
-    scenarios: dict[str, ScenarioConfig],
-    nodes: int = 100,
-    rel_tol: float = 1e-9,
-) -> dict:
-    """JSON-ready table of every route of every term at every config.
+def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
+    """JSON-ready table of every route of every term at every config,
+    with the closed forms on the default 100-node rule.
 
     ``flagged`` summarizes the routes that miss their term oracle by more
     than the report tolerance — the transcription slips show up here.
@@ -309,7 +292,7 @@ def deviation_report(
     flagged = []
     for label, scenario in scenarios.items():
         for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC):
-            for report in term_reports(protocol, scenario, nodes=nodes, rel_tol=rel_tol):
+            for report in term_reports(protocol, scenario):
                 entry = {
                     "config": label,
                     "protocol": report.protocol,

@@ -128,43 +128,43 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def resolve_workers(workers: int | None, n_tasks: int) -> int:
-    """Worker-count policy: explicit argument, else CRUL_THREADS, else auto."""
-    if workers is None:
-        env = os.environ.get("CRUL_THREADS", "").strip()
-        workers = int(env) if env else 0
+def resolve_workers(n_tasks: int) -> int:
+    """Worker count for ``n_tasks`` chunks: ``CRUL_THREADS``, unset or ``0``
+    meaning one per CPU, never more than there are chunks."""
+    env = os.environ.get("CRUL_THREADS", "").strip()
+    workers = int(env) if env else 0
     if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
+        raise ValueError(f"CRUL_THREADS must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, n_tasks))
 
 
-def _map_chunks(kernel, mc: McConfig, workers: int | None):
+def _map_chunks(kernel, mc: McConfig):
     """Run ``kernel(chunk_index, count)`` over all chunks, in chunk order."""
     counts = mc.chunk_counts()
     tasks = list(enumerate(counts))
-    n_workers = resolve_workers(workers, len(tasks))
+    n_workers = resolve_workers(len(tasks))
     if n_workers == 1:
         return [kernel(i, m) for i, m in tasks]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(lambda im: kernel(im[0], im[1]), tasks))
 
 
-def _family_sums(family, draws: CellDraws, bandwidth: float):
+def _family_sums(family, draws: CellDraws):
     """Per-case sums and the squared sum of one family over one chunk's draws."""
     if family is _POWER:
         scale = sic_power_factor_array(draws)
         return (float(np.sum(scale)),), float(np.sum(np.square(scale)))
     if family is ProtocolKind.CR_RSMA:
-        rates, cases = rsma_rate_arrays(draws, bandwidth), rsma_case_array(draws.cells)
+        rates, cases = rsma_rate_arrays(draws), rsma_case_array(draws.cells)
     elif family is ProtocolKind.CR_SIC:
-        rates, cases = sic_rate_arrays(draws, bandwidth), draws.cells
+        rates, cases = sic_rate_arrays(draws), draws.cells
     elif family is ProtocolKind.BENCH_CSI:
-        rates = csi_rate_array(draws, bandwidth)
+        rates = csi_rate_array(draws)
         cases = np.zeros(rates.shape, dtype=np.int8)
     elif family is ProtocolKind.BENCH_QOS:
-        rates = qos_rate_array(draws, bandwidth)
+        rates = qos_rate_array(draws)
         cases = draws.qos_admitted.astype(np.int8)
     else:
         raise ValueError(f"no per-realization rate rule for {family}")
@@ -182,14 +182,12 @@ def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count
     gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count)
     cells = sic_case_array(gamma_pu, gamma_su, scenario.theta)
     draws = CellDraws(gamma_pu, gamma_su, scenario.theta, cells)
-    return [_family_sums(family, draws, scenario.bandwidth) for family in families]
+    return [_family_sums(family, draws) for family in families]
 
 
-def _sample(scenario: ScenarioConfig, mc: McConfig, families, workers) -> dict:
+def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     """One pass over the draws: the estimate of every family, by family."""
-    chunks = _map_chunks(
-        lambda i, m: _chunk_sums(scenario, families, mc.seed, i, m), mc, workers
-    )
+    chunks = _map_chunks(lambda i, m: _chunk_sums(scenario, families, mc.seed, i, m), mc)
     results = {}
     # Fold each family's chunks in chunk order, so the totals do not
     # depend on scheduling.
@@ -216,14 +214,12 @@ def _finish(case_sums, square_sum, mc, protocol) -> EstimateResult:
     )
 
 
-def _normalized(
-    scenario: ScenarioConfig, mc: McConfig, scale: float, workers
-) -> EstimateResult:
+def _normalized(scenario: ScenarioConfig, mc: McConfig, scale: float) -> EstimateResult:
     """Pure SIC with the secondary's mean SNR boosted by ``1/scale``."""
     if not scale > 0.0:
         raise ValueError(f"power scale must be > 0, got {scale}")
     boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
-    result = _sample(boosted, mc, (ProtocolKind.CR_SIC,), workers)[ProtocolKind.CR_SIC]
+    result = _sample(boosted, mc, (ProtocolKind.CR_SIC,))[ProtocolKind.CR_SIC]
     return replace(result, protocol=ProtocolKind.CR_SIC_NORM)
 
 
@@ -231,8 +227,6 @@ def sample_point(
     scenario: ScenarioConfig,
     mc: McConfig,
     protocols: Iterable[ProtocolKind],
-    *,
-    workers: int | None = None,
 ) -> tuple[dict[ProtocolKind, EstimateResult], EstimateResult]:
     """Monte Carlo estimates of every requested protocol at one grid point.
 
@@ -246,12 +240,10 @@ def sample_point(
     """
     requested = dict.fromkeys(protocols)
     plain = tuple(p for p in requested if p is not ProtocolKind.CR_SIC_NORM)
-    estimates = _sample(scenario, mc, (*plain, _POWER), workers)
+    estimates = _sample(scenario, mc, (*plain, _POWER))
     power = estimates.pop(_POWER)
     if ProtocolKind.CR_SIC_NORM in requested:
-        estimates[ProtocolKind.CR_SIC_NORM] = _normalized(
-            scenario, mc, power.value, workers
-        )
+        estimates[ProtocolKind.CR_SIC_NORM] = _normalized(scenario, mc, power.value)
     return estimates, power
 
 
@@ -260,7 +252,6 @@ def estimate(
     scenario: ScenarioConfig,
     mc: McConfig,
     *,
-    workers: int | None = None,
     norm_power_factor: float | None = None,
 ) -> EstimateResult:
     """Monte Carlo ergodic SU rate under one protocol.
@@ -278,19 +269,17 @@ def estimate(
     if protocol is not ProtocolKind.CR_SIC_NORM:
         if norm_power_factor is not None:
             raise ValueError("norm_power_factor only applies to the normalized protocol")
-        return _sample(scenario, mc, (protocol,), workers)[protocol]
+        return _sample(scenario, mc, (protocol,))[protocol]
     if norm_power_factor is None:
-        norm_power_factor = mean_power_factor(scenario, mc, workers=workers).value
-    return _normalized(scenario, mc, norm_power_factor, workers)
+        norm_power_factor = mean_power_factor(scenario, mc).value
+    return _normalized(scenario, mc, norm_power_factor)
 
 
-def mean_power_factor(
-    scenario: ScenarioConfig, mc: McConfig, *, workers: int | None = None
-) -> EstimateResult:
+def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
     """Monte Carlo mean of the SIC control-law power scale.
 
     The scale is the fraction of its budget the secondary may spend when
     the primary sits inside the protected band, and 1 elsewhere (full
     power is admissible), so the mean lives in (0, 1].
     """
-    return _sample(scenario, mc, (_POWER,), workers)[_POWER]
+    return _sample(scenario, mc, (_POWER,))[_POWER]

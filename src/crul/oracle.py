@@ -22,11 +22,13 @@ The decision regions slice the cells of :mod:`crul.protocols` along the
 secondary axis, with its tolerance and order-switch levels as bounds, so
 the regions and the Monte Carlo cells are one partition.
 
+Every integral is held to :data:`crul.panels.REL_TOL` (1e-9 relative).
+
 This module is the one home of the per-case region integrals.  Each one
-is memoised per region, scenario and tolerance, so :func:`rsma_terms` and
+is memoised per region and scenario, so :func:`rsma_terms` and
 :func:`sic_terms` share the two regions they have in common, and
-:func:`mean_power_factor_oracle` is memoised per ``(scenario, rel_tol)``:
-the oracle rows sum the terms, the hard-QoS benchmark reads the
+:func:`mean_power_factor_oracle` is memoised per scenario: the oracle
+rows sum the terms, the hard-QoS benchmark reads the
 rate-splitting clear-channel term, and :mod:`crul.crosscheck` arbitrates
 every closed-form term against the same values, so one grid point
 integrates each region once.
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import ScenarioConfig
-from .panels import QuadratureError, exponential_expectation, panel_integral
+from .panels import REL_TOL, QuadratureError, exponential_expectation, panel_integral
 from .protocols import ProtocolKind, switch_level, tolerance_level
 
 __all__ = [
@@ -90,7 +92,6 @@ def restricted_expectation(
     region: RegionSpec,
     lambda_pu: float,
     lambda_su: float,
-    rel_tol: float = 1e-9,
 ) -> float:
     """``E[integrand(gamma_pu, gamma_su) ; region]`` for exponential SNRs.
 
@@ -98,10 +99,8 @@ def restricted_expectation(
     their shape; it must be smooth inside the region (split piecewise
     integrands into one region per piece).  Raises
     :class:`OracleAccuracyError` when the quadrature error cannot be
-    reconciled with ``rel_tol``.
+    reconciled with :data:`~crul.panels.REL_TOL`.
     """
-    if not 0.0 < rel_tol <= 1e-2:
-        raise ValueError(f"rel_tol must be in (0, 1e-2], got {rel_tol}")
     if lambda_pu <= 0.0 or lambda_su <= 0.0:
         raise ValueError("rate parameters must be > 0")
     try:
@@ -109,7 +108,7 @@ def restricted_expectation(
             integrand,
             lambda_pu,
             lambda_su,
-            rel_tol,
+            REL_TOL,
             x_lower=region.pu_lower,
             x_upper=region.pu_upper,
             y_lower=region.su_lower,
@@ -119,10 +118,8 @@ def restricted_expectation(
         raise OracleAccuracyError(f"{exc} ({region.description})") from None
 
 
-def region_probability(
-    region: RegionSpec, lambda_pu: float, lambda_su: float, rel_tol: float = 1e-9
-) -> float:
-    return restricted_expectation(lambda x, y: 1.0, region, lambda_pu, lambda_su, rel_tol)
+def region_probability(region: RegionSpec, lambda_pu: float, lambda_su: float) -> float:
+    return restricted_expectation(lambda x, y: 1.0, region, lambda_pu, lambda_su)
 
 
 # ------------------------------------------------------ decision regions
@@ -169,24 +166,6 @@ def sic_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec, 
 
 # ------------------------------------------------------- per-case terms
 
-def _memoised(function):
-    """Cache ``function(scenario, rel_tol)`` per scenario and tolerance.
-
-    ``lru_cache`` keys on the call shape, so ``f(s)`` and ``f(s, 1e-9)``
-    would be separate entries; every caller reaches the cache through
-    the one positional call below instead.  A sweep point needs two
-    scenarios (its own and the power-normalized one); the release checks
-    revisit a few dozen.
-    """
-    cached = functools.lru_cache(maxsize=64)(function)
-
-    @functools.wraps(function)
-    def call(scenario: ScenarioConfig, rel_tol: float = 1e-9):
-        return cached(scenario, rel_tol)
-
-    call.cache_clear = cached.cache_clear
-    return call
-
 
 def _interference_limited(x, y):
     return np.log2(1.0 + y / (1.0 + x))
@@ -212,84 +191,72 @@ def _case_integrands(theta: float) -> dict:
 
 
 @functools.lru_cache(maxsize=512)
-def _case_term(
-    name: str, lambda_pu: float, lambda_su: float, theta: float, rel_tol: float
-) -> float:
-    """One per-case region integral, memoised per region, scenario and tolerance.
+def _case_term(name: str, lambda_pu: float, lambda_su: float, theta: float) -> float:
+    """One per-case region integral, memoised per region and scenario.
 
     Rate splitting and pure SIC share the below-threshold and clear-channel
     regions, so keying on the region rather than the protocol integrates
-    each once.  Reached only through :func:`_case_terms`, which passes
-    every argument positionally (see :func:`_memoised` on call shapes).
+    each once.
     """
     region, integrand = _case_integrands(theta)[name]
-    return restricted_expectation(integrand, region, lambda_pu, lambda_su, rel_tol)
+    return restricted_expectation(integrand, region, lambda_pu, lambda_su)
 
 
-def _case_terms(names: tuple[str, ...], scenario: ScenarioConfig, rel_tol: float):
+def _case_terms(names: tuple[str, ...], scenario: ScenarioConfig):
     lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    return tuple(_case_term(name, lam_pu, lam_su, theta, rel_tol) for name in names)
+    return tuple(_case_term(name, lam_pu, lam_su, theta) for name in names)
 
 
-def rsma_terms(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> tuple[float, float, float]:
-    """Per-unit-bandwidth rate-splitting terms, in case-index order.
+def rsma_terms(scenario: ScenarioConfig) -> tuple[float, float, float]:
+    """Rate-splitting terms, in case-index order.
 
     ``(below, band, clear)``: the interference-limited rate below the
     threshold, the split rate in the band, the clean rate where the
     primary tolerates full interference.
     """
-    return _case_terms(("below", "band", "clear"), scenario, rel_tol)
+    return _case_terms(("below", "band", "clear"), scenario)
 
 
-def sic_terms(
-    scenario: ScenarioConfig, rel_tol: float = 1e-9
-) -> tuple[float, float, float, float]:
-    """Per-unit-bandwidth pure-SIC terms, in case-index order.
+def sic_terms(scenario: ScenarioConfig) -> tuple[float, float, float, float]:
+    """Pure-SIC terms, in case-index order.
 
     ``(below, reduced, preferred, clear)``: below the threshold and in the
     secondary-first region the SU is interference limited, in between it
     backs its power off to the primary's tolerance.
     """
-    return _case_terms(("below", "reduced", "preferred", "clear"), scenario, rel_tol)
+    return _case_terms(("below", "reduced", "preferred", "clear"), scenario)
 
 
 # ------------------------------------------------------- ergodic rates
 
 
-def ergodic_rate_oracle(
-    protocol: ProtocolKind, scenario: ScenarioConfig, rel_tol: float = 1e-9
-) -> float:
+def ergodic_rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> float:
     """Ergodic SU rate of ``protocol``, by integration over its decision regions."""
-    bandwidth = scenario.bandwidth
     if protocol is ProtocolKind.CR_RSMA:
-        return bandwidth * math.fsum(rsma_terms(scenario, rel_tol))
+        return math.fsum(rsma_terms(scenario))
 
     if protocol is ProtocolKind.CR_SIC:
-        return bandwidth * math.fsum(sic_terms(scenario, rel_tol))
+        return math.fsum(sic_terms(scenario))
 
     if protocol is ProtocolKind.CR_SIC_NORM:
-        factor = mean_power_factor_oracle(scenario, rel_tol)
+        factor = mean_power_factor_oracle(scenario)
         boosted = scenario.with_secondary_snr_scaled(1.0 / factor)
-        return ergodic_rate_oracle(ProtocolKind.CR_SIC, boosted, rel_tol)
+        return ergodic_rate_oracle(ProtocolKind.CR_SIC, boosted)
 
     if protocol is ProtocolKind.BENCH_CSI:
-        return bandwidth * restricted_expectation(
-            _interference_limited,
-            FULL_QUADRANT,
-            scenario.lambda_pu,
-            scenario.lambda_su,
-            rel_tol,
+        return restricted_expectation(
+            _interference_limited, FULL_QUADRANT, scenario.lambda_pu, scenario.lambda_su
         )
 
     if protocol is ProtocolKind.BENCH_QOS:
         # The hard gate admits the secondary exactly where rate splitting
         # gives it the clear channel.
-        return bandwidth * rsma_terms(scenario, rel_tol)[2]
+        return rsma_terms(scenario)[2]
 
     raise ValueError(f"unknown protocol: {protocol}")
 
 
-def ergodic_delta_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> float:
+def ergodic_delta_oracle(scenario: ScenarioConfig) -> float:
     """Ergodic-rate gap (rate splitting minus pure SIC) as a region integral.
 
     Outside the split band the two protocols act identically, so the gap
@@ -302,22 +269,24 @@ def ergodic_delta_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> flo
     # Without a threshold both regions are empty and the gap is zero.
     integrands = _case_integrands(scenario.theta)
     split_rate = integrands["band"][1]
-    return scenario.bandwidth * sum(
+    return sum(
         restricted_expectation(
             lambda x, y, sic_rate=sic_rate: split_rate(x, y) - sic_rate(x, y),
-            region, lam_pu, lam_su, rel_tol,
+            region, lam_pu, lam_su,
         )
         for region, sic_rate in (integrands["reduced"], integrands["preferred"])
     )
 
 
-@_memoised
-def mean_power_factor_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) -> float:
+@functools.lru_cache(maxsize=64)
+def mean_power_factor_oracle(scenario: ScenarioConfig) -> float:
     """Average of the pure-SIC control-law power scale.
 
     The scale is 1 below the threshold and beyond the tolerance edge,
     and ``(gamma_pu/theta - 1)/gamma_su`` in the split band between; each
     piece is integrated over its own region so the integrands stay smooth.
+    Memoised per scenario: a sweep point needs two (its own and the
+    power-normalized one), and the release checks revisit a few dozen.
     """
     lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
     theta = scenario.theta
@@ -327,17 +296,15 @@ def mean_power_factor_oracle(scenario: ScenarioConfig, rel_tol: float = 1e-9) ->
     scaled = lambda x, y: tolerance_level(x, theta) / y
     return math.fsum(
         (
-            region_probability(below, lam_pu, lam_su, rel_tol),
-            region_probability(tolerant, lam_pu, lam_su, rel_tol),
-            restricted_expectation(scaled, band, lam_pu, lam_su, rel_tol),
+            region_probability(below, lam_pu, lam_su),
+            region_probability(tolerant, lam_pu, lam_su),
+            restricted_expectation(scaled, band, lam_pu, lam_su),
         )
     )
 
 
-def expected_clean_rate(
-    rate_parameter: float, bandwidth: float = 1.0, rel_tol: float = 1e-9
-) -> float:
-    """``E[bandwidth * log2(1 + gamma)]`` for one exponential SNR.
+def expected_clean_rate(rate_parameter: float) -> float:
+    """``E[log2(1 + gamma)]`` for one exponential SNR.
 
     The interference-free ceiling every protocol approaches when the
     primary link is overwhelmingly strong.
@@ -345,12 +312,11 @@ def expected_clean_rate(
     if rate_parameter <= 0.0:
         raise ValueError("rate parameter must be > 0")
     try:
-        total = panel_integral(
+        return panel_integral(
             lambda y: np.log2(1.0 + y) * rate_parameter * np.exp(-rate_parameter * y),
             0.0,
             1.0 / rate_parameter,
-            rel_tol,
+            REL_TOL,
         )
     except QuadratureError as exc:
         raise OracleAccuracyError(f"{exc} (one-dimensional rate integral)") from None
-    return bandwidth * total

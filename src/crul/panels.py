@@ -31,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureError",
+    "REL_TOL",
     "NODES",
     "KRONROD_WEIGHTS",
     "GAUSS_WEIGHTS",
@@ -43,6 +44,10 @@ __all__ = [
 
 class QuadratureError(ArithmeticError):
     """The error estimate of an integral exceeds its budget."""
+
+
+#: The relative tolerance every integral of the package is held to.
+REL_TOL = 1e-9
 
 
 # Positive Kronrod abscissas, descending; the odd entries are the 10-point

@@ -185,7 +185,7 @@ def _split_powers(draws: CellDraws):
     return alpha, (1.0 - alpha) * draws.gamma_su[draws.band]
 
 
-def rsma_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+def rsma_rate_arrays(draws: CellDraws) -> np.ndarray:
     """SU rates under rate splitting: early part, then PU, then late part.
 
     In the band the early part sees the PU and the late part as
@@ -196,19 +196,19 @@ def rsma_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
     alpha, late_power = _split_powers(draws)
     early = alpha * draws.gamma_su[draws.band] / (draws.gamma_pu[draws.band] + late_power + 1.0)
     rates[draws.band] = np.log2(1.0 + early) + np.log2(1.0 + late_power)
-    return bandwidth * rates
+    return rates
 
 
-def sic_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+def sic_rate_arrays(draws: CellDraws) -> np.ndarray:
     """SU rates under pure SIC: ``log2(gamma_pu/theta)`` when backed off
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
     rates = draws.full_power()
     reduced = np.flatnonzero(draws.cells == REDUCED)
     rates[reduced] = np.log2(draws.gamma_pu[reduced] / draws.theta)
-    return bandwidth * rates
+    return rates
 
 
-def primary_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def primary_rate_arrays(draws: CellDraws) -> tuple[np.ndarray, np.ndarray]:
     """``(rate splitting, pure SIC)`` PU rates: clean when the SU goes first,
     under full interference when tolerant, and on ``theta`` when backed off."""
     gamma_pu, gamma_su = draws.gamma_pu, draws.gamma_su
@@ -219,7 +219,7 @@ def primary_rate_arrays(draws: CellDraws, bandwidth: float = 1.0) -> tuple[np.nd
     _, late_power = _split_powers(draws)
     splitting[draws.band] = np.log2(1.0 + gamma_pu[draws.band] / (late_power + 1.0))
     pure[np.flatnonzero(draws.cells == REDUCED)] = math.log2(1.0 + draws.theta)
-    return bandwidth * splitting, bandwidth * pure
+    return splitting, pure
 
 
 def sic_power_factor_array(draws: CellDraws) -> np.ndarray:
@@ -233,11 +233,11 @@ def sic_power_factor_array(draws: CellDraws) -> np.ndarray:
     return scale
 
 
-def csi_rate_array(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+def csi_rate_array(draws: CellDraws) -> np.ndarray:
     """SU rates of ``bench-csi``: always decoded first, under full PU interference."""
-    return bandwidth * draws.interference_limited
+    return draws.interference_limited
 
 
-def qos_rate_array(draws: CellDraws, bandwidth: float = 1.0) -> np.ndarray:
+def qos_rate_array(draws: CellDraws) -> np.ndarray:
     """SU rates of ``bench-qos``: the clean rate where admitted, else silent."""
-    return bandwidth * np.where(draws.qos_admitted, draws.clean, 0.0)
+    return np.where(draws.qos_admitted, draws.clean, 0.0)

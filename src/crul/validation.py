@@ -53,6 +53,8 @@ _QUICK_ANALYTIC_GRID = (0.0, 20.0, 40.0)
 _QUICK_FIGURE2_GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 
 _PROTECTION_FLOOR_SLACK = 1e-9
+#: Gauss-Laguerre orders whose moment exactness criterion 1 checks.
+_QUADRATURE_ORDERS = (2, 5, 20, 100)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
 # --------------------------------------------------------------- criterion 1
 
 
-def criterion_quadrature(orders: tuple[int, ...] = (2, 5, 20, 100)) -> CheckResult:
+def criterion_quadrature() -> CheckResult:
     """An n-point rule must integrate x^k e^{-x} to k! for all k <= 2n-1.
 
     Sums run in log space because the linear weights underflow long before
@@ -94,7 +96,7 @@ def criterion_quadrature(orders: tuple[int, ...] = (2, 5, 20, 100)) -> CheckResu
     """
     start = time.perf_counter()
     worst = 0.0
-    for order in orders:
+    for order in _QUADRATURE_ORDERS:
         rule = gauss_laguerre(order)
         log_nodes = np.log(rule.nodes)
         for power in range(2 * order):
@@ -110,7 +112,7 @@ def criterion_quadrature(orders: tuple[int, ...] = (2, 5, 20, 100)) -> CheckResu
         measured=worst,
         tolerance=1e-10,
         runtime_s=time.perf_counter() - start,
-        detail=f"orders {orders}, every moment up to degree 2n-1",
+        detail=f"orders {_QUADRATURE_ORDERS}, every moment up to degree 2n-1",
     )
 
 
@@ -163,7 +165,7 @@ def criterion_pu_protection(seed: int = 0, samples: int = 10**6) -> CheckResult:
     """Whenever the primary link can stand alone, its rate must be kept.
 
     Counts realizations with ``gamma_pu >= theta`` where either protocol
-    leaves the primary below ``B log2(1 + theta)`` (minus a rounding
+    leaves the primary below ``log2(1 + theta)`` (minus a rounding
     allowance).  The pass bar is exactly zero violations.
     """
     start = time.perf_counter()
@@ -173,11 +175,11 @@ def criterion_pu_protection(seed: int = 0, samples: int = 10**6) -> CheckResult:
     for snr_db in (10.0, 20.0, 30.0):
         scenario = _scenario(snr_db)
         theta = scenario.theta
-        floor = scenario.bandwidth * math.log2(1.0 + theta) - _PROTECTION_FLOOR_SLACK
+        floor = math.log2(1.0 + theta) - _PROTECTION_FLOOR_SLACK
         for draws in _draw_chunks(scenario, seed, samples):
             protected = draws.gamma_pu >= theta
             protected_draws += int(np.count_nonzero(protected))
-            for pu_rate in primary_rate_arrays(draws, scenario.bandwidth):
+            for pu_rate in primary_rate_arrays(draws):
                 covered = pu_rate[protected]
                 if covered.size:
                     worst_margin = min(worst_margin, float(covered.min()) - floor)
@@ -212,8 +214,8 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     band_draws = 0
     band_ties = 0
     for draws in _draw_chunks(scenario, seed, samples):
-        splitting = rsma_rate_arrays(draws, scenario.bandwidth)
-        pure = sic_rate_arrays(draws, scenario.bandwidth)
+        splitting = rsma_rate_arrays(draws)
+        pure = sic_rate_arrays(draws)
         worst_gap = max(worst_gap, float((pure - splitting).max()))
         band = draws.band
         band_draws += band.size
@@ -238,7 +240,7 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
 
 
 def criterion_analytic_oracle(
-    grid: tuple[float, ...] = ANALYTIC_GRID_DB, nodes: int = 100
+    grid: tuple[float, ...] = ANALYTIC_GRID_DB,
 ) -> tuple[CheckResult, dict]:
     """Arbitrated closed forms vs. adaptive integration, term by term.
 
@@ -248,7 +250,7 @@ def criterion_analytic_oracle(
     """
     start = time.perf_counter()
     scenarios = {f"gamma0_{db:g}db": _scenario(db) for db in grid}
-    report = deviation_report(scenarios, nodes=nodes)
+    report = deviation_report(scenarios)
 
     totals: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for entry in report["entries"]:
@@ -393,9 +395,7 @@ def criterion_figure3_asymptote() -> CheckResult:
     start = time.perf_counter()
     secondary_db = 20.0
     ceiling_scenario = _scenario(60.0, secondary_db)
-    ceiling = expected_clean_rate(
-        ceiling_scenario.lambda_su, ceiling_scenario.bandwidth
-    )
+    ceiling = expected_clean_rate(ceiling_scenario.lambda_su)
     convergent = (
         ProtocolKind.CR_RSMA,
         ProtocolKind.CR_SIC,

@@ -52,13 +52,11 @@ SIC_CASE_LABELS = (
 )
 
 
-def _validate_draw(gamma_pu: float, gamma_su: float, theta: float, bandwidth: float):
+def _validate_draw(gamma_pu: float, gamma_su: float, theta: float):
     if gamma_pu < 0.0 or gamma_su < 0.0:
         raise ValueError(f"SNRs must be >= 0, got ({gamma_pu}, {gamma_su})")
     if theta < 0.0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
-    if not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
 
 
 # -------------------------------------------------------- rate splitting
@@ -73,7 +71,7 @@ def rsma_alpha(gamma_pu: float, gamma_su: float, theta: float) -> float:
     or free (PU meets threshold under full interference).  Continuous in
     both SNRs.
     """
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
+    _validate_draw(gamma_pu, gamma_su, theta)
     if gamma_pu >= theta * (1.0 + gamma_su):
         return 0.0
     if gamma_pu < theta:
@@ -83,7 +81,7 @@ def rsma_alpha(gamma_pu: float, gamma_su: float, theta: float) -> float:
 
 
 def rsma_case_index(gamma_pu: float, gamma_su: float, theta: float) -> int:
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
+    _validate_draw(gamma_pu, gamma_su, theta)
     if gamma_pu < theta:
         return 0
     if gamma_pu < theta * (1.0 + gamma_su):
@@ -91,24 +89,22 @@ def rsma_case_index(gamma_pu: float, gamma_su: float, theta: float) -> int:
     return 2
 
 
-def rsma_rates(
-    gamma_pu: float, gamma_su: float, theta: float, bandwidth: float = 1.0
-) -> RateOutcome:
+def rsma_rates(gamma_pu: float, gamma_su: float, theta: float) -> RateOutcome:
     """Rates under rate splitting: early part, then PU, then late part.
 
     The SU rate is the sum of its two parts' rates: the early part sees
     the PU plus the late part as interference, the late part is decoded
     interference-free.  The PU sees only the late part.
     """
-    _validate_draw(gamma_pu, gamma_su, theta, bandwidth)
+    _validate_draw(gamma_pu, gamma_su, theta)
     alpha = rsma_alpha(gamma_pu, gamma_su, theta)
     late_power = (1.0 - alpha) * gamma_su
     early = math.log2(1.0 + alpha * gamma_su / (gamma_pu + late_power + 1.0))
     late = math.log2(1.0 + late_power)
     pu = math.log2(1.0 + gamma_pu / (late_power + 1.0))
     return RateOutcome(
-        su_rate=bandwidth * (early + late),
-        pu_rate=bandwidth * pu,
+        su_rate=early + late,
+        pu_rate=pu,
         power_factor=alpha,
         case_index=rsma_case_index(gamma_pu, gamma_su, theta),
         decoding_order=None,
@@ -128,7 +124,7 @@ def sic_power_factor(gamma_pu: float, gamma_su: float, theta: float) -> float:
     because it is free.  The fleet-average of this quantity is the
     energy diagnostic reported alongside sweeps.
     """
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
+    _validate_draw(gamma_pu, gamma_su, theta)
     if theta <= 0.0:
         return 1.0
     if theta <= gamma_pu < theta * (1.0 + gamma_su):
@@ -149,7 +145,7 @@ def sic_decoding_order(gamma_pu: float, gamma_su: float, theta: float) -> Decodi
     interference beats the reduced-power alternative ``log2(gamma_pu/theta)``,
     or when the PU sits on ``theta`` and reduced power would mean silence.
     """
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
+    _validate_draw(gamma_pu, gamma_su, theta)
     if gamma_pu < theta:
         return DecodingOrder.SU_FIRST
     if gamma_pu >= theta * (1.0 + gamma_su):
@@ -160,7 +156,7 @@ def sic_decoding_order(gamma_pu: float, gamma_su: float, theta: float) -> Decodi
 
 
 def sic_case_index(gamma_pu: float, gamma_su: float, theta: float) -> int:
-    _validate_draw(gamma_pu, gamma_su, theta, 1.0)
+    _validate_draw(gamma_pu, gamma_su, theta)
     if gamma_pu < theta:
         return 0
     if sic_decoding_order(gamma_pu, gamma_su, theta) is DecodingOrder.SU_FIRST:
@@ -170,11 +166,9 @@ def sic_case_index(gamma_pu: float, gamma_su: float, theta: float) -> int:
     return 1
 
 
-def sic_rates(
-    gamma_pu: float, gamma_su: float, theta: float, bandwidth: float = 1.0
-) -> RateOutcome:
+def sic_rates(gamma_pu: float, gamma_su: float, theta: float) -> RateOutcome:
     """Rates under pure SIC with the order/power choices above."""
-    _validate_draw(gamma_pu, gamma_su, theta, bandwidth)
+    _validate_draw(gamma_pu, gamma_su, theta)
     case = sic_case_index(gamma_pu, gamma_su, theta)
     if case in (0, 2):
         order = DecodingOrder.SU_FIRST
@@ -192,8 +186,8 @@ def sic_rates(
         su = math.log2(1.0 + gamma_su)
         pu = math.log2(1.0 + gamma_pu / (1.0 + gamma_su))
     return RateOutcome(
-        su_rate=bandwidth * su,
-        pu_rate=bandwidth * pu,
+        su_rate=su,
+        pu_rate=pu,
         power_factor=factor,
         case_index=case,
         decoding_order=order,
@@ -203,13 +197,7 @@ def sic_rates(
 # ------------------------------------------------------------- baselines
 
 
-def benchmark_su_rate(
-    kind: ProtocolKind,
-    gamma_pu: float,
-    gamma_su: float,
-    theta: float,
-    bandwidth: float = 1.0,
-) -> float:
+def benchmark_su_rate(kind: ProtocolKind, gamma_pu: float, gamma_su: float, theta: float) -> float:
     """SU rate of the two non-cognitive baselines.
 
     ``BENCH_CSI`` decodes the SU first unconditionally (PU interference
@@ -217,11 +205,11 @@ def benchmark_su_rate(
     only when the PU strictly clears the threshold despite it, else the
     SU stays silent.
     """
-    _validate_draw(gamma_pu, gamma_su, theta, bandwidth)
+    _validate_draw(gamma_pu, gamma_su, theta)
     if kind is ProtocolKind.BENCH_CSI:
-        return bandwidth * math.log2(1.0 + gamma_su / (1.0 + gamma_pu))
+        return math.log2(1.0 + gamma_su / (1.0 + gamma_pu))
     if kind is ProtocolKind.BENCH_QOS:
         if gamma_pu > theta * (1.0 + gamma_su):
-            return bandwidth * math.log2(1.0 + gamma_su)
+            return math.log2(1.0 + gamma_su)
         return 0.0
     raise ValueError(f"not a benchmark protocol: {kind}")

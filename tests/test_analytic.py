@@ -91,7 +91,6 @@ class TestAnalyticParams:
             {"lambda_pu": 0.0},
             {"lambda_su": -1.0},
             {"theta": -1.0},
-            {"bandwidth": 0.0},
             {"lambda_pu": math.inf},
             {"theta": math.nan},
         ],
@@ -364,15 +363,6 @@ class TestRsmaTotal:
         stated = rsma_total(p20, STATED)
         assert rel_err(stated, reference) > 0.01
 
-    def test_bandwidth_scales_linearly(self):
-        base = AnalyticParams(lambda_pu=0.1, lambda_su=0.2, theta=THETA_DEFAULT)
-        doubled = AnalyticParams(
-            lambda_pu=0.1, lambda_su=0.2, theta=THETA_DEFAULT, bandwidth=2.0
-        )
-        assert rsma_total(doubled) == pytest.approx(
-            2.0 * rsma_total(base), rel=1e-12
-        )
-
 
 # ------------------------------------------------------------ term: reduced power
 
@@ -422,16 +412,12 @@ class TestReducedPowerKernel:
         p = AnalyticParams(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
         assert analytic.reduced_power_kernel(x, p) >= -1e-12
 
-    def test_stated_variant_omits_bandwidth_only(self):
-        p1 = AnalyticParams(lambda_pu=0.3, lambda_su=0.7, theta=2.0)
-        p3 = AnalyticParams(lambda_pu=0.3, lambda_su=0.7, theta=2.0, bandwidth=3.0)
+    def test_stated_variant_matches_derived(self):
+        p = AnalyticParams(lambda_pu=0.3, lambda_su=0.7, theta=2.0)
         for x in (0.5, 4.0, 33.0):
-            derived = analytic.reduced_power_kernel(x, p1)
-            stated = analytic.reduced_power_kernel(x, p1, STATED)
+            derived = analytic.reduced_power_kernel(x, p)
+            stated = analytic.reduced_power_kernel(x, p, STATED)
             assert stated == pytest.approx(derived, rel=1e-12, abs=1e-300)
-            assert analytic.reduced_power_kernel(x, p3) == pytest.approx(
-                3.0 * stated, rel=1e-12, abs=1e-300
-            )
 
 
 class TestReducedPowerTerm:

@@ -88,7 +88,6 @@ def test_default_scenario_parameters():
     assert scenario.lambda_pu == pytest.approx(0.01, rel=1e-14)
     assert scenario.lambda_su == pytest.approx(0.04, rel=1e-14)
     assert scenario.theta == pytest.approx(4.656854249492381, rel=1e-14)
-    assert scenario.bandwidth == 1.0
 
 
 def test_link_budget_properties():
@@ -101,8 +100,6 @@ def test_link_budget_properties():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         make_scenario(rate_threshold=-1.0)
-    with pytest.raises(ValueError):
-        make_scenario(bandwidth=0.0)
     with pytest.raises(ValueError):
         make_scenario(primary_distance=0.0)
 

@@ -1,6 +1,8 @@
 """Tests for the chunked, parallel-deterministic Monte Carlo estimator."""
 
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,30 +91,34 @@ class TestEstimateResult:
         assert r.n_samples == 0
 
 
-class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("CRUL_THREADS", "7")
-        assert resolve_workers(2, 100) == 2
+def threads(count: int):
+    """Run the enclosed estimates on ``count`` worker threads."""
+    return mock.patch.dict(os.environ, {"CRUL_THREADS": str(count)})
 
+
+class TestResolveWorkers:
     def test_env_applies(self, monkeypatch):
         monkeypatch.setenv("CRUL_THREADS", "3")
-        assert resolve_workers(None, 100) == 3
+        assert resolve_workers(100) == 3
 
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.delenv("CRUL_THREADS", raising=False)
-        assert resolve_workers(0, 100) >= 1
+    @pytest.mark.parametrize("value", ["0", ""])
+    def test_zero_or_unset_means_auto(self, monkeypatch, value):
+        monkeypatch.setenv("CRUL_THREADS", value)
+        assert resolve_workers(100) == min(os.cpu_count() or 1, 100)
 
-    def test_clamped_to_task_count(self):
-        assert resolve_workers(64, 3) == 3
+    def test_clamped_to_task_count(self, monkeypatch):
+        monkeypatch.setenv("CRUL_THREADS", "64")
+        assert resolve_workers(3) == 3
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            resolve_workers(-1, 10)
+    def test_rejects_negative(self, monkeypatch):
+        monkeypatch.setenv("CRUL_THREADS", "-1")
+        with pytest.raises(ValueError, match="CRUL_THREADS"):
+            resolve_workers(10)
 
     def test_rejects_garbage_env(self, monkeypatch):
         monkeypatch.setenv("CRUL_THREADS", "many")
         with pytest.raises(ValueError):
-            resolve_workers(None, 10)
+            resolve_workers(10)
 
 
 # ------------------------------------------------------------ determinism
@@ -124,9 +130,10 @@ class TestDeterminism:
     )
     def test_bit_identical_across_worker_counts(self, protocol):
         mc = McConfig(n_samples=200_000, seed=42, chunk_size=25_000)
-        values = {
-            w: estimate(protocol, SCENARIO_20DB, mc, workers=w) for w in (1, 4, 16)
-        }
+        values = {}
+        for count in (1, 4, 16):
+            with threads(count):
+                values[count] = estimate(protocol, SCENARIO_20DB, mc)
         assert values[1] == values[4] == values[16]
 
     def test_env_thread_cap_does_not_change_values(self, monkeypatch):
@@ -166,8 +173,10 @@ class TestDeterminism:
     )
     def test_parallel_replay_property(self, seed, protocol):
         mc = McConfig(n_samples=256, seed=seed, chunk_size=64)
-        serial = estimate(protocol, SCENARIO_20DB, mc, workers=1)
-        parallel = estimate(protocol, SCENARIO_20DB, mc, workers=4)
+        with threads(1):
+            serial = estimate(protocol, SCENARIO_20DB, mc)
+        with threads(4):
+            parallel = estimate(protocol, SCENARIO_20DB, mc)
         assert serial == parallel
         assert math.isfinite(serial.value)
         assert serial.stderr >= 0.0
@@ -196,16 +205,12 @@ class TestEstimate:
         mc = McConfig(n_samples=1, seed=7)
         gamma_pu, gamma_su = sample_snrs(SCENARIO_20DB, chunk_stream(7, 0), 1)
         draw = (float(gamma_pu[0]), float(gamma_su[0]))
-        theta, width = SCENARIO_20DB.theta, SCENARIO_20DB.bandwidth
+        theta = SCENARIO_20DB.theta
         expected = {
-            ProtocolKind.CR_RSMA: rsma_rates(*draw, theta, width).su_rate,
-            ProtocolKind.CR_SIC: sic_rates(*draw, theta, width).su_rate,
-            ProtocolKind.BENCH_CSI: benchmark_su_rate(
-                ProtocolKind.BENCH_CSI, *draw, theta, width
-            ),
-            ProtocolKind.BENCH_QOS: benchmark_su_rate(
-                ProtocolKind.BENCH_QOS, *draw, theta, width
-            ),
+            ProtocolKind.CR_RSMA: rsma_rates(*draw, theta).su_rate,
+            ProtocolKind.CR_SIC: sic_rates(*draw, theta).su_rate,
+            ProtocolKind.BENCH_CSI: benchmark_su_rate(ProtocolKind.BENCH_CSI, *draw, theta),
+            ProtocolKind.BENCH_QOS: benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw, theta),
         }
         for protocol, reference in expected.items():
             result = estimate(protocol, SCENARIO_20DB, mc)
@@ -282,21 +287,20 @@ def _case_means(protocol, scenario, mc):
         scale = mean_power_factor(scenario, mc).value
         scenario = scenario.with_secondary_snr_scaled(1.0 / scale)
         protocol = ProtocolKind.CR_SIC
-    width = scenario.bandwidth
     chunk_sums = []
     for index, count in enumerate(mc.chunk_counts()):
         draws = _classified(scenario, mc, index, count)
         if protocol is ProtocolKind.CR_RSMA:
-            rates = rsma_rate_arrays(draws, width)
+            rates = rsma_rate_arrays(draws)
             cases = rsma_case_array(draws.cells)
         elif protocol is ProtocolKind.CR_SIC:
-            rates = sic_rate_arrays(draws, width)
+            rates = sic_rate_arrays(draws)
             cases = draws.cells
         elif protocol is ProtocolKind.BENCH_CSI:
-            rates = csi_rate_array(draws, width)
+            rates = csi_rate_array(draws)
             cases = np.zeros(count, dtype=np.int8)
         else:
-            rates = qos_rate_array(draws, width)
+            rates = qos_rate_array(draws)
             cases = (draws.gamma_pu > draws.theta * (1.0 + draws.gamma_su)).astype(np.int8)
         chunk_sums.append(np.bincount(cases, weights=rates, minlength=4))
     return [math.fsum(sums[k] for sums in chunk_sums) / mc.n_samples for k in range(4)]
@@ -330,10 +334,12 @@ class TestSamplePoint:
     def test_equals_single_quantity_entries(self, subset, seed):
         mc = McConfig(n_samples=300, seed=seed, chunk_size=64)
         protocols = [p for p in ProtocolKind if p in subset]
-        power = mean_power_factor(SCENARIO_20DB, mc, workers=1)
-        singles = {p: estimate(p, SCENARIO_20DB, mc, workers=1) for p in protocols}
-        for workers in (1, 4):
-            estimates, scale = sample_point(SCENARIO_20DB, mc, protocols, workers=workers)
+        with threads(1):
+            power = mean_power_factor(SCENARIO_20DB, mc)
+            singles = {p: estimate(p, SCENARIO_20DB, mc) for p in protocols}
+        for count in (1, 4):
+            with threads(count):
+                estimates, scale = sample_point(SCENARIO_20DB, mc, protocols)
             assert estimates == singles
             assert scale == power
 
@@ -349,8 +355,9 @@ class TestSamplePoint:
             return chunk_stream(seed, index)
 
         monkeypatch.setattr(montecarlo, "chunk_stream", counted)
+        monkeypatch.setenv("CRUL_THREADS", "1")
         mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
-        sample_point(SCENARIO_20DB, mc, protocols, workers=1)
+        sample_point(SCENARIO_20DB, mc, protocols)
         assert sorted(calls) == sorted(list(range(mc.n_chunks)) * passes)
 
     @pytest.mark.parametrize(
@@ -365,8 +372,9 @@ class TestSamplePoint:
             return sic_case_array(gamma_pu, gamma_su, theta)
 
         monkeypatch.setattr(montecarlo, "sic_case_array", counted)
+        monkeypatch.setenv("CRUL_THREADS", "1")
         mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
-        sample_point(SCENARIO_20DB, mc, protocols, workers=1)
+        sample_point(SCENARIO_20DB, mc, protocols)
         assert sizes == mc.chunk_counts() * passes
 
 

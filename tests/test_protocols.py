@@ -76,13 +76,6 @@ def test_rsma_outcome_structure():
     assert outcome.pu_rate == pytest.approx(math.log2(1.0 + THETA), rel=1e-12)
 
 
-def test_rsma_bandwidth_scales_linearly():
-    base = rsma_rates(6.0, 2.0, THETA, bandwidth=1.0)
-    scaled = rsma_rates(6.0, 2.0, THETA, bandwidth=2.5)
-    assert scaled.su_rate == pytest.approx(2.5 * base.su_rate, rel=1e-12)
-    assert scaled.pu_rate == pytest.approx(2.5 * base.pu_rate, rel=1e-12)
-
-
 @given(snr, snr, st.floats(min_value=1e-3, max_value=100.0))
 def test_alpha_in_unit_interval(gamma_pu, gamma_su, theta):
     alpha = rsma_alpha(gamma_pu, gamma_su, theta)
