@@ -47,7 +47,14 @@ import numpy as np
 from .channel import ScenarioConfig
 from .panels import REL_TOL, exponential_expectation, panel_integral
 from .protocols import switch_level
-from .specfun import QuadratureRule, expint_ei, gauss_laguerre, log_e1
+from .specfun import (
+    E1_SERIES_MAX,
+    QuadratureRule,
+    ei_series_sum,
+    expint_ei,
+    gauss_laguerre,
+    log_e1,
+)
 
 LN2 = math.log(2.0)
 
@@ -305,6 +312,13 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = D
     secondary density factor.  Vanishes at ``x = 0`` (the band collapses)
     and is nonnegative everywhere.
 
+    The derived variant's bracket of exponentials, logs and ``Ei`` values
+    is O(1) term by term but O(lambda_pu) in sum, so at strong primaries
+    it would cancel away its digits.  Where the exponential integrals take
+    their power series (``lambda_pu * theta * (x + 1) <= 4``), it is
+    written with ``Ei(-z) = gamma + log z + S(-z)`` instead: the constants
+    and logs cancel exactly and every term left is O(lambda_pu).
+
     The stated variant is the same algebra with its terms written in
     another order (kept verbatim for the validation report).
     """
@@ -319,7 +333,16 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = D
         # the square root can land the switch point one ulp past the edge.
         return 0.0
     if variant == DERIVED:
-        return (lam_s * math.exp(-lam_s * su_snr) / LN2) * (
+        density = lam_s * math.exp(-lam_s * su_snr) / LN2
+        if lam_p * band_edge <= E1_SERIES_MAX:
+            return density * (
+                (
+                    math.expm1(-lam_p * switch) * math.log(switch / theta)
+                    - math.expm1(-lam_p * band_edge) * math.log(band_edge / theta)
+                )
+                + (ei_series_sum(-lam_p * band_edge) - ei_series_sum(-lam_p * switch))
+            )
+        return density * (
             math.exp(-lam_p * switch) * math.log(switch / theta)
             - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
             + expint_ei(-lam_p * band_edge)

@@ -37,7 +37,7 @@ _RESCALE_AT = 1e100
 # Series/continued-fraction switch for E1.  The alternating series loses
 # roughly exp(2x)/sqrt(2 pi x) * eps of relative accuracy to cancellation;
 # at x = 4 that is ~1e-13, at x = 5 it already fails a 1e-12 budget.
-_E1_SERIES_MAX = 4.0
+E1_SERIES_MAX = 4.0
 
 _CF_MAX_ITER = 400
 _SERIES_MAX_ITER = 500
@@ -156,8 +156,13 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, log_weights=log_weights)
 
 
-def _ei_series(x: float) -> float:
-    """Power series ``Ei(x) = gamma + log|x| + sum x^k/(k k!)``, |x| <= 4."""
+def ei_series_sum(x: float) -> float:
+    """``S(x) = sum_{k>=1} x^k/(k k!)``, so that ``Ei(x) = gamma + log|x| +
+    S(x)``; for ``|x| <= 4``.
+
+    Differences of ``Ei`` at nearby small arguments are better formed from
+    ``S``, where the logs cancel analytically rather than in rounding.
+    """
     total = 0.0
     power = 1.0
     for k in range(1, _SERIES_MAX_ITER):
@@ -165,8 +170,13 @@ def _ei_series(x: float) -> float:
         term = power / k
         total += term
         if abs(term) <= 1e-18 * abs(total):
-            return EULER_GAMMA + math.log(abs(x)) + total
+            return total
     raise ConvergenceError(f"Ei series did not converge at x = {x}")
+
+
+def _ei_series(x: float) -> float:
+    """Power series ``Ei(x) = gamma + log|x| + S(x)``, |x| <= 4."""
+    return EULER_GAMMA + math.log(abs(x)) + ei_series_sum(x)
 
 
 def _e1_cf_factor(x: float) -> float:
@@ -201,7 +211,7 @@ def expint_ei(x: float) -> float:
     if not x < 0.0:
         raise ValueError(f"expint_ei requires x < 0, got {x}")
     magnitude = -x
-    if magnitude <= _E1_SERIES_MAX:
+    if magnitude <= E1_SERIES_MAX:
         return _ei_series(x)
     if magnitude > 745.0:
         # exp(-x) underflows; the true value is below 1e-324 anyway.
@@ -220,6 +230,6 @@ def log_e1(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"log_e1 requires x > 0, got {x}")
-    if x <= _E1_SERIES_MAX:
+    if x <= E1_SERIES_MAX:
         return math.log(-_ei_series(-x))
     return -x + math.log(_e1_cf_factor(x))

@@ -177,16 +177,12 @@ def test_rsma_region_probabilities_match_closed_forms_on_a_wide_grid():
 @pytest.mark.parametrize("primary_db", [80.0, 90.0, 100.0])
 def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
     """The band's mass sits within a few units of theta; all 21 outer nodes
-    used to miss it and the oracle returned exactly 0.0.  Past 80 dB the
-    fixed-order reduced-power kernel loses digits to cancellation in its
-    four-term bracket (7e-5 at 100 dB), so at 90 and 100 dB the reduced
-    region is checked against nested QUADPACK in test_panels.py instead."""
+    used to miss it and the oracle returned exactly 0.0."""
     config = scenario(primary_db, 0.0)
     params = AnalyticParams.from_scenario(config)
     _, reduced, preferred, _ = oracle.sic_terms(config)
     assert preferred == pytest.approx(preferred_order_term(params), rel=1e-6)
-    if primary_db == 80.0:
-        assert reduced == pytest.approx(reduced_power_term(params), rel=1e-6)
+    assert reduced == pytest.approx(reduced_power_term(params), rel=1e-6)
     assert reduced > 0.0
 
 

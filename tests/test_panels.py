@@ -210,8 +210,7 @@ def test_region_integrals_match_nested_quadpack(label):
 @pytest.mark.parametrize("primary_db", [90.0, 100.0])
 def test_strong_primary_band_regions_match_nested_quadpack(primary_db):
     # At (100, 0) dB the band regions hug x = theta, a 1e-10 sliver of the
-    # primary's decay length.  Past 80 dB the fixed-order reduced-power
-    # route loses digits, so this is the reference for the reduced term.
+    # primary's decay length.
     scenario = ScenarioConfig.from_snr_db(primary_db, 0.0)
     lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
     for name, region, scalar, vector in case_integrals(scenario.theta):
