@@ -11,7 +11,7 @@ validate  run the acceptance checks and write the deviation report
 All numeric output uses one fixed CSV schema; identical invocations give
 byte-identical files regardless of the worker-thread count (see the
 substream contract in ``montecarlo``).  ``CRUL_THREADS`` caps the worker
-count, ``0`` meaning auto.
+count, ``0`` meaning auto; it is the one thread control.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ ALL_PROTOCOLS = tuple(ProtocolKind)
 #: Mean SNRs accepted by --gamma0, --gamma0-pu and --gamma0-su (dB).  The
 #: three routes agree across the whole range, asymmetric corners included.
 SNR_DB_RANGE = (-100.0, 100.0)
+#: Most points a sweep grid may have: 0.01 dB steps over the whole range.
+MAX_GRID_POINTS = 20_001
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -217,7 +219,12 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     _require("step", step, 0.0 < step < math.inf, "finite and > 0")
     if stop < start:
         raise UsageError(f"--stop must be >= --start, got {start}..{stop}")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    _require(
+        "step", step, steps < MAX_GRID_POINTS - 0.5,
+        f"coarse enough for at most {MAX_GRID_POINTS} points over {start:g}..{stop:g} dB",
+    )
+    count = int(round(steps))
     points = [start + i * step for i in range(count + 1)]
     if points[-1] > stop + 1e-9:
         points.pop()
@@ -331,8 +338,9 @@ def run_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, points: list[tuple[float, float]], default_out: str) -> int:
-    settings = resolve_settings(args)
+def _run_sweep(
+    args, settings: Settings, points: list[tuple[float, float]], default_out: str
+) -> int:
     out_path = args.out or default_out
     rows = make_rows(settings, points)
     write_csv(rows, out_path)
@@ -352,19 +360,19 @@ def run_sweep(args: argparse.Namespace) -> int:
         points = [(value, fixed_su) for value in grid]
     else:
         points = [(value, value) for value in grid]
-    return _run_sweep(args, points, "sweep.csv")
+    return _run_sweep(args, settings, points, "sweep.csv")
 
 
 def run_figure2(args: argparse.Namespace) -> int:
     points = [(float(db), float(db)) for db in range(0, 41, 2)]
-    return _run_sweep(args, points, "figure2.csv")
+    return _run_sweep(args, resolve_settings(args), points, "figure2.csv")
 
 
 def run_figure3(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     fixed_su = settings.gamma0_su if settings.gamma0_su is not None else 20.0
     points = [(float(db), fixed_su) for db in range(0, 61, 2)]
-    return _run_sweep(args, points, "figure3.csv")
+    return _run_sweep(args, settings, points, "figure3.csv")
 
 
 def run_validate(args: argparse.Namespace) -> int:

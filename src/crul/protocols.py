@@ -234,7 +234,10 @@ def sic_power_factor_array(draws: CellDraws) -> np.ndarray:
 
 
 def csi_rate_array(draws: CellDraws) -> np.ndarray:
-    """SU rates of ``bench-csi``: always decoded first, under full PU interference."""
+    """SU rates of ``bench-csi``: always decoded first, under full PU interference.
+
+    This is the shared ``draws.interference_limited`` array, not a copy.
+    """
     return draws.interference_limited
 
 

@@ -23,7 +23,6 @@ from crul.oracle import (
     restricted_expectation,
     rsma_case_regions,
     sic_case_regions,
-    sic_terms,
 )
 from crul.panels import panel_integral
 from crul.protocols import ProtocolKind, switch_level
@@ -451,15 +450,6 @@ class TestReducedPowerTerm:
         )
         assert rel_err(integral, reference) < 1e-6
         assert quad < 0.5 * integral
-
-    @pytest.mark.parametrize("primary_db", [80.0, 90.0, 100.0])
-    def test_fixed_rule_keeps_its_digits_at_strong_primaries(self, primary_db):
-        # The kernel's bracket is O(lambda_pu) in sum; written with Ei's
-        # log and constant still in, it cancelled down to 3e-7, 2e-6 and
-        # 7e-5 relative at 80, 90 and 100 dB.
-        scenario = ScenarioConfig.from_snr_db(primary_db, 0.0)
-        quad = analytic.reduced_power_term(AnalyticParams.from_scenario(scenario))
-        assert rel_err(quad, sic_terms(scenario)[1]) < 1e-9
 
 
 # ------------------------------------------------------------ term: preferred order

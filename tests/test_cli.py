@@ -197,6 +197,12 @@ class TestUsageErrors:
         assert cli.main(argv) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["5e-324", "1e-9"])
+    def test_too_fine_step_is_usage_error_naming_it(self, capsys, step):
+        # 5e-324 overflows the point count to infinity; 1e-9 asks for 4e10 points.
+        assert cli.main(["sweep", "--step", step]) == 2
+        assert "--step must be" in capsys.readouterr().err
+
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("gamma0 = nan\n", encoding="utf-8")
@@ -248,6 +254,17 @@ class TestConfigFile:
                        encoding="utf-8")
         _, out = run_cli(capsys, ["point", "--config", str(cfg), "--gamma0", "19"])
         assert data_rows(out)[0][1] == "19"
+
+    @pytest.mark.parametrize("command", ["sweep", "figure3"])
+    def test_config_is_read_once_per_run(self, capsys, tmp_path, monkeypatch, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol = cr-rsma\nmethod = mc\nsamples = 200\n", encoding="utf-8")
+        reads = []
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config", lambda path: reads.append(path) or load(path))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert reads == [str(cfg)]
 
 
 # ------------------------------------------------------------------ sweep
