@@ -19,7 +19,8 @@ term by term:
   exponentials with the exponential integral are evaluated in log space
   (via :func:`crul.specfun.log_e1`) so extreme rate parameters cannot
   overflow.
-* ``stated`` closed forms, transcribed verbatim from the derivation these
+* ``stated`` closed forms of the terms whose printed form differs from
+  the derived one, transcribed verbatim from the derivation these
   formulas originate from -- including its transcription slips -- so the
   validation report can show exactly where they deviate.  Being literal
   transcriptions they use plain products and may overflow outside the
@@ -304,7 +305,7 @@ def order_switch_threshold(su_snr: float, theta: float) -> float:
     return 0.5 * (theta - 1.0 + math.sqrt((theta + 1.0) ** 2 + 4.0 * theta * su_snr))
 
 
-def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = DERIVED) -> float:
+def reduced_power_kernel(su_snr: float, params: AnalyticParams) -> float:
     """Closed-form inner integral of the reduced-power rate at one SU SNR.
 
     For fixed secondary SNR ``x``, integrates ``log2(y/theta)`` over the
@@ -312,17 +313,15 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = D
     secondary density factor.  Vanishes at ``x = 0`` (the band collapses)
     and is nonnegative everywhere.
 
-    The derived variant's bracket of exponentials, logs and ``Ei`` values
-    is O(1) term by term but O(lambda_pu) in sum, so at strong primaries
-    it would cancel away its digits.  Where the exponential integrals take
-    their power series (``lambda_pu * theta * (x + 1) <= 4``), it is
-    written with ``Ei(-z) = gamma + log z + S(-z)`` instead: the constants
-    and logs cancel exactly and every term left is O(lambda_pu).
-
-    The stated variant is the same algebra with its terms written in
-    another order (kept verbatim for the validation report).
+    This is the derived form; the stated one is the same algebra with its
+    terms in another order.  The bracket of exponentials, logs and ``Ei``
+    values is O(1) term by term but O(lambda_pu) in sum, so at strong
+    primaries it would cancel away its digits.  Where the exponential
+    integrals take their power series (``lambda_pu * theta * (x + 1) <=
+    4``), it is written with ``Ei(-z) = gamma + log z + S(-z)`` instead:
+    the constants and logs cancel exactly and every term left is
+    O(lambda_pu).
     """
-    _check_variant(variant)
     if su_snr < 0.0:
         raise ValueError(f"secondary SNR must be >= 0, got {su_snr}")
     lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
@@ -332,35 +331,28 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams, variant: str = D
         # Empty band: analytically only at su_snr == 0, but rounding in
         # the square root can land the switch point one ulp past the edge.
         return 0.0
-    if variant == DERIVED:
-        density = lam_s * math.exp(-lam_s * su_snr) / LN2
-        if lam_p * band_edge <= E1_SERIES_MAX:
-            return density * (
-                (
-                    math.expm1(-lam_p * switch) * math.log(switch / theta)
-                    - math.expm1(-lam_p * band_edge) * math.log(band_edge / theta)
-                )
-                + (ei_series_sum(-lam_p * band_edge) - ei_series_sum(-lam_p * switch))
-            )
+    density = lam_s * math.exp(-lam_s * su_snr) / LN2
+    if lam_p * band_edge <= E1_SERIES_MAX:
         return density * (
-            math.exp(-lam_p * switch) * math.log(switch / theta)
-            - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
-            + expint_ei(-lam_p * band_edge)
-            - expint_ei(-lam_p * switch)
+            (
+                math.expm1(-lam_p * switch) * math.log(switch / theta)
+                - math.expm1(-lam_p * band_edge) * math.log(band_edge / theta)
+            )
+            + (ei_series_sum(-lam_p * band_edge) - ei_series_sum(-lam_p * switch))
         )
-    return -(lam_s * math.exp(-lam_s * su_snr) / LN2) * (
-        math.log(su_snr + 1.0) * math.exp(-lam_p * theta * (su_snr + 1.0))
-        + math.log(theta / switch) * math.exp(-lam_p * switch)
-        + expint_ei(-lam_p * switch)
-        - expint_ei(-lam_p * theta * (su_snr + 1.0))
+    return density * (
+        math.exp(-lam_p * switch) * math.log(switch / theta)
+        - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
+        + expint_ei(-lam_p * band_edge)
+        - expint_ei(-lam_p * switch)
     )
 
 
-def reduced_power_term(params: AnalyticParams, variant: str = DERIVED) -> float:
+def reduced_power_term(params: AnalyticParams) -> float:
     """Rate contribution of the reduced-power event, by quadrature."""
     rule = params.rule
     return math.fsum(
-        weight * reduced_power_kernel(node, params, variant)
+        weight * reduced_power_kernel(node, params)
         for node, weight in zip(rule.nodes, rule.integration_weights)
     )
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .channel import ScenarioConfig
 from .crosscheck import ANALYTIC_PROTOCOLS, evaluate
-from .montecarlo import METHODS, McConfig, sample_point
+from .montecarlo import McConfig, resolve_workers, sample_point
 from .montecarlo import mean_power_factor  # noqa: F401 - perfbench/spans.py patches this name
 from .oracle import OracleAccuracyError, mean_power_factor_oracle
 from .protocols import ProtocolKind
@@ -33,12 +33,18 @@ from .specfun import MAX_ORDER, ConvergenceError
 
 CSV_HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 ALL_PROTOCOLS = tuple(ProtocolKind)
+#: Estimation routes, in the order the CLI runs them by default.
+METHODS = ("mc", "analytic", "oracle")
 
 #: Mean SNRs accepted by --gamma0, --gamma0-pu and --gamma0-su (dB).  The
 #: three routes agree across the whole range, asymmetric corners included.
 SNR_DB_RANGE = (-100.0, 100.0)
 #: Most points a sweep grid may have: 0.01 dB steps over the whole range.
 MAX_GRID_POINTS = 20_001
+#: Mean received SNR of either link, its reference SNR plus path loss
+#: (dB).  Its rate parameter and the inverse stay within 1e-100..1e100,
+#: normal floats with room for the products of the closed forms.
+LINK_SNR_DB_RANGE = (-1000.0, 1000.0)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -185,6 +191,10 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     _require("nodes", nodes, 1 <= nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
     seed = pick("seed", 0)
     _require("seed", seed, 0 <= seed < 1 << 64, "in [0, 2**64)")
+    try:
+        resolve_workers(1)  # a bad CRUL_THREADS is a usage error, not a failure mid-run
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     return Settings(
         gamma0_pu=gamma0_pu,
@@ -202,6 +212,16 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
 
 
 def _scenario(settings: Settings, gamma0_pu: float, gamma0_su: float) -> ScenarioConfig:
+    low, high = LINK_SNR_DB_RANGE
+    links = (("pu", gamma0_pu, settings.dist_pu), ("su", gamma0_su, settings.dist_su))
+    for link, snr_db, distance in links:
+        # In logs, so a path loss that overflows a float is still caught.
+        link_db = snr_db - 10.0 * settings.u * math.log10(distance)
+        if not low <= link_db <= high:
+            raise UsageError(
+                f"--dist-{link} {distance:g} with --u {settings.u:g} puts the {link.upper()} "
+                f"link's mean SNR at {link_db:.4g} dB; it must be in [{low:g}, {high:g}] dB"
+            )
     return ScenarioConfig.from_snr_db(
         gamma0_pu,
         gamma0_su,
@@ -248,8 +268,9 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
     wants_mc = "mc" in settings.methods
     wants_exact = bool({"analytic", "oracle"} & set(settings.methods))
     mc = McConfig(n_samples=settings.samples, seed=settings.seed)
-    for gamma0_pu, gamma0_su in points:
-        scenario = _scenario(settings, gamma0_pu, gamma0_su)
+    # Every point is checked before any is computed.
+    scenarios = [_scenario(settings, *point) for point in points]
+    for (gamma0_pu, gamma0_su), scenario in zip(points, scenarios):
         sampled, mean_c_mc = {}, ""
         if wants_mc:
             sampled, scale = sample_point(scenario, mc, settings.protocols)

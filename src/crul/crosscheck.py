@@ -29,8 +29,9 @@ from . import analytic
 from .analytic import DERIVED, STATED, AnalyticParams
 from .channel import ScenarioConfig
 from .montecarlo import EstimateResult, estimate  # noqa: F401 - perfbench/spans.py patches estimate
-from .oracle import ergodic_rate_oracle, mean_power_factor_oracle, rsma_terms, sic_terms
-from .oracle import restricted_expectation  # noqa: F401 - perfbench/spans.py patches this name
+from .oracle import TERMS, case_terms, ergodic_rate_oracle, normalized
+# perfbench/spans.py patches these two names here.
+from .oracle import mean_power_factor_oracle, restricted_expectation  # noqa: F401
 from .protocols import ProtocolKind
 from .specfun import ConvergenceError
 
@@ -53,11 +54,7 @@ REPORT_REL_TOL = 1e-2
 _ROUTE_ERRORS = (ArithmeticError, ValueError, ConvergenceError)
 
 #: Protocols with a closed-form decomposition (the benchmarks have none).
-ANALYTIC_PROTOCOLS = (
-    ProtocolKind.CR_RSMA,
-    ProtocolKind.CR_SIC,
-    ProtocolKind.CR_SIC_NORM,
-)
+ANALYTIC_PROTOCOLS = (*TERMS, ProtocolKind.CR_SIC_NORM)
 
 
 def relative_deviation(value: float, reference: float) -> float:
@@ -106,12 +103,12 @@ def _arbitrate(routes: dict[str, float], oracle_value: float) -> tuple[str, floa
     return "oracle", oracle_value
 
 
-def _report(protocol, term, routes, oracle_value, in_total=True) -> TermReport:
-    """Evaluate every route (a zero-argument callable) and arbitrate."""
+def _report(protocol, term, routes, oracle_value, params, in_total=True) -> TermReport:
+    """Evaluate every route (a callable of ``params``) and arbitrate."""
     values, errors = {}, {}
     for name, route in routes.items():
         try:
-            values[name] = route()
+            values[name] = route(params)
         except _ROUTE_ERRORS as exc:
             values[name] = math.nan
             errors[name] = f"{type(exc).__name__}: {exc}"
@@ -128,102 +125,31 @@ def _report(protocol, term, routes, oracle_value, in_total=True) -> TermReport:
     )
 
 
-def _rsma_reports(scenario: ScenarioConfig, params: AnalyticParams):
-    oracle_below, oracle_band, oracle_clear = rsma_terms(scenario)
-    clear = _report(
-        ProtocolKind.CR_RSMA,
-        "clear_channel",
-        {
-            "stated": lambda: analytic.clear_channel_term(params, STATED),
-            "derived": lambda: analytic.clear_channel_term(params, DERIVED),
-        },
-        oracle_clear,
-    )
-    if params.theta == 0.0:
-        return [clear]  # the other regions are empty
-
-    return [
-        _report(
-            ProtocolKind.CR_RSMA,
-            "interference_limited",
-            {
-                "stated": lambda: analytic.below_threshold_term(params, STATED),
-                "derived": lambda: analytic.below_threshold_term(params, DERIVED),
-                "integral": lambda: analytic.below_threshold_term_integral(params),
-            },
-            oracle_below,
-        ),
-        _report(
-            ProtocolKind.CR_RSMA,
-            "split_band",
-            {
-                "stated": lambda: analytic.split_band_term(params, STATED),
-                "derived": lambda: analytic.split_band_term(params, DERIVED),
-            },
-            oracle_band,
-        ),
-        clear,
-        # The source's headline groups the last two terms behind one
-        # combined exponential factor; kept as a report-only row since
-        # the separated terms above already cover the total.
-        _report(
-            ProtocolKind.CR_RSMA,
-            "combined_tail",
-            {
-                "stated": lambda: analytic.merged_tail_stated(params),
-                "derived": lambda: analytic.split_band_term(params, DERIVED)
-                + analytic.clear_channel_term(params, DERIVED),
-            },
-            oracle_band + oracle_clear,
-            in_total=False,
-        ),
-    ]
-
-
-def _sic_reports(scenario: ScenarioConfig, params: AnalyticParams):
-    oracle_miss, oracle_reduced, oracle_preferred, oracle_clear = sic_terms(scenario)
-    # The headline prints this term in the same form the derivation
-    # produces, so there is only one closed-form route.
-    clear = _report(
-        ProtocolKind.CR_SIC,
-        "clear_channel",
-        {"derived": lambda: analytic.clear_channel_term(params, DERIVED)},
-        oracle_clear,
-    )
-    if params.theta == 0.0:
-        return [clear]  # the other regions are empty
-
-    return [
-        _report(
-            ProtocolKind.CR_SIC,
-            "interference_limited",
-            {
-                "stated": lambda: analytic.below_threshold_term(params, STATED),
-                "derived": lambda: analytic.below_threshold_term(params, DERIVED),
-                "integral": lambda: analytic.below_threshold_term_integral(params),
-            },
-            oracle_miss,
-        ),
-        _report(
-            ProtocolKind.CR_SIC,
-            "reduced_power",
-            {
-                "derived": lambda: analytic.reduced_power_term(params, DERIVED),
-                "integral": lambda: analytic.reduced_power_term_integral(params),
-            },
-            oracle_reduced,
-        ),
-        _report(
-            ProtocolKind.CR_SIC,
-            "preferred_order",
-            {
-                "derived": lambda: analytic.preferred_order_term(params),
-                "integral": lambda: analytic.preferred_order_term_integral(params),
-            },
-            oracle_preferred,
-        ),
-        clear,
-    ]
+#: The report name and the closed-form routes of each oracle term.  Routes
+#: look their function up in :mod:`crul.analytic` when they run.
+_TERM_ROUTES = {
+    "below": ("interference_limited", {
+        "stated": lambda p: analytic.below_threshold_term(p, STATED),
+        "derived": lambda p: analytic.below_threshold_term(p, DERIVED),
+        "integral": lambda p: analytic.below_threshold_term_integral(p),
+    }),
+    "band": ("split_band", {
+        "stated": lambda p: analytic.split_band_term(p, STATED),
+        "derived": lambda p: analytic.split_band_term(p, DERIVED),
+    }),
+    "reduced": ("reduced_power", {
+        "derived": lambda p: analytic.reduced_power_term(p),
+        "integral": lambda p: analytic.reduced_power_term_integral(p),
+    }),
+    "preferred": ("preferred_order", {
+        "derived": lambda p: analytic.preferred_order_term(p),
+        "integral": lambda p: analytic.preferred_order_term_integral(p),
+    }),
+    "clear": ("clear_channel", {
+        "stated": lambda p: analytic.clear_channel_term(p, STATED),
+        "derived": lambda p: analytic.clear_channel_term(p, DERIVED),
+    }),
+}
 
 
 def term_reports(
@@ -232,20 +158,35 @@ def term_reports(
     """Route-by-route comparison of every term against its own oracle.
 
     The normalized protocol reports the plain-SIC terms evaluated at the
-    power-normalized configuration (oracle mean scale).  With a zero
-    threshold only the clear-channel region is non-empty, so that is the
-    one term reported.
+    power-normalized configuration.
     """
     if protocol is ProtocolKind.CR_SIC_NORM:
-        scale = mean_power_factor_oracle(scenario)
-        scenario = scenario.with_secondary_snr_scaled(1.0 / scale)
-        protocol = ProtocolKind.CR_SIC
+        protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
+    if protocol not in TERMS:
+        raise ValueError(f"no closed-form decomposition for {protocol}")
     params = AnalyticParams.from_scenario(scenario, nodes=nodes)
-    if protocol is ProtocolKind.CR_RSMA:
-        return _rsma_reports(scenario, params)
-    if protocol is ProtocolKind.CR_SIC:
-        return _sic_reports(scenario, params)
-    raise ValueError(f"no closed-form decomposition for {protocol}")
+    oracle_values = case_terms(protocol, scenario)
+    # With a zero threshold only the clear-channel region is non-empty.
+    names = ("clear",) if params.theta == 0.0 else TERMS[protocol]
+    reports = []
+    for name in names:
+        term, routes = _TERM_ROUTES[name]
+        if protocol is ProtocolKind.CR_SIC and name == "clear":
+            # The SIC headline prints this term as derived: no stated route.
+            routes = {"derived": routes["derived"]}
+        reports.append(_report(protocol, term, routes, oracle_values[name], params))
+    if "band" in names:
+        # The rate-splitting headline groups the band and clear-channel terms
+        # behind one exponential factor; report-only, as those terms cover
+        # the total.
+        routes = {
+            "stated": lambda p: analytic.merged_tail_stated(p),
+            "derived": lambda p: analytic.split_band_term(p, DERIVED)
+            + analytic.clear_channel_term(p, DERIVED),
+        }
+        tail = oracle_values["band"] + oracle_values["clear"]
+        reports.append(_report(protocol, "combined_tail", routes, tail, params, in_total=False))
+    return reports
 
 
 def arbitrated_rate(protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = 100) -> float:
@@ -270,15 +211,11 @@ def evaluate(
         if protocol not in ANALYTIC_PROTOCOLS:
             raise ValueError(f"no closed form for {protocol.value}")
         value = arbitrated_rate(protocol, scenario, nodes=nodes)
-        return EstimateResult(
-            value=value, stderr=0.0, n_samples=0, method="analytic", protocol=protocol
-        )
-    if method == "oracle":
+    elif method == "oracle":
         value = ergodic_rate_oracle(protocol, scenario)
-        return EstimateResult(
-            value=value, stderr=0.0, n_samples=0, method="oracle", protocol=protocol
-        )
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return EstimateResult(value=value, stderr=0.0, n_samples=0)
 
 
 def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
@@ -291,7 +228,7 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     entries = []
     flagged = []
     for label, scenario in scenarios.items():
-        for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC):
+        for protocol in TERMS:
             for report in term_reports(protocol, scenario):
                 entry = {
                     "config": label,

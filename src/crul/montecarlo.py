@@ -30,7 +30,7 @@ import math
 import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ from .protocols import (
     sic_power_factor_array,
     sic_rate_arrays,
 )
-
-#: Estimation routes, in the order the CLI runs them by default.
-METHODS = ("mc", "analytic", "oracle")
 
 #: Number of admission cases in each plain protocol's rate decomposition.
 CASE_FAMILIES = {
@@ -74,16 +71,10 @@ class EstimateResult:
     value: float
     stderr: float
     n_samples: int
-    method: str
-    protocol: ProtocolKind
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.n_samples < 0:
             raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
-        if self.method == "mc" and self.n_samples < 1:
-            raise ValueError("mc results need at least one sample")
         if not self.stderr >= 0.0:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 
@@ -131,12 +122,10 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
 def resolve_workers(n_tasks: int) -> int:
     """Worker count for ``n_tasks`` chunks: ``CRUL_THREADS``, unset or ``0``
     meaning one per CPU, never more than there are chunks."""
-    env = os.environ.get("CRUL_THREADS", "").strip()
-    workers = int(env) if env else 0
-    if workers < 0:
-        raise ValueError(f"CRUL_THREADS must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
+    env = os.environ.get("CRUL_THREADS", "").strip() or "0"
+    if not env.isdecimal():
+        raise ValueError(f"CRUL_THREADS must be a whole number >= 0, got {env!r}")
+    workers = int(env) or os.cpu_count() or 1
     return max(1, min(workers, n_tasks))
 
 
@@ -194,12 +183,11 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     for family, parts in zip(families, zip(*chunks)):
         sums, squares = zip(*parts)
         case_sums = [math.fsum(case) for case in zip(*sums)]
-        protocol = ProtocolKind.CR_SIC if family is _POWER else family
-        results[family] = _finish(case_sums, math.fsum(squares), mc, protocol)
+        results[family] = _finish(case_sums, math.fsum(squares), mc)
     return results
 
 
-def _finish(case_sums, square_sum, mc, protocol) -> EstimateResult:
+def _finish(case_sums, square_sum, mc) -> EstimateResult:
     n = mc.n_samples
     # The headline mean is defined as the fsum of the per-case means so
     # that the case breakdown sums back to it bit-for-bit.
@@ -209,9 +197,7 @@ def _finish(case_sums, square_sum, mc, protocol) -> EstimateResult:
         stderr = math.sqrt(variance / n)
     else:
         stderr = 0.0
-    return EstimateResult(
-        value=value, stderr=stderr, n_samples=n, method="mc", protocol=protocol
-    )
+    return EstimateResult(value=value, stderr=stderr, n_samples=n)
 
 
 def _normalized(scenario: ScenarioConfig, mc: McConfig, scale: float) -> EstimateResult:
@@ -219,8 +205,7 @@ def _normalized(scenario: ScenarioConfig, mc: McConfig, scale: float) -> Estimat
     if not scale > 0.0:
         raise ValueError(f"power scale must be > 0, got {scale}")
     boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
-    result = _sample(boosted, mc, (ProtocolKind.CR_SIC,))[ProtocolKind.CR_SIC]
-    return replace(result, protocol=ProtocolKind.CR_SIC_NORM)
+    return _sample(boosted, mc, (ProtocolKind.CR_SIC,))[ProtocolKind.CR_SIC]
 
 
 def sample_point(

@@ -24,14 +24,16 @@ the regions and the Monte Carlo cells are one partition.
 
 Every integral is held to :data:`crul.panels.REL_TOL` (1e-9 relative).
 
-This module is the one home of the per-case region integrals.  Each one
-is memoised per region and scenario, so :func:`rsma_terms` and
-:func:`sic_terms` share the two regions they have in common, and
-:func:`mean_power_factor_oracle` is memoised per scenario: the oracle
-rows sum the terms, the hard-QoS benchmark reads the
+This module is the one home of the per-case region integrals.
+:data:`TERMS` names each protocol's terms, :func:`case_regions` gives
+their regions and :func:`case_terms` their values.  Each one is memoised
+per region and scenario, so the two protocols share the regions they
+have in common, and :func:`mean_power_factor_oracle` is memoised per
+scenario: the oracle rows sum the terms, the hard-QoS benchmark reads the
 rate-splitting clear-channel term, and :mod:`crul.crosscheck` arbitrates
 every closed-form term against the same values, so one grid point
-integrates each region once.
+integrates each region once.  :func:`normalized` builds the boosted
+scenario of the power-normalized protocol for all of them.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ __all__ = [
     "FULL_QUADRANT",
     "restricted_expectation",
     "region_probability",
-    "rsma_case_regions",
-    "sic_case_regions",
-    "rsma_terms",
-    "sic_terms",
+    "TERMS",
+    "case_regions",
+    "case_terms",
+    "normalized",
     "ergodic_rate_oracle",
     "ergodic_delta_oracle",
     "mean_power_factor_oracle",
@@ -124,70 +126,57 @@ def region_probability(region: RegionSpec, lambda_pu: float, lambda_su: float) -
 
 # ------------------------------------------------------ decision regions
 
+#: Each protocol's per-case terms, by name, in case-index order.  Pure SIC
+#: cuts rate splitting's band in two; the other regions are shared.
+TERMS = {
+    ProtocolKind.CR_RSMA: ("below", "band", "clear"),
+    ProtocolKind.CR_SIC: ("below", "reduced", "preferred", "clear"),
+}
 
-def rsma_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec]:
-    """The three rate-splitting regions, in case-index order.
 
-    The band and the tolerant region meet at the tolerance level of
-    :mod:`crul.protocols`.
+def case_regions(theta: float) -> dict[str, RegionSpec]:
+    """The region of every per-case term, by name.
+
+    The band and the clear channel meet at the tolerance level of
+    :mod:`crul.protocols`.  Pure SIC cuts the band at the switch level,
+    where the SU's full-power rate under PU interference matches the
+    reduced-power rate.
     """
     if theta < 0.0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
     if theta == 0.0:
+        # With no rate target the primary tolerates every draw.
         empty = RegionSpec("empty", pu_lower=0.0, pu_upper=0.0)
-        return empty, empty, RegionSpec("no protection constraint")
+        regions = dict.fromkeys(("below", "band", "reduced", "preferred"), empty)
+        return {**regions, "clear": RegionSpec("no protection constraint")}
     tolerance = functools.partial(tolerance_level, theta=theta)
-    return (
-        RegionSpec("primary below threshold", pu_upper=theta),
-        RegionSpec("split band", pu_lower=theta, su_lower=tolerance),
-        RegionSpec("interference tolerant", pu_lower=theta, su_upper=tolerance),
-    )
-
-
-def sic_case_regions(theta: float) -> tuple[RegionSpec, RegionSpec, RegionSpec, RegionSpec]:
-    """The four pure-SIC regions, in case-index order.
-
-    The first and last are the rate-splitting ones; SIC cuts the split
-    band in two at the switch level of :mod:`crul.protocols`, where the
-    SU's full-power rate under PU interference matches the reduced-power
-    rate.
-    """
-    below, band, tolerant = rsma_case_regions(theta)
-    if theta == 0.0:
-        return below, below, below, tolerant
     switch = functools.partial(switch_level, theta=theta)
-    return (
-        below,
-        RegionSpec("reduced power", pu_lower=theta, su_lower=band.su_lower, su_upper=switch),
-        RegionSpec("secondary first preferred", pu_lower=theta, su_lower=switch),
-        tolerant,
-    )
+    return {
+        "below": RegionSpec("primary below threshold", pu_upper=theta),
+        "band": RegionSpec("split band", pu_lower=theta, su_lower=tolerance),
+        "reduced": RegionSpec(
+            "reduced power", pu_lower=theta, su_lower=tolerance, su_upper=switch
+        ),
+        "preferred": RegionSpec("secondary first preferred", pu_lower=theta, su_lower=switch),
+        "clear": RegionSpec("interference tolerant", pu_lower=theta, su_upper=tolerance),
+    }
 
 
 # ------------------------------------------------------- per-case terms
 
 
-def _interference_limited(x, y):
+def _interference_limited(x, y, theta):
     return np.log2(1.0 + y / (1.0 + x))
 
 
-def _clean(x, y):
-    return np.log2(1.0 + y)
-
-
-def _case_integrands(theta: float) -> dict:
-    """Region and integrand of every per-case term, by name."""
-    below, reduced, preferred, clear = sic_case_regions(theta)
-    return {
-        "below": (below, _interference_limited),
-        "band": (
-            rsma_case_regions(theta)[1],
-            lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta)),
-        ),
-        "reduced": (reduced, lambda x, y: np.log2(x / theta)),
-        "preferred": (preferred, _interference_limited),
-        "clear": (clear, _clean),
-    }
+#: The SU rate of every per-case term at PU SNR ``x`` and SU SNR ``y``.
+_INTEGRANDS = {
+    "below": _interference_limited,
+    "band": lambda x, y, theta: np.log2((1.0 + x + y) / (1.0 + theta)),
+    "reduced": lambda x, y, theta: np.log2(x / theta),
+    "preferred": _interference_limited,
+    "clear": lambda x, y, theta: np.log2(1.0 + y),
+}
 
 
 @functools.lru_cache(maxsize=512)
@@ -198,33 +187,20 @@ def _case_term(name: str, lambda_pu: float, lambda_su: float, theta: float) -> f
     regions, so keying on the region rather than the protocol integrates
     each once.
     """
-    region, integrand = _case_integrands(theta)[name]
-    return restricted_expectation(integrand, region, lambda_pu, lambda_su)
+    integrand = functools.partial(_INTEGRANDS[name], theta=theta)
+    return restricted_expectation(integrand, case_regions(theta)[name], lambda_pu, lambda_su)
 
 
-def _case_terms(names: tuple[str, ...], scenario: ScenarioConfig):
+def case_terms(protocol: ProtocolKind, scenario: ScenarioConfig) -> dict[str, float]:
+    """The oracle value of each of ``protocol``'s per-case terms, by name."""
     lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    return tuple(_case_term(name, lam_pu, lam_su, theta) for name in names)
+    return {name: _case_term(name, lam_pu, lam_su, theta) for name in TERMS[protocol]}
 
 
-def rsma_terms(scenario: ScenarioConfig) -> tuple[float, float, float]:
-    """Rate-splitting terms, in case-index order.
-
-    ``(below, band, clear)``: the interference-limited rate below the
-    threshold, the split rate in the band, the clean rate where the
-    primary tolerates full interference.
-    """
-    return _case_terms(("below", "band", "clear"), scenario)
-
-
-def sic_terms(scenario: ScenarioConfig) -> tuple[float, float, float, float]:
-    """Pure-SIC terms, in case-index order.
-
-    ``(below, reduced, preferred, clear)``: below the threshold and in the
-    secondary-first region the SU is interference limited, in between it
-    backs its power off to the primary's tolerance.
-    """
-    return _case_terms(("below", "reduced", "preferred", "clear"), scenario)
+def normalized(scenario: ScenarioConfig) -> ScenarioConfig:
+    """Where the power-normalized protocol runs pure SIC: the secondary's
+    mean SNR boosted by the inverse of the oracle's mean power scale."""
+    return scenario.with_secondary_snr_scaled(1.0 / mean_power_factor_oracle(scenario))
 
 
 # ------------------------------------------------------- ergodic rates
@@ -232,26 +208,22 @@ def sic_terms(scenario: ScenarioConfig) -> tuple[float, float, float, float]:
 
 def ergodic_rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> float:
     """Ergodic SU rate of ``protocol``, by integration over its decision regions."""
-    if protocol is ProtocolKind.CR_RSMA:
-        return math.fsum(rsma_terms(scenario))
-
-    if protocol is ProtocolKind.CR_SIC:
-        return math.fsum(sic_terms(scenario))
+    if protocol in TERMS:
+        return math.fsum(case_terms(protocol, scenario).values())
 
     if protocol is ProtocolKind.CR_SIC_NORM:
-        factor = mean_power_factor_oracle(scenario)
-        boosted = scenario.with_secondary_snr_scaled(1.0 / factor)
-        return ergodic_rate_oracle(ProtocolKind.CR_SIC, boosted)
+        return ergodic_rate_oracle(ProtocolKind.CR_SIC, normalized(scenario))
 
     if protocol is ProtocolKind.BENCH_CSI:
+        integrand = functools.partial(_interference_limited, theta=scenario.theta)
         return restricted_expectation(
-            _interference_limited, FULL_QUADRANT, scenario.lambda_pu, scenario.lambda_su
+            integrand, FULL_QUADRANT, scenario.lambda_pu, scenario.lambda_su
         )
 
     if protocol is ProtocolKind.BENCH_QOS:
         # The hard gate admits the secondary exactly where rate splitting
         # gives it the clear channel.
-        return rsma_terms(scenario)[2]
+        return case_terms(ProtocolKind.CR_RSMA, scenario)["clear"]
 
     raise ValueError(f"unknown protocol: {protocol}")
 
@@ -265,16 +237,16 @@ def ergodic_delta_oracle(scenario: ScenarioConfig) -> float:
     difference of the two full oracles is a consistency test of all the
     region plumbing.
     """
-    lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
+    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     # Without a threshold both regions are empty and the gap is zero.
-    integrands = _case_integrands(scenario.theta)
-    split_rate = integrands["band"][1]
+    regions = case_regions(theta)
+    split_rate = _INTEGRANDS["band"]
     return sum(
         restricted_expectation(
-            lambda x, y, sic_rate=sic_rate: split_rate(x, y) - sic_rate(x, y),
-            region, lam_pu, lam_su,
+            lambda x, y, rate=_INTEGRANDS[name]: split_rate(x, y, theta) - rate(x, y, theta),
+            regions[name], lam_pu, lam_su,
         )
-        for region, sic_rate in (integrands["reduced"], integrands["preferred"])
+        for name in ("reduced", "preferred")
     )
 
 
@@ -292,13 +264,13 @@ def mean_power_factor_oracle(scenario: ScenarioConfig) -> float:
     theta = scenario.theta
     if theta == 0.0:
         return 1.0
-    below, band, tolerant = rsma_case_regions(theta)
+    regions = case_regions(theta)
     scaled = lambda x, y: tolerance_level(x, theta) / y
     return math.fsum(
         (
-            region_probability(below, lam_pu, lam_su),
-            region_probability(tolerant, lam_pu, lam_su),
-            restricted_expectation(scaled, band, lam_pu, lam_su),
+            region_probability(regions["below"], lam_pu, lam_su),
+            region_probability(regions["clear"], lam_pu, lam_su),
+            restricted_expectation(scaled, regions["band"], lam_pu, lam_su),
         )
     )
 

@@ -129,8 +129,11 @@ def geometric_edges(lower: float, upper: float, scale: float) -> np.ndarray:
 
     The first panel is an eighth of ``scale``; the last is cut at ``upper``.
     """
-    edges = [lower]
     width = scale * _FIRST_PANEL_FRACTION
+    # A zero first panel would never grow, and the loop below never end.
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"panel scale must be finite and > 0, got {scale}")
+    edges = [lower]
     position = lower
     while position + width < upper:
         position += width

@@ -306,14 +306,10 @@ def criterion_mc_consistency(
         for protocol in ProtocolKind:
             if protocol is ProtocolKind.CR_SIC_NORM:
                 scale = mean_power_factor_oracle(scenario)
-                boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
-                estimated = estimate(
-                    protocol, scenario, mc, norm_power_factor=scale
-                )
-                reference = ergodic_rate_oracle(ProtocolKind.CR_SIC, boosted)
+                estimated = estimate(protocol, scenario, mc, norm_power_factor=scale)
             else:
                 estimated = sampled[protocol]
-                reference = ergodic_rate_oracle(protocol, scenario)
+            reference = ergodic_rate_oracle(protocol, scenario)
             sigma = abs(estimated.value - reference) / estimated.stderr
             if sigma > worst_sigma:
                 worst_sigma = sigma

@@ -18,14 +18,14 @@ from crul.channel import ScenarioConfig
 from crul.oracle import (
     FULL_QUADRANT,
     RegionSpec,
+    case_regions,
     ergodic_delta_oracle,
     ergodic_rate_oracle,
     restricted_expectation,
-    rsma_case_regions,
-    sic_case_regions,
 )
 from crul.panels import panel_integral
 from crul.protocols import ProtocolKind, switch_level
+from crul.specfun import expint_ei
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
 
@@ -199,7 +199,7 @@ class TestBelowThresholdTerm:
         assert rel_err(quad, integral) < 1e-6
 
     def test_matches_region_oracle(self, p20):
-        below = rsma_case_regions(p20.theta)[0]
+        below = case_regions(p20.theta)["below"]
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             below,
@@ -224,7 +224,7 @@ class TestSplitBandTerm:
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0])
     def test_matches_region_oracle(self, gamma0_db):
         p = params_at(gamma0_db)
-        band = rsma_case_regions(p.theta)[1]
+        band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
             band,
@@ -235,7 +235,7 @@ class TestSplitBandTerm:
 
     def test_equal_rate_branch_matches_region_oracle(self, unit_params):
         p = unit_params
-        band = rsma_case_regions(p.theta)[1]
+        band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
             band,
@@ -261,7 +261,7 @@ class TestSplitBandTerm:
         # closed-form pieces; checked on the equal-rate path where the
         # stated algebra is most suspect.
         p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
-        band = rsma_case_regions(p.theta)[1]
+        band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
             band,
@@ -287,7 +287,7 @@ class TestSplitBandTerm:
             assert abs(analytic.split_band_branch_term(p)) < 1e-6
 
     def test_stated_variant_deviates(self, p20):
-        band = rsma_case_regions(p20.theta)[1]
+        band = case_regions(p20.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p20.theta)),
             band,
@@ -304,7 +304,7 @@ class TestClearChannelTerm:
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0])
     def test_matches_region_oracle(self, gamma0_db):
         p = params_at(gamma0_db)
-        tolerant = rsma_case_regions(p.theta)[2]
+        tolerant = case_regions(p.theta)["clear"]
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y),
             tolerant,
@@ -412,11 +412,25 @@ class TestReducedPowerKernel:
         p = AnalyticParams(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
         assert analytic.reduced_power_kernel(x, p) >= -1e-12
 
+    @staticmethod
+    def stated_kernel(x: float, p: AnalyticParams) -> float:
+        """The printed reduced-power kernel, transcribed verbatim."""
+        lam_p, lam_s, theta = p.lambda_pu, p.lambda_su, p.theta
+        switch = analytic.order_switch_threshold(x, theta)
+        return -(lam_s * math.exp(-lam_s * x) / math.log(2.0)) * (
+            math.log(x + 1.0) * math.exp(-lam_p * theta * (x + 1.0))
+            + math.log(theta / switch) * math.exp(-lam_p * switch)
+            + expint_ei(-lam_p * switch)
+            - expint_ei(-lam_p * theta * (x + 1.0))
+        )
+
     def test_stated_variant_matches_derived(self):
+        # The printed form is the same algebra with its terms in another
+        # order, so the route table carries only the derived one.
         p = AnalyticParams(lambda_pu=0.3, lambda_su=0.7, theta=2.0)
         for x in (0.5, 4.0, 33.0):
             derived = analytic.reduced_power_kernel(x, p)
-            stated = analytic.reduced_power_kernel(x, p, STATED)
+            stated = self.stated_kernel(x, p)
             assert stated == pytest.approx(derived, rel=1e-12, abs=1e-300)
 
 
@@ -424,7 +438,7 @@ class TestReducedPowerTerm:
     def test_routes_agree_at_moderate_snr(self, p20):
         quad = analytic.reduced_power_term(p20)
         integral = analytic.reduced_power_term_integral(p20)
-        reduced = sic_case_regions(p20.theta)[1]
+        reduced = case_regions(p20.theta)["reduced"]
         reference = restricted_expectation(
             lambda x, y: np.log2(x / p20.theta),
             reduced,
@@ -441,7 +455,7 @@ class TestReducedPowerTerm:
         p = params_at(40.0)
         quad = analytic.reduced_power_term(p)
         integral = analytic.reduced_power_term_integral(p)
-        reduced = sic_case_regions(p.theta)[1]
+        reduced = case_regions(p.theta)["reduced"]
         reference = restricted_expectation(
             lambda x, y: np.log2(x / p.theta),
             reduced,
@@ -492,7 +506,7 @@ class TestPreferredOrderTerm:
     def test_routes_agree_at_moderate_snr(self, p20):
         quad = analytic.preferred_order_term(p20)
         integral = analytic.preferred_order_term_integral(p20)
-        preferred = sic_case_regions(p20.theta)[2]
+        preferred = case_regions(p20.theta)["preferred"]
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             preferred,
@@ -506,7 +520,7 @@ class TestPreferredOrderTerm:
         p = params_at(40.0)
         quad = analytic.preferred_order_term(p)
         integral = analytic.preferred_order_term_integral(p)
-        preferred = sic_case_regions(p.theta)[2]
+        preferred = case_regions(p.theta)["preferred"]
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             preferred,

@@ -5,14 +5,18 @@ Names that only tests use belong in the tests (or nowhere): this parses
 module refers to outside its own definition and ``__all__``.  Likewise a
 defaulted parameter that no call in the package passes is a setting no
 run can change: it fails here until it is deleted or a caller sets it.
+The benchmark's tracer reaches the package by name too, so each name it
+wraps must keep resolving.
 """
 
 import ast
+import importlib
 import math
 from collections import Counter
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "crul"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "crul"
 
 
 def _trees(source: Path) -> dict[str, ast.Module]:
@@ -116,3 +120,29 @@ def test_every_public_name_is_used_in_the_package():
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
     assert unpassed_defaults() == []
+
+
+def test_the_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
+    """``perfbench/spans.py`` wraps each layer's functions at the module
+    attributes their callers look up; a deleted or renamed one breaks the
+    traced benchmark run, so installing the tracer must succeed here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    modules = (spans.analytic, spans.cli, spans.crosscheck, spans.montecarlo, spans.oracle,
+               spans.specfun)
+    before = [dict(vars(module)) for module in modules]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        wrapped = [
+            name
+            for module, names in zip(modules, before)
+            for name, value in names.items()
+            if vars(module)[name] is not value
+        ]
+    finally:
+        tracer.uninstall()
+    assert wrapped
+    for module, names in zip(modules, before):
+        changed = [name for name, value in names.items() if vars(module)[name] is not value]
+        assert changed == [], module.__name__

@@ -2,13 +2,16 @@
 
 Everything runs in-process through ``cli.main`` so exit codes and output
 bytes are observed exactly as a shell would see them, minus the process
-boundary.  Sample counts are kept tiny except where a check is about the
+boundary; only inputs that once hung run in a child process.  Sample counts are kept tiny except where a check is about the
 sampling itself.
 """
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from crul import cli
 from crul.crosscheck import ARBITRATION_REL_TOL
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 
 POINT_FAST = ["point", "--gamma0", "12", "--samples", "2000", "--seed", "3"]
@@ -202,6 +206,39 @@ class TestUsageErrors:
         # 5e-324 overflows the point count to infinity; 1e-9 asks for 4e10 points.
         assert cli.main(["sweep", "--step", step]) == 2
         assert "--step must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            # lambda_su overflowed to inf and the oracle's panel loop never ended.
+            (["--dist-su", "1e155", "--method", "oracle"], "--dist-su"),
+            # The band integrals of pure SIC turned into NaN (exit 1).
+            (["--dist-su", "1e154", "--protocol", "cr-sic"], "--dist-su"),
+            # The path loss overflowed a float (exit 1).
+            (["--dist-su", "1e-300"], "--dist-su"),
+            (["--dist-pu", "10", "--u", "1e300"], "--dist-pu"),
+        ],
+    )
+    def test_extreme_link_snr_is_usage_error_naming_the_flag(self, argv, flag):
+        # In a child process, so that a hang fails the test instead of the run.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        command = [sys.executable, "-m", "crul", "point", "--gamma0", "0", *argv]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert flag in done.stderr and "--u" in done.stderr
+
+    def test_strong_near_link_inside_the_bound_runs(self, capsys):
+        # 140 dB at the receiver: 20 dB of reference SNR and 120 dB of path gain.
+        argv = ["point", "--gamma0", "20", "--dist-su", "1e-6", "--samples", "2000"]
+        status, out = run_cli(capsys, argv)
+        assert status == 0
+        assert all(math.isfinite(float(row[4])) for row in data_rows(out))
+
+    @pytest.mark.parametrize("value", ["many", "-1"])
+    def test_bad_thread_count_is_usage_error_naming_it(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CRUL_THREADS", value)
+        assert cli.main(["point", "--gamma0", "10", "--samples", "2000"]) == 2
+        assert "CRUL_THREADS" in capsys.readouterr().err
 
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"

@@ -74,20 +74,16 @@ class TestMcConfig:
 
 
 class TestEstimateResult:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            EstimateResult(1.0, 0.0, 10, "guess", ProtocolKind.CR_SIC)
-
     def test_rejects_negative_stderr(self):
         with pytest.raises(ValueError):
-            EstimateResult(1.0, -0.1, 10, "mc", ProtocolKind.CR_SIC)
+            EstimateResult(1.0, -0.1, 10)
 
-    def test_rejects_sampleless_mc(self):
+    def test_rejects_negative_sample_count(self):
         with pytest.raises(ValueError):
-            EstimateResult(1.0, 0.0, 0, "mc", ProtocolKind.CR_SIC)
+            EstimateResult(1.0, 0.0, -1)
 
     def test_deterministic_methods_may_record_zero_samples(self):
-        r = EstimateResult(1.0, 0.0, 0, "oracle", ProtocolKind.CR_SIC)
+        r = EstimateResult(1.0, 0.0, 0)
         assert r.n_samples == 0
 
 
@@ -117,7 +113,7 @@ class TestResolveWorkers:
 
     def test_rejects_garbage_env(self, monkeypatch):
         monkeypatch.setenv("CRUL_THREADS", "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="CRUL_THREADS"):
             resolve_workers(10)
 
 

@@ -19,16 +19,17 @@ from crul.channel import ScenarioConfig, sample_snrs
 from crul.montecarlo import McConfig, chunk_stream, estimate
 from crul.oracle import (
     FULL_QUADRANT,
+    TERMS,
     OracleAccuracyError,
     RegionSpec,
+    case_regions,
+    case_terms,
     ergodic_delta_oracle,
     ergodic_rate_oracle,
     expected_clean_rate,
     mean_power_factor_oracle,
     region_probability,
     restricted_expectation,
-    rsma_case_regions,
-    sic_case_regions,
 )
 from crul.protocols import (
     CellDraws,
@@ -91,23 +92,25 @@ def test_qos_region_probability_closed_form():
         expected = (
             math.exp(-lam_pu * THETA) * lam_su / (lam_su + lam_pu * THETA)
         )
-        clear = rsma_case_regions(THETA)[2]
+        clear = case_regions(THETA)["clear"]
         assert region_probability(clear, lam_pu, lam_su) == pytest.approx(
             expected, rel=1e-8
         )
 
 
 def test_below_threshold_probability_closed_form():
-    region = rsma_case_regions(THETA)[0]
+    region = case_regions(THETA)["below"]
     for lam_pu in (0.01, 0.3, 2.0):
         assert region_probability(region, lam_pu, 0.04) == pytest.approx(
             1.0 - math.exp(-lam_pu * THETA), rel=1e-9
         )
 
 
-@pytest.mark.parametrize("builder,count", [(rsma_case_regions, 3), (sic_case_regions, 4)])
-def test_case_regions_partition_probability(builder, count):
-    regions = builder(THETA)
+@pytest.mark.parametrize(
+    "protocol,count", [(ProtocolKind.CR_RSMA, 3), (ProtocolKind.CR_SIC, 4)]
+)
+def test_case_regions_partition_probability(protocol, count):
+    regions = [case_regions(THETA)[name] for name in TERMS[protocol]]
     assert len(regions) == count
     for lam_pu, lam_su in ((0.01, 0.04), (0.5, 0.1)):
         probs = [region_probability(r, lam_pu, lam_su) for r in regions]
@@ -130,19 +133,21 @@ def test_region_slices_hold_exactly_the_classified_draws(
     )
     gamma_pu, gamma_su = sample_snrs(config, chunk_stream(3, 0), 100_000)
     cells = sic_case_array(gamma_pu, gamma_su, config.theta)
-    for cell, region in enumerate(sic_case_regions(config.theta)):
-        assert np.array_equal(in_region(region, gamma_pu, gamma_su), cells == cell)
+    regions = case_regions(config.theta)
+    for cell, name in enumerate(TERMS[ProtocolKind.CR_SIC]):
+        assert np.array_equal(in_region(regions[name], gamma_pu, gamma_su), cells == cell)
     cases = rsma_case_array(cells)
-    for case, region in enumerate(rsma_case_regions(config.theta)):
-        assert np.array_equal(in_region(region, gamma_pu, gamma_su), cases == case)
+    for case, name in enumerate(TERMS[ProtocolKind.CR_RSMA]):
+        assert np.array_equal(in_region(regions[name], gamma_pu, gamma_su), cases == case)
 
 
 def test_zero_threshold_regions_degenerate_cleanly():
-    regions = sic_case_regions(0.0)
-    assert all(region_probability(r, 0.1, 0.1) == 0.0 for r in regions[:3])
-    assert region_probability(regions[3], 0.1, 0.1) == pytest.approx(1.0, rel=1e-9)
-    assert not in_region(regions[0], 1.0, 1.0)
-    assert in_region(regions[3], 1.0, 1.0)
+    regions = case_regions(0.0)
+    clear = regions.pop("clear")
+    assert all(region_probability(r, 0.1, 0.1) == 0.0 for r in regions.values())
+    assert region_probability(clear, 0.1, 0.1) == pytest.approx(1.0, rel=1e-9)
+    assert not any(in_region(r, 1.0, 1.0) for r in regions.values())
+    assert in_region(clear, 1.0, 1.0)
 
 
 def test_rsma_region_probabilities_match_closed_forms_on_a_wide_grid():
@@ -165,7 +170,8 @@ def test_rsma_region_probabilities_match_closed_forms_on_a_wide_grid():
             clear * lam_pu * theta / (lam_su + lam_pu * theta),
             clear * lam_su / (lam_su + lam_pu * theta),
         )
-        for region, value in zip(rsma_case_regions(theta), expected):
+        for name, value in zip(TERMS[ProtocolKind.CR_RSMA], expected):
+            region = case_regions(theta)[name]
             got = region_probability(region, lam_pu, lam_su)
             if not abs(got - value) <= max(1e-7 * value, 1e-12):
                 misses.append((primary_db, secondary_db, rate_threshold, region.description))
@@ -182,10 +188,10 @@ def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
     does not cancel O(1) pieces (3e-7, 2e-6 and 7e-5 relative when it did)."""
     config = scenario(primary_db, 0.0)
     params = AnalyticParams.from_scenario(config)
-    _, reduced, preferred, _ = oracle.sic_terms(config)
-    assert preferred == pytest.approx(preferred_order_term(params), rel=1e-6)
-    assert reduced == pytest.approx(reduced_power_term(params), rel=1e-9, abs=0.0)
-    assert reduced > 0.0
+    terms = case_terms(ProtocolKind.CR_SIC, config)
+    assert terms["preferred"] == pytest.approx(preferred_order_term(params), rel=1e-6)
+    assert terms["reduced"] == pytest.approx(reduced_power_term(params), rel=1e-9, abs=0.0)
+    assert terms["reduced"] > 0.0
 
 
 def test_restricted_expectation_validation():
@@ -272,7 +278,7 @@ def test_high_snr_localized_mass_is_not_lost():
     reduced-power region's mass hides in ~1e-3 of the truncated range and
     naive end-to-end quadrature silently returns ~0."""
     config = scenario(40.0, 40.0)
-    _, reduced, _, _ = sic_case_regions(config.theta)
+    reduced = case_regions(config.theta)["reduced"]
     value = restricted_expectation(
         lambda x, y: np.log2(x / config.theta),
         reduced,

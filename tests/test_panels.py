@@ -21,9 +21,8 @@ from crul.oracle import (
     FULL_QUADRANT,
     OracleAccuracyError,
     RegionSpec,
+    case_regions,
     restricted_expectation,
-    rsma_case_regions,
-    sic_case_regions,
 )
 from crul.panels import (
     GAUSS_WEIGHTS,
@@ -93,25 +92,22 @@ def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9)
 
 def boosted_60db():
     """The power-normalized twin of (40, 60) dB: secondary boosted past 60 dB."""
-    scenario = ScenarioConfig.from_snr_db(40.0, 60.0)
-    scale = oracle.mean_power_factor_oracle(scenario)
-    return scenario.with_secondary_snr_scaled(1.0 / scale)
+    return oracle.normalized(ScenarioConfig.from_snr_db(40.0, 60.0))
 
 
 def case_integrals(theta):
     """(name, region, scalar integrand, array integrand) of each rate region."""
-    below, reduced, preferred, clear = sic_case_regions(theta)
-    band = rsma_case_regions(theta)[1]
+    regions = case_regions(theta)
     limited = (lambda x, y: math.log2(1.0 + y / (1.0 + x)),
                lambda x, y: np.log2(1.0 + y / (1.0 + x)))
     return [
-        ("below", below, *limited),
-        ("band", band, lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta)),
+        ("below", regions["below"], *limited),
+        ("band", regions["band"], lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta)),
          lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta))),
-        ("reduced", reduced, lambda x, y: math.log2(x / theta),
+        ("reduced", regions["reduced"], lambda x, y: math.log2(x / theta),
          lambda x, y: np.log2(x / theta)),
-        ("preferred", preferred, *limited),
-        ("clear", clear, lambda x, y: math.log2(1.0 + y), lambda x, y: np.log2(1.0 + y)),
+        ("preferred", regions["preferred"], *limited),
+        ("clear", regions["clear"], lambda x, y: math.log2(1.0 + y), lambda x, y: np.log2(1.0 + y)),
         ("full", FULL_QUADRANT, *limited),
     ]
 
@@ -138,6 +134,13 @@ def test_geometric_edges_double_and_stop_at_upper():
     edges = geometric_edges(1.0, 10.0, 8.0)
     np.testing.assert_allclose(edges, [1.0, 2.0, 4.0, 8.0, 10.0])
     np.testing.assert_allclose(geometric_edges(0.0, 0.5, 8.0), [0.0, 0.5])
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324, -1.0, math.inf, math.nan])
+def test_geometric_edges_reject_a_scale_without_a_first_panel(scale):
+    # A zero-width first panel never doubles, so the edges never reach upper.
+    with pytest.raises(ValueError, match="scale"):
+        geometric_edges(0.0, 1.0, scale)
 
 
 # ------------------------------------------------------------ 1-D integral
@@ -235,7 +238,7 @@ def test_band_corner_power_scale_matches_nested_quadpack():
     # slices near the corner integrate a 1/y peak of growing height.
     scenario = ScenarioConfig.from_snr_db(20.0, 20.0)
     theta = scenario.theta
-    band = rsma_case_regions(theta)[1]
+    band = case_regions(theta)["band"]
     value = restricted_expectation(
         lambda x, y: (x / theta - 1.0) / y, band, scenario.lambda_pu, scenario.lambda_su
     )
