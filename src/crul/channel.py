@@ -138,29 +138,37 @@ class ScenarioConfig:
         return ScenarioConfig(self.primary, scaled, self.rate_threshold)
 
 
-def exponential_from_uniform(u, rate: float):
+def exponential_from_uniform(u, rate: float, out=None):
     """Map uniform draws on ``(0, 1]`` to Exp(rate) via the inverse CDF.
 
     ``u = 1`` maps to 0 and ``u -> 0`` to the tail, so feeding
     ``1 - random()`` (which lives on ``(0, 1]``) can never produce an
-    infinite SNR.  Accepts scalars or arrays.
+    infinite SNR.  Accepts scalars or arrays; an array result goes to
+    ``out`` (which may be ``u`` itself) when one is given.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be > 0, got {rate}")
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
+    # A min and a max scan the draws without building a mask, and reject NaN.
+    if u_arr.size and not (u_arr.min() > 0.0 and u_arr.max() <= 1.0):
         raise ValueError("uniform input must lie in (0, 1]")
-    result = -np.log(u_arr) / rate
+    result = np.log(u_arr, out=np.empty_like(u_arr) if out is None else out)
+    np.negative(result, out=result)
+    np.divide(result, rate, out=result)
     return float(result) if np.isscalar(u) or u_arr.ndim == 0 else result
 
 
-def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int):
+def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int, out=None):
     """Draw ``count`` i.i.d. SNR pairs; primary block first, then secondary.
 
     The fixed draw order (one primary array, then one secondary array) is
     what makes chunked parallel estimation reproducible: any consumer of
-    the same generator state sees identical pairs.
+    the same generator state sees identical pairs.  ``out``, a pair of
+    ``count``-long float arrays, receives the draws in place of new arrays.
     """
-    gamma_pu = exponential_from_uniform(1.0 - rng.random(count), scenario.lambda_pu)
-    gamma_su = exponential_from_uniform(1.0 - rng.random(count), scenario.lambda_su)
+    gamma_pu, gamma_su = (np.empty(count), np.empty(count)) if out is None else out
+    for draws, rate in ((gamma_pu, scenario.lambda_pu), (gamma_su, scenario.lambda_su)):
+        rng.random(out=draws)
+        np.subtract(1.0, draws, out=draws)
+        exponential_from_uniform(draws, rate, out=draws)
     return gamma_pu, gamma_su

@@ -11,7 +11,8 @@ validate  run the acceptance checks and write the deviation report
 All numeric output uses one fixed CSV schema; identical invocations give
 byte-identical files regardless of the worker-thread count (see the
 substream contract in ``montecarlo``).  ``CRUL_THREADS`` caps the worker
-count, ``0`` meaning auto; it is the one thread control.
+count at up to ``montecarlo.MAX_THREADS``, ``0`` meaning auto; it is the
+one thread control.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .channel import ScenarioConfig
 from .crosscheck import ANALYTIC_PROTOCOLS, evaluate
-from .montecarlo import McConfig, resolve_workers, sample_point
+from .montecarlo import MAX_SAMPLES, McConfig, resolve_workers, sample_point
 from .montecarlo import mean_power_factor  # noqa: F401 - perfbench/spans.py patches this name
 from .oracle import OracleAccuracyError, mean_power_factor_oracle
 from .protocols import ProtocolKind
@@ -185,8 +186,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     samples = pick("samples", None)
     if samples is None:
         samples = 10**5 if args.quick else 10**6
-    if samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {samples}")
+    _require("samples", samples, 1 <= samples <= MAX_SAMPLES, f"in [1, {MAX_SAMPLES}]")
     nodes = pick("nodes", 100)
     _require("nodes", nodes, 1 <= nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
     seed = pick("seed", 0)

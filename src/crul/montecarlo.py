@@ -22,12 +22,22 @@ share.  One fold combines the chunks.  :func:`sample_point` takes every
 protocol of a grid point and the mean power scale from one such pass, plus
 the boosted pass of the power-normalized protocol; :func:`estimate` and
 :func:`mean_power_factor` are the same pass over a single family.
+
+Each public call makes one :class:`~crul.protocols.Workspace` of
+chunk-sized buffers per worker, and its chunks draw, classify and reduce
+inside them: a chunk takes a free workspace from the call's queue and
+puts it back when done, and the workspaces go when the call returns.
+Fresh chunk-sized arrays cost more than the arithmetic on them, because
+the allocator returned their pages to the system after every chunk and
+faulted them in again for the next.  Workspaces change where values are
+stored, not how they are computed, so the sums are those of new arrays.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +48,7 @@ from .channel import ScenarioConfig, sample_snrs
 from .protocols import (
     CellDraws,
     ProtocolKind,
+    Workspace,
     csi_rate_array,
     qos_rate_array,
     rsma_case_array,
@@ -57,6 +68,11 @@ CASE_FAMILIES = {
 #: The SIC control-law power scale, sampled as a one-case family beside
 #: the protocols.
 _POWER = "power scale"
+#: Most worker threads ``CRUL_THREADS`` may ask for.  Each busy worker
+#: holds one chunk workspace, about 7 MB at the default chunk size.
+MAX_THREADS = 256
+#: Most draws one estimate may take: 1e5 chunks at the default chunk size.
+MAX_SAMPLES = 10**10
 
 
 @dataclass(frozen=True)
@@ -88,8 +104,8 @@ class McConfig:
     chunk_size: int = 100_000
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 <= self.seed < (1 << 64):
@@ -123,9 +139,11 @@ def resolve_workers(n_tasks: int) -> int:
     """Worker count for ``n_tasks`` chunks: ``CRUL_THREADS``, unset or ``0``
     meaning one per CPU, never more than there are chunks."""
     env = os.environ.get("CRUL_THREADS", "").strip() or "0"
-    if not env.isdecimal():
-        raise ValueError(f"CRUL_THREADS must be a whole number >= 0, got {env!r}")
-    workers = int(env) or os.cpu_count() or 1
+    digits = env.lstrip("0") or "0"
+    # Lengths first, so a long string of digits is never parsed.
+    if not env.isdecimal() or len(digits) > len(str(MAX_THREADS)) or int(digits) > MAX_THREADS:
+        raise ValueError(f"CRUL_THREADS must be a whole number in [0, {MAX_THREADS}], got {env!r}")
+    workers = int(digits) or os.cpu_count() or 1
     return max(1, min(workers, n_tasks))
 
 
@@ -140,43 +158,89 @@ def _map_chunks(kernel, mc: McConfig):
         return list(pool.map(lambda im: kernel(im[0], im[1]), tasks))
 
 
+def _workspaces(mc: McConfig) -> queue.SimpleQueue:
+    """One workspace per worker, for the passes of one call.
+
+    They are made here, on the calling thread, so that each call takes its
+    buffers from the arena the last call freed them to.  Made on the pool's
+    threads, they land in the arena of whichever thread ran first, and a
+    call can leave one arena's memory idle while it fills another's.
+    """
+    workspaces = queue.SimpleQueue()
+    for _ in range(resolve_workers(mc.n_chunks)):
+        workspaces.put(Workspace(min(mc.chunk_size, mc.n_samples)))
+    return workspaces
+
+
+def draw_chunk(
+    scenario: ScenarioConfig, seed: int, index: int, count: int, workspace=None
+) -> CellDraws:
+    """Chunk ``index`` of the seeded substreams, drawn, classified once and wrapped.
+
+    The draws, their cells and what the rules keep live in ``workspace``
+    (a new one if none is given) until it takes its next chunk.
+    """
+    if workspace is None:
+        workspace = Workspace(count)
+    out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
+    gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count, out)
+    cells = sic_case_array(gamma_pu, gamma_su, scenario.theta, workspace)
+    return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace)
+
+
+def _square_sum(draws: CellDraws, values: np.ndarray) -> float:
+    return float(np.sum(np.square(values, out=draws.buffer("s0", values.size))))
+
+
 def _family_sums(family, draws: CellDraws):
     """Per-case sums and the squared sum of one family over one chunk's draws."""
+    rates = draws.buffer("rates")
     if family is _POWER:
-        scale = sic_power_factor_array(draws)
-        return (float(np.sum(scale)),), float(np.sum(np.square(scale)))
+        scale = sic_power_factor_array(draws, rates)
+        return (float(np.sum(scale)),), _square_sum(draws, scale)
+    cases = draws.buffer("cases")
     if family is ProtocolKind.CR_RSMA:
-        rates, cases = rsma_rate_arrays(draws), rsma_case_array(draws.cells)
+        rates = rsma_rate_arrays(draws, rates)
+        rsma_case_array(draws.cells, cases)
     elif family is ProtocolKind.CR_SIC:
-        rates, cases = sic_rate_arrays(draws), draws.cells
+        rates, cases = sic_rate_arrays(draws, rates), draws.cells
     elif family is ProtocolKind.BENCH_CSI:
         rates = csi_rate_array(draws)
-        cases = np.zeros(rates.shape, dtype=np.int8)
+        cases.fill(0)
     elif family is ProtocolKind.BENCH_QOS:
-        rates = qos_rate_array(draws)
-        cases = draws.qos_admitted.astype(np.int8)
+        rates = qos_rate_array(draws, rates)
+        np.copyto(cases, draws.qos_admitted)
     else:
         raise ValueError(f"no per-realization rate rule for {family}")
     sums = np.bincount(cases, weights=rates, minlength=CASE_FAMILIES[family])
-    return sums, float(np.sum(np.square(rates)))
+    return sums, _square_sum(draws, rates)
 
 
-def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int):
+def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int, workspace):
     """Draw one chunk once and classify it once, then reduce it for each family.
 
     The shared per-draw logs are computed once, by the first family that
-    reads them; each family's own arrays are dropped before the next
-    family's are made.
+    reads them; every family writes its rates over the last one's.
     """
-    gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count)
-    cells = sic_case_array(gamma_pu, gamma_su, scenario.theta)
-    draws = CellDraws(gamma_pu, gamma_su, scenario.theta, cells)
+    draws = draw_chunk(scenario, seed, index, count, workspace)
     return [_family_sums(family, draws) for family in families]
 
 
-def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
-    """One pass over the draws: the estimate of every family, by family."""
-    chunks = _map_chunks(lambda i, m: _chunk_sums(scenario, families, mc.seed, i, m), mc)
+def _sample(scenario: ScenarioConfig, mc: McConfig, families, workspaces) -> dict:
+    """One pass over the draws: the estimate of every family, by family.
+
+    Each chunk runs in a workspace taken from ``workspaces``, the public
+    call's pool, and gives it back when done.
+    """
+
+    def kernel(index: int, count: int):
+        workspace = workspaces.get()
+        try:
+            return _chunk_sums(scenario, families, mc.seed, index, count, workspace)
+        finally:
+            workspaces.put(workspace)
+
+    chunks = _map_chunks(kernel, mc)
     results = {}
     # Fold each family's chunks in chunk order, so the totals do not
     # depend on scheduling.
@@ -200,12 +264,14 @@ def _finish(case_sums, square_sum, mc) -> EstimateResult:
     return EstimateResult(value=value, stderr=stderr, n_samples=n)
 
 
-def _normalized(scenario: ScenarioConfig, mc: McConfig, scale: float) -> EstimateResult:
+def _normalized(
+    scenario: ScenarioConfig, mc: McConfig, scale: float, workspaces
+) -> EstimateResult:
     """Pure SIC with the secondary's mean SNR boosted by ``1/scale``."""
     if not scale > 0.0:
         raise ValueError(f"power scale must be > 0, got {scale}")
     boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
-    return _sample(boosted, mc, (ProtocolKind.CR_SIC,))[ProtocolKind.CR_SIC]
+    return _sample(boosted, mc, (ProtocolKind.CR_SIC,), workspaces)[ProtocolKind.CR_SIC]
 
 
 def sample_point(
@@ -225,10 +291,11 @@ def sample_point(
     """
     requested = dict.fromkeys(protocols)
     plain = tuple(p for p in requested if p is not ProtocolKind.CR_SIC_NORM)
-    estimates = _sample(scenario, mc, (*plain, _POWER))
+    workspaces = _workspaces(mc)
+    estimates = _sample(scenario, mc, (*plain, _POWER), workspaces)
     power = estimates.pop(_POWER)
     if ProtocolKind.CR_SIC_NORM in requested:
-        estimates[ProtocolKind.CR_SIC_NORM] = _normalized(scenario, mc, power.value)
+        estimates[ProtocolKind.CR_SIC_NORM] = _normalized(scenario, mc, power.value, workspaces)
     return estimates, power
 
 
@@ -254,10 +321,10 @@ def estimate(
     if protocol is not ProtocolKind.CR_SIC_NORM:
         if norm_power_factor is not None:
             raise ValueError("norm_power_factor only applies to the normalized protocol")
-        return _sample(scenario, mc, (protocol,))[protocol]
+        return _sample(scenario, mc, (protocol,), _workspaces(mc))[protocol]
     if norm_power_factor is None:
         norm_power_factor = mean_power_factor(scenario, mc).value
-    return _normalized(scenario, mc, norm_power_factor)
+    return _normalized(scenario, mc, norm_power_factor, _workspaces(mc))
 
 
 def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
@@ -267,4 +334,4 @@ def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
     the primary sits inside the protected band, and 1 elsewhere (full
     power is admissible), so the mean lives in (0, 1].
     """
-    return _sample(scenario, mc, (_POWER,))[_POWER]
+    return _sample(scenario, mc, (_POWER,), _workspaces(mc))[_POWER]

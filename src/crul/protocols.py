@@ -26,7 +26,10 @@ and preferred cells together), and ``bench-qos`` admits the tolerant cell
 off its edge.  :func:`sic_case_array` classifies a batch of fading draws
 ``(gamma_pu, gamma_su)`` once, every rule builds its rates from the
 cells, and the oracle's regions slice the same cells with
-:func:`tolerance_level` and :func:`switch_level`.  Averaging over fading
+:func:`tolerance_level` and :func:`switch_level`.  The classifier and the
+rules write into the buffers of a :class:`Workspace`, which a Monte Carlo
+worker reuses from chunk to chunk within one call, so a chunk makes no
+array of its own size.  Averaging over fading
 lives in :mod:`crul.montecarlo`, :mod:`crul.analytic` and :mod:`crul.oracle`.
 """
 
@@ -46,6 +49,7 @@ __all__ = [
     "TOLERANT",
     "tolerance_level",
     "switch_level",
+    "Workspace",
     "sic_case_array",
     "rsma_case_array",
     "CellDraws",
@@ -80,19 +84,21 @@ class ProtocolKind(enum.Enum):
 #: misses ``theta`` even alone; the SU backs its power off; decoding the SU
 #: first beats backing off; the PU meets ``theta`` under full interference.
 BELOW, REDUCED, PREFERRED, TOLERANT = range(4)
-# Rate splitting's case of each cell: below threshold, split band, tolerant.
-_RSMA_CASE_OF_CELL = np.array((0, 1, 1, 2), dtype=np.int8)
 
 
 # ------------------------------------------------------------ boundaries
 
 
-def tolerance_level(gamma_pu, theta: float):
+def tolerance_level(gamma_pu, theta: float, out=None):
     """Most SU SNR the PU tolerates at full power: ``gamma_pu/theta - 1``.
 
-    Scalars or arrays, ``theta > 0``.
+    Scalars or arrays, ``theta > 0``; an array result goes to ``out`` when
+    one is given.
     """
-    return gamma_pu / theta - 1.0
+    if out is None:
+        return gamma_pu / theta - 1.0
+    np.divide(gamma_pu, theta, out=out)
+    return np.subtract(out, 1.0, out=out)
 
 
 def switch_level(gamma_pu, theta: float):
@@ -101,110 +107,236 @@ def switch_level(gamma_pu, theta: float):
     return (1.0 + gamma_pu) * tolerance_level(gamma_pu, theta)
 
 
+# ------------------------------------------------------------ workspace
+
+
+#: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
+#: the two SNR draws, the two full-power logs, a family's rates and three
+#: of scratch; the cells, a family's case index and one of scratch;
+#: ``bench-qos``'s admission mask and two of scratch.  Scratch (``s*``,
+#: ``i0``, ``b*``) lives only inside one function.
+_BUFFERS = {
+    np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
+    np.int8: ("cells", "cases", "i0"),
+    np.bool_: ("admitted", "b0", "b1"),
+}
+
+
+class Workspace:
+    """Per-draw buffers that one Monte Carlo worker reuses from chunk to chunk.
+
+    They are made at once, one block per dtype with room for ``capacity``
+    draws, and ``buffer(name, size)`` is the first ``size`` entries of one.
+    The classifier and :class:`CellDraws` keep every per-draw array in
+    them, so a chunk drawn into a used workspace makes no array the size
+    of the chunk, and the allocator has no pages to hand back to the
+    system and fault in again for the next chunk.  What is left in a
+    workspace belongs to the last chunk classified into it.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        #: ``(cells, ratio)`` of the last classification: ``ratio`` is
+        #: ``gamma_su/(1 + gamma_pu)``, or None where theta is 0.
+        self.classified = None
+        self._buffers: dict[str, np.ndarray] = {}
+        for dtype, names in _BUFFERS.items():
+            self._buffers.update(zip(names, np.empty((len(names), capacity), dtype)))
+
+    def buffer(self, name: str, size: int) -> np.ndarray:
+        if size > self.capacity:
+            raise ValueError(f"a workspace for {self.capacity} draws cannot take {size}")
+        return self._buffers[name][:size]
+
+
 # --------------------------------------------------------------- the cells
 
 
-def sic_case_array(gamma_pu, gamma_su, theta: float) -> np.ndarray:
-    """Decision cell of every draw (the pure-SIC case index), as ``int8``.
+def sic_case_array(gamma_pu, gamma_su, theta: float, workspace=None) -> np.ndarray:
+    """Decision cell of every draw of a 1-D batch (the pure-SIC case index), as ``int8``.
 
     Below is ``gamma_pu < theta``, tolerant ``gamma_pu >= theta*(1 +
     gamma_su)``.  Between them the SU goes first where ``gamma_su/(1 +
     gamma_pu) > gamma_pu/theta - 1`` or the PU sits on ``theta``.  Where
     SU-first and tolerant overlap (zero-measure ties such as ``gamma_pu =
     theta``, ``gamma_su = 0``) the draw is tolerant, so the cells refine
-    rate splitting's cases.
+    rate splitting's cases.  The cells, and the ratio ``gamma_su/(1 +
+    gamma_pu)`` that :attr:`CellDraws.interference_limited` takes the log
+    of, are left in ``workspace`` (a new one if none is given).
     """
-    cells = np.full(gamma_pu.shape, REDUCED, dtype=np.int8)
+    size = gamma_pu.size
+    workspace = Workspace(size) if workspace is None else workspace
+    cells, raised = workspace.buffer("cells", size), workspace.buffer("i0", size)
+    mask, other = workspace.buffer("b0", size), workspace.buffer("b1", size)
+    scratch = workspace.buffer("s0", size)
+    ratio = None
     if theta > 0.0:
-        su_first = (gamma_pu <= theta) | (
-            gamma_su / (1.0 + gamma_pu) > tolerance_level(gamma_pu, theta)
-        )
-        cells[su_first] = PREFERRED
-    cells[gamma_pu >= theta * (1.0 + gamma_su)] = TOLERANT
-    cells[gamma_pu < theta] = BELOW
+        ratio = np.add(1.0, gamma_pu, out=workspace.buffer("interference", size))
+        np.divide(gamma_su, ratio, out=ratio)
+        level = tolerance_level(gamma_pu, theta, out=scratch)
+        np.greater(ratio, level, out=mask)
+        np.logical_or(mask, np.less_equal(gamma_pu, theta, out=other), out=mask)
+    else:
+        mask.fill(False)
+    # Integer arithmetic on the masks, not masked stores, which mispredict
+    # a branch on every other draw: reduced or preferred, raised to
+    # tolerant, then zeroed (below) unless the PU reaches theta.
+    np.add(mask, REDUCED, out=cells, dtype=np.int8)
+    edge = np.multiply(theta, np.add(1.0, gamma_su, out=scratch), out=scratch)
+    np.greater_equal(gamma_pu, edge, out=mask)
+    np.maximum(cells, np.multiply(mask, TOLERANT, out=raised, dtype=np.int8), out=cells)
+    np.logical_not(np.less(gamma_pu, theta, out=mask), out=mask)
+    np.multiply(cells, mask, out=cells, dtype=np.int8)
+    workspace.classified = (cells, ratio)
     return cells
 
 
-def rsma_case_array(cells: np.ndarray) -> np.ndarray:
-    """Rate splitting's case of every cell: below, split band, tolerant."""
-    return _RSMA_CASE_OF_CELL[cells]
+def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
+    """Rate splitting's case of every cell: below, split band, tolerant
+    (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out`` when given."""
+    return np.subtract(cells, cells >= PREFERRED, out=out)
 
 
 class CellDraws:
     """Fading draws with their decision cells from :func:`sic_case_array`.
 
-    What several rules read is computed on first use and kept.  Selections
-    are index arrays from ``np.flatnonzero``: gathering and scattering by
-    index is several times cheaper than by boolean mask.
+    What several rules read is computed on first use and kept in the
+    workspace's buffers, so it holds until the workspace classifies its
+    next chunk.  Selections are index arrays from ``np.flatnonzero``:
+    gathering and scattering by index is several times cheaper than by
+    boolean mask.
     """
 
-    def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray):
+    def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray, workspace: Workspace):
         self.gamma_pu = gamma_pu
         self.gamma_su = gamma_su
         self.theta = theta
         self.cells = cells
+        self.workspace = workspace
+        classified = workspace.classified
+        # The classifier's ratio, when it classified these very cells.
+        self._ratio = None if classified is None or classified[0] is not cells else classified[1]
+
+    def buffer(self, name: str, size: int | None = None) -> np.ndarray:
+        """The workspace's named buffer, one entry per draw unless ``size`` says."""
+        return self.workspace.buffer(name, self.cells.size if size is None else size)
+
+    def gather(self, values: np.ndarray, name: str, index=None) -> np.ndarray:
+        """``values[index]``, the band unless ``index`` says, into the named buffer."""
+        index = self.band if index is None else index
+        # In "raise" mode take() fills a copy before ``out``; these indices
+        # are always in range, so "clip" never clips.
+        return np.take(values, index, out=self.buffer(name, index.size), mode="clip")
 
     @cached_property
     def band(self) -> np.ndarray:
         """Indices of rate splitting's split band: the reduced and preferred cells."""
-        return np.flatnonzero(rsma_case_array(self.cells) == 1)
+        in_band = np.greater_equal(self.cells, REDUCED, out=self.buffer("b0"))
+        below_tolerant = np.less_equal(self.cells, PREFERRED, out=self.buffer("b1"))
+        return np.flatnonzero(np.logical_and(in_band, below_tolerant, out=in_band))
 
-    @cached_property
-    def band_scale(self) -> np.ndarray:
-        """``(gamma_pu/theta - 1)/gamma_su`` on the band: the pure-SIC power
-        scale, and one minus rate splitting's early fraction ``alpha``."""
-        return tolerance_level(self.gamma_pu[self.band], self.theta) / self.gamma_su[self.band]
+    def band_scale(self) -> tuple[np.ndarray, np.ndarray]:
+        """The band's pure-SIC power scale ``(gamma_pu/theta - 1)/gamma_su``,
+        one minus rate splitting's early fraction ``alpha``, and its
+        ``gamma_su``.  Made again on each call, in scratch "s0" and "s1"."""
+        scale = self.gather(self.gamma_pu, "s0")
+        tolerance_level(scale, self.theta, out=scale)
+        band_su = self.gather(self.gamma_su, "s1")
+        return np.divide(scale, band_su, out=scale), band_su
 
     @cached_property
     def qos_admitted(self) -> np.ndarray:
         """Where ``bench-qos`` lets the SU transmit: the PU strictly clears
         ``theta`` under full interference, so the tolerant cell less its edge."""
-        return self.gamma_pu > self.theta * (1.0 + self.gamma_su)
+        edge = np.add(1.0, self.gamma_su, out=self.buffer("s0"))
+        np.multiply(self.theta, edge, out=edge)
+        return np.greater(self.gamma_pu, edge, out=self.buffer("admitted"))
 
     @cached_property
     def interference_limited(self) -> np.ndarray:
-        """SU decoded first at full power: ``log2(1 + gamma_su/(1 + gamma_pu))``."""
-        return np.log2(1.0 + self.gamma_su / (1.0 + self.gamma_pu))
+        """SU decoded first at full power: ``log2(1 + gamma_su/(1 + gamma_pu))``,
+        the log taken of the classifier's ratio where it left one."""
+        ratio = self._ratio
+        if ratio is None:
+            ratio = np.add(1.0, self.gamma_pu, out=self.buffer("interference"))
+            np.divide(self.gamma_su, ratio, out=ratio)
+        np.add(1.0, ratio, out=ratio)
+        return np.log2(ratio, out=ratio)
 
     @cached_property
     def clean(self) -> np.ndarray:
         """SU decoded after the PU at full power: ``log2(1 + gamma_su)``."""
-        return np.log2(1.0 + self.gamma_su)
+        clean = np.add(1.0, self.gamma_su, out=self.buffer("clean"))
+        return np.log2(clean, out=clean)
 
-    def full_power(self) -> np.ndarray:
-        """A fresh array of the full-power SU rate: clean where tolerant."""
-        return np.where(self.cells == TOLERANT, self.clean, self.interference_limited)
+    def full_power(self, out=None) -> np.ndarray:
+        """The full-power SU rate, clean where tolerant, into ``out`` or a new array."""
+        tolerant = np.equal(self.cells, TOLERANT, out=self.buffer("b0"))
+        return _select(self, _rates(self, out), tolerant, self.clean, self.interference_limited)
 
 
 # -------------------------------------------------------------- the rules
+#
+# Each rule writes its rates into ``out``, or a new array if it is None.
+
+
+def _rates(draws: CellDraws, out) -> np.ndarray:
+    return np.empty(draws.cells.shape) if out is None else out
+
+
+def _select(draws: CellDraws, out, mask, chosen, other=None) -> np.ndarray:
+    """``chosen`` where ``mask`` holds, else ``other`` (or 0.0), bit for bit.
+
+    The choice is made on the 64-bit patterns with an all-ones or all-zeros
+    word per draw, so no draw takes a branch: a masked copy mispredicts on
+    every other draw and costs several times as much.
+    """
+    bits = out.view(np.int64)
+    word = np.subtract(0, mask, out=draws.buffer("s0", mask.size).view(np.int64), dtype=np.int64)
+    if other is None:
+        return np.bitwise_and(chosen.view(np.int64), word, out=bits).view(np.float64)
+    other = other.view(np.int64)
+    np.bitwise_xor(chosen.view(np.int64), other, out=bits)
+    np.bitwise_and(bits, word, out=bits)
+    return np.bitwise_xor(bits, other, out=bits).view(np.float64)
 
 
 def _split_powers(draws: CellDraws):
-    """Rate splitting's early fraction ``alpha`` and late-part SNR, on the band."""
-    alpha = 1.0 - draws.band_scale
-    return alpha, (1.0 - alpha) * draws.gamma_su[draws.band]
+    """Rate splitting's early fraction ``alpha``, late-part SNR and SU SNR,
+    on the band, in the scratch buffers."""
+    scale, band_su = draws.band_scale()
+    alpha = np.subtract(1.0, scale, out=scale)
+    late_power = np.subtract(1.0, alpha, out=draws.buffer("s2", scale.size))
+    return alpha, np.multiply(late_power, band_su, out=late_power), band_su
 
 
-def rsma_rate_arrays(draws: CellDraws) -> np.ndarray:
+def rsma_rate_arrays(draws: CellDraws, out=None) -> np.ndarray:
     """SU rates under rate splitting: early part, then PU, then late part.
 
     In the band the early part sees the PU and the late part as
     interference.  Outside it ``alpha`` is 1 (below) or 0 (tolerant), where
     the two parts reduce exactly to the full-power rates.
     """
-    rates = draws.full_power()
-    alpha, late_power = _split_powers(draws)
-    early = alpha * draws.gamma_su[draws.band] / (draws.gamma_pu[draws.band] + late_power + 1.0)
-    rates[draws.band] = np.log2(1.0 + early) + np.log2(1.0 + late_power)
+    rates = draws.full_power(out)
+    alpha, late_power, band_su = _split_powers(draws)
+    early = np.multiply(alpha, band_su, out=alpha)
+    room = draws.gather(draws.gamma_pu, "s1")  # over band_su, now spent
+    np.add(np.add(room, late_power, out=room), 1.0, out=room)
+    np.divide(early, room, out=early)
+    np.log2(np.add(1.0, early, out=early), out=early)
+    np.log2(np.add(1.0, late_power, out=late_power), out=late_power)
+    rates[draws.band] = np.add(early, late_power, out=early)
     return rates
 
 
-def sic_rate_arrays(draws: CellDraws) -> np.ndarray:
+def sic_rate_arrays(draws: CellDraws, out=None) -> np.ndarray:
     """SU rates under pure SIC: ``log2(gamma_pu/theta)`` when backed off
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
-    rates = draws.full_power()
-    reduced = np.flatnonzero(draws.cells == REDUCED)
-    rates[reduced] = np.log2(draws.gamma_pu[reduced] / draws.theta)
+    rates = draws.full_power(out)
+    reduced = np.flatnonzero(np.equal(draws.cells, REDUCED, out=draws.buffer("b0")))
+    backed_off = draws.gather(draws.gamma_pu, "s0", reduced)
+    np.divide(backed_off, draws.theta, out=backed_off)
+    rates[reduced] = np.log2(backed_off, out=backed_off)
     return rates
 
 
@@ -216,20 +348,21 @@ def primary_rate_arrays(draws: CellDraws) -> tuple[np.ndarray, np.ndarray]:
     rates = np.log2(1.0 + gamma_pu)
     rates[tolerant] = np.log2(1.0 + gamma_pu[tolerant] / (1.0 + gamma_su[tolerant]))
     splitting, pure = rates, rates.copy()
-    _, late_power = _split_powers(draws)
+    _, late_power, _ = _split_powers(draws)
     splitting[draws.band] = np.log2(1.0 + gamma_pu[draws.band] / (late_power + 1.0))
     pure[np.flatnonzero(draws.cells == REDUCED)] = math.log2(1.0 + draws.theta)
     return splitting, pure
 
 
-def sic_power_factor_array(draws: CellDraws) -> np.ndarray:
+def sic_power_factor_array(draws: CellDraws, out=None) -> np.ndarray:
     """The pure-SIC control-law power scale (the energy diagnostic).
 
     In the split band it solves ``gamma_pu / (1 + c*gamma_su) = theta``,
     the secondary-first cell included; elsewhere the SU keeps full power.
     """
-    scale = np.ones(draws.gamma_pu.shape)
-    scale[draws.band] = draws.band_scale
+    scale = _rates(draws, out)
+    scale.fill(1.0)
+    scale[draws.band] = draws.band_scale()[0]
     return scale
 
 
@@ -241,6 +374,6 @@ def csi_rate_array(draws: CellDraws) -> np.ndarray:
     return draws.interference_limited
 
 
-def qos_rate_array(draws: CellDraws) -> np.ndarray:
+def qos_rate_array(draws: CellDraws, out=None) -> np.ndarray:
     """SU rates of ``bench-qos``: the clean rate where admitted, else silent."""
-    return np.where(draws.qos_admitted, draws.clean, 0.0)
+    return _select(draws, _rates(draws, out), draws.qos_admitted, draws.clean)

@@ -27,9 +27,9 @@ from pathlib import Path
 import numpy as np
 import scipy.special
 
-from .channel import ScenarioConfig, sample_snrs
+from .channel import ScenarioConfig
 from .crosscheck import deviation_report, relative_deviation
-from .montecarlo import McConfig, chunk_stream, estimate, mean_power_factor, sample_point
+from .montecarlo import McConfig, draw_chunk, estimate, mean_power_factor, sample_point
 from .oracle import (
     ergodic_delta_oracle,
     ergodic_rate_oracle,
@@ -37,11 +37,10 @@ from .oracle import (
     mean_power_factor_oracle,
 )
 from .protocols import (
-    CellDraws,
     ProtocolKind,
+    Workspace,
     primary_rate_arrays,
     rsma_rate_arrays,
-    sic_case_array,
     sic_rate_arrays,
 )
 from .specfun import expint_ei, gauss_laguerre
@@ -77,12 +76,12 @@ def _scenario(snr_db: float, secondary_db: float | None = None) -> ScenarioConfi
 
 
 def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
-    """Yield the classified draws of each chunk of the seeded substreams."""
+    """Yield the classified draws of each chunk of the seeded substreams,
+    all in one workspace, so each holds until the next is drawn."""
     mc = McConfig(n_samples=samples, seed=seed)
-    theta = scenario.theta
+    workspace = Workspace(min(mc.chunk_size, mc.n_samples))
     for index, count in enumerate(mc.chunk_counts()):
-        pu_snr, su_snr = sample_snrs(scenario, chunk_stream(seed, index), count)
-        yield CellDraws(pu_snr, su_snr, theta, sic_case_array(pu_snr, su_snr, theta))
+        yield draw_chunk(scenario, seed, index, count, workspace)
 
 
 # --------------------------------------------------------------- criterion 1

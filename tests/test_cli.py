@@ -240,6 +240,25 @@ class TestUsageErrors:
         assert cli.main(["point", "--gamma0", "10", "--samples", "2000"]) == 2
         assert "CRUL_THREADS" in capsys.readouterr().err
 
+    # The bounds are checked on resolved settings alone: past them a run
+    # would start thousands of threads or list 1e10 chunk sizes.
+    @pytest.mark.parametrize("samples", ["0", "10000000001", str(10**15)])
+    def test_sample_count_out_of_range_is_usage_error_naming_it(self, samples):
+        args = cli.build_parser().parse_args(["point", "--gamma0", "10", "--samples", samples])
+        with pytest.raises(cli.UsageError, match="--samples must be"):
+            cli.resolve_settings(args)
+
+    def test_largest_sample_count_is_accepted(self):
+        argv = ["point", "--gamma0", "10", "--samples", "10000000000"]
+        assert cli.resolve_settings(cli.build_parser().parse_args(argv)).samples == 10**10
+
+    def test_too_many_threads_is_usage_error_naming_it(self, monkeypatch):
+        monkeypatch.setenv("CRUL_THREADS", "5000")
+        argv = ["point", "--gamma0", "10", "--samples", "1000000000"]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(cli.UsageError, match="CRUL_THREADS"):
+            cli.resolve_settings(args)
+
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("gamma0 = nan\n", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 import math
 import os
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 from crul import montecarlo
 from crul.channel import ScenarioConfig, sample_snrs
 from crul.montecarlo import (
+    MAX_SAMPLES,
+    MAX_THREADS,
     EstimateResult,
     McConfig,
     chunk_stream,
+    draw_chunk,
     estimate,
     mean_power_factor,
     resolve_workers,
@@ -23,6 +28,7 @@ from crul.oracle import ergodic_rate_oracle
 from crul.protocols import (
     CellDraws,
     ProtocolKind,
+    Workspace,
     csi_rate_array,
     qos_rate_array,
     rsma_case_array,
@@ -58,6 +64,8 @@ class TestMcConfig:
         [
             {"n_samples": 0},
             {"n_samples": -5},
+            # 1e10 draws are 1e5 chunks; more would build a list per chunk.
+            {"n_samples": MAX_SAMPLES + 1},
             {"chunk_size": 0},
             {"seed": 1 << 64},
             {"seed": -(1 << 63) - 1},
@@ -116,6 +124,19 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="CRUL_THREADS"):
             resolve_workers(10)
 
+    @pytest.mark.parametrize("value", [str(MAX_THREADS), f"000{MAX_THREADS}"])
+    def test_cap_itself_applies(self, monkeypatch, value):
+        monkeypatch.setenv("CRUL_THREADS", value)
+        assert resolve_workers(10**5) == MAX_THREADS
+
+    @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "5000", "9" * 5000])
+    def test_rejects_more_than_the_cap(self, monkeypatch, value):
+        # Each worker holds a chunk workspace, and the pool starts a thread
+        # per task up to its cap, so 5000 would start 5000 threads.
+        monkeypatch.setenv("CRUL_THREADS", value)
+        with pytest.raises(ValueError, match="CRUL_THREADS"):
+            resolve_workers(10**4)
+
 
 # ------------------------------------------------------------ determinism
 
@@ -131,6 +152,24 @@ class TestDeterminism:
             with threads(count):
                 values[count] = estimate(protocol, SCENARIO_20DB, mc)
         assert values[1] == values[4] == values[16]
+
+    def test_sample_point_bit_identical_across_worker_counts(self):
+        # Many short chunks and a short switch interval, so the pool's
+        # threads trade workspaces often; one lent to two chunks at once
+        # would mix their draws.
+        mc = McConfig(n_samples=20_000, seed=42, chunk_size=500)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2, 16):
+                with threads(count):
+                    results[count] = sample_point(
+                        SCENARIO_20DB, mc, [ProtocolKind.CR_SIC_NORM, ProtocolKind.CR_RSMA]
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1] == results[2] == results[16]
 
     def test_env_thread_cap_does_not_change_values(self, monkeypatch):
         mc = McConfig(n_samples=100_000, seed=9, chunk_size=10_000)
@@ -268,11 +307,6 @@ class TestEstimate:
 # ------------------------------------------------------------ case breakdown
 
 
-def _classified(scenario, mc, index, count):
-    pu, su = sample_snrs(scenario, chunk_stream(mc.seed, index), count)
-    return CellDraws(pu, su, scenario.theta, sic_case_array(pu, su, scenario.theta))
-
-
 def _case_means(protocol, scenario, mc):
     """Restricted mean of each admission case, from the chunk draws.
 
@@ -285,7 +319,7 @@ def _case_means(protocol, scenario, mc):
         protocol = ProtocolKind.CR_SIC
     chunk_sums = []
     for index, count in enumerate(mc.chunk_counts()):
-        draws = _classified(scenario, mc, index, count)
+        draws = draw_chunk(scenario, mc.seed, index, count)
         if protocol is ProtocolKind.CR_RSMA:
             rates = rsma_rate_arrays(draws)
             cases = rsma_case_array(draws.cells)
@@ -363,15 +397,72 @@ class TestSamplePoint:
     def test_classifies_each_chunk_once_per_pass(self, monkeypatch, protocols, passes):
         sizes = []
 
-        def counted(gamma_pu, gamma_su, theta):
+        def counted(gamma_pu, gamma_su, theta, workspace):
             sizes.append(gamma_pu.size)
-            return sic_case_array(gamma_pu, gamma_su, theta)
+            return sic_case_array(gamma_pu, gamma_su, theta, workspace)
 
         monkeypatch.setattr(montecarlo, "sic_case_array", counted)
         monkeypatch.setenv("CRUL_THREADS", "1")
         mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
         sample_point(SCENARIO_20DB, mc, protocols)
         assert sizes == mc.chunk_counts() * passes
+
+
+# ------------------------------------------------------------ workspaces
+
+#: The families of a plain pass over every protocol, and of a boosted pass.
+PLAIN = (*montecarlo.CASE_FAMILIES, montecarlo._POWER)
+BOOSTED = (ProtocolKind.CR_SIC,)
+
+
+def _bits(chunk):
+    """Every per-case sum and squared sum of one chunk, as exact bytes."""
+    return [(np.asarray(sums, float).tobytes(), float(square).hex()) for sums, square in chunk]
+
+
+class TestWorkspace:
+    def test_a_reused_workspace_leaks_nothing_into_the_next_chunk(self):
+        """One worker's workspace runs chunks whose cells differ (theta = 0
+        included), plain and boosted passes and a short last chunk, each
+        right after another; every sum must equal the sum the same chunk
+        gives in a new workspace, bit for bit."""
+        scenarios = [
+            ScenarioConfig.from_snr_db(pu, su, rate_threshold=rate_th)
+            for pu, su in ((20.0, 20.0), (0.0, 60.0), (60.0, 0.0), (51.217, 31.017))
+            for rate_th in (0.0, 2.5, 6.0)
+        ]
+        mc = McConfig(n_samples=250_001, seed=21, chunk_size=100_000)
+        first, second, short = enumerate(mc.chunk_counts())
+        workspace = Workspace(mc.chunk_size)
+        for index, count in (first, short, second):
+            for scenario in scenarios:
+                boosted = scenario.with_secondary_snr_scaled(2.0)
+                for target, families in ((scenario, PLAIN), (boosted, BOOSTED)):
+                    reused = montecarlo._chunk_sums(
+                        target, families, mc.seed, index, count, workspace
+                    )
+                    fresh = montecarlo._chunk_sums(
+                        target, families, mc.seed, index, count, Workspace(count)
+                    )
+                    assert _bits(reused) == _bits(fresh), (target, families, count)
+
+    def test_a_used_workspace_makes_no_chunk_sized_temporaries(self):
+        """After a warm-up chunk, a plain and a boosted chunk of 1e5 draws
+        in the same workspace allocate under 2.5 MB at their peak.  Only
+        index selections and each family's bincount copy of its case index
+        remain; with the chunk-sized temporaries of every step the peak
+        was 7.4 MB."""
+        workspace = Workspace(100_000)
+        boosted = SCENARIO_20DB.with_secondary_snr_scaled(2.0)
+        montecarlo._chunk_sums(SCENARIO_20DB, PLAIN, 1, 0, 100_000, workspace)
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_sums(SCENARIO_20DB, PLAIN, 1, 1, 100_000, workspace)
+            montecarlo._chunk_sums(boosted, BOOSTED, 1, 1, 100_000, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 # ------------------------------------------------------------ power factor
@@ -404,8 +495,9 @@ class TestMeanPowerFactor:
 
     def test_control_law_spot_value(self):
         # (pu, su, target) = (6, 2, 4): scale (6/4 - 1)/2 = 1/4 exactly.
-        pu, su = np.array([6.0]), np.array([2.0])
-        scale = sic_power_factor_array(CellDraws(pu, su, 4.0, sic_case_array(pu, su, 4.0)))
+        pu, su, workspace = np.array([6.0]), np.array([2.0]), Workspace(1)
+        cells = sic_case_array(pu, su, 4.0, workspace)
+        scale = sic_power_factor_array(CellDraws(pu, su, 4.0, cells, workspace))
         assert scale[0] == 0.25
 
     def test_lives_in_unit_interval(self):
@@ -420,7 +512,7 @@ def _cases(scenario, mc):
     """Both case families over the estimator's draws, in sample order."""
     rsma, sic = [], []
     for index, count in enumerate(mc.chunk_counts()):
-        cells = _classified(scenario, mc, index, count).cells
+        cells = draw_chunk(scenario, mc.seed, index, count).cells
         rsma.append(rsma_case_array(cells))
         sic.append(cells)
     return np.concatenate(rsma), np.concatenate(sic)

@@ -3,8 +3,9 @@
 Closed-form values used below come from hand algebra on exponential
 integrals (noted inline); the protocol-level numbers are cross-checked
 structurally (region partitions, dominance, internal consistency) and
-against direct numpy sampling, never against the quadrature route this
-oracle exists to audit.
+against direct sampling (the per-draw rules averaged over one chunk of
+Monte Carlo draws), never against the quadrature route this oracle exists
+to audit.
 """
 
 import itertools
@@ -15,8 +16,8 @@ import pytest
 
 from crul import cli, oracle
 from crul.analytic import AnalyticParams, preferred_order_term, reduced_power_term
-from crul.channel import ScenarioConfig, sample_snrs
-from crul.montecarlo import McConfig, chunk_stream, estimate
+from crul.channel import ScenarioConfig
+from crul.montecarlo import McConfig, draw_chunk, estimate
 from crul.oracle import (
     FULL_QUADRANT,
     TERMS,
@@ -32,7 +33,6 @@ from crul.oracle import (
     restricted_expectation,
 )
 from crul.protocols import (
-    CellDraws,
     ProtocolKind,
     csi_rate_array,
     qos_rate_array,
@@ -48,10 +48,6 @@ THETA = 2.0**2.5 - 1.0  # default scenario threshold
 
 def scenario(primary_db, secondary_db):
     return ScenarioConfig.from_snr_db(primary_db, secondary_db)
-
-
-def classified(gamma_pu, gamma_su, theta):
-    return CellDraws(gamma_pu, gamma_su, theta, sic_case_array(gamma_pu, gamma_su, theta))
 
 
 def in_region(region, gamma_pu, gamma_su):
@@ -131,8 +127,8 @@ def test_region_slices_hold_exactly_the_classified_draws(
     config = ScenarioConfig.from_snr_db(
         primary_db, secondary_db, rate_threshold=rate_threshold
     )
-    gamma_pu, gamma_su = sample_snrs(config, chunk_stream(3, 0), 100_000)
-    cells = sic_case_array(gamma_pu, gamma_su, config.theta)
+    draws = draw_chunk(config, 3, 0, 100_000)
+    gamma_pu, gamma_su, cells = draws.gamma_pu, draws.gamma_su, draws.cells
     regions = case_regions(config.theta)
     for cell, name in enumerate(TERMS[ProtocolKind.CR_SIC]):
         assert np.array_equal(in_region(regions[name], gamma_pu, gamma_su), cells == cell)
@@ -214,23 +210,17 @@ def test_clean_rate_closed_form():
 def test_mean_power_factor_matches_direct_sampling():
     config = scenario(20.0, 20.0)
     value = mean_power_factor_oracle(config)
-    rng = np.random.Generator(np.random.Philox(2024))
-    gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=400_000)
-    gamma_su = rng.exponential(1.0 / config.lambda_su, size=400_000)
-    sample = sic_power_factor_array(classified(gamma_pu, gamma_su, config.theta))
+    sample = sic_power_factor_array(draw_chunk(config, 2024, 0, 400_000))
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)
     assert abs(value - float(sample.mean())) < 4.0 * stderr
     assert 0.0 < value <= 1.0
 
 
 def test_rates_match_direct_sampling_at_one_point():
-    """One end-to-end spot check per protocol against raw numpy sampling."""
+    """One end-to-end spot check per protocol against direct sampling."""
     config = scenario(10.0, 15.0)
-    rng = np.random.Generator(np.random.Philox(77))
     n = 400_000
-    gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=n)
-    gamma_su = rng.exponential(1.0 / config.lambda_su, size=n)
-    draws = classified(gamma_pu, gamma_su, config.theta)
+    draws = draw_chunk(config, 77, 0, n)
     samples = {
         ProtocolKind.CR_RSMA: rsma_rate_arrays(draws),
         ProtocolKind.CR_SIC: sic_rate_arrays(draws),

@@ -20,6 +20,7 @@ from crul.protocols import (
     TOLERANT,
     CellDraws,
     ProtocolKind,
+    Workspace,
     csi_rate_array,
     primary_rate_arrays,
     qos_rate_array,
@@ -263,7 +264,9 @@ def test_dominance_is_strict_inside_the_split_band(gamma_su, theta, position):
 
 def classified(gamma_pu, gamma_su, theta):
     gamma_pu, gamma_su = np.asarray(gamma_pu, float), np.asarray(gamma_su, float)
-    return CellDraws(gamma_pu, gamma_su, theta, sic_case_array(gamma_pu, gamma_su, theta))
+    workspace = Workspace(gamma_pu.size)
+    cells = sic_case_array(gamma_pu, gamma_su, theta, workspace)
+    return CellDraws(gamma_pu, gamma_su, theta, cells, workspace)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -278,7 +281,7 @@ def test_vectorized_kernels_match_scalar_rules(seed):
     su = rsma_rate_arrays(draws)
     pu, s_pu = primary_rate_arrays(draws)
     alpha = np.full(gamma_pu.shape, np.nan)
-    alpha[draws.band] = 1.0 - draws.band_scale
+    alpha[draws.band] = 1.0 - draws.band_scale()[0]
     r_cases = rsma_case_array(draws.cells)
     s_su = sic_rate_arrays(draws)
     factor = sic_power_factor_array(draws)
