@@ -143,8 +143,8 @@ def exponential_from_uniform(u, rate: float, out=None):
 
     ``u = 1`` maps to 0 and ``u -> 0`` to the tail, so feeding
     ``1 - random()`` (which lives on ``(0, 1]``) can never produce an
-    infinite SNR.  Accepts scalars or arrays; an array result goes to
-    ``out`` (which may be ``u`` itself) when one is given.
+    infinite SNR.  Accepts scalars or arrays; ``out`` is the ufuncs'
+    ``out`` and may be ``u`` itself.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be > 0, got {rate}")
@@ -152,21 +152,19 @@ def exponential_from_uniform(u, rate: float, out=None):
     # A min and a max scan the draws without building a mask, and reject NaN.
     if u_arr.size and not (u_arr.min() > 0.0 and u_arr.max() <= 1.0):
         raise ValueError("uniform input must lie in (0, 1]")
-    result = np.log(u_arr, out=np.empty_like(u_arr) if out is None else out)
-    np.negative(result, out=result)
-    np.divide(result, rate, out=result)
+    result = np.divide(np.negative(np.log(u_arr, out=out), out=out), rate, out=out)
     return float(result) if np.isscalar(u) or u_arr.ndim == 0 else result
 
 
-def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int, out=None):
+def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int, out):
     """Draw ``count`` i.i.d. SNR pairs; primary block first, then secondary.
 
     The fixed draw order (one primary array, then one secondary array) is
     what makes chunked parallel estimation reproducible: any consumer of
     the same generator state sees identical pairs.  ``out``, a pair of
-    ``count``-long float arrays, receives the draws in place of new arrays.
+    ``count``-long float arrays, receives the draws and is returned.
     """
-    gamma_pu, gamma_su = (np.empty(count), np.empty(count)) if out is None else out
+    gamma_pu, gamma_su = out
     for draws, rate in ((gamma_pu, scenario.lambda_pu), (gamma_su, scenario.lambda_su)):
         rng.random(out=draws)
         np.subtract(1.0, draws, out=draws)

@@ -92,13 +92,9 @@ BELOW, REDUCED, PREFERRED, TOLERANT = range(4)
 def tolerance_level(gamma_pu, theta: float, out=None):
     """Most SU SNR the PU tolerates at full power: ``gamma_pu/theta - 1``.
 
-    Scalars or arrays, ``theta > 0``; an array result goes to ``out`` when
-    one is given.
+    Scalars or arrays, ``theta > 0``; ``out`` is the ufuncs' ``out``.
     """
-    if out is None:
-        return gamma_pu / theta - 1.0
-    np.divide(gamma_pu, theta, out=out)
-    return np.subtract(out, 1.0, out=out)
+    return np.subtract(np.divide(gamma_pu, theta, out=out), 1.0, out=out)
 
 
 def switch_level(gamma_pu, theta: float):
@@ -112,12 +108,12 @@ def switch_level(gamma_pu, theta: float):
 
 #: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
 #: the two SNR draws, the two full-power logs, a family's rates and three
-#: of scratch; the cells, a family's case index and one of scratch;
-#: ``bench-qos``'s admission mask and two of scratch.  Scratch (``s*``,
-#: ``i0``, ``b*``) lives only inside one function.
+#: of scratch; the cells and a family's case index; ``bench-qos``'s
+#: admission mask and two of scratch.  Scratch (``s*``, ``b*``) lives only
+#: inside one step of a rule.
 _BUFFERS = {
     np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
-    np.int8: ("cells", "cases", "i0"),
+    np.int8: ("cells", "cases"),
     np.bool_: ("admitted", "b0", "b1"),
 }
 
@@ -136,9 +132,6 @@ class Workspace:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        #: ``(cells, ratio)`` of the last classification: ``ratio`` is
-        #: ``gamma_su/(1 + gamma_pu)``, or None where theta is 0.
-        self.classified = None
         self._buffers: dict[str, np.ndarray] = {}
         for dtype, names in _BUFFERS.items():
             self._buffers.update(zip(names, np.empty((len(names), capacity), dtype)))
@@ -152,7 +145,7 @@ class Workspace:
 # --------------------------------------------------------------- the cells
 
 
-def sic_case_array(gamma_pu, gamma_su, theta: float, workspace=None) -> np.ndarray:
+def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np.ndarray:
     """Decision cell of every draw of a 1-D batch (the pure-SIC case index), as ``int8``.
 
     Below is ``gamma_pu < theta``, tolerant ``gamma_pu >= theta*(1 +
@@ -162,32 +155,21 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace=None) -> np.ndarr
     theta``, ``gamma_su = 0``) the draw is tolerant, so the cells refine
     rate splitting's cases.  The cells, and the ratio ``gamma_su/(1 +
     gamma_pu)`` that :attr:`CellDraws.interference_limited` takes the log
-    of, are left in ``workspace`` (a new one if none is given).
+    of, are left in ``workspace``.
     """
     size = gamma_pu.size
-    workspace = Workspace(size) if workspace is None else workspace
-    cells, raised = workspace.buffer("cells", size), workspace.buffer("i0", size)
+    cells, ratio = workspace.buffer("cells", size), workspace.buffer("interference", size)
     mask, other = workspace.buffer("b0", size), workspace.buffer("b1", size)
     scratch = workspace.buffer("s0", size)
-    ratio = None
+    np.divide(gamma_su, np.add(1.0, gamma_pu, out=ratio), out=ratio)
+    cells.fill(REDUCED)
     if theta > 0.0:
-        ratio = np.add(1.0, gamma_pu, out=workspace.buffer("interference", size))
-        np.divide(gamma_su, ratio, out=ratio)
-        level = tolerance_level(gamma_pu, theta, out=scratch)
-        np.greater(ratio, level, out=mask)
+        np.greater(ratio, tolerance_level(gamma_pu, theta, out=scratch), out=mask)
         np.logical_or(mask, np.less_equal(gamma_pu, theta, out=other), out=mask)
-    else:
-        mask.fill(False)
-    # Integer arithmetic on the masks, not masked stores, which mispredict
-    # a branch on every other draw: reduced or preferred, raised to
-    # tolerant, then zeroed (below) unless the PU reaches theta.
-    np.add(mask, REDUCED, out=cells, dtype=np.int8)
+        np.copyto(cells, PREFERRED, where=mask)
     edge = np.multiply(theta, np.add(1.0, gamma_su, out=scratch), out=scratch)
-    np.greater_equal(gamma_pu, edge, out=mask)
-    np.maximum(cells, np.multiply(mask, TOLERANT, out=raised, dtype=np.int8), out=cells)
-    np.logical_not(np.less(gamma_pu, theta, out=mask), out=mask)
-    np.multiply(cells, mask, out=cells, dtype=np.int8)
-    workspace.classified = (cells, ratio)
+    np.copyto(cells, TOLERANT, where=np.greater_equal(gamma_pu, edge, out=mask))
+    np.copyto(cells, BELOW, where=np.less(gamma_pu, theta, out=mask))
     return cells
 
 
@@ -198,7 +180,7 @@ def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
 
 
 class CellDraws:
-    """Fading draws with their decision cells from :func:`sic_case_array`.
+    """Fading draws with the decision cells :func:`sic_case_array` left in ``workspace``.
 
     What several rules read is computed on first use and kept in the
     workspace's buffers, so it holds until the workspace classifies its
@@ -213,9 +195,6 @@ class CellDraws:
         self.theta = theta
         self.cells = cells
         self.workspace = workspace
-        classified = workspace.classified
-        # The classifier's ratio, when it classified these very cells.
-        self._ratio = None if classified is None or classified[0] is not cells else classified[1]
 
     def buffer(self, name: str, size: int | None = None) -> np.ndarray:
         """The workspace's named buffer, one entry per draw unless ``size`` says."""
@@ -255,11 +234,8 @@ class CellDraws:
     @cached_property
     def interference_limited(self) -> np.ndarray:
         """SU decoded first at full power: ``log2(1 + gamma_su/(1 + gamma_pu))``,
-        the log taken of the classifier's ratio where it left one."""
-        ratio = self._ratio
-        if ratio is None:
-            ratio = np.add(1.0, self.gamma_pu, out=self.buffer("interference"))
-            np.divide(self.gamma_su, ratio, out=ratio)
+        the log taken of the classifier's ratio in place."""
+        ratio = self.buffer("interference")
         np.add(1.0, ratio, out=ratio)
         return np.log2(ratio, out=ratio)
 
@@ -269,36 +245,17 @@ class CellDraws:
         clean = np.add(1.0, self.gamma_su, out=self.buffer("clean"))
         return np.log2(clean, out=clean)
 
-    def full_power(self, out=None) -> np.ndarray:
-        """The full-power SU rate, clean where tolerant, into ``out`` or a new array."""
+    def full_power(self, out: np.ndarray) -> np.ndarray:
+        """The full-power SU rate, clean where tolerant, into ``out``."""
+        np.copyto(out, self.interference_limited)
         tolerant = np.equal(self.cells, TOLERANT, out=self.buffer("b0"))
-        return _select(self, _rates(self, out), tolerant, self.clean, self.interference_limited)
+        np.copyto(out, self.clean, where=tolerant)
+        return out
 
 
 # -------------------------------------------------------------- the rules
 #
-# Each rule writes its rates into ``out``, or a new array if it is None.
-
-
-def _rates(draws: CellDraws, out) -> np.ndarray:
-    return np.empty(draws.cells.shape) if out is None else out
-
-
-def _select(draws: CellDraws, out, mask, chosen, other=None) -> np.ndarray:
-    """``chosen`` where ``mask`` holds, else ``other`` (or 0.0), bit for bit.
-
-    The choice is made on the 64-bit patterns with an all-ones or all-zeros
-    word per draw, so no draw takes a branch: a masked copy mispredicts on
-    every other draw and costs several times as much.
-    """
-    bits = out.view(np.int64)
-    word = np.subtract(0, mask, out=draws.buffer("s0", mask.size).view(np.int64), dtype=np.int64)
-    if other is None:
-        return np.bitwise_and(chosen.view(np.int64), word, out=bits).view(np.float64)
-    other = other.view(np.int64)
-    np.bitwise_xor(chosen.view(np.int64), other, out=bits)
-    np.bitwise_and(bits, word, out=bits)
-    return np.bitwise_xor(bits, other, out=bits).view(np.float64)
+# Each rule writes its rates into ``out``, one float per draw.
 
 
 def _split_powers(draws: CellDraws):
@@ -310,7 +267,7 @@ def _split_powers(draws: CellDraws):
     return alpha, np.multiply(late_power, band_su, out=late_power), band_su
 
 
-def rsma_rate_arrays(draws: CellDraws, out=None) -> np.ndarray:
+def rsma_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """SU rates under rate splitting: early part, then PU, then late part.
 
     In the band the early part sees the PU and the late part as
@@ -329,7 +286,7 @@ def rsma_rate_arrays(draws: CellDraws, out=None) -> np.ndarray:
     return rates
 
 
-def sic_rate_arrays(draws: CellDraws, out=None) -> np.ndarray:
+def sic_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """SU rates under pure SIC: ``log2(gamma_pu/theta)`` when backed off
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
     rates = draws.full_power(out)
@@ -354,16 +311,15 @@ def primary_rate_arrays(draws: CellDraws) -> tuple[np.ndarray, np.ndarray]:
     return splitting, pure
 
 
-def sic_power_factor_array(draws: CellDraws, out=None) -> np.ndarray:
+def sic_power_factor_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """The pure-SIC control-law power scale (the energy diagnostic).
 
     In the split band it solves ``gamma_pu / (1 + c*gamma_su) = theta``,
     the secondary-first cell included; elsewhere the SU keeps full power.
     """
-    scale = _rates(draws, out)
-    scale.fill(1.0)
-    scale[draws.band] = draws.band_scale()[0]
-    return scale
+    out.fill(1.0)
+    out[draws.band] = draws.band_scale()[0]
+    return out
 
 
 def csi_rate_array(draws: CellDraws) -> np.ndarray:
@@ -374,6 +330,8 @@ def csi_rate_array(draws: CellDraws) -> np.ndarray:
     return draws.interference_limited
 
 
-def qos_rate_array(draws: CellDraws, out=None) -> np.ndarray:
+def qos_rate_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """SU rates of ``bench-qos``: the clean rate where admitted, else silent."""
-    return _select(draws, _rates(draws, out), draws.qos_admitted, draws.clean)
+    out.fill(0.0)
+    np.copyto(out, draws.clean, where=draws.qos_admitted)
+    return out

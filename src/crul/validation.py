@@ -213,8 +213,8 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     band_draws = 0
     band_ties = 0
     for draws in _draw_chunks(scenario, seed, samples):
-        splitting = rsma_rate_arrays(draws)
-        pure = sic_rate_arrays(draws)
+        splitting = rsma_rate_arrays(draws, np.empty(draws.cells.size))
+        pure = sic_rate_arrays(draws, np.empty(draws.cells.size))
         worst_gap = max(worst_gap, float((pure - splitting).max()))
         band = draws.band
         band_draws += band.size

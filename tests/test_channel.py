@@ -155,18 +155,22 @@ def test_inverse_cdf_vectorized():
     assert out == pytest.approx([0.0, 1.0, 3.0], rel=1e-12)
 
 
+def draw(scenario, rng, count):
+    return sample_snrs(scenario, rng, count, (np.empty(count), np.empty(count)))
+
+
 def test_sample_mean_matches_exponential():
     # 1e6 draws at rate 0.04: mean 25, sd of the mean 0.025 -> 3 sigma band.
     scenario = make_scenario(20.0, 20.0)
     rng = np.random.Generator(np.random.Philox(12345))
-    _, gamma_su = sample_snrs(scenario, rng, 1_000_000)
+    _, gamma_su = draw(scenario, rng, 1_000_000)
     assert abs(float(gamma_su.mean()) - 25.0) < 0.075
 
 
 def test_sample_distribution_kolmogorov_smirnov():
     scenario = make_scenario(20.0, 20.0)
     rng = np.random.Generator(np.random.Philox(999))
-    gamma_pu, gamma_su = sample_snrs(scenario, rng, 1_000_000)
+    gamma_pu, gamma_su = draw(scenario, rng, 1_000_000)
     for values, rate in ((gamma_pu, 0.01), (gamma_su, 0.04)):
         statistic = scipy.stats.kstest(values, "expon", args=(0.0, 1.0 / rate)).statistic
         assert statistic < 0.002
@@ -174,16 +178,16 @@ def test_sample_distribution_kolmogorov_smirnov():
 
 def test_sampling_is_deterministic_per_seed():
     scenario = make_scenario(15.0, 10.0)
-    a = sample_snrs(scenario, np.random.Generator(np.random.Philox(7)), 1000)
-    b = sample_snrs(scenario, np.random.Generator(np.random.Philox(7)), 1000)
+    a = draw(scenario, np.random.Generator(np.random.Philox(7)), 1000)
+    b = draw(scenario, np.random.Generator(np.random.Philox(7)), 1000)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = sample_snrs(scenario, np.random.Generator(np.random.Philox(8)), 1000)
+    c = draw(scenario, np.random.Generator(np.random.Philox(8)), 1000)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_single_realization_consumes_primary_draw_first():
     scenario = make_scenario(0.0, 0.0, secondary_distance=1.0)
-    gamma_pu, gamma_su = sample_snrs(scenario, np.random.Generator(np.random.Philox(41)), 1)
+    gamma_pu, gamma_su = draw(scenario, np.random.Generator(np.random.Philox(41)), 1)
     rng = np.random.Generator(np.random.Philox(41))
     first, second = 1.0 - rng.random(), 1.0 - rng.random()
     assert gamma_pu[0] == pytest.approx(-math.log(first), rel=1e-14)
@@ -192,7 +196,7 @@ def test_single_realization_consumes_primary_draw_first():
 
 def test_snrs_are_nonnegative_and_finite():
     scenario = make_scenario(30.0, 30.0)
-    gamma_pu, gamma_su = sample_snrs(scenario, np.random.Generator(np.random.Philox(3)), 10_000)
+    gamma_pu, gamma_su = draw(scenario, np.random.Generator(np.random.Philox(3)), 10_000)
     for values in (gamma_pu, gamma_su):
         assert np.all(values >= 0.0)
         assert np.all(np.isfinite(values))

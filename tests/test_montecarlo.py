@@ -238,7 +238,8 @@ class TestEstimate:
 
     def test_single_sample_equals_per_realization_rate(self):
         mc = McConfig(n_samples=1, seed=7)
-        gamma_pu, gamma_su = sample_snrs(SCENARIO_20DB, chunk_stream(7, 0), 1)
+        out = np.empty(1), np.empty(1)
+        gamma_pu, gamma_su = sample_snrs(SCENARIO_20DB, chunk_stream(7, 0), 1, out)
         draw = (float(gamma_pu[0]), float(gamma_su[0]))
         theta = SCENARIO_20DB.theta
         expected = {
@@ -321,16 +322,16 @@ def _case_means(protocol, scenario, mc):
     for index, count in enumerate(mc.chunk_counts()):
         draws = draw_chunk(scenario, mc.seed, index, count)
         if protocol is ProtocolKind.CR_RSMA:
-            rates = rsma_rate_arrays(draws)
+            rates = rsma_rate_arrays(draws, np.empty(count))
             cases = rsma_case_array(draws.cells)
         elif protocol is ProtocolKind.CR_SIC:
-            rates = sic_rate_arrays(draws)
+            rates = sic_rate_arrays(draws, np.empty(count))
             cases = draws.cells
         elif protocol is ProtocolKind.BENCH_CSI:
             rates = csi_rate_array(draws)
             cases = np.zeros(count, dtype=np.int8)
         else:
-            rates = qos_rate_array(draws)
+            rates = qos_rate_array(draws, np.empty(count))
             cases = (draws.gamma_pu > draws.theta * (1.0 + draws.gamma_su)).astype(np.int8)
         chunk_sums.append(np.bincount(cases, weights=rates, minlength=4))
     return [math.fsum(sums[k] for sums in chunk_sums) / mc.n_samples for k in range(4)]
@@ -497,7 +498,8 @@ class TestMeanPowerFactor:
         # (pu, su, target) = (6, 2, 4): scale (6/4 - 1)/2 = 1/4 exactly.
         pu, su, workspace = np.array([6.0]), np.array([2.0]), Workspace(1)
         cells = sic_case_array(pu, su, 4.0, workspace)
-        scale = sic_power_factor_array(CellDraws(pu, su, 4.0, cells, workspace))
+        draws = CellDraws(pu, su, 4.0, cells, workspace)
+        scale = sic_power_factor_array(draws, np.empty(1))
         assert scale[0] == 0.25
 
     def test_lives_in_unit_interval(self):

@@ -3,9 +3,8 @@
 Closed-form values used below come from hand algebra on exponential
 integrals (noted inline); the protocol-level numbers are cross-checked
 structurally (region partitions, dominance, internal consistency) and
-against direct sampling (the per-draw rules averaged over one chunk of
-Monte Carlo draws), never against the quadrature route this oracle exists
-to audit.
+against direct numpy sampling, never against the quadrature route this
+oracle exists to audit.
 """
 
 import itertools
@@ -33,7 +32,9 @@ from crul.oracle import (
     restricted_expectation,
 )
 from crul.protocols import (
+    CellDraws,
     ProtocolKind,
+    Workspace,
     csi_rate_array,
     qos_rate_array,
     rsma_case_array,
@@ -48,6 +49,12 @@ THETA = 2.0**2.5 - 1.0  # default scenario threshold
 
 def scenario(primary_db, secondary_db):
     return ScenarioConfig.from_snr_db(primary_db, secondary_db)
+
+
+def classified(gamma_pu, gamma_su, theta):
+    workspace = Workspace(gamma_pu.size)
+    cells = sic_case_array(gamma_pu, gamma_su, theta, workspace)
+    return CellDraws(gamma_pu, gamma_su, theta, cells, workspace)
 
 
 def in_region(region, gamma_pu, gamma_su):
@@ -210,22 +217,29 @@ def test_clean_rate_closed_form():
 def test_mean_power_factor_matches_direct_sampling():
     config = scenario(20.0, 20.0)
     value = mean_power_factor_oracle(config)
-    sample = sic_power_factor_array(draw_chunk(config, 2024, 0, 400_000))
+    rng = np.random.Generator(np.random.Philox(2024))
+    gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=400_000)
+    gamma_su = rng.exponential(1.0 / config.lambda_su, size=400_000)
+    draws = classified(gamma_pu, gamma_su, config.theta)
+    sample = sic_power_factor_array(draws, np.empty(400_000))
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)
     assert abs(value - float(sample.mean())) < 4.0 * stderr
     assert 0.0 < value <= 1.0
 
 
 def test_rates_match_direct_sampling_at_one_point():
-    """One end-to-end spot check per protocol against direct sampling."""
+    """One end-to-end spot check per protocol against raw numpy sampling."""
     config = scenario(10.0, 15.0)
+    rng = np.random.Generator(np.random.Philox(77))
     n = 400_000
-    draws = draw_chunk(config, 77, 0, n)
+    gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=n)
+    gamma_su = rng.exponential(1.0 / config.lambda_su, size=n)
+    draws = classified(gamma_pu, gamma_su, config.theta)
     samples = {
-        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws),
-        ProtocolKind.CR_SIC: sic_rate_arrays(draws),
+        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws, np.empty(n)),
+        ProtocolKind.CR_SIC: sic_rate_arrays(draws, np.empty(n)),
         ProtocolKind.BENCH_CSI: csi_rate_array(draws),
-        ProtocolKind.BENCH_QOS: qos_rate_array(draws),
+        ProtocolKind.BENCH_QOS: qos_rate_array(draws, np.empty(n)),
     }
     for protocol, values in samples.items():
         oracle_value = ergodic_rate_oracle(protocol, config)
@@ -279,7 +293,7 @@ def test_high_snr_localized_mass_is_not_lost():
     rng = np.random.Generator(np.random.Philox(5))
     gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=2_000_000)
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=2_000_000)
-    mask = sic_case_array(gamma_pu, gamma_su, config.theta) == 1
+    mask = classified(gamma_pu, gamma_su, config.theta).cells == 1
     sample = np.where(mask, np.log2(np.where(mask, gamma_pu, 1.0) / config.theta), 0.0)
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)
     assert abs(value - float(sample.mean())) < 4.0 * stderr

@@ -278,15 +278,15 @@ def test_vectorized_kernels_match_scalar_rules(seed):
     gamma_pu[:3] = (THETA, THETA * (1.0 + gamma_su[1]), 0.0)
 
     draws = classified(gamma_pu, gamma_su, THETA)
-    su = rsma_rate_arrays(draws)
+    su = rsma_rate_arrays(draws, np.empty(200))
     pu, s_pu = primary_rate_arrays(draws)
     alpha = np.full(gamma_pu.shape, np.nan)
     alpha[draws.band] = 1.0 - draws.band_scale()[0]
     r_cases = rsma_case_array(draws.cells)
-    s_su = sic_rate_arrays(draws)
-    factor = sic_power_factor_array(draws)
+    s_su = sic_rate_arrays(draws, np.empty(200))
+    factor = sic_power_factor_array(draws, np.empty(200))
     csi = csi_rate_array(draws)
-    qos = qos_rate_array(draws)
+    qos = qos_rate_array(draws, np.empty(200))
 
     for i in range(len(gamma_pu)):
         draw = (float(gamma_pu[i]), float(gamma_su[i]), THETA)
@@ -335,9 +335,11 @@ def test_exact_ties_fall_in_pinned_cells(gamma_pu, gamma_su, theta, cell, admitt
     draw = (gamma_pu, gamma_su, theta)
     assert draws.cells[0] == cell == sic_case_index(*draw)
     assert rsma_case_array(draws.cells)[0] == (0, 1, 1, 2)[cell] == rsma_case_index(*draw)
-    assert sic_rate_arrays(draws)[0] == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
-    assert rsma_rate_arrays(draws)[0] == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
-    qos = qos_rate_array(draws)[0]
+    sic = sic_rate_arrays(draws, np.empty(1))[0]
+    assert sic == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
+    rsma = rsma_rate_arrays(draws, np.empty(1))[0]
+    assert rsma == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
+    qos = qos_rate_array(draws, np.empty(1))[0]
     assert qos == (math.log2(1.0 + gamma_su) if admitted else 0.0)
     assert qos == benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw)
 
