@@ -81,25 +81,14 @@ class Settings:
     nodes: int
 
 
-_CONFIG_KEYS = {
-    "gamma0": float,
-    "gamma0_pu": float,
-    "gamma0_su": float,
-    "dist_pu": float,
-    "dist_su": float,
-    "u": float,
-    "rate_th": float,
-    "protocol": str,
-    "method": str,
-    "samples": int,
-    "seed": int,
-    "nodes": int,
-}
+def load_config(path: str) -> list[str]:
+    """Read a ``key = value`` file as ``--key=value`` flags.
 
-
-def load_config(path: str) -> dict[str, str]:
-    """Parse a ``key = value`` file (``#`` comments, blank lines allowed)."""
-    values: dict[str, str] = {}
+    ``#`` comments and blank lines are allowed; underscores in a key read
+    as hyphens.  The subcommand's parser applies the types and rejects keys
+    it does not take.
+    """
+    flags = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -111,11 +100,11 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
-    return values
+        flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise UsageError(f"{path}:{lineno}: --config cannot be set in a config file")
+        flags.append(f"{flag}={value}")
+    return flags
 
 
 def _parse_protocols(spec: str) -> tuple[ProtocolKind, ...]:
@@ -124,13 +113,10 @@ def _parse_protocols(spec: str) -> tuple[ProtocolKind, ...]:
         return ALL_PROTOCOLS
     if not names:
         raise UsageError("protocol list is empty")
-    protocols = []
-    for name in names:
-        try:
-            protocols.append(ProtocolKind.from_name(name))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return tuple(protocols)
+    try:
+        return tuple(dict.fromkeys(ProtocolKind.from_name(name) for name in names))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_methods(spec: str) -> tuple[str, ...]:
@@ -140,7 +126,7 @@ def _parse_methods(spec: str) -> tuple[str, ...]:
     for name in names:
         if name not in METHODS:
             raise UsageError(f"unknown method {name!r}; choose from {METHODS}")
-    return tuple(names)
+    return tuple(dict.fromkeys(names))
 
 
 def _require(flag: str, value, valid: bool, rule: str) -> None:
@@ -148,66 +134,54 @@ def _require(flag: str, value, valid: bool, rule: str) -> None:
         raise UsageError(f"--{flag} must be {rule}, got {value}")
 
 
+def _budget(args: argparse.Namespace) -> tuple[int, int]:
+    """Checked ``(samples, seed)`` and ``CRUL_THREADS``, what every subcommand reads."""
+    samples = args.samples
+    if samples is None:
+        samples = 10**5 if args.quick else 10**6
+    _require("samples", samples, 1 <= samples <= MAX_SAMPLES, f"in [1, {MAX_SAMPLES}]")
+    _require("seed", args.seed, 0 <= args.seed < 1 << 64, "in [0, 2**64)")
+    try:
+        resolve_workers(1)  # a bad CRUL_THREADS is a usage error, not a failure mid-run
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return samples, args.seed
+
+
 def resolve_settings(args: argparse.Namespace) -> Settings:
-    """Merge command-line flags over config-file values over defaults."""
-    file_values = load_config(args.config) if args.config else {}
-
-    def pick(name: str, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            caster = _CONFIG_KEYS[name]
-            try:
-                return caster(file_values[name])
-            except ValueError as exc:
-                raise UsageError(f"config key {name}: {exc}") from exc
-        return default
-
-    gamma0 = pick("gamma0", None)
-    gamma0_pu = pick("gamma0_pu", None)
-    gamma0_su = pick("gamma0_su", None)
-    dist_pu, dist_su = pick("dist_pu", 1.0), pick("dist_su", 2.0)
-    u, rate_th = pick("u", 2.0), pick("rate_th", 2.5)
+    """Check the parsed flags of a ``point``, ``sweep`` or figure run."""
+    # Only ``point`` takes all three SNR flags; ``figure2`` takes none.
+    gamma0 = getattr(args, "gamma0", None)
+    gamma0_pu = getattr(args, "gamma0_pu", None)
+    gamma0_su = getattr(args, "gamma0_su", None)
     # Comparisons are false for NaN, so each check also rejects it.
     low, high = SNR_DB_RANGE
     for flag, value in (("gamma0", gamma0), ("gamma0-pu", gamma0_pu), ("gamma0-su", gamma0_su)):
         if value is not None:
             _require(flag, value, low <= value <= high, f"a mean SNR in [{low:g}, {high:g}] dB")
-    for flag, value in (("dist-pu", dist_pu), ("dist-su", dist_su)):
+    for flag, value in (("dist-pu", args.dist_pu), ("dist-su", args.dist_su)):
         _require(flag, value, 0.0 < value < math.inf, "finite and > 0")
-    for flag, value in (("u", u), ("rate-th", rate_th)):
+    for flag, value in (("u", args.u), ("rate-th", args.rate_th)):
         _require(flag, value, 0.0 <= value < math.inf, "finite and >= 0")
     if gamma0 is not None:
         if gamma0_pu is not None or gamma0_su is not None:
             raise UsageError("--gamma0 conflicts with --gamma0-pu/--gamma0-su")
         gamma0_pu = gamma0_su = gamma0
-
-    samples = pick("samples", None)
-    if samples is None:
-        samples = 10**5 if args.quick else 10**6
-    _require("samples", samples, 1 <= samples <= MAX_SAMPLES, f"in [1, {MAX_SAMPLES}]")
-    nodes = pick("nodes", 100)
-    _require("nodes", nodes, 1 <= nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
-    seed = pick("seed", 0)
-    _require("seed", seed, 0 <= seed < 1 << 64, "in [0, 2**64)")
-    try:
-        resolve_workers(1)  # a bad CRUL_THREADS is a usage error, not a failure mid-run
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    samples, seed = _budget(args)
+    _require("nodes", args.nodes, 1 <= args.nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
 
     return Settings(
         gamma0_pu=gamma0_pu,
         gamma0_su=gamma0_su,
-        dist_pu=dist_pu,
-        dist_su=dist_su,
-        u=u,
-        rate_th=rate_th,
-        protocols=_parse_protocols(pick("protocol", "all")),
-        methods=_parse_methods(pick("method", ",".join(METHODS))),
+        dist_pu=args.dist_pu,
+        dist_su=args.dist_su,
+        u=args.u,
+        rate_th=args.rate_th,
+        protocols=_parse_protocols(args.protocol),
+        methods=_parse_methods(args.method),
         samples=samples,
         seed=seed,
-        nodes=nodes,
+        nodes=args.nodes,
     )
 
 
@@ -359,10 +333,20 @@ def run_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep(
-    args, settings: Settings, points: list[tuple[float, float]], default_out: str
-) -> int:
-    out_path = args.out or default_out
+def run_sweep(args: argparse.Namespace) -> int:
+    """``sweep``, and the ``figure2``/``figure3`` presets of its grid."""
+    settings = resolve_settings(args)
+    grid = _grid(args.start, args.stop, args.step)
+    if args.sweep_var == "pu":
+        fixed_su = 20.0 if settings.gamma0_su is None else settings.gamma0_su
+        points = [(value, fixed_su) for value in grid]
+    elif settings.gamma0_su is not None:
+        raise UsageError("--gamma0-su needs --sweep-var pu; a 'both' sweep moves both links")
+    else:
+        points = [(value, value) for value in grid]
+    out_path = args.out or f"{args.command}.csv"
+    if args.emit_plot and Path(out_path).suffix == ".gp":
+        raise UsageError(f"--out {out_path} would be overwritten by the --emit-plot script")
     rows = make_rows(settings, points)
     write_csv(rows, out_path)
     if args.emit_plot:
@@ -373,37 +357,12 @@ def _run_sweep(
     return EXIT_OK
 
 
-def run_sweep(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    grid = _grid(args.start, args.stop, args.step)
-    if args.sweep_var == "pu":
-        fixed_su = settings.gamma0_su if settings.gamma0_su is not None else 20.0
-        points = [(value, fixed_su) for value in grid]
-    else:
-        points = [(value, value) for value in grid]
-    return _run_sweep(args, settings, points, "sweep.csv")
-
-
-def run_figure2(args: argparse.Namespace) -> int:
-    points = [(float(db), float(db)) for db in range(0, 41, 2)]
-    return _run_sweep(args, resolve_settings(args), points, "figure2.csv")
-
-
-def run_figure3(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    fixed_su = settings.gamma0_su if settings.gamma0_su is not None else 20.0
-    points = [(float(db), fixed_su) for db in range(0, 61, 2)]
-    return _run_sweep(args, settings, points, "figure3.csv")
-
-
 def run_validate(args: argparse.Namespace) -> int:
     from . import validation
 
-    settings = resolve_settings(args)
+    samples, seed = _budget(args)
     out_path = args.out or "deviation_report.json"
-    results, report = validation.run_all(
-        quick=args.quick, seed=settings.seed, samples=settings.samples
-    )
+    results, report = validation.run_all(samples, quick=args.quick, seed=seed)
     Path(out_path).write_text(json.dumps(report, indent=2), encoding="utf-8")
     failed = 0
     for check in results:
@@ -421,33 +380,6 @@ def run_validate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ parser
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma0", type=float, help="mean SNR of both links (dB)")
-    parser.add_argument("--gamma0-pu", type=float, help="primary mean SNR (dB)")
-    parser.add_argument("--gamma0-su", type=float, help="secondary mean SNR (dB)")
-    parser.add_argument("--dist-pu", type=float, help="primary distance ratio")
-    parser.add_argument("--dist-su", type=float, help="secondary distance ratio")
-    parser.add_argument("--u", type=float, help="path-loss exponent")
-    parser.add_argument(
-        "--rate-th", type=float, help="primary rate target over bandwidth"
-    )
-    parser.add_argument(
-        "--protocol", help="comma-separated protocol names, or 'all'"
-    )
-    parser.add_argument("--method", help=f"comma-separated subset of {','.join(METHODS)}")
-    parser.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    parser.add_argument("--seed", type=int, help="Monte Carlo stream seed")
-    parser.add_argument("--nodes", type=int, help="quadrature order")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--config", help="key=value config file (flags win)")
-    parser.add_argument(
-        "--emit-plot", action="store_true", help="also write a gnuplot script"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced sample budget / quick checks"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crul",
@@ -455,12 +387,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    point = sub.add_parser("point", help="evaluate one configuration")
-    _add_shared_flags(point)
-    point.set_defaults(handler=run_point)
+    # Flag groups by what reads them; each subcommand takes only its own.
+    budget, scenario, su, split, plot = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    budget.add_argument("--samples", type=int, help="Monte Carlo sample count")
+    budget.add_argument("--seed", type=int, default=0, help="Monte Carlo stream seed")
+    budget.add_argument("--quick", action="store_true", help="reduced sample budget / quick checks")
+    budget.add_argument("--out", help="output path")
+    budget.add_argument("--config", help="key=value config file (flags win)")
+    scenario.add_argument("--dist-pu", type=float, default=1.0, help="primary distance ratio")
+    scenario.add_argument("--dist-su", type=float, default=2.0, help="secondary distance ratio")
+    scenario.add_argument("--u", type=float, default=2.0, help="path-loss exponent")
+    scenario.add_argument("--rate-th", type=float, default=2.5, help="primary target (bit/s/Hz)")
+    scenario.add_argument("--protocol", default="all", help="comma-separated protocols, or 'all'")
+    methods = ",".join(METHODS)
+    scenario.add_argument("--method", default=methods, help=f"comma-separated subset of {methods}")
+    scenario.add_argument("--nodes", type=int, default=100, help="quadrature order")
+    su.add_argument("--gamma0-su", type=float, help="secondary mean SNR (dB)")
+    split.add_argument("--gamma0", type=float, help="mean SNR of both links (dB)")
+    split.add_argument("--gamma0-pu", type=float, help="primary mean SNR (dB)")
+    plot.add_argument("--emit-plot", action="store_true", help="also write a gnuplot script")
 
-    sweep = sub.add_parser("sweep", help="sweep a mean-SNR grid to CSV")
-    _add_shared_flags(sweep)
+    def command(name: str, summary: str, handler, *parents) -> argparse.ArgumentParser:
+        # No abbreviations: a flag a subcommand lacks must not match one it has.
+        child = sub.add_parser(name, help=summary, parents=[*parents, budget], allow_abbrev=False)
+        child.set_defaults(handler=handler)
+        return child
+
+    command("point", "evaluate one configuration", run_point, split, su, scenario)
+    sweep = command("sweep", "sweep a mean-SNR grid to CSV", run_sweep, scenario, su, plot)
     sweep.add_argument("--start", type=float, default=0.0, help="grid start (dB)")
     sweep.add_argument("--stop", type=float, default=40.0, help="grid stop (dB)")
     sweep.add_argument("--step", type=float, default=2.0, help="grid step (dB)")
@@ -470,33 +424,28 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="sweep both links together, or the primary only",
     )
-    sweep.set_defaults(handler=run_sweep)
-
-    figure2 = sub.add_parser("figure2", help="preset: both links 0..40 dB step 2")
-    _add_shared_flags(figure2)
-    figure2.set_defaults(handler=run_figure2)
-
-    figure3 = sub.add_parser(
-        "figure3", help="preset: primary 0..60 dB step 2, secondary fixed at 20 dB"
-    )
-    _add_shared_flags(figure3)
-    figure3.set_defaults(handler=run_figure3)
-
-    validate = sub.add_parser("validate", help="run the acceptance checks")
-    _add_shared_flags(validate)
-    validate.set_defaults(handler=run_validate)
-
+    command(
+        "figure2", "preset: both links 0..40 dB step 2", run_sweep, scenario, plot
+    ).set_defaults(start=0.0, stop=40.0, step=2.0, sweep_var="both")
+    command(
+        "figure3", "preset: primary 0..60 dB step 2, secondary fixed at 20 dB",
+        run_sweep, scenario, su, plot,
+    ).set_defaults(start=0.0, stop=60.0, step=2.0, sweep_var="pu")
+    command("validate", "run the acceptance checks", run_validate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
+        if args.config:
+            # The file's flags go ahead of the command line's, so flags win.
+            args = parser.parse_args([args.command, *load_config(args.config), *argv[1:]])
         return args.handler(args)
+    except SystemExit as exc:  # argparse: a usage error, or --help
+        return EXIT_OK if exc.code is None else int(exc.code)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

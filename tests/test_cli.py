@@ -6,6 +6,7 @@ boundary; only inputs that once hung run in a child process.  Sample counts are 
 sampling itself.
 """
 
+import argparse
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import pytest
 from crul import cli
 from crul.crosscheck import ARBITRATION_REL_TOL
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 
 POINT_FAST = ["point", "--gamma0", "12", "--samples", "2000", "--seed", "3"]
@@ -101,6 +103,15 @@ class TestPoint:
         assert status == 0
         row = data_rows(out)[0]
         assert (row[1], row[2]) == ("30", "10")
+
+    def test_repeated_list_entries_give_one_row(self, capsys):
+        argv = ["point", "--gamma0", "10", "--protocol", "cr-rsma,bench-qos,cr-rsma",
+                "--method", "oracle, oracle,analytic"]
+        status, out = run_cli(capsys, argv)
+        assert status == 0
+        assert [(row[0], row[3]) for row in data_rows(out)] == [
+            ("cr-rsma", "oracle"), ("cr-rsma", "analytic"), ("bench-qos", "oracle"),
+        ]
 
     def test_out_flag_writes_file_instead_of_stdout(self, capsys, tmp_path):
         target = tmp_path / "point.csv"
@@ -282,6 +293,67 @@ class TestUsageErrors:
         assert cli.main(["point", "--gamma0", "5", "--config", str(cfg)]) == 2
 
 
+#: Flags each subcommand does not take: no run of it would read them.
+NOT_TAKEN = {
+    "point": ["--emit-plot"],
+    "sweep": ["--gamma0", "--gamma0-pu"],
+    "figure2": ["--gamma0", "--gamma0-pu", "--gamma0-su"],
+    "figure3": ["--gamma0", "--gamma0-pu"],
+    "validate": [
+        "--gamma0", "--gamma0-pu", "--gamma0-su", "--dist-pu", "--dist-su", "--u",
+        "--rate-th", "--protocol", "--method", "--nodes", "--emit-plot",
+    ],
+}
+
+NOT_TAKEN_PAIRS = [(command, flag) for command, flags in NOT_TAKEN.items() for flag in flags]
+
+
+def _named(flag: str, err: str) -> bool:
+    return flag in re.split(r"[\s=]", err)
+
+
+class TestInputsASubcommandDoesNotRead:
+    @pytest.mark.parametrize("command,flag", NOT_TAKEN_PAIRS)
+    def test_flag_is_usage_error_naming_it(self, capsys, tmp_path, command, flag):
+        value = [] if flag == "--emit-plot" else ["5"]
+        argv = [command, flag, *value, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert _named(flag, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", NOT_TAKEN_PAIRS)
+    def test_config_key_is_usage_error_naming_it(self, capsys, tmp_path, command, flag):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = 5\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert _named(flag, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["quick", "emit_plot", "config"])
+    def test_config_key_without_a_value_flag_is_usage_error(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
+
+    def test_secondary_snr_of_a_both_links_sweep_is_usage_error(self, capsys, tmp_path):
+        argv = ["sweep", "--sweep-var", "both", "--gamma0-su", "15",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert "--gamma0-su" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_plot_script_over_the_csv_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "run.gp"
+        argv = ["figure2", "--method", "oracle", "--protocol", "cr-rsma",
+                "--emit-plot", "--out", str(target)]
+        assert cli.main(argv) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not target.exists()
+
+
 # ----------------------------------------------------------------- config
 
 
@@ -426,6 +498,20 @@ class TestFigurePresets:
         assert target.name in script
 
 
+    @pytest.mark.parametrize("figure", ["figure2", "figure3"])
+    def test_script_writes_csv_and_plot(self, tmp_path, figure):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        target = tmp_path / f"{figure}.csv"
+        script = ROOT / "scripts" / f"run_{figure}.py"
+        command = [sys.executable, str(script), "--method", "oracle",
+                   "--protocol", "cr-rsma", "--out", str(target)]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        points = 21 if figure == "figure2" else 31
+        assert len(data_rows(target.read_text(encoding="utf-8"))) == points
+        assert target.name in target.with_suffix(".gp").read_text(encoding="utf-8")
+
+
 # --------------------------------------------------------------- validate
 
 
@@ -453,3 +539,38 @@ class TestValidate:
         status, out = run_cli(capsys, argv)
         assert status == 0
         assert "criterion_9 PASS" in out
+
+    @pytest.mark.parametrize("samples", ["1", "3"])
+    def test_tiny_budget_reports_every_criterion(self, capsys, tmp_path, samples):
+        # Criterion 6 used to divide by a zero standard error (exit 1).
+        argv = ["validate", "--quick", "--samples", samples,
+                "--out", str(tmp_path / "report.json")]
+        status, out = run_cli(capsys, argv)
+        assert status in (0, 3)
+        lines = [line for line in out.splitlines() if line.startswith("criterion_")]
+        assert [line.split()[0] for line in lines] == [f"criterion_{i}" for i in range(1, 10)]
+
+
+# ------------------------------------------------------------------ docs
+
+
+def test_readme_flag_table_matches_the_parser():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    header = next(line for line in lines if line.startswith("| flag |"))
+    commands = [cell.strip() for cell in header.strip("|").split("|")][1:-1]
+    documented = {}
+    for line in lines:
+        if re.match(r"\| `--[\w-]+` \|", line):
+            flag, *marks = [cell.strip() for cell in line.strip("|").split("|")][:-1]
+            documented[flag.strip("`")] = {name for name, mark in zip(commands, marks) if mark}
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    taken = {}
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag != "--help":
+                    taken.setdefault(flag, set()).add(name)
+    assert documented == taken
