@@ -28,13 +28,17 @@ term by term:
 * fixed half-line quadrature of the kernels (the headline approximation
   route).
 * adaptive panel integration of the same kernels on the Gauss-Kronrod
-  panels of :mod:`crul.panels`.  This removes the fixed rule's tail
-  truncation: the largest order-100 node is near 375, so a kernel
-  decaying like ``exp(-lambda_su * x)`` loses visible mass once
-  ``1/lambda_su`` grows past the node range.
+  panels of :mod:`crul.panels` (the ``*_integral`` functions).  These
+  have none of the fixed rule's tail truncation -- the largest order-100
+  node is near 375, so a kernel decaying like ``exp(-lambda_su * x)``
+  loses visible mass once ``1/lambda_su`` grows past the node range --
+  and serve as checks of the kernels against the oracle.
 
-:mod:`crul.crosscheck` arbitrates between the routes term by term against
-the adaptive-integration oracle.
+:mod:`crul.crosscheck` arbitrates between the ``stated`` and ``derived``
+routes term by term against the adaptive-integration oracle, and falls
+back to the oracle's own term where both miss it.  The adaptive kernel
+integrals are report-only: the deviation report tabulates them, and an
+arbitrated rate never runs them.
 """
 
 from __future__ import annotations

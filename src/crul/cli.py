@@ -81,12 +81,12 @@ class Settings:
     nodes: int
 
 
-def load_config(path: str) -> list[str]:
-    """Read a ``key = value`` file as ``--key=value`` flags.
+def load_config(path: str) -> list[tuple[int, str, str]]:
+    """Read a ``key = value`` file as ``(line number, key, --key=value)`` flags.
 
     ``#`` comments and blank lines are allowed; underscores in a key read
-    as hyphens.  The subcommand's parser applies the types and rejects keys
-    it does not take.
+    as hyphens.  The subcommand's parser applies the types, and ``main``
+    rejects keys it does not take.
     """
     flags = []
     try:
@@ -103,7 +103,7 @@ def load_config(path: str) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if flag == "--config":
             raise UsageError(f"{path}:{lineno}: --config cannot be set in a config file")
-        flags.append(f"{flag}={value}")
+        flags.append((lineno, key, f"{flag}={value}"))
     return flags
 
 
@@ -441,8 +441,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
+            lines = load_config(args.config)
+            flags = [flag for _, _, flag in lines]
+            _, unknown = parser.parse_known_args([args.command, *flags])
+            for lineno, key, flag in lines:
+                if flag in unknown:
+                    raise UsageError(
+                        f"{args.config}:{lineno}: key {key!r}: crul {args.command} "
+                        f"has no flag {flag.split('=', 1)[0]}"
+                    )
             # The file's flags go ahead of the command line's, so flags win.
-            args = parser.parse_args([args.command, *load_config(args.config), *argv[1:]])
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
         return args.handler(args)
     except SystemExit as exc:  # argparse: a usage error, or --help
         return EXIT_OK if exc.code is None else int(exc.code)

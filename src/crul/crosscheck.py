@@ -2,28 +2,31 @@
 
 Every analytic total is a sum of per-case terms, and several of those
 terms exist in more than one written form (a transcription of the source
-expression, the re-derived expression, and an adaptive integration of the
-pre-quadrature kernel).  This module evaluates every available route for
-every term, compares each against that term's own region integral, and
-assembles the arbitrated total from the first route in preference order
-that lands within tolerance — transcription first (keep the written form
-when it is right), then the derived form, then the adaptive kernel route,
-with the oracle value itself as the fallback.  The region integrals are
-the per-case terms that :mod:`crul.oracle` owns and memoises, so the
-oracle rows and the arbitration share one integration per term.
+expression and the re-derived expression).  This module evaluates every
+available route for every term, compares each against that term's own
+region integral, and assembles the arbitrated total from the first route
+in preference order that lands within tolerance -- transcription first
+(keep the written form when it is right), then the derived form, with the
+oracle value itself as the fallback where a fixed-order rule saturates.
+The region integrals are the per-case terms that :mod:`crul.oracle` owns
+and memoises, so the oracle rows and the arbitration share one
+integration per term, and the fallback costs nothing more.
 
 The full comparison table is exported as a JSON-ready deviation report so
 that a reader can see exactly which written forms disagree with the
 integrals they claim to equal, by how much, and what was used instead.
-A route that raises (an as-printed form overflowing outside the regime it
-was stated for, say) is recorded as NaN with the reason and never wins,
-so it cannot take the row down with it.
+The report also tabulates an ``integral`` route for three terms: adaptive
+integrations of their derived kernels, which check those kernels against
+the oracle.  They are report-only and never chosen, so arbitrated rates
+never run them.  A route that raises (an as-printed form overflowing
+outside the regime it was stated for, say) is recorded as NaN with the
+reason and never wins, so it cannot take the row down with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import analytic
 from .analytic import DERIVED, STATED, AnalyticParams
@@ -36,10 +39,10 @@ from .protocols import ProtocolKind
 from .specfun import ConvergenceError
 
 #: Routes tried in order; the first within ARBITRATION_REL_TOL of the
-#: term oracle wins.  "stated" is the transcription, "derived" the
-#: re-derivation (both fixed-rule quadrature where the term needs one),
-#: "integral" the adaptive integration of the derived kernel.
-ROUTE_PREFERENCE = ("stated", "derived", "integral")
+#: term oracle wins, and the oracle value is the fallback.  "stated" is the
+#: transcription, "derived" the re-derivation (both fixed-rule quadrature
+#: where the term needs one).
+ROUTE_PREFERENCE = ("stated", "derived")
 #: Structurally correct routes agree with their term oracle to ~1e-8;
 #: the tolerance sits far above that but far below the smallest
 #: coincidental match observed from a slipped transcription (a stray
@@ -103,8 +106,8 @@ def _arbitrate(routes: dict[str, float], oracle_value: float) -> tuple[str, floa
     return "oracle", oracle_value
 
 
-def _report(protocol, term, routes, oracle_value, params, in_total=True) -> TermReport:
-    """Evaluate every route (a callable of ``params``) and arbitrate."""
+def _run_routes(routes, params) -> tuple[dict[str, float], dict[str, str]]:
+    """Each route's value (a callable of ``params``), NaN with a reason if it raised."""
     values, errors = {}, {}
     for name, route in routes.items():
         try:
@@ -112,6 +115,12 @@ def _report(protocol, term, routes, oracle_value, params, in_total=True) -> Term
         except _ROUTE_ERRORS as exc:
             values[name] = math.nan
             errors[name] = f"{type(exc).__name__}: {exc}"
+    return values, errors
+
+
+def _report(protocol, term, routes, oracle_value, params, in_total=True) -> TermReport:
+    """Evaluate every route and arbitrate."""
+    values, errors = _run_routes(routes, params)
     chosen_route, chosen_value = _arbitrate(values, oracle_value)
     return TermReport(
         protocol=protocol.value,
@@ -131,7 +140,6 @@ _TERM_ROUTES = {
     "below": ("interference_limited", {
         "stated": lambda p: analytic.below_threshold_term(p, STATED),
         "derived": lambda p: analytic.below_threshold_term(p, DERIVED),
-        "integral": lambda p: analytic.below_threshold_term_integral(p),
     }),
     "band": ("split_band", {
         "stated": lambda p: analytic.split_band_term(p, STATED),
@@ -139,16 +147,23 @@ _TERM_ROUTES = {
     }),
     "reduced": ("reduced_power", {
         "derived": lambda p: analytic.reduced_power_term(p),
-        "integral": lambda p: analytic.reduced_power_term_integral(p),
     }),
     "preferred": ("preferred_order", {
         "derived": lambda p: analytic.preferred_order_term(p),
-        "integral": lambda p: analytic.preferred_order_term_integral(p),
     }),
     "clear": ("clear_channel", {
         "stated": lambda p: analytic.clear_channel_term(p, STATED),
         "derived": lambda p: analytic.clear_channel_term(p, DERIVED),
     }),
+}
+
+#: Report-only ``integral`` routes, by term: adaptive integrations of the
+#: derived kernels (the preferred-order one is the oracle's own integral).
+#: Only the deviation report runs them; they are never chosen.
+_KERNEL_CHECKS = {
+    "interference_limited": {"integral": lambda p: analytic.below_threshold_term_integral(p)},
+    "reduced_power": {"integral": lambda p: analytic.reduced_power_term_integral(p)},
+    "preferred_order": {"integral": lambda p: analytic.preferred_order_term_integral(p)},
 }
 
 
@@ -220,7 +235,8 @@ def evaluate(
 
 def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     """JSON-ready table of every route of every term at every config,
-    with the closed forms on the default 100-node rule.
+    with the closed forms on the default 100-node rule and the
+    report-only kernel checks as each checked term's ``integral`` route.
 
     ``flagged`` summarizes the routes that miss their term oracle by more
     than the report tolerance — the transcription slips show up here.
@@ -228,8 +244,16 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     entries = []
     flagged = []
     for label, scenario in scenarios.items():
+        params = AnalyticParams.from_scenario(scenario)
         for protocol in TERMS:
             for report in term_reports(protocol, scenario):
+                if report.term in _KERNEL_CHECKS:
+                    values, errors = _run_routes(_KERNEL_CHECKS[report.term], params)
+                    report = replace(
+                        report,
+                        routes={**report.routes, **values},
+                        route_errors={**report.route_errors, **errors},
+                    )
                 entry = {
                     "config": label,
                     "protocol": report.protocol,

@@ -203,7 +203,8 @@ def _family_sums(family, draws: CellDraws):
         rates = rsma_rate_arrays(draws, rates)
         rsma_case_array(draws.cells, cases)
     elif family is ProtocolKind.CR_SIC:
-        rates, cases = sic_rate_arrays(draws, rates), draws.cells
+        rates = sic_rate_arrays(draws, rates)
+        np.copyto(cases, draws.cells)
     elif family is ProtocolKind.BENCH_CSI:
         rates = csi_rate_array(draws)
         cases.fill(0)

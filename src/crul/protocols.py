@@ -108,12 +108,14 @@ def switch_level(gamma_pu, theta: float):
 
 #: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
 #: the two SNR draws, the two full-power logs, a family's rates and three
-#: of scratch; the cells and a family's case index; ``bench-qos``'s
+#: of scratch; the cells; a family's case index, ``intp`` because that is
+#: the index ``np.bincount`` reads without a copy; ``bench-qos``'s
 #: admission mask and two of scratch.  Scratch (``s*``, ``b*``) lives only
 #: inside one step of a rule.
 _BUFFERS = {
     np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
-    np.int8: ("cells", "cases"),
+    np.int8: ("cells",),
+    np.intp: ("cases",),
     np.bool_: ("admitted", "b0", "b1"),
 }
 

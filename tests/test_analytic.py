@@ -15,10 +15,12 @@ from hypothesis import given, strategies as st
 from crul import analytic
 from crul.analytic import DERIVED, STATED, AnalyticParams
 from crul.channel import ScenarioConfig
+from crul.crosscheck import ARBITRATION_REL_TOL, relative_deviation
 from crul.oracle import (
     FULL_QUADRANT,
     RegionSpec,
     case_regions,
+    case_terms,
     ergodic_delta_oracle,
     ergodic_rate_oracle,
     restricted_expectation,
@@ -556,6 +558,23 @@ class TestSicTotal:
         )
         reference = ergodic_rate_oracle(ProtocolKind.CR_SIC, scenario)
         assert rel_err(total, reference) < 1e-6
+
+    @pytest.mark.parametrize("gamma0_su_db", [30.0, 40.0, 50.0, 60.0])
+    @pytest.mark.parametrize("gamma0_pu_db", [20.0, 40.0])
+    def test_kernel_checks_hold_at_high_secondary_snr(self, gamma0_pu_db, gamma0_su_db):
+        # The fixed rule saturates on these three terms here, so the rows
+        # carry the oracle's terms; the adaptive kernel integrals are the
+        # evidence that the derived kernels are right where it cannot be.
+        scenario = ScenarioConfig.from_snr_db(gamma0_pu_db, gamma0_su_db)
+        p = AnalyticParams.from_scenario(scenario)
+        terms = case_terms(ProtocolKind.CR_SIC, scenario)
+        below = analytic.below_threshold_term_integral(p)
+        reduced = analytic.reduced_power_term_integral(p)
+        assert relative_deviation(below, terms["below"]) <= ARBITRATION_REL_TOL
+        assert relative_deviation(reduced, terms["reduced"]) <= ARBITRATION_REL_TOL
+        # The oracle's own integrand over its own region, by its integrator:
+        # a recomputation of the oracle term, not an independent check.
+        assert analytic.preferred_order_term_integral(p) == terms["preferred"]
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0, 30.0, 40.0])
     def test_rate_splitting_dominates(self, gamma0_db):

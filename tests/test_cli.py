@@ -292,6 +292,14 @@ class TestUsageErrors:
         cfg.write_text("samples = 10\nwarp_factor = 9\n", encoding="utf-8")
         assert cli.main(["point", "--gamma0", "5", "--config", str(cfg)]) == 2
 
+    def test_config_key_error_names_the_file_line_and_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("# validate reads no SNR\n\nseed = 3\ngamma0 = 5\n", encoding="utf-8")
+        assert cli.main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:4: key 'gamma0': crul validate has no flag --gamma0" in err
+        assert "usage: crul [-h]" not in err
+
 
 #: Flags each subcommand does not take: no run of it would read them.
 NOT_TAKEN = {

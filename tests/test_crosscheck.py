@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from crul import analytic, cli
 from crul.channel import ScenarioConfig
 from crul.crosscheck import (
+    ANALYTIC_PROTOCOLS,
     ARBITRATION_REL_TOL,
     REPORT_REL_TOL,
     arbitrated_rate,
@@ -75,15 +77,15 @@ class TestTermReports:
         assert reports["preferred_order"].flagged_routes == ()
         assert reports["clear_channel"].flagged_routes == ()
 
-    def test_quadrature_collapse_falls_back_to_adaptive_route(self):
+    def test_quadrature_collapse_falls_back_to_the_oracle(self):
         # At 40 dB the fixed rule misses the kernel mass entirely for the
-        # slowly-decaying terms; arbitration must hand those to the
-        # adaptive-integration route, never to a degraded value.
+        # slowly-decaying terms; arbitration must hand those to the term's
+        # own oracle value, never to a degraded value.
         rsma = {r.term: r for r in term_reports(ProtocolKind.CR_RSMA, SCENARIO_40DB)}
         sic = {r.term: r for r in term_reports(ProtocolKind.CR_SIC, SCENARIO_40DB)}
-        assert rsma["interference_limited"].chosen_route == "integral"
-        assert sic["reduced_power"].chosen_route == "integral"
-        assert sic["preferred_order"].chosen_route == "integral"
+        for report in (rsma["interference_limited"], sic["reduced_power"], sic["preferred_order"]):
+            assert report.chosen_route == "oracle"
+            assert report.chosen_value == report.oracle_value
         for report in list(rsma.values()) + list(sic.values()):
             assert relative_deviation(report.chosen_value, report.oracle_value) <= (
                 ARBITRATION_REL_TOL
@@ -193,6 +195,37 @@ class TestDeviationReport:
     def test_tolerances_recorded(self, report):
         assert report["arbitration_rel_tol"] == ARBITRATION_REL_TOL
         assert report["report_rel_tol"] == REPORT_REL_TOL
+
+    def test_tabulates_the_kernel_checks_but_never_chooses_them(self, report):
+        checked = {"interference_limited", "reduced_power", "preferred_order"}
+        for entry in report["entries"]:
+            assert ("integral" in entry["routes"]) == (entry["term"] in checked)
+            assert entry["chosen_route"] != "integral"
+        assert sum(entry["term"] in checked for entry in report["entries"]) == 4
+
+
+KERNEL_CHECKS = (
+    "below_threshold_term_integral",
+    "reduced_power_term_integral",
+    "preferred_order_term_integral",
+)
+
+
+def test_rows_never_run_the_kernel_checks(monkeypatch):
+    """At 40 dB the fixed rule saturates on three terms, which used to send
+    arbitration to the adaptive kernel integrals; the rows take the oracle's
+    terms instead."""
+    for name in KERNEL_CHECKS:
+        monkeypatch.setattr(
+            analytic, name, lambda params, name=name: pytest.fail(f"the rows ran {name}")
+        )
+    argv = ["point", "--gamma0", "40", "--method", "analytic"]
+    settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
+    rows = cli.make_rows(settings, [(40.0, 40.0)])
+    assert [row.split(",")[0] for row in rows] == ["cr-rsma", "cr-sic", "cr-sic-norm"]
+    for row, protocol in zip(rows, ANALYTIC_PROTOCOLS):
+        oracle = ergodic_rate_oracle(protocol, SCENARIO_40DB)
+        assert relative_deviation(float(row.split(",")[4]), oracle) <= ARBITRATION_REL_TOL
 
 
 class TestRouteIsolation:

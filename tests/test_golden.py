@@ -3,7 +3,7 @@
 Each file under ``golden/`` is the CSV that ``crul`` wrote with the
 arguments next to its name.  The two sweeps cover every protocol and every
 method; the equal-SNR one reaches 40 dB, where term arbitration falls back
-to the adaptive ``integral`` routes.  The two figure presets pin every
+to the oracle's own term value.  The two figure presets pin every
 analytic and oracle row of their full grids.  A change that claims to keep
 results must keep these bytes; one that moves them regenerates the files
 with the same arguments and explains the diff.
