@@ -206,6 +206,16 @@ def _scenario(settings: Settings, gamma0_pu: float, gamma0_su: float) -> Scenari
     )
 
 
+def _output(path: str) -> str:
+    """``path``, checked before any point is computed: a file in an existing directory."""
+    target = Path(path)
+    if target.is_dir():
+        raise UsageError(f"--out {path} is a directory")
+    if not target.parent.is_dir():
+        raise UsageError(f"--out {path}: no directory {target.parent}")
+    return path
+
+
 def _grid(start: float, stop: float, step: float) -> list[float]:
     low, high = SNR_DB_RANGE
     for flag, value in (("start", start), ("stop", stop)):
@@ -323,6 +333,8 @@ def run_point(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     if settings.gamma0_pu is None or settings.gamma0_su is None:
         raise UsageError("point needs --gamma0 (or --gamma0-pu and --gamma0-su)")
+    if args.out:
+        _output(args.out)
     rows = make_rows(settings, [(settings.gamma0_pu, settings.gamma0_su)])
     if args.out:
         write_csv(rows, args.out)
@@ -344,9 +356,13 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--gamma0-su needs --sweep-var pu; a 'both' sweep moves both links")
     else:
         points = [(value, value) for value in grid]
-    out_path = args.out or f"{args.command}.csv"
-    if args.emit_plot and Path(out_path).suffix == ".gp":
-        raise UsageError(f"--out {out_path} would be overwritten by the --emit-plot script")
+    out_path = _output(args.out or f"{args.command}.csv")
+    if args.emit_plot:
+        script = Path(out_path).with_suffix(".gp")
+        if script == Path(out_path):
+            raise UsageError(f"--out {out_path} would be overwritten by the --emit-plot script")
+        if script.is_dir():
+            raise UsageError(f"--out {out_path} puts the --emit-plot script on directory {script}")
     rows = make_rows(settings, points)
     write_csv(rows, out_path)
     if args.emit_plot:
@@ -361,7 +377,7 @@ def run_validate(args: argparse.Namespace) -> int:
     from . import validation
 
     samples, seed = _budget(args)
-    out_path = args.out or "deviation_report.json"
+    out_path = _output(args.out or "deviation_report.json")
     results, report = validation.run_all(samples, quick=args.quick, seed=seed)
     Path(out_path).write_text(json.dumps(report, indent=2), encoding="utf-8")
     failed = 0

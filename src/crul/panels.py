@@ -15,8 +15,9 @@ truncated where the neglected relative mass falls below ``exp(-45)``
 times the tolerance.  Each panel carries the 21-point Gauss-Kronrod rule
 and, as in QUADPACK (Piessens et al., 1983), ``|K21 - G10|`` -- the
 distance to the embedded 10-point Gauss rule -- as its error estimate.
-Panels are evaluated in numpy array passes, and only the panels of the
-integrals that miss their budget are bisected.
+Panels are evaluated in numpy array passes of at most 512 panels, so each
+pass's temporaries stay in L2 and under the allocator's mmap threshold,
+and only the panels of the integrals that miss their budget are bisected.
 
 Integrands take arrays and return an array broadcastable to their shape.
 A miss that bisection cannot repair raises :class:`QuadratureError`.
@@ -114,9 +115,19 @@ _MAX_PANELS = 200
 _INNER_BUDGET = 20.0
 _OUTER_BUDGET = 10.0
 _BUDGET_FLOOR = 1e-12
-# Inner slices evaluated per array pass; bounds the memory of one pass to
-# about a MB per array (each slice starts with ten panels of 21 nodes).
+# Inner slices integrated together, about 5,000 panels as each starts with
+# ten; _kronrod evaluates their nodes _BLOCK panels at a time.
 _SLICE_BATCH = 512
+# Panels whose nodes and integrand _kronrod evaluates per numpy pass.  A
+# block's temporaries, 512 x 21 floats (86 kB), stay in L2 and under the
+# allocator's mmap threshold (128 kB), so each pass reuses warm memory
+# where a whole batch would map, and page-fault, fresh arrays.  Only the
+# elementwise work is blocked: BLAS picks its kernels by row count, so the
+# K21/G10 matmul stays one product over all panels to keep its last bits.
+# A block of outer panels holds whole slice batches of nodes (512 * 21 is
+# a multiple of _SLICE_BATCH), so the outer integrand forms the same inner
+# batches blocked or not.
+_BLOCK = 512
 
 
 def tail_horizon(rel_tol: float) -> float:
@@ -144,11 +155,17 @@ def geometric_edges(lower: float, upper: float, scale: float) -> np.ndarray:
 
 
 def _kronrod(f, rows, a, b):
-    """K21 value and ``|K21 - G10|`` of each panel ``[a, b]`` of row ``rows``."""
+    """K21 value and ``|K21 - G10|`` of each panel ``[a, b]`` of row ``rows``.
+
+    The nodes and the integrand are evaluated ``_BLOCK`` panels at a time
+    into one array, and the rules are applied to that whole array.
+    """
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = centre[:, None] + half[:, None] * NODES
-    values = np.broadcast_to(f(rows, nodes), nodes.shape)
+    values = np.empty((a.size, NODES.size))
+    for start in range(0, a.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        values[block] = f(rows[block], centre[block, None] + half[block, None] * NODES)
     sums = values @ _RULES
     kronrod = half * sums[:, 0]
     return kronrod, np.abs(kronrod - half * sums[:, 1])
@@ -232,8 +249,8 @@ def exponential_expectation(
     ``x_lower <= x < x_upper`` and ``max(0, y_lower(x)) <= y < y_upper(x)``
     (``None`` meaning 0 and infinity).  Both axes are cut into doubling
     panels; the inner ones start at each slice's lower bound and stop at
-    its upper bound or the tail horizon, whichever comes first, and every
-    outer node's slice is integrated in one array pass.  Raises
+    its upper bound or the tail horizon, whichever comes first, and the
+    slices of up to 512 outer nodes are integrated together.  Raises
     :class:`QuadratureError` when a slice misses ``20 * rel_tol * |v| +
     1e-12`` or the whole misses ``10 * rel_tol * |total| + 1e-12``.
     """

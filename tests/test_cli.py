@@ -25,6 +25,7 @@ SRC = ROOT / "src"
 HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 
 POINT_FAST = ["point", "--gamma0", "12", "--samples", "2000", "--seed", "3"]
+SWEEPS = ("sweep", "figure2", "figure3")
 
 
 def run_cli(capsys, argv):
@@ -281,11 +282,46 @@ class TestUsageErrors:
         missing = tmp_path / "nope.cfg"
         assert cli.main(["point", "--config", str(missing)]) == 2
 
-    def test_unwritable_output_is_io_failure(self, capsys, tmp_path):
-        argv = ["point", "--gamma0", "5", "--samples", "2000",
-                "--protocol", "cr-rsma", "--method", "mc",
-                "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")]
+    @pytest.mark.parametrize(
+        "command,where",
+        [(command, where) for command in ("point", *SWEEPS, "validate")
+         for where in ("missing directory", "directory")]
+        + [(command, "plot directory") for command in SWEEPS],
+    )
+    def test_unwritable_output_is_usage_error_before_any_work(
+        self, capsys, tmp_path, monkeypatch, command, where
+    ):
+        from crul import validation
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(cli, "make_rows", no_work)
+        monkeypatch.setattr(validation, "run_all", no_work)
+        out = {
+            "missing directory": tmp_path / "no" / "such" / "x.csv",
+            "directory": tmp_path,
+            "plot directory": tmp_path / "x.csv",
+        }[where]
+        argv = [command, "--out", str(out)]
+        if command == "point":
+            argv += ["--gamma0", "5"]
+        if where == "plot directory":
+            (tmp_path / "x.gp").mkdir()
+            argv.append("--emit-plot")
+        assert cli.main(argv) == 2
+        assert _named("--out", capsys.readouterr().err)
+        assert not out.is_file()
+
+    def test_failed_write_is_io_failure(self, capsys, tmp_path, monkeypatch):
+        def refuse(rows, out_path):
+            raise PermissionError(f"cannot write {out_path}")
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+        argv = POINT_FAST + ["--protocol", "cr-rsma", "--method", "mc",
+                             "--out", str(tmp_path / "x.csv")]
         assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")
 
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

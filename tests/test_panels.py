@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from crul import oracle
+from crul import oracle, panels
 from crul.channel import ScenarioConfig
 from crul.oracle import (
     FULL_QUADRANT,
@@ -141,6 +141,99 @@ def test_geometric_edges_reject_a_scale_without_a_first_panel(scale):
     # A zero-width first panel never doubles, so the edges never reach upper.
     with pytest.raises(ValueError, match="scale"):
         geometric_edges(0.0, 1.0, scale)
+
+
+# ----------------------------------------------------- blocked evaluation
+
+
+def whole_array_kronrod(f, rows, a, b):
+    """``_kronrod`` as one pass: every panel's nodes and integrand at once."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = centre[:, None] + half[:, None] * NODES
+    values = np.empty(nodes.shape)
+    values[...] = f(rows, nodes)
+    sums = values @ panels._RULES
+    kronrod = half * sums[:, 0]
+    return kronrod, np.abs(kronrod - half * sums[:, 1])
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [lambda r, y: np.log2(1.0 + y / (1.0 + r[:, None])) * np.exp(-y), lambda r, y: 1.0],
+    ids=["array", "scalar"],
+)
+def test_blocked_kronrod_is_bit_identical_to_one_pass(integrand):
+    rng = np.random.default_rng(5)
+    count = 3 * panels._BLOCK + 7
+    rows = rng.integers(0, 50, count)
+    a = rng.uniform(0.0, 30.0, count)
+    b = a + rng.uniform(1e-6, 10.0, count)
+    blocks = []
+
+    def f(r, y):
+        blocks.append(len(r))
+        return integrand(r, y)
+
+    value, error = panels._kronrod(f, rows, a, b)
+    assert blocks == [panels._BLOCK] * 3 + [7]
+    expected_value, expected_error = whole_array_kronrod(integrand, rows, a, b)
+    assert np.array_equal(value, expected_value)
+    assert np.array_equal(error, expected_error)
+
+
+def spans_of_kronrod(monkeypatch):
+    """Record the integrand's name and the panel count of every ``_kronrod`` call."""
+    spans, kronrod = [], panels._kronrod
+
+    def spy(f, rows, a, b):
+        spans.append((getattr(f, "__name__", ""), a.size))
+        return kronrod(f, rows, a, b)
+
+    monkeypatch.setattr(panels, "_kronrod", spy)
+    return spans
+
+
+EXPECTATIONS = {
+    "band rate": lambda scenario: restricted_expectation(
+        lambda x, y: np.log2((1.0 + x + y) / (1.0 + scenario.theta)),
+        case_regions(scenario.theta)["band"], scenario.lambda_pu, scenario.lambda_su,
+    ),
+    "region probability": lambda scenario: oracle.region_probability(
+        case_regions(scenario.theta)["clear"], scenario.lambda_pu, scenario.lambda_su
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXPECTATIONS)
+def test_expectation_is_bit_identical_to_one_pass_per_inner_batch(monkeypatch, name):
+    scenario = ScenarioConfig.from_snr_db(20.0, 20.0, rate_threshold=2.5)
+    spans = spans_of_kronrod(monkeypatch)
+    blocked = EXPECTATIONS[name](scenario)
+    inner = max(size for f, size in spans if f != "outer")
+    assert inner > 2 * panels._BLOCK
+    monkeypatch.setattr(panels, "_BLOCK", 10 * inner)
+    assert EXPECTATIONS[name](scenario) == blocked
+
+
+def test_blocked_outer_integrand_forms_the_same_inner_batches(monkeypatch):
+    # The outer integrand's node values are inner integrations batched by
+    # _SLICE_BATCH slices.  A block of outer panels holds whole batches, so
+    # blocking it forms the same batches.  A first outer pass spans several
+    # blocks here, at small sizes, and at extreme rate ratios (over 512
+    # panels with the links at +1000 and -1000 dB).
+    assert panels._BLOCK * NODES.size % panels._SLICE_BATCH == 0
+    scenario = ScenarioConfig.from_snr_db(20.0, 20.0, rate_threshold=2.5)
+    monkeypatch.setattr(panels, "_SLICE_BATCH", 4)
+    monkeypatch.setattr(panels, "_BLOCK", 4)
+    spans = spans_of_kronrod(monkeypatch)
+    blocked = EXPECTATIONS["band rate"](scenario)
+    blocked_spans = spans.copy()
+    assert max(size for f, size in spans if f == "outer") > panels._BLOCK
+    spans.clear()
+    monkeypatch.setattr(panels, "_BLOCK", 10**9)
+    assert EXPECTATIONS["band rate"](scenario) == blocked
+    assert spans == blocked_spans
 
 
 # ------------------------------------------------------------ 1-D integral
