@@ -51,7 +51,7 @@ import numpy as np
 
 from .channel import ScenarioConfig
 from .panels import REL_TOL, exponential_expectation, panel_integral
-from .protocols import switch_level
+from .protocols import switch_edge, switch_level
 from .specfun import (
     E1_SERIES_MAX,
     QuadratureRule,
@@ -294,21 +294,6 @@ def merged_tail_stated(params: AnalyticParams) -> float:
 # --------------------------------------------- pure-SIC terms
 
 
-def order_switch_threshold(su_snr: float, theta: float) -> float:
-    """Primary SNR above which decoding the primary first beats swapping.
-
-    Below it, the secondary's full-power rate under primary interference
-    exceeds the reduced-power rate, so the secondary is decoded first.
-    Inverse of :func:`crul.protocols.switch_level`: the same curve, sliced
-    along the other axis.
-    """
-    if theta <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {theta}")
-    if su_snr < 0.0:
-        raise ValueError(f"secondary SNR must be >= 0, got {su_snr}")
-    return 0.5 * (theta - 1.0 + math.sqrt((theta + 1.0) ** 2 + 4.0 * theta * su_snr))
-
-
 def reduced_power_kernel(su_snr: float, params: AnalyticParams) -> float:
     """Closed-form inner integral of the reduced-power rate at one SU SNR.
 
@@ -329,7 +314,7 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams) -> float:
     if su_snr < 0.0:
         raise ValueError(f"secondary SNR must be >= 0, got {su_snr}")
     lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
-    switch = order_switch_threshold(su_snr, theta)
+    switch = float(switch_edge(su_snr, theta))
     band_edge = theta * (su_snr + 1.0)
     if switch >= band_edge:
         # Empty band: analytically only at su_snr == 0, but rounding in

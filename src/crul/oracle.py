@@ -20,9 +20,12 @@ deciding which panels are bisected.  A slice or region whose error
 estimate misses its budget raises :class:`OracleAccuracyError`.
 Integrands take numpy arrays.
 
-The decision regions slice the cells of :mod:`crul.protocols` along the
-secondary axis, with its tolerance and order-switch levels as bounds, so
-the regions and the Monte Carlo cells are one partition.
+The decision regions are the cells of :mod:`crul.protocols`, bounded by
+its level functions and their inverses, so the regions and the Monte
+Carlo cells are one partition.  Each region is sliced along the SNR that
+keeps its slices short and its integrand smooth on them: the split band
+and its two pure-SIC cells along the secondary SNR, the other regions
+along the primary.
 
 Every integral is held to :data:`crul.panels.REL_TOL` (1e-9 relative).
 
@@ -49,7 +52,7 @@ import numpy as np
 
 from .channel import ScenarioConfig
 from .panels import REL_TOL, QuadratureError, exponential_expectation, panel_integral
-from .protocols import ProtocolKind, switch_level, tolerance_level
+from .protocols import ProtocolKind, switch_edge, tolerance_edge, tolerance_level
 
 __all__ = [
     "OracleAccuracyError",
@@ -72,24 +75,33 @@ class OracleAccuracyError(RuntimeError):
     """The integrator could not vouch for the requested tolerance."""
 
 
+#: A region bound: a number on the sliced SNR, a function of it on the
+#: other, or ``None``.
+Bound = float | Callable[[np.ndarray], np.ndarray] | None
+
+
 @dataclass(frozen=True)
 class RegionSpec:
-    """A region of the positive SNR quadrant, sliced along the primary axis.
+    """A region of the positive SNR quadrant, sliced along one of its axes.
 
-    For each primary SNR ``x`` in ``[pu_lower, pu_upper)`` the region
-    contains the secondary SNRs in ``[max(0, su_lower(x)), su_upper(x))``.
-    ``None`` bounds mean 0 / infinity.  Every protocol decision region in
-    this package has this sliced form.
+    ``axis`` names the sliced SNR, ``"primary"`` (``x``) or ``"secondary"``
+    (``y``).  Its bounds are numbers; the other SNR's bounds are functions
+    of it, the lower one floored at 0.  ``None`` bounds mean 0 / infinity.
+    Sliced along ``x``, the region holds ``pu_lower <= x < pu_upper`` and,
+    for each such ``x``, ``su_lower(x) <= y < su_upper(x)``; sliced along
+    ``y`` the roles swap.
     """
 
     description: str
-    pu_lower: float = 0.0
-    pu_upper: float = math.inf
-    su_lower: Callable[[np.ndarray], np.ndarray] | None = None
-    su_upper: Callable[[np.ndarray], np.ndarray] | None = None
+    pu_lower: Bound = None
+    pu_upper: Bound = None
+    su_lower: Bound = None
+    su_upper: Bound = None
+    axis: str = "primary"
 
 
 FULL_QUADRANT = RegionSpec("both SNRs unconstrained")
+
 
 def restricted_expectation(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -101,22 +113,30 @@ def restricted_expectation(
 
     ``integrand`` takes arrays and returns an array broadcastable to
     their shape; it must be smooth inside the region (split piecewise
-    integrands into one region per piece).  Raises
+    integrands into one region per piece).  The region's sliced SNR is
+    the outer variable of the integration.  Raises
     :class:`OracleAccuracyError` when the quadrature error cannot be
     reconciled with :data:`~crul.panels.REL_TOL`.
     """
     if lambda_pu <= 0.0 or lambda_su <= 0.0:
         raise ValueError("rate parameters must be > 0")
+    if region.axis == "primary":
+        f, rates = integrand, (lambda_pu, lambda_su)
+        outer, inner = (region.pu_lower, region.pu_upper), (region.su_lower, region.su_upper)
+    elif region.axis == "secondary":
+        f, rates = (lambda y, x: integrand(x, y)), (lambda_su, lambda_pu)
+        outer, inner = (region.su_lower, region.su_upper), (region.pu_lower, region.pu_upper)
+    else:
+        raise ValueError(f"unknown slicing axis {region.axis!r} ({region.description})")
     try:
         return exponential_expectation(
-            integrand,
-            lambda_pu,
-            lambda_su,
+            f,
+            *rates,
             REL_TOL,
-            x_lower=region.pu_lower,
-            x_upper=region.pu_upper,
-            y_lower=region.su_lower,
-            y_upper=region.su_upper,
+            x_lower=0.0 if outer[0] is None else outer[0],
+            x_upper=math.inf if outer[1] is None else outer[1],
+            y_lower=inner[0],
+            y_upper=inner[1],
         )
     except QuadratureError as exc:
         raise OracleAccuracyError(f"{exc} ({region.description})") from None
@@ -142,7 +162,12 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
     The band and the clear channel meet at the tolerance level of
     :mod:`crul.protocols`.  Pure SIC cuts the band at the switch level,
     where the SU's full-power rate under PU interference matches the
-    reduced-power rate.
+    reduced-power rate.  The band and its two cells are sliced along the
+    secondary SNR: at each ``y`` they hold a primary span of width
+    ``theta*y`` or less from ``theta``, where their integrands are
+    bounded and smooth.  Sliced along the primary they start at ``y ~ 0``
+    near ``x = theta``, where the power scale ``(x/theta - 1)/y`` varies
+    on that tiny scale.
     """
     if theta < 0.0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
@@ -152,14 +177,18 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
         regions = dict.fromkeys(("below", "band", "reduced", "preferred"), empty)
         return {**regions, "clear": RegionSpec("no protection constraint")}
     tolerance = functools.partial(tolerance_level, theta=theta)
-    switch = functools.partial(switch_level, theta=theta)
+    floor = functools.partial(np.full_like, fill_value=theta)
+    edge = functools.partial(tolerance_edge, theta=theta)
+    switch = functools.partial(switch_edge, theta=theta)
     return {
         "below": RegionSpec("primary below threshold", pu_upper=theta),
-        "band": RegionSpec("split band", pu_lower=theta, su_lower=tolerance),
+        "band": RegionSpec("split band", pu_lower=floor, pu_upper=edge, axis="secondary"),
         "reduced": RegionSpec(
-            "reduced power", pu_lower=theta, su_lower=tolerance, su_upper=switch
+            "reduced power", pu_lower=switch, pu_upper=edge, axis="secondary"
         ),
-        "preferred": RegionSpec("secondary first preferred", pu_lower=theta, su_lower=switch),
+        "preferred": RegionSpec(
+            "secondary first preferred", pu_lower=floor, pu_upper=switch, axis="secondary"
+        ),
         "clear": RegionSpec("interference tolerant", pu_lower=theta, su_upper=tolerance),
     }
 

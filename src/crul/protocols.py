@@ -26,7 +26,8 @@ and preferred cells together), and ``bench-qos`` admits the tolerant cell
 off its edge.  :func:`sic_case_array` classifies a batch of fading draws
 ``(gamma_pu, gamma_su)`` once, every rule builds its rates from the
 cells, and the oracle's regions slice the same cells with
-:func:`tolerance_level` and :func:`switch_level`.  The classifier and the
+:func:`tolerance_level` and :func:`switch_level` or their inverses
+:func:`tolerance_edge` and :func:`switch_edge`.  The classifier and the
 rules write into the buffers of a :class:`Workspace`, which a Monte Carlo
 worker reuses from chunk to chunk within one call, so a chunk makes no
 array of its own size.  Averaging over fading
@@ -48,7 +49,9 @@ __all__ = [
     "PREFERRED",
     "TOLERANT",
     "tolerance_level",
+    "tolerance_edge",
     "switch_level",
+    "switch_edge",
     "Workspace",
     "sic_case_array",
     "rsma_case_array",
@@ -97,10 +100,33 @@ def tolerance_level(gamma_pu, theta: float, out=None):
     return np.subtract(np.divide(gamma_pu, theta, out=out), 1.0, out=out)
 
 
+def tolerance_edge(gamma_su, theta: float, out=None):
+    """Least PU SNR that tolerates SU SNR ``gamma_su`` at full power:
+    ``theta*(1 + gamma_su)``, the inverse of :func:`tolerance_level`.
+
+    Scalars or arrays; ``out`` is the ufuncs' ``out``.
+    """
+    return np.multiply(np.add(1.0, gamma_su, out=out), theta, out=out)
+
+
 def switch_level(gamma_pu, theta: float):
     """SU SNR where decoding it first (``log2(1 + y/(1+x))``) starts to
     beat backing its power off (``log2(x/theta)``).  Scalars or arrays."""
     return (1.0 + gamma_pu) * tolerance_level(gamma_pu, theta)
+
+
+def switch_edge(gamma_su, theta: float):
+    """PU SNR below which the SU goes first at SU SNR ``gamma_su``: the
+    inverse of :func:`switch_level` on ``gamma_pu >= theta``, from
+    ``theta`` at ``gamma_su = 0`` up.  Scalars or arrays, ``theta > 0`` and
+    ``gamma_su >= 0``.
+    """
+    if theta <= 0.0:
+        raise ValueError(f"threshold must be > 0, got {theta}")
+    # One reduction: np.any would cost more than the curve on a scalar.
+    if np.minimum.reduce(gamma_su, axis=None, initial=0.0) < 0.0:
+        raise ValueError("secondary SNR must be >= 0")
+    return 0.5 * (theta - 1.0 + np.sqrt((theta + 1.0) ** 2 + 4.0 * theta * gamma_su))
 
 
 # ------------------------------------------------------------ workspace
@@ -169,7 +195,7 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
         np.greater(ratio, tolerance_level(gamma_pu, theta, out=scratch), out=mask)
         np.logical_or(mask, np.less_equal(gamma_pu, theta, out=other), out=mask)
         np.copyto(cells, PREFERRED, where=mask)
-    edge = np.multiply(theta, np.add(1.0, gamma_su, out=scratch), out=scratch)
+    edge = tolerance_edge(gamma_su, theta, out=scratch)
     np.copyto(cells, TOLERANT, where=np.greater_equal(gamma_pu, edge, out=mask))
     np.copyto(cells, BELOW, where=np.less(gamma_pu, theta, out=mask))
     return cells

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from crul import cli, oracle
 from crul.analytic import AnalyticParams, preferred_order_term, reduced_power_term
@@ -31,6 +32,7 @@ from crul.oracle import (
     region_probability,
     restricted_expectation,
 )
+from crul.panels import REL_TOL, exponential_expectation
 from crul.protocols import (
     CellDraws,
     ProtocolKind,
@@ -42,6 +44,8 @@ from crul.protocols import (
     sic_case_array,
     sic_power_factor_array,
     sic_rate_arrays,
+    switch_level,
+    tolerance_level,
 )
 
 THETA = 2.0**2.5 - 1.0  # default scenario threshold
@@ -58,15 +62,22 @@ def classified(gamma_pu, gamma_su, theta):
 
 
 def in_region(region, gamma_pu, gamma_su):
-    """Which draws the region's slice bounds hold."""
-    low = 0.0 if region.su_lower is None else np.maximum(0.0, region.su_lower(gamma_pu))
-    high = np.inf if region.su_upper is None else region.su_upper(gamma_pu)
-    return (
-        (region.pu_lower <= gamma_pu)
-        & (gamma_pu < region.pu_upper)
-        & (low <= gamma_su)
-        & (gamma_su < high)
+    """Which draws the region's slice bounds hold, along the region's axis."""
+    if region.axis == "primary":
+        sliced, other = gamma_pu, gamma_su
+        bounds = region.pu_lower, region.pu_upper, region.su_lower, region.su_upper
+    else:
+        sliced, other = gamma_su, gamma_pu
+        bounds = region.su_lower, region.su_upper, region.pu_lower, region.pu_upper
+    lower, upper, other_lower, other_upper = (
+        bound(sliced) if callable(bound) else bound for bound in bounds
     )
+    return within(sliced, lower, upper) & within(other, other_lower, other_upper)
+
+
+def within(values, lower, upper):
+    lower = 0.0 if lower is None else np.maximum(0.0, lower)
+    return (lower <= values) & (values < (np.inf if upper is None else upper))
 
 
 # ------------------------------------------------- plumbing & hand algebra
@@ -200,6 +211,24 @@ def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
 def test_restricted_expectation_validation():
     with pytest.raises(ValueError):
         restricted_expectation(lambda x, y: 1.0, FULL_QUADRANT, 0.0, 1.0)
+    with pytest.raises(ValueError, match="slicing axis"):
+        restricted_expectation(lambda x, y: 1.0, RegionSpec("tilted", axis="x"), 1.0, 1.0)
+
+
+def test_secondary_slicing_passes_the_integrand_its_arguments_in_order():
+    # E[x ; y < 1] and E[y ; y < 1] for unit rates, sliced along y:
+    # 1 - 1/e and 1 - 2/e.
+    region = RegionSpec("low secondary", su_upper=1.0, axis="secondary")
+    mass = -math.expm1(-1.0)
+    assert restricted_expectation(lambda x, y: x, region, 1.0, 1.0) == pytest.approx(
+        mass, rel=1e-10
+    )
+    assert restricted_expectation(lambda x, y: y, region, 1.0, 1.0) == pytest.approx(
+        1.0 - 2.0 / math.e, rel=1e-10
+    )
+    assert restricted_expectation(lambda x, y: x, region, 2.0, 1.0) == pytest.approx(
+        0.5 * mass, rel=1e-10
+    )
 
 
 # ------------------------------------------------------- ergodic rates
@@ -342,3 +371,84 @@ def test_one_point_integrates_each_region_once(monkeypatch):
     rows = cli.make_rows(settings, [(20.0, 20.0)])
     assert len(rows) == 8
     assert len(calls) <= 13, calls
+
+
+# ------------------------------------------- slicing the split band along y
+
+
+def test_preferred_cell_of_a_strong_secondary_is_not_silently_zero():
+    """At (100, 90) dB with a 0.01 bit/s/Hz target, the preferred cell sits
+    in ``x < ~3e3`` of a primary whose decay length is 1e10.  Sliced along
+    ``x`` its outer nodes all missed it and the term came out 0.0 with zero
+    error estimate; the reference here is nested QUADPACK sliced along
+    ``x``, with each inner slice split at the log's knee ``y ~ 1 + x``."""
+    config = ScenarioConfig.from_snr_db(100.0, 90.0, rate_threshold=0.01)
+    lam_pu, lam_su, theta = config.lambda_pu, config.lambda_su, config.theta
+
+    def quad(f, edges):
+        return math.fsum(
+            scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+
+    def inner(x):
+        # y = switch_level(x) + u/lam_su, so u carries the unit exponential.
+        start = switch_level(x, theta)
+        rate = lambda u: math.log2(1.0 + (start + u / lam_su) / (1.0 + x)) * math.exp(-u)
+        knees = [lam_su * (1.0 + x) * 10.0**k for k in range(20)]
+        return quad(rate, [0.0, *(u for u in knees if u < 1.0), 1.0, 80.0]) * math.exp(
+            -lam_su * start
+        )
+
+    # Past x_max the slices start 80 decay lengths of the secondary out.
+    x_max = theta + math.sqrt(80.0 * theta / lam_su)
+    edges = [theta + 2.0**k - 1.0 for k in range(64) if theta + 2.0**k - 1.0 < x_max]
+    reference = quad(lambda x: inner(x) * lam_pu * math.exp(-lam_pu * x), [*edges, x_max])
+    assert reference == pytest.approx(2.2185841577e-06, rel=1e-10)
+    preferred = case_terms(ProtocolKind.CR_SIC, config)["preferred"]
+    assert preferred == pytest.approx(reference, rel=1e-8)
+
+
+def agreement_scenarios():
+    """The figure2 diagonal, the figure3 line, their power-normalized twins
+    and the benchmark's eight off-diagonal points."""
+    figure2 = [scenario(db, db) for db in range(0, 41, 2)]
+    figure3 = [scenario(db, 20.0) for db in range(0, 61, 2)]
+    twins = [oracle.normalized(config) for config in figure2 + figure3]
+    asym = [scenario(pu, su) for pu, su in (
+        (3.037, 35.959), (9.775, 27.691), (19.375, 38.77), (26.285, 29.705),
+        (35.669, 25.546), (39.379, 33.774), (52.371, 43.526), (59.266, 39.775),
+    )]
+    return figure2 + figure3 + twins + asym
+
+
+def test_split_band_along_y_matches_the_band_sliced_along_x():
+    """The band, its two pure-SIC cells and the power scale's band piece,
+    sliced along the secondary SNR by the oracle, against the same
+    integrals sliced along the primary with the level functions as slice
+    bounds (how the oracle sliced them before, 4.4e-13 apart at most)."""
+    misses = []
+    for config in agreement_scenarios():
+        lam_pu, lam_su, theta = config.lambda_pu, config.lambda_su, config.theta
+        tolerance = lambda x: tolerance_level(x, theta)
+        switch = lambda x: switch_level(x, theta)
+        rsma = case_terms(ProtocolKind.CR_RSMA, config)
+        sic = case_terms(ProtocolKind.CR_SIC, config)
+        scale = lambda x, y: tolerance_level(x, theta) / y
+        checks = (
+            ("band", rsma["band"], lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta)),
+             tolerance, None),
+            ("reduced", sic["reduced"], lambda x, y: np.log2(x / theta), tolerance, switch),
+            ("preferred", sic["preferred"], lambda x, y: np.log2(1.0 + y / (1.0 + x)),
+             switch, None),
+            ("power scale", restricted_expectation(
+                scale, case_regions(theta)["band"], lam_pu, lam_su
+            ), scale, tolerance, None),
+        )
+        for name, value, integrand, lower, upper in checks:
+            reference = exponential_expectation(
+                integrand, lam_pu, lam_su, REL_TOL, x_lower=theta, y_lower=lower, y_upper=upper
+            )
+            if not abs(value - reference) <= 1e-10 * abs(reference):
+                misses.append((lam_pu, lam_su, theta, name, value, reference))
+    assert not misses

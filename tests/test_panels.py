@@ -39,18 +39,28 @@ from crul.panels import (
 def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9):
     """``E[integrand ; region]`` by nested adaptive QUADPACK quadrature.
 
-    Scalar integrand; both axes on the doubling panels, the inner ones
+    Scalar integrand; the outer integral runs over the region's sliced
+    SNR, and both axes are cut into the doubling panels, the inner ones
     starting at each slice's lower bound.  The outer panels start from
     the shorter of the two decay lengths: a slice's mass can decay along
     the outer axis at the inner rate, and QUADPACK pays for finding that
     with thousands of inner integrations.
     """
+    if region.axis == "primary":
+        f, rate_outer, rate_inner = integrand, lambda_pu, lambda_su
+        bounds = region.pu_lower, region.pu_upper, region.su_lower, region.su_upper
+    else:
+        f, rate_outer, rate_inner = (lambda s, t: integrand(t, s)), lambda_su, lambda_pu
+        bounds = region.su_lower, region.su_upper, region.pu_lower, region.pu_upper
+    lower, upper, inner_lower, inner_upper = bounds
+    lower = 0.0 if lower is None else lower
+    upper = math.inf if upper is None else upper
     horizon = tail_horizon(rel_tol)
-    offsets = geometric_edges(0.0, horizon / lambda_su, 1.0 / lambda_su)
+    offsets = geometric_edges(0.0, horizon / rate_inner, 1.0 / rate_inner)
 
-    def inner(x):
-        low = 0.0 if region.su_lower is None else max(0.0, region.su_lower(x))
-        high = math.inf if region.su_upper is None else region.su_upper(x)
+    def inner(s):
+        low = 0.0 if inner_lower is None else max(0.0, inner_lower(s))
+        high = math.inf if inner_upper is None else inner_upper(s)
         high = min(high, low + offsets[-1])
         total = 0.0
         for a, b in zip(offsets[:-1], offsets[1:]):
@@ -58,7 +68,7 @@ def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9)
             if not b > a:
                 break
             value, abserr, *_ = scipy.integrate.quad(
-                lambda y: integrand(x, y) * lambda_su * math.exp(-lambda_su * y),
+                lambda t: f(s, t) * rate_inner * math.exp(-rate_inner * t),
                 a,
                 b,
                 epsabs=0.0,
@@ -70,15 +80,15 @@ def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9)
             total += value
         return total
 
-    outer_high = min(region.pu_upper, region.pu_lower + horizon / lambda_pu)
-    if not outer_high > region.pu_lower:
+    outer_high = min(upper, lower + horizon / rate_outer)
+    if not outer_high > lower:
         return 0.0
     scale = 1.0 / max(lambda_pu, lambda_su)
-    edges = geometric_edges(region.pu_lower, outer_high, scale)
+    edges = geometric_edges(lower, outer_high, scale)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         value, _, *_ = scipy.integrate.quad(
-            lambda x: inner(x) * lambda_pu * math.exp(-lambda_pu * x),
+            lambda s: inner(s) * rate_outer * math.exp(-rate_outer * s),
             a,
             b,
             epsabs=0.0,
