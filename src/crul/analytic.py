@@ -18,15 +18,14 @@ term by term:
 * ``derived`` closed forms, re-derived from scratch.  Products of
   exponentials with the exponential integral are evaluated in log space
   (via :func:`crul.specfun.log_e1`) so extreme rate parameters cannot
-  overflow.
+  overflow.  Where a term needs a quadrature, it is the fixed half-line
+  rule of the kernel (the headline approximation route).
 * ``stated`` closed forms of the terms whose printed form differs from
   the derived one, transcribed verbatim from the derivation these
   formulas originate from -- including its transcription slips -- so the
   validation report can show exactly where they deviate.  Being literal
   transcriptions they use plain products and may overflow outside the
   moderate-parameter regime they were stated for.
-* fixed half-line quadrature of the kernels (the headline approximation
-  route).
 * adaptive panel integration of the same kernels on the Gauss-Kronrod
   panels of :mod:`crul.panels` (the ``*_integral`` functions).  These
   have none of the fixed rule's tail truncation -- the largest order-100
@@ -34,11 +33,11 @@ term by term:
   loses visible mass once ``1/lambda_su`` grows past the node range --
   and serve as checks of the kernels against the oracle.
 
-:mod:`crul.crosscheck` arbitrates between the ``stated`` and ``derived``
-routes term by term against the adaptive-integration oracle, and falls
-back to the oracle's own term where both miss it.  The adaptive kernel
-integrals are report-only: the deviation report tabulates them, and an
-arbitrated rate never runs them.
+:mod:`crul.crosscheck` puts one route per term on the rate path: the
+``derived`` form where it is within tolerance of the oracle's term, and
+that term otherwise.  The ``stated`` forms, the merged tail and the
+adaptive kernel integrals are report-only: the deviation report
+tabulates them, and an arbitrated rate never runs them.
 """
 
 from __future__ import annotations
@@ -68,6 +67,10 @@ LN2 = math.log(2.0)
 #: divides by the difference and loses all precision near coincidence.
 EQUAL_RATE_REL_TOL = 1e-9
 
+#: Order of the half-line rule behind every fixed-rule closed form unless
+#: the caller asks for another.
+DEFAULT_NODES = 100
+
 DERIVED = "derived"
 STATED = "stated"
 
@@ -88,7 +91,7 @@ class AnalyticParams:
     lambda_pu: float
     lambda_su: float
     theta: float
-    rule: QuadratureRule = field(default_factory=lambda: gauss_laguerre(100))
+    rule: QuadratureRule = field(default_factory=lambda: gauss_laguerre(DEFAULT_NODES))
 
     def __post_init__(self) -> None:
         for name in ("lambda_pu", "lambda_su", "theta"):
@@ -99,7 +102,9 @@ class AnalyticParams:
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     @classmethod
-    def from_scenario(cls, scenario: ScenarioConfig, nodes: int = 100) -> "AnalyticParams":
+    def from_scenario(
+        cls, scenario: ScenarioConfig, nodes: int = DEFAULT_NODES
+    ) -> "AnalyticParams":
         return cls(
             lambda_pu=scenario.lambda_pu,
             lambda_su=scenario.lambda_su,

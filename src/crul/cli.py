@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analytic import DEFAULT_NODES
 from .channel import ScenarioConfig
 from .crosscheck import ANALYTIC_PROTOCOLS, evaluate
 from .montecarlo import MAX_SAMPLES, McConfig, resolve_workers, sample_point
@@ -238,6 +239,18 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 # ------------------------------------------------------------ CSV emission
 
 
+def _row_pairs(settings: Settings) -> list[tuple[ProtocolKind, str]]:
+    """The (protocol, method) pairs that make a row, in row order: each
+    requested pair but analytic rows of the benchmarks, which have no
+    closed form."""
+    return [
+        (protocol, method)
+        for protocol in settings.protocols
+        for method in settings.methods
+        if method != "analytic" or protocol in ANALYTIC_PROTOCOLS
+    ]
+
+
 def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str]:
     """CSV body rows for every grid point x protocol x method.
 
@@ -262,32 +275,29 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
         mean_c_exact = (
             _fmt(mean_power_factor_oracle(scenario)) if wants_sic and wants_exact else ""
         )
-        for protocol in settings.protocols:
-            for method in settings.methods:
-                if method == "analytic" and protocol not in ANALYTIC_PROTOCOLS:
-                    continue
-                if method == "mc":
-                    result = sampled[protocol]
-                else:
-                    result = evaluate(protocol, scenario, method, nodes=settings.nodes)
-                if protocol is ProtocolKind.CR_SIC:
-                    mean_c = mean_c_mc if method == "mc" else mean_c_exact
-                else:
-                    mean_c = ""
-                rows.append(
-                    ",".join(
-                        (
-                            protocol.value,
-                            _fmt(gamma0_pu),
-                            _fmt(gamma0_su),
-                            method,
-                            _fmt(result.value),
-                            _fmt(result.stderr),
-                            str(result.n_samples),
-                            mean_c,
-                        )
+        for protocol, method in _row_pairs(settings):
+            if method == "mc":
+                result = sampled[protocol]
+            else:
+                result = evaluate(protocol, scenario, method, nodes=settings.nodes)
+            if protocol is ProtocolKind.CR_SIC:
+                mean_c = mean_c_mc if method == "mc" else mean_c_exact
+            else:
+                mean_c = ""
+            rows.append(
+                ",".join(
+                    (
+                        protocol.value,
+                        _fmt(gamma0_pu),
+                        _fmt(gamma0_su),
+                        method,
+                        _fmt(result.value),
+                        _fmt(result.stderr),
+                        str(result.n_samples),
+                        mean_c,
                     )
                 )
+            )
     return rows
 
 
@@ -310,17 +320,14 @@ def write_plot_script(csv_path: str, settings: Settings) -> str:
         "plot \\",
     ]
     plot_specs = []
-    for protocol in settings.protocols:
-        for method in settings.methods:
-            if method == "analytic" and protocol not in ANALYTIC_PROTOCOLS:
-                continue
-            style = "points pt 7" if method == "mc" else "lines"
-            plot_specs.append(
-                f'  "{csv_name}" using '
-                f'(strcol(1) eq "{protocol.value}" && strcol(4) eq "{method}"'
-                f" ? column(2) : NaN):5 with {style}"
-                f' title "{protocol.value} {method}"'
-            )
+    for protocol, method in _row_pairs(settings):
+        style = "points pt 7" if method == "mc" else "lines"
+        plot_specs.append(
+            f'  "{csv_name}" using '
+            f'(strcol(1) eq "{protocol.value}" && strcol(4) eq "{method}"'
+            f" ? column(2) : NaN):5 with {style}"
+            f' title "{protocol.value} {method}"'
+        )
     lines.append(", \\\n".join(plot_specs))
     Path(script_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return script_path
@@ -417,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--protocol", default="all", help="comma-separated protocols, or 'all'")
     methods = ",".join(METHODS)
     scenario.add_argument("--method", default=methods, help=f"comma-separated subset of {methods}")
-    scenario.add_argument("--nodes", type=int, default=100, help="quadrature order")
+    scenario.add_argument("--nodes", type=int, default=DEFAULT_NODES, help="quadrature order")
     su.add_argument("--gamma0-su", type=float, help="secondary mean SNR (dB)")
     split.add_argument("--gamma0", type=float, help="mean SNR of both links (dB)")
     split.add_argument("--gamma0-pu", type=float, help="primary mean SNR (dB)")

@@ -1,26 +1,24 @@
-"""Term-wise arbitration between the closed forms and the oracle.
+"""Term-wise checks of the closed forms against the oracle.
 
-Every analytic total is a sum of per-case terms, and several of those
-terms exist in more than one written form (a transcription of the source
-expression and the re-derived expression).  This module evaluates every
-available route for every term, compares each against that term's own
-region integral, and assembles the arbitrated total from the first route
-in preference order that lands within tolerance -- transcription first
-(keep the written form when it is right), then the derived form, with the
-oracle value itself as the fallback where a fixed-order rule saturates.
-The region integrals are the per-case terms that :mod:`crul.oracle` owns
-and memoises, so the oracle rows and the arbitration share one
-integration per term, and the fallback costs nothing more.
+Every analytic total is a sum of per-case terms.  Each term has one closed
+form on the rate path: the re-derived (``derived``) one, compared against
+that term's own region integral.  A row takes the closed form where it
+lands within tolerance, and the oracle's term where it does not (a
+fixed-order rule saturates at strong links).  The region integrals are the
+per-case terms that :mod:`crul.oracle` owns and memoises, so the oracle
+rows and the arbitration share one integration per term, and the fallback
+costs nothing more.
 
-The full comparison table is exported as a JSON-ready deviation report so
-that a reader can see exactly which written forms disagree with the
-integrals they claim to equal, by how much, and what was used instead.
-The report also tabulates an ``integral`` route for three terms: adaptive
-integrations of their derived kernels, which check those kernels against
-the oracle.  They are report-only and never chosen, so arbitrated rates
-never run them.  A route that raises (an as-printed form overflowing
+Other routes are report-only, tabulated by :func:`deviation_report` and
+never run by a row: the printed transcriptions (``stated``, slips
+included), rate splitting's merged tail (``combined_tail``, the band and
+clear-channel terms as its headline groups them), and adaptive
+integrations of three derived kernels (``integral``), which check those
+kernels against the oracle.  The report shows exactly which written forms
+disagree with the integrals they claim to equal, by how much, and what a
+row used instead.  A route that raises (an as-printed form overflowing
 outside the regime it was stated for, say) is recorded as NaN with the
-reason and never wins, so it cannot take the row down with it.
+reason, on either path, so it cannot take the row down with it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import analytic
-from .analytic import DERIVED, STATED, AnalyticParams
+from .analytic import DEFAULT_NODES, DERIVED, STATED, AnalyticParams
 from .channel import ScenarioConfig
 from .montecarlo import EstimateResult, estimate  # noqa: F401 - perfbench/spans.py patches estimate
 from .oracle import TERMS, case_terms, ergodic_rate_oracle, normalized
@@ -38,16 +36,9 @@ from .oracle import mean_power_factor_oracle, restricted_expectation  # noqa: F4
 from .protocols import ProtocolKind
 from .specfun import ConvergenceError
 
-#: Routes tried in order; the first within ARBITRATION_REL_TOL of the
-#: term oracle wins, and the oracle value is the fallback.  "stated" is the
-#: transcription, "derived" the re-derivation (both fixed-rule quadrature
-#: where the term needs one).
-ROUTE_PREFERENCE = ("stated", "derived")
-#: Structurally correct routes agree with their term oracle to ~1e-8;
-#: the tolerance sits far above that but far below the smallest
-#: coincidental match observed from a slipped transcription (a stray
-#: exp factor drifting to 1 can bring one within ~9e-4 of the oracle at
-#: the top of the SNR grid, which must not win over an exact route).
+#: A derived closed form agrees with its term oracle to ~1e-8 unless its
+#: fixed-order rule saturates, missing kernel mass at strong links; past
+#: this tolerance the row takes the oracle's term instead.
 ARBITRATION_REL_TOL = 1e-4
 #: Routes further off than this from the term oracle are flagged in the
 #: deviation report.
@@ -98,14 +89,6 @@ class TermReport:
         )
 
 
-def _arbitrate(routes: dict[str, float], oracle_value: float) -> tuple[str, float]:
-    for name in ROUTE_PREFERENCE:
-        if name in routes:
-            if relative_deviation(routes[name], oracle_value) <= ARBITRATION_REL_TOL:
-                return name, routes[name]
-    return "oracle", oracle_value
-
-
 def _run_routes(routes, params) -> tuple[dict[str, float], dict[str, str]]:
     """Each route's value (a callable of ``params``), NaN with a reason if it raised."""
     values, errors = {}, {}
@@ -119,9 +102,12 @@ def _run_routes(routes, params) -> tuple[dict[str, float], dict[str, str]]:
 
 
 def _report(protocol, term, routes, oracle_value, params, in_total=True) -> TermReport:
-    """Evaluate every route and arbitrate."""
+    """Evaluate every route; the ``derived`` one is chosen where it is within
+    tolerance of the oracle, and the oracle value where it is not."""
     values, errors = _run_routes(routes, params)
-    chosen_route, chosen_value = _arbitrate(values, oracle_value)
+    chosen_route, chosen_value = "oracle", oracle_value
+    if relative_deviation(values["derived"], oracle_value) <= ARBITRATION_REL_TOL:
+        chosen_route, chosen_value = "derived", values["derived"]
     return TermReport(
         protocol=protocol.value,
         term=term,
@@ -134,43 +120,45 @@ def _report(protocol, term, routes, oracle_value, params, in_total=True) -> Term
     )
 
 
-#: The report name and the closed-form routes of each oracle term.  Routes
+#: The report name and the derived closed form of each oracle term.  Routes
 #: look their function up in :mod:`crul.analytic` when they run.
-_TERM_ROUTES = {
-    "below": ("interference_limited", {
-        "stated": lambda p: analytic.below_threshold_term(p, STATED),
-        "derived": lambda p: analytic.below_threshold_term(p, DERIVED),
-    }),
-    "band": ("split_band", {
-        "stated": lambda p: analytic.split_band_term(p, STATED),
-        "derived": lambda p: analytic.split_band_term(p, DERIVED),
-    }),
-    "reduced": ("reduced_power", {
-        "derived": lambda p: analytic.reduced_power_term(p),
-    }),
-    "preferred": ("preferred_order", {
-        "derived": lambda p: analytic.preferred_order_term(p),
-    }),
-    "clear": ("clear_channel", {
-        "stated": lambda p: analytic.clear_channel_term(p, STATED),
-        "derived": lambda p: analytic.clear_channel_term(p, DERIVED),
-    }),
+_TERM_FORMS = {
+    "below": ("interference_limited", lambda p: analytic.below_threshold_term(p, DERIVED)),
+    "band": ("split_band", lambda p: analytic.split_band_term(p, DERIVED)),
+    "reduced": ("reduced_power", lambda p: analytic.reduced_power_term(p)),
+    "preferred": ("preferred_order", lambda p: analytic.preferred_order_term(p)),
+    "clear": ("clear_channel", lambda p: analytic.clear_channel_term(p, DERIVED)),
 }
 
-#: Report-only ``integral`` routes, by term: adaptive integrations of the
-#: derived kernels (the preferred-order one is the oracle's own integral).
-#: Only the deviation report runs them; they are never chosen.
-_KERNEL_CHECKS = {
-    "interference_limited": {"integral": lambda p: analytic.below_threshold_term_integral(p)},
+#: Report-only routes by report name; only :func:`deviation_report` runs
+#: them.  ``stated`` is the printed transcription and ``integral`` an
+#: adaptive integration of the derived kernel (the preferred-order one is
+#: the oracle's own integral).  ``combined_tail`` is the band and
+#: clear-channel terms as the rate-splitting headline groups them behind one
+#: exponential factor; those two terms already cover the total.
+_REPORT_ROUTES = {
+    "interference_limited": {
+        "stated": lambda p: analytic.below_threshold_term(p, STATED),
+        "integral": lambda p: analytic.below_threshold_term_integral(p),
+    },
+    "split_band": {"stated": lambda p: analytic.split_band_term(p, STATED)},
     "reduced_power": {"integral": lambda p: analytic.reduced_power_term_integral(p)},
     "preferred_order": {"integral": lambda p: analytic.preferred_order_term_integral(p)},
+    "clear_channel": {"stated": lambda p: analytic.clear_channel_term(p, STATED)},
+    "combined_tail": {
+        "stated": lambda p: analytic.merged_tail_stated(p),
+        "derived": lambda p: analytic.split_band_term(p, DERIVED)
+        + analytic.clear_channel_term(p, DERIVED),
+    },
 }
+#: The order of a term's routes in the deviation report.
+_ROUTE_ORDER = ("stated", "derived", "integral")
 
 
 def term_reports(
-    protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = 100
+    protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = DEFAULT_NODES
 ) -> list[TermReport]:
-    """Route-by-route comparison of every term against its own oracle.
+    """Each term of the total, its closed form against its own oracle.
 
     The normalized protocol reports the plain-SIC terms evaluated at the
     power-normalized configuration.
@@ -185,29 +173,16 @@ def term_reports(
     names = ("clear",) if params.theta == 0.0 else TERMS[protocol]
     reports = []
     for name in names:
-        term, routes = _TERM_ROUTES[name]
-        if protocol is ProtocolKind.CR_SIC and name == "clear":
-            # The SIC headline prints this term as derived: no stated route.
-            routes = {"derived": routes["derived"]}
-        reports.append(_report(protocol, term, routes, oracle_values[name], params))
-    if "band" in names:
-        # The rate-splitting headline groups the band and clear-channel terms
-        # behind one exponential factor; report-only, as those terms cover
-        # the total.
-        routes = {
-            "stated": lambda p: analytic.merged_tail_stated(p),
-            "derived": lambda p: analytic.split_band_term(p, DERIVED)
-            + analytic.clear_channel_term(p, DERIVED),
-        }
-        tail = oracle_values["band"] + oracle_values["clear"]
-        reports.append(_report(protocol, "combined_tail", routes, tail, params, in_total=False))
+        term, form = _TERM_FORMS[name]
+        reports.append(_report(protocol, term, {"derived": form}, oracle_values[name], params))
     return reports
 
 
-def arbitrated_rate(protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = 100) -> float:
-    """Oracle-arbitrated analytic ergodic rate (sum of chosen term routes)."""
-    reports = term_reports(protocol, scenario, nodes=nodes)
-    return math.fsum(r.chosen_value for r in reports if r.in_total)
+def arbitrated_rate(
+    protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = DEFAULT_NODES
+) -> float:
+    """Oracle-arbitrated analytic ergodic rate (sum of the chosen term values)."""
+    return math.fsum(r.chosen_value for r in term_reports(protocol, scenario, nodes=nodes))
 
 
 def evaluate(
@@ -215,7 +190,7 @@ def evaluate(
     scenario: ScenarioConfig,
     method: str,
     *,
-    nodes: int = 100,
+    nodes: int = DEFAULT_NODES,
 ) -> EstimateResult:
     """Front door over the two deterministic routes, which record zero samples:
     ``analytic`` (the arbitrated closed form, defined only for the protocols
@@ -233,10 +208,25 @@ def evaluate(
     return EstimateResult(value=value, stderr=0.0, n_samples=0)
 
 
+def _with_report_routes(protocol: ProtocolKind, report: TermReport, params) -> TermReport:
+    """``report`` with its term's report-only routes evaluated beside the row's."""
+    routes = _REPORT_ROUTES[report.term]
+    if protocol is ProtocolKind.CR_SIC and report.term == "clear_channel":
+        routes = {}  # The SIC headline prints this term as derived: no stated route.
+    values, errors = _run_routes(routes, params)
+    values, errors = {**values, **report.routes}, {**errors, **report.route_errors}
+    return replace(
+        report,
+        routes={name: values[name] for name in _ROUTE_ORDER if name in values},
+        route_errors={name: errors[name] for name in _ROUTE_ORDER if name in errors},
+    )
+
+
 def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     """JSON-ready table of every route of every term at every config,
-    with the closed forms on the default 100-node rule and the
-    report-only kernel checks as each checked term's ``integral`` route.
+    with the closed forms on the default rule and the report-only routes
+    beside the rows' own: the printed forms, the kernel checks and rate
+    splitting's merged tail.
 
     ``flagged`` summarizes the routes that miss their term oracle by more
     than the report tolerance — the transcription slips show up here.
@@ -246,14 +236,18 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     for label, scenario in scenarios.items():
         params = AnalyticParams.from_scenario(scenario)
         for protocol in TERMS:
-            for report in term_reports(protocol, scenario):
-                if report.term in _KERNEL_CHECKS:
-                    values, errors = _run_routes(_KERNEL_CHECKS[report.term], params)
-                    report = replace(
-                        report,
-                        routes={**report.routes, **values},
-                        route_errors={**report.route_errors, **errors},
-                    )
+            reports = [
+                _with_report_routes(protocol, report, params)
+                for report in term_reports(protocol, scenario)
+            ]
+            by_term = {report.term: report for report in reports}
+            if "split_band" in by_term:
+                tail = by_term["split_band"].oracle_value + by_term["clear_channel"].oracle_value
+                routes = _REPORT_ROUTES["combined_tail"]
+                reports.append(
+                    _report(protocol, "combined_tail", routes, tail, params, in_total=False)
+                )
+            for report in reports:
                 entry = {
                     "config": label,
                     "protocol": report.protocol,

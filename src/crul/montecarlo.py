@@ -265,16 +265,6 @@ def _finish(case_sums, square_sum, mc) -> EstimateResult:
     return EstimateResult(value=value, stderr=stderr, n_samples=n)
 
 
-def _normalized(
-    scenario: ScenarioConfig, mc: McConfig, scale: float, workspaces
-) -> EstimateResult:
-    """Pure SIC with the secondary's mean SNR boosted by ``1/scale``."""
-    if not scale > 0.0:
-        raise ValueError(f"power scale must be > 0, got {scale}")
-    boosted = scenario.with_secondary_snr_scaled(1.0 / scale)
-    return _sample(boosted, mc, (ProtocolKind.CR_SIC,), workspaces)[ProtocolKind.CR_SIC]
-
-
 def sample_point(
     scenario: ScenarioConfig,
     mc: McConfig,
@@ -283,10 +273,13 @@ def sample_point(
     """Monte Carlo estimates of every requested protocol at one grid point.
 
     The plain protocols and the mean power scale come from one pass over
-    the draws.  The normalized protocol takes its scale from that pass and
-    adds one pass at the boosted secondary SNR.  Each estimate is
+    the draws.  The normalized protocol, which compares pure SIC against
+    rate splitting at equal average transmit power, takes its scale from
+    that pass and adds one pass of pure SIC with the secondary's mean SNR
+    boosted by the scale's inverse.  Each plain estimate and the scale are
     bit-identical to what :func:`estimate` and :func:`mean_power_factor`
-    return under the same config.
+    return under the same config, and the normalized one to
+    :func:`estimate` of pure SIC at the boosted scenario.
 
     Returns ``(estimates by protocol, mean power scale)``.
     """
@@ -296,36 +289,23 @@ def sample_point(
     estimates = _sample(scenario, mc, (*plain, _POWER), workspaces)
     power = estimates.pop(_POWER)
     if ProtocolKind.CR_SIC_NORM in requested:
-        estimates[ProtocolKind.CR_SIC_NORM] = _normalized(scenario, mc, power.value, workspaces)
+        if not power.value > 0.0:
+            raise ValueError(f"power scale must be > 0, got {power.value}")
+        boosted = scenario.with_secondary_snr_scaled(1.0 / power.value)
+        sic = _sample(boosted, mc, (ProtocolKind.CR_SIC,), workspaces)[ProtocolKind.CR_SIC]
+        estimates[ProtocolKind.CR_SIC_NORM] = sic
     return estimates, power
 
 
-def estimate(
-    protocol: ProtocolKind,
-    scenario: ScenarioConfig,
-    mc: McConfig,
-    *,
-    norm_power_factor: float | None = None,
-) -> EstimateResult:
-    """Monte Carlo ergodic SU rate under one protocol.
+def estimate(protocol: ProtocolKind, scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
+    """Monte Carlo ergodic SU rate under one plain protocol.
 
     Rates follow the restricted-expectation convention: a realization
     outside a protocol's admission events contributes zero, so the mean
-    is over all draws, not over admitted ones.
-
-    The normalized-SIC protocol compares SIC against rate splitting at
-    equal average transmit power.  By default the average power scale is
-    estimated first (same config, hence same draws) and the SIC run is
-    repeated with the secondary's mean SNR boosted by its inverse;
-    ``norm_power_factor`` substitutes an externally computed scale.
+    is over all draws, not over admitted ones.  The normalized protocol
+    needs the power scale first; :func:`sample_point` estimates both.
     """
-    if protocol is not ProtocolKind.CR_SIC_NORM:
-        if norm_power_factor is not None:
-            raise ValueError("norm_power_factor only applies to the normalized protocol")
-        return _sample(scenario, mc, (protocol,), _workspaces(mc))[protocol]
-    if norm_power_factor is None:
-        norm_power_factor = mean_power_factor(scenario, mc).value
-    return _normalized(scenario, mc, norm_power_factor, _workspaces(mc))
+    return _sample(scenario, mc, (protocol,), _workspaces(mc))[protocol]
 
 
 def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:

@@ -255,8 +255,7 @@ class CellDraws:
     def qos_admitted(self) -> np.ndarray:
         """Where ``bench-qos`` lets the SU transmit: the PU strictly clears
         ``theta`` under full interference, so the tolerant cell less its edge."""
-        edge = np.add(1.0, self.gamma_su, out=self.buffer("s0"))
-        np.multiply(self.theta, edge, out=edge)
+        edge = tolerance_edge(self.gamma_su, self.theta, out=self.buffer("s0"))
         return np.greater(self.gamma_pu, edge, out=self.buffer("admitted"))
 
     @cached_property

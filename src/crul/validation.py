@@ -34,7 +34,7 @@ from .oracle import (
     ergodic_delta_oracle,
     ergodic_rate_oracle,
     expected_clean_rate,
-    mean_power_factor_oracle,
+    normalized,
 )
 from .protocols import (
     ProtocolKind,
@@ -304,8 +304,7 @@ def criterion_mc_consistency(
         sampled, _ = sample_point(scenario, mc, plain)
         for protocol in ProtocolKind:
             if protocol is ProtocolKind.CR_SIC_NORM:
-                scale = mean_power_factor_oracle(scenario)
-                estimated = estimate(protocol, scenario, mc, norm_power_factor=scale)
+                estimated = estimate(ProtocolKind.CR_SIC, normalized(scenario), mc)
             else:
                 estimated = sampled[protocol]
             reference = ergodic_rate_oracle(protocol, scenario)

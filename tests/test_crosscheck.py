@@ -1,11 +1,13 @@
 """Tests for the term-wise route arbitration and the deviation report."""
 
+import inspect
 import json
 import math
 
 import pytest
 
 from crul import analytic, cli
+from crul.analytic import DERIVED, STATED
 from crul.channel import ScenarioConfig
 from crul.crosscheck import (
     ANALYTIC_PROTOCOLS,
@@ -24,6 +26,16 @@ SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 SCENARIO_40DB = ScenarioConfig.from_snr_db(40.0, 40.0)
 
 
+@pytest.fixture(scope="module")
+def report():
+    return deviation_report({"gamma0_20db": SCENARIO_20DB})
+
+
+def _entries(report, protocol: str) -> dict:
+    """The deviation report's entries of one protocol, by term."""
+    return {e["term"]: e for e in report["entries"] if e["protocol"] == protocol}
+
+
 class TestRelativeDeviation:
     def test_ordinary_ratio(self):
         assert relative_deviation(1.1, 1.0) == pytest.approx(0.1)
@@ -36,29 +48,32 @@ class TestRelativeDeviation:
 
 
 class TestTermReports:
-    def test_rsma_terms_and_chosen_routes_at_20db(self):
+    def test_rsma_terms_and_chosen_routes_at_20db(self, report):
         reports = {r.term: r for r in term_reports(ProtocolKind.CR_RSMA, SCENARIO_20DB)}
-        assert set(reports) == {
-            "interference_limited",
-            "split_band",
-            "clear_channel",
-            "combined_tail",
-        }
-        for report in reports.values():
-            assert relative_deviation(report.chosen_value, report.oracle_value) <= (
+        assert set(reports) == {"interference_limited", "split_band", "clear_channel"}
+        for term in reports.values():
+            assert list(term.routes) == ["derived"]
+            assert term.in_total
+            assert relative_deviation(term.chosen_value, term.oracle_value) <= (
+                ARBITRATION_REL_TOL
+            )
+        entries = _entries(report, "cr-rsma")
+        assert set(entries) == {*reports, "combined_tail"}
+        for entry in entries.values():
+            assert relative_deviation(entry["chosen_value"], entry["oracle"]) <= (
                 ARBITRATION_REL_TOL
             )
         # Every transcription slip shows up as a flagged stated route.
-        assert reports["interference_limited"].flagged_routes == ("stated",)
-        assert reports["split_band"].flagged_routes == ("stated",)
-        assert reports["clear_channel"].flagged_routes == ("stated",)
-        assert reports["combined_tail"].flagged_routes == ("stated",)
-        assert reports["combined_tail"].in_total is False
+        assert entries["interference_limited"]["flagged_routes"] == ["stated"]
+        assert entries["split_band"]["flagged_routes"] == ["stated"]
+        assert entries["clear_channel"]["flagged_routes"] == ["stated"]
+        assert entries["combined_tail"]["flagged_routes"] == ["stated"]
+        assert entries["combined_tail"]["counts_toward_total"] is False
         assert all(
-            r.in_total for t, r in reports.items() if t != "combined_tail"
+            e["counts_toward_total"] for t, e in entries.items() if t != "combined_tail"
         )
 
-    def test_sic_terms_at_20db(self):
+    def test_sic_terms_at_20db(self, report):
         reports = {r.term: r for r in term_reports(ProtocolKind.CR_SIC, SCENARIO_20DB)}
         assert set(reports) == {
             "interference_limited",
@@ -66,16 +81,21 @@ class TestTermReports:
             "preferred_order",
             "clear_channel",
         }
-        for report in reports.values():
-            assert relative_deviation(report.chosen_value, report.oracle_value) <= (
+        for term in reports.values():
+            assert list(term.routes) == ["derived"]
+            assert relative_deviation(term.chosen_value, term.oracle_value) <= (
                 ARBITRATION_REL_TOL
             )
         # Only the shared first term carries a transcription slip; the
         # others are printed in their derived form or have no stated route.
-        assert reports["interference_limited"].flagged_routes == ("stated",)
-        assert reports["reduced_power"].flagged_routes == ()
-        assert reports["preferred_order"].flagged_routes == ()
-        assert reports["clear_channel"].flagged_routes == ()
+        entries = _entries(report, "cr-sic")
+        assert set(entries) == set(reports)
+        assert entries["interference_limited"]["flagged_routes"] == ["stated"]
+        assert entries["reduced_power"]["flagged_routes"] == []
+        assert entries["preferred_order"]["flagged_routes"] == []
+        assert entries["clear_channel"]["flagged_routes"] == []
+        for term in ("reduced_power", "preferred_order", "clear_channel"):
+            assert "stated" not in entries[term]["routes"]
 
     def test_quadrature_collapse_falls_back_to_the_oracle(self):
         # At 40 dB the fixed rule misses the kernel mass entirely for the
@@ -162,11 +182,6 @@ class TestEvaluate:
                 evaluate(ProtocolKind.CR_RSMA, SCENARIO_20DB, method)
 
 
-@pytest.fixture(scope="module")
-def report():
-    return deviation_report({"gamma0_20db": SCENARIO_20DB})
-
-
 class TestDeviationReport:
     def test_serializes_to_json(self, report):
         text = json.dumps(report)
@@ -204,28 +219,58 @@ class TestDeviationReport:
         assert sum(entry["term"] in checked for entry in report["entries"]) == 4
 
 
-KERNEL_CHECKS = (
+REPORT_ONLY = (
     "below_threshold_term_integral",
     "reduced_power_term_integral",
     "preferred_order_term_integral",
+    "merged_tail_stated",
 )
 
 
-def test_rows_never_run_the_kernel_checks(monkeypatch):
+@pytest.mark.parametrize("gamma0_pu,gamma0_su", [(40.0, 40.0), (20.0, 20.0), (50.0, 20.0)])
+def test_rows_never_run_the_kernel_checks(monkeypatch, gamma0_pu, gamma0_su):
     """At 40 dB the fixed rule saturates on three terms, which used to send
     arbitration to the adaptive kernel integrals; the rows take the oracle's
-    terms instead."""
-    for name in KERNEL_CHECKS:
+    terms instead.  Nor do rows run a printed form: at 20 dB those miss
+    their terms, and at (50, 20) dB the clear-channel one lands within
+    tolerance of its term by coincidence."""
+    for name in REPORT_ONLY:
         monkeypatch.setattr(
             analytic, name, lambda params, name=name: pytest.fail(f"the rows ran {name}")
         )
-    argv = ["point", "--gamma0", "40", "--method", "analytic"]
+    for name, function in inspect.getmembers(analytic, inspect.isfunction):
+        if "variant" in inspect.signature(function).parameters:
+
+            def derived_only(*args, name=name, function=function, **kwargs):
+                if any(isinstance(a, str) and a == STATED for a in (*args, *kwargs.values())):
+                    pytest.fail(f"the rows ran {name} with {STATED!r}")
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(analytic, name, derived_only)
+    argv = ["point", "--gamma0-pu", str(gamma0_pu), "--gamma0-su", str(gamma0_su),
+            "--method", "analytic"]
     settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
-    rows = cli.make_rows(settings, [(40.0, 40.0)])
+    rows = cli.make_rows(settings, [(gamma0_pu, gamma0_su)])
     assert [row.split(",")[0] for row in rows] == ["cr-rsma", "cr-sic", "cr-sic-norm"]
+    scenario = ScenarioConfig.from_snr_db(gamma0_pu, gamma0_su)
     for row, protocol in zip(rows, ANALYTIC_PROTOCOLS):
-        oracle = ergodic_rate_oracle(protocol, SCENARIO_40DB)
+        oracle = ergodic_rate_oracle(protocol, scenario)
         assert relative_deviation(float(row.split(",")[4]), oracle) <= ARBITRATION_REL_TOL
+
+
+@pytest.mark.parametrize("gamma0_pu", [50.0, 60.0])
+def test_strong_primary_rsma_row_prints_its_oracle(gamma0_pu):
+    """At figure 3's strong-primary end the printed clear-channel form's
+    stray ``exp(-lambda_pu * theta)`` comes within tolerance of its term;
+    the row takes the derived form, which prints the oracle's digits."""
+    argv = ["point", "--gamma0-pu", str(gamma0_pu), "--gamma0-su", "20",
+            "--protocol", "cr-rsma", "--method", "analytic,oracle"]
+    settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
+    analytic_row, oracle_row = (
+        row.split(",") for row in cli.make_rows(settings, [(gamma0_pu, 20.0)])
+    )
+    assert (analytic_row[3], oracle_row[3]) == ("analytic", "oracle")
+    assert analytic_row[4] == oracle_row[4]
 
 
 class TestRouteIsolation:
@@ -235,22 +280,39 @@ class TestRouteIsolation:
     # factors that overflow at a 12 bit/s/Hz target and 0 dB.
     SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, rate_threshold=12.0)
 
-    def test_raising_route_is_recorded_not_propagated(self):
-        reports = {r.term: r for r in term_reports(ProtocolKind.CR_RSMA, self.SCENARIO)}
+    @pytest.fixture(scope="class")
+    def overflow_report(self):
+        return deviation_report({"rate_th_12": self.SCENARIO})
+
+    def test_raising_route_is_recorded_not_propagated(self, overflow_report):
+        entries = _entries(overflow_report, "cr-rsma")
         for term in ("split_band", "combined_tail"):
-            report = reports[term]
-            assert math.isnan(report.routes["stated"])
-            assert report.route_errors["stated"].startswith("OverflowError")
-            assert report.chosen_route == "derived"
-            assert "stated" in report.flagged_routes
-        assert reports["interference_limited"].route_errors == {}
+            entry = entries[term]
+            assert math.isnan(entry["routes"]["stated"])
+            assert entry["route_errors"]["stated"].startswith("OverflowError")
+            assert entry["chosen_route"] == "derived"
+            assert "stated" in entry["flagged_routes"]
+        assert entries["interference_limited"]["route_errors"] == {}
         rate = arbitrated_rate(ProtocolKind.CR_RSMA, self.SCENARIO)
         oracle = ergodic_rate_oracle(ProtocolKind.CR_RSMA, self.SCENARIO)
         assert relative_deviation(rate, oracle) <= ARBITRATION_REL_TOL
 
-    def test_deviation_report_carries_the_reason(self):
-        report = deviation_report({"rate_th_12": self.SCENARIO})
-        failed = [e for e in report["entries"] if e["route_errors"]]
+    def test_raising_closed_form_falls_back_to_the_oracle(self, monkeypatch):
+        def overflow(params, variant=DERIVED):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(analytic, "split_band_term", overflow)
+        reports = {r.term: r for r in term_reports(ProtocolKind.CR_RSMA, SCENARIO_20DB)}
+        band = reports["split_band"]
+        assert math.isnan(band.routes["derived"])
+        assert band.route_errors == {"derived": "OverflowError: math range error"}
+        assert (band.chosen_route, band.chosen_value) == ("oracle", band.oracle_value)
+        rate = arbitrated_rate(ProtocolKind.CR_RSMA, SCENARIO_20DB)
+        oracle = ergodic_rate_oracle(ProtocolKind.CR_RSMA, SCENARIO_20DB)
+        assert relative_deviation(rate, oracle) <= ARBITRATION_REL_TOL
+
+    def test_deviation_report_carries_the_reason(self, overflow_report):
+        failed = [e for e in overflow_report["entries"] if e["route_errors"]]
         assert {(e["protocol"], e["term"]) for e in failed} == {
             ("cr-rsma", "split_band"),
             ("cr-rsma", "combined_tail"),

@@ -43,6 +43,14 @@ SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 UNIT_SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, secondary_distance=1.0)
 
 
+def _estimate(protocol, scenario, mc):
+    """``estimate``, or ``sample_point`` for the normalized protocol, which
+    needs the power scale of the same draws first."""
+    if protocol is ProtocolKind.CR_SIC_NORM:
+        return sample_point(scenario, mc, [protocol])[0][protocol]
+    return estimate(protocol, scenario, mc)
+
+
 # ------------------------------------------------------------ config types
 
 
@@ -150,7 +158,7 @@ class TestDeterminism:
         values = {}
         for count in (1, 4, 16):
             with threads(count):
-                values[count] = estimate(protocol, SCENARIO_20DB, mc)
+                values[count] = _estimate(protocol, SCENARIO_20DB, mc)
         assert values[1] == values[4] == values[16]
 
     def test_sample_point_bit_identical_across_worker_counts(self):
@@ -209,9 +217,9 @@ class TestDeterminism:
     def test_parallel_replay_property(self, seed, protocol):
         mc = McConfig(n_samples=256, seed=seed, chunk_size=64)
         with threads(1):
-            serial = estimate(protocol, SCENARIO_20DB, mc)
+            serial = _estimate(protocol, SCENARIO_20DB, mc)
         with threads(4):
-            parallel = estimate(protocol, SCENARIO_20DB, mc)
+            parallel = _estimate(protocol, SCENARIO_20DB, mc)
         assert serial == parallel
         assert math.isfinite(serial.value)
         assert serial.stderr >= 0.0
@@ -276,33 +284,27 @@ class TestEstimate:
         sic = estimate(ProtocolKind.CR_SIC, scenario, mc).value
         assert rsma >= sic - 1e-12
 
-    def test_norm_flags_rejected_for_plain_protocols(self):
+    def test_normalized_protocol_is_sampled_with_its_scale(self):
+        # Its one-protocol pass would have no power scale to boost by.
         mc = McConfig(n_samples=10, seed=0)
         with pytest.raises(ValueError):
-            estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc, norm_power_factor=0.5)
-
-    def test_unit_power_scale_reduces_to_plain_sic(self):
-        mc = McConfig(n_samples=50_000, seed=11)
-        plain = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        normed = estimate(
-            ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc, norm_power_factor=1.0
-        )
-        assert normed.value == plain.value
+            estimate(ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc)
 
     def test_normalization_boosts_sic(self):
         # The estimated power scale is < 1, so the normalized run gives
         # the secondary a strictly larger mean SNR and a larger rate.
         mc = McConfig(n_samples=10**6, seed=23)
-        plain = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        normed = estimate(ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc)
-        assert normed.value > plain.value
+        protocols = (ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM)
+        estimates, _ = sample_point(SCENARIO_20DB, mc, protocols)
+        assert estimates[ProtocolKind.CR_SIC_NORM].value > estimates[ProtocolKind.CR_SIC].value
 
-    def test_rejects_nonpositive_power_scale(self):
+    def test_rejects_nonpositive_power_scale(self, monkeypatch):
+        monkeypatch.setattr(
+            montecarlo, "sic_power_factor_array", lambda draws, out: np.zeros_like(out)
+        )
         mc = McConfig(n_samples=10, seed=0)
-        with pytest.raises(ValueError):
-            estimate(
-                ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc, norm_power_factor=0.0
-            )
+        with pytest.raises(ValueError, match="power scale must be > 0"):
+            sample_point(SCENARIO_20DB, mc, [ProtocolKind.CR_SIC_NORM])
 
 
 # ------------------------------------------------------------ case breakdown
@@ -343,7 +345,7 @@ class TestEstimateByCase:
         # Several chunks, so the fold order is part of what must match.
         mc = McConfig(n_samples=100_000, seed=13, chunk_size=30_000)
         breakdown = _case_means(protocol, SCENARIO_20DB, mc)
-        total = estimate(protocol, SCENARIO_20DB, mc).value
+        total = _estimate(protocol, SCENARIO_20DB, mc).value
         assert math.fsum(breakdown) == total
 
     def test_case_means_nonnegative(self):
@@ -367,7 +369,13 @@ class TestSamplePoint:
         protocols = [p for p in ProtocolKind if p in subset]
         with threads(1):
             power = mean_power_factor(SCENARIO_20DB, mc)
-            singles = {p: estimate(p, SCENARIO_20DB, mc) for p in protocols}
+            boosted = SCENARIO_20DB.with_secondary_snr_scaled(1.0 / power.value)
+            singles = {
+                p: estimate(ProtocolKind.CR_SIC, boosted, mc)
+                if p is ProtocolKind.CR_SIC_NORM
+                else estimate(p, SCENARIO_20DB, mc)
+                for p in protocols
+            }
         for count in (1, 4):
             with threads(count):
                 estimates, scale = sample_point(SCENARIO_20DB, mc, protocols)

@@ -17,7 +17,7 @@ import scipy.integrate
 from crul import cli, oracle
 from crul.analytic import AnalyticParams, preferred_order_term, reduced_power_term
 from crul.channel import ScenarioConfig
-from crul.montecarlo import McConfig, draw_chunk, estimate
+from crul.montecarlo import McConfig, draw_chunk, sample_point
 from crul.oracle import (
     FULL_QUADRANT,
     TERMS,
@@ -344,7 +344,8 @@ def test_power_normalized_sic_with_secondary_at_60db(primary_db):
 
 def test_power_normalized_sic_at_60db_matches_sampling():
     config = scenario(40.0, 60.0)
-    sampled = estimate(ProtocolKind.CR_SIC_NORM, config, McConfig(n_samples=100_000))
+    estimates, _ = sample_point(config, McConfig(n_samples=100_000), [ProtocolKind.CR_SIC_NORM])
+    sampled = estimates[ProtocolKind.CR_SIC_NORM]
     value = ergodic_rate_oracle(ProtocolKind.CR_SIC_NORM, config)
     assert abs(value - sampled.value) < 4.0 * sampled.stderr
 
