@@ -33,6 +33,11 @@ term by term:
   loses visible mass once ``1/lambda_su`` grows past the node range --
   and serve as checks of the kernels against the oracle.
 
+The reduced-power kernel is one array pass over the rule's nodes.  Its
+bracket reads only ``(lambda_pu, theta)`` and the rule, so it is
+memoised per rule and shared by pure SIC and its power-normalized twin,
+which differ only in ``lambda_su``.
+
 :mod:`crul.crosscheck` puts one route per term on the rate path: the
 ``derived`` form where it is within tolerance of the oracle's term, and
 that term otherwise.  The ``stated`` forms, the merged tail and the
@@ -53,7 +58,9 @@ from .panels import REL_TOL, exponential_expectation, panel_integral
 from .protocols import switch_edge, switch_level
 from .specfun import (
     E1_SERIES_MAX,
+    EULER_GAMMA,
     QuadratureRule,
+    e1_cf_factor,
     ei_series_sum,
     expint_ei,
     gauss_laguerre,
@@ -299,13 +306,60 @@ def merged_tail_stated(params: AnalyticParams) -> float:
 # --------------------------------------------- pure-SIC terms
 
 
-def reduced_power_kernel(su_snr: float, params: AnalyticParams) -> float:
-    """Closed-form inner integral of the reduced-power rate at one SU SNR.
+def _reduced_power_bracket(su_snr: np.ndarray, lambda_pu: float, theta: float) -> np.ndarray:
+    """The reduced-power kernel without its secondary density factor.
+
+    Zero where the band is empty.  Where the exponential integrals take
+    their power series, the bracket is written with ``Ei(-z) = gamma +
+    log z + S(-z)`` so its constants and logs cancel exactly; elsewhere it
+    takes ``Ei`` itself (see :func:`reduced_power_kernel`).
+    """
+    switch = switch_edge(su_snr, theta)
+    band_edge = theta * (su_snr + 1.0)
+    # Empty band: analytically only at su_snr == 0, but rounding in the
+    # square root can land the switch point one ulp past the edge.  A NaN
+    # SNR stays NaN.
+    empty = switch >= band_edge
+    bracket = np.where(empty, 0.0, np.nan)
+    band = ~empty
+    # Row 0 at the band edge, row 1 at the switch point.
+    edges = np.stack([band_edge[band], switch[band]])
+    z, logs = lambda_pu * edges, np.log(edges / theta)
+    # One series pass for every z up to 4 and one continued fraction for
+    # every z up to 745; past that the fraction stays 0, so Ei(-z) is -0.0
+    # as in expint_ei.
+    small, moderate = z <= E1_SERIES_MAX, (z > E1_SERIES_MAX) & (z <= 745.0)
+    sums, fractions = np.zeros_like(z), np.zeros_like(z)
+    sums[small] = ei_series_sum(-z[small])
+    fractions[moderate] = e1_cf_factor(z[moderate])
+    ei = np.where(small, EULER_GAMMA + np.log(z) + sums, -np.exp(-z) * fractions)
+    series_form = np.expm1(-z) * logs
+    ei_form = np.exp(-z) * logs
+    bracket[band] = np.where(
+        small[0],  # the band edge in the series range puts the switch point there too
+        (series_form[1] - series_form[0]) + (sums[0] - sums[1]),
+        ei_form[1] - ei_form[0] + ei[0] - ei[1],
+    )
+    return bracket
+
+
+@functools.lru_cache(maxsize=64)
+def _rule_bracket(lambda_pu: float, theta: float, rule: QuadratureRule) -> np.ndarray:
+    """The bracket at a rule's nodes, memoised per primary rate, threshold
+    and rule (by identity): pure SIC and its power-normalized twin share it."""
+    bracket = _reduced_power_bracket(rule.nodes, lambda_pu, theta)
+    bracket.flags.writeable = False
+    return bracket
+
+
+def reduced_power_kernel(su_snr, params: AnalyticParams):
+    """Closed-form inner integral of the reduced-power rate at SU SNR ``x``.
 
     For fixed secondary SNR ``x``, integrates ``log2(y/theta)`` over the
     primary band where the secondary transmits at reduced power, times the
     secondary density factor.  Vanishes at ``x = 0`` (the band collapses)
-    and is nonnegative everywhere.
+    and is nonnegative everywhere.  Accepts scalars or arrays; an array is
+    one pass, each element on its own branch below.
 
     This is the derived form; the stated one is the same algebra with its
     terms in another order.  The bracket of exponentials, logs and ``Ei``
@@ -316,44 +370,26 @@ def reduced_power_kernel(su_snr: float, params: AnalyticParams) -> float:
     the constants and logs cancel exactly and every term left is
     O(lambda_pu).
     """
-    if su_snr < 0.0:
-        raise ValueError(f"secondary SNR must be >= 0, got {su_snr}")
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
-    switch = float(switch_edge(su_snr, theta))
-    band_edge = theta * (su_snr + 1.0)
-    if switch >= band_edge:
-        # Empty band: analytically only at su_snr == 0, but rounding in
-        # the square root can land the switch point one ulp past the edge.
-        return 0.0
-    density = lam_s * math.exp(-lam_s * su_snr) / LN2
-    if lam_p * band_edge <= E1_SERIES_MAX:
-        return density * (
-            (
-                math.expm1(-lam_p * switch) * math.log(switch / theta)
-                - math.expm1(-lam_p * band_edge) * math.log(band_edge / theta)
-            )
-            + (ei_series_sum(-lam_p * band_edge) - ei_series_sum(-lam_p * switch))
-        )
-    return density * (
-        math.exp(-lam_p * switch) * math.log(switch / theta)
-        - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
-        + expint_ei(-lam_p * band_edge)
-        - expint_ei(-lam_p * switch)
-    )
+    x = np.asarray(su_snr, dtype=float)
+    lam_s = params.lambda_su
+    density = lam_s * np.exp(-lam_s * x) / LN2
+    result = density * _reduced_power_bracket(x, params.lambda_pu, params.theta)
+    if np.ndim(su_snr) == 0:
+        return float(result)
+    return result
 
 
 def reduced_power_term(params: AnalyticParams) -> float:
     """Rate contribution of the reduced-power event, by quadrature."""
-    rule = params.rule
-    return math.fsum(
-        weight * reduced_power_kernel(node, params)
-        for node, weight in zip(rule.nodes, rule.integration_weights)
-    )
+    rule, lam_s = params.rule, params.lambda_su
+    density = lam_s * np.exp(-lam_s * rule.nodes) / LN2
+    bracket = _rule_bracket(params.lambda_pu, params.theta, rule)
+    return math.fsum(rule.integration_weights * (density * bracket))
 
 
 def reduced_power_term_integral(params: AnalyticParams) -> float:
     """Same contribution by adaptive integration of the closed-form kernel."""
-    integrand = np.vectorize(lambda x: reduced_power_kernel(x, params), otypes=[float])
+    integrand = lambda x: reduced_power_kernel(x, params)
     return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, REL_TOL)
 
 

@@ -86,8 +86,9 @@ def load_config(path: str) -> list[tuple[int, str, str]]:
     """Read a ``key = value`` file as ``(line number, key, --key=value)`` flags.
 
     ``#`` comments and blank lines are allowed; underscores in a key read
-    as hyphens.  The subcommand's parser applies the types, and ``main``
-    rejects keys it does not take.
+    as hyphens, and a key may be written with its flag's leading dashes.
+    The subcommand's parser applies the types, and ``main`` rejects keys
+    it does not take.
     """
     flags = []
     try:
@@ -101,7 +102,7 @@ def load_config(path: str) -> list[tuple[int, str, str]]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
+        flag = "--" + key.lstrip("-").replace("_", "-")
         if flag == "--config":
             raise UsageError(f"{path}:{lineno}: --config cannot be set in a config file")
         flags.append((lineno, key, f"{flag}={value}"))

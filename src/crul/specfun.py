@@ -11,6 +11,11 @@ Both are deliberately hand-rolled rather than taken from scipy:
   ``Ei`` values.  :func:`log_e1` exposes the exponential integral on a log
   scale so those products can be formed without overflow.
 
+The ``Ei`` series sum and the ``E1`` continued fraction take scalars or
+arrays in one loop: a scalar stops at its own tolerance, and an array
+element stops at the same step, so the reduced-power kernel evaluates all
+nodes of a rule in one pass with the scalar's digits.
+
 The scipy equivalents are still used in the test-suite as an independent
 check of these routines, never as the implementation.
 """
@@ -47,9 +52,11 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """A Gauss-Laguerre rule for integrals against ``exp(-x)`` on ``[0, inf)``.
+
+    Rules compare and hash by identity, so a cache can key on the rule.
 
     Attributes
     ----------
@@ -156,12 +163,17 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, log_weights=log_weights)
 
 
-def ei_series_sum(x: float) -> float:
+def ei_series_sum(x):
     """``S(x) = sum_{k>=1} x^k/(k k!)``, so that ``Ei(x) = gamma + log|x| +
-    S(x)``; for ``|x| <= 4``.
+    S(x)``; for ``|x| <= 4``.  Scalars or arrays.
 
     Differences of ``Ei`` at nearby small arguments are better formed from
     ``S``, where the logs cancel analytically rather than in rounding.
+
+    Each element stops once its term falls to ``1e-18`` of its sum.  An
+    array runs until its last element stops; the terms an element adds
+    after its own stop are below half an ulp of its sum and leave it
+    unchanged, so every element equals the scalar result bit for bit.
     """
     total = 0.0
     power = 1.0
@@ -169,31 +181,52 @@ def ei_series_sum(x: float) -> float:
         power *= x / k
         term = power / k
         total += term
-        if abs(term) <= 1e-18 * abs(total):
+        # |term| <= 1e-18 |total|, squared: two products cost less than
+        # two abs calls, and within the series' range neither overflows.
+        converged = term * term <= 1e-36 * (total * total)
+        if converged is False:
+            continue
+        if converged is True or converged.all():
             return total
     raise ConvergenceError(f"Ei series did not converge at x = {x}")
 
 
 def _ei_series(x: float) -> float:
-    """Power series ``Ei(x) = gamma + log|x| + S(x)``, |x| <= 4."""
-    return EULER_GAMMA + math.log(abs(x)) + ei_series_sum(x)
+    """Power series ``Ei(x) = gamma + log(-x) + S(x)``, ``-4 <= x < 0``."""
+    return EULER_GAMMA + math.log(-x) + ei_series_sum(x)
 
 
-def _e1_cf_factor(x: float) -> float:
-    """Modified-Lentz continued fraction ``K`` with ``E1(x) = exp(-x) K``, x > 4."""
+def e1_cf_factor(x):
+    """Modified-Lentz continued fraction ``K`` with ``E1(x) = exp(-x) K``,
+    ``x > 4``.  Scalars or arrays.
+
+    It stops at the first step factor of exactly one.  An array element
+    stops there too: its later factors are masked to one, so every
+    element equals the scalar result bit for bit.
+    """
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
+    stopped = False
     for k in range(1, _CF_MAX_ITER):
-        a = -float(k) * k
+        a = -float(k * k)
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        # A factor within 1e-16 of one is exactly one: the doubles next to
+        # one are 1.1e-16 below and 2.2e-16 above.
+        converged = delta == 1.0
+        if converged is False:
+            h *= delta
+            continue
+        if converged is True:
+            return h
+        stopped = stopped | converged
+        h = h * np.where(stopped, 1.0, delta)
+        if stopped.all():
             return h
     raise ConvergenceError(f"E1 continued fraction did not converge at x = {x}")
 
@@ -216,7 +249,7 @@ def expint_ei(x: float) -> float:
     if magnitude > 745.0:
         # exp(-x) underflows; the true value is below 1e-324 anyway.
         return -0.0
-    return -math.exp(-magnitude) * _e1_cf_factor(magnitude)
+    return -math.exp(-magnitude) * e1_cf_factor(magnitude)
 
 
 def log_e1(x: float) -> float:
@@ -232,4 +265,4 @@ def log_e1(x: float) -> float:
         raise ValueError(f"log_e1 requires x > 0, got {x}")
     if x <= E1_SERIES_MAX:
         return math.log(-_ei_series(-x))
-    return -x + math.log(_e1_cf_factor(x))
+    return -x + math.log(e1_cf_factor(x))

@@ -5,6 +5,7 @@ Ground truth throughout is the adaptive-integration engine in
 plus a handful of values frozen from scipy adaptive quadrature runs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,9 +28,19 @@ from crul.oracle import (
 )
 from crul.panels import panel_integral
 from crul.protocols import ProtocolKind, switch_edge, switch_level
-from crul.specfun import expint_ei
+from crul.specfun import (
+    E1_SERIES_MAX,
+    QuadratureRule,
+    ei_series_sum,
+    expint_ei,
+    gauss_laguerre,
+)
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
+
+
+#: Cancellation noise of the reduced-power kernel's four-term bracket.
+NOISE_FLOOR = 1e-12
 
 
 def params_at(gamma0_db: float, nodes: int = 100) -> AnalyticParams:
@@ -402,7 +413,7 @@ class TestReducedPowerKernel:
             analytic.reduced_power_kernel(-1.0, p20)
 
     @given(
-        x=st.floats(min_value=0.0, max_value=1e4),
+        x=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=16),
         lam_p=st.floats(min_value=1e-3, max_value=10.0),
         lam_s=st.floats(min_value=1e-3, max_value=10.0),
         theta=st.floats(min_value=0.1, max_value=10.0),
@@ -412,7 +423,73 @@ class TestReducedPowerKernel:
         # hair-thin band the true value is O(x^2) but the bracket terms
         # are O(1), so ~1e-13 of signed rounding survives.
         p = AnalyticParams(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
-        assert analytic.reduced_power_kernel(x, p) >= -1e-12
+        values = analytic.reduced_power_kernel(np.array(x), p)
+        assert values.shape == (len(x),)
+        assert np.all(values >= -NOISE_FLOOR)
+        assert analytic.reduced_power_kernel(x[0], p) >= -NOISE_FLOOR
+
+    @staticmethod
+    def per_node_kernel(x: float, p: AnalyticParams) -> float:
+        """The kernel one SU SNR at a time on :mod:`math` and the scalar
+        special functions, as the rule's nodes were once summed."""
+        lam_p, lam_s, theta = p.lambda_pu, p.lambda_su, p.theta
+        switch = float(switch_edge(x, theta))
+        band_edge = theta * (x + 1.0)
+        if switch >= band_edge:
+            return 0.0
+        density = lam_s * math.exp(-lam_s * x) / math.log(2.0)
+        if lam_p * band_edge <= E1_SERIES_MAX:
+            return density * (
+                (
+                    math.expm1(-lam_p * switch) * math.log(switch / theta)
+                    - math.expm1(-lam_p * band_edge) * math.log(band_edge / theta)
+                )
+                + (ei_series_sum(-lam_p * band_edge) - ei_series_sum(-lam_p * switch))
+            )
+        return density * (
+            math.exp(-lam_p * switch) * math.log(switch / theta)
+            - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
+            + expint_ei(-lam_p * band_edge)
+            - expint_ei(-lam_p * switch)
+        )
+
+    @pytest.mark.parametrize(
+        "lam_p,theta,low,high,branches",
+        [
+            (0.01, 3.0, 1e-3, 50.0, {"series"}),
+            (1.0, 3.0, 0.4, 200.0, {"fraction"}),
+            (10.0, 3.0, 30.0, 1e3, {"underflow"}),
+            (0.5, 1.5, 1e-3, 1e3, {"series", "fraction", "underflow"}),
+        ],
+    )
+    def test_array_matches_per_node_scalars(self, lam_p, theta, low, high, branches):
+        # By lambda_pu * theta * (x + 1): the S form up to 4, the band
+        # edge's Ei by continued fraction up to 745, and underflowing past.
+        p = AnalyticParams(lambda_pu=lam_p, lambda_su=0.3, theta=theta)
+        x = np.concatenate([[0.0], np.geomspace(low, high, 257)])
+        edge = lam_p * theta * (x[1:] + 1.0)
+        taken = {"series": edge <= 4.0, "fraction": (edge > 4.0) & (edge <= 745.0),
+                 "underflow": edge > 745.0}
+        assert {name for name, mask in taken.items() if mask.any()} == branches
+        values = analytic.reduced_power_kernel(x, p)
+        assert values[0] == 0.0
+        for node, value in zip(x, values):
+            reference = self.per_node_kernel(float(node), p)
+            assert value == pytest.approx(reference, rel=1e-13, abs=NOISE_FLOOR)
+            scalar = analytic.reduced_power_kernel(float(node), p)
+            assert scalar == pytest.approx(reference, rel=1e-13, abs=NOISE_FLOOR)
+
+    def test_empty_band_by_one_ulp_is_zero(self):
+        # Rounding in the square root puts this switch point one ulp past
+        # the band edge, so the band is empty though x > 0.
+        x, theta = 4.66610086e-17, 7.3
+        assert float(switch_edge(x, theta)) > theta * (x + 1.0)
+        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=theta)
+        assert analytic.reduced_power_kernel(x, p) == 0.0
+        assert analytic.reduced_power_kernel(np.array([x, 1.0]), p)[0] == 0.0
+
+    def test_nan_snr_stays_nan(self, p20):
+        assert math.isnan(analytic.reduced_power_kernel(math.nan, p20))
 
     @staticmethod
     def stated_kernel(x: float, p: AnalyticParams) -> float:
@@ -437,6 +514,31 @@ class TestReducedPowerKernel:
 
 
 class TestReducedPowerTerm:
+    def test_sums_the_kernel_at_the_rule_nodes(self, p20):
+        rule = p20.rule
+        per_node = [
+            weight * TestReducedPowerKernel.per_node_kernel(float(node), p20)
+            for node, weight in zip(rule.nodes, rule.integration_weights)
+        ]
+        assert analytic.reduced_power_term(p20) == pytest.approx(math.fsum(per_node), rel=1e-13)
+
+    def test_a_custom_rule_is_its_own_cache_key(self, p20):
+        # The bracket is memoised per rule object: a rule with other nodes
+        # but the default's order must not get the default's bracket.
+        default = gauss_laguerre(100)
+        stretched = QuadratureRule(
+            order=100, nodes=2.0 * default.nodes, log_weights=default.log_weights - math.log(2.0)
+        )
+        copied = QuadratureRule(
+            order=100, nodes=default.nodes.copy(), log_weights=default.log_weights.copy()
+        )
+        value = analytic.reduced_power_term(p20)
+        for rule in (stretched, copied):
+            p = dataclasses.replace(p20, rule=rule)
+            kernel = analytic.reduced_power_kernel(rule.nodes, p)
+            assert analytic.reduced_power_term(p) == math.fsum(rule.integration_weights * kernel)
+        assert analytic.reduced_power_term(dataclasses.replace(p20, rule=copied)) == value
+
     def test_routes_agree_at_moderate_snr(self, p20):
         quad = analytic.reduced_power_term(p20)
         integral = analytic.reduced_power_term_integral(p20)

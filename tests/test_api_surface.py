@@ -122,6 +122,17 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     assert unpassed_defaults() == []
 
 
+def test_no_np_vectorize_in_the_package():
+    """``np.vectorize`` is a Python loop in an array's clothes; a kernel
+    that an integrator calls on arrays takes arrays itself."""
+    vectorized = [
+        module
+        for module, tree in _trees(SOURCE).items()
+        if _references(tree)["vectorize"]
+    ]
+    assert vectorized == []
+
+
 def test_the_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
     """``perfbench/spans.py`` wraps each layer's functions at the module
     attributes their callers look up; a deleted or renamed one breaks the

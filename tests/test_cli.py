@@ -336,6 +336,14 @@ class TestUsageErrors:
         assert f"{cfg}:4: key 'gamma0': crul validate has no flag --gamma0" in err
         assert "usage: crul [-h]" not in err
 
+    def test_config_key_written_as_a_flag_is_named_once(self, capsys, tmp_path):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("--gamma0=5\n", encoding="utf-8")
+        assert cli.main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:1: key '--gamma0': crul validate has no flag --gamma0" in err
+        assert "---" not in err
+
 
 #: Flags each subcommand does not take: no run of it would read them.
 NOT_TAKEN = {
@@ -419,6 +427,13 @@ class TestConfigFile:
         rows = data_rows(out)
         assert len(rows) == 1
         assert rows[0][1] == "17"
+
+    def test_key_written_as_a_flag_is_that_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("--samples=2000\nprotocol = cr-rsma\nmethod = mc\n", encoding="utf-8")
+        status, out = run_cli(capsys, ["point", "--config", str(cfg), "--gamma0", "17"])
+        assert status == 0
+        assert data_rows(out)[0][6] == "2000"
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

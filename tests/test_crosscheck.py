@@ -319,3 +319,22 @@ class TestRouteIsolation:
         }
         assert all(math.isnan(e["routes"]["stated"]) for e in failed)
         assert all("stated" in e["flagged_routes"] for e in failed)
+
+
+def test_pure_sic_and_its_twin_share_one_reduced_power_bracket(monkeypatch):
+    """``cr-sic`` and ``cr-sic-norm`` at one point differ only in the
+    secondary rate, which the reduced-power bracket does not read."""
+    analytic._rule_bracket.cache_clear()
+    builds = []
+    bracket = analytic._reduced_power_bracket
+    monkeypatch.setattr(
+        analytic,
+        "_reduced_power_bracket",
+        lambda *args: builds.append(args[1:]) or bracket(*args),
+    )
+    scenario = ScenarioConfig.from_snr_db(16.0, 16.0)
+    for protocol in (ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM):
+        evaluate(protocol, scenario, "analytic")
+    reports = term_reports(ProtocolKind.CR_SIC_NORM, scenario)
+    assert "reduced_power" in {report.term for report in reports}
+    assert builds == [(scenario.lambda_pu, scenario.theta)]

@@ -17,6 +17,8 @@ from crul.specfun import (
     MAX_ORDER,
     ConvergenceError,
     QuadratureRule,
+    e1_cf_factor,
+    ei_series_sum,
     expint_ei,
     gauss_laguerre,
     log_e1,
@@ -189,3 +191,24 @@ def test_log_e1_far_beyond_underflow():
     # E1(x) ~ exp(-x)/x * (1 - 1/x + ...) so log is ~ -x - log(x) - 1/x.
     value = log_e1(1200.0)
     assert value == pytest.approx(-1200.0 - math.log(1200.0) - 1 / 1200.0, rel=1e-6)
+
+
+# ------------------------------------------------------------- arrays
+
+
+def test_series_over_an_array_is_the_scalar_series_bit_for_bit():
+    # Elements converge at different terms; the late ones must not move
+    # the early ones' sums.
+    x = -np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-6, 4.0, 300)])
+    np.testing.assert_array_equal(ei_series_sum(x), [ei_series_sum(float(v)) for v in x])
+
+
+def test_continued_fraction_over_an_array_is_the_scalar_one_bit_for_bit():
+    x = np.concatenate([np.geomspace(4.0 + 1e-12, 745.0, 300), [5.0, 5.0]])
+    np.testing.assert_array_equal(e1_cf_factor(x), [e1_cf_factor(float(v)) for v in x])
+
+
+@pytest.mark.parametrize("routine,x", [(ei_series_sum, -1.0), (e1_cf_factor, 6.0)])
+def test_a_nan_element_fails_the_array_loudly(routine, x):
+    with pytest.raises(ConvergenceError):
+        routine(np.array([x, math.nan, 2.0 * x]))
