@@ -47,6 +47,9 @@ MAX_GRID_POINTS = 20_001
 #: (dB).  Its rate parameter and the inverse stay within 1e-100..1e100,
 #: normal floats with room for the products of the closed forms.
 LINK_SNR_DB_RANGE = (-1000.0, 1000.0)
+#: Largest --rate-th (bit/s/Hz): its SINR threshold 2**R - 1 stays within
+#: 1e100, the range the rate parameters keep.
+MAX_RATE_TH = 332.0
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -163,8 +166,11 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             _require(flag, value, low <= value <= high, f"a mean SNR in [{low:g}, {high:g}] dB")
     for flag, value in (("dist-pu", args.dist_pu), ("dist-su", args.dist_su)):
         _require(flag, value, 0.0 < value < math.inf, "finite and > 0")
-    for flag, value in (("u", args.u), ("rate-th", args.rate_th)):
-        _require(flag, value, 0.0 <= value < math.inf, "finite and >= 0")
+    _require("u", args.u, 0.0 <= args.u < math.inf, "finite and >= 0")
+    _require(
+        "rate-th", args.rate_th, 0.0 <= args.rate_th <= MAX_RATE_TH,
+        f"in [0, {MAX_RATE_TH:g}] bit/s/Hz",
+    )
     if gamma0 is not None:
         if gamma0_pu is not None or gamma0_su is not None:
             raise UsageError("--gamma0 conflicts with --gamma0-pu/--gamma0-su")

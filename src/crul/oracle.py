@@ -196,8 +196,16 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
 # ------------------------------------------------------- per-case terms
 
 
+_LN2 = math.log(2.0)
+
+
+def _log2_1p(r):
+    """``log2(1 + r)`` without rounding ``1 + r``, which loses a tiny ``r``."""
+    return np.log1p(r) / _LN2
+
+
 def _interference_limited(x, y, theta):
-    return np.log2(1.0 + y / (1.0 + x))
+    return _log2_1p(y / (1.0 + x))
 
 
 #: The SU rate of every per-case term at PU SNR ``x`` and SU SNR ``y``.
@@ -206,7 +214,7 @@ _INTEGRANDS = {
     "band": lambda x, y, theta: np.log2((1.0 + x + y) / (1.0 + theta)),
     "reduced": lambda x, y, theta: np.log2(x / theta),
     "preferred": _interference_limited,
-    "clear": lambda x, y, theta: np.log2(1.0 + y),
+    "clear": lambda x, y, theta: _log2_1p(y),
 }
 
 
@@ -254,7 +262,7 @@ def ergodic_rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> flo
     if protocol is ProtocolKind.BENCH_QOS:
         # The hard gate admits the secondary exactly where rate splitting
         # gives it the clear channel.
-        return case_terms(ProtocolKind.CR_RSMA, scenario)["clear"]
+        return _case_term("clear", scenario.lambda_pu, scenario.lambda_su, scenario.theta)
 
     raise ValueError(f"unknown protocol: {protocol}")
 
@@ -316,7 +324,7 @@ def expected_clean_rate(rate_parameter: float) -> float:
         raise ValueError("rate parameter must be > 0")
     try:
         return panel_integral(
-            lambda y: np.log2(1.0 + y) * rate_parameter * np.exp(-rate_parameter * y),
+            lambda y: _log2_1p(y) * rate_parameter * np.exp(-rate_parameter * y),
             0.0,
             1.0 / rate_parameter,
             REL_TOL,

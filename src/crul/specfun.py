@@ -83,41 +83,45 @@ class QuadratureRule:
         return np.exp(self.nodes + self.log_weights)
 
 
-def _laguerre_pair_scaled(order: int, x: float) -> tuple[float, float, float]:
-    """Return ``(L_order(x), L_{order-1}(x))`` up to a common scale.
+def _recurrence_steps(order: int) -> tuple[tuple[float, float, float], ...]:
+    """The coefficients ``(2k - 1, k - 1, k)`` of the Laguerre recurrence
+    as floats, for ``k = 1..order``; a build makes them once for all its
+    :func:`_laguerre_pair_scaled` calls."""
+    return tuple((2.0 * k - 1.0, k - 1.0, float(k)) for k in range(1, order + 1))
 
-    The third element is ``log`` of that scale, i.e. the true values are
+
+def _laguerre_pair_scaled(x: float, steps) -> tuple[float, float, float]:
+    """Return ``(L_n(x), L_{n-1}(x))`` up to a common scale, where ``steps``
+    is ``_recurrence_steps(n)``.
+
+    The third element is ``log`` of the scale, i.e. the true values are
     ``returned * exp(log_scale)``.  Ratios of the pair (all Newton needs)
     are exact; the scale matters only for the weight computation.
     """
     current, previous = 1.0, 0.0
     log_scale = 0.0
-    for k in range(1, order + 1):
-        current, previous = ((2 * k - 1 - x) * current - (k - 1) * previous) / k, current
-        magnitude = abs(current)
-        if magnitude > _RESCALE_AT:
+    for odd, below, k in steps:
+        current, previous = ((odd - x) * current - below * previous) / k, current
+        if current > _RESCALE_AT or current < -_RESCALE_AT:
+            magnitude = abs(current)
             current /= magnitude
             previous /= magnitude
             log_scale += math.log(magnitude)
     return current, previous, log_scale
 
 
-@lru_cache(maxsize=None)
-def gauss_laguerre(order: int) -> QuadratureRule:
-    """Build the Gauss-Laguerre rule of the given order (1..256).
+def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and log-weights of the order-``order`` rule, by Newton.
 
     Nodes are found by Newton iteration on the three-term recurrence,
     walking outward from the smallest root with spacing extrapolated from
     the previous two.  Each node must converge to ``1e-14`` relative in
-    at most 100 iterations or the build fails loudly.
+    at most 100 iterations or the build fails loudly.  All arithmetic is
+    on Python floats, which cost less per operation than numpy scalars.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-
-    nodes = np.empty(order)
-    log_weights = np.empty(order)
+    steps = _recurrence_steps(order)
+    nodes: list[float] = []
+    log_weights: list[float] = []
 
     z = 0.0
     for i in range(order):
@@ -131,7 +135,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
 
         previous_step = math.inf
         for _ in range(_NEWTON_MAX_ITER):
-            value, lower, _ = _laguerre_pair_scaled(order, z)
+            value, lower, _ = _laguerre_pair_scaled(z, steps)
             derivative = order * (value - lower) / z
             step = value / derivative
             z -= step
@@ -149,15 +153,33 @@ def gauss_laguerre(order: int) -> QuadratureRule:
                 f"Gauss-Laguerre node {i} of order {order} did not converge"
             )
 
-        nodes[i] = z
-        value, lower, log_scale = _laguerre_pair_scaled(order, z)
+        nodes.append(z)
+        value, lower, log_scale = _laguerre_pair_scaled(z, steps)
         # One extra recurrence step gives L_{order+1} at the root, which
         # the classical weight formula w = z / ((n+1) L_{n+1}(z))^2 needs.
         above = ((2 * order + 1 - z) * value - order * lower) / (order + 1)
-        log_weights[i] = math.log(z) - 2.0 * (
-            math.log((order + 1) * abs(above)) + log_scale
+        log_weights.append(
+            math.log(z) - 2.0 * (math.log((order + 1) * abs(above)) + log_scale)
         )
+    return np.array(nodes), np.array(log_weights)
 
+
+@lru_cache(maxsize=None)
+def gauss_laguerre(order: int) -> QuadratureRule:
+    """The Gauss-Laguerre rule of the given order (1..256).
+
+    The default order is read from :data:`_STORED_RULES`, the exact
+    output of :func:`_newton_rule`; every other order is built by it.
+    """
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+
+    if order in _STORED_RULES:
+        nodes, log_weights = (np.array(values) for values in _STORED_RULES[order])
+    else:
+        nodes, log_weights = _newton_rule(order)
     for array in (nodes, log_weights):
         array.flags.writeable = False
     return QuadratureRule(order=order, nodes=nodes, log_weights=log_weights)
@@ -266,3 +288,84 @@ def log_e1(x: float) -> float:
     if x <= E1_SERIES_MAX:
         return math.log(-_ei_series(-x))
     return -x + math.log(e1_cf_factor(x))
+
+
+# The default rule's nodes and log-weights, keyed by order, exactly as
+# ``_newton_rule`` builds them.  Generated by scripts/laguerre_constants.py;
+# tests/test_specfun.py holds them to the Newton build byte for byte.
+_STORED_RULES = {
+    100: (
+        (
+            0.014386146995418786, 0.07580361202335904, 0.1863141020571847,
+            0.3459691809914289, 0.554810937580914, 0.8128912841156708,
+            1.1202738350075423, 1.477034329923826, 1.8832608263423951,
+            2.339053849646034, 2.8445265427553568, 3.399804827445709,
+            4.005027581758654, 4.660346835568909, 5.3659279855851185,
+            6.1219500308040224, 6.928605829376172, 7.78610237786252,
+            8.694661113922168, 9.65451824355508, 10.665925094121672,
+            11.729148494472225, 12.844471183641032, 14.012192249694277,
+            15.232627600466696, 16.506110468081985, 17.83299194932639,
+            19.213641584136063, 20.648447974668347, 22.137819447656703,
+            23.68218476300238, 25.281993871834036, 26.937718727574264,
+            28.64985415389129, 30.418918773790942, 32.24545600452066,
+            34.130035123421514, 36.07325241037997, 38.075732373107094,
+            40.138129062115546, 42.2611274829848, 44.44544511431181,
+            46.69183354065154, 49.001080210772436, 51.374010332703996,
+            53.81148891835566, 56.314422991961706, 58.88376397828209,
+            61.520510288396146, 64.22571012310156, 67.00046451641931,
+            69.84593064455838, 72.76332542897458, 75.75392946593993,
+            78.81909131941147, 81.96023221906012, 85.1788512112189,
+            88.47653081739462, 91.85494326304931, 95.31585734883173,
+            98.86114604761353, 102.49279492391656, 106.21291148804681,
+            110.02373561603092, 113.92765118897162, 117.92719913257322,
+            122.02509207044162, 126.2242308447504, 130.5277232067994,
+            134.9389050402274, 139.46136455424016, 144.09896997721273,
+            148.85590139775826, 153.73668754797302, 158.7462485117131,
+            163.88994558258725, 169.17363981000304, 174.60376118237662,
+            180.1873909402457, 185.93236023966696, 191.84736937224832,
+            197.94213310214326, 204.2275595670305, 210.71597286157694,
+            217.4213932720015, 224.3598947888746, 231.5500680251725,
+            239.01362975131494, 246.7762409672485, 254.86862925704742,
+            263.3281684691579, 272.20117002409256, 281.54632828389737,
+            291.4401336163771, 301.9858552516392, 313.3295340040755,
+            325.6912634370265, 339.4351019234496, 355.2613118885341,
+            374.9841128343427,
+        ),
+        (
+            -3.313389660037459, -2.5297775022303064, -2.1882292270019073,
+            -2.0374814074384524, -2.0095921005138857, -2.07619010708148,
+            -2.2227198278570564, -2.4407369897840527, -2.72492667129651,
+            -3.071746877318211, -3.4787381912944877, -3.944141934128465,
+            -4.466674927241749, -5.045389640082117, -5.6795836455103,
+            -6.36873893000679, -7.1124800134706785, -7.9105443287573625,
+            -8.762760830167291, -9.669034269562776, -10.629333466439945,
+            -11.64368245110722, -12.71215371385411, -13.834863024864642,
+            -15.011965444937683, -16.243652253173718, -17.53014859156721,
+            -18.871711678608364, -20.26862948144282, -21.721219763409515,
+            -23.229829443912973, -24.794834222651474, -26.416638431645417,
+            -28.09567508728634, -29.83240612147145, -31.627322776295713,
+            -33.480946151133544, -35.39382789450665, -37.36655103612714,
+            -39.3997309570638, -41.494016498236256, -43.6500912094838,
+            -45.86867474336069, -48.15052439964279, -50.49643682834222,
+            -52.90724990087091, -55.38384476091119, -57.927148068590526,
+            -60.53813445376209, -63.217829196611184, -65.96731115649251,
+            -68.78771597291541, -71.68023956599725, -74.64614196758298,
+            -77.68675151866675, -80.80346947386616, -83.99777505961464,
+            -87.27123103961613, -90.62548984913556, -94.06230036911491,
+            -97.58351542218874, -101.19110008578468, -104.88714093306058,
+            -108.67385633100292, -112.55360794726715, -116.52891364414113,
+            -120.60246197044722, -124.77712850165662, -129.0559943267604,
+            -133.4423670398364, -137.93980466778228, -142.55214305732224,
+            -147.28352735937435, -152.13844839421816, -157.12178486608667,
+            -162.23885263374186, -167.49546255206582, -172.8979888035161,
+            -178.45345017247442, -184.1696074301608, -190.05508096564384,
+            -196.119494126836, -202.373649585255, -208.82974865598666,
+            -215.50166727417616, -222.40530786570534, -229.55905465901807,
+            -236.98437276443372, -244.70661155138876, -252.75610581746577,
+            -261.1697240072376, -269.99311113989086, -279.2840566109293,
+            -289.11777639933786, -299.595660687633, -310.86080767732506,
+            -323.1283057423083, -336.75260333103176, -352.4114878775774,
+            -371.84118750036663,
+        ),
+    ),
+}

@@ -264,6 +264,24 @@ class TestUsageErrors:
         argv = ["point", "--gamma0", "10", "--samples", "10000000000"]
         assert cli.resolve_settings(cli.build_parser().parse_args(argv)).samples == 10**10
 
+    @pytest.mark.parametrize("rate", ["1024", "1e300"])
+    def test_rate_target_past_the_bound_is_usage_error_naming_it(self, rate):
+        # 2**R - 1 overflowed a float mid-run (exit 1, "Numerical result out of range").
+        args = cli.build_parser().parse_args(["point", "--gamma0", "20", "--rate-th", rate])
+        with pytest.raises(cli.UsageError, match="--rate-th must be"):
+            cli.resolve_settings(args)
+
+    @pytest.mark.parametrize("pu,su", [(-100, -100), (-100, 100), (100, -100), (100, 100)])
+    def test_largest_rate_target_runs_every_method_at_the_corners(self, capsys, pu, su):
+        argv = [
+            "point", f"--gamma0-pu={pu}", f"--gamma0-su={su}",
+            "--rate-th", repr(cli.MAX_RATE_TH), "--protocol", "all",
+            "--method", "mc,analytic,oracle", "--samples", "1000",
+        ]
+        status, out = run_cli(capsys, argv)
+        assert status == 0
+        assert all(math.isfinite(float(row[4])) for row in data_rows(out))
+
     def test_too_many_threads_is_usage_error_naming_it(self, monkeypatch):
         monkeypatch.setenv("CRUL_THREADS", "5000")
         argv = ["point", "--gamma0", "10", "--samples", "1000000000"]

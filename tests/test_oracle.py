@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from crul import cli, oracle
 from crul.analytic import AnalyticParams, preferred_order_term, reduced_power_term
@@ -241,6 +242,52 @@ def test_clean_rate_closed_form():
     assert expected_clean_rate(1.0) == pytest.approx(expected, rel=1e-9)
     with pytest.raises(ValueError):
         expected_clean_rate(0.0)
+
+
+def scaled_e1(mu):
+    """``exp(mu) E1(mu)``, which is ``E[ln(1 + g)]`` for an exponential ``g``
+    of rate ``mu``: scipy's ``exp1`` up to 500, where ``exp(mu)`` is finite,
+    and the asymptotic series ``sum (-1)^k k! / mu^(k+1)`` beyond, whose
+    40th term there is 1e-63 of the sum."""
+    if mu <= 500.0:
+        return math.exp(mu) * scipy.special.exp1(mu)
+    term, total = 1.0 / mu, 0.0
+    for k in range(1, 40):
+        total += term
+        term *= -k / mu
+    return total
+
+
+# A strong primary over a weak secondary: y / (1 + x) is far below an ulp
+# of one, and log2(1 + r) formed as written would round it away.
+TINY_RATIO_POINTS = [
+    (primary_db, secondary_db)
+    for primary_db in (70.0, 90.0, 100.0)
+    for secondary_db in (-100.0, -60.0, -40.0, -20.0)
+] + [(20.0, -100.0)]
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", TINY_RATIO_POINTS)
+def test_benchmarks_keep_the_digits_of_a_tiny_ratio(primary_db, secondary_db):
+    # With g = scaled_e1: E[log2(1 + y/(1 + x))] = lp (g(lp) - g(ls)) / ((ls - lp) ln 2),
+    # and the QoS gate x >= theta (1 + y) leaves
+    # E[log2(1 + y) exp(-lp theta (1 + y))] = exp(-lp theta) ls g(mu) / (mu ln 2),
+    # mu = ls + lp theta.
+    config = scenario(primary_db, secondary_db)
+    lp, ls, theta = config.lambda_pu, config.lambda_su, config.theta
+    ln2 = math.log(2.0)
+    csi = lp * (scaled_e1(lp) - scaled_e1(ls)) / ((ls - lp) * ln2)
+    mu = ls + lp * theta
+    qos = math.exp(-lp * theta) * ls / mu * scaled_e1(mu) / ln2
+    for protocol, expected in ((ProtocolKind.BENCH_CSI, csi), (ProtocolKind.BENCH_QOS, qos)):
+        value = ergodic_rate_oracle(protocol, config)
+        assert value == pytest.approx(expected, rel=1e-9, abs=0.0), protocol
+
+
+@pytest.mark.parametrize("rate_parameter", [1e-10, 4e10])
+def test_clean_rate_keeps_the_digits_of_a_tiny_snr(rate_parameter):
+    expected = scaled_e1(rate_parameter) / math.log(2.0)
+    assert expected_clean_rate(rate_parameter) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_mean_power_factor_matches_direct_sampling():

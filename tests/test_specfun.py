@@ -6,6 +6,7 @@ scipy.special serves as a second opinion where doubles suffice.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crul import specfun
+from crul.analytic import DEFAULT_NODES
 from crul.specfun import (
     MAX_ORDER,
     ConvergenceError,
@@ -98,6 +101,50 @@ def test_high_order_linear_weights_underflow_but_log_survives():
     assert np.all(np.isfinite(rule.log_weights))
     # exp(-x) integrates to 1 and only touches the log path.
     assert integrate(lambda x: np.exp(-x), rule) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_stored_rule_is_the_newton_build_byte_for_byte():
+    # The default rule ships as literals; any other order is built.
+    nodes, log_weights = specfun._newton_rule(DEFAULT_NODES)
+    rule = gauss_laguerre(DEFAULT_NODES)
+    for stored, built in ((rule.nodes, nodes), (rule.log_weights, log_weights)):
+        assert stored.tobytes() == built.tobytes(), (
+            "specfun._STORED_RULES differs from _newton_rule; regenerate the "
+            "block with scripts/laguerre_constants.py"
+        )
+
+
+def test_the_stored_order_is_the_default_order():
+    assert set(specfun._STORED_RULES) == {DEFAULT_NODES}
+
+
+def reference_pair_scaled(order, x):
+    """The three-term recurrence one step per ``k``, with integer
+    coefficients and the rescale test on ``abs``."""
+    current, previous = 1.0, 0.0
+    log_scale = 0.0
+    for k in range(1, order + 1):
+        current, previous = ((2 * k - 1 - x) * current - (k - 1) * previous) / k, current
+        magnitude = abs(current)
+        if magnitude > specfun._RESCALE_AT:
+            current /= magnitude
+            previous /= magnitude
+            log_scale += math.log(magnitude)
+    return current, previous, log_scale
+
+
+@pytest.mark.parametrize(
+    "order,x",
+    [(order, 0.0) for order in (1, 2, 100, 256)]
+    + [(order, x) for order in (200, 230, 256) for x in (470.0, 600.0, 800.0, 1050.0)]
+    + [(order, x) for order in (1, 100, 256) for x in (math.nan, math.inf, -math.inf)],
+)
+def test_recurrence_is_the_per_step_reference_bit_for_bit(order, x):
+    expected = reference_pair_scaled(order, x)
+    if 0.0 < x < math.inf:
+        assert expected[2] > 0.0  # past x ~ 465 the rescale branch runs
+    actual = specfun._laguerre_pair_scaled(x, specfun._recurrence_steps(order))
+    assert struct.pack("3d", *actual) == struct.pack("3d", *expected)
 
 
 @pytest.mark.parametrize("order", [0, -1, 257, 2.5, "10"])
