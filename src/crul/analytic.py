@@ -12,6 +12,11 @@ rate for each protocol decomposes over the decision regions:
   where the two protocols differ;
 * clear-channel term -- the primary tolerates the secondary at full power.
 
+Every form reads a :class:`crul.channel.ScenarioConfig`, the triple
+``(lambda_pu, lambda_su, theta)``.  A form with a quadrature also takes
+its half-line rule, which drives every sum it makes, both axes of the
+preferred-order double sum included.
+
 Every piece is available in more than one route so they can be cross-checked
 term by term:
 
@@ -49,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from .specfun import (
     e1_cf_factor,
     ei_series_sum,
     expint_ei,
-    gauss_laguerre,
+    gauss_laguerre,  # noqa: F401 - crosscheck builds its rule by this name, which perfbench spans
     log_e1,
 )
 
@@ -74,8 +78,14 @@ LN2 = math.log(2.0)
 #: divides by the difference and loses all precision near coincidence.
 EQUAL_RATE_REL_TOL = 1e-9
 
-#: Order of the half-line rule behind every fixed-rule closed form unless
-#: the caller asks for another.
+
+def _equal_rates(scenario: ScenarioConfig) -> bool:
+    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
+    return abs(lam_s - lam_p) < EQUAL_RATE_REL_TOL * max(lam_s, lam_p)
+
+
+#: Order of the half-line rule the fixed-rule closed forms are evaluated
+#: on unless the caller asks for another.
 DEFAULT_NODES = 100
 
 DERIVED = "derived"
@@ -85,45 +95,6 @@ STATED = "stated"
 def _check_variant(variant: str) -> None:
     if variant not in (DERIVED, STATED):
         raise ValueError(f"variant must be {DERIVED!r} or {STATED!r}, got {variant!r}")
-
-
-@dataclass(frozen=True)
-class AnalyticParams:
-    """Immutable inputs of the closed-form rate approximations.
-
-    ``rule`` drives every quadrature sum, both axes of the double sum in
-    the preferred-order term included.
-    """
-
-    lambda_pu: float
-    lambda_su: float
-    theta: float
-    rule: QuadratureRule = field(default_factory=lambda: gauss_laguerre(DEFAULT_NODES))
-
-    def __post_init__(self) -> None:
-        for name in ("lambda_pu", "lambda_su", "theta"):
-            value = getattr(self, name)
-            if name == "theta" and value == 0.0:
-                continue  # a primary with no rate target: only the clear channel
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-    @classmethod
-    def from_scenario(
-        cls, scenario: ScenarioConfig, nodes: int = DEFAULT_NODES
-    ) -> "AnalyticParams":
-        return cls(
-            lambda_pu=scenario.lambda_pu,
-            lambda_su=scenario.lambda_su,
-            theta=scenario.theta,
-            rule=gauss_laguerre(nodes),
-        )
-
-    @property
-    def equal_rates(self) -> bool:
-        return abs(self.lambda_su - self.lambda_pu) < EQUAL_RATE_REL_TOL * max(
-            self.lambda_su, self.lambda_pu
-        )
 
 
 def _exp_ei_neg(exponent: float, arg: float) -> float:
@@ -138,7 +109,7 @@ def _exp_ei_neg(exponent: float, arg: float) -> float:
 # --------------------------------------------- below-threshold term
 
 
-def ratio_density(z, params: AnalyticParams, variant: str = DERIVED):
+def ratio_density(z, scenario: ScenarioConfig, variant: str = DERIVED):
     """Defective density of ``gamma_su/(1+gamma_pu)`` on the protected event.
 
     Integrates to ``Pr{gamma_pu < theta}`` rather than one: it carries only
@@ -153,7 +124,7 @@ def ratio_density(z, params: AnalyticParams, variant: str = DERIVED):
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("ratio must be >= 0")
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     denom = lam_p + lam_s * z_arr
     if variant == DERIVED:
         result = lam_s * lam_p * np.exp(-lam_s * z_arr) * (1.0 / denom + 1.0 / denom**2) - (
@@ -181,27 +152,28 @@ def ratio_density(z, params: AnalyticParams, variant: str = DERIVED):
     return result
 
 
-def below_threshold_term(params: AnalyticParams, variant: str = DERIVED) -> float:
+def below_threshold_term(
+    scenario: ScenarioConfig, rule: QuadratureRule, variant: str = DERIVED
+) -> float:
     """Rate contribution of the protected-primary event, by quadrature.
 
     Weighted sum of ``log2(1+z)`` times the ratio density over the
     half-line rule's nodes.
     """
-    rule = params.rule
-    density = ratio_density(rule.nodes, params, variant)
+    density = ratio_density(rule.nodes, scenario, variant)
     return float(np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density))
 
 
-def below_threshold_term_integral(params: AnalyticParams) -> float:
+def below_threshold_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration of the ratio density."""
-    integrand = lambda z: np.log2(1.0 + z) * ratio_density(z, params)
-    return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, REL_TOL)
+    integrand = lambda z: np.log2(1.0 + z) * ratio_density(z, scenario)
+    return panel_integral(integrand, 0.0, 1.0 / scenario.lambda_su, REL_TOL)
 
 
 # --------------------------------------------- split-band closed form
 
 
-def split_band_branch_term(params: AnalyticParams, variant: str = DERIVED) -> float:
+def split_band_branch_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
     """The piece of the split-band closed form with two algebraic branches.
 
     Its shape depends on whether the two rate parameters coincide; the
@@ -209,10 +181,10 @@ def split_band_branch_term(params: AnalyticParams, variant: str = DERIVED) -> fl
     cancellation the equal branch resolves analytically.
     """
     _check_variant(variant)
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_full = lam_s * (1.0 + theta)
     if variant == DERIVED:
-        if params.equal_rates:
+        if _equal_rates(scenario):
             lam = lam_s
             return (1.0 / LN2) * (
                 lam * theta * _exp_ei_neg(lam, lam * (1.0 + theta))
@@ -223,7 +195,7 @@ def split_band_branch_term(params: AnalyticParams, variant: str = DERIVED) -> fl
         return (1.0 / LN2) * (lam_s / diff) * (
             _exp_ei_neg(lam_s + theta * diff, ei_arg_full) - _exp_ei_neg(lam_s, ei_arg_band)
         )
-    if params.equal_rates:
+    if _equal_rates(scenario):
         return (
             lam_s * theta / LN2
             + lam_s * theta * (lam_p * theta + 1.0) / (LN2 * (1.0 + theta) * lam_p)
@@ -236,7 +208,7 @@ def split_band_branch_term(params: AnalyticParams, variant: str = DERIVED) -> fl
     )
 
 
-def split_band_term(params: AnalyticParams, variant: str = DERIVED) -> float:
+def split_band_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
     """Closed form of the rate earned inside the contested band.
 
     Covers the event where the primary meets its target only thanks to the
@@ -244,10 +216,10 @@ def split_band_term(params: AnalyticParams, variant: str = DERIVED) -> float:
     protocol earns ``log2((1+x+y)/(1+theta))`` there.
     """
     _check_variant(variant)
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
     ei_arg_full = lam_s * (1.0 + theta)
-    branch = split_band_branch_term(params, variant)
+    branch = split_band_branch_term(scenario, variant)
     if variant == DERIVED:
         diff = lam_s - lam_p
         head = -_exp_ei_neg(lam_s + theta * diff, ei_arg_full)
@@ -262,14 +234,14 @@ def split_band_term(params: AnalyticParams, variant: str = DERIVED) -> float:
     return head + middle + branch
 
 
-def clear_channel_term(params: AnalyticParams, variant: str = DERIVED) -> float:
+def clear_channel_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
     """Closed form of the rate earned when the primary tolerates full power.
 
     The stated variant carries a stray ``exp(-lambda_pu*theta)`` prefactor
     squared; kept for the validation report.
     """
     _check_variant(variant)
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
     if variant == DERIVED:
         return -(1.0 / LN2) * lam_s * _exp_ei_neg(lam_s, ei_arg_band) / ei_arg_band
@@ -280,7 +252,7 @@ def clear_channel_term(params: AnalyticParams, variant: str = DERIVED) -> float:
     )
 
 
-def merged_tail_stated(params: AnalyticParams) -> float:
+def merged_tail_stated(scenario: ScenarioConfig) -> float:
     """Split-band plus clear-channel terms as merged in the stated headline.
 
     The stated headline formula folds the two closed forms into a single
@@ -288,7 +260,7 @@ def merged_tail_stated(params: AnalyticParams) -> float:
     factor; re-derivation shows the two leading pieces actually cancel.
     Preserved verbatim for the validation report.
     """
-    lam_p, lam_s, theta = params.lambda_pu, params.lambda_su, params.theta
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
     merged = (
         (lam_s * (math.exp(lam_p * theta) - math.exp(-lam_p * theta)) / (LN2 * ei_arg_band))
@@ -300,7 +272,7 @@ def merged_tail_stated(params: AnalyticParams) -> float:
         * math.exp(theta * (lam_s - lam_p) + lam_s)
         * expint_ei(-lam_s * (theta + 1.0))
     )
-    return merged + second + split_band_branch_term(params, STATED)
+    return merged + second + split_band_branch_term(scenario, STATED)
 
 
 # --------------------------------------------- pure-SIC terms
@@ -352,7 +324,7 @@ def _rule_bracket(lambda_pu: float, theta: float, rule: QuadratureRule) -> np.nd
     return bracket
 
 
-def reduced_power_kernel(su_snr, params: AnalyticParams):
+def reduced_power_kernel(su_snr, scenario: ScenarioConfig):
     """Closed-form inner integral of the reduced-power rate at SU SNR ``x``.
 
     For fixed secondary SNR ``x``, integrates ``log2(y/theta)`` over the
@@ -371,36 +343,36 @@ def reduced_power_kernel(su_snr, params: AnalyticParams):
     O(lambda_pu).
     """
     x = np.asarray(su_snr, dtype=float)
-    lam_s = params.lambda_su
+    lam_s = scenario.lambda_su
     density = lam_s * np.exp(-lam_s * x) / LN2
-    result = density * _reduced_power_bracket(x, params.lambda_pu, params.theta)
+    result = density * _reduced_power_bracket(x, scenario.lambda_pu, scenario.theta)
     if np.ndim(su_snr) == 0:
         return float(result)
     return result
 
 
-def reduced_power_term(params: AnalyticParams) -> float:
+def reduced_power_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
     """Rate contribution of the reduced-power event, by quadrature."""
-    rule, lam_s = params.rule, params.lambda_su
+    lam_s = scenario.lambda_su
     density = lam_s * np.exp(-lam_s * rule.nodes) / LN2
-    bracket = _rule_bracket(params.lambda_pu, params.theta, rule)
+    bracket = _rule_bracket(scenario.lambda_pu, scenario.theta, rule)
     return math.fsum(rule.integration_weights * (density * bracket))
 
 
-def reduced_power_term_integral(params: AnalyticParams) -> float:
+def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration of the closed-form kernel."""
-    integrand = lambda x: reduced_power_kernel(x, params)
-    return panel_integral(integrand, 0.0, 1.0 / params.lambda_su, REL_TOL)
+    integrand = lambda x: reduced_power_kernel(x, scenario)
+    return panel_integral(integrand, 0.0, 1.0 / scenario.lambda_su, REL_TOL)
 
 
-def preferred_order_kernel(su_snr, pu_snr, params: AnalyticParams):
+def preferred_order_kernel(su_snr, pu_snr, scenario: ScenarioConfig):
     """Joint-density-weighted secondary rate for the swapped decoding order.
 
     ``log2(1 + x/(1+y))`` times the joint exponential density, evaluated
     at secondary SNR ``x`` and primary SNR ``y``.  Accepts scalars or
     arrays (broadcasting).
     """
-    lam_p, lam_s = params.lambda_pu, params.lambda_su
+    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
     return (
         np.log2(1.0 + np.asarray(su_snr) / (1.0 + np.asarray(pu_snr)))
         * lam_s
@@ -410,32 +382,31 @@ def preferred_order_kernel(su_snr, pu_snr, params: AnalyticParams):
     )
 
 
-def preferred_order_term(params: AnalyticParams) -> float:
+def preferred_order_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
     """Rate contribution of the swapped decoding order, by double quadrature.
 
     Both axes are shifted: the primary axis starts at the protection
     threshold, the secondary axis at the order-switch boundary for that
     primary SNR.
     """
-    rule = params.rule
-    pu = rule.nodes + params.theta
-    su = rule.nodes[:, None] + switch_level(pu, params.theta)[None, :]
-    values = preferred_order_kernel(su, pu[None, :], params)
+    pu = rule.nodes + scenario.theta
+    su = rule.nodes[:, None] + switch_level(pu, scenario.theta)[None, :]
+    values = preferred_order_kernel(su, pu[None, :], scenario)
     weights = rule.integration_weights
     return float(np.einsum("i,j,ij->", weights, weights, values))
 
 
-def preferred_order_term_integral(params: AnalyticParams) -> float:
+def preferred_order_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration over the swapped-order region.
 
     The primary axis starts at the protection threshold and each secondary
     slice at the order-switch boundary, as in :func:`preferred_order_term`.
     """
-    theta = params.theta
+    theta = scenario.theta
     return exponential_expectation(
         lambda pu_snr, su_snr: np.log2(1.0 + su_snr / (1.0 + pu_snr)),
-        params.lambda_pu,
-        params.lambda_su,
+        scenario.lambda_pu,
+        scenario.lambda_su,
         REL_TOL,
         x_lower=theta,
         y_lower=functools.partial(switch_level, theta=theta),

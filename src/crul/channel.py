@@ -1,4 +1,4 @@
-"""Rayleigh-fading uplink geometry and per-realization SNR sampling.
+"""Rayleigh-fading uplink scenario and per-realization SNR sampling.
 
 Two transmitters (a licensed primary user and an unlicensed secondary
 user) share one receiver.  Each link is summarized by its mean received
@@ -8,18 +8,19 @@ received SNR of link ``i`` is then exponential with rate
 
     lambda_i = 1 / (mean_snr_linear_i * loss_i)
 
-which is the single parameter every closed form downstream consumes.
+and the primary's rate target ``R`` sets its protection SINR
+``theta = 2**R - 1``.  Every ergodic rate depends on the scenario only
+through these three numbers, so :class:`ScenarioConfig` is that triple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "LinkBudget",
     "ScenarioConfig",
     "db_to_linear",
     "path_loss",
@@ -55,45 +56,26 @@ def qos_threshold(rate_over_bandwidth: float) -> float:
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    """One transmitter's average link: reference SNR plus distance shrinkage."""
-
-    mean_snr_db: float
-    distance_ratio: float = 1.0
-    path_loss_exponent: float = 2.0
-
-    def __post_init__(self):
-        path_loss(self.distance_ratio, self.path_loss_exponent)  # validates
-
-    @property
-    def loss(self) -> float:
-        return path_loss(self.distance_ratio, self.path_loss_exponent)
-
-    @property
-    def mean_snr(self) -> float:
-        """Average received SNR (linear), i.e. the exponential mean."""
-        return db_to_linear(self.mean_snr_db) * self.loss
-
-    @property
-    def rate_parameter(self) -> float:
-        return 1.0 / self.mean_snr
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Full two-user scenario: both links plus the primary's rate target.
+    """A two-user scenario: both SNRs' exponential rates and the primary's
+    protection SINR ``theta``.
 
-    ``rate_threshold`` is the primary user's target in bit/s/Hz (so the
-    protection SINR is ``2**rate_threshold - 1``).  Every rate computed
-    from a scenario is per unit bandwidth, a spectral efficiency.
+    Each value is a positive finite number, except that ``theta`` may be 0
+    (a primary with no rate target).  Every rate computed from a scenario
+    is per unit bandwidth, a spectral efficiency.
     """
 
-    primary: LinkBudget
-    secondary: LinkBudget
-    rate_threshold: float = 2.5
+    lambda_pu: float
+    lambda_su: float
+    theta: float
 
-    def __post_init__(self):
-        qos_threshold(self.rate_threshold)  # validates
+    def __post_init__(self) -> None:
+        for name in ("lambda_pu", "lambda_su", "theta"):
+            value = getattr(self, name)
+            if name == "theta" and value == 0.0:
+                continue  # a primary with no rate target: only the clear channel
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
     @classmethod
     def from_snr_db(
@@ -106,36 +88,20 @@ class ScenarioConfig:
         path_loss_exponent: float = 2.0,
         rate_threshold: float = 2.5,
     ) -> "ScenarioConfig":
-        """The common construction: shared exponent, per-link SNR/distance."""
+        """The scenario of two links with a shared path-loss exponent and
+        the primary's target ``rate_threshold`` in bit/s/Hz."""
+        u = path_loss_exponent
         return cls(
-            primary=LinkBudget(primary_snr_db, primary_distance, path_loss_exponent),
-            secondary=LinkBudget(secondary_snr_db, secondary_distance, path_loss_exponent),
-            rate_threshold=rate_threshold,
+            1.0 / (db_to_linear(primary_snr_db) * path_loss(primary_distance, u)),
+            1.0 / (db_to_linear(secondary_snr_db) * path_loss(secondary_distance, u)),
+            qos_threshold(rate_threshold),
         )
-
-    @property
-    def lambda_pu(self) -> float:
-        return self.primary.rate_parameter
-
-    @property
-    def lambda_su(self) -> float:
-        return self.secondary.rate_parameter
-
-    @property
-    def theta(self) -> float:
-        """Protection SINR threshold of the primary user."""
-        return qos_threshold(self.rate_threshold)
 
     def with_secondary_snr_scaled(self, factor: float) -> "ScenarioConfig":
         """Same scenario with the secondary mean SNR multiplied by ``factor``."""
         if not factor > 0.0:
             raise ValueError(f"scale factor must be > 0, got {factor}")
-        scaled = LinkBudget(
-            self.secondary.mean_snr_db + 10.0 * math.log10(factor),
-            self.secondary.distance_ratio,
-            self.secondary.path_loss_exponent,
-        )
-        return ScenarioConfig(self.primary, scaled, self.rate_threshold)
+        return replace(self, lambda_su=self.lambda_su / factor)
 
 
 def exponential_from_uniform(u, rate: float, out=None):

@@ -4,10 +4,13 @@ Every analytic total is a sum of per-case terms.  Each term has one closed
 form on the rate path: the re-derived (``derived``) one, compared against
 that term's own region integral.  A row takes the closed form where it
 lands within tolerance, and the oracle's term where it does not (a
-fixed-order rule saturates at strong links).  The region integrals are the
-per-case terms that :mod:`crul.oracle` owns and memoises, so the oracle
-rows and the arbitration share one integration per term, and the fallback
-costs nothing more.
+fixed-order rule saturates at strong links).  The tolerance is purely
+relative, with no absolute floor: a derived 0.0 against a tiny term (a
+weak secondary's) is wholly off.  The region integrals are the per-case
+terms that :mod:`crul.oracle` owns and memoises, so the oracle rows and
+the arbitration share one integration per term, and the fallback costs
+nothing more.  Every route is a callable of the scenario and the
+half-line rule, ``analytic.gauss_laguerre(nodes)``.
 
 Other routes are report-only, tabulated by :func:`deviation_report` and
 never run by a row: the printed transcriptions (``stated``, slips
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import analytic
-from .analytic import DEFAULT_NODES, DERIVED, STATED, AnalyticParams
+from .analytic import DEFAULT_NODES, DERIVED, STATED
 from .channel import ScenarioConfig
 from .montecarlo import EstimateResult, estimate  # noqa: F401 - perfbench/spans.py patches estimate
 from .oracle import TERMS, case_terms, ergodic_rate_oracle, normalized
@@ -52,11 +55,11 @@ ANALYTIC_PROTOCOLS = (*TERMS, ProtocolKind.CR_SIC_NORM)
 
 
 def relative_deviation(value: float, reference: float) -> float:
-    """|value - reference| over |reference|, saturated for a zero reference."""
-    gap = abs(value - reference)
-    if gap <= 1e-12:
+    """|value - reference| over |reference|: 0 where the two are equal, and
+    infinite where only the reference is zero, however small the gap."""
+    if value == reference:
         return 0.0
-    return gap / max(abs(reference), 1e-12)
+    return abs(value - reference) / abs(reference) if reference != 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -89,22 +92,23 @@ class TermReport:
         )
 
 
-def _run_routes(routes, params) -> tuple[dict[str, float], dict[str, str]]:
-    """Each route's value (a callable of ``params``), NaN with a reason if it raised."""
+def _run_routes(routes, scenario, rule) -> tuple[dict[str, float], dict[str, str]]:
+    """Each route's value (a callable of the scenario and the quadrature
+    rule), NaN with a reason if it raised."""
     values, errors = {}, {}
     for name, route in routes.items():
         try:
-            values[name] = route(params)
+            values[name] = route(scenario, rule)
         except _ROUTE_ERRORS as exc:
             values[name] = math.nan
             errors[name] = f"{type(exc).__name__}: {exc}"
     return values, errors
 
 
-def _report(protocol, term, routes, oracle_value, params, in_total=True) -> TermReport:
+def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True) -> TermReport:
     """Evaluate every route; the ``derived`` one is chosen where it is within
     tolerance of the oracle, and the oracle value where it is not."""
-    values, errors = _run_routes(routes, params)
+    values, errors = _run_routes(routes, scenario, rule)
     chosen_route, chosen_value = "oracle", oracle_value
     if relative_deviation(values["derived"], oracle_value) <= ARBITRATION_REL_TOL:
         chosen_route, chosen_value = "derived", values["derived"]
@@ -123,11 +127,11 @@ def _report(protocol, term, routes, oracle_value, params, in_total=True) -> Term
 #: The report name and the derived closed form of each oracle term.  Routes
 #: look their function up in :mod:`crul.analytic` when they run.
 _TERM_FORMS = {
-    "below": ("interference_limited", lambda p: analytic.below_threshold_term(p, DERIVED)),
-    "band": ("split_band", lambda p: analytic.split_band_term(p, DERIVED)),
-    "reduced": ("reduced_power", lambda p: analytic.reduced_power_term(p)),
-    "preferred": ("preferred_order", lambda p: analytic.preferred_order_term(p)),
-    "clear": ("clear_channel", lambda p: analytic.clear_channel_term(p, DERIVED)),
+    "below": ("interference_limited", lambda s, r: analytic.below_threshold_term(s, r, DERIVED)),
+    "band": ("split_band", lambda s, r: analytic.split_band_term(s, DERIVED)),
+    "reduced": ("reduced_power", lambda s, r: analytic.reduced_power_term(s, r)),
+    "preferred": ("preferred_order", lambda s, r: analytic.preferred_order_term(s, r)),
+    "clear": ("clear_channel", lambda s, r: analytic.clear_channel_term(s, DERIVED)),
 }
 
 #: Report-only routes by report name; only :func:`deviation_report` runs
@@ -138,17 +142,17 @@ _TERM_FORMS = {
 #: exponential factor; those two terms already cover the total.
 _REPORT_ROUTES = {
     "interference_limited": {
-        "stated": lambda p: analytic.below_threshold_term(p, STATED),
-        "integral": lambda p: analytic.below_threshold_term_integral(p),
+        "stated": lambda s, r: analytic.below_threshold_term(s, r, STATED),
+        "integral": lambda s, r: analytic.below_threshold_term_integral(s),
     },
-    "split_band": {"stated": lambda p: analytic.split_band_term(p, STATED)},
-    "reduced_power": {"integral": lambda p: analytic.reduced_power_term_integral(p)},
-    "preferred_order": {"integral": lambda p: analytic.preferred_order_term_integral(p)},
-    "clear_channel": {"stated": lambda p: analytic.clear_channel_term(p, STATED)},
+    "split_band": {"stated": lambda s, r: analytic.split_band_term(s, STATED)},
+    "reduced_power": {"integral": lambda s, r: analytic.reduced_power_term_integral(s)},
+    "preferred_order": {"integral": lambda s, r: analytic.preferred_order_term_integral(s)},
+    "clear_channel": {"stated": lambda s, r: analytic.clear_channel_term(s, STATED)},
     "combined_tail": {
-        "stated": lambda p: analytic.merged_tail_stated(p),
-        "derived": lambda p: analytic.split_band_term(p, DERIVED)
-        + analytic.clear_channel_term(p, DERIVED),
+        "stated": lambda s, r: analytic.merged_tail_stated(s),
+        "derived": lambda s, r: analytic.split_band_term(s, DERIVED)
+        + analytic.clear_channel_term(s, DERIVED),
     },
 }
 #: The order of a term's routes in the deviation report.
@@ -167,14 +171,16 @@ def term_reports(
         protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
     if protocol not in TERMS:
         raise ValueError(f"no closed-form decomposition for {protocol}")
-    params = AnalyticParams.from_scenario(scenario, nodes=nodes)
+    rule = analytic.gauss_laguerre(nodes)
     oracle_values = case_terms(protocol, scenario)
     # With a zero threshold only the clear-channel region is non-empty.
-    names = ("clear",) if params.theta == 0.0 else TERMS[protocol]
+    names = ("clear",) if scenario.theta == 0.0 else TERMS[protocol]
     reports = []
     for name in names:
         term, form = _TERM_FORMS[name]
-        reports.append(_report(protocol, term, {"derived": form}, oracle_values[name], params))
+        reports.append(
+            _report(protocol, term, {"derived": form}, oracle_values[name], scenario, rule)
+        )
     return reports
 
 
@@ -208,12 +214,12 @@ def evaluate(
     return EstimateResult(value=value, stderr=0.0, n_samples=0)
 
 
-def _with_report_routes(protocol: ProtocolKind, report: TermReport, params) -> TermReport:
+def _with_report_routes(protocol: ProtocolKind, report: TermReport, scenario, rule) -> TermReport:
     """``report`` with its term's report-only routes evaluated beside the row's."""
     routes = _REPORT_ROUTES[report.term]
     if protocol is ProtocolKind.CR_SIC and report.term == "clear_channel":
         routes = {}  # The SIC headline prints this term as derived: no stated route.
-    values, errors = _run_routes(routes, params)
+    values, errors = _run_routes(routes, scenario, rule)
     values, errors = {**values, **report.routes}, {**errors, **report.route_errors}
     return replace(
         report,
@@ -233,11 +239,11 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     """
     entries = []
     flagged = []
+    rule = analytic.gauss_laguerre(DEFAULT_NODES)
     for label, scenario in scenarios.items():
-        params = AnalyticParams.from_scenario(scenario)
         for protocol in TERMS:
             reports = [
-                _with_report_routes(protocol, report, params)
+                _with_report_routes(protocol, report, scenario, rule)
                 for report in term_reports(protocol, scenario)
             ]
             by_term = {report.term: report for report in reports}
@@ -245,7 +251,7 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
                 tail = by_term["split_band"].oracle_value + by_term["clear_channel"].oracle_value
                 routes = _REPORT_ROUTES["combined_tail"]
                 reports.append(
-                    _report(protocol, "combined_tail", routes, tail, params, in_total=False)
+                    _report(protocol, "combined_tail", routes, tail, scenario, rule, in_total=False)
                 )
             for report in reports:
                 entry = {

@@ -219,21 +219,21 @@ _INTEGRANDS = {
 
 
 @functools.lru_cache(maxsize=512)
-def _case_term(name: str, lambda_pu: float, lambda_su: float, theta: float) -> float:
+def _case_term(name: str, scenario: ScenarioConfig) -> float:
     """One per-case region integral, memoised per region and scenario.
 
     Rate splitting and pure SIC share the below-threshold and clear-channel
     regions, so keying on the region rather than the protocol integrates
     each once.
     """
-    integrand = functools.partial(_INTEGRANDS[name], theta=theta)
-    return restricted_expectation(integrand, case_regions(theta)[name], lambda_pu, lambda_su)
+    integrand = functools.partial(_INTEGRANDS[name], theta=scenario.theta)
+    region = case_regions(scenario.theta)[name]
+    return restricted_expectation(integrand, region, scenario.lambda_pu, scenario.lambda_su)
 
 
 def case_terms(protocol: ProtocolKind, scenario: ScenarioConfig) -> dict[str, float]:
     """The oracle value of each of ``protocol``'s per-case terms, by name."""
-    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    return {name: _case_term(name, lam_pu, lam_su, theta) for name in TERMS[protocol]}
+    return {name: _case_term(name, scenario) for name in TERMS[protocol]}
 
 
 def normalized(scenario: ScenarioConfig) -> ScenarioConfig:
@@ -262,7 +262,7 @@ def ergodic_rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> flo
     if protocol is ProtocolKind.BENCH_QOS:
         # The hard gate admits the secondary exactly where rate splitting
         # gives it the clear channel.
-        return _case_term("clear", scenario.lambda_pu, scenario.lambda_su, scenario.theta)
+        return _case_term("clear", scenario)
 
     raise ValueError(f"unknown protocol: {protocol}")
 

@@ -5,7 +5,6 @@ Ground truth throughout is the adaptive-integration engine in
 plus a handful of values frozen from scipy adaptive quadrature runs.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ import scipy.integrate
 from hypothesis import given, strategies as st
 
 from crul import analytic
-from crul.analytic import DERIVED, STATED, AnalyticParams
+from crul.analytic import DEFAULT_NODES, DERIVED, STATED
 from crul.channel import ScenarioConfig
 from crul.crosscheck import ARBITRATION_REL_TOL, relative_deviation
 from crul.oracle import (
@@ -43,83 +42,62 @@ THETA_DEFAULT = 2.0**2.5 - 1.0
 NOISE_FLOOR = 1e-12
 
 
-def params_at(gamma0_db: float, nodes: int = 100) -> AnalyticParams:
-    scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
-    return AnalyticParams.from_scenario(scenario, nodes=nodes)
+#: The half-line rule of every fixed-rule form below, unless a test says otherwise.
+RULE = gauss_laguerre(DEFAULT_NODES)
+
+
+def params_at(gamma0_db: float) -> ScenarioConfig:
+    return ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
 
 
 def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
-def rsma_total(p: AnalyticParams, variant: str = DERIVED) -> float:
+def rsma_total(p: ScenarioConfig, variant: str = DERIVED, rule=RULE) -> float:
     """Rate splitting's closed-form total: its three region terms, or the
     stated headline's merged form."""
     if variant == STATED:
-        return analytic.below_threshold_term(p, STATED) + analytic.merged_tail_stated(p)
+        return analytic.below_threshold_term(p, rule, STATED) + analytic.merged_tail_stated(p)
     return (
-        analytic.below_threshold_term(p)
+        analytic.below_threshold_term(p, rule)
         + analytic.split_band_term(p)
         + analytic.clear_channel_term(p)
     )
 
 
-def sic_total(p: AnalyticParams) -> float:
+def sic_total(p: ScenarioConfig) -> float:
     """Pure SIC's fixed-rule total: its four region terms."""
     return (
-        analytic.below_threshold_term(p)
-        + analytic.reduced_power_term(p)
-        + analytic.preferred_order_term(p)
+        analytic.below_threshold_term(p, RULE)
+        + analytic.reduced_power_term(p, RULE)
+        + analytic.preferred_order_term(p, RULE)
         + analytic.clear_channel_term(p)
     )
 
 
 @pytest.fixture(scope="module")
-def p20() -> AnalyticParams:
+def p20() -> ScenarioConfig:
     return params_at(20.0)
 
 
 @pytest.fixture(scope="module")
-def unit_params() -> AnalyticParams:
-    return AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
+def unit_params() -> ScenarioConfig:
+    return ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
 
 
 # ------------------------------------------------------------ parameters
 
 
-class TestAnalyticParams:
-    def test_from_scenario_wiring(self, p20):
-        assert p20.lambda_pu == pytest.approx(0.01)
-        assert p20.lambda_su == pytest.approx(0.04)
-        assert p20.theta == pytest.approx(THETA_DEFAULT)
-        assert p20.rule.order == 100
-
-    def test_nodes_set_the_rule(self):
-        scenario = ScenarioConfig.from_snr_db(10.0, 10.0)
-        assert AnalyticParams.from_scenario(scenario, nodes=40).rule.order == 40
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"lambda_pu": 0.0},
-            {"lambda_su": -1.0},
-            {"theta": -1.0},
-            {"lambda_pu": math.inf},
-            {"theta": math.nan},
-        ],
-    )
-    def test_rejects_bad_scalars(self, kwargs):
-        base = dict(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            AnalyticParams(**base)
-
+class TestParameters:
     def test_equal_rates_detection(self):
-        assert AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1.0).equal_rates
-        assert AnalyticParams(
-            lambda_pu=1.0, lambda_su=1.0 + 1e-12, theta=1.0
-        ).equal_rates
-        assert not AnalyticParams(lambda_pu=1.0, lambda_su=1.01, theta=1.0).equal_rates
+        assert analytic._equal_rates(ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1.0))
+        assert analytic._equal_rates(
+            ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 + 1e-12, theta=1.0)
+        )
+        assert not analytic._equal_rates(
+            ScenarioConfig(lambda_pu=1.0, lambda_su=1.01, theta=1.0)
+        )
 
     def test_rejects_unknown_variant(self, p20):
         with pytest.raises(ValueError):
@@ -159,7 +137,7 @@ class TestRatioDensity:
         assert analytic.ratio_density(1.0, p) == pytest.approx(derivative, abs=1e-6)
 
     def test_far_tail_underflows(self):
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
         assert analytic.ratio_density(1e3, p) < 1e-300
 
     def test_rejects_negative_ratio(self, p20):
@@ -180,7 +158,7 @@ class TestRatioDensity:
         theta=st.floats(min_value=0.05, max_value=10.0),
     )
     def test_derived_density_nonnegative(self, z, lam_p, lam_s, theta):
-        p = AnalyticParams(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
+        p = ScenarioConfig(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
         assert analytic.ratio_density(z, p) >= -1e-12
 
     @given(
@@ -191,7 +169,7 @@ class TestRatioDensity:
     def test_variants_coincide_for_equal_rates(self, z, lam, theta):
         # The stated variant's slip swaps the two rate parameters, so it
         # is invisible exactly when they coincide.
-        p = AnalyticParams(lambda_pu=lam, lambda_su=lam, theta=theta)
+        p = ScenarioConfig(lambda_pu=lam, lambda_su=lam, theta=theta)
         derived = analytic.ratio_density(z, p)
         stated = analytic.ratio_density(z, p, STATED)
         assert stated == pytest.approx(derived, rel=1e-9, abs=1e-300)
@@ -207,7 +185,7 @@ class TestRatioDensity:
 
 class TestBelowThresholdTerm:
     def test_quadrature_matches_adaptive_integral(self, p20):
-        quad = analytic.below_threshold_term(p20)
+        quad = analytic.below_threshold_term(p20, RULE)
         integral = analytic.below_threshold_term_integral(p20)
         assert rel_err(quad, integral) < 1e-6
 
@@ -219,14 +197,14 @@ class TestBelowThresholdTerm:
             p20.lambda_pu,
             p20.lambda_su,
         )
-        assert rel_err(analytic.below_threshold_term(p20), reference) < 1e-3
+        assert rel_err(analytic.below_threshold_term(p20, RULE), reference) < 1e-3
         assert rel_err(analytic.below_threshold_term_integral(p20), reference) < 1e-6
 
     def test_stated_variant_deviates_at_unequal_rates(self, p20):
         # This is the headline symptom of the swapped rate parameters:
         # at the reference geometry the stated value is off by ~57%.
-        derived = analytic.below_threshold_term(p20)
-        stated = analytic.below_threshold_term(p20, STATED)
+        derived = analytic.below_threshold_term(p20, RULE)
+        stated = analytic.below_threshold_term(p20, RULE, STATED)
         assert rel_err(stated, derived) > 0.01
 
 
@@ -260,9 +238,9 @@ class TestSplitBandTerm:
     def test_branch_continuity_at_equal_rates(self):
         # The generic branch divides by the rate difference; approaching
         # coincidence from both sides must bracket the analytic limit.
-        equal = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
-        low = AnalyticParams(lambda_pu=1.0, lambda_su=1.0 - 1e-6, theta=THETA_DEFAULT)
-        high = AnalyticParams(lambda_pu=1.0, lambda_su=1.0 + 1e-6, theta=THETA_DEFAULT)
+        equal = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
+        low = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 - 1e-6, theta=THETA_DEFAULT)
+        high = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 + 1e-6, theta=THETA_DEFAULT)
         center = analytic.split_band_branch_term(equal)
         bracket = sorted(
             (analytic.split_band_branch_term(low), analytic.split_band_branch_term(high))
@@ -273,7 +251,7 @@ class TestSplitBandTerm:
         # The branch piece equals the band oracle minus the branch-free
         # closed-form pieces; checked on the equal-rate path where the
         # stated algebra is most suspect.
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
         band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
@@ -289,14 +267,14 @@ class TestSplitBandTerm:
     def test_branch_term_frozen_value(self):
         # Frozen from the band oracle minus the branch-free pieces
         # (scipy adaptive quadrature, 12 digits).
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
         assert analytic.split_band_branch_term(p) == pytest.approx(
             0.0735981510946, rel=1e-10
         )
 
     def test_branch_vanishes_with_band(self):
         for lam_su in (1.0, 2.0):
-            p = AnalyticParams(lambda_pu=1.0, lambda_su=lam_su, theta=1e-6)
+            p = ScenarioConfig(lambda_pu=1.0, lambda_su=lam_su, theta=1e-6)
             assert abs(analytic.split_band_branch_term(p)) < 1e-6
 
     def test_stated_variant_deviates(self, p20):
@@ -342,22 +320,21 @@ class TestClearChannelTerm:
 class TestRsmaTotal:
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0, 30.0, 40.0])
     def test_matches_full_oracle(self, gamma0_db):
-        scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
-        p = AnalyticParams.from_scenario(scenario)
+        p = scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
         reference = ergodic_rate_oracle(ProtocolKind.CR_RSMA, scenario)
         assert rel_err(rsma_total(p), reference) < 1e-3
 
     def test_node_count_converged(self, p20):
         # Order 100 against order 120: the approximation is already
         # settled well past the headline tolerance.
-        coarse = rsma_total(params_at(20.0, nodes=100))
-        fine = rsma_total(params_at(20.0, nodes=120))
+        coarse = rsma_total(p20, rule=gauss_laguerre(100))
+        fine = rsma_total(p20, rule=gauss_laguerre(120))
         assert rel_err(coarse, fine) < 1e-6
 
     def test_huge_threshold_collapses_to_first_term(self):
         # With an unattainable SINR target the protected event fills the
         # quadrant and the total is the plain interference-limited rate.
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=1e6)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1e6)
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             FULL_QUADRANT,
@@ -367,7 +344,7 @@ class TestRsmaTotal:
         assert rel_err(rsma_total(p), reference) < 1e-3
 
     def test_vanishing_secondary_snr(self):
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1e6, theta=THETA_DEFAULT)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1e6, theta=THETA_DEFAULT)
         assert abs(rsma_total(p)) < 1e-6
 
     def test_stated_total_deviates(self, p20):
@@ -384,13 +361,13 @@ class TestReducedPowerKernel:
     def test_frozen_value(self):
         # Frozen from scipy adaptive quadrature of the inner band integral
         # (17 digits; the closed form agreed to 7e-16 when frozen).
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
         assert analytic.reduced_power_kernel(2.0, p) == pytest.approx(
             0.00043763904577598535, rel=1e-12
         )
 
     def test_matches_inner_integral(self):
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
         for x in (0.5, 2.0, 17.0):
             switch = switch_edge(x, p.theta)
             value, _ = scipy.integrate.quad(
@@ -422,14 +399,14 @@ class TestReducedPowerKernel:
         # Floor at the cancellation noise of the four-term bracket: for a
         # hair-thin band the true value is O(x^2) but the bracket terms
         # are O(1), so ~1e-13 of signed rounding survives.
-        p = AnalyticParams(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
+        p = ScenarioConfig(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
         values = analytic.reduced_power_kernel(np.array(x), p)
         assert values.shape == (len(x),)
         assert np.all(values >= -NOISE_FLOOR)
         assert analytic.reduced_power_kernel(x[0], p) >= -NOISE_FLOOR
 
     @staticmethod
-    def per_node_kernel(x: float, p: AnalyticParams) -> float:
+    def per_node_kernel(x: float, p: ScenarioConfig) -> float:
         """The kernel one SU SNR at a time on :mod:`math` and the scalar
         special functions, as the rule's nodes were once summed."""
         lam_p, lam_s, theta = p.lambda_pu, p.lambda_su, p.theta
@@ -465,7 +442,7 @@ class TestReducedPowerKernel:
     def test_array_matches_per_node_scalars(self, lam_p, theta, low, high, branches):
         # By lambda_pu * theta * (x + 1): the S form up to 4, the band
         # edge's Ei by continued fraction up to 745, and underflowing past.
-        p = AnalyticParams(lambda_pu=lam_p, lambda_su=0.3, theta=theta)
+        p = ScenarioConfig(lambda_pu=lam_p, lambda_su=0.3, theta=theta)
         x = np.concatenate([[0.0], np.geomspace(low, high, 257)])
         edge = lam_p * theta * (x[1:] + 1.0)
         taken = {"series": edge <= 4.0, "fraction": (edge > 4.0) & (edge <= 745.0),
@@ -484,7 +461,7 @@ class TestReducedPowerKernel:
         # the band edge, so the band is empty though x > 0.
         x, theta = 4.66610086e-17, 7.3
         assert float(switch_edge(x, theta)) > theta * (x + 1.0)
-        p = AnalyticParams(lambda_pu=1.0, lambda_su=1.0, theta=theta)
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=theta)
         assert analytic.reduced_power_kernel(x, p) == 0.0
         assert analytic.reduced_power_kernel(np.array([x, 1.0]), p)[0] == 0.0
 
@@ -492,7 +469,7 @@ class TestReducedPowerKernel:
         assert math.isnan(analytic.reduced_power_kernel(math.nan, p20))
 
     @staticmethod
-    def stated_kernel(x: float, p: AnalyticParams) -> float:
+    def stated_kernel(x: float, p: ScenarioConfig) -> float:
         """The printed reduced-power kernel, transcribed verbatim."""
         lam_p, lam_s, theta = p.lambda_pu, p.lambda_su, p.theta
         switch = switch_edge(x, theta)
@@ -506,7 +483,7 @@ class TestReducedPowerKernel:
     def test_stated_variant_matches_derived(self):
         # The printed form is the same algebra with its terms in another
         # order, so the route table carries only the derived one.
-        p = AnalyticParams(lambda_pu=0.3, lambda_su=0.7, theta=2.0)
+        p = ScenarioConfig(lambda_pu=0.3, lambda_su=0.7, theta=2.0)
         for x in (0.5, 4.0, 33.0):
             derived = analytic.reduced_power_kernel(x, p)
             stated = self.stated_kernel(x, p)
@@ -515,12 +492,13 @@ class TestReducedPowerKernel:
 
 class TestReducedPowerTerm:
     def test_sums_the_kernel_at_the_rule_nodes(self, p20):
-        rule = p20.rule
         per_node = [
             weight * TestReducedPowerKernel.per_node_kernel(float(node), p20)
-            for node, weight in zip(rule.nodes, rule.integration_weights)
+            for node, weight in zip(RULE.nodes, RULE.integration_weights)
         ]
-        assert analytic.reduced_power_term(p20) == pytest.approx(math.fsum(per_node), rel=1e-13)
+        assert analytic.reduced_power_term(p20, RULE) == pytest.approx(
+            math.fsum(per_node), rel=1e-13
+        )
 
     def test_a_custom_rule_is_its_own_cache_key(self, p20):
         # The bracket is memoised per rule object: a rule with other nodes
@@ -532,15 +510,16 @@ class TestReducedPowerTerm:
         copied = QuadratureRule(
             order=100, nodes=default.nodes.copy(), log_weights=default.log_weights.copy()
         )
-        value = analytic.reduced_power_term(p20)
+        value = analytic.reduced_power_term(p20, default)
         for rule in (stretched, copied):
-            p = dataclasses.replace(p20, rule=rule)
-            kernel = analytic.reduced_power_kernel(rule.nodes, p)
-            assert analytic.reduced_power_term(p) == math.fsum(rule.integration_weights * kernel)
-        assert analytic.reduced_power_term(dataclasses.replace(p20, rule=copied)) == value
+            kernel = analytic.reduced_power_kernel(rule.nodes, p20)
+            assert analytic.reduced_power_term(p20, rule) == math.fsum(
+                rule.integration_weights * kernel
+            )
+        assert analytic.reduced_power_term(p20, copied) == value
 
     def test_routes_agree_at_moderate_snr(self, p20):
-        quad = analytic.reduced_power_term(p20)
+        quad = analytic.reduced_power_term(p20, RULE)
         integral = analytic.reduced_power_term_integral(p20)
         reduced = case_regions(p20.theta)["reduced"]
         reference = restricted_expectation(
@@ -557,7 +536,7 @@ class TestReducedPowerTerm:
         # so once 1/lambda_su is thousands the fixed rule sees almost none
         # of the kernel's mass.  The adaptive route stays correct.
         p = params_at(40.0)
-        quad = analytic.reduced_power_term(p)
+        quad = analytic.reduced_power_term(p, RULE)
         integral = analytic.reduced_power_term_integral(p)
         reduced = case_regions(p.theta)["reduced"]
         reference = restricted_expectation(
@@ -618,7 +597,7 @@ class TestOrderSwitchGeometry:
 
 class TestPreferredOrderTerm:
     def test_routes_agree_at_moderate_snr(self, p20):
-        quad = analytic.preferred_order_term(p20)
+        quad = analytic.preferred_order_term(p20, RULE)
         integral = analytic.preferred_order_term_integral(p20)
         preferred = case_regions(p20.theta)["preferred"]
         reference = restricted_expectation(
@@ -632,7 +611,7 @@ class TestPreferredOrderTerm:
 
     def test_fixed_rule_loses_tail_mass_at_high_snr(self):
         p = params_at(40.0)
-        quad = analytic.preferred_order_term(p)
+        quad = analytic.preferred_order_term(p, RULE)
         integral = analytic.preferred_order_term_integral(p)
         preferred = case_regions(p.theta)["preferred"]
         reference = restricted_expectation(
@@ -651,8 +630,7 @@ class TestPreferredOrderTerm:
 class TestSicTotal:
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0])
     def test_matches_full_oracle_at_moderate_snr(self, gamma0_db):
-        scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
-        p = AnalyticParams.from_scenario(scenario)
+        p = scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
         reference = ergodic_rate_oracle(ProtocolKind.CR_SIC, scenario)
         assert rel_err(sic_total(p), reference) < 1e-3
 
@@ -660,8 +638,7 @@ class TestSicTotal:
     def test_adaptive_routes_cover_high_snr(self, gamma0_db):
         # The all-quadrature assembly degrades here (tail truncation); the
         # adaptive kernel routes recover the oracle value.
-        scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
-        p = AnalyticParams.from_scenario(scenario)
+        p = scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
         total = (
             analytic.below_threshold_term_integral(p)
             + analytic.reduced_power_term_integral(p)
@@ -677,8 +654,7 @@ class TestSicTotal:
         # The fixed rule saturates on these three terms here, so the rows
         # carry the oracle's terms; the adaptive kernel integrals are the
         # evidence that the derived kernels are right where it cannot be.
-        scenario = ScenarioConfig.from_snr_db(gamma0_pu_db, gamma0_su_db)
-        p = AnalyticParams.from_scenario(scenario)
+        p = scenario = ScenarioConfig.from_snr_db(gamma0_pu_db, gamma0_su_db)
         terms = case_terms(ProtocolKind.CR_SIC, scenario)
         below = analytic.below_threshold_term_integral(p)
         reduced = analytic.reduced_power_term_integral(p)
@@ -702,7 +678,7 @@ class TestSicTotal:
     def test_overwhelming_primary_degenerates_to_interference_floor(self):
         # With the primary link essentially off the air the protocols all
         # collapse to the plain interference-limited expectation.
-        p = AnalyticParams(lambda_pu=1e3, lambda_su=1.0, theta=THETA_DEFAULT)
+        p = ScenarioConfig(lambda_pu=1e3, lambda_su=1.0, theta=THETA_DEFAULT)
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y / (1.0 + x)),
             FULL_QUADRANT,

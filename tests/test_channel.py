@@ -1,5 +1,6 @@
-"""Tests for the link-budget arithmetic and Rayleigh SNR sampling."""
+"""Tests for the link-budget arithmetic, the scenario and Rayleigh SNR sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crul.channel import (
-    LinkBudget,
     ScenarioConfig,
     db_to_linear,
     exponential_from_uniform,
@@ -17,6 +17,9 @@ from crul.channel import (
     qos_threshold,
     sample_snrs,
 )
+
+
+THETA = 2.0**2.5 - 1.0  # the default rate target's protection SINR
 
 
 def make_scenario(primary_db=20.0, secondary_db=20.0, **kw):
@@ -43,9 +46,16 @@ def test_path_loss_rejects_bad_inputs():
 
 def test_rate_param_hand_values():
     # 1 / (10^(dB/10) * ratio^-u)
-    assert LinkBudget(0.0, 1.0, 2.0).rate_parameter == pytest.approx(1.0, rel=1e-15)
-    assert LinkBudget(20.0, 2.0, 2.0).rate_parameter == pytest.approx(0.04, rel=1e-15)
-    assert LinkBudget(10.0, 1.0, 2.0).rate_parameter == pytest.approx(0.1, rel=1e-15)
+    assert make_scenario(0.0, 20.0, secondary_distance=2.0).lambda_pu == pytest.approx(
+        1.0, rel=1e-15
+    )
+    assert make_scenario(0.0, 20.0, secondary_distance=2.0).lambda_su == pytest.approx(
+        0.04, rel=1e-15
+    )
+    assert make_scenario(10.0, 0.0).lambda_pu == pytest.approx(0.1, rel=1e-15)
+    assert make_scenario(0.0, 10.0, path_loss_exponent=3.0).lambda_su == pytest.approx(
+        0.8, rel=1e-15
+    )
 
 
 def test_qos_threshold_hand_values():
@@ -90,11 +100,55 @@ def test_default_scenario_parameters():
     assert scenario.theta == pytest.approx(4.656854249492381, rel=1e-14)
 
 
-def test_link_budget_properties():
-    link = LinkBudget(mean_snr_db=10.0, distance_ratio=2.0, path_loss_exponent=2.0)
-    assert link.loss == 0.25
-    assert link.mean_snr == pytest.approx(2.5, rel=1e-14)
-    assert link.rate_parameter == pytest.approx(0.4, rel=1e-14)
+def test_scenario_is_the_three_rates():
+    scenario = ScenarioConfig(lambda_pu=0.01, lambda_su=0.04, theta=THETA)
+    assert [field.name for field in dataclasses.fields(scenario)] == [
+        "lambda_pu",
+        "lambda_su",
+        "theta",
+    ]
+    assert scenario == make_scenario(20.0, 20.0)
+
+
+@pytest.mark.parametrize("primary_db", [-100.0, -37.5, 0.0, 3.0, 20.0, 61.25, 100.0])
+@pytest.mark.parametrize(
+    "secondary_db,distance,exponent",
+    [(-100.0, 2.0, 2.0), (-12.5, 0.5, 3.5), (0.0, 1.0, 0.0), (17.0, 3.0, 2.7), (100.0, 2.0, 2.0)],
+)
+def test_from_snr_db_rates_are_the_formula_bit_for_bit(
+    primary_db, secondary_db, distance, exponent
+):
+    scenario = make_scenario(
+        primary_db,
+        secondary_db,
+        primary_distance=1.5,
+        secondary_distance=distance,
+        path_loss_exponent=exponent,
+        rate_threshold=1.75,
+    )
+    assert scenario.lambda_pu == 1.0 / (10.0 ** (primary_db / 10.0) * 1.5**-exponent)
+    assert scenario.lambda_su == 1.0 / (10.0 ** (secondary_db / 10.0) * distance**-exponent)
+    assert scenario.theta == 2.0**1.75 - 1.0
+
+
+@pytest.mark.parametrize("name", ["lambda_pu", "lambda_su", "theta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, "1.0", None])
+def test_scenario_rejects_bad_values(name, bad):
+    values = dict(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{**values, name: bad})
+
+
+@pytest.mark.parametrize("name", ["lambda_pu", "lambda_su"])
+def test_scenario_rejects_a_zero_rate(name):
+    values = dict(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{**values, name: 0.0})
+
+
+def test_scenario_allows_no_protection():
+    assert ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=0.0).theta == 0.0
+    assert make_scenario(rate_threshold=0.0).theta == 0.0
 
 
 def test_scenario_validation():
@@ -102,21 +156,38 @@ def test_scenario_validation():
         make_scenario(rate_threshold=-1.0)
     with pytest.raises(ValueError):
         make_scenario(primary_distance=0.0)
+    with pytest.raises(ValueError):
+        make_scenario(secondary_distance=-2.0)
+    with pytest.raises(ValueError):
+        make_scenario(path_loss_exponent=-0.5)
 
 
 def test_scenario_is_immutable():
     scenario = make_scenario()
-    with pytest.raises(AttributeError):
+    for name in ("lambda_pu", "lambda_su", "theta"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scenario, name, 3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
         scenario.rate_threshold = 3.0
 
 
-def test_secondary_scaling():
-    scenario = make_scenario(20.0, 20.0)
-    scaled = scenario.with_secondary_snr_scaled(0.25)
-    assert scaled.lambda_su == pytest.approx(4.0 * scenario.lambda_su, rel=1e-12)
-    assert scaled.lambda_pu == scenario.lambda_pu
-    with pytest.raises(ValueError):
-        scenario.with_secondary_snr_scaled(0.0)
+def test_scenario_is_a_cache_key():
+    assert hash(make_scenario(20.0, 20.0)) == hash(ScenarioConfig(0.01, 0.04, THETA))
+    assert {make_scenario(20.0, 20.0): 1}[ScenarioConfig(0.01, 0.04, THETA)] == 1
+
+
+@pytest.mark.parametrize("factor", [0.25, 1.0 / 0.7, 3.0, 1e-80, 1e80])
+def test_secondary_scaling_divides_the_secondary_rate(factor):
+    scenario = make_scenario(20.0, 13.0)
+    scaled = scenario.with_secondary_snr_scaled(factor)
+    assert scaled.lambda_su == scenario.lambda_su / factor
+    assert (scaled.lambda_pu, scaled.theta) == (scenario.lambda_pu, scenario.theta)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
+def test_secondary_scaling_rejects_a_nonpositive_factor(factor):
+    with pytest.raises(ValueError, match="scale factor"):
+        make_scenario().with_secondary_snr_scaled(factor)
 
 
 # ------------------------------------------------------------- sampling

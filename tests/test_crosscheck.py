@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from crul import analytic, cli
-from crul.analytic import DERIVED, STATED
+from crul import analytic, cli, crosscheck
+from crul.analytic import DEFAULT_NODES, DERIVED, STATED
 from crul.channel import ScenarioConfig
 from crul.crosscheck import (
     ANALYTIC_PROTOCOLS,
@@ -21,6 +21,7 @@ from crul.crosscheck import (
 )
 from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle
 from crul.protocols import ProtocolKind
+from crul.specfun import gauss_laguerre
 
 SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 SCENARIO_40DB = ScenarioConfig.from_snr_db(40.0, 40.0)
@@ -40,8 +41,13 @@ class TestRelativeDeviation:
     def test_ordinary_ratio(self):
         assert relative_deviation(1.1, 1.0) == pytest.approx(0.1)
 
-    def test_tiny_absolute_gap_counts_as_agreement(self):
-        assert relative_deviation(1e-15, 0.0) == 0.0
+    def test_only_an_exact_match_counts_as_agreement(self):
+        # No absolute floor: however small the gap, it is measured against
+        # the reference, and a zero reference agrees only with zero.
+        assert relative_deviation(1e-15, 0.0) == math.inf
+        assert relative_deviation(0.0, 0.0) == 0.0
+        assert relative_deviation(0.0, 6.25e-13) == 1.0
+        assert relative_deviation(1e-15, 1e-15) == 0.0
 
     def test_zero_reference_saturates(self):
         assert relative_deviation(1.0, 0.0) > 1e6
@@ -119,6 +125,34 @@ class TestTermReports:
         assert [r.term for r in direct] == [r.term for r in via_norm]
         for a, b in zip(direct, via_norm):
             assert b.oracle_value == pytest.approx(a.oracle_value, rel=1e-9)
+
+    def test_zero_derived_term_falls_back_to_a_tiny_oracle(self):
+        # A derived term of 0.0 against an oracle of 6.25e-13 is wholly
+        # wrong, not within an absolute floor of it.
+        rule = gauss_laguerre(DEFAULT_NODES)
+        for oracle_value, chosen in ((6.25e-13, "oracle"), (0.0, "derived")):
+            report = crosscheck._report(
+                ProtocolKind.CR_RSMA,
+                "interference_limited",
+                {"derived": lambda scenario, rule: 0.0},
+                oracle_value,
+                SCENARIO_20DB,
+                rule,
+            )
+            assert (report.chosen_route, report.chosen_value) == (chosen, oracle_value)
+
+    def test_nodes_pick_the_rule(self):
+        scenario = ScenarioConfig.from_snr_db(10.0, 10.0)
+        derived = {}
+        for nodes in (40, DEFAULT_NODES):
+            rule = gauss_laguerre(nodes)
+            reports = {r.term: r for r in term_reports(ProtocolKind.CR_SIC, scenario, nodes=nodes)}
+            derived[nodes] = reports["preferred_order"].routes["derived"]
+            assert derived[nodes] == analytic.preferred_order_term(scenario, rule)
+            assert reports["interference_limited"].routes["derived"] == (
+                analytic.below_threshold_term(scenario, rule)
+            )
+        assert derived[40] != derived[DEFAULT_NODES]
 
     def test_benchmarks_have_no_decomposition(self):
         with pytest.raises(ValueError):
@@ -236,7 +270,7 @@ def test_rows_never_run_the_kernel_checks(monkeypatch, gamma0_pu, gamma0_su):
     tolerance of its term by coincidence."""
     for name in REPORT_ONLY:
         monkeypatch.setattr(
-            analytic, name, lambda params, name=name: pytest.fail(f"the rows ran {name}")
+            analytic, name, lambda scenario, name=name: pytest.fail(f"the rows ran {name}")
         )
     for name, function in inspect.getmembers(analytic, inspect.isfunction):
         if "variant" in inspect.signature(function).parameters:
@@ -273,6 +307,22 @@ def test_strong_primary_rsma_row_prints_its_oracle(gamma0_pu):
     assert analytic_row[4] == oracle_row[4]
 
 
+def test_weak_secondary_rsma_row_is_held_to_its_oracle():
+    """At (40, -80) dB the derived interference-limited term is 0.0 against
+    a true 6.25e-13.  An absolute floor on the deviation once let it through,
+    and the analytic row printed 3.60505829e-09 against an oracle row of
+    3.60568327e-09, 1.7e-4 apart."""
+    argv = ["point", "--gamma0-pu", "40", "--gamma0-su", "-80",
+            "--protocol", "cr-rsma", "--method", "analytic,oracle"]
+    settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
+    analytic_row, oracle_row = (
+        row.split(",") for row in cli.make_rows(settings, [(40.0, -80.0)])
+    )
+    assert (analytic_row[3], oracle_row[3]) == ("analytic", "oracle")
+    deviation = relative_deviation(float(analytic_row[4]), float(oracle_row[4]))
+    assert deviation <= ARBITRATION_REL_TOL
+
+
 class TestRouteIsolation:
     """A route that raises is recorded as NaN with its reason, never chosen."""
 
@@ -298,7 +348,7 @@ class TestRouteIsolation:
         assert relative_deviation(rate, oracle) <= ARBITRATION_REL_TOL
 
     def test_raising_closed_form_falls_back_to_the_oracle(self, monkeypatch):
-        def overflow(params, variant=DERIVED):
+        def overflow(scenario, variant=DERIVED):
             raise OverflowError("math range error")
 
         monkeypatch.setattr(analytic, "split_band_term", overflow)

@@ -16,7 +16,7 @@ import scipy.integrate
 import scipy.special
 
 from crul import cli, oracle
-from crul.analytic import AnalyticParams, preferred_order_term, reduced_power_term
+from crul.analytic import DEFAULT_NODES, preferred_order_term, reduced_power_term
 from crul.channel import ScenarioConfig
 from crul.montecarlo import McConfig, draw_chunk, sample_point
 from crul.oracle import (
@@ -48,6 +48,7 @@ from crul.protocols import (
     switch_level,
     tolerance_level,
 )
+from crul.specfun import gauss_laguerre
 
 THETA = 2.0**2.5 - 1.0  # default scenario threshold
 
@@ -202,10 +203,12 @@ def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
     in sum, so the fixed-order term keeps its digits only if the bracket
     does not cancel O(1) pieces (3e-7, 2e-6 and 7e-5 relative when it did)."""
     config = scenario(primary_db, 0.0)
-    params = AnalyticParams.from_scenario(config)
+    rule = gauss_laguerre(DEFAULT_NODES)
     terms = case_terms(ProtocolKind.CR_SIC, config)
-    assert terms["preferred"] == pytest.approx(preferred_order_term(params), rel=1e-6)
-    assert terms["reduced"] == pytest.approx(reduced_power_term(params), rel=1e-9, abs=0.0)
+    assert terms["preferred"] == pytest.approx(preferred_order_term(config, rule), rel=1e-6)
+    assert terms["reduced"] == pytest.approx(
+        reduced_power_term(config, rule), rel=1e-9, abs=0.0
+    )
     assert terms["reduced"] > 0.0
 
 
