@@ -46,7 +46,7 @@ NOISE_FLOOR = 1e-12
 RULE = gauss_laguerre(DEFAULT_NODES)
 
 
-def params_at(gamma0_db: float) -> ScenarioConfig:
+def scenario_at(gamma0_db: float) -> ScenarioConfig:
     return ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
 
 
@@ -78,11 +78,11 @@ def sic_total(p: ScenarioConfig) -> float:
 
 @pytest.fixture(scope="module")
 def p20() -> ScenarioConfig:
-    return params_at(20.0)
+    return scenario_at(20.0)
 
 
 @pytest.fixture(scope="module")
-def unit_params() -> ScenarioConfig:
+def unit_scenario() -> ScenarioConfig:
     return ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
 
 
@@ -108,18 +108,18 @@ class TestParameters:
 
 
 class TestRatioDensity:
-    def test_total_mass_is_protect_probability(self, p20, unit_params):
+    def test_total_mass_is_protect_probability(self, p20, unit_scenario):
         # The density is defective: it carries exactly the probability of
         # the event that the primary misses its SINR target.
-        for p in (p20, unit_params):
+        for p in (p20, unit_scenario):
             mass = panel_integral(
                 lambda z: analytic.ratio_density(z, p), 0.0, 1.0 / p.lambda_su, 1e-10
             )
             expected = 1.0 - math.exp(-p.lambda_pu * p.theta)
             assert mass == pytest.approx(expected, abs=1e-6)
 
-    def test_matches_cdf_finite_difference(self, unit_params):
-        p = unit_params
+    def test_matches_cdf_finite_difference(self, unit_scenario):
+        p = unit_scenario
 
         def cdf(z: float) -> float:
             value, _ = scipy.integrate.quad(
@@ -214,7 +214,7 @@ class TestBelowThresholdTerm:
 class TestSplitBandTerm:
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0])
     def test_matches_region_oracle(self, gamma0_db):
-        p = params_at(gamma0_db)
+        p = scenario_at(gamma0_db)
         band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
@@ -224,8 +224,8 @@ class TestSplitBandTerm:
         )
         assert rel_err(analytic.split_band_term(p), reference) < 1e-6
 
-    def test_equal_rate_branch_matches_region_oracle(self, unit_params):
-        p = unit_params
+    def test_equal_rate_branch_matches_region_oracle(self, unit_scenario):
+        p = unit_scenario
         band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
@@ -294,7 +294,7 @@ class TestSplitBandTerm:
 class TestClearChannelTerm:
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0])
     def test_matches_region_oracle(self, gamma0_db):
-        p = params_at(gamma0_db)
+        p = scenario_at(gamma0_db)
         tolerant = case_regions(p.theta)["clear"]
         reference = restricted_expectation(
             lambda x, y: np.log2(1.0 + y),
@@ -535,7 +535,7 @@ class TestReducedPowerTerm:
         # Documented limitation: the largest order-100 node sits near 375,
         # so once 1/lambda_su is thousands the fixed rule sees almost none
         # of the kernel's mass.  The adaptive route stays correct.
-        p = params_at(40.0)
+        p = scenario_at(40.0)
         quad = analytic.reduced_power_term(p, RULE)
         integral = analytic.reduced_power_term_integral(p)
         reduced = case_regions(p.theta)["reduced"]
@@ -610,7 +610,7 @@ class TestPreferredOrderTerm:
         assert rel_err(integral, reference) < 1e-6
 
     def test_fixed_rule_loses_tail_mass_at_high_snr(self):
-        p = params_at(40.0)
+        p = scenario_at(40.0)
         quad = analytic.preferred_order_term(p, RULE)
         integral = analytic.preferred_order_term_integral(p)
         preferred = case_regions(p.theta)["preferred"]
@@ -669,7 +669,7 @@ class TestSicTotal:
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 10.0, 20.0, 30.0, 40.0])
     def test_rate_splitting_dominates(self, gamma0_db):
-        p = params_at(gamma0_db)
+        p = scenario_at(gamma0_db)
         assert (
             rsma_total(p) - sic_total(p)
             >= -1e-6

@@ -171,11 +171,6 @@ def test_scenario_is_immutable():
         scenario.rate_threshold = 3.0
 
 
-def test_scenario_is_a_cache_key():
-    assert hash(make_scenario(20.0, 20.0)) == hash(ScenarioConfig(0.01, 0.04, THETA))
-    assert {make_scenario(20.0, 20.0): 1}[ScenarioConfig(0.01, 0.04, THETA)] == 1
-
-
 @pytest.mark.parametrize("factor", [0.25, 1.0 / 0.7, 3.0, 1e-80, 1e80])
 def test_secondary_scaling_divides_the_secondary_rate(factor):
     scenario = make_scenario(20.0, 13.0)
