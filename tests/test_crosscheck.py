@@ -319,8 +319,9 @@ def test_weak_secondary_rsma_row_is_held_to_its_oracle():
         row.split(",") for row in cli.make_rows(settings, [(40.0, -80.0)])
     )
     assert (analytic_row[3], oracle_row[3]) == ("analytic", "oracle")
-    deviation = relative_deviation(float(analytic_row[4]), float(oracle_row[4]))
-    assert deviation <= ARBITRATION_REL_TOL
+    # Relative to the oracle row alone, not through relative_deviation.
+    oracle = float(oracle_row[4])
+    assert float(analytic_row[4]) == pytest.approx(oracle, rel=ARBITRATION_REL_TOL, abs=0.0)
 
 
 class TestRouteIsolation:
