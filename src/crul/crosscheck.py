@@ -12,22 +12,25 @@ the arbitration share one integration per term, and the fallback costs
 nothing more.  Every route is a callable of the scenario and the
 half-line rule, ``analytic.gauss_laguerre(nodes)``.
 
-Other routes are report-only, tabulated by :func:`deviation_report` and
-never run by a row: the printed transcriptions (``stated``, slips
-included), rate splitting's merged tail (``combined_tail``, the band and
-clear-channel terms as its headline groups them), and adaptive
-integrations of three derived kernels (``integral``), which check those
-kernels against the oracle.  The report shows exactly which written forms
-disagree with the integrals they claim to equal, by how much, and what a
-row used instead.  A route that raises (an as-printed form overflowing
-outside the regime it was stated for, say) is recorded as NaN with the
-reason, on either path, so it cannot take the row down with it.
+A term's routes are written once, in one table keyed by the oracle's
+term name, and a row runs only the ``derived`` one.  The others are
+report-only, tabulated by :func:`deviation_report`: the printed
+transcriptions (``stated``, slips included), rate splitting's merged
+tail (``combined_tail``, the band and clear-channel terms as its headline
+groups them), and adaptive integrations of three derived kernels
+(``integral``), which check those kernels against the oracle.  The report
+shows exactly which written forms disagree with the integrals they claim
+to equal, by how much, and what a row used instead.  A route that raises
+(an as-printed form overflowing outside the regime it was stated for,
+say) is recorded as NaN with the reason, on either path, so it cannot
+take the row down with it.  The two benchmarks have oracle terms but no
+closed forms yet.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import analytic
 from .analytic import DEFAULT_NODES, DERIVED, STATED
@@ -51,7 +54,7 @@ REPORT_REL_TOL = 1e-2
 _ROUTE_ERRORS = (ArithmeticError, ValueError, ConvergenceError)
 
 #: Protocols with a closed-form decomposition (the benchmarks have none).
-ANALYTIC_PROTOCOLS = (*TERMS, ProtocolKind.CR_SIC_NORM)
+ANALYTIC_PROTOCOLS = (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM)
 
 
 def relative_deviation(value: float, reference: float) -> float:
@@ -124,39 +127,44 @@ def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True)
     )
 
 
-#: The report name and the derived closed form of each oracle term.  Routes
-#: look their function up in :mod:`crul.analytic` when they run.
-_TERM_FORMS = {
-    "below": ("interference_limited", lambda s, r: analytic.below_threshold_term(s, r, DERIVED)),
-    "band": ("split_band", lambda s, r: analytic.split_band_term(s, DERIVED)),
-    "reduced": ("reduced_power", lambda s, r: analytic.reduced_power_term(s, r)),
-    "preferred": ("preferred_order", lambda s, r: analytic.preferred_order_term(s, r)),
-    "clear": ("clear_channel", lambda s, r: analytic.clear_channel_term(s, DERIVED)),
-}
-
-#: Report-only routes by report name; only :func:`deviation_report` runs
-#: them.  ``stated`` is the printed transcription and ``integral`` an
-#: adaptive integration of the derived kernel (the preferred-order one is
-#: the oracle's own integral).  ``combined_tail`` is the band and
-#: clear-channel terms as the rate-splitting headline groups them behind one
-#: exponential factor; those two terms already cover the total.
-_REPORT_ROUTES = {
-    "interference_limited": {
+#: Every closed-form route of each oracle term, by the oracle's term name:
+#: the term's report name and its routes in report order.  ``derived`` is
+#: the row's route; ``stated`` is the printed transcription and
+#: ``integral`` an adaptive integration of the derived kernel (the
+#: preferred-order one is the oracle's own integral), which only
+#: :func:`deviation_report` runs.  Routes look their function up in
+#: :mod:`crul.analytic` when they run.
+_ROUTES = {
+    "below": ("interference_limited", {
         "stated": lambda s, r: analytic.below_threshold_term(s, r, STATED),
+        "derived": lambda s, r: analytic.below_threshold_term(s, r, DERIVED),
         "integral": lambda s, r: analytic.below_threshold_term_integral(s),
-    },
-    "split_band": {"stated": lambda s, r: analytic.split_band_term(s, STATED)},
-    "reduced_power": {"integral": lambda s, r: analytic.reduced_power_term_integral(s)},
-    "preferred_order": {"integral": lambda s, r: analytic.preferred_order_term_integral(s)},
-    "clear_channel": {"stated": lambda s, r: analytic.clear_channel_term(s, STATED)},
-    "combined_tail": {
-        "stated": lambda s, r: analytic.merged_tail_stated(s),
-        "derived": lambda s, r: analytic.split_band_term(s, DERIVED)
-        + analytic.clear_channel_term(s, DERIVED),
-    },
+    }),
+    "band": ("split_band", {
+        "stated": lambda s, r: analytic.split_band_term(s, STATED),
+        "derived": lambda s, r: analytic.split_band_term(s, DERIVED),
+    }),
+    "reduced": ("reduced_power", {
+        "derived": lambda s, r: analytic.reduced_power_term(s, r),
+        "integral": lambda s, r: analytic.reduced_power_term_integral(s),
+    }),
+    "preferred": ("preferred_order", {
+        "derived": lambda s, r: analytic.preferred_order_term(s, r),
+        "integral": lambda s, r: analytic.preferred_order_term_integral(s),
+    }),
+    "clear": ("clear_channel", {
+        "stated": lambda s, r: analytic.clear_channel_term(s, STATED),
+        "derived": lambda s, r: analytic.clear_channel_term(s, DERIVED),
+    }),
 }
-#: The order of a term's routes in the deviation report.
-_ROUTE_ORDER = ("stated", "derived", "integral")
+#: The band and clear-channel terms as the rate-splitting headline groups
+#: them behind one exponential factor; report-only, since those two terms
+#: already cover the total.
+_COMBINED_TAIL = {
+    "stated": lambda s, r: analytic.merged_tail_stated(s),
+    "derived": lambda s, r: analytic.split_band_term(s, DERIVED)
+    + analytic.clear_channel_term(s, DERIVED),
+}
 
 
 def term_reports(
@@ -167,20 +175,26 @@ def term_reports(
     The normalized protocol reports the plain-SIC terms evaluated at the
     power-normalized configuration.
     """
+    return _term_reports(protocol, scenario, nodes, every_route=False)
+
+
+def _term_reports(protocol, scenario, nodes, every_route) -> list[TermReport]:
+    """:func:`term_reports`, with every route of :data:`_ROUTES` if asked."""
+    if protocol not in ANALYTIC_PROTOCOLS:
+        raise ValueError(f"no closed-form decomposition for {protocol}")
     if protocol is ProtocolKind.CR_SIC_NORM:
         protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
-    if protocol not in TERMS:
-        raise ValueError(f"no closed-form decomposition for {protocol}")
     rule = analytic.gauss_laguerre(nodes)
     oracle_values = case_terms(protocol, scenario)
     # With a zero threshold only the clear-channel region is non-empty.
     names = ("clear",) if scenario.theta == 0.0 else TERMS[protocol]
     reports = []
     for name in names:
-        term, form = _TERM_FORMS[name]
-        reports.append(
-            _report(protocol, term, {"derived": form}, oracle_values[name], scenario, rule)
-        )
+        term, routes = _ROUTES[name]
+        # The SIC headline prints its clear-channel term as derived.
+        if not every_route or (protocol is ProtocolKind.CR_SIC and name == "clear"):
+            routes = {"derived": routes["derived"]}
+        reports.append(_report(protocol, term, routes, oracle_values[name], scenario, rule))
     return reports
 
 
@@ -204,28 +218,12 @@ def evaluate(
     :func:`crul.montecarlo.sample_point`.
     """
     if method == "analytic":
-        if protocol not in ANALYTIC_PROTOCOLS:
-            raise ValueError(f"no closed form for {protocol.value}")
         value = arbitrated_rate(protocol, scenario, nodes=nodes)
     elif method == "oracle":
         value = ergodic_rate_oracle(protocol, scenario)
     else:
         raise ValueError(f"unknown method {method!r}")
     return EstimateResult(value=value, stderr=0.0, n_samples=0)
-
-
-def _with_report_routes(protocol: ProtocolKind, report: TermReport, scenario, rule) -> TermReport:
-    """``report`` with its term's report-only routes evaluated beside the row's."""
-    routes = _REPORT_ROUTES[report.term]
-    if protocol is ProtocolKind.CR_SIC and report.term == "clear_channel":
-        routes = {}  # The SIC headline prints this term as derived: no stated route.
-    values, errors = _run_routes(routes, scenario, rule)
-    values, errors = {**values, **report.routes}, {**errors, **report.route_errors}
-    return replace(
-        report,
-        routes={name: values[name] for name in _ROUTE_ORDER if name in values},
-        route_errors={name: errors[name] for name in _ROUTE_ORDER if name in errors},
-    )
 
 
 def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
@@ -241,18 +239,15 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     flagged = []
     rule = analytic.gauss_laguerre(DEFAULT_NODES)
     for label, scenario in scenarios.items():
-        for protocol in TERMS:
-            reports = [
-                _with_report_routes(protocol, report, scenario, rule)
-                for report in term_reports(protocol, scenario)
-            ]
+        # The normalized protocol's terms are pure SIC's at another scenario.
+        for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC):
+            reports = _term_reports(protocol, scenario, DEFAULT_NODES, every_route=True)
             by_term = {report.term: report for report in reports}
             if "split_band" in by_term:
                 tail = by_term["split_band"].oracle_value + by_term["clear_channel"].oracle_value
-                routes = _REPORT_ROUTES["combined_tail"]
-                reports.append(
-                    _report(protocol, "combined_tail", routes, tail, scenario, rule, in_total=False)
-                )
+                reports.append(_report(
+                    protocol, "combined_tail", _COMBINED_TAIL, tail, scenario, rule, in_total=False
+                ))
             for report in reports:
                 entry = {
                     "config": label,

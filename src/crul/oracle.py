@@ -30,14 +30,15 @@ along the primary.
 Every integral is held to :data:`crul.panels.REL_TOL` (1e-9 relative).
 
 This module is the one home of the per-case region integrals.
-:data:`TERMS` names each protocol's terms, :func:`case_regions` gives
-their regions and :func:`case_terms` their values.  Each one is memoised
-per region and scenario, so the two protocols share the regions they
-have in common, and :func:`mean_power_factor_oracle` is memoised per
-scenario: the oracle rows sum the terms, the hard-QoS benchmark reads the
-rate-splitting clear-channel term, and :mod:`crul.crosscheck` arbitrates
-every closed-form term against the same values, so one grid point
-integrates each region once.  :func:`normalized` builds the boosted
+:data:`TERMS` names every protocol's terms (one each for the two
+benchmarks), :func:`case_regions` gives their regions and
+:func:`case_terms` their values.  Each one is memoised per region and
+scenario, so protocols share the regions they have in common (the
+hard-QoS benchmark's is the rate-splitting clear channel), and
+:func:`mean_power_factor_oracle` is memoised per scenario: every oracle
+row is the sum of its protocol's terms, and :mod:`crul.crosscheck`
+arbitrates every closed-form term against the same values, so one grid
+point integrates each region once.  :func:`normalized` builds the boosted
 scenario of the power-normalized protocol for all of them.
 """
 
@@ -149,10 +150,15 @@ def region_probability(region: RegionSpec, lambda_pu: float, lambda_su: float) -
 # ------------------------------------------------------ decision regions
 
 #: Each protocol's per-case terms, by name, in case-index order.  Pure SIC
-#: cuts rate splitting's band in two; the other regions are shared.
+#: cuts rate splitting's band in two; the other regions are shared.  The
+#: hard QoS gate admits the secondary exactly where rate splitting gives it
+#: the clear channel, and the CSI benchmark takes the whole quadrant.  The
+#: power-normalized protocol is pure SIC at :func:`normalized`.
 TERMS = {
     ProtocolKind.CR_RSMA: ("below", "band", "clear"),
     ProtocolKind.CR_SIC: ("below", "reduced", "preferred", "clear"),
+    ProtocolKind.BENCH_CSI: ("full",),
+    ProtocolKind.BENCH_QOS: ("clear",),
 }
 
 
@@ -175,7 +181,7 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
         # With no rate target the primary tolerates every draw.
         empty = RegionSpec("empty", pu_lower=0.0, pu_upper=0.0)
         regions = dict.fromkeys(("below", "band", "reduced", "preferred"), empty)
-        return {**regions, "clear": RegionSpec("no protection constraint")}
+        return {**regions, "clear": RegionSpec("no protection constraint"), "full": FULL_QUADRANT}
     tolerance = functools.partial(tolerance_level, theta=theta)
     floor = functools.partial(np.full_like, fill_value=theta)
     edge = functools.partial(tolerance_edge, theta=theta)
@@ -190,6 +196,7 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
             "secondary first preferred", pu_lower=floor, pu_upper=switch, axis="secondary"
         ),
         "clear": RegionSpec("interference tolerant", pu_lower=theta, su_upper=tolerance),
+        "full": FULL_QUADRANT,
     }
 
 
@@ -215,6 +222,7 @@ _INTEGRANDS = {
     "reduced": lambda x, y, theta: np.log2(x / theta),
     "preferred": _interference_limited,
     "clear": lambda x, y, theta: _log2_1p(y),
+    "full": _interference_limited,
 }
 
 
@@ -247,24 +255,9 @@ def normalized(scenario: ScenarioConfig) -> ScenarioConfig:
 
 def ergodic_rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> float:
     """Ergodic SU rate of ``protocol``, by integration over its decision regions."""
-    if protocol in TERMS:
-        return math.fsum(case_terms(protocol, scenario).values())
-
     if protocol is ProtocolKind.CR_SIC_NORM:
-        return ergodic_rate_oracle(ProtocolKind.CR_SIC, normalized(scenario))
-
-    if protocol is ProtocolKind.BENCH_CSI:
-        integrand = functools.partial(_interference_limited, theta=scenario.theta)
-        return restricted_expectation(
-            integrand, FULL_QUADRANT, scenario.lambda_pu, scenario.lambda_su
-        )
-
-    if protocol is ProtocolKind.BENCH_QOS:
-        # The hard gate admits the secondary exactly where rate splitting
-        # gives it the clear channel.
-        return _case_term("clear", scenario)
-
-    raise ValueError(f"unknown protocol: {protocol}")
+        protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
+    return math.fsum(case_terms(protocol, scenario).values())
 
 
 def ergodic_delta_oracle(scenario: ScenarioConfig) -> float:

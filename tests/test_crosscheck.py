@@ -155,8 +155,9 @@ class TestTermReports:
         assert derived[40] != derived[DEFAULT_NODES]
 
     def test_benchmarks_have_no_decomposition(self):
-        with pytest.raises(ValueError):
-            term_reports(ProtocolKind.BENCH_CSI, SCENARIO_20DB)
+        for protocol in (ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS):
+            with pytest.raises(ValueError):
+                term_reports(protocol, SCENARIO_20DB)
 
     @pytest.mark.parametrize("gamma0_db", [0.0, 20.0, 40.0])
     @pytest.mark.parametrize(

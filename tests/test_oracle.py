@@ -160,6 +160,7 @@ def test_region_slices_hold_exactly_the_classified_draws(
 def test_zero_threshold_regions_degenerate_cleanly():
     regions = case_regions(0.0)
     clear = regions.pop("clear")
+    assert regions.pop("full") is FULL_QUADRANT
     assert all(region_probability(r, 0.1, 0.1) == 0.0 for r in regions.values())
     assert region_probability(clear, 0.1, 0.1) == pytest.approx(1.0, rel=1e-9)
     assert not any(in_region(r, 1.0, 1.0) for r in regions.values())
@@ -285,6 +286,30 @@ def test_benchmarks_keep_the_digits_of_a_tiny_ratio(primary_db, secondary_db):
     for protocol, expected in ((ProtocolKind.BENCH_CSI, csi), (ProtocolKind.BENCH_QOS, qos)):
         value = ergodic_rate_oracle(protocol, config)
         assert value == pytest.approx(expected, rel=1e-9, abs=0.0), protocol
+
+
+def test_every_protocol_but_the_normalized_one_has_terms():
+    # The power-normalized protocol is pure SIC at the boosted scenario.
+    assert set(TERMS) == set(ProtocolKind) - {ProtocolKind.CR_SIC_NORM}
+
+
+@pytest.mark.parametrize(
+    "primary_db,secondary_db,rate_threshold",
+    [(20.0, 20.0, 2.5), (40.0, 10.0, 0.5), (30.0, 30.0, 0.0)],
+)
+def test_benchmark_oracles_are_their_one_memoised_term(
+    monkeypatch, primary_db, secondary_db, rate_threshold
+):
+    config = ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_threshold)
+    quadrant = restricted_expectation(
+        lambda x, y: oracle._interference_limited(x, y, config.theta),
+        FULL_QUADRANT, config.lambda_pu, config.lambda_su,
+    )
+    clear = case_terms(ProtocolKind.CR_RSMA, config)["clear"]
+    assert ergodic_rate_oracle(ProtocolKind.BENCH_CSI, config) == quadrant
+    assert ergodic_rate_oracle(ProtocolKind.BENCH_QOS, config) == clear
+    monkeypatch.setattr(oracle, "restricted_expectation", lambda *args: pytest.fail("integrated"))
+    assert ergodic_rate_oracle(ProtocolKind.BENCH_CSI, config) == quadrant
 
 
 @pytest.mark.parametrize("rate_parameter", [1e-10, 4e10])
