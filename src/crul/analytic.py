@@ -21,10 +21,12 @@ Every piece is available in more than one route so they can be cross-checked
 term by term:
 
 * ``derived`` closed forms, re-derived from scratch.  Products of
-  exponentials with the exponential integral are evaluated in log space
-  (via :func:`crul.specfun.log_e1`) so extreme rate parameters cannot
-  overflow.  Where a term needs a quadrature, it is the fixed half-line
-  rule of the kernel (the headline approximation route).
+  exponentials with the exponential integral are formed as
+  ``exp(a) E1(a)``, the continued fraction itself past the series range
+  and ``exp(a + log_e1(a))`` below it, so extreme rate parameters neither
+  overflow nor cancel away their digits.  Where a term needs a
+  quadrature, it is the fixed half-line rule of the kernel (the headline
+  approximation route).
 * ``stated`` closed forms of the terms whose printed form differs from
   the derived one, transcribed verbatim from the derivation these
   formulas originate from -- including its transcription slips -- so the
@@ -97,13 +99,16 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be {DERIVED!r} or {STATED!r}, got {variant!r}")
 
 
-def _exp_ei_neg(exponent: float, arg: float) -> float:
-    """``exp(exponent) * Ei(-arg)`` for ``arg > 0``, evaluated in log space.
+def _scaled_e1(arg: float) -> float:
+    """``exp(arg) * E1(arg)`` for ``arg > 0``, near ``1/arg`` when ``arg`` is large.
 
-    The factors routinely over/underflow separately (e.g. ``exp(lambda_su)``
-    against ``Ei(-lambda_su*(1+theta))``) while the product stays modest.
+    The factors over/underflow separately while the product stays modest.
+    Past the series range the product is the continued fraction itself:
+    ``exp(arg + log_e1(arg))`` would cancel two numbers of size ``arg``.
     """
-    return -math.exp(exponent + log_e1(arg))
+    if arg > E1_SERIES_MAX:
+        return e1_cf_factor(arg)
+    return math.exp(arg + log_e1(arg))
 
 
 # --------------------------------------------- below-threshold term
@@ -178,22 +183,19 @@ def split_band_branch_term(scenario: ScenarioConfig, variant: str = DERIVED) -> 
 
     Its shape depends on whether the two rate parameters coincide; the
     generic branch carries a ``1/(lambda_su - lambda_pu)`` factor whose
-    cancellation the equal branch resolves analytically.
+    cancellation the equal branch resolves analytically.  The derived form
+    has only the equal branch: at unequal rates :func:`split_band_term`
+    collects its pieces into one expression.
     """
     _check_variant(variant)
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_full = lam_s * (1.0 + theta)
     if variant == DERIVED:
-        if _equal_rates(scenario):
-            lam = lam_s
-            return (1.0 / LN2) * (
-                lam * theta * _exp_ei_neg(lam, lam * (1.0 + theta))
-                + theta * math.exp(-lam * theta) / (1.0 + theta)
-            )
-        diff = lam_s - lam_p
-        ei_arg_band = lam_s + lam_p * theta
-        return (1.0 / LN2) * (lam_s / diff) * (
-            _exp_ei_neg(lam_s + theta * diff, ei_arg_full) - _exp_ei_neg(lam_s, ei_arg_band)
+        if not _equal_rates(scenario):
+            raise ValueError("the derived branch stands apart only at equal rates")
+        clear = math.exp(-lam_s * theta)
+        return (1.0 / LN2) * (
+            -lam_s * theta * clear * _scaled_e1(ei_arg_full) + theta * clear / (1.0 + theta)
         )
     if _equal_rates(scenario):
         return (
@@ -213,25 +215,29 @@ def split_band_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
 
     Covers the event where the primary meets its target only thanks to the
     secondary's split (or reduced) transmission; the rate-splitting
-    protocol earns ``log2((1+x+y)/(1+theta))`` there.
+    protocol earns ``log2((1+x+y)/(1+theta))`` there.  The derived form's
+    pieces are each O(1/lambda_su) and cancel to O(1/lambda_su**2), so at
+    unequal rates it is one expression in ``g = exp(a) E1(a)``.
     """
     _check_variant(variant)
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
     ei_arg_full = lam_s * (1.0 + theta)
-    branch = split_band_branch_term(scenario, variant)
     if variant == DERIVED:
-        diff = lam_s - lam_p
-        head = -_exp_ei_neg(lam_s + theta * diff, ei_arg_full)
-        middle = lam_s * _exp_ei_neg(lam_s, ei_arg_band) / ei_arg_band
-        return (1.0 / LN2) * (head + middle) + branch
+        clear = math.exp(-lam_p * theta)
+        g_band, g_full = _scaled_e1(ei_arg_band), _scaled_e1(ei_arg_full)
+        if not _equal_rates(scenario):
+            denominator = (lam_s - lam_p) * LN2
+            return clear * lam_p * (ei_arg_full * g_band / ei_arg_band - g_full) / denominator
+        head, middle = clear * g_full, -lam_s * clear * g_band / ei_arg_band
+        return (1.0 / LN2) * (head + middle) + split_band_branch_term(scenario)
     head = (
         (lam_s * math.exp(lam_p * theta) / (LN2 * ei_arg_band))
         * math.exp(lam_p * theta + lam_s)
         * expint_ei(-ei_arg_band)
     )
     middle = -(1.0 / LN2) * math.exp(theta * (lam_s - lam_p) + lam_s) * expint_ei(-ei_arg_full)
-    return head + middle + branch
+    return head + middle + split_band_branch_term(scenario, variant)
 
 
 def clear_channel_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
@@ -244,7 +250,7 @@ def clear_channel_term(scenario: ScenarioConfig, variant: str = DERIVED) -> floa
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
     if variant == DERIVED:
-        return -(1.0 / LN2) * lam_s * _exp_ei_neg(lam_s, ei_arg_band) / ei_arg_band
+        return math.exp(-lam_p * theta) * lam_s * _scaled_e1(ei_arg_band) / (ei_arg_band * LN2)
     return (
         -(lam_s * math.exp(-lam_p * theta) / (LN2 * ei_arg_band))
         * math.exp(-lam_p * theta + lam_s)

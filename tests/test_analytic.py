@@ -235,16 +235,15 @@ class TestSplitBandTerm:
         )
         assert rel_err(analytic.split_band_term(p), reference) < 1e-6
 
-    def test_branch_continuity_at_equal_rates(self):
-        # The generic branch divides by the rate difference; approaching
-        # coincidence from both sides must bracket the analytic limit.
+    def test_band_continuity_at_equal_rates(self):
+        # At unequal rates the form divides by the rate difference;
+        # approaching coincidence from both sides must bracket the analytic
+        # limit.
         equal = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
         low = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 - 1e-6, theta=THETA_DEFAULT)
         high = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 + 1e-6, theta=THETA_DEFAULT)
-        center = analytic.split_band_branch_term(equal)
-        bracket = sorted(
-            (analytic.split_band_branch_term(low), analytic.split_band_branch_term(high))
-        )
+        center = analytic.split_band_term(equal)
+        bracket = sorted((analytic.split_band_term(low), analytic.split_band_term(high)))
         assert bracket[0] <= center <= bracket[1]
 
     def test_branch_term_vs_band_oracle_remainder(self):
@@ -273,9 +272,13 @@ class TestSplitBandTerm:
         )
 
     def test_branch_vanishes_with_band(self):
-        for lam_su in (1.0, 2.0):
-            p = ScenarioConfig(lambda_pu=1.0, lambda_su=lam_su, theta=1e-6)
-            assert abs(analytic.split_band_branch_term(p)) < 1e-6
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1e-6)
+        assert abs(analytic.split_band_branch_term(p)) < 1e-6
+        # At unequal rates the derived band is one expression, with no branch.
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=2.0, theta=1e-6)
+        assert abs(analytic.split_band_term(p)) < 1e-6
+        with pytest.raises(ValueError):
+            analytic.split_band_branch_term(p)
 
     def test_stated_variant_deviates(self, p20):
         band = case_regions(p20.theta)["band"]
@@ -312,6 +315,28 @@ class TestClearChannelTerm:
         stray = math.exp(-2.0 * p20.lambda_pu * p20.theta)
         assert stated == pytest.approx(derived * stray, rel=1e-12)
         assert rel_err(stated, derived) > 0.01
+
+
+#: The split-band and clear-channel closed forms at weak secondaries (and a
+#: strong primary), evaluated in mpmath at 50 digits with g(x) = exp(x) E1(x),
+#: a = ls + lp theta and b = ls (1 + theta):
+#: band = exp(-lp theta) lp (b g(a)/a - g(b)) / ((ls - lp) ln 2) and
+#: clear = exp(-lp theta) ls g(a) / (a ln 2).
+WEAK_SECONDARY_TERMS = {
+    (20.0, -100.0): (4.7164669977777973236e-23, 3.4426279198687671613e-11),
+    (40.0, -80.0): (4.9389998758791400811e-21, 3.6050583790915119093e-9),
+    (100.0, 0.0): (4.0571222415021446486e-11, 0.29769384561864503871),
+}
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", list(WEAK_SECONDARY_TERMS))
+def test_band_and_clear_channel_keep_their_digits(primary_db, secondary_db):
+    # Each piece of the band is O(1/ls) and they cancel to O(1/ls**2), and
+    # exp(x + log E1(x)) cancels two numbers of size x.
+    p = ScenarioConfig.from_snr_db(primary_db, secondary_db)
+    band, clear = WEAK_SECONDARY_TERMS[primary_db, secondary_db]
+    assert analytic.split_band_term(p) == pytest.approx(band, rel=1e-13, abs=0.0)
+    assert analytic.clear_channel_term(p) == pytest.approx(clear, rel=1e-13, abs=0.0)
 
 
 # ------------------------------------------------------------ totals: rate splitting
