@@ -14,8 +14,7 @@ rate for each protocol decomposes over the decision regions:
 
 Every form reads a :class:`crul.channel.ScenarioConfig`, the triple
 ``(lambda_pu, lambda_su, theta)``.  A form with a quadrature also takes
-its half-line rule, which drives every sum it makes, both axes of the
-preferred-order double sum included.
+its half-line rule, which drives every sum it makes.
 
 Every piece is available in more than one route so they can be cross-checked
 term by term:
@@ -25,8 +24,12 @@ term by term:
   ``exp(a) E1(a)``, the continued fraction itself past the series range
   and ``exp(a + log_e1(a))`` below it, so extreme rate parameters neither
   overflow nor cancel away their digits.  Where a term needs a
-  quadrature, it is the fixed half-line rule of the kernel (the headline
-  approximation route).
+  quadrature, it is a fixed half-line rule (the headline approximation
+  route): on the below-threshold ratio's unscaled axis, whose largest
+  order-100 node is near 375, so the sum loses visible mass once
+  ``1/lambda_su`` grows past it; and scaled to the kernel for pure SIC's
+  two band cells, which reduce to one integral over the primary SNR and
+  share one memoised pass.
 * ``stated`` closed forms of the terms whose printed form differs from
   the derived one, transcribed verbatim from the derivation these
   formulas originate from -- including its transcription slips -- so the
@@ -34,16 +37,9 @@ term by term:
   transcriptions they use plain products and may overflow outside the
   moderate-parameter regime they were stated for.
 * adaptive panel integration of the same kernels on the Gauss-Kronrod
-  panels of :mod:`crul.panels` (the ``*_integral`` functions).  These
-  have none of the fixed rule's tail truncation -- the largest order-100
-  node is near 375, so a kernel decaying like ``exp(-lambda_su * x)``
-  loses visible mass once ``1/lambda_su`` grows past the node range --
-  and serve as checks of the kernels against the oracle.
-
-The reduced-power kernel is one array pass over the rule's nodes.  Its
-bracket reads only ``(lambda_pu, theta)`` and the rule, so it is
-memoised per rule and shared by pure SIC and its power-normalized twin,
-which differ only in ``lambda_su``.
+  panels of :mod:`crul.panels` (the ``*_integral`` functions), with none
+  of a fixed rule's tail truncation: checks of the kernels against the
+  oracle.
 
 :mod:`crul.crosscheck` puts one route per term on the rate path: the
 ``derived`` form where it is within tolerance of the oracle's term, and
@@ -60,8 +56,7 @@ import math
 import numpy as np
 
 from .channel import ScenarioConfig
-from .panels import REL_TOL, exponential_expectation, panel_integral
-from .protocols import switch_edge, switch_level
+from .panels import REL_TOL, panel_integral
 from .specfun import (
     E1_SERIES_MAX,
     EULER_GAMMA,
@@ -284,136 +279,85 @@ def merged_tail_stated(scenario: ScenarioConfig) -> float:
 # --------------------------------------------- pure-SIC terms
 
 
-def _reduced_power_bracket(su_snr: np.ndarray, lambda_pu: float, theta: float) -> np.ndarray:
-    """The reduced-power kernel without its secondary density factor.
-
-    Zero where the band is empty.  Where the exponential integrals take
-    their power series, the bracket is written with ``Ei(-z) = gamma +
-    log z + S(-z)`` so its constants and logs cancel exactly; elsewhere it
-    takes ``Ei`` itself (see :func:`reduced_power_kernel`).
-    """
-    switch = switch_edge(su_snr, theta)
-    band_edge = theta * (su_snr + 1.0)
-    # Empty band: analytically only at su_snr == 0, but rounding in the
-    # square root can land the switch point one ulp past the edge.  A NaN
-    # SNR stays NaN.
-    empty = switch >= band_edge
-    bracket = np.where(empty, 0.0, np.nan)
-    band = ~empty
-    # Row 0 at the band edge, row 1 at the switch point.
-    edges = np.stack([band_edge[band], switch[band]])
-    z, logs = lambda_pu * edges, np.log(edges / theta)
-    # One series pass for every z up to 4 and one continued fraction for
-    # every z up to 745; past that the fraction stays 0, so Ei(-z) is -0.0
-    # as in expint_ei.
-    small, moderate = z <= E1_SERIES_MAX, (z > E1_SERIES_MAX) & (z <= 745.0)
-    sums, fractions = np.zeros_like(z), np.zeros_like(z)
-    sums[small] = ei_series_sum(-z[small])
-    fractions[moderate] = e1_cf_factor(z[moderate])
-    ei = np.where(small, EULER_GAMMA + np.log(z) + sums, -np.exp(-z) * fractions)
-    series_form = np.expm1(-z) * logs
-    ei_form = np.exp(-z) * logs
-    bracket[band] = np.where(
-        small[0],  # the band edge in the series range puts the switch point there too
-        (series_form[1] - series_form[0]) + (sums[0] - sums[1]),
-        ei_form[1] - ei_form[0] + ei[0] - ei[1],
-    )
-    return bracket
-
-
-@functools.lru_cache(maxsize=64)
-def _rule_bracket(lambda_pu: float, theta: float, rule: QuadratureRule) -> np.ndarray:
-    """The bracket at a rule's nodes, memoised per primary rate, threshold
-    and rule (by identity): pure SIC and its power-normalized twin share it."""
-    bracket = _reduced_power_bracket(rule.nodes, lambda_pu, theta)
-    bracket.flags.writeable = False
-    return bracket
-
-
-def reduced_power_kernel(su_snr, scenario: ScenarioConfig):
-    """Closed-form inner integral of the reduced-power rate at SU SNR ``x``.
-
-    For fixed secondary SNR ``x``, integrates ``log2(y/theta)`` over the
-    primary band where the secondary transmits at reduced power, times the
-    secondary density factor.  Vanishes at ``x = 0`` (the band collapses)
-    and is nonnegative everywhere.  Accepts scalars or arrays; an array is
-    one pass, each element on its own branch below.
-
-    This is the derived form; the stated one is the same algebra with its
-    terms in another order.  The bracket of exponentials, logs and ``Ei``
-    values is O(1) term by term but O(lambda_pu) in sum, so at strong
-    primaries it would cancel away its digits.  Where the exponential
-    integrals take their power series (``lambda_pu * theta * (x + 1) <=
-    4``), it is written with ``Ei(-z) = gamma + log z + S(-z)`` instead:
-    the constants and logs cancel exactly and every term left is
-    O(lambda_pu).
-    """
-    x = np.asarray(su_snr, dtype=float)
-    lam_s = scenario.lambda_su
-    density = lam_s * np.exp(-lam_s * x) / LN2
-    result = density * _reduced_power_bracket(x, scenario.lambda_pu, scenario.theta)
-    if np.ndim(su_snr) == 0:
-        return float(result)
+def _scaled_e1_array(args: np.ndarray) -> np.ndarray:
+    """:func:`_scaled_e1` over an array ``args > 0``, in one pass per branch."""
+    small = args <= E1_SERIES_MAX
+    result = np.empty_like(args)
+    series = args[small]
+    result[small] = -np.exp(series) * (EULER_GAMMA + np.log(series) + ei_series_sum(-series))
+    result[~small] = e1_cf_factor(args[~small])
     return result
 
 
+def _preferred_order_parts(v, scenario: ScenarioConfig):
+    """The preferred-order kernel at primary excess ``v``, in two parts.
+
+    Pure SIC's band cells are written over ``v``, with the primary SNR ``x
+    = theta (1 + v)`` and the secondary SNR ``y`` integrated out exactly:
+    the band holds ``y > v`` and the cells meet at ``s = (1 + x) v``.  Over
+    ``y > s`` the rate ``log2(1 + y/(1+x))`` averages to ``ln(1 + v) +
+    g(lambda_su (1 + x)(1 + v))`` over ``ln 2``, ``g(a) = exp(a) E1(a)``;
+    the parts are its two terms times the primary density and ``Pr{y > s}``.
+    """
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    pu = theta * (1.0 + v)
+    weight = lam_p * theta * np.exp(-lam_p * pu - lam_s * (1.0 + pu) * v) / LN2
+    return weight * np.log1p(v), weight * _scaled_e1_array(lam_s * (1.0 + pu) * (1.0 + v))
+
+
+def _reduced_power_kernel(v, scenario: ScenarioConfig):
+    """The reduced-power kernel at primary excess ``v``: the primary
+    density times ``log2(x/theta) Pr{v < y < s}``, with ``exp(-lambda_su
+    v)`` factored out of the probability so a thin cell keeps its digits."""
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    pu = theta * (1.0 + v)
+    density = lam_p * theta * np.exp(-lam_p * pu - lam_s * v) / LN2
+    return density * np.log1p(v) * -np.expm1(-lam_s * pu * v)
+
+
+def _band_decay(scenario: ScenarioConfig) -> float:
+    """The rate of the band's ``ln(1 + v) exp(-lambda_su v)`` part in ``v``."""
+    return scenario.lambda_pu * scenario.theta + scenario.lambda_su
+
+
+@functools.lru_cache(maxsize=64)
+def _sic_cells(scenario: ScenarioConfig, rule: QuadratureRule) -> tuple[float, float]:
+    """The reduced-power and preferred-order terms from one pass over the rule.
+
+    The rule's unit is the ``v`` where the preferred kernel's exponent ``a v
+    + b v**2`` reaches 1.  The reduced cell is the band's ``ln(1 + v)
+    exp(-lambda_su v)`` part in closed form less the preferred kernel's log
+    part; its own kernel's long tail would fall past the rule.  Memoised
+    per scenario and rule (by identity), so the two terms share the pass.
+    """
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    a, b = lam_p * theta + lam_s * (1.0 + theta), lam_s * theta
+    unit = 2.0 / (a + math.sqrt(a * a + 4.0 * b))
+    logs, tails = _preferred_order_parts(unit * rule.nodes, scenario)
+    weights = unit * rule.integration_weights
+    log_part = math.fsum(weights * logs)
+    decay = _band_decay(scenario)
+    head = lam_p * theta * math.exp(-lam_p * theta) * _scaled_e1(decay) / (decay * LN2)
+    return head - log_part, log_part + math.fsum(weights * tails)
+
+
 def reduced_power_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
-    """Rate contribution of the reduced-power event, by quadrature."""
-    lam_s = scenario.lambda_su
-    density = lam_s * np.exp(-lam_s * rule.nodes) / LN2
-    bracket = _rule_bracket(scenario.lambda_pu, scenario.theta, rule)
-    return math.fsum(rule.integration_weights * (density * bracket))
+    """Rate contribution of the reduced-power event, on the scaled rule."""
+    return _sic_cells(scenario, rule)[0]
 
 
 def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
-    """Same contribution by adaptive integration of the closed-form kernel."""
-    integrand = lambda x: reduced_power_kernel(x, scenario)
-    return panel_integral(integrand, 0.0, 1.0 / scenario.lambda_su, REL_TOL)
-
-
-def preferred_order_kernel(su_snr, pu_snr, scenario: ScenarioConfig):
-    """Joint-density-weighted secondary rate for the swapped decoding order.
-
-    ``log2(1 + x/(1+y))`` times the joint exponential density, evaluated
-    at secondary SNR ``x`` and primary SNR ``y``.  Accepts scalars or
-    arrays (broadcasting).
-    """
-    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
-    return (
-        np.log2(1.0 + np.asarray(su_snr) / (1.0 + np.asarray(pu_snr)))
-        * lam_s
-        * lam_p
-        * np.exp(-lam_s * np.asarray(su_snr))
-        * np.exp(-lam_p * np.asarray(pu_snr))
-    )
+    """Same contribution by adaptive integration of its own kernel."""
+    kernel = lambda v: _reduced_power_kernel(v, scenario)
+    return panel_integral(kernel, 0.0, 1.0 / _band_decay(scenario), REL_TOL)
 
 
 def preferred_order_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
-    """Rate contribution of the swapped decoding order, by double quadrature.
-
-    Both axes are shifted: the primary axis starts at the protection
-    threshold, the secondary axis at the order-switch boundary for that
-    primary SNR.
-    """
-    pu = rule.nodes + scenario.theta
-    su = rule.nodes[:, None] + switch_level(pu, scenario.theta)[None, :]
-    values = preferred_order_kernel(su, pu[None, :], scenario)
-    weights = rule.integration_weights
-    return float(np.einsum("i,j,ij->", weights, weights, values))
+    """Rate contribution of the swapped decoding order, on the scaled rule."""
+    return _sic_cells(scenario, rule)[1]
 
 
 def preferred_order_term_integral(scenario: ScenarioConfig) -> float:
-    """Same contribution by adaptive integration over the swapped-order region.
-
-    The primary axis starts at the protection threshold and each secondary
-    slice at the order-switch boundary, as in :func:`preferred_order_term`.
-    """
-    theta = scenario.theta
-    return exponential_expectation(
-        lambda pu_snr, su_snr: np.log2(1.0 + su_snr / (1.0 + pu_snr)),
-        scenario.lambda_pu,
-        scenario.lambda_su,
-        REL_TOL,
-        x_lower=theta,
-        y_lower=functools.partial(switch_level, theta=theta),
-    )
+    """Same contribution by adaptive integration of its kernel."""
+    kernel = lambda v: sum(_preferred_order_parts(v, scenario))
+    return panel_integral(kernel, 0.0, 1.0 / _band_decay(scenario), REL_TOL)

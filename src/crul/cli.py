@@ -401,7 +401,7 @@ def run_validate(args: argparse.Namespace) -> int:
         print(
             f"criterion_{check.id} {status} measured={check.measured:.6g} "
             f"tolerance={check.tolerance:.6g} runtime={check.runtime_s:.1f}s "
-            f"# {check.name}"
+            f"# {check.name}: {check.detail}"
         )
     print(f"deviation report: {out_path}")
     return EXIT_OK if failed == 0 else EXIT_VALIDATION

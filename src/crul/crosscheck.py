@@ -130,10 +130,9 @@ def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True)
 #: Every closed-form route of each oracle term, by the oracle's term name:
 #: the term's report name and its routes in report order.  ``derived`` is
 #: the row's route; ``stated`` is the printed transcription and
-#: ``integral`` an adaptive integration of the derived kernel (the
-#: preferred-order one is the oracle's own integral), which only
-#: :func:`deviation_report` runs.  Routes look their function up in
-#: :mod:`crul.analytic` when they run.
+#: ``integral`` an adaptive integration of the derived one-dimensional
+#: kernel, which only :func:`deviation_report` runs.  Routes look their
+#: function up in :mod:`crul.analytic` when they run.
 _ROUTES = {
     "below": ("interference_limited", {
         "stated": lambda s, r: analytic.below_threshold_term(s, r, STATED),

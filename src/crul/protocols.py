@@ -26,12 +26,12 @@ and preferred cells together), and ``bench-qos`` admits the tolerant cell
 off its edge.  :func:`sic_case_array` classifies a batch of fading draws
 ``(gamma_pu, gamma_su)`` once, every rule builds its rates from the
 cells, and the oracle's regions slice the same cells with
-:func:`tolerance_level` and :func:`switch_level` or their inverses
-:func:`tolerance_edge` and :func:`switch_edge`.  The classifier and the
-rules write into the buffers of a :class:`Workspace`, which a Monte Carlo
-worker reuses from chunk to chunk within one call, so a chunk makes no
-array of its own size.  Averaging over fading
-lives in :mod:`crul.montecarlo`, :mod:`crul.analytic` and :mod:`crul.oracle`.
+:func:`tolerance_level`, its inverse :func:`tolerance_edge` and the
+switch curve :func:`switch_edge`.  The classifier and the rules write
+into the buffers of a :class:`Workspace`, which a Monte Carlo worker
+reuses from chunk to chunk within one call, so a chunk makes no array of
+its own size.  Averaging over fading lives in :mod:`crul.montecarlo`,
+:mod:`crul.analytic` and :mod:`crul.oracle`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "TOLERANT",
     "tolerance_level",
     "tolerance_edge",
-    "switch_level",
     "switch_edge",
     "Workspace",
     "sic_case_array",
@@ -109,17 +108,12 @@ def tolerance_edge(gamma_su, theta: float, out=None):
     return np.multiply(np.add(1.0, gamma_su, out=out), theta, out=out)
 
 
-def switch_level(gamma_pu, theta: float):
-    """SU SNR where decoding it first (``log2(1 + y/(1+x))``) starts to
-    beat backing its power off (``log2(x/theta)``).  Scalars or arrays."""
-    return (1.0 + gamma_pu) * tolerance_level(gamma_pu, theta)
-
-
 def switch_edge(gamma_su, theta: float):
-    """PU SNR below which the SU goes first at SU SNR ``gamma_su``: the
-    inverse of :func:`switch_level` on ``gamma_pu >= theta``, from
-    ``theta`` at ``gamma_su = 0`` up.  Scalars or arrays, ``theta > 0`` and
-    ``gamma_su >= 0``.
+    """PU SNR below which the SU goes first at SU SNR ``gamma_su``: where
+    decoding it first (``log2(1 + y/(1+x))``) stops beating backing its
+    power off (``log2(x/theta)``), the root ``x >= theta`` of
+    ``(1 + x)(x/theta - 1) = gamma_su``.  Scalars or arrays, ``theta > 0``
+    and ``gamma_su >= 0``.
     """
     if theta <= 0.0:
         raise ValueError(f"threshold must be > 0, got {theta}")

@@ -13,8 +13,9 @@ Both are deliberately hand-rolled rather than taken from scipy:
 
 The ``Ei`` series sum and the ``E1`` continued fraction take scalars or
 arrays in one loop: a scalar stops at its own tolerance, and an array
-element stops at the same step, so the reduced-power kernel evaluates all
-nodes of a rule in one pass with the scalar's digits.
+element stops at the same step, so pure SIC's band cells take
+``exp(a) E1(a)`` at all nodes of a rule in one pass with the scalar's
+digits.
 
 The scipy equivalents are still used in the test-suite as an independent
 check of these routines, never as the implementation.

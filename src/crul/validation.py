@@ -264,6 +264,7 @@ def criterion_analytic_oracle(
         deviation = relative_deviation(arbitrated, oracle_total)
         if deviation > worst:
             worst, worst_at = deviation, f"{protocol} at {label}"
+    stated = sum(flag["route"] == "stated" for flag in report["flagged"])
     check = CheckResult(
         id=5,
         name="closed forms vs integration oracle",
@@ -273,7 +274,8 @@ def criterion_analytic_oracle(
         runtime_s=time.perf_counter() - start,
         detail=(
             f"worst total deviation {worst_at}; "
-            f"{len(report['flagged'])} as-printed route(s) past 1% tabulated"
+            f"{stated} as-printed and {len(report['flagged']) - stated} other "
+            "route(s) past 1% tabulated"
         ),
     )
     return check, report

@@ -26,20 +26,10 @@ from crul.oracle import (
     restricted_expectation,
 )
 from crul.panels import panel_integral
-from crul.protocols import ProtocolKind, switch_edge, switch_level
-from crul.specfun import (
-    E1_SERIES_MAX,
-    QuadratureRule,
-    ei_series_sum,
-    expint_ei,
-    gauss_laguerre,
-)
+from crul.protocols import ProtocolKind, switch_edge
+from crul.specfun import QuadratureRule, expint_ei, gauss_laguerre
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
-
-
-#: Cancellation noise of the reduced-power kernel's four-term bracket.
-NOISE_FLOOR = 1e-12
 
 
 #: The half-line rule of every fixed-rule form below, unless a test says otherwise.
@@ -379,123 +369,100 @@ class TestRsmaTotal:
         assert rel_err(stated, reference) > 0.01
 
 
-# ------------------------------------------------------------ term: reduced power
+# ------------------------------------------------------------ terms: pure SIC's band cells
 
 
-class TestReducedPowerKernel:
-    def test_frozen_value(self):
-        # Frozen from scipy adaptive quadrature of the inner band integral
-        # (17 digits; the closed form agreed to 7e-16 when frozen).
-        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
-        assert analytic.reduced_power_kernel(2.0, p) == pytest.approx(
-            0.00043763904577598535, rel=1e-12
+def switch_level(gamma_pu, theta):
+    """SU SNR where pure SIC's decoding order switches at PU SNR ``gamma_pu``."""
+    return (1.0 + gamma_pu) * (gamma_pu / theta - 1.0)
+
+
+#: Pure SIC's reduced-power and preferred-order terms at (primary,
+#: secondary) dB and the default rate target, frozen from a two-dimensional
+#: mpmath evaluation of each region integral at 30 digits: the primary SNR
+#: outer, the secondary SNR inner between the cell's own bounds, and each
+#: outer integrand scaled to O(1) first, since mpmath's ``quad`` stops on
+#: an absolute error estimate.
+FROZEN_CELLS = {
+    (20.0, 20.0): (1.5165472914944219, 0.13468115119340281),
+    (40.0, 40.0): (4.9966145349985149, 0.053286465877219114),
+    (-20.0, 60.0): (1.4156443283166754e-212, 8.3107944650783723e-202),
+    (20.0, -60.0): (3.8827044866240094e-15, 2.5049707377423503e-16),
+    (80.0, 90.0): (21.549680759082382, 0.0043246462122020033),
+}
+#: The cells whose scaled-rule route misses its oracle term, so a row takes
+#: the oracle's: at a 90 dB secondary ``g``'s argument spans many decades,
+#: and one scale of the rule does not fit it.
+RULE_MISSES = {((80.0, 90.0), "preferred")}
+
+
+class TestPureSicCells:
+    @pytest.mark.parametrize("point", list(FROZEN_CELLS))
+    def test_integral_routes_match_frozen_values(self, point):
+        p = ScenarioConfig.from_snr_db(*point)
+        reduced, preferred = FROZEN_CELLS[point]
+        assert analytic.reduced_power_term_integral(p) == pytest.approx(reduced, rel=1e-11)
+        assert analytic.preferred_order_term_integral(p) == pytest.approx(preferred, rel=1e-11)
+
+    @pytest.mark.parametrize("point", list(FROZEN_CELLS))
+    def test_rule_routes_match_frozen_values_where_accepted(self, point):
+        p = ScenarioConfig.from_snr_db(*point)
+        terms = case_terms(ProtocolKind.CR_SIC, p)
+        routes = {"reduced": analytic.reduced_power_term, "preferred": analytic.preferred_order_term}
+        for (name, route), frozen in zip(routes.items(), FROZEN_CELLS[point]):
+            value = route(p, RULE)
+            accepted = relative_deviation(value, terms[name]) <= ARBITRATION_REL_TOL
+            assert accepted == ((point, name) not in RULE_MISSES)
+            if accepted:
+                assert value == pytest.approx(frozen, rel=1e-5)
+
+    @pytest.mark.parametrize("gamma0_db", [20.0, 40.0])
+    def test_routes_match_the_region_oracle(self, gamma0_db):
+        # At 40 dB the unscaled order-100 rule once saw almost none of the
+        # cells' mass; scaled to the kernel it keeps it.
+        p = scenario_at(gamma0_db)
+        terms = case_terms(ProtocolKind.CR_SIC, p)
+        assert rel_err(analytic.reduced_power_term(p, RULE), terms["reduced"]) < 1e-6
+        assert rel_err(analytic.preferred_order_term(p, RULE), terms["preferred"]) < 1e-5
+        assert rel_err(analytic.reduced_power_term_integral(p), terms["reduced"]) < 1e-9
+        assert rel_err(analytic.preferred_order_term_integral(p), terms["preferred"]) < 1e-9
+
+    def test_a_custom_rule_is_its_own_cache_key(self, p20):
+        # The pass is memoised per scenario and rule object: a rule with
+        # other nodes but the default's order must not get the default's.
+        default = gauss_laguerre(100)
+        stretched = QuadratureRule(
+            order=100, nodes=2.0 * default.nodes, log_weights=default.log_weights - math.log(2.0)
+        )
+        copied = QuadratureRule(
+            order=100, nodes=default.nodes.copy(), log_weights=default.log_weights.copy()
+        )
+        analytic._sic_cells.cache_clear()
+        value = analytic.reduced_power_term(p20, default)
+        for rule in (stretched, copied):
+            own = analytic._sic_cells.__wrapped__(p20, rule)
+            assert (analytic.reduced_power_term(p20, rule),
+                    analytic.preferred_order_term(p20, rule)) == own
+        assert analytic._sic_cells.cache_info().misses == 3
+        assert analytic.reduced_power_term(p20, copied) == value
+        assert analytic.reduced_power_term(p20, stretched) != value
+
+    def test_scaled_e1_array_matches_the_scalar(self):
+        # Both branches, the series up to 4 and the continued fraction past it.
+        args = np.geomspace(1e-12, 1e9, 97)
+        assert (args <= 4.0).any() and (args > 4.0).any()
+        np.testing.assert_allclose(
+            analytic._scaled_e1_array(args), [analytic._scaled_e1(a) for a in args], rtol=1e-14
         )
 
-    def test_matches_inner_integral(self):
-        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=4.0)
-        for x in (0.5, 2.0, 17.0):
-            switch = switch_edge(x, p.theta)
-            value, _ = scipy.integrate.quad(
-                lambda y: math.log2(y / p.theta) * p.lambda_pu * math.exp(-p.lambda_pu * y),
-                switch,
-                p.theta * (x + 1.0),
-                limit=300,
-            )
-            reference = value * p.lambda_su * math.exp(-p.lambda_su * x)
-            assert analytic.reduced_power_kernel(x, p) == pytest.approx(
-                reference, abs=1e-8
-            )
-
-    def test_zero_at_origin(self, p20):
-        # The band collapses: the switch point equals the band edge.
-        assert analytic.reduced_power_kernel(0.0, p20) == 0.0
-
-    def test_rejects_negative_snr(self, p20):
-        with pytest.raises(ValueError):
-            analytic.reduced_power_kernel(-1.0, p20)
-
-    @given(
-        x=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=16),
-        lam_p=st.floats(min_value=1e-3, max_value=10.0),
-        lam_s=st.floats(min_value=1e-3, max_value=10.0),
-        theta=st.floats(min_value=0.1, max_value=10.0),
-    )
-    def test_nonnegative(self, x, lam_p, lam_s, theta):
-        # Floor at the cancellation noise of the four-term bracket: for a
-        # hair-thin band the true value is O(x^2) but the bracket terms
-        # are O(1), so ~1e-13 of signed rounding survives.
-        p = ScenarioConfig(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
-        values = analytic.reduced_power_kernel(np.array(x), p)
-        assert values.shape == (len(x),)
-        assert np.all(values >= -NOISE_FLOOR)
-        assert analytic.reduced_power_kernel(x[0], p) >= -NOISE_FLOOR
-
-    @staticmethod
-    def per_node_kernel(x: float, p: ScenarioConfig) -> float:
-        """The kernel one SU SNR at a time on :mod:`math` and the scalar
-        special functions, as the rule's nodes were once summed."""
-        lam_p, lam_s, theta = p.lambda_pu, p.lambda_su, p.theta
-        switch = float(switch_edge(x, theta))
-        band_edge = theta * (x + 1.0)
-        if switch >= band_edge:
-            return 0.0
-        density = lam_s * math.exp(-lam_s * x) / math.log(2.0)
-        if lam_p * band_edge <= E1_SERIES_MAX:
-            return density * (
-                (
-                    math.expm1(-lam_p * switch) * math.log(switch / theta)
-                    - math.expm1(-lam_p * band_edge) * math.log(band_edge / theta)
-                )
-                + (ei_series_sum(-lam_p * band_edge) - ei_series_sum(-lam_p * switch))
-            )
-        return density * (
-            math.exp(-lam_p * switch) * math.log(switch / theta)
-            - math.exp(-lam_p * band_edge) * math.log(band_edge / theta)
-            + expint_ei(-lam_p * band_edge)
-            - expint_ei(-lam_p * switch)
-        )
-
-    @pytest.mark.parametrize(
-        "lam_p,theta,low,high,branches",
-        [
-            (0.01, 3.0, 1e-3, 50.0, {"series"}),
-            (1.0, 3.0, 0.4, 200.0, {"fraction"}),
-            (10.0, 3.0, 30.0, 1e3, {"underflow"}),
-            (0.5, 1.5, 1e-3, 1e3, {"series", "fraction", "underflow"}),
-        ],
-    )
-    def test_array_matches_per_node_scalars(self, lam_p, theta, low, high, branches):
-        # By lambda_pu * theta * (x + 1): the S form up to 4, the band
-        # edge's Ei by continued fraction up to 745, and underflowing past.
-        p = ScenarioConfig(lambda_pu=lam_p, lambda_su=0.3, theta=theta)
-        x = np.concatenate([[0.0], np.geomspace(low, high, 257)])
-        edge = lam_p * theta * (x[1:] + 1.0)
-        taken = {"series": edge <= 4.0, "fraction": (edge > 4.0) & (edge <= 745.0),
-                 "underflow": edge > 745.0}
-        assert {name for name, mask in taken.items() if mask.any()} == branches
-        values = analytic.reduced_power_kernel(x, p)
-        assert values[0] == 0.0
-        for node, value in zip(x, values):
-            reference = self.per_node_kernel(float(node), p)
-            assert value == pytest.approx(reference, rel=1e-13, abs=NOISE_FLOOR)
-            scalar = analytic.reduced_power_kernel(float(node), p)
-            assert scalar == pytest.approx(reference, rel=1e-13, abs=NOISE_FLOOR)
-
-    def test_empty_band_by_one_ulp_is_zero(self):
-        # Rounding in the square root puts this switch point one ulp past
-        # the band edge, so the band is empty though x > 0.
-        x, theta = 4.66610086e-17, 7.3
-        assert float(switch_edge(x, theta)) > theta * (x + 1.0)
-        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=theta)
-        assert analytic.reduced_power_kernel(x, p) == 0.0
-        assert analytic.reduced_power_kernel(np.array([x, 1.0]), p)[0] == 0.0
-
-    def test_nan_snr_stays_nan(self, p20):
-        assert math.isnan(analytic.reduced_power_kernel(math.nan, p20))
+    def test_empty_band_gives_zero_cells(self):
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=0.0)
+        assert analytic.reduced_power_term(p, RULE) == 0.0
+        assert analytic.preferred_order_term(p, RULE) == 0.0
 
     @staticmethod
     def stated_kernel(x: float, p: ScenarioConfig) -> float:
-        """The printed reduced-power kernel, transcribed verbatim."""
+        """The printed reduced-power kernel at SU SNR ``x``, transcribed verbatim."""
         lam_p, lam_s, theta = p.lambda_pu, p.lambda_su, p.theta
         switch = switch_edge(x, theta)
         return -(lam_s * math.exp(-lam_s * x) / math.log(2.0)) * (
@@ -505,76 +472,23 @@ class TestReducedPowerKernel:
             - expint_ei(-lam_p * theta * (x + 1.0))
         )
 
-    def test_stated_variant_matches_derived(self):
-        # The printed form is the same algebra with its terms in another
-        # order, so the route table carries only the derived one.
-        p = ScenarioConfig(lambda_pu=0.3, lambda_su=0.7, theta=2.0)
-        for x in (0.5, 4.0, 33.0):
-            derived = analytic.reduced_power_kernel(x, p)
-            stated = self.stated_kernel(x, p)
-            assert stated == pytest.approx(derived, rel=1e-12, abs=1e-300)
-
-
-class TestReducedPowerTerm:
-    def test_sums_the_kernel_at_the_rule_nodes(self, p20):
-        per_node = [
-            weight * TestReducedPowerKernel.per_node_kernel(float(node), p20)
-            for node, weight in zip(RULE.nodes, RULE.integration_weights)
-        ]
-        assert analytic.reduced_power_term(p20, RULE) == pytest.approx(
-            math.fsum(per_node), rel=1e-13
-        )
-
-    def test_a_custom_rule_is_its_own_cache_key(self, p20):
-        # The bracket is memoised per rule object: a rule with other nodes
-        # but the default's order must not get the default's bracket.
-        default = gauss_laguerre(100)
-        stretched = QuadratureRule(
-            order=100, nodes=2.0 * default.nodes, log_weights=default.log_weights - math.log(2.0)
-        )
-        copied = QuadratureRule(
-            order=100, nodes=default.nodes.copy(), log_weights=default.log_weights.copy()
-        )
-        value = analytic.reduced_power_term(p20, default)
-        for rule in (stretched, copied):
-            kernel = analytic.reduced_power_kernel(rule.nodes, p20)
-            assert analytic.reduced_power_term(p20, rule) == math.fsum(
-                rule.integration_weights * kernel
+    @pytest.mark.parametrize("lam_p,lam_s,theta", [(1.0, 1.0, 4.0), (0.3, 0.7, 2.0)])
+    def test_stated_kernel_matches_inner_integral(self, lam_p, lam_s, theta):
+        # The printed kernel integrates the reduced-power rate over the
+        # primary span of the cell at SU SNR x; it is right as printed, so
+        # the route table carries no stated route for it.
+        p = ScenarioConfig(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
+        for x in (0.5, 2.0, 17.0):
+            value, _ = scipy.integrate.quad(
+                lambda y: math.log2(y / theta) * lam_p * math.exp(-lam_p * y),
+                switch_edge(x, theta),
+                theta * (x + 1.0),
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=300,
             )
-        assert analytic.reduced_power_term(p20, copied) == value
-
-    def test_routes_agree_at_moderate_snr(self, p20):
-        quad = analytic.reduced_power_term(p20, RULE)
-        integral = analytic.reduced_power_term_integral(p20)
-        reduced = case_regions(p20.theta)["reduced"]
-        reference = restricted_expectation(
-            lambda x, y: np.log2(x / p20.theta),
-            reduced,
-            p20.lambda_pu,
-            p20.lambda_su,
-        )
-        assert rel_err(quad, reference) < 1e-3
-        assert rel_err(integral, reference) < 1e-6
-
-    def test_fixed_rule_loses_tail_mass_at_high_snr(self):
-        # Documented limitation: the largest order-100 node sits near 375,
-        # so once 1/lambda_su is thousands the fixed rule sees almost none
-        # of the kernel's mass.  The adaptive route stays correct.
-        p = scenario_at(40.0)
-        quad = analytic.reduced_power_term(p, RULE)
-        integral = analytic.reduced_power_term_integral(p)
-        reduced = case_regions(p.theta)["reduced"]
-        reference = restricted_expectation(
-            lambda x, y: np.log2(x / p.theta),
-            reduced,
-            p.lambda_pu,
-            p.lambda_su,
-        )
-        assert rel_err(integral, reference) < 1e-6
-        assert quad < 0.5 * integral
-
-
-# ------------------------------------------------------------ term: preferred order
+            reference = value * lam_s * math.exp(-lam_s * x)
+            assert self.stated_kernel(x, p) == pytest.approx(reference, rel=1e-9)
 
 
 class TestOrderSwitchGeometry:
@@ -620,35 +534,6 @@ class TestOrderSwitchGeometry:
         np.testing.assert_allclose(switch_level(edges, THETA_DEFAULT), su, rtol=1e-12, atol=1e-15)
 
 
-class TestPreferredOrderTerm:
-    def test_routes_agree_at_moderate_snr(self, p20):
-        quad = analytic.preferred_order_term(p20, RULE)
-        integral = analytic.preferred_order_term_integral(p20)
-        preferred = case_regions(p20.theta)["preferred"]
-        reference = restricted_expectation(
-            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
-            preferred,
-            p20.lambda_pu,
-            p20.lambda_su,
-        )
-        assert rel_err(quad, reference) < 1e-3
-        assert rel_err(integral, reference) < 1e-6
-
-    def test_fixed_rule_loses_tail_mass_at_high_snr(self):
-        p = scenario_at(40.0)
-        quad = analytic.preferred_order_term(p, RULE)
-        integral = analytic.preferred_order_term_integral(p)
-        preferred = case_regions(p.theta)["preferred"]
-        reference = restricted_expectation(
-            lambda x, y: np.log2(1.0 + y / (1.0 + x)),
-            preferred,
-            p.lambda_pu,
-            p.lambda_su,
-        )
-        assert rel_err(integral, reference) < 1e-6
-        assert quad < 0.5 * integral
-
-
 # ------------------------------------------------------------ totals: pure SIC
 
 
@@ -661,8 +546,8 @@ class TestSicTotal:
 
     @pytest.mark.parametrize("gamma0_db", [30.0, 40.0])
     def test_adaptive_routes_cover_high_snr(self, gamma0_db):
-        # The all-quadrature assembly degrades here (tail truncation); the
-        # adaptive kernel routes recover the oracle value.
+        # The below-threshold term's unscaled rule degrades here (tail
+        # truncation); the adaptive kernel routes recover the oracle value.
         p = scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
         total = (
             analytic.below_threshold_term_integral(p)
@@ -676,8 +561,8 @@ class TestSicTotal:
     @pytest.mark.parametrize("gamma0_su_db", [30.0, 40.0, 50.0, 60.0])
     @pytest.mark.parametrize("gamma0_pu_db", [20.0, 40.0])
     def test_kernel_checks_hold_at_high_secondary_snr(self, gamma0_pu_db, gamma0_su_db):
-        # The fixed rule saturates on these three terms here, so the rows
-        # carry the oracle's terms; the adaptive kernel integrals are the
+        # The below-threshold term's fixed rule saturates here, so the rows
+        # carry the oracle's term; the adaptive kernel integrals are the
         # evidence that the derived kernels are right where it cannot be.
         p = scenario = ScenarioConfig.from_snr_db(gamma0_pu_db, gamma0_su_db)
         terms = case_terms(ProtocolKind.CR_SIC, scenario)
@@ -685,9 +570,9 @@ class TestSicTotal:
         reduced = analytic.reduced_power_term_integral(p)
         assert relative_deviation(below, terms["below"]) <= ARBITRATION_REL_TOL
         assert relative_deviation(reduced, terms["reduced"]) <= ARBITRATION_REL_TOL
-        # The kernel integral slices the preferred region along the primary
-        # SNR and the oracle along the secondary, so the two agree only to
-        # the integrator's tolerance, not bit for bit.
+        # The kernel integral runs along the primary SNR with the secondary
+        # integrated out, and the oracle slices along the secondary, so the
+        # two agree only to the integrator's tolerance, not bit for bit.
         assert analytic.preferred_order_term_integral(p) == pytest.approx(
             terms["preferred"], rel=1e-8
         )

@@ -607,6 +607,15 @@ class TestValidate:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert {"arbitration_rel_tol", "report_rel_tol", "entries", "flagged"} <= set(report)
         assert report["entries"], "deviation report should tabulate terms"
+        # Each check's detail follows its name; criterion 5 counts the
+        # printed forms' flags apart from the other routes'.
+        stated = sum(flag["route"] == "stated" for flag in report["flagged"])
+        others = len(report["flagged"]) - stated
+        assert stated and others
+        assert "# closed forms vs integration oracle: worst total deviation " in lines[4]
+        assert lines[4].endswith(
+            f"; {stated} as-printed and {others} other route(s) past 1% tabulated"
+        )
 
     def test_quick_battery_runs_at_the_largest_seed(self, capsys, tmp_path):
         # Criterion 9 offsets the seed; at 2**64 - 1 the offset used to

@@ -19,7 +19,7 @@ from crul.crosscheck import (
     relative_deviation,
     term_reports,
 )
-from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle
+from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle, normalized
 from crul.protocols import ProtocolKind
 from crul.specfun import gauss_laguerre
 
@@ -104,14 +104,17 @@ class TestTermReports:
             assert "stated" not in entries[term]["routes"]
 
     def test_quadrature_collapse_falls_back_to_the_oracle(self):
-        # At 40 dB the fixed rule misses the kernel mass entirely for the
-        # slowly-decaying terms; arbitration must hand those to the term's
-        # own oracle value, never to a degraded value.
+        # At 40 dB the unscaled rule misses the below-threshold kernel's
+        # mass; arbitration must hand that term to its own oracle value,
+        # never to a degraded value.  Pure SIC's two band cells run on a
+        # rule scaled to their kernel and keep their derived forms.
         rsma = {r.term: r for r in term_reports(ProtocolKind.CR_RSMA, SCENARIO_40DB)}
         sic = {r.term: r for r in term_reports(ProtocolKind.CR_SIC, SCENARIO_40DB)}
-        for report in (rsma["interference_limited"], sic["reduced_power"], sic["preferred_order"]):
+        for report in (rsma["interference_limited"], sic["interference_limited"]):
             assert report.chosen_route == "oracle"
             assert report.chosen_value == report.oracle_value
+        for report in (sic["reduced_power"], sic["preferred_order"]):
+            assert report.chosen_route == "derived"
         for report in list(rsma.values()) + list(sic.values()):
             assert relative_deviation(report.chosen_value, report.oracle_value) <= (
                 ARBITRATION_REL_TOL
@@ -264,9 +267,9 @@ REPORT_ONLY = (
 
 @pytest.mark.parametrize("gamma0_pu,gamma0_su", [(40.0, 40.0), (20.0, 20.0), (50.0, 20.0)])
 def test_rows_never_run_the_kernel_checks(monkeypatch, gamma0_pu, gamma0_su):
-    """At 40 dB the fixed rule saturates on three terms, which used to send
-    arbitration to the adaptive kernel integrals; the rows take the oracle's
-    terms instead.  Nor do rows run a printed form: at 20 dB those miss
+    """At 40 dB the below-threshold term's fixed rule saturates, which used
+    to send arbitration to the adaptive kernel integrals; the rows take the
+    oracle's term instead.  Nor do rows run a printed form: at 20 dB those miss
     their terms, and at (50, 20) dB the clear-channel one lands within
     tolerance of its term by coincidence."""
     for name in REPORT_ONLY:
@@ -373,20 +376,45 @@ class TestRouteIsolation:
         assert all("stated" in e["flagged_routes"] for e in failed)
 
 
-def test_pure_sic_and_its_twin_share_one_reduced_power_bracket(monkeypatch):
-    """``cr-sic`` and ``cr-sic-norm`` at one point differ only in the
-    secondary rate, which the reduced-power bracket does not read."""
-    analytic._rule_bracket.cache_clear()
-    builds = []
-    bracket = analytic._reduced_power_bracket
+def test_each_scenario_runs_one_pass_for_both_cells(monkeypatch):
+    """A ``cr-sic`` or ``cr-sic-norm`` row takes its reduced-power and
+    preferred-order terms from one pass over the rule, and the deviation
+    report reuses it."""
+    analytic._sic_cells.cache_clear()
+    passes = []
+    parts = analytic._preferred_order_parts
     monkeypatch.setattr(
         analytic,
-        "_reduced_power_bracket",
-        lambda *args: builds.append(args[1:]) or bracket(*args),
+        "_preferred_order_parts",
+        lambda v, scenario: passes.append(scenario) or parts(v, scenario),
     )
     scenario = ScenarioConfig.from_snr_db(16.0, 16.0)
     for protocol in (ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM):
         evaluate(protocol, scenario, "analytic")
-    reports = term_reports(ProtocolKind.CR_SIC_NORM, scenario)
-    assert "reduced_power" in {report.term for report in reports}
-    assert builds == [(scenario.lambda_pu, scenario.theta)]
+    terms = {report.term for report in term_reports(ProtocolKind.CR_SIC_NORM, scenario)}
+    assert {"reduced_power", "preferred_order"} <= terms
+    assert passes == [scenario, normalized(scenario)]
+
+
+def _figure_grids():
+    """Every ``cr-sic`` and ``cr-sic-norm`` scenario of the two figures."""
+    points = [(db, db) for db in range(0, 41, 2)] + [(db, 20) for db in range(0, 61, 2)]
+    return [
+        (protocol, ScenarioConfig.from_snr_db(pu, su))
+        for pu, su in points
+        for protocol in (ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM)
+    ]
+
+
+def test_no_band_cell_falls_back_on_the_figure_grids():
+    """Pure SIC's reduced-power and preferred-order rows are evidence on
+    both figures: each takes its derived form, within 1e-5 of its oracle."""
+    misses = []
+    for protocol, scenario in _figure_grids():
+        for report in term_reports(protocol, scenario):
+            if report.term not in ("reduced_power", "preferred_order"):
+                continue
+            deviation = relative_deviation(report.routes["derived"], report.oracle_value)
+            if report.chosen_route != "derived" or not deviation <= 1e-5:
+                misses.append((protocol.value, scenario, report.term, deviation))
+    assert misses == []

@@ -14,6 +14,7 @@ with the same arguments and explains the diff.
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -34,11 +35,25 @@ SWEEPS = {
 }
 
 
+def _first_difference(written: bytes, stored: bytes) -> str:
+    """Where two CSVs part: their first differing row, or their row counts."""
+    rows, golden_rows = written.decode().splitlines(), stored.decode().splitlines()
+    for number, (row, golden) in enumerate(zip(rows, golden_rows), start=1):
+        if row != golden:
+            return f"row {number} reads {row!r}, stored {golden!r}"
+    return f"{len(rows)} rows written, {len(golden_rows)} stored"
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden_bytes(name, tmp_path, capsys):
     out = tmp_path / name
     assert cli.main([*SWEEPS[name], "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    written, stored = out.read_bytes(), (GOLDEN / name).read_bytes()
+    command = shlex.join(["crul", *SWEEPS[name], "--out", f"tests/golden/{name}"])
+    assert written == stored, (
+        f"{name}: {_first_difference(written, stored)}; "
+        f"regenerate it with `{command}` and explain the diff"
+    )
 
 
 REGENERATE = "regenerate it with scripts/deviation_golden.py and explain the diff"

@@ -45,7 +45,6 @@ from crul.protocols import (
     sic_case_array,
     sic_power_factor_array,
     sic_rate_arrays,
-    switch_level,
     tolerance_level,
 )
 from crul.specfun import gauss_laguerre
@@ -55,6 +54,11 @@ THETA = 2.0**2.5 - 1.0  # default scenario threshold
 
 def scenario(primary_db, secondary_db):
     return ScenarioConfig.from_snr_db(primary_db, secondary_db)
+
+
+def switch_level(gamma_pu, theta):
+    """SU SNR where pure SIC's decoding order switches at PU SNR ``gamma_pu``."""
+    return (1.0 + gamma_pu) * tolerance_level(gamma_pu, theta)
 
 
 def classified(gamma_pu, gamma_su, theta):
@@ -200,9 +204,9 @@ def test_rsma_region_probabilities_match_closed_forms_on_a_wide_grid():
 @pytest.mark.parametrize("primary_db", [80.0, 90.0, 100.0])
 def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
     """The band's mass sits within a few units of theta, where all 21 outer
-    nodes can miss it.  The reduced-power kernel's bracket is O(lambda_pu)
-    in sum, so the fixed-order term keeps its digits only if the bracket
-    does not cancel O(1) pieces (3e-7, 2e-6 and 7e-5 relative when it did)."""
+    nodes can miss it.  The fixed-order terms must keep their digits there
+    too (a bracket that cancelled O(1) pieces of an O(lambda_pu) result was
+    3e-7, 2e-6 and 7e-5 relative off)."""
     config = scenario(primary_db, 0.0)
     rule = gauss_laguerre(DEFAULT_NODES)
     terms = case_terms(ProtocolKind.CR_SIC, config)
