@@ -305,7 +305,7 @@ def _preferred_order_parts(v, scenario: ScenarioConfig):
     return weight * np.log1p(v), weight * _scaled_e1_array(lam_s * (1.0 + pu) * (1.0 + v))
 
 
-def _reduced_power_kernel(v, scenario: ScenarioConfig):
+def _reduced_kernel(v, scenario: ScenarioConfig):
     """The reduced-power kernel at primary excess ``v``: the primary
     density times ``log2(x/theta) Pr{v < y < s}``, with ``exp(-lambda_su
     v)`` factored out of the probability so a thin cell keeps its digits."""
@@ -348,7 +348,7 @@ def reduced_power_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
 
 def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration of its own kernel."""
-    kernel = lambda v: _reduced_power_kernel(v, scenario)
+    kernel = lambda v: _reduced_kernel(v, scenario)
     return panel_integral(kernel, 0.0, 1.0 / _band_decay(scenario), REL_TOL)
 
 
