@@ -264,7 +264,7 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
     Protocol/method pairs without an implementation (the benchmarks have
     no closed form) are silently omitted.  ``mean_c`` is filled only on
     plain CR-SIC rows, from the matching method family (sampled scale on
-    mc rows, integrated scale otherwise).  The mc rows and the sampled
+    mc rows, its closed form otherwise).  The mc rows and the sampled
     scale of a point all come from one :func:`sample_point` call.
     """
     rows = []

@@ -34,12 +34,15 @@ This module is the one home of the per-case region integrals.
 benchmarks), :func:`case_regions` gives their regions and
 :func:`case_terms` their values.  Each one is memoised per region and
 scenario, so protocols share the regions they have in common (the
-hard-QoS benchmark's is the rate-splitting clear channel), and
-:func:`mean_power_factor_oracle` is memoised per scenario: every oracle
+hard-QoS benchmark's is the rate-splitting clear channel): every oracle
 row is the sum of its protocol's terms, and :mod:`crul.crosscheck`
 arbitrates every closed-form term against the same values, so one grid
 point integrates each region once.  :func:`normalized` builds the boosted
 scenario of the power-normalized protocol for all of them.
+
+The one elementary quantity, the mean power scale of pure SIC, is not
+integrated: :func:`mean_power_factor_oracle` is its closed form, and the
+tests hold it to the three region integrals it replaces.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import ScenarioConfig
-from .panels import REL_TOL, QuadratureError, exponential_expectation, panel_integral
+from .panels import REL_TOL, QuadratureError, exponential_expectation
 from .protocols import ProtocolKind, switch_edge, tolerance_edge, tolerance_level
 
 __all__ = [
@@ -60,7 +63,6 @@ __all__ = [
     "RegionSpec",
     "FULL_QUADRANT",
     "restricted_expectation",
-    "region_probability",
     "TERMS",
     "case_regions",
     "case_terms",
@@ -68,7 +70,6 @@ __all__ = [
     "ergodic_rate_oracle",
     "ergodic_delta_oracle",
     "mean_power_factor_oracle",
-    "expected_clean_rate",
 ]
 
 
@@ -141,10 +142,6 @@ def restricted_expectation(
         )
     except QuadratureError as exc:
         raise OracleAccuracyError(f"{exc} ({region.description})") from None
-
-
-def region_probability(region: RegionSpec, lambda_pu: float, lambda_su: float) -> float:
-    return restricted_expectation(lambda x, y: 1.0, region, lambda_pu, lambda_su)
 
 
 # ------------------------------------------------------ decision regions
@@ -246,7 +243,8 @@ def case_terms(protocol: ProtocolKind, scenario: ScenarioConfig) -> dict[str, fl
 
 def normalized(scenario: ScenarioConfig) -> ScenarioConfig:
     """Where the power-normalized protocol runs pure SIC: the secondary's
-    mean SNR boosted by the inverse of the oracle's mean power scale."""
+    mean SNR boosted by the inverse of pure SIC's mean power scale, in
+    the closed form of :func:`mean_power_factor_oracle`."""
     return scenario.with_secondary_snr_scaled(1.0 / mean_power_factor_oracle(scenario))
 
 
@@ -282,45 +280,18 @@ def ergodic_delta_oracle(scenario: ScenarioConfig) -> float:
     )
 
 
-@functools.lru_cache(maxsize=64)
 def mean_power_factor_oracle(scenario: ScenarioConfig) -> float:
-    """Average of the pure-SIC control-law power scale.
+    """Average of the pure-SIC control-law power scale, in closed form.
 
-    The scale is 1 below the threshold and beyond the tolerance edge,
-    and ``(gamma_pu/theta - 1)/gamma_su`` in the split band between; each
-    piece is integrated over its own region so the integrands stay smooth.
-    Memoised per scenario: a sweep point needs two (its own and the
-    power-normalized one), and the release checks revisit a few dozen.
+    The scale is 1 below the threshold and beyond the tolerance edge, and
+    ``(gamma_pu/theta - 1)/gamma_su`` in the split band between.  The band
+    piece, integrated over the primary SNR first, leaves a Frullani
+    integral over the secondary.  With ``a = lambda_pu*theta`` and
+    ``r = a/lambda_su`` the mean is ``1 - exp(-a) + exp(-a) log1p(r)/r``,
+    a sum of two nonnegative terms, so nothing cancels.
     """
-    lam_pu, lam_su = scenario.lambda_pu, scenario.lambda_su
-    theta = scenario.theta
-    if theta == 0.0:
+    a = scenario.lambda_pu * scenario.theta
+    if a == 0.0:
         return 1.0
-    regions = case_regions(theta)
-    scaled = lambda x, y: tolerance_level(x, theta) / y
-    return math.fsum(
-        (
-            region_probability(regions["below"], lam_pu, lam_su),
-            region_probability(regions["clear"], lam_pu, lam_su),
-            restricted_expectation(scaled, regions["band"], lam_pu, lam_su),
-        )
-    )
-
-
-def expected_clean_rate(rate_parameter: float) -> float:
-    """``E[log2(1 + gamma)]`` for one exponential SNR.
-
-    The interference-free ceiling every protocol approaches when the
-    primary link is overwhelmingly strong.
-    """
-    if rate_parameter <= 0.0:
-        raise ValueError("rate parameter must be > 0")
-    try:
-        return panel_integral(
-            lambda y: _log2_1p(y) * rate_parameter * np.exp(-rate_parameter * y),
-            0.0,
-            1.0 / rate_parameter,
-            REL_TOL,
-        )
-    except QuadratureError as exc:
-        raise OracleAccuracyError(f"{exc} (one-dimensional rate integral)") from None
+    r = a / scenario.lambda_su
+    return -math.expm1(-a) + math.exp(-a) * math.log1p(r) / r

@@ -225,7 +225,9 @@ def e1_cf_factor(x):
 
     It stops at the first step factor of exactly one.  An array element
     stops there too: its later factors are masked to one, so every
-    element equals the scalar result bit for bit.
+    element equals the scalar result bit for bit.  Past about ``x = 1e14``
+    rounding can hold every factor an ulp off one; such an element takes
+    ``1/(x + 1)``, which past ``x = 1e8`` is the fraction within rounding.
     """
     tiny = 1e-300
     b = x + 1.0
@@ -251,6 +253,8 @@ def e1_cf_factor(x):
         h = h * np.where(stopped, 1.0, delta)
         if stopped.all():
             return h
+    if np.all(stopped | (x > 1e8)):
+        return np.where(stopped, h, 1.0 / (x + 1.0))[()]
     raise ConvergenceError(f"E1 continued fraction did not converge at x = {x}")
 
 

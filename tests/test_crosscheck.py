@@ -418,3 +418,20 @@ def test_no_band_cell_falls_back_on_the_figure_grids():
             if report.chosen_route != "derived" or not deviation <= 1e-5:
                 misses.append((protocol.value, scenario, report.term, deviation))
     assert misses == []
+
+
+@pytest.mark.parametrize("gamma0_pu,gamma0_su", [(-80.0, 20.0), (20.0, -80.0)])
+def test_a_huge_continued_fraction_argument_keeps_every_band_term_derived(
+    gamma0_pu, gamma0_su
+):
+    """With a 30 bit/s/Hz target at a -80 dB link the band and clear-channel
+    forms take ``exp(a) E1(a)`` near ``a = 1e17``, where the continued
+    fraction's factors all rounded to an ulp off one and it raised: the
+    route was recorded as NaN and the row took the oracle's term."""
+    scenario = ScenarioConfig.from_snr_db(gamma0_pu, gamma0_su, rate_threshold=30.0)
+    for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC):
+        for report in term_reports(protocol, scenario):
+            if report.term == "interference_limited":
+                continue
+            assert report.route_errors == {}, report.term
+            assert report.chosen_route == "derived", report.term

@@ -9,6 +9,7 @@ oracle exists to audit.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,12 +29,10 @@ from crul.oracle import (
     case_terms,
     ergodic_delta_oracle,
     ergodic_rate_oracle,
-    expected_clean_rate,
     mean_power_factor_oracle,
-    region_probability,
     restricted_expectation,
 )
-from crul.panels import REL_TOL, exponential_expectation
+from crul.panels import REL_TOL, exponential_expectation, panel_integral
 from crul.protocols import (
     CellDraws,
     ProtocolKind,
@@ -84,6 +83,10 @@ def in_region(region, gamma_pu, gamma_su):
 def within(values, lower, upper):
     lower = 0.0 if lower is None else np.maximum(0.0, lower)
     return (lower <= values) & (values < (np.inf if upper is None else upper))
+
+
+def region_probability(region, lambda_pu, lambda_su):
+    return restricted_expectation(lambda x, y: 1.0, region, lambda_pu, lambda_su)
 
 
 # ------------------------------------------------- plumbing & hand algebra
@@ -243,15 +246,6 @@ def test_secondary_slicing_passes_the_integrand_its_arguments_in_order():
 # ------------------------------------------------------- ergodic rates
 
 
-def test_clean_rate_closed_form():
-    # E[log2(1+gamma)] = exp(lam) E1(lam) / ln 2; E1(1) frozen from
-    # mpmath: 0.21938393439552027.
-    expected = math.e * 0.21938393439552027 / math.log(2.0)
-    assert expected_clean_rate(1.0) == pytest.approx(expected, rel=1e-9)
-    with pytest.raises(ValueError):
-        expected_clean_rate(0.0)
-
-
 def scaled_e1(mu):
     """``exp(mu) E1(mu)``, which is ``E[ln(1 + g)]`` for an exponential ``g``
     of rate ``mu``: scipy's ``exp1`` up to 500, where ``exp(mu)`` is finite,
@@ -316,10 +310,85 @@ def test_benchmark_oracles_are_their_one_memoised_term(
     assert ergodic_rate_oracle(ProtocolKind.BENCH_CSI, config) == quadrant
 
 
-@pytest.mark.parametrize("rate_parameter", [1e-10, 4e10])
-def test_clean_rate_keeps_the_digits_of_a_tiny_snr(rate_parameter):
+@pytest.mark.parametrize("rate_parameter", [1.0, 1e-10, 4e10])
+def test_clean_rate_closed_form(rate_parameter):
+    # With no rate target the QoS gate admits every draw, so its rate is
+    # E[log2(1 + gamma_su)] = exp(lam) E1(lam) / ln 2, whose digits a tiny
+    # SNR (lam = 4e10) loses if 1 + gamma is rounded.
+    config = ScenarioConfig(1.0, rate_parameter, 0.0)
     expected = scaled_e1(rate_parameter) / math.log(2.0)
-    assert expected_clean_rate(rate_parameter) == pytest.approx(expected, rel=1e-9, abs=0.0)
+    value = ergodic_rate_oracle(ProtocolKind.BENCH_QOS, config)
+    assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def expected_clean_rate(rate_parameter):
+    """``E[log2(1 + gamma)]`` as one integral over the exponential SNR."""
+    return panel_integral(
+        lambda y: np.log1p(y) / math.log(2.0) * rate_parameter * np.exp(-rate_parameter * y),
+        0.0, 1.0 / rate_parameter, REL_TOL,
+    )
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", [(60.0, 20.0), (0.0, 0.0), (20.0, -100.0)])
+def test_unconstrained_qos_rate_is_the_one_dimensional_clean_rate(primary_db, secondary_db):
+    """The strong-primary ceiling of release check 8, at its 60/20 dB point
+    among others, is the QoS term with no rate target."""
+    config = replace(scenario(primary_db, secondary_db), theta=0.0)
+    value = ergodic_rate_oracle(ProtocolKind.BENCH_QOS, config)
+    assert value == pytest.approx(expected_clean_rate(config.lambda_su), rel=1e-12, abs=0.0)
+
+
+#: Pure SIC's mean power scale at the default target, frozen from mpmath
+#: at 45 digits: the below-threshold and clear-channel probabilities in
+#: closed form, plus the band's scale integrated over the primary SNR by
+#: hand and over the secondary by ``mp.quad`` (not by Frullani's formula).
+FROZEN_POWER_SCALES = {
+    (20.0, -100.0): "0.999999999999444379581127237385872923",
+    (20.0, -80.0): "0.999999999944437958116993020046327457",
+    (-20.0, 60.0): "1.0",
+    (80.0, 90.0): "0.217918416176192618334292809127093948",
+    (20.0, 20.0): "0.678484198506504641406090277636040443",
+}
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", FROZEN_POWER_SCALES)
+def test_mean_power_factor_matches_mpmath(primary_db, secondary_db):
+    value = mean_power_factor_oracle(scenario(primary_db, secondary_db))
+    expected = float(FROZEN_POWER_SCALES[primary_db, secondary_db])
+    assert value == pytest.approx(expected, rel=5e-16, abs=0.0)
+
+
+def test_mean_power_factor_without_a_rate_target_is_one():
+    assert mean_power_factor_oracle(ScenarioConfig(0.5, 0.04, 0.0)) == 1.0
+    no_target = ScenarioConfig.from_snr_db(20.0, 20.0, rate_threshold=0.0)
+    assert mean_power_factor_oracle(no_target) == 1.0
+
+
+def mean_power_factor_by_regions(config):
+    """The mean power scale as three region integrals: the scale is 1 below
+    the threshold and on the clear channel, ``(x/theta - 1)/y`` on the band."""
+    regions = case_regions(config.theta)
+    rates = config.lambda_pu, config.lambda_su
+    scaled = lambda x, y: tolerance_level(x, config.theta) / y
+    return math.fsum((
+        region_probability(regions["below"], *rates),
+        region_probability(regions["clear"], *rates),
+        restricted_expectation(scaled, regions["band"], *rates),
+    ))
+
+
+@pytest.mark.parametrize(
+    "primary_db,secondary_db",
+    [(0.0, 0.0), (20.0, 20.0), (40.0, 40.0), (20.0, -60.0), (-20.0, 60.0), (80.0, 90.0),
+     (20.0, 60.0), (51.217, 31.017)],
+)
+def test_mean_power_factor_is_its_region_integrals_without_integrating(
+    monkeypatch, primary_db, secondary_db
+):
+    config = scenario(primary_db, secondary_db)
+    expected = mean_power_factor_by_regions(config)
+    monkeypatch.setattr(oracle, "restricted_expectation", lambda *args: pytest.fail("integrated"))
+    assert mean_power_factor_oracle(config) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_mean_power_factor_matches_direct_sampling():
@@ -430,14 +499,13 @@ def test_power_normalized_sic_at_60db_matches_sampling():
 
 
 def test_one_point_integrates_each_region_once(monkeypatch):
-    """Every protocol by analytic and oracle at one point needs 13 region
-    integrals: 3 for the mean power scale, 3 rate-splitting terms, the 2
-    SIC terms of its own at the point and 4 at its power-normalized twin,
-    1 for the CSI benchmark.  The SIC below-threshold and clear-channel
-    terms are the rate-splitting ones; the QoS benchmark and the term
-    arbitration reuse the terms too."""
+    """Every protocol by analytic and oracle at one point needs 10 region
+    integrals: 3 rate-splitting terms, the 2 SIC terms of its own at the
+    point and 4 at its power-normalized twin, 1 for the CSI benchmark.
+    The SIC below-threshold and clear-channel terms are the rate-splitting
+    ones; the QoS benchmark and the term arbitration reuse the terms too,
+    and the mean power scale is a closed form."""
     oracle._case_term.cache_clear()
-    oracle.mean_power_factor_oracle.cache_clear()
     calls = []
     integrate = oracle.restricted_expectation
 
@@ -450,7 +518,7 @@ def test_one_point_integrates_each_region_once(monkeypatch):
     settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
     rows = cli.make_rows(settings, [(20.0, 20.0)])
     assert len(rows) == 8
-    assert len(calls) <= 13, calls
+    assert len(calls) == 10, calls
 
 
 # ------------------------------------------- slicing the split band along y

@@ -209,8 +209,9 @@ EXPECTATIONS = {
         lambda x, y: np.log2((1.0 + x + y) / (1.0 + scenario.theta)),
         case_regions(scenario.theta)["band"], scenario.lambda_pu, scenario.lambda_su,
     ),
-    "region probability": lambda scenario: oracle.region_probability(
-        case_regions(scenario.theta)["clear"], scenario.lambda_pu, scenario.lambda_su
+    "region probability": lambda scenario: restricted_expectation(
+        lambda x, y: 1.0,
+        case_regions(scenario.theta)["clear"], scenario.lambda_pu, scenario.lambda_su,
     ),
 }
 
@@ -336,7 +337,7 @@ def test_boosted_60db_scenario_matches_nested_quadpack():
 
 
 def test_band_corner_power_scale_matches_nested_quadpack():
-    # The power scale (x/theta - 1)/y of mean_power_factor_oracle is 1 at
+    # Pure SIC's power scale (x/theta - 1)/y on the band is 1 at
     # the band's lower edge and the edge meets y = 0 at x = theta, so the
     # slices near the corner integrate a 1/y peak of growing height.
     scenario = ScenarioConfig.from_snr_db(20.0, 20.0)

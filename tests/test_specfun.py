@@ -255,6 +255,20 @@ def test_continued_fraction_over_an_array_is_the_scalar_one_bit_for_bit():
     np.testing.assert_array_equal(e1_cf_factor(x), [e1_cf_factor(float(v)) for v in x])
 
 
+#: Arguments where every factor of the fraction rounds to an ulp off one:
+#: past 2**54, ``b + 2`` rounds back to ``b`` and ``b * (1/b)`` is
+#: 0.9999999999999999, and near 2.5e14 ``c`` and ``1/d`` round apart.
+ROUNDING_BOUND_ARGUMENTS = [1.073741823e17, 4.2949673e17, 245690564412334.34]
+
+
+@pytest.mark.parametrize("x", ROUNDING_BOUND_ARGUMENTS)
+def test_continued_fraction_stops_where_rounding_holds_every_factor_off_one(x):
+    # K = 1/x - 1/x^2 + 2/x^3 - ... to far below an ulp here.
+    assert e1_cf_factor(x) == pytest.approx(1.0 / x - 1.0 / x**2 + 2.0 / x**3, rel=1e-15)
+    value = e1_cf_factor(np.array([5.0, x]))
+    np.testing.assert_array_equal(value, [e1_cf_factor(5.0), e1_cf_factor(x)])
+
+
 @pytest.mark.parametrize("routine,x", [(ei_series_sum, -1.0), (e1_cf_factor, 6.0)])
 def test_a_nan_element_fails_the_array_loudly(routine, x):
     with pytest.raises(ConvergenceError):
