@@ -9,9 +9,12 @@ results must keep these bytes; one that moves them regenerates the files
 with the same arguments and explains the diff.
 
 ``golden/deviation_quick.json`` is the deviation report of ``crul validate
---quick``, written by ``scripts/deviation_golden.py``.
+--quick``, written by ``scripts/deviation_golden.py``, and
+``golden/chunk_sums.json`` the Monte Carlo chunk kernel's per-chunk sums,
+written by ``scripts/chunk_sums_golden.py``.
 """
 
+import importlib.util
 import json
 import math
 import shlex
@@ -22,6 +25,7 @@ import pytest
 from crul import cli, validation
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SWEEPS = {
     "sweep_both.csv": [
         "sweep", "--start", "0", "--stop", "40", "--step", "10", "--samples", "20000",
@@ -108,3 +112,24 @@ def test_deviation_report_matches_golden():
         deviation, reference = flag.pop("deviation"), golden.pop("deviation")
         assert flag == golden, REGENERATE
         assert _close(deviation, reference, abs_=1e-9), f"{golden}: {REGENERATE}"
+
+
+def test_chunk_sums_match_golden_bits():
+    """Every family's per-case sums and squared sum of each stored chunk,
+    compared as the hex of their doubles."""
+    path = SCRIPTS / "chunk_sums_golden.py"
+    spec = importlib.util.spec_from_file_location("chunk_sums_golden", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    written = script.chunk_sums()
+    stored = json.loads((GOLDEN / "chunk_sums.json").read_text(encoding="utf-8"))
+    regenerate = "regenerate it with scripts/chunk_sums_golden.py and explain the diff"
+    entries, golden_entries = written.pop("entries"), stored.pop("entries")
+    assert written == stored, regenerate
+    assert len(entries) == len(golden_entries), regenerate
+    for entry, golden in zip(entries, golden_entries):
+        where = (
+            f"{golden['primary_db']} dB, rate_th {golden['rate_th']}, "
+            f"chunk {golden['chunk']}, {golden['pass']} pass"
+        )
+        assert entry == golden, f"{where}: {regenerate}"
