@@ -118,7 +118,9 @@ def exponential_from_uniform(u, rate: float, out=None):
     # A min and a max scan the draws without building a mask, and reject NaN.
     if u_arr.size and not (u_arr.min() > 0.0 and u_arr.max() <= 1.0):
         raise ValueError("uniform input must lie in (0, 1]")
-    result = np.divide(np.negative(np.log(u_arr, out=out), out=out), rate, out=out)
+    # -log(u)/rate, with the sign on the divisor: IEEE division is symmetric
+    # in sign, so the bits are the same and the array takes one pass fewer.
+    result = np.divide(np.log(u_arr, out=out), -rate, out=out)
     return float(result) if np.isscalar(u) or u_arr.ndim == 0 else result
 
 

@@ -211,20 +211,42 @@ def _family_sums(family, draws: CellDraws):
     elif family is ProtocolKind.BENCH_QOS:
         rates = qos_rate_array(draws, rates)
         np.copyto(cases, draws.qos_admitted)
-    else:
-        raise ValueError(f"no per-realization rate rule for {family}")
     sums = np.bincount(cases, weights=rates, minlength=CASE_FAMILIES[family])
     return sums, _square_sum(draws, rates)
+
+
+#: The order a chunk reduces its families in, whatever order they are asked
+#: in.  Each family's rates go into the one rates buffer: pure SIC builds
+#: the full-power rates there and writes its reduced cell over them, rate
+#: splitting writes its band (which holds that cell) over pure SIC's rates,
+#: and the power scale takes the buffer last.
+_KERNEL_ORDER = (
+    ProtocolKind.BENCH_CSI,
+    ProtocolKind.BENCH_QOS,
+    ProtocolKind.CR_SIC,
+    ProtocolKind.CR_RSMA,
+    _POWER,
+)
 
 
 def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int, workspace):
     """Draw one chunk once and classify it once, then reduce it for each family.
 
     The shared per-draw logs are computed once, by the first family that
-    reads them; every family writes its rates over the last one's.
+    reads them, and a pass builds one full-power array (see
+    :data:`_KERNEL_ORDER`).  The sums come back in the order of ``families``.
     """
+    for family in families:
+        if family not in _KERNEL_ORDER:
+            raise ValueError(f"no per-realization rate rule for {family}")
     draws = draw_chunk(scenario, seed, index, count, workspace)
-    return [_family_sums(family, draws) for family in families]
+    sums = {}
+    for family in _KERNEL_ORDER:
+        if family in families:
+            sums[family] = _family_sums(family, draws)
+        elif family is ProtocolKind.CR_SIC and ProtocolKind.CR_RSMA in families:
+            draws.full_power(draws.buffer("rates"))  # what rate splitting writes over
+    return [sums[family] for family in families]
 
 
 def _sample(scenario: ScenarioConfig, mc: McConfig, families, workspaces) -> dict:

@@ -127,11 +127,11 @@ def switch_edge(gamma_su, theta: float):
 
 
 #: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
-#: the two SNR draws, the two full-power logs, a family's rates and three
-#: of scratch; the cells; a family's case index, ``intp`` because that is
-#: the index ``np.bincount`` reads without a copy; ``bench-qos``'s
-#: admission mask and two of scratch.  Scratch (``s*``, ``b*``) lives only
-#: inside one step of a rule.
+#: the two SNR draws, the interference-limited log, the clean log of the
+#: tolerant draws, a family's rates and three of scratch; the cells; a
+#: family's case index, ``intp`` because that is the index ``np.bincount``
+#: reads without a copy; ``bench-qos``'s admission mask and two of scratch.
+#: Scratch (``s*``, ``b*``) lives only inside one step of a rule.
 _BUFFERS = {
     np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
     np.int8: ("cells",),
@@ -175,40 +175,51 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
     gamma_pu) > gamma_pu/theta - 1`` or the PU sits on ``theta``.  Where
     SU-first and tolerant overlap (zero-measure ties such as ``gamma_pu =
     theta``, ``gamma_su = 0``) the draw is tolerant, so the cells refine
-    rate splitting's cases.  The cells, and the ratio ``gamma_su/(1 +
-    gamma_pu)`` that :attr:`CellDraws.interference_limited` takes the log
-    of, are left in ``workspace``.
+    rate splitting's cases.  The cells are integer arithmetic on the three
+    masks, with no data-dependent store: ``1 + preferred``, the tolerant
+    mask added and OR-ed in (1 and 2 both become 3), times ``gamma_pu >=
+    theta``.  The cells, the ratio ``gamma_su/(1 + gamma_pu)`` that
+    :attr:`CellDraws.interference_limited` takes the log of, and
+    ``bench-qos``'s strict admission ``gamma_pu > theta*(1 + gamma_su)``,
+    off the same edge, are left in ``workspace``.
     """
     size = gamma_pu.size
     cells, ratio = workspace.buffer("cells", size), workspace.buffer("interference", size)
     mask, other = workspace.buffer("b0", size), workspace.buffer("b1", size)
     scratch = workspace.buffer("s0", size)
     np.divide(gamma_su, np.add(1.0, gamma_pu, out=ratio), out=ratio)
-    cells.fill(REDUCED)
     if theta > 0.0:
         np.greater(ratio, tolerance_level(gamma_pu, theta, out=scratch), out=mask)
         np.logical_or(mask, np.less_equal(gamma_pu, theta, out=other), out=mask)
-        np.copyto(cells, PREFERRED, where=mask)
+    else:
+        mask.fill(False)
+    np.add(mask.view(np.int8), REDUCED, out=cells)
     edge = tolerance_edge(gamma_su, theta, out=scratch)
-    np.copyto(cells, TOLERANT, where=np.greater_equal(gamma_pu, edge, out=mask))
-    np.copyto(cells, BELOW, where=np.less(gamma_pu, theta, out=mask))
-    return cells
+    np.greater(gamma_pu, edge, out=workspace.buffer("admitted", size))
+    tolerant = np.greater_equal(gamma_pu, edge, out=mask).view(np.int8)
+    np.bitwise_or(np.add(cells, tolerant, out=cells), tolerant, out=cells)
+    at_threshold = np.greater_equal(gamma_pu, theta, out=other).view(np.int8)
+    return np.multiply(cells, at_threshold, out=cells)
 
 
 def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
     """Rate splitting's case of every cell: below, split band, tolerant
-    (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out`` when given."""
-    return np.subtract(cells, cells >= PREFERRED, out=out)
+    (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out`` when given.
+
+    The case is ``(cell + 1) >> 1``, so no step makes a mask.
+    """
+    cases = np.add(cells, 1, out=out)
+    return np.right_shift(cases, 1, out=cases)
 
 
 class CellDraws:
-    """Fading draws with the decision cells :func:`sic_case_array` left in ``workspace``.
+    """Fading draws with what :func:`sic_case_array` left in ``workspace``.
 
     What several rules read is computed on first use and kept in the
     workspace's buffers, so it holds until the workspace classifies its
     next chunk.  Selections are index arrays from ``np.flatnonzero``:
     gathering and scattering by index is several times cheaper than by
-    boolean mask.
+    boolean mask, and a log is taken only on the draws that read it.
     """
 
     def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray, workspace: Workspace):
@@ -229,12 +240,21 @@ class CellDraws:
         # are always in range, so "clip" never clips.
         return np.take(values, index, out=self.buffer(name, index.size), mode="clip")
 
+    def cell(self, code: int) -> np.ndarray:
+        """Indices of the draws in one cell."""
+        return np.flatnonzero(np.equal(self.cells, code, out=self.buffer("b0")))
+
     @cached_property
     def band(self) -> np.ndarray:
         """Indices of rate splitting's split band: the reduced and preferred cells."""
         in_band = np.greater_equal(self.cells, REDUCED, out=self.buffer("b0"))
         below_tolerant = np.less_equal(self.cells, PREFERRED, out=self.buffer("b1"))
         return np.flatnonzero(np.logical_and(in_band, below_tolerant, out=in_band))
+
+    @cached_property
+    def tolerant(self) -> np.ndarray:
+        """Indices of the tolerant cell, where the SU is decoded clean."""
+        return self.cell(TOLERANT)
 
     def band_scale(self) -> tuple[np.ndarray, np.ndarray]:
         """The band's pure-SIC power scale ``(gamma_pu/theta - 1)/gamma_su``,
@@ -245,12 +265,11 @@ class CellDraws:
         band_su = self.gather(self.gamma_su, "s1")
         return np.divide(scale, band_su, out=scale), band_su
 
-    @cached_property
+    @property
     def qos_admitted(self) -> np.ndarray:
         """Where ``bench-qos`` lets the SU transmit: the PU strictly clears
         ``theta`` under full interference, so the tolerant cell less its edge."""
-        edge = tolerance_edge(self.gamma_su, self.theta, out=self.buffer("s0"))
-        return np.greater(self.gamma_pu, edge, out=self.buffer("admitted"))
+        return self.buffer("admitted")
 
     @cached_property
     def interference_limited(self) -> np.ndarray:
@@ -262,21 +281,24 @@ class CellDraws:
 
     @cached_property
     def clean(self) -> np.ndarray:
-        """SU decoded after the PU at full power: ``log2(1 + gamma_su)``."""
-        clean = np.add(1.0, self.gamma_su, out=self.buffer("clean"))
+        """SU decoded after the PU at full power, ``log2(1 + gamma_su)``, on
+        the tolerant cell only: one value per index of :attr:`tolerant`."""
+        clean = self.gather(self.gamma_su, "clean", self.tolerant)
+        np.add(1.0, clean, out=clean)
         return np.log2(clean, out=clean)
 
     def full_power(self, out: np.ndarray) -> np.ndarray:
-        """The full-power SU rate, clean where tolerant, into ``out``."""
+        """The full-power SU rate, clean where tolerant, into ``out``: the
+        interference-limited log with the clean log scattered over it."""
         np.copyto(out, self.interference_limited)
-        tolerant = np.equal(self.cells, TOLERANT, out=self.buffer("b0"))
-        np.copyto(out, self.clean, where=tolerant)
+        out[self.tolerant] = self.clean
         return out
 
 
 # -------------------------------------------------------------- the rules
 #
-# Each rule writes its rates into ``out``, one float per draw.
+# Each rule writes its rates into ``out``, one float per draw.  Rate
+# splitting writes its band over full-power rates already there.
 
 
 def _split_powers(draws: CellDraws):
@@ -293,9 +315,10 @@ def rsma_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
 
     In the band the early part sees the PU and the late part as
     interference.  Outside it ``alpha`` is 1 (below) or 0 (tolerant), where
-    the two parts reduce exactly to the full-power rates.
+    the two parts reduce exactly to the full-power rates, so ``out`` must
+    hold those there: :meth:`CellDraws.full_power`'s, or pure SIC's, which
+    differ from them only in the band.  The band is written over them.
     """
-    rates = draws.full_power(out)
     alpha, late_power, band_su = _split_powers(draws)
     early = np.multiply(alpha, band_su, out=alpha)
     room = draws.gather(draws.gamma_pu, "s1")  # over band_su, now spent
@@ -303,15 +326,15 @@ def rsma_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     np.divide(early, room, out=early)
     np.log2(np.add(1.0, early, out=early), out=early)
     np.log2(np.add(1.0, late_power, out=late_power), out=late_power)
-    rates[draws.band] = np.add(early, late_power, out=early)
-    return rates
+    out[draws.band] = np.add(early, late_power, out=early)
+    return out
 
 
 def sic_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """SU rates under pure SIC: ``log2(gamma_pu/theta)`` when backed off
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
     rates = draws.full_power(out)
-    reduced = np.flatnonzero(np.equal(draws.cells, REDUCED, out=draws.buffer("b0")))
+    reduced = draws.cell(REDUCED)
     backed_off = draws.gather(draws.gamma_pu, "s0", reduced)
     np.divide(backed_off, draws.theta, out=backed_off)
     rates[reduced] = np.log2(backed_off, out=backed_off)
@@ -322,13 +345,13 @@ def primary_rate_arrays(draws: CellDraws) -> tuple[np.ndarray, np.ndarray]:
     """``(rate splitting, pure SIC)`` PU rates: clean when the SU goes first,
     under full interference when tolerant, and on ``theta`` when backed off."""
     gamma_pu, gamma_su = draws.gamma_pu, draws.gamma_su
-    tolerant = np.flatnonzero(draws.cells == TOLERANT)
+    tolerant = draws.tolerant
     rates = np.log2(1.0 + gamma_pu)
     rates[tolerant] = np.log2(1.0 + gamma_pu[tolerant] / (1.0 + gamma_su[tolerant]))
     splitting, pure = rates, rates.copy()
     _, late_power, _ = _split_powers(draws)
     splitting[draws.band] = np.log2(1.0 + gamma_pu[draws.band] / (late_power + 1.0))
-    pure[np.flatnonzero(draws.cells == REDUCED)] = math.log2(1.0 + draws.theta)
+    pure[draws.cell(REDUCED)] = math.log2(1.0 + draws.theta)
     return splitting, pure
 
 
@@ -352,7 +375,11 @@ def csi_rate_array(draws: CellDraws) -> np.ndarray:
 
 
 def qos_rate_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
-    """SU rates of ``bench-qos``: the clean rate where admitted, else silent."""
+    """SU rates of ``bench-qos``: the clean rate where admitted, else silent.
+
+    The admitted draws are tolerant, so this is the clean log on the
+    tolerant cell, zero elsewhere, times the admission mask.
+    """
     out.fill(0.0)
-    np.copyto(out, draws.clean, where=draws.qos_admitted)
-    return out
+    out[draws.tolerant] = draws.clean
+    return np.multiply(out, draws.qos_admitted, out=out)

@@ -208,8 +208,8 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     band_draws = 0
     band_ties = 0
     for draws in _draw_chunks(scenario, seed, samples):
-        splitting = rsma_rate_arrays(draws, np.empty(draws.cells.size))
         pure = sic_rate_arrays(draws, np.empty(draws.cells.size))
+        splitting = rsma_rate_arrays(draws, pure.copy())
         worst_gap = max(worst_gap, float((pure - splitting).max()))
         band = draws.band
         band_draws += band.size

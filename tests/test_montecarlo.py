@@ -324,7 +324,7 @@ def _case_means(protocol, scenario, mc):
     for index, count in enumerate(mc.chunk_counts()):
         draws = draw_chunk(scenario, mc.seed, index, count)
         if protocol is ProtocolKind.CR_RSMA:
-            rates = rsma_rate_arrays(draws, np.empty(count))
+            rates = rsma_rate_arrays(draws, draws.full_power(np.empty(count)))
             cases = rsma_case_array(draws.cells)
         elif protocol is ProtocolKind.CR_SIC:
             rates = sic_rate_arrays(draws, np.empty(count))

@@ -413,7 +413,7 @@ def test_rates_match_direct_sampling_at_one_point():
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=n)
     draws = classified(gamma_pu, gamma_su, config.theta)
     samples = {
-        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws, np.empty(n)),
+        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws, draws.full_power(np.empty(n))),
         ProtocolKind.CR_SIC: sic_rate_arrays(draws, np.empty(n)),
         ProtocolKind.BENCH_CSI: csi_rate_array(draws),
         ProtocolKind.BENCH_QOS: qos_rate_array(draws, np.empty(n)),

@@ -278,7 +278,7 @@ def test_vectorized_kernels_match_scalar_rules(seed):
     gamma_pu[:3] = (THETA, THETA * (1.0 + gamma_su[1]), 0.0)
 
     draws = classified(gamma_pu, gamma_su, THETA)
-    su = rsma_rate_arrays(draws, np.empty(200))
+    su = rsma_rate_arrays(draws, draws.full_power(np.empty(200)))
     pu, s_pu = primary_rate_arrays(draws)
     alpha = np.full(gamma_pu.shape, np.nan)
     alpha[draws.band] = 1.0 - draws.band_scale()[0]
@@ -337,11 +337,82 @@ def test_exact_ties_fall_in_pinned_cells(gamma_pu, gamma_su, theta, cell, admitt
     assert rsma_case_array(draws.cells)[0] == (0, 1, 1, 2)[cell] == rsma_case_index(*draw)
     sic = sic_rate_arrays(draws, np.empty(1))[0]
     assert sic == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
-    rsma = rsma_rate_arrays(draws, np.empty(1))[0]
+    rsma = rsma_rate_arrays(draws, draws.full_power(np.empty(1)))[0]
     assert rsma == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
     qos = qos_rate_array(draws, np.empty(1))[0]
     assert qos == (math.log2(1.0 + gamma_su) if admitted else 0.0)
     assert qos == benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw)
+
+
+def masked_store_cells(gamma_pu, gamma_su, theta):
+    """The cells as a mask-by-mask overwrite, a classifier written the
+    plain way: reduced, then preferred, tolerant and below stored over it."""
+    cells = np.full(gamma_pu.shape, REDUCED, dtype=np.int8)
+    if theta > 0.0:
+        preferred = gamma_su / (1.0 + gamma_pu) > gamma_pu / theta - 1.0
+        np.copyto(cells, PREFERRED, where=preferred | (gamma_pu <= theta))
+    np.copyto(cells, TOLERANT, where=gamma_pu >= theta * (1.0 + gamma_su))
+    np.copyto(cells, BELOW, where=gamma_pu < theta)
+    return cells
+
+
+def tie_batch(theta):
+    """One batch of exact ties at ``theta``, with the cell each must get:
+    on the threshold with no SU (tolerant), on the tolerance edge
+    (tolerant), and a float below the threshold (below)."""
+    gamma_su = np.array([0.0, 0.5, 2.0, 1e-12, 37.25, 1e6, 2.0, 0.0])
+    gamma_pu = theta * (1.0 + gamma_su)
+    gamma_pu[0] = theta
+    gamma_pu[-2:] = np.nextafter(theta, 0.0)
+    expected = [TOLERANT] * 6 + [BELOW] * 2
+    return gamma_pu, gamma_su, expected
+
+
+@pytest.mark.parametrize("theta", [THETA, 2.0**2.5 - 1.0, 2.0**6 - 1.0, 0.1, 3e-9])
+def test_ties_in_one_batch_keep_their_cells(theta):
+    gamma_pu, gamma_su, expected = tie_batch(theta)
+    draws = classified(gamma_pu, gamma_su, theta)
+    assert draws.cells.tolist() == expected
+    assert np.array_equal(draws.cells, masked_store_cells(gamma_pu, gamma_su, theta))
+    qos = qos_rate_array(draws, np.empty(gamma_pu.size))
+    for i, draw in enumerate(zip(gamma_pu.tolist(), gamma_su.tolist())):
+        assert draws.cells[i] == sic_case_index(*draw, theta)
+        assert rsma_case_array(draws.cells)[i] == rsma_case_index(*draw, theta)
+        # the gate is strict, so the SU stays silent on every tie
+        assert not draws.qos_admitted[i]
+        assert qos[i] == 0.0 == benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw, theta)
+
+
+def test_without_a_threshold_every_draw_is_tolerant():
+    rng = np.random.Generator(np.random.Philox(7))
+    gamma_pu = np.concatenate(([0.0, 0.0, 5.0], rng.exponential(3.0, 97)))
+    gamma_su = np.concatenate(([0.0, 2.0, 0.0], rng.exponential(3.0, 97)))
+    draws = classified(gamma_pu, gamma_su, 0.0)
+    assert np.all(draws.cells == TOLERANT)
+    assert np.array_equal(draws.cells, masked_store_cells(gamma_pu, gamma_su, 0.0))
+    # the strict gate still silences the SU where the PU's SNR is 0
+    assert np.array_equal(draws.qos_admitted, gamma_pu > 0.0)
+    qos = qos_rate_array(draws, np.empty(gamma_pu.size))
+    for i, draw in enumerate(zip(gamma_pu.tolist(), gamma_su.tolist())):
+        assert sic_case_index(*draw, 0.0) == TOLERANT
+        reference = benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw, 0.0)
+        assert qos[i] == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=100.0)),
+)
+def test_cells_match_the_masked_store_classifier(seed, theta):
+    rng = np.random.Generator(np.random.Philox(seed))
+    gamma_pu = rng.exponential(scale=3.0 * (1.0 + theta), size=300)
+    gamma_su = rng.exponential(scale=5.0, size=300)
+    ties, tie_su, _ = tie_batch(theta)
+    gamma_pu[: ties.size], gamma_su[: ties.size] = ties, tie_su
+    draws = classified(gamma_pu, gamma_su, theta)
+    assert np.array_equal(draws.cells, masked_store_cells(gamma_pu, gamma_su, theta))
+    admitted = gamma_pu > theta * (1.0 + gamma_su)
+    assert np.array_equal(draws.qos_admitted, admitted)
 
 
 def test_negative_inputs_raise():
