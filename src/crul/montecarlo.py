@@ -18,7 +18,9 @@ it once into the decision cells of :mod:`crul.protocols`, and reduces it
 for each requested family (the four plain protocols, and the SIC power
 scale as a one-case family) into per-case sums and a squared sum, building
 each family's rates from the cells and the per-draw logs the families
-share.  One fold combines the chunks.  :func:`sample_point` takes every
+share; a plain pass builds one full-power rate array, which pure SIC and
+then rate splitting write their own cells over.  One fold combines the
+chunks.  :func:`sample_point` takes every
 protocol of a grid point and the mean power scale from one such pass, plus
 the boosted pass of the power-normalized protocol; :func:`estimate` and
 :func:`mean_power_factor` are the same pass over a single family.
@@ -29,8 +31,10 @@ inside them: a chunk takes a free workspace from the call's queue and
 puts it back when done, and the workspaces go when the call returns.
 Fresh chunk-sized arrays cost more than the arithmetic on them, because
 the allocator returned their pages to the system after every chunk and
-faulted them in again for the next.  Workspaces change where values are
-stored, not how they are computed, so the sums are those of new arrays.
+faulted them in again for the next.  Nor does any step store through a
+data-dependent mask, which costs several times more on mixed cells than
+on uniform ones.  Workspaces change where values are stored, not how they
+are computed, so the sums are those of new arrays.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ CASE_FAMILIES = {
 #: the protocols.
 _POWER = "power scale"
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each busy worker
-#: holds one chunk workspace, about 7 MB at the default chunk size.
+#: holds one chunk workspace, 7.6 MB at the default chunk size, and up to
+#: 1.6 MB of index arrays while it reduces a chunk.
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks at the default chunk size.
 MAX_SAMPLES = 10**10
@@ -221,11 +226,7 @@ def _family_sums(family, draws: CellDraws):
 #: splitting writes its band (which holds that cell) over pure SIC's rates,
 #: and the power scale takes the buffer last.
 _KERNEL_ORDER = (
-    ProtocolKind.BENCH_CSI,
-    ProtocolKind.BENCH_QOS,
-    ProtocolKind.CR_SIC,
-    ProtocolKind.CR_RSMA,
-    _POWER,
+    ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS, ProtocolKind.CR_SIC, ProtocolKind.CR_RSMA, _POWER
 )
 
 

@@ -30,7 +30,10 @@ cells, and the oracle's regions slice the same cells with
 switch curve :func:`switch_edge`.  The classifier and the rules write
 into the buffers of a :class:`Workspace`, which a Monte Carlo worker
 reuses from chunk to chunk within one call, so a chunk makes no array of
-its own size.  Averaging over fading lives in :mod:`crul.montecarlo`,
+its own size.  No step stores through a data-dependent mask: the cells
+are integer arithmetic on the classifier's masks, and the rules gather
+and scatter by index, taking each log only on the draws that read it.
+Averaging over fading lives in :mod:`crul.montecarlo`,
 :mod:`crul.analytic` and :mod:`crul.oracle`.
 """
 
@@ -175,13 +178,12 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
     gamma_pu) > gamma_pu/theta - 1`` or the PU sits on ``theta``.  Where
     SU-first and tolerant overlap (zero-measure ties such as ``gamma_pu =
     theta``, ``gamma_su = 0``) the draw is tolerant, so the cells refine
-    rate splitting's cases.  The cells are integer arithmetic on the three
-    masks, with no data-dependent store: ``1 + preferred``, the tolerant
-    mask added and OR-ed in (1 and 2 both become 3), times ``gamma_pu >=
-    theta``.  The cells, the ratio ``gamma_su/(1 + gamma_pu)`` that
-    :attr:`CellDraws.interference_limited` takes the log of, and
-    ``bench-qos``'s strict admission ``gamma_pu > theta*(1 + gamma_su)``,
-    off the same edge, are left in ``workspace``.
+    rate splitting's cases.  The cells are ``int8`` arithmetic on three
+    masks, with no masked store: ``1 + preferred``, plus and OR tolerant
+    (1 and 2 both become 3), times ``gamma_pu >= theta``.  The cells, the
+    ratio ``gamma_su/(1 + gamma_pu)`` that :attr:`CellDraws.interference_limited`
+    takes the log of, and ``bench-qos``'s strict admission ``gamma_pu >
+    theta*(1 + gamma_su)`` off the same edge are left in ``workspace``.
     """
     size = gamma_pu.size
     cells, ratio = workspace.buffer("cells", size), workspace.buffer("interference", size)
@@ -203,11 +205,8 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
 
 
 def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
-    """Rate splitting's case of every cell: below, split band, tolerant
-    (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out`` when given.
-
-    The case is ``(cell + 1) >> 1``, so no step makes a mask.
-    """
+    """Rate splitting's case of every cell, ``(cell + 1) >> 1``: below, split
+    band, tolerant (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out``."""
     cases = np.add(cells, 1, out=out)
     return np.right_shift(cases, 1, out=cases)
 
@@ -297,8 +296,7 @@ class CellDraws:
 
 # -------------------------------------------------------------- the rules
 #
-# Each rule writes its rates into ``out``, one float per draw.  Rate
-# splitting writes its band over full-power rates already there.
+# Each rule writes its rates into ``out``, one float per draw.
 
 
 def _split_powers(draws: CellDraws):
@@ -375,11 +373,8 @@ def csi_rate_array(draws: CellDraws) -> np.ndarray:
 
 
 def qos_rate_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
-    """SU rates of ``bench-qos``: the clean rate where admitted, else silent.
-
-    The admitted draws are tolerant, so this is the clean log on the
-    tolerant cell, zero elsewhere, times the admission mask.
-    """
+    """SU rates of ``bench-qos``: the clean rate where admitted, else silent,
+    as the tolerant cell's clean log (zero elsewhere) times the admission."""
     out.fill(0.0)
     out[draws.tolerant] = draws.clean
     return np.multiply(out, draws.qos_admitted, out=out)
