@@ -16,11 +16,11 @@ Every form reads a :class:`crul.channel.ScenarioConfig`, the triple
 ``(lambda_pu, lambda_su, theta)``.  A form with a quadrature also takes
 its half-line rule, which drives every sum it makes.
 
-Every piece is available in more than one route so they can be cross-checked
-term by term:
+Every piece is available in more than one route, each its own function,
+so they can be cross-checked term by term:
 
-* ``derived`` closed forms, re-derived from scratch.  Products of
-  exponentials with the exponential integral are formed as
+* ``derived`` closed forms (``*_term``), re-derived from scratch.  Products
+  of exponentials with the exponential integral are formed as
   ``exp(a) E1(a)``, the continued fraction itself past the series range
   and ``exp(a + log_e1(a))`` below it, so extreme rate parameters neither
   overflow nor cancel away their digits.  Where a term needs a
@@ -30,12 +30,12 @@ term by term:
   ``1/lambda_su`` grows past it; and scaled to the kernel for pure SIC's
   two band cells, which reduce to one integral over the primary SNR and
   share one memoised pass.
-* ``stated`` closed forms of the terms whose printed form differs from
-  the derived one, transcribed verbatim from the derivation these
-  formulas originate from -- including its transcription slips -- so the
-  validation report can show exactly where they deviate.  Being literal
-  transcriptions they use plain products and may overflow outside the
-  moderate-parameter regime they were stated for.
+* ``stated`` closed forms (``*_stated``) of the terms whose printed form
+  differs from the derived one, transcribed verbatim from the derivation
+  these formulas originate from -- including its transcription slips --
+  so the validation report can show exactly where they deviate.  Being
+  literal transcriptions they use plain products and may overflow outside
+  the moderate-parameter regime they were stated for.
 * adaptive panel integration of the same kernels on the Gauss-Kronrod
   panels of :mod:`crul.panels` (the ``*_integral`` functions), with none
   of a fixed rule's tail truncation: checks of the kernels against the
@@ -70,28 +70,14 @@ from .specfun import (
 
 LN2 = math.log(2.0)
 
-#: Relative spread below which the two rate parameters are treated as equal
-#: and the branch terms switch to their analytic limit; the generic branch
-#: divides by the difference and loses all precision near coincidence.
-EQUAL_RATE_REL_TOL = 1e-9
-
-
-def _equal_rates(scenario: ScenarioConfig) -> bool:
-    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
-    return abs(lam_s - lam_p) < EQUAL_RATE_REL_TOL * max(lam_s, lam_p)
-
+#: Relative width ``(b - a)/b`` below which :func:`split_band_term` takes the
+#: midpoint derivative: the divided difference loses the scaled E1's error
+#: (to ~1e-14) over the width, the derivative half its square, ~5e-10 here.
+MIDPOINT_REL_GAP = 3e-5
 
 #: Order of the half-line rule the fixed-rule closed forms are evaluated
 #: on unless the caller asks for another.
 DEFAULT_NODES = 100
-
-DERIVED = "derived"
-STATED = "stated"
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in (DERIVED, STATED):
-        raise ValueError(f"variant must be {DERIVED!r} or {STATED!r}, got {variant!r}")
 
 
 def _scaled_e1(arg: float) -> float:
@@ -106,61 +92,40 @@ def _scaled_e1(arg: float) -> float:
     return math.exp(arg + log_e1(arg))
 
 
-# --------------------------------------------- below-threshold term
+# --------------------------------------------- derived forms
 
 
-def ratio_density(z, scenario: ScenarioConfig, variant: str = DERIVED):
+def ratio_density(z, scenario: ScenarioConfig):
     """Defective density of ``gamma_su/(1+gamma_pu)`` on the protected event.
 
     Integrates to ``Pr{gamma_pu < theta}`` rather than one: it carries only
     the probability mass of the event where the primary link misses its
     SINR target.  Accepts scalars or arrays.
-
-    The stated variant swaps the two rate parameters inside its second
-    term; it is kept verbatim for the validation report and can go
-    negative, whereas the derived variant is a true (defective) density.
     """
-    _check_variant(variant)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr < 0.0):
         raise ValueError("ratio must be >= 0")
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     denom = lam_p + lam_s * z_arr
-    if variant == DERIVED:
-        result = lam_s * lam_p * np.exp(-lam_s * z_arr) * (1.0 / denom + 1.0 / denom**2) - (
-            lam_s
-            * lam_p
-            * math.exp(-lam_p * theta)
-            * np.exp(-lam_s * (1.0 + theta) * z_arr)
-            * ((1.0 + theta) / denom + 1.0 / denom**2)
-        )
-    else:
-        result = (
-            lam_s * lam_p * np.exp(-lam_s * z_arr) / denom
-            - lam_p * lam_s * math.exp(-lam_s * theta) * np.exp(-lam_p * (1.0 + theta) * z_arr)
-            / denom**2
-            + lam_s * lam_p * np.exp(-lam_s * z_arr) / denom**2
-            - lam_p
-            * lam_s
-            * (1.0 + theta)
-            * math.exp(-lam_p * theta)
-            * np.exp(-lam_s * (1.0 + theta) * z_arr)
-            / denom
-        )
+    result = lam_s * lam_p * np.exp(-lam_s * z_arr) * (1.0 / denom + 1.0 / denom**2) - (
+        lam_s
+        * lam_p
+        * math.exp(-lam_p * theta)
+        * np.exp(-lam_s * (1.0 + theta) * z_arr)
+        * ((1.0 + theta) / denom + 1.0 / denom**2)
+    )
     if np.ndim(z) == 0:
         return float(result)
     return result
 
 
-def below_threshold_term(
-    scenario: ScenarioConfig, rule: QuadratureRule, variant: str = DERIVED
-) -> float:
+def below_threshold_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
     """Rate contribution of the protected-primary event, by quadrature.
 
     Weighted sum of ``log2(1+z)`` times the ratio density over the
     half-line rule's nodes.
     """
-    density = ratio_density(rule.nodes, scenario, variant)
+    density = ratio_density(rule.nodes, scenario)
     return float(np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density))
 
 
@@ -170,28 +135,77 @@ def below_threshold_term_integral(scenario: ScenarioConfig) -> float:
     return panel_integral(integrand, 0.0, 1.0 / scenario.lambda_su, REL_TOL)
 
 
-# --------------------------------------------- split-band closed form
+def split_band_term(scenario: ScenarioConfig) -> float:
+    """Closed form of the rate earned inside the contested band.
 
-
-def split_band_branch_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
-    """The piece of the split-band closed form with two algebraic branches.
-
-    Its shape depends on whether the two rate parameters coincide; the
-    generic branch carries a ``1/(lambda_su - lambda_pu)`` factor whose
-    cancellation the equal branch resolves analytically.  The derived form
-    has only the equal branch: at unequal rates :func:`split_band_term`
-    collects its pieces into one expression.
+    Covers the event where the primary meets its target only thanks to the
+    secondary's split (or reduced) transmission; the rate-splitting
+    protocol earns ``log2((1+x+y)/(1+theta))`` there.  It is
+    ``-exp(-lambda_pu theta) lambda_pu theta b / ln 2`` times the divided
+    difference of ``k(t) = exp(t) E1(t)/t`` over ``a = lambda_su +
+    lambda_pu theta`` and ``b = lambda_su (1 + theta)``, or its midpoint
+    derivative where ``b - a`` (near-equal rates, a tiny target) is too
+    small against ``b`` to keep the difference's digits.
     """
-    _check_variant(variant)
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    ei_arg_full = lam_s * (1.0 + theta)
-    if variant == DERIVED:
-        if not _equal_rates(scenario):
-            raise ValueError("the derived branch stands apart only at equal rates")
-        clear = math.exp(-lam_s * theta)
-        return (1.0 / LN2) * (
-            -lam_s * theta * clear * _scaled_e1(ei_arg_full) + theta * clear / (1.0 + theta)
-        )
+    a, b = lam_s + lam_p * theta, lam_s * (1.0 + theta)
+    if abs(b - a) < MIDPOINT_REL_GAP * b:
+        m = 0.5 * (a + b)
+        slope = (_scaled_e1(m) * (m - 1.0) - 1.0) / (m * m)
+    else:
+        slope = (_scaled_e1(b) / b - _scaled_e1(a) / a) / (b - a)
+    return -math.exp(-lam_p * theta) * lam_p * theta * b * slope / LN2
+
+
+def clear_channel_term(scenario: ScenarioConfig) -> float:
+    """Closed form of the rate earned when the primary tolerates full power."""
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    ei_arg_band = lam_s + lam_p * theta
+    return math.exp(-lam_p * theta) * lam_s * _scaled_e1(ei_arg_band) / (ei_arg_band * LN2)
+
+
+# --------------------------------------------- printed forms
+
+
+#: Relative spread below which the printed split band takes the two rate
+#: parameters as equal, switching to its branch free of their difference.
+EQUAL_RATE_REL_TOL = 1e-9
+
+
+def _equal_rates(scenario: ScenarioConfig) -> bool:
+    lam_p, lam_s = scenario.lambda_pu, scenario.lambda_su
+    return abs(lam_s - lam_p) < EQUAL_RATE_REL_TOL * max(lam_s, lam_p)
+
+
+def _stated_density(z, scenario: ScenarioConfig):
+    """:func:`ratio_density` as printed, for ``z >= 0``: its second term
+    swaps the two rate parameters, so it is right only at equal rates."""
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    denom = lam_p + lam_s * z
+    return (
+        lam_s * lam_p * np.exp(-lam_s * z) / denom
+        - lam_p * lam_s * math.exp(-lam_s * theta) * np.exp(-lam_p * (1.0 + theta) * z)
+        / denom**2
+        + lam_s * lam_p * np.exp(-lam_s * z) / denom**2
+        - lam_p
+        * lam_s
+        * (1.0 + theta)
+        * math.exp(-lam_p * theta)
+        * np.exp(-lam_s * (1.0 + theta) * z)
+        / denom
+    )
+
+
+def below_threshold_stated(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
+    """:func:`below_threshold_term` on the printed ratio density."""
+    density = _stated_density(rule.nodes, scenario)
+    return float(np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density))
+
+
+def _stated_branch(scenario: ScenarioConfig) -> float:
+    """The printed split band's two-branch piece: a generic one over
+    ``lambda_pu - lambda_su``, and its analytic limit at equal rates."""
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     if _equal_rates(scenario):
         return (
             lam_s * theta / LN2
@@ -201,51 +215,31 @@ def split_band_branch_term(scenario: ScenarioConfig, variant: str = DERIVED) -> 
         )
     return (lam_s * math.exp(lam_s) / ((lam_p - lam_s) * LN2)) * (
         expint_ei(-(lam_s + lam_p * theta))
-        - math.exp(theta * (lam_p - lam_s)) * expint_ei(-ei_arg_full)
+        - math.exp(theta * (lam_p - lam_s)) * expint_ei(-lam_s * (1.0 + theta))
     )
 
 
-def split_band_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
-    """Closed form of the rate earned inside the contested band.
-
-    Covers the event where the primary meets its target only thanks to the
-    secondary's split (or reduced) transmission; the rate-splitting
-    protocol earns ``log2((1+x+y)/(1+theta))`` there.  The derived form's
-    pieces are each O(1/lambda_su) and cancel to O(1/lambda_su**2), so at
-    unequal rates it is one expression in ``g = exp(a) E1(a)``.
-    """
-    _check_variant(variant)
+def split_band_stated(scenario: ScenarioConfig) -> float:
+    """:func:`split_band_term` as printed, in plain products that overflow
+    outside the moderate parameters it was stated for."""
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
-    ei_arg_full = lam_s * (1.0 + theta)
-    if variant == DERIVED:
-        clear = math.exp(-lam_p * theta)
-        g_band, g_full = _scaled_e1(ei_arg_band), _scaled_e1(ei_arg_full)
-        if not _equal_rates(scenario):
-            denominator = (lam_s - lam_p) * LN2
-            return clear * lam_p * (ei_arg_full * g_band / ei_arg_band - g_full) / denominator
-        head, middle = clear * g_full, -lam_s * clear * g_band / ei_arg_band
-        return (1.0 / LN2) * (head + middle) + split_band_branch_term(scenario)
     head = (
         (lam_s * math.exp(lam_p * theta) / (LN2 * ei_arg_band))
         * math.exp(lam_p * theta + lam_s)
         * expint_ei(-ei_arg_band)
     )
-    middle = -(1.0 / LN2) * math.exp(theta * (lam_s - lam_p) + lam_s) * expint_ei(-ei_arg_full)
-    return head + middle + split_band_branch_term(scenario, variant)
+    middle = -(1.0 / LN2) * math.exp(theta * (lam_s - lam_p) + lam_s) * expint_ei(
+        -lam_s * (1.0 + theta)
+    )
+    return head + middle + _stated_branch(scenario)
 
 
-def clear_channel_term(scenario: ScenarioConfig, variant: str = DERIVED) -> float:
-    """Closed form of the rate earned when the primary tolerates full power.
-
-    The stated variant carries a stray ``exp(-lambda_pu*theta)`` prefactor
-    squared; kept for the validation report.
-    """
-    _check_variant(variant)
+def clear_channel_stated(scenario: ScenarioConfig) -> float:
+    """:func:`clear_channel_term` as printed, with a stray
+    ``exp(-lambda_pu*theta)`` prefactor squared."""
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
-    if variant == DERIVED:
-        return math.exp(-lam_p * theta) * lam_s * _scaled_e1(ei_arg_band) / (ei_arg_band * LN2)
     return (
         -(lam_s * math.exp(-lam_p * theta) / (LN2 * ei_arg_band))
         * math.exp(-lam_p * theta + lam_s)
@@ -259,7 +253,6 @@ def merged_tail_stated(scenario: ScenarioConfig) -> float:
     The stated headline formula folds the two closed forms into a single
     expression with an ``exp(lambda_pu*theta) - exp(-lambda_pu*theta)``
     factor; re-derivation shows the two leading pieces actually cancel.
-    Preserved verbatim for the validation report.
     """
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     ei_arg_band = lam_s + lam_p * theta
@@ -273,7 +266,7 @@ def merged_tail_stated(scenario: ScenarioConfig) -> float:
         * math.exp(theta * (lam_s - lam_p) + lam_s)
         * expint_ei(-lam_s * (theta + 1.0))
     )
-    return merged + second + split_band_branch_term(scenario, STATED)
+    return merged + second + _stated_branch(scenario)
 
 
 # --------------------------------------------- pure-SIC terms

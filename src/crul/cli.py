@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,7 +89,8 @@ class Settings:
 def load_config(path: str) -> list[tuple[int, str, str]]:
     """Read a ``key = value`` file as ``(line number, key, --key=value)`` flags.
 
-    ``#`` comments and blank lines are allowed; underscores in a key read
+    A ``#`` at a line's start or after whitespace starts a comment (a value
+    keeps any other), blank lines are allowed, underscores in a key read
     as hyphens, and a key may be written with its flag's leading dashes.
     The subcommand's parser applies the types, and ``main`` rejects keys
     it does not take.
@@ -99,7 +101,7 @@ def load_config(path: str) -> list[tuple[int, str, str]]:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

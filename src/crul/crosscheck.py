@@ -12,19 +12,19 @@ the arbitration share one integration per term, and the fallback costs
 nothing more.  Every route is a callable of the scenario and the
 half-line rule, ``analytic.gauss_laguerre(nodes)``.
 
-A term's routes are written once, in one table keyed by the oracle's
-term name, and a row runs only the ``derived`` one.  The others are
+A term's routes are written once, in one table keyed by the oracle's term
+name, and a row runs only the ``derived`` one.  The others are
 report-only, tabulated by :func:`deviation_report`: the printed
-transcriptions (``stated``, slips included), rate splitting's merged
-tail (``combined_tail``, the band and clear-channel terms as its headline
-groups them), and adaptive integrations of three derived kernels
-(``integral``), which check those kernels against the oracle.  The report
-shows exactly which written forms disagree with the integrals they claim
-to equal, by how much, and what a row used instead.  A route that raises
-(an as-printed form overflowing outside the regime it was stated for,
-say) is recorded as NaN with the reason, on either path, so it cannot
-take the row down with it.  The two benchmarks have oracle terms but no
-closed forms yet.
+transcriptions (``stated``, slips included, the ``analytic.*_stated``
+functions), rate splitting's merged tail (``combined_tail``, the band and
+clear-channel terms as its headline groups them), and adaptive
+integrations of three derived kernels (``integral``), which check those
+kernels against the oracle.  The report shows exactly which written forms
+disagree with the integrals they claim to equal, by how much, and what a
+row used instead.  A route that raises (an as-printed form overflowing
+outside the regime it was stated for, say) is recorded as NaN with the
+reason, on either path, so it cannot take the row down with it.  The two
+benchmarks have oracle terms but no closed forms yet.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import analytic
-from .analytic import DEFAULT_NODES, DERIVED, STATED
+from .analytic import DEFAULT_NODES
 from .channel import ScenarioConfig
 from .montecarlo import EstimateResult, estimate  # noqa: F401 - perfbench/spans.py patches estimate
 from .oracle import TERMS, case_terms, ergodic_rate_oracle, normalized
@@ -129,19 +129,19 @@ def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True)
 
 #: Every closed-form route of each oracle term, by the oracle's term name:
 #: the term's report name and its routes in report order.  ``derived`` is
-#: the row's route; ``stated`` is the printed transcription and
-#: ``integral`` an adaptive integration of the derived one-dimensional
-#: kernel, which only :func:`deviation_report` runs.  Routes look their
-#: function up in :mod:`crul.analytic` when they run.
+#: the row's route (``analytic.*_term``); ``stated`` is the printed
+#: transcription (``analytic.*_stated``) and ``integral`` an adaptive
+#: integration of the derived one-dimensional kernel, which only
+#: :func:`deviation_report` runs.  Routes look up their function when run.
 _ROUTES = {
     "below": ("interference_limited", {
-        "stated": lambda s, r: analytic.below_threshold_term(s, r, STATED),
-        "derived": lambda s, r: analytic.below_threshold_term(s, r, DERIVED),
+        "stated": lambda s, r: analytic.below_threshold_stated(s, r),
+        "derived": lambda s, r: analytic.below_threshold_term(s, r),
         "integral": lambda s, r: analytic.below_threshold_term_integral(s),
     }),
     "band": ("split_band", {
-        "stated": lambda s, r: analytic.split_band_term(s, STATED),
-        "derived": lambda s, r: analytic.split_band_term(s, DERIVED),
+        "stated": lambda s, r: analytic.split_band_stated(s),
+        "derived": lambda s, r: analytic.split_band_term(s),
     }),
     "reduced": ("reduced_power", {
         "derived": lambda s, r: analytic.reduced_power_term(s, r),
@@ -152,8 +152,8 @@ _ROUTES = {
         "integral": lambda s, r: analytic.preferred_order_term_integral(s),
     }),
     "clear": ("clear_channel", {
-        "stated": lambda s, r: analytic.clear_channel_term(s, STATED),
-        "derived": lambda s, r: analytic.clear_channel_term(s, DERIVED),
+        "stated": lambda s, r: analytic.clear_channel_stated(s),
+        "derived": lambda s, r: analytic.clear_channel_term(s),
     }),
 }
 #: The band and clear-channel terms as the rate-splitting headline groups
@@ -161,8 +161,7 @@ _ROUTES = {
 #: already cover the total.
 _COMBINED_TAIL = {
     "stated": lambda s, r: analytic.merged_tail_stated(s),
-    "derived": lambda s, r: analytic.split_band_term(s, DERIVED)
-    + analytic.clear_channel_term(s, DERIVED),
+    "derived": lambda s, r: analytic.split_band_term(s) + analytic.clear_channel_term(s),
 }
 
 

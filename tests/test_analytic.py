@@ -13,7 +13,7 @@ import scipy.integrate
 from hypothesis import given, strategies as st
 
 from crul import analytic
-from crul.analytic import DEFAULT_NODES, DERIVED, STATED
+from crul.analytic import DEFAULT_NODES
 from crul.channel import ScenarioConfig
 from crul.crosscheck import ARBITRATION_REL_TOL, relative_deviation
 from crul.oracle import (
@@ -44,11 +44,8 @@ def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
-def rsma_total(p: ScenarioConfig, variant: str = DERIVED, rule=RULE) -> float:
-    """Rate splitting's closed-form total: its three region terms, or the
-    stated headline's merged form."""
-    if variant == STATED:
-        return analytic.below_threshold_term(p, rule, STATED) + analytic.merged_tail_stated(p)
+def rsma_total(p: ScenarioConfig, rule=RULE) -> float:
+    """Rate splitting's closed-form total: its three region terms."""
     return (
         analytic.below_threshold_term(p, rule)
         + analytic.split_band_term(p)
@@ -88,10 +85,6 @@ class TestParameters:
         assert not analytic._equal_rates(
             ScenarioConfig(lambda_pu=1.0, lambda_su=1.01, theta=1.0)
         )
-
-    def test_rejects_unknown_variant(self, p20):
-        with pytest.raises(ValueError):
-            analytic.ratio_density(1.0, p20, variant="fixed")
 
 
 # ------------------------------------------------------------ ratio density
@@ -157,16 +150,16 @@ class TestRatioDensity:
         theta=st.floats(min_value=0.1, max_value=8.0),
     )
     def test_variants_coincide_for_equal_rates(self, z, lam, theta):
-        # The stated variant's slip swaps the two rate parameters, so it
+        # The printed density's slip swaps the two rate parameters, so it
         # is invisible exactly when they coincide.
         p = ScenarioConfig(lambda_pu=lam, lambda_su=lam, theta=theta)
         derived = analytic.ratio_density(z, p)
-        stated = analytic.ratio_density(z, p, STATED)
+        stated = analytic._stated_density(z, p)
         assert stated == pytest.approx(derived, rel=1e-9, abs=1e-300)
 
     def test_variants_differ_for_unequal_rates(self, p20):
         derived = analytic.ratio_density(1.0, p20)
-        stated = analytic.ratio_density(1.0, p20, STATED)
+        stated = analytic._stated_density(1.0, p20)
         assert rel_err(stated, derived) > 1e-3
 
 
@@ -194,11 +187,214 @@ class TestBelowThresholdTerm:
         # This is the headline symptom of the swapped rate parameters:
         # at the reference geometry the stated value is off by ~57%.
         derived = analytic.below_threshold_term(p20, RULE)
-        stated = analytic.below_threshold_term(p20, RULE, STATED)
+        stated = analytic.below_threshold_stated(p20, RULE)
         assert rel_err(stated, derived) > 0.01
 
 
 # ------------------------------------------------------------ term: split band
+
+
+#: Relative gaps of lambda_su = lambda_pu (1 + gap) from lambda_pu.
+NEAR_EQUAL_GAPS = (
+    0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3, 1e-2, -1e-2
+)
+#: The split-band term at (theta, lambda_pu) and each gap, evaluated in
+#: mpmath at 60 digits from the same float inputs, with g(t) = exp(t) E1(t),
+#: k(t) = g(t)/t, a = ls + lp theta and b = ls (1 + theta):
+#: band = -exp(-lp theta) lp theta b (k(b) - k(a))/((b - a) ln 2), and k'(a)
+#: in place of the divided difference where a = b.  The grid leaves out the
+#: pairs with lp theta >= 700, where exp(-lp theta) underflows.
+NEAR_EQUAL_BANDS = {
+    (0.0001, 0.001): (
+        1.05759681389827416688881614435563823853330345e-3, 1.05759681389707248951047244657240154581931015e-3,
+        1.05759681389947584426716238967644513640620456e-3, 1.05759681269667860393209742240739808455697983e-3,
+        1.05759681509986973239272555898682050137932968e-3, 1.05759669373872995870065122614610075183461096e-3,
+        1.05759693405784384698412882583371253063944415e-3, 1.05758479806994187528841304385167287308965975e-3,
+        1.05760882998132526926826973306558272234599647e-3, 1.05639649060440942344653782005897560593414661e-3,
+        1.05879968438556689221708160739812911608360299e-3, 1.04570690963529341952397612574502921185339967e-3,
+        1.06974146438478335089538702682686535505128606e-3,
+    ),
+    (0.0001, 1.0): (
+        1.44232052623276681019667833857404582130854752e-4, 1.44232052623046432731029909155246652101828335e-4,
+        1.44232052623506903747883529243813249098894792e-4, 1.44232052393048841008120505624273000355625387e-4,
+        1.44232052853504496047634071086061582677833923e-4, 1.44232029600497426702224602704456127605181217e-4,
+        1.44232075646061678193526366452214390072769329e-4, 1.44229750373905910407427693983881019433141445e-4,
+        1.44234354930331594456660650697198669855567696e-4, 1.44002112891838742818497080083495052511983032e-4,
+        1.4446256919712861811114034980827464758756407e-4, 1.41958288713351319028763410784116112250768748e-4,
+        1.46563508004361594200858587971685483964041435e-4,
+    ),
+    (0.0001, 3.0): (
+        6.86154949575603604583792323560397124133086811e-5, 6.86154949574400101719041203943073349650990077e-5,
+        6.86154949576806929310171183024597335490680909e-5, 6.86154948372207624466955453062496064440426765e-5,
+        6.86154950778999409783462765412596330179958047e-5, 6.86154829236031513631691525442460700595619199e-5,
+        6.86155069915207907625849043655414702117006609e-5, 6.86142915777840453019432600056176916016547355e-5,
+        6.86166983695487477713530536247587319289402968e-5, 6.84953162357778880194603066791404400509665853e-5,
+        6.87359958006865454730542309986573952415989691e-5, 6.74280130779566202923937812101350275864707396e-5,
+        6.98351933680066754292073599378733598589351911e-5,
+    ),
+    (0.0001, 30.0): (
+        9.14591789002149320822232731871156967060447105e-6, 9.14591789000360846492032826714020083414099042e-6,
+        9.14591789003937583373357932862721519778102601e-6, 9.14591787213833827553896525232049542021354511e-6,
+        9.1459179079046460755994626073624801481858886e-6, 9.14591610170640586604004116154018566172331124e-6,
+        9.14591967833710327831708983287300367650460615e-6, 9.14573906111089310196307177634016149755168744e-6,
+        9.14609672418054822575097739382286200716685765e-6, 9.12806094461842225065985609864721465143595753e-6,
+        9.16382732007871547654862920250338714345127268e-6, 8.9696767473728278402879090688538186394856383e-6,
+        9.32740832848361637220529783191802700420828405e-6,
+    ),
+    (0.0001, 1000.0): (
+        2.60638218951926444163255501594174059651769884e-7, 2.60638218951405542520057415236795659489561027e-7,
+        2.60638218952447286592900164831495166382721182e-7, 2.6063821843107844922583477704795421422930387e-7,
+        2.60638219472774381448381954943757233852816403e-7, 2.60638166867140422374664539280571353673523924e-7,
+        2.60638271036728019343738563648125284350359077e-7, 2.6063301055061018179280325173970595635161591e-7,
+        2.60643427509368701719349042112505519452325824e-7, 2.60118150605689880422621003647230451380128652e-7,
+        2.6115984856130462229330160388096580094994639e-7, 2.55506775449809846089447182527255401044099951e-7,
+        2.65925814490390769993381809870608787344891681e-7,
+    ),
+    (0.1, 0.001): (
+        9.4897879787597767053825635579762593339498079e-1, 9.48978797874989852016372793586335822484766373e-1,
+        9.4897879787696548906014183412166389553219725e-1, 9.48978796888226403517965509814848430429655513e-1,
+        9.48978798863728939474399048104588727203038952e-1, 9.48978699100860023606154989328384188699388406e-1,
+        9.48978896651114475988987137950391957663047635e-1, 9.48968920459049948054952610524797342257670562e-1,
+        9.48988675484490365019604903253352528986918375e-1, 9.47992003621545005093854788265420344883041891e-1,
+        9.49967507983980902151925368493789187516789457e-1, 9.39196176923202513811091226696532358185381066e-1,
+        9.58953021105703826991640588698840491512717179e-1,
+    ),
+    (0.1, 1.0): (
+        1.12042300078311394936071779519043877844613599e-1, 1.12042300078144265220237323998661144864852869e-1,
+        1.1204230007847850609843017760195238371457924e-1, 1.12042299911196522077351471771051491920905533e-1,
+        1.12042300245426249630860423520123881168108896e-1, 1.12042283366827410267661589061213438015076136e-1,
+        1.12042316789799256498626220418637076504338942e-1, 1.12040628949196150919392648562028634912878668e-1,
+        1.12043971246381096608327939383934038019915436e-1, 1.11875379783977271763814143932688753111768939e-1,
+        1.12209609917831765150209689349840654383735553e-1, 1.10390423123433421586150178208661775047917458e-1,
+        1.13733135751616427331669593582075910695250886e-1,
+    ),
+    (0.1, 3.0): (
+        4.30006591141445322228008454923448645934946099e-2, 4.30006591140739650106603946023679703637723693e-2,
+        4.30006591142150889898242227662053894060761478e-2, 4.30006590435835872407669616792009070292685337e-2,
+        4.30006591847054669360278894287464014443776033e-2, 4.30006520580514916823921858217077735416019461e-2,
+        4.30006661702393358672787364644362031743350259e-2, 4.29999535135676293497899411305995372037610884e-2,
+        4.30013647323524653505975026313658145275843765e-2, 4.29301862311290536295791227952770366131324851e-2,
+        4.3071308307777937209064577256958427802242174e-2, 4.23037671937186112657269561561770910115151333e-2,
+        4.3715184184862594703077531441560030177585497e-2,
+    ),
+    (0.1, 30.0): (
+        3.79064663201764410211825111820437256909620896e-4, 3.79064663201072703266373936944600186182325747e-4,
+        3.79064663202456035250002225631001813205718328e-4, 3.79064662510118896164300236341193275450603812e-4,
+        3.79064663893409844247334749399131021838334569e-4, 3.79064594037228038600342274342261410502882901e-4,
+        3.79064732366319652522342040616227995197189139e-4, 3.79057746841948538874523579461450544720969046e-4,
+        3.79071579751106262604931756293312964295077392e-4, 3.78373964220135709185025288502596505722645656e-4,
+        3.79757257446667572202963359002289741952880279e-4, 3.72241829240380520833023837198007593163182786e-4,
+        3.86077049679433189055563496893601751887049463e-4,
+    ),
+    (0.1, 1000.0): (
+        8.85889966297496512834295507774438882490536284e-48, 8.85889966295846515084796492861420511306279426e-48,
+        8.85889966299146323020112709101153755610058481e-48, 8.85889964647668698339541208710994274046711373e-48,
+        8.85889967947324144378692025671838831079347464e-48, 8.85889801314756093007887098884682801080011105e-48,
+        8.85890131280282878378496733447117643611479868e-48, 8.85873468251825846540885018839286617910416508e-48,
+        8.85906464804499806134995955897341273164238448e-48, 8.84242442461957536833481415102130510036641405e-48,
+        8.87542103467880972019342887525667683733362569e-48, 8.69619519945457476856767097983022759027743851e-48,
+        9.02621812475167486549801967413067901605718629e-48,
+    ),
+    (1.0, 0.001): (
+        4.78451349482365773605549591734814650597217573, 4.78451349482072587853297797484625969339981792,
+        4.78451349482658959357801727226367350409508276, 4.78451349189199982566291259413433396920016313,
+        4.78451349775531564986002824006776838919267611, 4.78451320165788231453989264849485272057930557,
+        4.78451378798946727706139018382350253747010498, 4.78448417841501558638248549489678192314912698,
+        4.78454281157349415271968742165260987206275544, 4.78158354186440579004537798187583667263550894,
+        4.7874468597331901763538944042693870285875634, 4.75536650868515366267422133769957663580719834,
+        4.81400168840264480403796243608809813679860077,
+    ),
+    (1.0, 1.0): (
+        1.69483536903049795059925177206484177887636794e-1, 1.69483536902876408413278371515462334310276119e-1,
+        1.69483536903223162458498706880291781515902635e-1, 1.69483536729678547014833088944848588601562258e-1,
+        1.69483537076421024142957661796534351765174888e-1, 1.6948351956592783067706303413611422126581312e-1,
+        1.69483554240174600334141950719187075143519535e-1, 1.69481803205011934757260407116791930914861882e-1,
+        1.69485270629689030396661301718910470448553339e-1, 1.69310308563170987516090859921151476793584953e-1,
+        1.69657051257052211513545164693391585304706609e-1, 1.67764013061071273785454353790152713912791175e-1,
+        1.7123166394730245376199589431689933330051439e-1,
+    ),
+    (1.0, 3.0): (
+        9.82823115238830755590946672185418323404820109e-3, 9.82823115237720716758927401186333042387805824e-3,
+        9.82823115239940630118818740594822065013551239e-3, 9.82823114128890507060728236139109231076822805e-3,
+        9.82823116348770841818077700429775581959321445e-3, 9.8282300424482500885629879672494096412240527e-3,
+        9.82823226232856512943198178476615619829589961e-3, 9.82812015937305975070643468086611911454290622e-3,
+        9.82834214740461547920306265357276061094903086e-3, 9.81714174755778032962134329770152468145868242e-3,
+        9.83934056785113961792714393126815884432933021e-3, 9.71822917059555422904000090722889407295809549e-3,
+        9.94023434288645721997711724157452392483851028e-3,
+    ),
+    (1.0, 30.0): (
+        2.19613708283584706216590302640680770729083585e-15, 2.19613708283314040635066738869306584352221543e-15,
+        2.19613708283855339747719902753663562919721488e-15, 2.19613708012943162755090067860026159286541469e-15,
+        2.19613708554226218160611153549487563875016402e-15, 2.19613681219435209473223091125682835772166108e-15,
+        2.19613735347739500060444222028196739697624509e-15, 2.19611001895016836090264421319792726077609577e-15,
+        2.19616414725444053063134743533786458662213541e-15, 2.19343332971035628659811398092756288514264261e-15,
+        2.19884616511685363656373930067077304762408593e-15, 2.16933692132744424388932837319940014338485683e-15,
+        2.22347020582523592236279396771042914820160843e-15,
+    ),
+    (4.66, 0.001): (
+        6.62395073475016353765261345848577438608107292, 6.62395073474830135391659015549781493063602908,
+        6.62395073475202572138863816126895215388605385, 6.62395073288810658586985076974151952232271079,
+        6.62395073661222049083498076678435006060925118, 6.62395054854447447988039170659843252884585126,
+        6.62395092095586659147115214999038570710085936, 6.6239321142505438463218578772847344641008515,
+        6.62396935538974328829533097965167530491783352, 6.62208937719293683930013687258715531083143792,
+        6.62581349191260985577595176093344843772754635, 6.60539974838958263508616815177355082357462871,
+        6.64264168746303068325193980413487232828727158,
+    ),
+    (4.66, 1.0): (
+        3.23090275439162289220621602275896917560711135e-3, 3.23090275438946902467346202126550978466068662e-3,
+        3.23090275439377652063289721732110356896194801e-3, 3.23090275223794664591604324564304009929198452e-3,
+        3.23090275654529890259955345590530217535072256e-3, 3.23090253902403184277765416243726771480816658e-3,
+        3.23090296975924579493368017569283099339022672e-3, 3.2308812177913864226170027421029532565511754e-3,
+        3.23092429131278317247917352381365157967340836e-3, 3.22875068157836789194182023978926302410644013e-3,
+        3.2330580364478305368227225494548970950232873e-3, 3.20952510285027446216755601341128017729765456e-3,
+        3.25260135453239227581322870224689319355196883e-3,
+    ),
+    (4.66, 3.0): (
+        1.09561652646784339680039535093738592159876852e-7, 1.09561652646705217793974668360194040986638975e-7,
+        1.09561652646863449854753719957236747237745046e-7, 1.09561652567669480489107850723288715127462292e-7,
+        1.09561652725899187286646858925639273206173133e-7, 1.09561644735299705203366248110939940425909044e-7,
+        1.09561660558270244421173874909188597769642702e-7, 1.09560861504608514956173835533153652195576272e-7,
+        1.09562443801662797308112869557129193778306164e-7, 1.09482601250030758307092806236263039059870001e-7,
+        1.09640831070092223119729034880785047318060405e-7, 1.08776798655383566269990105531973624227746244e-7,
+        1.10359210364351629870330910146379118819735457e-7,
+    ),
+    (4.66, 30.0): (
+        2.67715596527706724451014110719927024596151221e-63, 2.67715596527503260142629046253240601212119275e-63,
+        2.67715596527910164666527004415108115557817452e-63, 2.67715596324260485892034519328020027993153684e-63,
+        2.67715596731152939260862900180503141287600883e-63, 2.67715576183086232482494368433807815381766552e-63,
+        2.6771561687233062974362860326146826275898754e-63, 2.67713562082674651452574263998230379946447624e-63,
+        2.67717631007112943002693990377566989844099851e-63, 2.67512322014691816139763348532350892147603057e-63,
+        2.67919214782736206702699211069959823423553621e-63, 2.6569816084414481877314954668696921658048733e-63,
+        2.69767409562451778076249664141477753113939613e-63,
+    ),
+    (30.0, 0.001): (
+        5.31914764074476162410417190082271186538377686, 5.31914764074391032982611246543473770965805379,
+        5.31914764074561291838223226805754770580016492, 5.31914763989352530540070100583225410389760144,
+        5.3191476415959979437393627754709778950559937, 5.31914755562113399660576739052642183395359248,
+        5.31914772586839856880245380308383794420792659, 5.31913912842812143573364411598144944061472083,
+        5.31915615315457362660909140800669885705774654, 5.31829686993579506553636339553012804522540235,
+        5.3199993432742710280550550580324257329845736, 5.31068151960700565345370269141567342965404575,
+        5.32770693943903991251977078028687286214803483,
+    ),
+    (30.0, 1.0): (
+        8.05239043606382718341907770262954781356352502e-15, 8.0523904360595907343393956768451259199731237e-15,
+        8.05239043606806316220024621239789458317935246e-15, 8.05239043182775434643168627931537897596898392e-15,
+        8.05239044029989955787093284866830896676546195e-15, 8.05239001245661671354039552703368101045897288e-15,
+        8.05239085967111481284503790030231420557045884e-15, 8.0523480757270686237283958096987571078598496e-15,
+        8.05243279717688373083443560969494467235111781e-15, 8.04815824130495959592202268895868947271186809e-15,
+        8.05663039381460291928158915603034894963229938e-15, 8.01041413223286515876175772731807947000833116e-15,
+        8.09514311164157986464583872893498348824643299e-15,
+    ),
+    (30.0, 3.0): (
+        2.421654549584922026446658838158492870149844e-41, 2.42165454958361327866472107622651582325723668e-41,
+        2.42165454958623058051223108585228600203091092e-41, 2.42165454827629047555138522249824025123112959e-41,
+        2.42165455089355338607143485423999997290576789e-41, 2.42165441872178989209274575819821426300669889e-41,
+        2.42165468044807861950374347025358360236371344e-41, 2.42164146339277583399930873464768545377123126e-41,
+        2.42166763602165505699308903644718298866829411e-41, 2.42034713987038554596130558348998920677561344e-41,
+        2.42296440517216624518173850735330671611909004e-41, 2.40868933344572375803010886093031451123228625e-41,
+        2.4348643766544820709223070731699029220802554e-41,
+    ),
+}
 
 
 class TestSplitBandTerm:
@@ -214,8 +410,9 @@ class TestSplitBandTerm:
         )
         assert rel_err(analytic.split_band_term(p), reference) < 1e-6
 
-    def test_equal_rate_branch_matches_region_oracle(self, unit_scenario):
-        p = unit_scenario
+    @pytest.mark.parametrize("theta", [1.0, THETA_DEFAULT])
+    def test_equal_rate_branch_matches_region_oracle(self, theta):
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=theta)
         band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
             lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
@@ -226,9 +423,7 @@ class TestSplitBandTerm:
         assert rel_err(analytic.split_band_term(p), reference) < 1e-6
 
     def test_band_continuity_at_equal_rates(self):
-        # At unequal rates the form divides by the rate difference;
-        # approaching coincidence from both sides must bracket the analytic
-        # limit.
+        # Approaching coincidence from both sides must bracket the limit.
         equal = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=THETA_DEFAULT)
         low = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 - 1e-6, theta=THETA_DEFAULT)
         high = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0 + 1e-6, theta=THETA_DEFAULT)
@@ -236,39 +431,26 @@ class TestSplitBandTerm:
         bracket = sorted((analytic.split_band_term(low), analytic.split_band_term(high)))
         assert bracket[0] <= center <= bracket[1]
 
-    def test_branch_term_vs_band_oracle_remainder(self):
-        # The branch piece equals the band oracle minus the branch-free
-        # closed-form pieces; checked on the equal-rate path where the
-        # stated algebra is most suspect.
+    def test_equal_rates_frozen_value(self):
+        # Frozen from the closed form in mpmath at 40 digits, -exp(-1) 2 k'(2)
+        # / ln 2 with k'(m) = (g(m)(m - 1) - 1)/m**2; a 12-digit scipy
+        # quadrature of the band agrees to 1e-13.
         p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
-        band = case_regions(p.theta)["band"]
-        reference = restricted_expectation(
-            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
-            band,
-            p.lambda_pu,
-            p.lambda_su,
-        )
-        branch_free = analytic.split_band_term(p) - analytic.split_band_branch_term(p)
-        assert analytic.split_band_branch_term(p) == pytest.approx(
-            reference - branch_free, abs=1e-4
-        )
+        assert analytic.split_band_term(p) == pytest.approx(0.16948353690304980, rel=1e-14)
 
-    def test_branch_term_frozen_value(self):
-        # Frozen from the band oracle minus the branch-free pieces
-        # (scipy adaptive quadrature, 12 digits).
-        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
-        assert analytic.split_band_branch_term(p) == pytest.approx(
-            0.0735981510946, rel=1e-10
-        )
+    @pytest.mark.parametrize("lam_s", [1.0, 2.0])
+    def test_band_vanishes_with_threshold(self, lam_s):
+        # The band's probability, and so its term, is O(theta).
+        p = ScenarioConfig(lambda_pu=1.0, lambda_su=lam_s, theta=1e-6)
+        assert 0.0 < analytic.split_band_term(p) < 2e-6
 
-    def test_branch_vanishes_with_band(self):
-        p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1e-6)
-        assert abs(analytic.split_band_branch_term(p)) < 1e-6
-        # At unequal rates the derived band is one expression, with no branch.
-        p = ScenarioConfig(lambda_pu=1.0, lambda_su=2.0, theta=1e-6)
-        assert abs(analytic.split_band_term(p)) < 1e-6
-        with pytest.raises(ValueError):
-            analytic.split_band_branch_term(p)
+    @pytest.mark.parametrize("theta,lam_p", list(NEAR_EQUAL_BANDS))
+    def test_keeps_its_digits_at_near_equal_rates(self, theta, lam_p):
+        # The divided difference cancels as b - a = theta (lambda_su -
+        # lambda_pu) shrinks against b; it once lost up to 15% here.
+        for gap, frozen in zip(NEAR_EQUAL_GAPS, NEAR_EQUAL_BANDS[theta, lam_p], strict=True):
+            p = ScenarioConfig(lambda_pu=lam_p, lambda_su=lam_p * (1.0 + gap), theta=theta)
+            assert analytic.split_band_term(p) == pytest.approx(frozen, rel=1e-9, abs=0.0)
 
     def test_stated_variant_deviates(self, p20):
         band = case_regions(p20.theta)["band"]
@@ -278,7 +460,7 @@ class TestSplitBandTerm:
             p20.lambda_pu,
             p20.lambda_su,
         )
-        assert rel_err(analytic.split_band_term(p20, STATED), reference) > 0.01
+        assert rel_err(analytic.split_band_stated(p20), reference) > 0.01
 
 
 # ------------------------------------------------------------ term: clear channel
@@ -301,7 +483,7 @@ class TestClearChannelTerm:
         # The stated form carries exp(-lambda_pu*theta) twice; everything
         # else is identical, so the ratio pins the slip exactly.
         derived = analytic.clear_channel_term(p20)
-        stated = analytic.clear_channel_term(p20, STATED)
+        stated = analytic.clear_channel_stated(p20)
         stray = math.exp(-2.0 * p20.lambda_pu * p20.theta)
         assert stated == pytest.approx(derived * stray, rel=1e-12)
         assert rel_err(stated, derived) > 0.01
@@ -365,7 +547,7 @@ class TestRsmaTotal:
     def test_stated_total_deviates(self, p20):
         scenario = ScenarioConfig.from_snr_db(20.0, 20.0)
         reference = ergodic_rate_oracle(ProtocolKind.CR_RSMA, scenario)
-        stated = rsma_total(p20, STATED)
+        stated = analytic.below_threshold_stated(p20, RULE) + analytic.merged_tail_stated(p20)
         assert rel_err(stated, reference) > 0.01
 
 

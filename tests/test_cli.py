@@ -446,6 +446,18 @@ class TestConfigFile:
         assert len(rows) == 1
         assert rows[0][1] == "17"
 
+    def test_hash_starts_a_comment_only_after_whitespace(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "a#b.csv"
+        cfg.write_text(f"out = {out}\nmethod = mc # a note\n\t# indented note\n"
+                       "protocol = cr-rsma\nsamples = 2000\n", encoding="utf-8")
+        assert cli.load_config(str(cfg))[:2] == [
+            (1, "out", f"--out={out}"), (2, "method", "--method=mc")
+        ]
+        status, _ = run_cli(capsys, ["point", "--config", str(cfg), "--gamma0", "17"])
+        assert status == 0
+        assert [path.name for path in tmp_path.iterdir() if path != cfg] == ["a#b.csv"]
+
     def test_key_written_as_a_flag_is_that_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("--samples=2000\nprotocol = cr-rsma\nmethod = mc\n", encoding="utf-8")
