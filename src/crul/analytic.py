@@ -71,8 +71,9 @@ from .specfun import (
 LN2 = math.log(2.0)
 
 #: Relative width ``(b - a)/b`` below which :func:`split_band_term` takes the
-#: midpoint derivative: the divided difference loses the scaled E1's error
-#: (to ~1e-14) over the width, the derivative half its square, ~5e-10 here.
+#: midpoint derivative: the divided difference divides the scaled E1's error
+#: (up to 2.4e-13 relative near its series switch) by the width, the
+#: derivative about the width's square; next to the switch both reach ~6e-10.
 MIDPOINT_REL_GAP = 3e-5
 
 #: Order of the half-line rule the fixed-rule closed forms are evaluated

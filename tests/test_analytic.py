@@ -438,11 +438,37 @@ class TestSplitBandTerm:
         p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
         assert analytic.split_band_term(p) == pytest.approx(0.16948353690304980, rel=1e-14)
 
-    @pytest.mark.parametrize("lam_s", [1.0, 2.0])
-    def test_band_vanishes_with_threshold(self, lam_s):
+    @pytest.mark.parametrize("lam_s,bound", [(1.0, 2e-6), (2.0, 1e-6)])
+    def test_band_vanishes_with_threshold(self, lam_s, bound):
         # The band's probability, and so its term, is O(theta).
         p = ScenarioConfig(lambda_pu=1.0, lambda_su=lam_s, theta=1e-6)
-        assert 0.0 < analytic.split_band_term(p) < 2e-6
+        assert 0.0 < analytic.split_band_term(p) < bound
+
+    @pytest.mark.parametrize(
+        "theta,lam_p,frozen",
+        [
+            (
+                THETA_DEFAULT,
+                1.0,
+                (0.0032421435942770924552, 0.0032421199640285998492, 0.003242114712914541216, 0.0032420910831365036618),
+            ),
+            (
+                0.1,
+                3.0,
+                (0.042985139973170455528, 0.042978159142075589021, 0.042976608080713886069, 0.042969629359292740429),
+            ),
+        ],
+    )
+    def test_both_sides_of_the_midpoint_switch(self, theta, lam_p, frozen):
+        # Relative widths (b - a)/b of about 2e-5, 2.9e-5, 3.1e-5 and 4e-5
+        # straddle MIDPOINT_REL_GAP; frozen from the divided difference in
+        # mpmath at 60 digits.
+        widths = (2e-5, 2.9e-5, 3.1e-5, 4e-5)
+        assert widths[1] < analytic.MIDPOINT_REL_GAP < widths[2]
+        for width, value in zip(widths, frozen, strict=True):
+            lam_s = lam_p * (1.0 + width * (1.0 + theta) / theta)
+            p = ScenarioConfig(lambda_pu=lam_p, lambda_su=lam_s, theta=theta)
+            assert analytic.split_band_term(p) == pytest.approx(value, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("theta,lam_p", list(NEAR_EQUAL_BANDS))
     def test_keeps_its_digits_at_near_equal_rates(self, theta, lam_p):
