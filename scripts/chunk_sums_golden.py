@@ -2,10 +2,10 @@
 """Write the stored per-chunk sums of the Monte Carlo chunk kernel.
 
 ``tests/golden/chunk_sums.json`` holds what ``montecarlo._chunk_sums``
-returns for single chunks: every family's per-case sums and its squared
-sum, each as the hex of its double.  It covers primaries of 0, 12, 18, 24
-and 60 dB at a 20 dB secondary, with ``rate_th`` 0, 2.5 and 6, on a full
-chunk and on a short last chunk, each by a plain pass (the four plain
+returns for single chunks: every family's sum and its squared sum, each as
+the hex of its double.  It covers primaries of 0, 12, 18, 24 and 60 dB at
+a 20 dB secondary, with ``rate_th`` 0, 2.5 and 6, on a full chunk and on
+a short last chunk, each by a plain pass (the four plain
 protocols and the power scale) and a boosted pass (pure SIC with the
 secondary's mean SNR doubled).  ``tests/test_golden.py`` holds the kernel
 to this file bit for bit, so a rewrite of the kernel that claims to keep
@@ -31,7 +31,13 @@ RATE_THRESHOLDS = (0.0, 2.5, 6.0)
 MC = McConfig(n_samples=250_001, seed=0, chunk_size=100_000)
 BOOST = 2.0
 PASSES = {
-    "plain": (*montecarlo.CASE_FAMILIES, montecarlo._POWER),
+    "plain": (
+        ProtocolKind.CR_RSMA,
+        ProtocolKind.CR_SIC,
+        ProtocolKind.BENCH_CSI,
+        ProtocolKind.BENCH_QOS,
+        montecarlo._POWER,
+    ),
     "boosted": (ProtocolKind.CR_SIC,),
 }
 
@@ -63,10 +69,10 @@ def chunk_sums() -> dict:
                             "pass": name,
                             "families": {
                                 _name(family): {
-                                    "case_sums": [float(s).hex() for s in case_sums],
+                                    "sum": float(total).hex(),
                                     "square_sum": float(square).hex(),
                                 }
-                                for family, (case_sums, square) in zip(families, sums)
+                                for family, (total, square) in zip(families, sums)
                             },
                         }
                     )

@@ -180,7 +180,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     samples, seed = _budget(args)
     _require("nodes", args.nodes, 1 <= args.nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
 
-    return Settings(
+    settings = Settings(
         gamma0_pu=gamma0_pu,
         gamma0_su=gamma0_su,
         dist_pu=args.dist_pu,
@@ -193,6 +193,12 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         seed=seed,
         nodes=args.nodes,
     )
+    if not _row_pairs(settings):
+        raise UsageError(
+            f"--protocol {args.protocol} with --method {args.method} selects no rows: "
+            "the benchmarks have no analytic rows"
+        )
+    return settings
 
 
 def _scenario(settings: Settings, gamma0_pu: float, gamma0_su: float) -> ScenarioConfig:

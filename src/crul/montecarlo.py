@@ -16,14 +16,14 @@ dominance claims can be checked sample by sample.
 One chunk kernel serves every quantity: it draws a chunk once, classifies
 it once into the decision cells of :mod:`crul.protocols`, and reduces it
 for each requested family (the four plain protocols, and the SIC power
-scale as a one-case family) into per-case sums and a squared sum, building
-each family's rates from the cells and the per-draw logs the families
-share; a plain pass builds one full-power rate array, which pure SIC and
-then rate splitting write their own cells over.  One fold combines the
-chunks.  :func:`sample_point` takes every
-protocol of a grid point and the mean power scale from one such pass, plus
-the boosted pass of the power-normalized protocol; :func:`estimate` and
-:func:`mean_power_factor` are the same pass over a single family.
+scale) into one sum and one squared sum, building each family's rates from
+the cells and the per-draw logs the families share; a plain pass builds
+one full-power rate array, which pure SIC and then rate splitting write
+their own cells over.  One ``math.fsum`` per family combines the chunks.
+:func:`sample_point` takes every protocol of a grid point and the mean
+power scale from one such pass, plus the boosted pass of the
+power-normalized protocol; :func:`estimate` and :func:`mean_power_factor`
+are the same pass over a single family.
 
 Each public call makes one :class:`~crul.protocols.Workspace` of
 chunk-sized buffers per worker, and its chunks draw, classify and reduce
@@ -55,25 +55,18 @@ from .protocols import (
     Workspace,
     csi_rate_array,
     qos_rate_array,
-    rsma_case_array,
+    rsma_case_array,  # noqa: F401 - perfbench/spans.py patches this name
     rsma_rate_arrays,
     sic_case_array,
     sic_power_factor_array,
     sic_rate_arrays,
 )
 
-#: Number of admission cases in each plain protocol's rate decomposition.
-CASE_FAMILIES = {
-    ProtocolKind.CR_RSMA: 3,
-    ProtocolKind.CR_SIC: 4,
-    ProtocolKind.BENCH_CSI: 1,
-    ProtocolKind.BENCH_QOS: 2,
-}
-#: The SIC control-law power scale, sampled as a one-case family beside
-#: the protocols.
+#: The SIC control-law power scale, sampled as a family beside the
+#: protocols.
 _POWER = "power scale"
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each busy worker
-#: holds one chunk workspace, 7.6 MB at the default chunk size, and up to
+#: holds one chunk workspace, 6.9 MB at the default chunk size, and up to
 #: 1.6 MB of index arrays while it reduces a chunk.
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks at the default chunk size.
@@ -193,31 +186,21 @@ def draw_chunk(
     return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace)
 
 
-def _square_sum(draws: CellDraws, values: np.ndarray) -> float:
-    return float(np.sum(np.square(values, out=draws.buffer("s0", values.size))))
-
-
-def _family_sums(family, draws: CellDraws):
-    """Per-case sums and the squared sum of one family over one chunk's draws."""
+def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
+    """The sum and the squared sum of one family's rates over one chunk's draws."""
     rates = draws.buffer("rates")
     if family is _POWER:
-        scale = sic_power_factor_array(draws, rates)
-        return (float(np.sum(scale)),), _square_sum(draws, scale)
-    cases = draws.buffer("cases")
-    if family is ProtocolKind.CR_RSMA:
+        rates = sic_power_factor_array(draws, rates)
+    elif family is ProtocolKind.CR_RSMA:
         rates = rsma_rate_arrays(draws, rates)
-        rsma_case_array(draws.cells, cases)
     elif family is ProtocolKind.CR_SIC:
         rates = sic_rate_arrays(draws, rates)
-        np.copyto(cases, draws.cells)
     elif family is ProtocolKind.BENCH_CSI:
         rates = csi_rate_array(draws)
-        cases.fill(0)
     elif family is ProtocolKind.BENCH_QOS:
         rates = qos_rate_array(draws, rates)
-        np.copyto(cases, draws.qos_admitted)
-    sums = np.bincount(cases, weights=rates, minlength=CASE_FAMILIES[family])
-    return sums, _square_sum(draws, rates)
+    squares = np.square(rates, out=draws.buffer("s0"))
+    return float(np.sum(rates)), float(np.sum(squares))
 
 
 #: The order a chunk reduces its families in, whatever order they are asked
@@ -270,16 +253,15 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families, workspaces) -> dic
     # depend on scheduling.
     for family, parts in zip(families, zip(*chunks)):
         sums, squares = zip(*parts)
-        case_sums = [math.fsum(case) for case in zip(*sums)]
-        results[family] = _finish(case_sums, math.fsum(squares), mc)
+        results[family] = _finish(math.fsum(sums), math.fsum(squares), mc)
     return results
 
 
-def _finish(case_sums, square_sum, mc) -> EstimateResult:
+def _finish(total, square_sum, mc) -> EstimateResult:
     n = mc.n_samples
-    # The headline mean is defined as the fsum of the per-case means so
-    # that the case breakdown sums back to it bit-for-bit.
-    value = math.fsum(s / n for s in case_sums)
+    # ``total`` is the chunk sums' ``fsum``, rounded once, so neither the
+    # chunk order nor the thread count can move the mean.
+    value = total / n
     if n > 1:
         variance = max(0.0, (square_sum - n * value * value) / (n - 1))
         stderr = math.sqrt(variance / n)

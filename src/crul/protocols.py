@@ -131,14 +131,13 @@ def switch_edge(gamma_su, theta: float):
 
 #: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
 #: the two SNR draws, the interference-limited log, the clean log of the
-#: tolerant draws, a family's rates and three of scratch; the cells; a
-#: family's case index, ``intp`` because that is the index ``np.bincount``
-#: reads without a copy; ``bench-qos``'s admission mask and two of scratch.
-#: Scratch (``s*``, ``b*``) lives only inside one step of a rule.
+#: tolerant draws, a family's rates and three of scratch; the cells and
+#: rate splitting's cases, which :attr:`CellDraws.band` selects from;
+#: ``bench-qos``'s admission mask and two of scratch.  Scratch (``s*``,
+#: ``b*``) lives only inside one step of a rule.
 _BUFFERS = {
     np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
-    np.int8: ("cells",),
-    np.intp: ("cases",),
+    np.int8: ("cells", "cases"),
     np.bool_: ("admitted", "b0", "b1"),
 }
 
@@ -206,7 +205,10 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
 
 def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
     """Rate splitting's case of every cell, ``(cell + 1) >> 1``: below, split
-    band, tolerant (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out``."""
+    band, tolerant (cells 0, 1 and 2, 3 give cases 0, 1, 2), into ``out``.
+
+    This is the one definition of the split band, case 1, which
+    :attr:`CellDraws.band` selects."""
     cases = np.add(cells, 1, out=out)
     return np.right_shift(cases, 1, out=cases)
 
@@ -245,10 +247,10 @@ class CellDraws:
 
     @cached_property
     def band(self) -> np.ndarray:
-        """Indices of rate splitting's split band: the reduced and preferred cells."""
-        in_band = np.greater_equal(self.cells, REDUCED, out=self.buffer("b0"))
-        below_tolerant = np.less_equal(self.cells, PREFERRED, out=self.buffer("b1"))
-        return np.flatnonzero(np.logical_and(in_band, below_tolerant, out=in_band))
+        """Indices of rate splitting's split band, its case 1 by
+        :func:`rsma_case_array`: the reduced and preferred cells."""
+        cases = rsma_case_array(self.cells, self.buffer("cases"))
+        return np.flatnonzero(np.equal(cases, 1, out=self.buffer("b0")))
 
     @cached_property
     def tolerant(self) -> np.ndarray:

@@ -6,7 +6,8 @@ module refers to outside its own definition and ``__all__``.  Likewise a
 defaulted parameter that no call in the package passes is a setting no
 run can change: it fails here until it is deleted or a caller sets it.
 The benchmark's tracer reaches the package by name too, so each name it
-wraps must keep resolving.
+wraps must keep resolving, and an import that nothing reads must be one it
+wraps.
 """
 
 import ast
@@ -157,3 +158,56 @@ def test_the_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
     for module, names in zip(modules, before):
         changed = [name for name, value in names.items() if vars(module)[name] is not value]
         assert changed == [], module.__name__
+
+
+def unread_imports(source: Path = SOURCE) -> list[str]:
+    """``module.name`` of each top-level import that its module never reads
+    and that no other module in ``source`` reads through it, by a
+    from-import of the module or as its attribute."""
+    trees = _trees(source)
+    through = Counter()  # (module, name) read from another module
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                through.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                through[(node.value.id, node.attr)] += 1
+    unread = []
+    for module, tree in trees.items():
+        loaded = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if not loaded[name] and not through[(module, name)]:
+                    unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_unread_import_is_a_name_the_benchmark_tracer_patches(monkeypatch):
+    """An import kept only for ``perfbench/spans.py`` to replace is pinned
+    by the tracer; once the tracer stops patching it, the import is dead
+    and must go."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    modules = {
+        module.__name__.rsplit(".", 1)[-1]: module
+        for module in (spans.analytic, spans.cli, spans.crosscheck, spans.montecarlo,
+                       spans.oracle, spans.specfun)
+    }
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patched = {
+            f"{name}.{attr}"
+            for name, module in modules.items()
+            for attr, value in before[name].items()
+            if vars(module)[attr] is not value
+        }
+    finally:
+        tracer.uninstall()
+    assert [name for name in unread_imports() if name not in patched] == []

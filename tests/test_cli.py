@@ -63,13 +63,15 @@ class TestPoint:
         assert rows[0][0] == "bench-csi" and rows[0][3] == "mc"
 
     def test_benchmarks_have_no_analytic_rows(self, capsys):
-        status, out = run_cli(
-            capsys,
-            ["point", "--gamma0", "10", "--samples", "2000",
-             "--protocol", "bench-csi,bench-qos", "--method", "analytic"],
-        )
-        assert status == 0
-        assert data_rows(out) == []
+        """Only the benchmarks by the closed forms select no row, which is
+        a usage error naming both flags."""
+        argv = ["point", "--gamma0", "10", "--samples", "2000",
+                "--protocol", "bench-csi,bench-qos", "--method", "analytic"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert _named("--protocol", err) and _named("--method", err)
+        assert "selects no rows" in err
 
     def test_exact_rows_have_zero_samples_and_stderr(self, capsys):
         _, out = run_cli(
@@ -361,6 +363,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"{cfg}:1: key '--gamma0': crul validate has no flag --gamma0" in err
         assert "---" not in err
+
+    def test_a_selection_with_no_rows_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "run.csv"
+        argv = ["sweep", "--protocol", "bench-csi,bench-qos", "--method", "analytic",
+                "--emit-plot", "--out", str(target)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert _named("--protocol", err) and _named("--method", err)
+        assert not target.exists()
+        assert not target.with_suffix(".gp").exists()
 
 
 #: Flags each subcommand does not take: no run of it would read them.

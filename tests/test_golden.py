@@ -115,8 +115,8 @@ def test_deviation_report_matches_golden():
 
 
 def test_chunk_sums_match_golden_bits():
-    """Every family's per-case sums and squared sum of each stored chunk,
-    compared as the hex of their doubles."""
+    """Every family's sum and squared sum of each stored chunk, compared as
+    the hex of their doubles."""
     path = SCRIPTS / "chunk_sums_golden.py"
     spec = importlib.util.spec_from_file_location("chunk_sums_golden", path)
     script = importlib.util.module_from_spec(spec)
