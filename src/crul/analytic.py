@@ -133,7 +133,7 @@ def below_threshold_term(scenario: ScenarioConfig, rule: QuadratureRule) -> floa
 def below_threshold_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration of the ratio density."""
     integrand = lambda z: np.log2(1.0 + z) * ratio_density(z, scenario)
-    return panel_integral(integrand, 0.0, 1.0 / scenario.lambda_su, REL_TOL)
+    return panel_integral(integrand, 1.0 / scenario.lambda_su, REL_TOL)
 
 
 def split_band_term(scenario: ScenarioConfig) -> float:
@@ -343,7 +343,7 @@ def reduced_power_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
 def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration of its own kernel."""
     kernel = lambda v: _reduced_kernel(v, scenario)
-    return panel_integral(kernel, 0.0, 1.0 / _band_decay(scenario), REL_TOL)
+    return panel_integral(kernel, 1.0 / _band_decay(scenario), REL_TOL)
 
 
 def preferred_order_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
@@ -354,4 +354,4 @@ def preferred_order_term(scenario: ScenarioConfig, rule: QuadratureRule) -> floa
 def preferred_order_term_integral(scenario: ScenarioConfig) -> float:
     """Same contribution by adaptive integration of its kernel."""
     kernel = lambda v: sum(_preferred_order_parts(v, scenario))
-    return panel_integral(kernel, 0.0, 1.0 / _band_decay(scenario), REL_TOL)
+    return panel_integral(kernel, 1.0 / _band_decay(scenario), REL_TOL)

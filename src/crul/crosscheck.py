@@ -13,8 +13,10 @@ nothing more.  Every route is a callable of the scenario and the
 half-line rule, ``analytic.gauss_laguerre(nodes)``.
 
 A term's routes are written once, in one table keyed by the oracle's term
-name, and a row runs only the ``derived`` one.  The others are
-report-only, tabulated by :func:`deviation_report`: the printed
+name, and run by one loop, :func:`term_reports`.  An analytic row
+(:func:`evaluate`) sums the chosen values of a ``derived``-only run, and
+release check 5 compares those rows with the oracle's.  The other routes
+are report-only, tabulated by :func:`deviation_report`: the printed
 transcriptions (``stated``, slips included, the ``analytic.*_stated``
 functions), rate splitting's merged tail (``combined_tail``, the band and
 clear-channel terms as its headline groups them), and adaptive
@@ -95,9 +97,10 @@ class TermReport:
         )
 
 
-def _run_routes(routes, scenario, rule) -> tuple[dict[str, float], dict[str, str]]:
-    """Each route's value (a callable of the scenario and the quadrature
-    rule), NaN with a reason if it raised."""
+def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True) -> TermReport:
+    """Evaluate every route, NaN with a reason if it raised; the ``derived``
+    one is chosen where it is within tolerance of the oracle, and the
+    oracle value where it is not."""
     values, errors = {}, {}
     for name, route in routes.items():
         try:
@@ -105,13 +108,6 @@ def _run_routes(routes, scenario, rule) -> tuple[dict[str, float], dict[str, str
         except _ROUTE_ERRORS as exc:
             values[name] = math.nan
             errors[name] = f"{type(exc).__name__}: {exc}"
-    return values, errors
-
-
-def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True) -> TermReport:
-    """Evaluate every route; the ``derived`` one is chosen where it is within
-    tolerance of the oracle, and the oracle value where it is not."""
-    values, errors = _run_routes(routes, scenario, rule)
     chosen_route, chosen_value = "oracle", oracle_value
     if relative_deviation(values["derived"], oracle_value) <= ARBITRATION_REL_TOL:
         chosen_route, chosen_value = "derived", values["derived"]
@@ -166,18 +162,17 @@ _COMBINED_TAIL = {
 
 
 def term_reports(
-    protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = DEFAULT_NODES
+    protocol: ProtocolKind,
+    scenario: ScenarioConfig,
+    nodes: int = DEFAULT_NODES,
+    every_route: bool = False,
 ) -> list[TermReport]:
-    """Each term of the total, its closed form against its own oracle.
+    """Each term of the total, its closed form against its own oracle: a
+    row's ``derived`` route only, or every route of :data:`_ROUTES`.
 
     The normalized protocol reports the plain-SIC terms evaluated at the
     power-normalized configuration.
     """
-    return _term_reports(protocol, scenario, nodes, every_route=False)
-
-
-def _term_reports(protocol, scenario, nodes, every_route) -> list[TermReport]:
-    """:func:`term_reports`, with every route of :data:`_ROUTES` if asked."""
     if protocol not in ANALYTIC_PROTOCOLS:
         raise ValueError(f"no closed-form decomposition for {protocol}")
     if protocol is ProtocolKind.CR_SIC_NORM:
@@ -196,13 +191,6 @@ def _term_reports(protocol, scenario, nodes, every_route) -> list[TermReport]:
     return reports
 
 
-def arbitrated_rate(
-    protocol: ProtocolKind, scenario: ScenarioConfig, nodes: int = DEFAULT_NODES
-) -> float:
-    """Oracle-arbitrated analytic ergodic rate (sum of the chosen term values)."""
-    return math.fsum(r.chosen_value for r in term_reports(protocol, scenario, nodes=nodes))
-
-
 def evaluate(
     protocol: ProtocolKind,
     scenario: ScenarioConfig,
@@ -211,12 +199,13 @@ def evaluate(
     nodes: int = DEFAULT_NODES,
 ) -> EstimateResult:
     """Front door over the two deterministic routes, which record zero samples:
-    ``analytic`` (the arbitrated closed form, defined only for the protocols
-    that have one) and ``oracle``.  Monte Carlo rows come from
+    ``analytic`` (the sum of the arbitrated terms, defined only for the
+    protocols that have one) and ``oracle``.  Monte Carlo rows come from
     :func:`crul.montecarlo.sample_point`.
     """
     if method == "analytic":
-        value = arbitrated_rate(protocol, scenario, nodes=nodes)
+        reports = term_reports(protocol, scenario, nodes=nodes)
+        value = math.fsum(report.chosen_value for report in reports)
     elif method == "oracle":
         value = ergodic_rate_oracle(protocol, scenario)
     else:
@@ -239,7 +228,7 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     for label, scenario in scenarios.items():
         # The normalized protocol's terms are pure SIC's at another scenario.
         for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC):
-            reports = _term_reports(protocol, scenario, DEFAULT_NODES, every_route=True)
+            reports = term_reports(protocol, scenario, every_route=True)
             by_term = {report.term: report for report in reports}
             if "split_band" in by_term:
                 tail = by_term["split_band"].oracle_value + by_term["clear_channel"].oracle_value

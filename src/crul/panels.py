@@ -215,17 +215,16 @@ def _checked(value: float, error: float, rel_tol: float) -> float:
 
 def panel_integral(
     f: Callable[[np.ndarray], np.ndarray],
-    lower: float,
     scale: float,
     rel_tol: float,
 ) -> float:
-    """``int f`` over ``[lower, lower + horizon * scale]`` on doubling panels.
+    """``int f`` over ``[0, horizon * scale]`` on doubling panels.
 
     ``scale`` is the decay length of ``f``.  Raises
     :class:`QuadratureError` when the summed error estimate exceeds
     ``10 * rel_tol * |value| + 1e-12``.
     """
-    edges = geometric_edges(lower, lower + tail_horizon(rel_tol) * scale, scale)
+    edges = geometric_edges(0.0, tail_horizon(rel_tol) * scale, scale)
     rows = np.zeros(edges.size - 1, dtype=np.intp)
     value, error = _integrate_rows(
         lambda _, nodes: f(nodes), rows, edges[:-1], edges[1:], 1, rel_tol / 2.0

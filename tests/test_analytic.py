@@ -96,7 +96,7 @@ class TestRatioDensity:
         # the event that the primary misses its SINR target.
         for p in (p20, unit_scenario):
             mass = panel_integral(
-                lambda z: analytic.ratio_density(z, p), 0.0, 1.0 / p.lambda_su, 1e-10
+                lambda z: analytic.ratio_density(z, p), 1.0 / p.lambda_su, 1e-10
             )
             expected = 1.0 - math.exp(-p.lambda_pu * p.theta)
             assert mass == pytest.approx(expected, abs=1e-6)

@@ -5,6 +5,8 @@ Names that only tests use belong in the tests (or nowhere): this parses
 module refers to outside its own definition and ``__all__``.  Likewise a
 defaulted parameter that no call in the package passes is a setting no
 run can change: it fails here until it is deleted or a caller sets it.
+A parameter that every call, tests included, passes as the same literal
+is a constant and fails here too.
 The benchmark's tracer reaches the package by name too, so each name it
 wraps must keep resolving, and an import that nothing reads must be one it
 wraps.
@@ -18,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "crul"
+TESTS = ROOT / "tests"
 
 
 def _trees(source: Path) -> dict[str, ast.Module]:
@@ -65,6 +68,16 @@ def _calls(node, caller=None):
         yield from _calls(child, child.name if isinstance(child, _FUNCTIONS) else caller)
 
 
+def _method_ids(tree: ast.Module) -> set[int]:
+    """``id`` of each function defined directly in a class body."""
+    return {
+        id(child)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for child in node.body
+    }
+
+
 def _defaulted(node, is_method: bool):
     """``(name, call-site position)`` of each defaulted parameter of ``node``;
     the position is None for keyword-only ones and skips a method's receiver."""
@@ -97,12 +110,7 @@ def unpassed_defaults(source: Path = SOURCE) -> list[str]:
             keywords.update((name, keyword.arg) for keyword in call.keywords)
     missing = []
     for module, tree in trees.items():
-        methods = {
-            id(child)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            for child in node.body
-        }
+        methods = _method_ids(tree)
         for node in ast.walk(tree):
             if not isinstance(node, _FUNCTIONS):
                 continue
@@ -115,12 +123,72 @@ def unpassed_defaults(source: Path = SOURCE) -> list[str]:
     return missing
 
 
+def _literal(node) -> str | None:
+    """The dump of ``node`` if it is a literal, else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def constant_arguments(source: Path = SOURCE, callers: tuple[Path, ...] = (SOURCE, TESTS)):
+    """``module.function(parameter)`` of each parameter of a function in
+    ``source`` that every call in ``callers`` passes as one and the same
+    literal: a constant dressed as a parameter.
+
+    Calls are matched to definitions by simple name, as in
+    :func:`unpassed_defaults`, and a name defined more than once is
+    skipped.  A call that spreads ``*args`` or ``**kwargs`` may pass
+    anything, so no parameter of its callee is named.
+    """
+    definitions = []
+    for module, tree in _trees(source).items():
+        methods = _method_ids(tree)
+        definitions += [
+            (module, node, id(node) in methods)
+            for node in ast.walk(tree)
+            if isinstance(node, _FUNCTIONS)
+        ]
+    defined = Counter(node.name for _, node, _ in definitions)
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in callers:
+        for tree in _trees(folder).values():
+            for name, call in _calls(tree):
+                calls.setdefault(name, []).append(call)
+    constant = []
+    for module, node, is_method in definitions:
+        found = calls.get(node.name, [])
+        if defined[node.name] > 1 or not found:
+            continue
+        ordered = [arg.arg for arg in node.args.posonlyargs + node.args.args][is_method:]
+        for param in ordered + [arg.arg for arg in node.args.kwonlyargs]:
+            passed = set()
+            for call in found:
+                keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+                if None in keywords or any(isinstance(arg, ast.Starred) for arg in call.args):
+                    passed.add(None)
+                    continue
+                position = ordered.index(param) if param in ordered else math.inf
+                value = call.args[position] if position < len(call.args) else keywords.get(param)
+                passed.add(None if value is None else _literal(value))
+            if len(passed) == 1 and None not in passed:
+                constant.append(f"{module}.{node.name}({param})")
+    return constant
+
+
 def test_every_public_name_is_used_in_the_package():
     assert unused_public_names() == []
 
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
     assert unpassed_defaults() == []
+
+
+def test_no_parameter_is_always_passed_the_same_literal():
+    """A parameter that every call in the package and its tests sets to the
+    same literal is a constant; it belongs in the function's body."""
+    assert constant_arguments() == []
 
 
 def test_no_np_vectorize_in_the_package():

@@ -601,10 +601,11 @@ class TestFigurePresets:
 
     @pytest.mark.parametrize("figure", ["figure2", "figure3"])
     def test_script_writes_csv_and_plot(self, tmp_path, figure):
+        """A fresh ``python -m crul figureN --emit-plot`` writes the CSV and
+        its gnuplot script."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         target = tmp_path / f"{figure}.csv"
-        script = ROOT / "scripts" / f"run_{figure}.py"
-        command = [sys.executable, str(script), "--method", "oracle",
+        command = [sys.executable, "-m", "crul", figure, "--emit-plot", "--method", "oracle",
                    "--protocol", "cr-rsma", "--out", str(target)]
         done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr

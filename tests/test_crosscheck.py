@@ -5,14 +5,13 @@ import math
 
 import pytest
 
-from crul import analytic, cli, crosscheck
+from crul import analytic, cli, crosscheck, validation
 from crul.analytic import DEFAULT_NODES
 from crul.channel import ScenarioConfig
 from crul.crosscheck import (
     ANALYTIC_PROTOCOLS,
     ARBITRATION_REL_TOL,
     REPORT_REL_TOL,
-    arbitrated_rate,
     deviation_report,
     evaluate,
     relative_deviation,
@@ -172,9 +171,8 @@ class TestTermReports:
         assert report.term == "clear_channel"
         assert report.chosen_route != "oracle"  # a closed form carries the term
         reference = ergodic_rate_oracle(protocol, scenario)
-        assert relative_deviation(arbitrated_rate(protocol, scenario), reference) <= (
-            ARBITRATION_REL_TOL
-        )
+        analytic_rate = evaluate(protocol, scenario, "analytic").value
+        assert relative_deviation(analytic_rate, reference) <= ARBITRATION_REL_TOL
 
 
 class TestArbitratedRate:
@@ -185,14 +183,9 @@ class TestArbitratedRate:
     )
     def test_matches_oracle_across_grid(self, gamma0_db, protocol):
         scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
-        arbitrated = arbitrated_rate(protocol, scenario)
+        arbitrated = evaluate(protocol, scenario, "analytic").value
         reference = ergodic_rate_oracle(protocol, scenario)
         assert relative_deviation(arbitrated, reference) < 1e-3
-
-    def test_total_is_sum_of_chosen_component_terms(self):
-        reports = term_reports(ProtocolKind.CR_RSMA, SCENARIO_20DB)
-        total = arbitrated_rate(ProtocolKind.CR_RSMA, SCENARIO_20DB)
-        assert total == math.fsum(r.chosen_value for r in reports if r.in_total)
 
 
 class TestEvaluate:
@@ -202,9 +195,13 @@ class TestEvaluate:
         assert result.stderr == 0.0
         assert result.n_samples == 0
 
-    def test_analytic_method(self):
-        result = evaluate(ProtocolKind.CR_SIC, SCENARIO_20DB, "analytic")
-        assert result.value == arbitrated_rate(ProtocolKind.CR_SIC, SCENARIO_20DB)
+    @pytest.mark.parametrize("protocol", ANALYTIC_PROTOCOLS)
+    def test_analytic_method(self, protocol):
+        """An analytic row is the sum of the chosen values of its terms."""
+        result = evaluate(protocol, SCENARIO_20DB, "analytic")
+        reports = term_reports(protocol, SCENARIO_20DB)
+        assert all(report.in_total for report in reports)
+        assert result.value == math.fsum(report.chosen_value for report in reports)
         assert result.stderr == 0.0
         assert result.n_samples == 0
 
@@ -254,6 +251,49 @@ class TestDeviationReport:
             assert ("integral" in entry["routes"]) == (entry["term"] in checked)
             assert entry["chosen_route"] != "integral"
         assert sum(entry["term"] in checked for entry in report["entries"]) == 4
+
+
+class TestOnePath:
+    """The analytic rows, the deviation report and release check 5 take
+    their terms from one loop, so they agree on every term and total."""
+
+    SCENARIOS = {
+        f"gamma0_{db:g}db": ScenarioConfig.from_snr_db(db, db)
+        for db in validation._QUICK_ANALYTIC_GRID
+    }
+    PROTOCOLS = (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC)
+
+    @pytest.fixture(scope="class")
+    def quick_check(self):
+        return validation.criterion_analytic_oracle(validation._QUICK_ANALYTIC_GRID)
+
+    def test_report_counts_exactly_the_rows_terms(self, quick_check):
+        _, report = quick_check
+        counted = [
+            (e["config"], e["protocol"], e["term"], e["chosen_route"], e["chosen_value"],
+             e["oracle"])
+            for e in report["entries"]
+            if e["counts_toward_total"]
+        ]
+        rows = [
+            (label, r.protocol, r.term, r.chosen_route, r.chosen_value, r.oracle_value)
+            for label, scenario in self.SCENARIOS.items()
+            for protocol in self.PROTOCOLS
+            for r in term_reports(protocol, scenario)
+        ]
+        assert counted == rows
+
+    def test_check_5_measures_the_analytic_rows_against_the_oracle_rows(self, quick_check):
+        check, _ = quick_check
+        worst = max(
+            relative_deviation(
+                evaluate(protocol, scenario, "analytic").value,
+                evaluate(protocol, scenario, "oracle").value,
+            )
+            for scenario in self.SCENARIOS.values()
+            for protocol in self.PROTOCOLS
+        )
+        assert check.measured == worst
 
 
 REPORT_ONLY = (
@@ -341,7 +381,7 @@ class TestRouteIsolation:
             assert entry["chosen_route"] == "derived"
             assert "stated" in entry["flagged_routes"]
         assert entries["interference_limited"]["route_errors"] == {}
-        rate = arbitrated_rate(ProtocolKind.CR_RSMA, self.SCENARIO)
+        rate = evaluate(ProtocolKind.CR_RSMA, self.SCENARIO, "analytic").value
         oracle = ergodic_rate_oracle(ProtocolKind.CR_RSMA, self.SCENARIO)
         assert relative_deviation(rate, oracle) <= ARBITRATION_REL_TOL
 
@@ -355,7 +395,7 @@ class TestRouteIsolation:
         assert math.isnan(band.routes["derived"])
         assert band.route_errors == {"derived": "OverflowError: math range error"}
         assert (band.chosen_route, band.chosen_value) == ("oracle", band.oracle_value)
-        rate = arbitrated_rate(ProtocolKind.CR_RSMA, SCENARIO_20DB)
+        rate = evaluate(ProtocolKind.CR_RSMA, SCENARIO_20DB, "analytic").value
         oracle = ergodic_rate_oracle(ProtocolKind.CR_RSMA, SCENARIO_20DB)
         assert relative_deviation(rate, oracle) <= ARBITRATION_REL_TOL
 

@@ -237,11 +237,11 @@ class TestEstimate:
         assert abs(result.value - reference) <= 3.0 * result.stderr
 
     def test_rate_splitting_matches_closed_form(self):
-        from crul.crosscheck import arbitrated_rate
+        from crul.crosscheck import evaluate
 
         mc = McConfig(n_samples=10**6, seed=31)
         result = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, mc)
-        reference = arbitrated_rate(ProtocolKind.CR_RSMA, SCENARIO_20DB)
+        reference = evaluate(ProtocolKind.CR_RSMA, SCENARIO_20DB, "analytic").value
         assert abs(result.value - reference) <= 3.0 * result.stderr
 
     def test_single_sample_equals_per_realization_rate(self):

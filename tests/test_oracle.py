@@ -325,7 +325,7 @@ def expected_clean_rate(rate_parameter):
     """``E[log2(1 + gamma)]`` as one integral over the exponential SNR."""
     return panel_integral(
         lambda y: np.log1p(y) / math.log(2.0) * rate_parameter * np.exp(-rate_parameter * y),
-        0.0, 1.0 / rate_parameter, REL_TOL,
+        1.0 / rate_parameter, REL_TOL,
     )
 
 

@@ -255,13 +255,13 @@ def test_panel_integral_of_exponential_moments(rate):
     # int t^k rate exp(-rate t) = k! / rate^k
     for k in (0, 1, 3):
         value = panel_integral(
-            lambda t: t**k * rate * np.exp(-rate * t), 0.0, 1.0 / rate, 1e-10
+            lambda t: t**k * rate * np.exp(-rate * t), 1.0 / rate, 1e-10
         )
         assert value == pytest.approx(math.factorial(k) / rate**k, rel=1e-10)
 
 
 def test_panel_integral_resolves_a_jump_by_bisection():
-    value = panel_integral(lambda t: np.where(t < 1.0 / 3.0, 0.0, np.exp(-t)), 0.0, 1.0, 1e-10)
+    value = panel_integral(lambda t: np.where(t < 1.0 / 3.0, 0.0, np.exp(-t)), 1.0, 1e-10)
     assert value == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-10)
 
 
@@ -269,7 +269,7 @@ def test_panel_integral_raises_when_it_cannot_meet_the_budget():
     # exp(-t)/t is not integrable at 0: bisection stops at the panel cap
     # with the error of the first panel still a fixed share of the value.
     with pytest.raises(QuadratureError):
-        panel_integral(lambda t: np.exp(-t) / t, 0.0, 1.0, 1e-9)
+        panel_integral(lambda t: np.exp(-t) / t, 1.0, 1e-9)
 
 
 # ------------------------------------------------------------ 2-D integral
