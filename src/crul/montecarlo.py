@@ -25,25 +25,30 @@ power scale from one such pass, plus the boosted pass of the
 power-normalized protocol; :func:`estimate` and :func:`mean_power_factor`
 are the same pass over a single family.
 
-Each public call makes one :class:`~crul.protocols.Workspace` of
+Each public call borrows one :class:`~crul.protocols.Workspace` of
 chunk-sized buffers per worker, and its chunks draw, classify and reduce
 inside them: a chunk takes a free workspace from the call's queue and
-puts it back when done, and the workspaces go when the call returns.
-Fresh chunk-sized arrays cost more than the arithmetic on them, because
-the allocator returned their pages to the system after every chunk and
-faulted them in again for the next.  Nor does any step store through a
-data-dependent mask, which costs several times more on mixed cells than
-on uniform ones.  Workspaces change where values are stored, not how they
-are computed, so the sums are those of new arrays.
+puts it back when done.  Fresh chunk-sized arrays cost more than the
+arithmetic on them, because the allocator returned their pages to the
+system after every chunk and faulted them in again for the next.  For the
+same reason the process keeps its worker threads and their workspaces
+from one call to the next (see :func:`borrow_workspaces`), instead of
+starting threads and faulting in new workspaces at every grid point.
+Nor does any step store through a data-dependent mask, which costs
+several times more on mixed cells than on uniform ones.  Workspaces
+change where values are stored, not how they are computed, so the sums
+are those of new arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import queue
+import threading
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +72,8 @@ from .protocols import (
 _POWER = "power scale"
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each busy worker
 #: holds one chunk workspace, 6.9 MB at the default chunk size, and up to
-#: 1.6 MB of index arrays while it reduces a chunk.
+#: 1.6 MB of index arrays while it reduces a chunk.  The threads and their
+#: workspaces then stay, idle, for the next call (see :func:`borrow_workspaces`).
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks at the default chunk size.
 MAX_SAMPLES = 10**10
@@ -122,6 +128,10 @@ class McConfig:
         return counts
 
 
+#: The most draws a kept workspace may hold: one default chunk, 6.9 MB.
+_KEPT_CAPACITY = McConfig().chunk_size
+
+
 def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent generator for one chunk of the sample index space.
 
@@ -145,29 +155,94 @@ def resolve_workers(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
-def _map_chunks(kernel, mc: McConfig):
-    """Run ``kernel(chunk_index, count)`` over all chunks, in chunk order."""
-    counts = mc.chunk_counts()
-    tasks = list(enumerate(counts))
-    n_workers = resolve_workers(len(tasks))
+class _Reserve:
+    """The worker threads and chunk workspaces that Monte Carlo calls pass on
+    to the next: one pool, remade when a call asks for another thread count,
+    and the workspaces no call holds, all of one capacity and never more
+    than the pool has threads."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.workers = 0
+        self.workspaces: list[Workspace] = []
+        self._pool: ThreadPoolExecutor | None = None
+
+    def pool(self, n_workers: int) -> ThreadPoolExecutor:
+        """The pool of ``n_workers`` threads; the caller holds the lock."""
+        if n_workers != self.workers:
+            if self._pool is not None:
+                self._pool.shutdown(wait=False)  # its queued chunks still run
+            self._pool = ThreadPoolExecutor(n_workers, thread_name_prefix="crul-mc")
+            self.workers = n_workers
+            del self.workspaces[n_workers:]
+        return self._pool
+
+    def keep_only(self, capacity: int) -> list[Workspace]:
+        """The kept workspaces, after dropping any not of ``capacity``; the
+        caller holds the lock."""
+        if self.workspaces and self.workspaces[0].capacity != capacity:
+            self.workspaces.clear()
+        return self.workspaces
+
+
+_reserve = _Reserve()
+
+
+def _start_clean() -> None:
+    """A forked child has none of its parent's pool threads, and the lock
+    may have been held by one of them: start from nothing."""
+    global _reserve
+    _reserve = _Reserve()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_clean)
+
+
+def _map_chunks(kernel, mc: McConfig, n_workers: int):
+    """Run ``kernel(chunk_index, count)`` over all chunks on ``n_workers``
+    threads, in chunk order; one worker runs them in the calling thread."""
+    tasks = list(enumerate(mc.chunk_counts()))
     if n_workers == 1:
         return [kernel(i, m) for i, m in tasks]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(lambda im: kernel(im[0], im[1]), tasks))
+    with _reserve.lock:
+        futures = [_reserve.pool(n_workers).submit(kernel, i, m) for i, m in tasks]
+    try:
+        return [future.result() for future in futures]
+    finally:
+        # After a failed chunk, no other chunk may still run in the call's
+        # workspaces once it returns them.
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
-def _workspaces(mc: McConfig) -> queue.SimpleQueue:
-    """One workspace per worker, for the passes of one call.
+@contextlib.contextmanager
+def borrow_workspaces(mc: McConfig, count: int):
+    """``count`` workspaces for the chunks of one call, as a list, until it is done.
 
-    They are made here, on the calling thread, so that each call takes its
-    buffers from the arena the last call freed them to.  Made on the pool's
-    threads, they land in the arena of whichever thread ran first, and a
-    call can leave one arena's memory idle while it fills another's.
+    Kept workspaces of the call's capacity come first.  The missing ones are
+    made here, on the calling thread: made on the pool's threads, they would
+    land in the arena of whichever thread ran first, and one arena's memory
+    could sit idle while another's fills.  When the call is done, its
+    workspaces are kept for the next, up to as many as the pool has threads
+    and none holding more than a default chunk.  Before the first pooled
+    call there is no pool, so a process that runs one chunk at a time frees
+    its workspace as before, and the arrays it makes next reuse the pages.
     """
-    workspaces = queue.SimpleQueue()
-    for _ in range(resolve_workers(mc.n_chunks)):
-        workspaces.put(Workspace(min(mc.chunk_size, mc.n_samples)))
-    return workspaces
+    capacity = min(mc.chunk_size, mc.n_samples)
+    with _reserve.lock:
+        kept = _reserve.keep_only(capacity)
+        lent = [kept.pop() for _ in range(min(count, len(kept)))]
+    lent += [Workspace(capacity) for _ in range(count - len(lent))]
+    try:
+        yield lent
+    finally:
+        if capacity <= _KEPT_CAPACITY:
+            with _reserve.lock:
+                kept = _reserve.keep_only(capacity)
+                kept.extend(lent)
+                del kept[_reserve.workers:]
 
 
 def draw_chunk(
@@ -236,18 +311,21 @@ def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count
 def _sample(scenario: ScenarioConfig, mc: McConfig, families, workspaces) -> dict:
     """One pass over the draws: the estimate of every family, by family.
 
-    Each chunk runs in a workspace taken from ``workspaces``, the public
-    call's pool, and gives it back when done.
+    The pass runs on one worker per workspace of ``workspaces``, the public
+    call's, and each chunk takes a free one and gives it back when done.
     """
+    free = queue.SimpleQueue()
+    for workspace in workspaces:
+        free.put(workspace)
 
     def kernel(index: int, count: int):
-        workspace = workspaces.get()
+        workspace = free.get()
         try:
             return _chunk_sums(scenario, families, mc.seed, index, count, workspace)
         finally:
-            workspaces.put(workspace)
+            free.put(workspace)
 
-    chunks = _map_chunks(kernel, mc)
+    chunks = _map_chunks(kernel, mc, len(workspaces))
     results = {}
     # Fold each family's chunks in chunk order, so the totals do not
     # depend on scheduling.
@@ -290,15 +368,15 @@ def sample_point(
     """
     requested = dict.fromkeys(protocols)
     plain = tuple(p for p in requested if p is not ProtocolKind.CR_SIC_NORM)
-    workspaces = _workspaces(mc)
-    estimates = _sample(scenario, mc, (*plain, _POWER), workspaces)
-    power = estimates.pop(_POWER)
-    if ProtocolKind.CR_SIC_NORM in requested:
-        if not power.value > 0.0:
-            raise ValueError(f"power scale must be > 0, got {power.value}")
-        boosted = scenario.with_secondary_snr_scaled(1.0 / power.value)
-        sic = _sample(boosted, mc, (ProtocolKind.CR_SIC,), workspaces)[ProtocolKind.CR_SIC]
-        estimates[ProtocolKind.CR_SIC_NORM] = sic
+    with borrow_workspaces(mc, resolve_workers(mc.n_chunks)) as workspaces:
+        estimates = _sample(scenario, mc, (*plain, _POWER), workspaces)
+        power = estimates.pop(_POWER)
+        if ProtocolKind.CR_SIC_NORM in requested:
+            if not power.value > 0.0:
+                raise ValueError(f"power scale must be > 0, got {power.value}")
+            boosted = scenario.with_secondary_snr_scaled(1.0 / power.value)
+            sic = _sample(boosted, mc, (ProtocolKind.CR_SIC,), workspaces)
+            estimates[ProtocolKind.CR_SIC_NORM] = sic[ProtocolKind.CR_SIC]
     return estimates, power
 
 
@@ -310,7 +388,8 @@ def estimate(protocol: ProtocolKind, scenario: ScenarioConfig, mc: McConfig) -> 
     is over all draws, not over admitted ones.  The normalized protocol
     needs the power scale first; :func:`sample_point` estimates both.
     """
-    return _sample(scenario, mc, (protocol,), _workspaces(mc))[protocol]
+    with borrow_workspaces(mc, resolve_workers(mc.n_chunks)) as workspaces:
+        return _sample(scenario, mc, (protocol,), workspaces)[protocol]
 
 
 def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
@@ -320,4 +399,5 @@ def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
     the primary sits inside the protected band, and 1 elsewhere (full
     power is admissible), so the mean lives in (0, 1].
     """
-    return _sample(scenario, mc, (_POWER,), _workspaces(mc))[_POWER]
+    with borrow_workspaces(mc, resolve_workers(mc.n_chunks)) as workspaces:
+        return _sample(scenario, mc, (_POWER,), workspaces)[_POWER]

@@ -29,11 +29,17 @@ import scipy.special
 
 from .channel import ScenarioConfig
 from .crosscheck import deviation_report, evaluate, relative_deviation
-from .montecarlo import McConfig, draw_chunk, estimate, mean_power_factor, sample_point
+from .montecarlo import (
+    McConfig,
+    borrow_workspaces,
+    draw_chunk,
+    estimate,
+    mean_power_factor,
+    sample_point,
+)
 from .oracle import ergodic_delta_oracle, ergodic_rate_oracle, normalized
 from .protocols import (
     ProtocolKind,
-    Workspace,
     primary_rate_arrays,
     rsma_rate_arrays,
     sic_rate_arrays,
@@ -72,11 +78,11 @@ def _scenario(snr_db: float, secondary_db: float | None = None) -> ScenarioConfi
 
 def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
     """Yield the classified draws of each chunk of the seeded substreams,
-    all in one workspace, so each holds until the next is drawn."""
+    all in one borrowed workspace, so each holds until the next is drawn."""
     mc = McConfig(n_samples=samples, seed=seed)
-    workspace = Workspace(min(mc.chunk_size, mc.n_samples))
-    for index, count in enumerate(mc.chunk_counts()):
-        yield draw_chunk(scenario, seed, index, count, workspace)
+    with borrow_workspaces(mc, 1) as (workspace,):
+        for index, count in enumerate(mc.chunk_counts()):
+            yield draw_chunk(scenario, seed, index, count, workspace)
 
 
 # --------------------------------------------------------------- criterion 1

@@ -1,9 +1,14 @@
 """Tests for the chunked, parallel-deterministic Monte Carlo estimator."""
 
 import math
+import multiprocessing
 import os
+import resource
 import sys
+import threading
+import time
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -498,6 +503,247 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+# ------------------------------------------------ kept threads and workspaces
+
+#: Every protocol of a grid point, the normalized one included, so a call
+#: makes both passes.
+EVERY_PROTOCOL = tuple(ProtocolKind)
+
+
+@pytest.fixture
+def fresh_reserve(monkeypatch):
+    """A process with no kept pool or workspaces, as at start-up."""
+    monkeypatch.setattr(montecarlo, "_reserve", montecarlo._Reserve())
+
+
+@pytest.fixture
+def made_workspaces(monkeypatch):
+    """The capacity of every workspace made while the test runs, in order."""
+    made = []
+    original = Workspace.__init__
+
+    def counted(self, capacity):
+        made.append(capacity)
+        original(self, capacity)
+
+    monkeypatch.setattr(Workspace, "__init__", counted)
+    return made
+
+
+def _serial_point(scenario, mc):
+    with threads(1):
+        return sample_point(scenario, mc, EVERY_PROTOCOL)
+
+
+def _child_estimate(conn):
+    conn.send(estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, McConfig(n_samples=200_000)))
+    conn.close()
+
+
+class TestKeptThreadsAndWorkspaces:
+    def test_warm_calls_make_no_workspace_and_start_no_thread(
+        self, monkeypatch, fresh_reserve, made_workspaces
+    ):
+        workers, original = [], montecarlo._chunk_sums
+
+        def recorded(*args):
+            workers.append(threading.current_thread())
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_sums", recorded)
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        mc = McConfig(n_samples=400_000, seed=4)
+        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        assert made_workspaces == [mc.chunk_size] * 2
+        running, warm_workers = threading.active_count(), set(workers)
+        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
+        mean_power_factor(SCENARIO_20DB, replace(mc, seed=5))
+        assert made_workspaces == [mc.chunk_size] * 2
+        assert threading.active_count() == running
+        assert set(workers) == warm_workers
+
+    def test_warm_calls_take_few_page_faults(self, monkeypatch, fresh_reserve):
+        """Three warm grid points of 1e6 draws on two threads fault in under
+        1,000 pages; with a new pool and new workspaces per call they took
+        about 3,000."""
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        mc = McConfig()
+        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in (1, 2, 3):
+            sample_point(SCENARIO_20DB, replace(mc, seed=seed), EVERY_PROTOCOL)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1_000
+
+    def test_a_serial_call_keeps_nothing_before_a_pooled_one(
+        self, monkeypatch, fresh_reserve, made_workspaces
+    ):
+        monkeypatch.setenv("CRUL_THREADS", "1")
+        mc = McConfig(n_samples=200_000, seed=6)
+        estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
+        estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
+        assert made_workspaces == [mc.chunk_size] * 2
+        assert montecarlo._reserve.workspaces == []
+
+    def test_a_serial_call_after_a_pooled_one_adds_no_workspace(
+        self, monkeypatch, fresh_reserve, made_workspaces
+    ):
+        """The one-thread check after a two-thread figure round borrows a
+        kept workspace, so at most two exist."""
+        mc = McConfig(n_samples=200_000, seed=7)
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        pooled = sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        monkeypatch.setenv("CRUL_THREADS", "1")
+        assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == pooled
+        assert made_workspaces == [mc.chunk_size] * 2
+        assert len(montecarlo._reserve.workspaces) == 2
+
+    def test_release_checks_borrow_a_kept_workspace(
+        self, monkeypatch, fresh_reserve, made_workspaces
+    ):
+        from crul import validation
+
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        mc = McConfig(n_samples=200_000, seed=9)
+        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        drawn = validation._draw_chunks(SCENARIO_20DB, 9, 200_000)
+        cells = [draws.cells.copy() for draws in drawn]
+        assert made_workspaces == [mc.chunk_size] * 2
+        assert len(montecarlo._reserve.workspaces) == 2
+        for index, count in enumerate(mc.chunk_counts()):
+            assert np.array_equal(cells[index], draw_chunk(SCENARIO_20DB, 9, index, count).cells)
+
+    def test_a_workspace_past_the_default_chunk_is_not_kept(
+        self, monkeypatch, fresh_reserve, made_workspaces
+    ):
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        mc = McConfig(n_samples=300_000, seed=8, chunk_size=150_000)
+        for _ in range(2):
+            estimate(ProtocolKind.BENCH_CSI, SCENARIO_20DB, mc)
+        assert made_workspaces == [mc.chunk_size] * 4
+        assert montecarlo._reserve.workspaces == []
+
+    def test_thread_count_changes_within_a_process(self, monkeypatch, fresh_reserve):
+        mc = McConfig(n_samples=40_000, seed=42, chunk_size=5_000)
+        serial = _serial_point(SCENARIO_20DB, mc)
+        for count in (2, 1, 4, 2):
+            monkeypatch.setenv("CRUL_THREADS", str(count))
+            assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial, count
+            assert len(montecarlo._reserve.workspaces) <= max(count, 2)
+        assert montecarlo._reserve.workers == 2
+        assert len(montecarlo._reserve.workspaces) == 2
+
+    def test_chunk_capacity_changes_between_calls(self, monkeypatch, fresh_reserve):
+        small = McConfig(n_samples=640, seed=11, chunk_size=64)
+        large = McConfig(n_samples=200_000, seed=11)
+        serial = {mc: _serial_point(SCENARIO_20DB, mc) for mc in (small, large)}
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        for mc in (small, large, small):
+            assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial[mc]
+            assert {w.capacity for w in montecarlo._reserve.workspaces} == {mc.chunk_size}
+
+    def test_two_python_threads_sampling_at_once(self, monkeypatch, fresh_reserve):
+        """Two callers share the pool and the kept workspaces but never hold
+        one workspace at once.  Each chunk dwells in its workspace a little,
+        so where the two calls' chunks meet in the pool's queue, a workspace
+        lent to both would be seen in use twice; the pool has more threads
+        than the host has CPUs, and they switch often."""
+        boosted = SCENARIO_20DB.with_secondary_snr_scaled(3.0)
+        jobs = [
+            (SCENARIO_20DB, McConfig(n_samples=8_000, seed=1, chunk_size=500)),
+            (boosted, McConfig(n_samples=8_000, seed=2, chunk_size=500)),
+        ]
+        serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
+        in_use, clashes, guard = set(), [], threading.Lock()
+        original = montecarlo._chunk_sums
+
+        def dwelling(scenario, families, seed, index, count, workspace):
+            with guard:
+                if workspace in in_use:
+                    clashes.append(index)
+                in_use.add(workspace)
+            try:
+                time.sleep(1e-4)
+                return original(scenario, families, seed, index, count, workspace)
+            finally:
+                with guard:
+                    in_use.discard(workspace)
+
+        monkeypatch.setattr(montecarlo, "_chunk_sums", dwelling)
+        workers = 2 * (os.cpu_count() or 1)
+        monkeypatch.setenv("CRUL_THREADS", str(workers))
+        sample_point(*jobs[0], EVERY_PROTOCOL)  # so both calls find kept workspaces
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs), timeout=60.0)
+
+        def run(i):
+            start.wait()
+            for _ in range(3):
+                results[i].append(sample_point(*jobs[i], EVERY_PROTOCOL))
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert clashes == []
+        assert results == [[expected] * 3 for expected in serial]
+        assert len(montecarlo._reserve.workspaces) == min(workers, jobs[0][1].n_chunks)
+
+    def test_a_failed_chunk_leaves_no_chunk_running(self, monkeypatch, fresh_reserve):
+        """A call whose chunk raises returns its workspaces only once no other
+        chunk of it runs in them, and the next call still matches."""
+        mc = McConfig(n_samples=20_000, seed=3, chunk_size=500)
+        serial = _serial_point(SCENARIO_20DB, mc)
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        running, original = [0], montecarlo._chunk_sums
+
+        def failing(scenario, families, seed, index, count, workspace):
+            running[0] += 1
+            try:
+                if index == 3:
+                    raise RuntimeError("chunk 3")
+                return original(scenario, families, seed, index, count, workspace)
+            finally:
+                running[0] -= 1
+
+        monkeypatch.setattr(montecarlo, "_chunk_sums", failing)
+        with pytest.raises(RuntimeError, match="chunk 3"):
+            sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        assert running[0] == 0
+        monkeypatch.setattr(montecarlo, "_chunk_sums", original)
+        assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
+    )
+    def test_a_forked_child_starts_clean(self, monkeypatch):
+        """A child forked after the parent used the pool has none of its
+        threads; it must make its own pool, not queue chunks for threads
+        that did not survive the fork."""
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        expected = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, McConfig(n_samples=200_000))
+        assert montecarlo._reserve.workers == 2
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(target=_child_estimate, args=(sender,))
+        child.start()
+        try:
+            assert receiver.poll(60.0), "the forked child's estimate never came back"
+            assert receiver.recv() == expected
+        finally:
+            child.join(5.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 # ------------------------------------------------------------ power factor
