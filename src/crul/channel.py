@@ -27,6 +27,7 @@ __all__ = [
     "qos_threshold",
     "exponential_from_uniform",
     "sample_snrs",
+    "scale_snrs",
 ]
 
 
@@ -104,13 +105,15 @@ class ScenarioConfig:
         return replace(self, lambda_su=self.lambda_su / factor)
 
 
-def exponential_from_uniform(u, rate: float, out=None):
+def exponential_from_uniform(u, rate: float, out=None, logs=None):
     """Map uniform draws on ``(0, 1]`` to Exp(rate) via the inverse CDF.
 
     ``u = 1`` maps to 0 and ``u -> 0`` to the tail, so feeding
     ``1 - random()`` (which lives on ``(0, 1]``) can never produce an
     infinite SNR.  Accepts scalars or arrays; ``out`` is the ufuncs'
-    ``out`` and may be ``u`` itself.
+    ``out`` and may be ``u`` itself.  ``logs``, if given, receives
+    ``log(u)`` on the way, the standard draw that :func:`scale_snrs` divides
+    by minus a rate, and may be ``u`` itself.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be > 0, got {rate}")
@@ -120,21 +123,35 @@ def exponential_from_uniform(u, rate: float, out=None):
         raise ValueError("uniform input must lie in (0, 1]")
     # -log(u)/rate, with the sign on the divisor: IEEE division is symmetric
     # in sign, so the bits are the same and the array takes one pass fewer.
-    result = np.divide(np.log(u_arr, out=out), -rate, out=out)
+    result = np.divide(np.log(u_arr, out=out if logs is None else logs), -rate, out=out)
     return float(result) if np.isscalar(u) or u_arr.ndim == 0 else result
 
 
-def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int, out):
+def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int, out, logs):
     """Draw ``count`` i.i.d. SNR pairs; primary block first, then secondary.
 
     The fixed draw order (one primary array, then one secondary array) is
     what makes chunked parallel estimation reproducible: any consumer of
-    the same generator state sees identical pairs.  ``out``, a pair of
-    ``count``-long float arrays, receives the draws and is returned.
+    the same generator state sees identical pairs.  ``logs``, a pair of
+    ``count``-long float arrays, keeps the standard draw, ``log(1 - u)`` of
+    each block, from which :func:`scale_snrs` makes the same pairs at any
+    other scenario.  ``out``, another such pair, receives the draws and is
+    returned.
     """
-    gamma_pu, gamma_su = out
-    for draws, rate in ((gamma_pu, scenario.lambda_pu), (gamma_su, scenario.lambda_su)):
-        rng.random(out=draws)
-        np.subtract(1.0, draws, out=draws)
-        exponential_from_uniform(draws, rate, out=draws)
-    return gamma_pu, gamma_su
+    rates = (scenario.lambda_pu, scenario.lambda_su)
+    for block, draws, rate in zip(logs, out, rates):
+        rng.random(out=block)
+        np.subtract(1.0, block, out=block)
+        exponential_from_uniform(block, rate, out=draws, logs=block)
+    return out
+
+
+def scale_snrs(scenario: ScenarioConfig, logs, out):
+    """The SNR pairs of a standard draw that :func:`sample_snrs` kept in
+    ``logs``, at ``scenario``, into ``out``: each block divided by minus its
+    link's rate, the divide :func:`exponential_from_uniform` makes, so the
+    bits are those a new draw gives.  Returns ``out``."""
+    rates = (scenario.lambda_pu, scenario.lambda_su)
+    for block, draws, rate in zip(logs, out, rates):
+        np.divide(block, -rate, out=draws)
+    return out

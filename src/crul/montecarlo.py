@@ -38,6 +38,14 @@ Nor does any step store through a data-dependent mask, which costs
 several times more on mixed cells than on uniform ones.  Workspaces
 change where values are stored, not how they are computed, so the sums
 are those of new arrays.
+
+A chunk's draw depends on the scenario only through one divide per link
+(see ``channel.scale_snrs``), so a workspace keeps the standard draw of
+the last chunk it drew.  The boosted pass of a grid point, and the next
+point of a sweep under one seed, start with the chunks their workspaces
+still hold and rescale them instead of drawing them again; the bits are
+those of a new draw, so which workspace runs a chunk never changes its
+sums.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScenarioConfig, sample_snrs
+from .channel import ScenarioConfig, sample_snrs, scale_snrs
 from .protocols import (
     CellDraws,
     ProtocolKind,
@@ -71,9 +79,10 @@ from .protocols import (
 #: protocols.
 _POWER = "power scale"
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each busy worker
-#: holds one chunk workspace, 6.9 MB at the default chunk size, and up to
+#: holds one chunk workspace, 8.5 MB at the default chunk size, and up to
 #: 1.6 MB of index arrays while it reduces a chunk.  The threads and their
-#: workspaces then stay, idle, for the next call (see :func:`borrow_workspaces`).
+#: workspaces then stay, idle, for the next call, and a process with no
+#: pool keeps one workspace (see :func:`borrow_workspaces`).
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks at the default chunk size.
 MAX_SAMPLES = 10**10
@@ -128,7 +137,7 @@ class McConfig:
         return counts
 
 
-#: The most draws a kept workspace may hold: one default chunk, 6.9 MB.
+#: The most draws a kept workspace may hold: one default chunk, 8.5 MB.
 _KEPT_CAPACITY = McConfig().chunk_size
 
 
@@ -159,7 +168,7 @@ class _Reserve:
     """The worker threads and chunk workspaces that Monte Carlo calls pass on
     to the next: one pool, remade when a call asks for another thread count,
     and the workspaces no call holds, all of one capacity and never more
-    than the pool has threads."""
+    than the pool has threads, or one before there is a pool."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -199,22 +208,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_clean)
 
 
-def _map_chunks(kernel, mc: McConfig, n_workers: int):
-    """Run ``kernel(chunk_index, count)`` over all chunks on ``n_workers``
-    threads, in chunk order; one worker runs them in the calling thread."""
-    tasks = list(enumerate(mc.chunk_counts()))
+def _map_chunks(kernel, order: list[int], n_workers: int) -> list:
+    """Run ``kernel(chunk_index)`` over the chunks, started in ``order``, on
+    ``n_workers`` threads; one worker runs them in the calling thread.  The
+    results come back in chunk order."""
     if n_workers == 1:
-        return [kernel(i, m) for i, m in tasks]
-    with _reserve.lock:
-        futures = [_reserve.pool(n_workers).submit(kernel, i, m) for i, m in tasks]
-    try:
-        return [future.result() for future in futures]
-    finally:
-        # After a failed chunk, no other chunk may still run in the call's
-        # workspaces once it returns them.
-        for future in futures:
-            future.cancel()
-        wait(futures)
+        results = [kernel(index) for index in order]
+    else:
+        with _reserve.lock:
+            futures = [_reserve.pool(n_workers).submit(kernel, index) for index in order]
+        try:
+            results = [future.result() for future in futures]
+        finally:
+            # After a failed chunk, no other chunk may still run in the call's
+            # workspaces once it returns them.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+    by_index = dict(zip(order, results))
+    return [by_index[index] for index in range(len(order))]
 
 
 @contextlib.contextmanager
@@ -226,9 +238,10 @@ def borrow_workspaces(mc: McConfig, count: int):
     land in the arena of whichever thread ran first, and one arena's memory
     could sit idle while another's fills.  When the call is done, its
     workspaces are kept for the next, up to as many as the pool has threads
-    and none holding more than a default chunk.  Before the first pooled
-    call there is no pool, so a process that runs one chunk at a time frees
-    its workspace as before, and the arrays it makes next reuse the pages.
+    and none holding more than a default chunk; a process with no pool
+    keeps one.  A kept workspace holds the standard draw of its last chunk,
+    so the next call with the same seed and chunk layout rescales that
+    chunk instead of drawing it (see :func:`draw_chunk`).
     """
     capacity = min(mc.chunk_size, mc.n_samples)
     with _reserve.lock:
@@ -242,21 +255,27 @@ def borrow_workspaces(mc: McConfig, count: int):
             with _reserve.lock:
                 kept = _reserve.keep_only(capacity)
                 kept.extend(lent)
-                del kept[_reserve.workers:]
+                del kept[max(_reserve.workers, 1):]
 
 
 def draw_chunk(
-    scenario: ScenarioConfig, seed: int, index: int, count: int, workspace=None
+    scenario: ScenarioConfig, seed: int, index: int, count: int, workspace: Workspace
 ) -> CellDraws:
     """Chunk ``index`` of the seeded substreams, drawn, classified once and wrapped.
 
     The draws, their cells and what the rules keep live in ``workspace``
-    (a new one if none is given) until it takes its next chunk.
+    until it takes its next chunk.  A workspace that still holds this
+    chunk's standard draw (:attr:`~crul.protocols.Workspace.drawn`) rescales
+    it to ``scenario`` instead of drawing it again, with the same bits.
     """
-    if workspace is None:
-        workspace = Workspace(count)
     out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
-    gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count, out)
+    logs = workspace.buffer("log_pu", count), workspace.buffer("log_su", count)
+    if workspace.drawn == (seed, index, count):
+        gamma_pu, gamma_su = scale_snrs(scenario, logs, out)
+    else:
+        workspace.drawn = None  # until the new draw is complete
+        gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count, out, logs)
+        workspace.drawn = (seed, index, count)
     cells = sic_case_array(gamma_pu, gamma_su, scenario.theta, workspace)
     return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace)
 
@@ -265,7 +284,7 @@ def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
     """The sum and the squared sum of one family's rates over one chunk's draws."""
     rates = draws.buffer("rates")
     if family is _POWER:
-        rates = sic_power_factor_array(draws, rates)
+        rates = sic_power_factor_array(draws, draws.buffer("s2"))
     elif family is ProtocolKind.CR_RSMA:
         rates = rsma_rate_arrays(draws, rates)
     elif family is ProtocolKind.CR_SIC:
@@ -274,22 +293,25 @@ def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
         rates = csi_rate_array(draws)
     elif family is ProtocolKind.BENCH_QOS:
         rates = qos_rate_array(draws, rates)
-    squares = np.square(rates, out=draws.buffer("s0"))
-    return float(np.sum(rates)), float(np.sum(squares))
+    total = float(np.sum(rates))  # first: the power scale's rates are in "s2"
+    squares = np.square(rates, out=draws.buffer("s2"))
+    return total, float(np.sum(squares))
 
 
 #: The order a chunk reduces its families in, whatever order they are asked
-#: in.  Each family's rates go into the one rates buffer: pure SIC builds
-#: the full-power rates there and writes its reduced cell over them, rate
-#: splitting writes its band (which holds that cell) over pure SIC's rates,
-#: and the power scale takes the buffer last.
+#: in.  The plain protocols' rates go into the one rates buffer: pure SIC
+#: builds the full-power rates there and writes its reduced cell over them,
+#: and rate splitting writes its band (which holds that cell) over pure
+#: SIC's rates last.  The power scale goes between them, into scratch, so
+#: the band's power scale, made once, serves it and then rate splitting.
 _KERNEL_ORDER = (
-    ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS, ProtocolKind.CR_SIC, ProtocolKind.CR_RSMA, _POWER
+    ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS, ProtocolKind.CR_SIC, _POWER, ProtocolKind.CR_RSMA
 )
 
 
 def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int, workspace):
-    """Draw one chunk once and classify it once, then reduce it for each family.
+    """Draw one chunk once (or rescale the draw ``workspace`` holds) and
+    classify it once, then reduce it for each family.
 
     The shared per-draw logs are computed once, by the first family that
     reads them, and a pass builds one full-power array (see
@@ -312,20 +334,33 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families, workspaces) -> dic
     """One pass over the draws: the estimate of every family, by family.
 
     The pass runs on one worker per workspace of ``workspaces``, the public
-    call's, and each chunk takes a free one and gives it back when done.
+    call's.  A chunk whose standard draw a workspace still holds starts
+    first, in that workspace, so it is rescaled, not drawn.  Every other
+    chunk takes a free workspace from a queue, which gets each holder back
+    once its chunk is done, and every chunk gives its workspace back there.
     """
-    free = queue.SimpleQueue()
+    counts = mc.chunk_counts()
+    held, free = {}, queue.SimpleQueue()
     for workspace in workspaces:
-        free.put(workspace)
+        index = workspace.drawn[1] if workspace.drawn else len(counts)
+        if index < len(counts) and index not in held and (
+            workspace.drawn == (mc.seed, index, counts[index])
+        ):
+            held[index] = workspace
+        else:
+            free.put(workspace)
 
-    def kernel(index: int, count: int):
-        workspace = free.get()
+    def kernel(index: int):
+        workspace = held[index] if index in held else free.get()
         try:
-            return _chunk_sums(scenario, families, mc.seed, index, count, workspace)
+            return _chunk_sums(scenario, families, mc.seed, index, counts[index], workspace)
         finally:
             free.put(workspace)
 
-    chunks = _map_chunks(kernel, mc, len(workspaces))
+    # Holders first: a chunk that waits for a free workspace must never wait
+    # for a holder whose chunk is queued behind it.
+    order = [*held, *(index for index in range(len(counts)) if index not in held)]
+    chunks = _map_chunks(kernel, order, len(workspaces))
     results = {}
     # Fold each family's chunks in chunk order, so the totals do not
     # depend on scheduling.

@@ -28,8 +28,8 @@ off its edge.  :func:`sic_case_array` classifies a batch of fading draws
 cells, and the oracle's regions slice the same cells with
 :func:`tolerance_level`, its inverse :func:`tolerance_edge` and the
 switch curve :func:`switch_edge`.  The classifier and the rules write
-into the buffers of a :class:`Workspace`, which a Monte Carlo worker
-reuses from chunk to chunk within one call, so a chunk makes no array of
+into the buffers of a :class:`Workspace`, which Monte Carlo workers
+reuse from chunk to chunk and call to call, so a chunk makes no array of
 its own size.  No step stores through a data-dependent mask: the cells
 are integer arithmetic on the classifier's masks, and the rules gather
 and scatter by index, taking each log only on the draws that read it.
@@ -129,14 +129,19 @@ def switch_edge(gamma_su, theta: float):
 # ------------------------------------------------------------ workspace
 
 
-#: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
-#: the two SNR draws, the interference-limited log, the clean log of the
-#: tolerant draws, a family's rates and three of scratch; the cells and
-#: rate splitting's cases, which :attr:`CellDraws.band` selects from;
+#: The named per-draw buffers of a workspace, by dtype.  Ten of floats:
+#: the standard draw of both links (see :attr:`Workspace.drawn`), the two
+#: SNR draws, the interference-limited log, the clean log of the tolerant
+#: draws, a family's rates and three of scratch; the cells and rate
+#: splitting's cases, which :attr:`CellDraws.band` selects from;
 #: ``bench-qos``'s admission mask and two of scratch.  Scratch (``s*``,
-#: ``b*``) lives only inside one step of a rule.
+#: ``b*``) lives only inside one step of a rule, but for the band's power
+#: scale (see :meth:`CellDraws.band_scale`).
 _BUFFERS = {
-    np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
+    np.float64: (
+        "log_pu", "log_su", "gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1",
+        "s2",
+    ),
     np.int8: ("cells", "cases"),
     np.bool_: ("admitted", "b0", "b1"),
 }
@@ -152,10 +157,17 @@ class Workspace:
     of the chunk, and the allocator has no pages to hand back to the
     system and fault in again for the next chunk.  What is left in a
     workspace belongs to the last chunk classified into it.
+
+    The standard draw of the last chunk drawn, both links' ``log(1 - u)``
+    (see :func:`crul.channel.sample_snrs`), stays in "log_pu" and "log_su"
+    until another is drawn, and :attr:`drawn` names it: the chunk's
+    ``(seed, index, count)``, set only once a draw is complete, and None
+    while none is.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
+        self.drawn: tuple[int, int, int] | None = None
         self._buffers: dict[str, np.ndarray] = {}
         for dtype, names in _BUFFERS.items():
             self._buffers.update(zip(names, np.empty((len(names), capacity), dtype)))
@@ -229,6 +241,7 @@ class CellDraws:
         self.theta = theta
         self.cells = cells
         self.workspace = workspace
+        self._band_scale = None
 
     def buffer(self, name: str, size: int | None = None) -> np.ndarray:
         """The workspace's named buffer, one entry per draw unless ``size`` says."""
@@ -260,11 +273,15 @@ class CellDraws:
     def band_scale(self) -> tuple[np.ndarray, np.ndarray]:
         """The band's pure-SIC power scale ``(gamma_pu/theta - 1)/gamma_su``,
         one minus rate splitting's early fraction ``alpha``, and its
-        ``gamma_su``.  Made again on each call, in scratch "s0" and "s1"."""
-        scale = self.gather(self.gamma_pu, "s0")
-        tolerance_level(scale, self.theta, out=scale)
-        band_su = self.gather(self.gamma_su, "s1")
-        return np.divide(scale, band_su, out=scale), band_su
+        ``gamma_su``, in scratch "s0" and "s1".  Made once and kept there
+        until rate splitting's split writes over them, which drops them; no
+        other rule writes those two buffers."""
+        if self._band_scale is None:
+            scale = self.gather(self.gamma_pu, "s0")
+            tolerance_level(scale, self.theta, out=scale)
+            band_su = self.gather(self.gamma_su, "s1")
+            self._band_scale = np.divide(scale, band_su, out=scale), band_su
+        return self._band_scale
 
     @property
     def qos_admitted(self) -> np.ndarray:
@@ -305,6 +322,7 @@ def _split_powers(draws: CellDraws):
     """Rate splitting's early fraction ``alpha``, late-part SNR and SU SNR,
     on the band, in the scratch buffers."""
     scale, band_su = draws.band_scale()
+    draws._band_scale = None  # written over below
     alpha = np.subtract(1.0, scale, out=scale)
     late_power = np.subtract(1.0, alpha, out=draws.buffer("s2", scale.size))
     return alpha, np.multiply(late_power, band_su, out=late_power), band_su
@@ -335,7 +353,7 @@ def sic_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
     rates = draws.full_power(out)
     reduced = draws.cell(REDUCED)
-    backed_off = draws.gather(draws.gamma_pu, "s0", reduced)
+    backed_off = draws.gather(draws.gamma_pu, "s2", reduced)
     np.divide(backed_off, draws.theta, out=backed_off)
     rates[reduced] = np.log2(backed_off, out=backed_off)
     return rates

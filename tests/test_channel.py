@@ -222,7 +222,8 @@ def test_inverse_cdf_vectorized():
 
 
 def draw(scenario, rng, count):
-    return sample_snrs(scenario, rng, count, (np.empty(count), np.empty(count)))
+    out, logs = (np.empty(count), np.empty(count)), (np.empty(count), np.empty(count))
+    return sample_snrs(scenario, rng, count, out, logs)
 
 
 def test_sample_mean_matches_exponential():

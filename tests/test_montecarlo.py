@@ -251,8 +251,8 @@ class TestEstimate:
 
     def test_single_sample_equals_per_realization_rate(self):
         mc = McConfig(n_samples=1, seed=7)
-        out = np.empty(1), np.empty(1)
-        gamma_pu, gamma_su = sample_snrs(SCENARIO_20DB, chunk_stream(7, 0), 1, out)
+        out, logs = (np.empty(1), np.empty(1)), (np.empty(1), np.empty(1))
+        gamma_pu, gamma_su = sample_snrs(SCENARIO_20DB, chunk_stream(7, 0), 1, out, logs)
         draw = (float(gamma_pu[0]), float(gamma_su[0]))
         theta = SCENARIO_20DB.theta
         expected = {
@@ -345,7 +345,7 @@ class TestChunkFold:
         mc = McConfig(n_samples=100_000, seed=13, chunk_size=30_000)
         plain, scenario = _plain(protocol, SCENARIO_20DB, mc)
         sums = [
-            np.sum(_rates(plain, draw_chunk(scenario, mc.seed, index, count)))
+            np.sum(_rates(plain, draw_chunk(scenario, mc.seed, index, count, Workspace(count))))
             for index, count in enumerate(mc.chunk_counts())
         ]
         total = _estimate(protocol, SCENARIO_20DB, mc).value
@@ -359,7 +359,7 @@ def _case_means(protocol, scenario, mc):
     protocol, scenario = _plain(protocol, scenario, mc)
     chunk_sums = []
     for index, count in enumerate(mc.chunk_counts()):
-        draws = draw_chunk(scenario, mc.seed, index, count)
+        draws = draw_chunk(scenario, mc.seed, index, count, Workspace(count))
         rates = _rates(protocol, draws)
         if protocol is ProtocolKind.CR_RSMA:
             cases = rsma_case_array(draws.cells)
@@ -409,21 +409,24 @@ class TestSamplePoint:
             assert scale == power
 
     @pytest.mark.parametrize(
-        "protocols,passes",
-        [(tuple(ProtocolKind), 2), ((ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), 1)],
+        "protocols,first,second",
+        [
+            # The boosted pass starts with chunk 3, which the plain pass
+            # left in the one workspace; the next call starts with chunk 2.
+            (tuple(ProtocolKind), [0, 1, 2, 3, 0, 1, 2], [0, 1, 3, 0, 1, 2]),
+            ((ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), [0, 1, 2, 3], [0, 1, 2]),
+        ],
     )
-    def test_draws_each_chunk_once_per_pass(self, monkeypatch, protocols, passes):
-        calls = []
-
-        def counted(seed, index):
-            calls.append(index)
-            return chunk_stream(seed, index)
-
-        monkeypatch.setattr(montecarlo, "chunk_stream", counted)
+    def test_draws_each_chunk_at_most_once_per_pass_and_a_resident_one_never(
+        self, monkeypatch, fresh_reserve, streams, protocols, first, second
+    ):
         monkeypatch.setenv("CRUL_THREADS", "1")
         mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
         sample_point(SCENARIO_20DB, mc, protocols)
-        assert sorted(calls) == sorted(list(range(mc.n_chunks)) * passes)
+        assert streams == [(mc.seed, index) for index in first]
+        streams.clear()
+        sample_point(SCENARIO_20DB, mc, protocols)
+        assert streams == [(mc.seed, index) for index in second]
 
     @pytest.mark.parametrize(
         "protocols,passes",
@@ -532,9 +535,70 @@ def made_workspaces(monkeypatch):
     return made
 
 
+@pytest.fixture
+def streams(monkeypatch):
+    """The ``(seed, index)`` of every chunk stream opened while the test runs."""
+    opened = []
+
+    def counted(seed, index):
+        opened.append((seed, index))
+        return chunk_stream(seed, index)
+
+    monkeypatch.setattr(montecarlo, "chunk_stream", counted)
+    return opened
+
+
 def _serial_point(scenario, mc):
     with threads(1):
         return sample_point(scenario, mc, EVERY_PROTOCOL)
+
+
+def _sample_at_once(monkeypatch, jobs):
+    """Each of two Python threads calls ``sample_point`` on its job three
+    times, all at once, on a pool of twice the CPU count with a short switch
+    interval, after one warm-up call on the first job.  Each chunk dwells in
+    its workspace a little, so a workspace lent to both calls would be seen
+    in use twice.  Returns the chunks seen in a workspace already in use,
+    each thread's results and the pool's thread count."""
+    in_use, clashes, guard = set(), [], threading.Lock()
+    original = montecarlo._chunk_sums
+
+    def dwelling(scenario, families, seed, index, count, workspace):
+        with guard:
+            if workspace in in_use:
+                clashes.append(index)
+            in_use.add(workspace)
+        try:
+            time.sleep(1e-4)
+            return original(scenario, families, seed, index, count, workspace)
+        finally:
+            with guard:
+                in_use.discard(workspace)
+
+    monkeypatch.setattr(montecarlo, "_chunk_sums", dwelling)
+    workers = 2 * (os.cpu_count() or 1)
+    monkeypatch.setenv("CRUL_THREADS", str(workers))
+    sample_point(*jobs[0], EVERY_PROTOCOL)  # so both calls find kept workspaces
+    results = [[] for _ in jobs]
+    start = threading.Barrier(len(jobs), timeout=60.0)
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            results[i].append(sample_point(*jobs[i], EVERY_PROTOCOL))
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    return clashes, results, workers
 
 
 def _child_estimate(conn):
@@ -577,15 +641,17 @@ class TestKeptThreadsAndWorkspaces:
             sample_point(SCENARIO_20DB, replace(mc, seed=seed), EVERY_PROTOCOL)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1_000
 
-    def test_a_serial_call_keeps_nothing_before_a_pooled_one(
+    def test_a_process_with_no_pool_keeps_exactly_one_workspace(
         self, monkeypatch, fresh_reserve, made_workspaces
     ):
         monkeypatch.setenv("CRUL_THREADS", "1")
         mc = McConfig(n_samples=200_000, seed=6)
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        assert made_workspaces == [mc.chunk_size] * 2
-        assert montecarlo._reserve.workspaces == []
+        estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, replace(mc, seed=7))
+        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        assert made_workspaces == [mc.chunk_size]
+        assert montecarlo._reserve.workers == 0
+        assert len(montecarlo._reserve.workspaces) == 1
 
     def test_a_serial_call_after_a_pooled_one_adds_no_workspace(
         self, monkeypatch, fresh_reserve, made_workspaces
@@ -613,7 +679,8 @@ class TestKeptThreadsAndWorkspaces:
         assert made_workspaces == [mc.chunk_size] * 2
         assert len(montecarlo._reserve.workspaces) == 2
         for index, count in enumerate(mc.chunk_counts()):
-            assert np.array_equal(cells[index], draw_chunk(SCENARIO_20DB, 9, index, count).cells)
+            fresh = draw_chunk(SCENARIO_20DB, 9, index, count, Workspace(count))
+            assert np.array_equal(cells[index], fresh.cells)
 
     def test_a_workspace_past_the_default_chunk_is_not_kept(
         self, monkeypatch, fresh_reserve, made_workspaces
@@ -656,44 +723,7 @@ class TestKeptThreadsAndWorkspaces:
             (boosted, McConfig(n_samples=8_000, seed=2, chunk_size=500)),
         ]
         serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
-        in_use, clashes, guard = set(), [], threading.Lock()
-        original = montecarlo._chunk_sums
-
-        def dwelling(scenario, families, seed, index, count, workspace):
-            with guard:
-                if workspace in in_use:
-                    clashes.append(index)
-                in_use.add(workspace)
-            try:
-                time.sleep(1e-4)
-                return original(scenario, families, seed, index, count, workspace)
-            finally:
-                with guard:
-                    in_use.discard(workspace)
-
-        monkeypatch.setattr(montecarlo, "_chunk_sums", dwelling)
-        workers = 2 * (os.cpu_count() or 1)
-        monkeypatch.setenv("CRUL_THREADS", str(workers))
-        sample_point(*jobs[0], EVERY_PROTOCOL)  # so both calls find kept workspaces
-        results = [[] for _ in jobs]
-        start = threading.Barrier(len(jobs), timeout=60.0)
-
-        def run(i):
-            start.wait()
-            for _ in range(3):
-                results[i].append(sample_point(*jobs[i], EVERY_PROTOCOL))
-
-        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
+        clashes, results, workers = _sample_at_once(monkeypatch, jobs)
         assert clashes == []
         assert results == [[expected] * 3 for expected in serial]
         assert len(montecarlo._reserve.workspaces) == min(workers, jobs[0][1].n_chunks)
@@ -746,6 +776,116 @@ class TestKeptThreadsAndWorkspaces:
         assert child.exitcode == 0
 
 
+# ------------------------------------------------------------ kept draws
+
+
+class _Ones:
+    """A stream whose every uniform is 1, so ``1 - u`` is 0: out of range."""
+
+    def random(self, out):
+        out.fill(1.0)
+        return out
+
+
+class TestKeptDraws:
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ScenarioConfig.from_snr_db(37.0, 20.0),  # another primary rate
+            ScenarioConfig.from_snr_db(20.0, 3.0),  # another secondary rate
+            SCENARIO_20DB.with_secondary_snr_scaled(1.0 / 0.7),  # a boosted pass
+        ],
+    )
+    def test_a_rescaled_chunk_sums_as_a_new_draw(self, streams, other):
+        mc = McConfig(n_samples=250_001, seed=21, chunk_size=100_000)
+        for index, count in enumerate(mc.chunk_counts()):
+            workspace = Workspace(mc.chunk_size)
+            montecarlo._chunk_sums(SCENARIO_20DB, PLAIN, mc.seed, index, count, workspace)
+            streams.clear()
+            kept = montecarlo._chunk_sums(other, PLAIN, mc.seed, index, count, workspace)
+            assert streams == []
+            fresh = montecarlo._chunk_sums(other, PLAIN, mc.seed, index, count, Workspace(count))
+            assert _bits(kept) == _bits(fresh), (index, count)
+
+    @pytest.mark.parametrize(
+        "seed,index,count",
+        [(22, 0, 1_000), (21, 1, 1_000), (21, 0, 999)],
+        ids=["another seed", "another chunk", "a short last chunk"],
+    )
+    def test_a_kept_draw_serves_only_its_own_chunk(self, streams, seed, index, count):
+        workspace = Workspace(1_000)
+        draw_chunk(SCENARIO_20DB, 21, 0, 1_000, workspace)
+        streams.clear()
+        kept = draw_chunk(SCENARIO_20DB, seed, index, count, workspace)
+        assert streams == [(seed, index)]
+        assert workspace.drawn == (seed, index, count)
+        fresh = draw_chunk(SCENARIO_20DB, seed, index, count, Workspace(count))
+        assert np.array_equal(kept.gamma_pu, fresh.gamma_pu)
+        assert np.array_equal(kept.gamma_su, fresh.gamma_su)
+
+    def test_a_draw_that_raises_leaves_no_key(self, monkeypatch, streams):
+        """The range check rejects a stream of ones half way into the logs;
+        the workspace then holds no chunk, and its old chunk is drawn anew."""
+        workspace = Workspace(1_000)
+        draw_chunk(SCENARIO_20DB, 21, 0, 1_000, workspace)
+        monkeypatch.setattr(montecarlo, "chunk_stream", lambda seed, index: _Ones())
+        with pytest.raises(ValueError, match="uniform input"):
+            draw_chunk(SCENARIO_20DB, 21, 1, 1_000, workspace)
+        assert workspace.drawn is None
+        monkeypatch.setattr(montecarlo, "chunk_stream", chunk_stream)
+        again = draw_chunk(SCENARIO_20DB, 21, 0, 1_000, workspace)
+        fresh = draw_chunk(SCENARIO_20DB, 21, 0, 1_000, Workspace(1_000))
+        assert np.array_equal(again.gamma_pu, fresh.gamma_pu)
+        assert np.array_equal(again.gamma_su, fresh.gamma_su)
+
+    def test_a_resident_chunk_runs_in_the_workspace_that_holds_it(self, monkeypatch, streams):
+        """Of a pass's two workspaces, the second holds chunk 5 and the first
+        a chunk of another seed: chunk 5 must run in the second, and only the
+        other chunks open streams.  Repeated, since the two threads race."""
+        mc = McConfig(n_samples=6_000, seed=4, chunk_size=1_000)
+        ran, original = {}, montecarlo._chunk_sums
+
+        def recorded(scenario, families, seed, index, count, workspace):
+            ran[index] = workspace
+            return original(scenario, families, seed, index, count, workspace)
+
+        monkeypatch.setattr(montecarlo, "_chunk_sums", recorded)
+        for _ in range(5):
+            other, holder = Workspace(mc.chunk_size), Workspace(mc.chunk_size)
+            draw_chunk(SCENARIO_20DB, mc.seed + 1, 5, mc.chunk_size, other)
+            draw_chunk(SCENARIO_20DB, mc.seed, 5, mc.chunk_size, holder)
+            streams.clear()
+            montecarlo._sample(SCENARIO_20DB, mc, (ProtocolKind.CR_SIC,), [other, holder])
+            assert ran[5] is holder
+            assert sorted(streams) == [(mc.seed, index) for index in range(5)]
+
+    def test_a_second_one_chunk_point_opens_no_stream(self, monkeypatch, fresh_reserve, streams):
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        mc = McConfig(n_samples=1_000, seed=3)
+        other = ScenarioConfig.from_snr_db(31.0, 12.0)
+        expected = _serial_point(other, mc)
+        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+        streams.clear()
+        assert sample_point(other, mc, EVERY_PROTOCOL) == expected
+        assert streams == []
+
+    def test_two_python_threads_sharing_a_seed_never_share_a_workspace(
+        self, monkeypatch, fresh_reserve, streams
+    ):
+        """Two callers under one seed and chunk layout sample two scenarios at
+        once, so either may rescale a chunk that the other's call drew."""
+        mc = McConfig(n_samples=8_000, seed=1, chunk_size=500)
+        jobs = [(SCENARIO_20DB, mc), (SCENARIO_20DB.with_secondary_snr_scaled(3.0), mc)]
+        serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
+        streams.clear()
+        clashes, results, _ = _sample_at_once(monkeypatch, jobs)
+        assert clashes == []
+        assert results == [[expected] * 3 for expected in serial]
+        # The warm-up opens at least one stream per chunk; had the six calls
+        # rescaled nothing, they would open one per chunk and pass.
+        assert len(streams) < mc.n_chunks * (1 + 6 * 2)
+
+
 # ------------------------------------------------------------ power factor
 
 
@@ -794,7 +934,7 @@ def _cases(scenario, mc):
     """Both case families over the estimator's draws, in sample order."""
     rsma, sic = [], []
     for index, count in enumerate(mc.chunk_counts()):
-        cells = draw_chunk(scenario, mc.seed, index, count).cells
+        cells = draw_chunk(scenario, mc.seed, index, count, Workspace(count)).cells
         rsma.append(rsma_case_array(cells))
         sic.append(cells)
     return np.concatenate(rsma), np.concatenate(sic)

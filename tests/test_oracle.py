@@ -154,7 +154,7 @@ def test_region_slices_hold_exactly_the_classified_draws(
     config = ScenarioConfig.from_snr_db(
         primary_db, secondary_db, rate_threshold=rate_threshold
     )
-    draws = draw_chunk(config, 3, 0, 100_000)
+    draws = draw_chunk(config, 3, 0, 100_000, Workspace(100_000))
     gamma_pu, gamma_su, cells = draws.gamma_pu, draws.gamma_su, draws.cells
     regions = case_regions(config.theta)
     for cell, name in enumerate(TERMS[ProtocolKind.CR_SIC]):
