@@ -4,7 +4,9 @@ Each file under ``golden/`` is the CSV that ``crul`` wrote with the
 arguments next to its name.  The two sweeps cover every protocol and every
 method; the equal-SNR one reaches 40 dB, where term arbitration falls back
 to the oracle's own term value.  The two figure presets pin every
-analytic and oracle row of their full grids.  A change that claims to keep
+analytic and oracle row of their full grids.  The Monte Carlo sweep draws
+two full chunks and a short one per pass, so it pins how chunks are
+scheduled and folded; it runs on one worker thread and on two.  A change that claims to keep
 results must keep these bytes; one that moves them regenerates the files
 with the same arguments and explains the diff.
 
@@ -36,7 +38,13 @@ SWEEPS = {
     ],
     "figure2_exact.csv": ["figure2", "--method", "analytic,oracle"],
     "figure3_exact.csv": ["figure3", "--method", "analytic,oracle"],
+    "sweep_mc_chunks.csv": [
+        "sweep", "--method", "mc", "--start", "0", "--stop", "40", "--step", "20",
+        "--samples", "250001",
+    ],
 }
+#: The worker thread counts each file is written on, where they matter.
+THREADS = {"sweep_mc_chunks.csv": ("1", "2")}
 
 
 def _first_difference(written: bytes, stored: bytes) -> str:
@@ -48,8 +56,17 @@ def _first_difference(written: bytes, stored: bytes) -> str:
     return f"{len(rows)} rows written, {len(golden_rows)} stored"
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_matches_golden_bytes(name, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name,threads",
+    [
+        pytest.param(name, threads, id=name if threads is None else f"{name}-threads{threads}")
+        for name in sorted(SWEEPS)
+        for threads in THREADS.get(name, (None,))
+    ],
+)
+def test_sweep_matches_golden_bytes(name, threads, tmp_path, monkeypatch, capsys):
+    if threads is not None:
+        monkeypatch.setenv("CRUL_THREADS", threads)
     out = tmp_path / name
     assert cli.main([*SWEEPS[name], "--out", str(out)]) == 0
     written, stored = out.read_bytes(), (GOLDEN / name).read_bytes()
