@@ -25,35 +25,34 @@ power scale from one such pass, plus the boosted pass of the
 power-normalized protocol; :func:`estimate` and :func:`mean_power_factor`
 are the same pass over a single family.
 
-Each public call borrows one :class:`~crul.protocols.Workspace` of
-chunk-sized buffers per worker, and its chunks draw, classify and reduce
-inside them: a chunk takes a free workspace from the call's queue and
-puts it back when done.  Fresh chunk-sized arrays cost more than the
+A pass on ``n`` worker threads gives worker ``w`` the chunks ``w, w + n,
+w + 2n, ...``, and it runs them in its own :class:`~crul.protocols.Workspace`
+of chunk-sized buffers, where each chunk draws, classifies and reduces.
+Chunks within a pass cost about the same, so the fixed stride balances the
+work as well as a queue would.  Fresh chunk-sized arrays cost more than the
 arithmetic on them, because the allocator returned their pages to the
 system after every chunk and faulted them in again for the next.  For the
-same reason the process keeps its worker threads and their workspaces
-from one call to the next (see :func:`borrow_workspaces`), instead of
-starting threads and faulting in new workspaces at every grid point.
-Nor does any step store through a data-dependent mask, which costs
-several times more on mixed cells than on uniform ones.  Workspaces
-change where values are stored, not how they are computed, so the sums
-are those of new arrays.
+same reason the process keeps its worker threads and their workspaces from
+one pass to the next (see :class:`_Reserve`), instead of starting threads
+and faulting in new workspaces at every grid point; passes take turns, so
+no workspace is ever in two at once.  Nor does any step store through a
+data-dependent mask, which costs several times more on mixed cells than on
+uniform ones.  Workspaces change where values are stored, not how they are
+computed, so the sums are those of new arrays.
 
 A chunk's draw depends on the scenario only through one divide per link
 (see ``channel.scale_snrs``), so a workspace keeps the standard draw of
-the last chunk it drew.  The boosted pass of a grid point, and the next
-point of a sweep under one seed, start with the chunks their workspaces
-still hold and rescale them instead of drawing them again; the bits are
-those of a new draw, so which workspace runs a chunk never changes its
-sums.
+the last chunk it drew.  Each worker starts its chunks with the one its
+workspace still holds, so the boosted pass of a grid point, and the next
+point of a sweep under one seed, rescale that chunk instead of drawing it
+again; the bits are those of a new draw, so which worker runs a chunk
+never changes its sums.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-import queue
 import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -78,11 +77,11 @@ from .protocols import (
 #: The SIC control-law power scale, sampled as a family beside the
 #: protocols.
 _POWER = "power scale"
-#: Most worker threads ``CRUL_THREADS`` may ask for.  Each busy worker
-#: holds one chunk workspace, 8.5 MB at the default chunk size, and up to
-#: 1.6 MB of index arrays while it reduces a chunk.  The threads and their
-#: workspaces then stay, idle, for the next call, and a process with no
-#: pool keeps one workspace (see :func:`borrow_workspaces`).
+#: Most worker threads ``CRUL_THREADS`` may ask for.  Each worker has one
+#: chunk workspace, 8.5 MB at the default chunk size, and up to 1.6 MB of
+#: index arrays while it reduces a chunk.  The threads and their workspaces
+#: then stay, idle, for the next pass, and a process with no pool keeps one
+#: workspace (see :class:`_Reserve`).
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks at the default chunk size.
 MAX_SAMPLES = 10**10
@@ -165,10 +164,11 @@ def resolve_workers(n_tasks: int) -> int:
 
 
 class _Reserve:
-    """The worker threads and chunk workspaces that Monte Carlo calls pass on
-    to the next: one pool, remade when a call asks for another thread count,
-    and the workspaces no call holds, all of one capacity and never more
-    than the pool has threads, or one before there is a pool."""
+    """The worker threads and chunk workspaces that Monte Carlo passes hand
+    on to the next: one pool, remade when a pass asks for another thread
+    count, and one workspace per worker, all of one capacity and never more
+    than the pool has threads, or one before there is a pool.  A pass holds
+    :attr:`lock` from start to end."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -180,18 +180,25 @@ class _Reserve:
         """The pool of ``n_workers`` threads; the caller holds the lock."""
         if n_workers != self.workers:
             if self._pool is not None:
-                self._pool.shutdown(wait=False)  # its queued chunks still run
+                self._pool.shutdown(wait=False)
             self._pool = ThreadPoolExecutor(n_workers, thread_name_prefix="crul-mc")
             self.workers = n_workers
             del self.workspaces[n_workers:]
         return self._pool
 
-    def keep_only(self, capacity: int) -> list[Workspace]:
-        """The kept workspaces, after dropping any not of ``capacity``; the
-        caller holds the lock."""
+    def workspaces_for(self, n_workers: int, capacity: int) -> list[Workspace]:
+        """A workspace of ``capacity`` for each of ``n_workers`` workers, the
+        kept ones first; the caller holds the lock.  Missing ones are made on
+        the calling thread: made in the arena of whichever pool thread ran
+        first, one arena's memory could sit idle while another's fills.  They
+        are kept unless they hold more than a default chunk."""
         if self.workspaces and self.workspaces[0].capacity != capacity:
             self.workspaces.clear()
-        return self.workspaces
+        made = [Workspace(capacity) for _ in range(n_workers - len(self.workspaces))]
+        if capacity > _KEPT_CAPACITY:
+            return made
+        self.workspaces += made
+        return self.workspaces[:n_workers]
 
 
 _reserve = _Reserve()
@@ -208,65 +215,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_clean)
 
 
-def _map_chunks(kernel, order: list[int], n_workers: int) -> list:
-    """Run ``kernel(chunk_index)`` over the chunks, started in ``order``, on
-    ``n_workers`` threads; one worker runs them in the calling thread.  The
-    results come back in chunk order."""
-    if n_workers == 1:
-        results = [kernel(index) for index in order]
-    else:
-        with _reserve.lock:
-            futures = [_reserve.pool(n_workers).submit(kernel, index) for index in order]
-        try:
-            results = [future.result() for future in futures]
-        finally:
-            # After a failed chunk, no other chunk may still run in the call's
-            # workspaces once it returns them.
-            for future in futures:
-                future.cancel()
-            wait(futures)
-    by_index = dict(zip(order, results))
-    return [by_index[index] for index in range(len(order))]
-
-
-@contextlib.contextmanager
-def borrow_workspaces(mc: McConfig, count: int):
-    """``count`` workspaces for the chunks of one call, as a list, until it is done.
-
-    Kept workspaces of the call's capacity come first.  The missing ones are
-    made here, on the calling thread: made on the pool's threads, they would
-    land in the arena of whichever thread ran first, and one arena's memory
-    could sit idle while another's fills.  When the call is done, its
-    workspaces are kept for the next, up to as many as the pool has threads
-    and none holding more than a default chunk; a process with no pool
-    keeps one.  A kept workspace holds the standard draw of its last chunk,
-    so the next call with the same seed and chunk layout rescales that
-    chunk instead of drawing it (see :func:`draw_chunk`).
-    """
-    capacity = min(mc.chunk_size, mc.n_samples)
-    with _reserve.lock:
-        kept = _reserve.keep_only(capacity)
-        lent = [kept.pop() for _ in range(min(count, len(kept)))]
-    lent += [Workspace(capacity) for _ in range(count - len(lent))]
-    try:
-        yield lent
-    finally:
-        if capacity <= _KEPT_CAPACITY:
-            with _reserve.lock:
-                kept = _reserve.keep_only(capacity)
-                kept.extend(lent)
-                del kept[max(_reserve.workers, 1):]
-
-
 def draw_chunk(
     scenario: ScenarioConfig, seed: int, index: int, count: int, workspace: Workspace
 ) -> CellDraws:
     """Chunk ``index`` of the seeded substreams, drawn, classified once and wrapped.
 
-    The draws, their cells and what the rules keep live in ``workspace``
-    until it takes its next chunk.  A workspace that still holds this
-    chunk's standard draw (:attr:`~crul.protocols.Workspace.drawn`) rescales
-    it to ``scenario`` instead of drawing it again, with the same bits.
+    The draws, their cells and what the rules keep live in ``workspace``, a
+    worker's own (see :func:`_sample`), until it takes its next chunk.  A
+    workspace that still holds this chunk's standard draw
+    (:attr:`~crul.protocols.Workspace.drawn`) rescales it to ``scenario``
+    instead of drawing it again, with the same bits.
     """
     out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
     logs = workspace.buffer("log_pu", count), workspace.buffer("log_su", count)
@@ -330,37 +288,35 @@ def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count
     return [sums[family] for family in families]
 
 
-def _sample(scenario: ScenarioConfig, mc: McConfig, families, workspaces) -> dict:
+def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     """One pass over the draws: the estimate of every family, by family.
 
-    The pass runs on one worker per workspace of ``workspaces``, the public
-    call's.  A chunk whose standard draw a workspace still holds starts
-    first, in that workspace, so it is rescaled, not drawn.  Every other
-    chunk takes a free workspace from a queue, which gets each holder back
-    once its chunk is done, and every chunk gives its workspace back there.
+    On ``n`` workers, worker ``w`` runs the chunks ``w, w + n, ...`` in its
+    own workspace, ``_reserve.workspaces[w]`` while chunks are no larger
+    than the default, starting with the chunk that workspace still holds,
+    so it is rescaled, not drawn.  One worker runs in the calling
+    thread.  The pass holds the reserve's lock throughout, so passes take
+    turns.  After a chunk fails, the pass waits for every worker to stop
+    before it raises the first worker's error.
     """
     counts = mc.chunk_counts()
-    held, free = {}, queue.SimpleQueue()
-    for workspace in workspaces:
-        index = workspace.drawn[1] if workspace.drawn else len(counts)
-        if index < len(counts) and index not in held and (
-            workspace.drawn == (mc.seed, index, counts[index])
-        ):
-            held[index] = workspace
+    n_workers = resolve_workers(len(counts))
+    chunks = [None] * len(counts)
+
+    def work(worker: int, workspace: Workspace) -> None:
+        mine = range(worker, len(counts), n_workers)
+        for index in sorted(mine, key=lambda i: workspace.drawn != (mc.seed, i, counts[i])):
+            chunks[index] = _chunk_sums(scenario, families, mc.seed, index, counts[index], workspace)
+
+    with _reserve.lock:
+        jobs = enumerate(_reserve.workspaces_for(n_workers, min(mc.chunk_size, mc.n_samples)))
+        if n_workers == 1:
+            work(*next(jobs))
         else:
-            free.put(workspace)
-
-    def kernel(index: int):
-        workspace = held[index] if index in held else free.get()
-        try:
-            return _chunk_sums(scenario, families, mc.seed, index, counts[index], workspace)
-        finally:
-            free.put(workspace)
-
-    # Holders first: a chunk that waits for a free workspace must never wait
-    # for a holder whose chunk is queued behind it.
-    order = [*held, *(index for index in range(len(counts)) if index not in held)]
-    chunks = _map_chunks(kernel, order, len(workspaces))
+            futures = [_reserve.pool(n_workers).submit(work, *job) for job in jobs]
+            wait(futures)
+            for future in futures:
+                future.result()
     results = {}
     # Fold each family's chunks in chunk order, so the totals do not
     # depend on scheduling.
@@ -403,15 +359,14 @@ def sample_point(
     """
     requested = dict.fromkeys(protocols)
     plain = tuple(p for p in requested if p is not ProtocolKind.CR_SIC_NORM)
-    with borrow_workspaces(mc, resolve_workers(mc.n_chunks)) as workspaces:
-        estimates = _sample(scenario, mc, (*plain, _POWER), workspaces)
-        power = estimates.pop(_POWER)
-        if ProtocolKind.CR_SIC_NORM in requested:
-            if not power.value > 0.0:
-                raise ValueError(f"power scale must be > 0, got {power.value}")
-            boosted = scenario.with_secondary_snr_scaled(1.0 / power.value)
-            sic = _sample(boosted, mc, (ProtocolKind.CR_SIC,), workspaces)
-            estimates[ProtocolKind.CR_SIC_NORM] = sic[ProtocolKind.CR_SIC]
+    estimates = _sample(scenario, mc, (*plain, _POWER))
+    power = estimates.pop(_POWER)
+    if ProtocolKind.CR_SIC_NORM in requested:
+        if not power.value > 0.0:
+            raise ValueError(f"power scale must be > 0, got {power.value}")
+        boosted = scenario.with_secondary_snr_scaled(1.0 / power.value)
+        sic = _sample(boosted, mc, (ProtocolKind.CR_SIC,))
+        estimates[ProtocolKind.CR_SIC_NORM] = sic[ProtocolKind.CR_SIC]
     return estimates, power
 
 
@@ -423,8 +378,7 @@ def estimate(protocol: ProtocolKind, scenario: ScenarioConfig, mc: McConfig) -> 
     is over all draws, not over admitted ones.  The normalized protocol
     needs the power scale first; :func:`sample_point` estimates both.
     """
-    with borrow_workspaces(mc, resolve_workers(mc.n_chunks)) as workspaces:
-        return _sample(scenario, mc, (protocol,), workspaces)[protocol]
+    return _sample(scenario, mc, (protocol,))[protocol]
 
 
 def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
@@ -434,5 +388,4 @@ def mean_power_factor(scenario: ScenarioConfig, mc: McConfig) -> EstimateResult:
     the primary sits inside the protected band, and 1 elsewhere (full
     power is admissible), so the mean lives in (0, 1].
     """
-    with borrow_workspaces(mc, resolve_workers(mc.n_chunks)) as workspaces:
-        return _sample(scenario, mc, (_POWER,), workspaces)[_POWER]
+    return _sample(scenario, mc, (_POWER,))[_POWER]

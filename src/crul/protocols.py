@@ -148,7 +148,7 @@ _BUFFERS = {
 
 
 class Workspace:
-    """Per-draw buffers that one Monte Carlo worker reuses from chunk to chunk.
+    """Per-draw buffers that one Monte Carlo worker keeps from pass to pass.
 
     They are made at once, one block per dtype with room for ``capacity``
     draws, and ``buffer(name, size)`` is the first ``size`` entries of one.

@@ -31,7 +31,6 @@ from .channel import ScenarioConfig
 from .crosscheck import deviation_report, evaluate, relative_deviation
 from .montecarlo import (
     McConfig,
-    borrow_workspaces,
     draw_chunk,
     estimate,
     mean_power_factor,
@@ -40,6 +39,7 @@ from .montecarlo import (
 from .oracle import ergodic_delta_oracle, ergodic_rate_oracle, normalized
 from .protocols import (
     ProtocolKind,
+    Workspace,
     primary_rate_arrays,
     rsma_rate_arrays,
     sic_rate_arrays,
@@ -78,11 +78,11 @@ def _scenario(snr_db: float, secondary_db: float | None = None) -> ScenarioConfi
 
 def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
     """Yield the classified draws of each chunk of the seeded substreams,
-    all in one borrowed workspace, so each holds until the next is drawn."""
+    all in one workspace, so each holds until the next is drawn."""
     mc = McConfig(n_samples=samples, seed=seed)
-    with borrow_workspaces(mc, 1) as (workspace,):
-        for index, count in enumerate(mc.chunk_counts()):
-            yield draw_chunk(scenario, seed, index, count, workspace)
+    workspace = Workspace(min(mc.chunk_size, mc.n_samples))
+    for index, count in enumerate(mc.chunk_counts()):
+        yield draw_chunk(scenario, seed, index, count, workspace)
 
 
 # --------------------------------------------------------------- criterion 1

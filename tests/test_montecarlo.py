@@ -409,24 +409,31 @@ class TestSamplePoint:
             assert scale == power
 
     @pytest.mark.parametrize(
-        "protocols,first,second",
+        "threads,protocols,first,second",
         [
             # The boosted pass starts with chunk 3, which the plain pass
             # left in the one workspace; the next call starts with chunk 2.
-            (tuple(ProtocolKind), [0, 1, 2, 3, 0, 1, 2], [0, 1, 3, 0, 1, 2]),
-            ((ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), [0, 1, 2, 3], [0, 1, 2]),
+            ("1", tuple(ProtocolKind), [0, 1, 2, 3, 0, 1, 2], [0, 1, 3, 0, 1, 2]),
+            ("1", (ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), [0, 1, 2, 3], [0, 1, 2]),
+            # Worker 0 runs chunks 0 and 2, worker 1 chunks 1 and 3: each
+            # pass rescales the chunk its workspace holds and draws the other.
+            ("2", tuple(ProtocolKind), [0, 0, 1, 1, 2, 3], [0, 1, 2, 3]),
         ],
+        ids=["one thread, every protocol", "one thread, plain pass", "two threads"],
     )
     def test_draws_each_chunk_at_most_once_per_pass_and_a_resident_one_never(
-        self, monkeypatch, fresh_reserve, streams, protocols, first, second
+        self, monkeypatch, fresh_reserve, streams, threads, protocols, first, second
     ):
-        monkeypatch.setenv("CRUL_THREADS", "1")
+        """Exact streams in order on one thread, and sorted on two, whose
+        workers open theirs at once."""
+        in_order = list if threads == "1" else sorted
+        monkeypatch.setenv("CRUL_THREADS", threads)
         mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
         sample_point(SCENARIO_20DB, mc, protocols)
-        assert streams == [(mc.seed, index) for index in first]
+        assert in_order(streams) == [(mc.seed, index) for index in first]
         streams.clear()
         sample_point(SCENARIO_20DB, mc, protocols)
-        assert streams == [(mc.seed, index) for index in second]
+        assert in_order(streams) == [(mc.seed, index) for index in second]
 
     @pytest.mark.parametrize(
         "protocols,passes",
@@ -507,6 +514,17 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_release_checks_draw_the_cells_of_a_new_workspace(self):
+        from crul import validation
+
+        mc = McConfig(n_samples=200_001, seed=9)
+        drawn = validation._draw_chunks(SCENARIO_20DB, mc.seed, mc.n_samples)
+        cells = [draws.cells.copy() for draws in drawn]
+        assert len(cells) == mc.n_chunks
+        for index, count in enumerate(mc.chunk_counts()):
+            fresh = draw_chunk(SCENARIO_20DB, mc.seed, index, count, Workspace(count))
+            assert np.array_equal(cells[index], fresh.cells)
+
 
 # ------------------------------------------------ kept threads and workspaces
 
@@ -556,9 +574,10 @@ def _serial_point(scenario, mc):
 def _sample_at_once(monkeypatch, jobs):
     """Each of two Python threads calls ``sample_point`` on its job three
     times, all at once, on a pool of twice the CPU count with a short switch
-    interval, after one warm-up call on the first job.  Each chunk dwells in
-    its workspace a little, so a workspace lent to both calls would be seen
-    in use twice.  Returns the chunks seen in a workspace already in use,
+    interval, after one warm-up call on the first job.  The calls' passes
+    take turns in the kept workspaces; each chunk dwells in its workspace a
+    little, so had two passes run at once, a workspace would be seen in use
+    twice.  Returns the chunks seen in a workspace already in use,
     each thread's results and the pool's thread count."""
     in_use, clashes, guard = set(), [], threading.Lock()
     original = montecarlo._chunk_sums
@@ -656,8 +675,8 @@ class TestKeptThreadsAndWorkspaces:
     def test_a_serial_call_after_a_pooled_one_adds_no_workspace(
         self, monkeypatch, fresh_reserve, made_workspaces
     ):
-        """The one-thread check after a two-thread figure round borrows a
-        kept workspace, so at most two exist."""
+        """The one-thread check after a two-thread figure round runs in the
+        first kept workspace, so at most two exist."""
         mc = McConfig(n_samples=200_000, seed=7)
         monkeypatch.setenv("CRUL_THREADS", "2")
         pooled = sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
@@ -665,22 +684,6 @@ class TestKeptThreadsAndWorkspaces:
         assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == pooled
         assert made_workspaces == [mc.chunk_size] * 2
         assert len(montecarlo._reserve.workspaces) == 2
-
-    def test_release_checks_borrow_a_kept_workspace(
-        self, monkeypatch, fresh_reserve, made_workspaces
-    ):
-        from crul import validation
-
-        monkeypatch.setenv("CRUL_THREADS", "2")
-        mc = McConfig(n_samples=200_000, seed=9)
-        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        drawn = validation._draw_chunks(SCENARIO_20DB, 9, 200_000)
-        cells = [draws.cells.copy() for draws in drawn]
-        assert made_workspaces == [mc.chunk_size] * 2
-        assert len(montecarlo._reserve.workspaces) == 2
-        for index, count in enumerate(mc.chunk_counts()):
-            fresh = draw_chunk(SCENARIO_20DB, 9, index, count, Workspace(count))
-            assert np.array_equal(cells[index], fresh.cells)
 
     def test_a_workspace_past_the_default_chunk_is_not_kept(
         self, monkeypatch, fresh_reserve, made_workspaces
@@ -712,11 +715,12 @@ class TestKeptThreadsAndWorkspaces:
             assert {w.capacity for w in montecarlo._reserve.workspaces} == {mc.chunk_size}
 
     def test_two_python_threads_sampling_at_once(self, monkeypatch, fresh_reserve):
-        """Two callers share the pool and the kept workspaces but never hold
-        one workspace at once.  Each chunk dwells in its workspace a little,
-        so where the two calls' chunks meet in the pool's queue, a workspace
-        lent to both would be seen in use twice; the pool has more threads
-        than the host has CPUs, and they switch often."""
+        """Two callers share the pool and the kept workspaces by taking turns:
+        a pass holds them from its start to its end, so the callers never
+        share the pool mid-pass.  Each chunk dwells in its workspace a little,
+        so had both callers' passes run at once, a workspace would be seen in
+        use twice; the pool has more threads than the host has CPUs, and they
+        switch often."""
         boosted = SCENARIO_20DB.with_secondary_snr_scaled(3.0)
         jobs = [
             (SCENARIO_20DB, McConfig(n_samples=8_000, seed=1, chunk_size=500)),
@@ -729,24 +733,27 @@ class TestKeptThreadsAndWorkspaces:
         assert len(montecarlo._reserve.workspaces) == min(workers, jobs[0][1].n_chunks)
 
     def test_a_failed_chunk_leaves_no_chunk_running(self, monkeypatch, fresh_reserve):
-        """A call whose chunk raises returns its workspaces only once no other
-        chunk of it runs in them, and the next call still matches."""
+        """A pass whose chunk raises returns only once no other chunk of it
+        runs in the kept workspaces, and the next call still matches."""
         mc = McConfig(n_samples=20_000, seed=3, chunk_size=500)
         serial = _serial_point(SCENARIO_20DB, mc)
         monkeypatch.setenv("CRUL_THREADS", "2")
         running, original = [0], montecarlo._chunk_sums
 
+        # Chunk 2 is the first worker's second; every other chunk dwells a
+        # little, so the second worker is still mid-chunk when it fails.
         def failing(scenario, families, seed, index, count, workspace):
             running[0] += 1
             try:
-                if index == 3:
-                    raise RuntimeError("chunk 3")
+                if index == 2:
+                    raise RuntimeError("chunk 2")
+                time.sleep(1e-3)
                 return original(scenario, families, seed, index, count, workspace)
             finally:
                 running[0] -= 1
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", failing)
-        with pytest.raises(RuntimeError, match="chunk 3"):
+        with pytest.raises(RuntimeError, match="chunk 2"):
             sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
         assert running[0] == 0
         monkeypatch.setattr(montecarlo, "_chunk_sums", original)
@@ -838,26 +845,27 @@ class TestKeptDraws:
         assert np.array_equal(again.gamma_pu, fresh.gamma_pu)
         assert np.array_equal(again.gamma_su, fresh.gamma_su)
 
-    def test_a_resident_chunk_runs_in_the_workspace_that_holds_it(self, monkeypatch, streams):
-        """Of a pass's two workspaces, the second holds chunk 5 and the first
-        a chunk of another seed: chunk 5 must run in the second, and only the
-        other chunks open streams.  Repeated, since the two threads race."""
-        mc = McConfig(n_samples=6_000, seed=4, chunk_size=1_000)
-        ran, original = {}, montecarlo._chunk_sums
+    def test_each_worker_runs_a_fixed_stride_in_its_own_workspace(
+        self, monkeypatch, fresh_reserve
+    ):
+        """On two workers, chunk ``i`` runs in ``_reserve.workspaces[i % 2]``
+        on every pass: plain and boosted, and again under another seed."""
+        monkeypatch.setenv("CRUL_THREADS", "2")
+        mc = McConfig(n_samples=5_500, seed=4, chunk_size=1_000)
+        ran, original = [], montecarlo._chunk_sums
 
         def recorded(scenario, families, seed, index, count, workspace):
-            ran[index] = workspace
+            ran.append((seed, families, index, workspace))
             return original(scenario, families, seed, index, count, workspace)
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", recorded)
-        for _ in range(5):
-            other, holder = Workspace(mc.chunk_size), Workspace(mc.chunk_size)
-            draw_chunk(SCENARIO_20DB, mc.seed + 1, 5, mc.chunk_size, other)
-            draw_chunk(SCENARIO_20DB, mc.seed, 5, mc.chunk_size, holder)
-            streams.clear()
-            montecarlo._sample(SCENARIO_20DB, mc, (ProtocolKind.CR_SIC,), [other, holder])
-            assert ran[5] is holder
-            assert sorted(streams) == [(mc.seed, index) for index in range(5)]
+        for seed in (4, 4, 5):
+            sample_point(SCENARIO_20DB, replace(mc, seed=seed), EVERY_PROTOCOL)
+        workspaces = montecarlo._reserve.workspaces
+        assert len(workspaces) == 2
+        assert len(ran) == 3 * 2 * mc.n_chunks
+        for seed, families, index, workspace in ran:
+            assert workspace is workspaces[index % 2], (seed, families, index)
 
     def test_a_second_one_chunk_point_opens_no_stream(self, monkeypatch, fresh_reserve, streams):
         monkeypatch.setenv("CRUL_THREADS", "2")
@@ -873,7 +881,8 @@ class TestKeptDraws:
         self, monkeypatch, fresh_reserve, streams
     ):
         """Two callers under one seed and chunk layout sample two scenarios at
-        once, so either may rescale a chunk that the other's call drew."""
+        once.  Their passes take turns in the kept workspaces, so either may
+        rescale a chunk that the other's last pass drew."""
         mc = McConfig(n_samples=8_000, seed=1, chunk_size=500)
         jobs = [(SCENARIO_20DB, mc), (SCENARIO_20DB.with_secondary_snr_scaled(3.0), mc)]
         serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
