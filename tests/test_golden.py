@@ -6,9 +6,9 @@ method; the equal-SNR one reaches 40 dB, where term arbitration falls back
 to the oracle's own term value.  The two figure presets pin every
 analytic and oracle row of their full grids.  The Monte Carlo sweep draws
 two full chunks and a short one per pass, so it pins how chunks are
-scheduled and folded; it runs on one worker thread and on two.  A change that claims to keep
-results must keep these bytes; one that moves them regenerates the files
-with the same arguments and explains the diff.
+scheduled and folded; it runs on one worker thread and on two.  A change
+that claims to keep results must keep these bytes; one that moves them
+regenerates the files with the same arguments and explains the diff.
 
 ``golden/deviation_quick.json`` is the deviation report of ``crul validate
 --quick``, written by ``scripts/deviation_golden.py``, and

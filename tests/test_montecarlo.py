@@ -415,8 +415,9 @@ class TestSamplePoint:
             # left in the one workspace; the next call starts with chunk 2.
             ("1", tuple(ProtocolKind), [0, 1, 2, 3, 0, 1, 2], [0, 1, 3, 0, 1, 2]),
             ("1", (ProtocolKind.CR_RSMA, ProtocolKind.BENCH_QOS), [0, 1, 2, 3], [0, 1, 2]),
-            # Worker 0 runs chunks 0 and 2, worker 1 chunks 1 and 3: each
-            # pass rescales the chunk its workspace holds and draws the other.
+            # Worker 0 runs chunks 0 and 2, worker 1 chunks 1 and 3; after
+            # the first pass each rescales the chunk its workspace holds and
+            # draws the other.
             ("2", tuple(ProtocolKind), [0, 0, 1, 1, 2, 3], [0, 1, 2, 3]),
         ],
         ids=["one thread, every protocol", "one thread, plain pass", "two threads"],
@@ -738,24 +739,24 @@ class TestKeptThreadsAndWorkspaces:
         mc = McConfig(n_samples=20_000, seed=3, chunk_size=500)
         serial = _serial_point(SCENARIO_20DB, mc)
         monkeypatch.setenv("CRUL_THREADS", "2")
-        running, original = [0], montecarlo._chunk_sums
+        running, original = set(), montecarlo._chunk_sums
 
         # Chunk 2 is the first worker's second; every other chunk dwells a
         # little, so the second worker is still mid-chunk when it fails.
         def failing(scenario, families, seed, index, count, workspace):
-            running[0] += 1
+            running.add(index)
             try:
                 if index == 2:
                     raise RuntimeError("chunk 2")
                 time.sleep(1e-3)
                 return original(scenario, families, seed, index, count, workspace)
             finally:
-                running[0] -= 1
+                running.discard(index)
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", failing)
         with pytest.raises(RuntimeError, match="chunk 2"):
             sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        assert running[0] == 0
+        assert running == set()
         monkeypatch.setattr(montecarlo, "_chunk_sums", original)
         assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial
 
