@@ -28,7 +28,7 @@ PRIMARIES_DB = (0.0, 12.0, 18.0, 24.0, 60.0)
 SECONDARY_DB = 20.0
 RATE_THRESHOLDS = (0.0, 2.5, 6.0)
 #: Three chunks, the last one short; the first and the last are stored.
-MC = McConfig(n_samples=250_001, seed=0, chunk_size=100_000)
+MC = McConfig(n_samples=250_001, seed=0)
 BOOST = 2.0
 PASSES = {
     "plain": (
@@ -49,7 +49,7 @@ def _name(family) -> str:
 def chunk_sums() -> dict:
     """The stored file's content, from the kernel as it is now."""
     counts = list(enumerate(MC.chunk_counts()))
-    workspace = Workspace(MC.chunk_size)
+    workspace = Workspace(montecarlo.CHUNK_SIZE)
     entries = []
     for primary_db in PRIMARIES_DB:
         for rate_th in RATE_THRESHOLDS:
@@ -79,7 +79,7 @@ def chunk_sums() -> dict:
     return {
         "secondary_db": SECONDARY_DB,
         "seed": MC.seed,
-        "chunk_size": MC.chunk_size,
+        "chunk_size": montecarlo.CHUNK_SIZE,
         "boost": BOOST,
         "entries": entries,
     }

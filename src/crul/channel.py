@@ -25,7 +25,6 @@ __all__ = [
     "db_to_linear",
     "path_loss",
     "qos_threshold",
-    "exponential_from_uniform",
     "sample_snrs",
     "scale_snrs",
 ]
@@ -105,53 +104,30 @@ class ScenarioConfig:
         return replace(self, lambda_su=self.lambda_su / factor)
 
 
-def exponential_from_uniform(u, rate: float, out=None, logs=None):
-    """Map uniform draws on ``(0, 1]`` to Exp(rate) via the inverse CDF.
+def sample_snrs(rng: np.random.Generator, count: int, logs) -> None:
+    """Draw ``count`` standard draws of each link into ``logs``, a pair of
+    ``count``-long float arrays; primary block first, then secondary.
 
-    ``u = 1`` maps to 0 and ``u -> 0`` to the tail, so feeding
-    ``1 - random()`` (which lives on ``(0, 1]``) can never produce an
-    infinite SNR.  Accepts scalars or arrays; ``out`` is the ufuncs'
-    ``out`` and may be ``u`` itself.  ``logs``, if given, receives
-    ``log(u)`` on the way, the standard draw that :func:`scale_snrs` divides
-    by minus a rate, and may be ``u`` itself.
+    Each block is ``log(1 - u)`` of ``count`` uniforms ``u``: ``1 -
+    random()`` lies in ``(0, 1]``, so a draw is finite and at most 0, and
+    :func:`scale_snrs` makes it an SNR at any scenario.  The fixed draw
+    order (one primary array, then one secondary array) is what makes
+    chunked parallel estimation reproducible: any consumer of the same
+    generator state sees identical pairs.
     """
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    u_arr = np.asarray(u, dtype=float)
-    # A min and a max scan the draws without building a mask, and reject NaN.
-    if u_arr.size and not (u_arr.min() > 0.0 and u_arr.max() <= 1.0):
-        raise ValueError("uniform input must lie in (0, 1]")
-    # -log(u)/rate, with the sign on the divisor: IEEE division is symmetric
-    # in sign, so the bits are the same and the array takes one pass fewer.
-    result = np.divide(np.log(u_arr, out=out if logs is None else logs), -rate, out=out)
-    return float(result) if np.isscalar(u) or u_arr.ndim == 0 else result
-
-
-def sample_snrs(scenario: ScenarioConfig, rng: np.random.Generator, count: int, out, logs):
-    """Draw ``count`` i.i.d. SNR pairs; primary block first, then secondary.
-
-    The fixed draw order (one primary array, then one secondary array) is
-    what makes chunked parallel estimation reproducible: any consumer of
-    the same generator state sees identical pairs.  ``logs``, a pair of
-    ``count``-long float arrays, keeps the standard draw, ``log(1 - u)`` of
-    each block, from which :func:`scale_snrs` makes the same pairs at any
-    other scenario.  ``out``, another such pair, receives the draws and is
-    returned.
-    """
-    rates = (scenario.lambda_pu, scenario.lambda_su)
-    for block, draws, rate in zip(logs, out, rates):
+    for block in logs:
         rng.random(out=block)
         np.subtract(1.0, block, out=block)
-        exponential_from_uniform(block, rate, out=draws, logs=block)
-    return out
+        np.log(block, out=block)
 
 
 def scale_snrs(scenario: ScenarioConfig, logs, out):
-    """The SNR pairs of a standard draw that :func:`sample_snrs` kept in
-    ``logs``, at ``scenario``, into ``out``: each block divided by minus its
-    link's rate, the divide :func:`exponential_from_uniform` makes, so the
-    bits are those a new draw gives.  Returns ``out``."""
+    """The SNR pairs of a standard draw of :func:`sample_snrs` at
+    ``scenario``, into ``out``: each block of ``logs`` divided by minus its
+    link's rate, the exponential's inverse CDF.  Returns ``out``."""
     rates = (scenario.lambda_pu, scenario.lambda_su)
     for block, draws, rate in zip(logs, out, rates):
+        # -log(1 - u)/rate, with the sign on the divisor: IEEE division is
+        # symmetric in sign, so the bits are the same in one pass fewer.
         np.divide(block, -rate, out=draws)
     return out

@@ -146,7 +146,7 @@ def _budget(args: argparse.Namespace) -> tuple[int, int]:
     samples = args.samples
     if samples is None:
         samples = 10**5 if args.quick else 10**6
-    _require("samples", samples, 1 <= samples <= MAX_SAMPLES, f"in [1, {MAX_SAMPLES}]")
+    _require("samples", samples, 2 <= samples <= MAX_SAMPLES, f"in [2, {MAX_SAMPLES}]")
     _require("seed", args.seed, 0 <= args.seed < 1 << 64, "in [0, 2**64)")
     try:
         resolve_workers(1)  # a bad CRUL_THREADS is a usage error, not a failure mid-run

@@ -179,10 +179,8 @@ def term_reports(
         protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
     rule = analytic.gauss_laguerre(nodes)
     oracle_values = case_terms(protocol, scenario)
-    # With a zero threshold only the clear-channel region is non-empty.
-    names = ("clear",) if scenario.theta == 0.0 else TERMS[protocol]
     reports = []
-    for name in names:
+    for name in TERMS[protocol]:
         term, routes = _ROUTES[name]
         # The SIC headline prints its clear-channel term as derived.
         if not every_route or (protocol is ProtocolKind.CR_SIC and name == "clear"):

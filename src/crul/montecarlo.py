@@ -1,11 +1,11 @@
 """Seeded, parallel-deterministic Monte Carlo rate estimation.
 
-Sample ``j`` belongs to chunk ``j // chunk_size``, and every chunk owns a
+Sample ``j`` belongs to chunk ``j // CHUNK_SIZE``, and every chunk owns a
 private counter-based random stream keyed by ``(seed, chunk index)``.
 Chunks are therefore independent work items whose draws do not depend on
 scheduling, and partial results are always combined in chunk order, so an
-estimate is a pure function of ``(McConfig, scenario, protocol)`` no
-matter how many worker threads execute it.
+estimate is a pure function of ``(seed, n_samples)``, the scenario and the
+protocol, no matter how many worker threads execute it.
 
 Within a chunk the primary-SNR block is drawn before the secondary-SNR
 block (see ``channel.sample_snrs``), which pins down every realization
@@ -27,7 +27,7 @@ are the same pass over a single family.
 
 A pass on ``n`` worker threads gives worker ``w`` the chunks ``w, w + n,
 w + 2n, ...``, and it runs them in its own :class:`~crul.protocols.Workspace`
-of chunk-sized buffers, where each chunk draws, classifies and reduces.
+of buffers for a full chunk, where each chunk draws, classifies and reduces.
 Chunks within a pass cost about the same, so the fixed stride balances the
 work as well as a queue would.  Fresh chunk-sized arrays cost more than the
 arithmetic on them, because the allocator returned their pages to the
@@ -40,9 +40,9 @@ data-dependent mask, which costs several times more on mixed cells than on
 uniform ones.  Workspaces change where values are stored, not how they are
 computed, so the sums are those of new arrays.
 
-A chunk's draw depends on the scenario only through one divide per link
-(see ``channel.scale_snrs``), so a workspace keeps the standard draw of
-the last chunk it drew.  Each worker starts its chunks with the one its
+A chunk's SNRs are its standard draw divided by minus each link's rate
+(``channel.scale_snrs``), so a workspace keeps the standard draw of the
+last chunk it drew.  Each worker starts its chunks with the one its
 workspace still holds, so the boosted pass of a grid point, and the next
 point of a sweep under one seed, rescale that chunk instead of drawing it
 again; the bits are those of a new draw, so which worker runs a chunk
@@ -77,13 +77,15 @@ from .protocols import (
 #: The SIC control-law power scale, sampled as a family beside the
 #: protocols.
 _POWER = "power scale"
+#: Draws per chunk: every chunk but a pass's last holds this many.
+CHUNK_SIZE = 100_000
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each worker has one
-#: chunk workspace, 8.5 MB at the default chunk size, and up to 1.6 MB of
-#: index arrays while it reduces a chunk.  The threads and their workspaces
-#: then stay, idle, for the next pass, and a process with no pool keeps one
-#: workspace (see :class:`_Reserve`).
+#: chunk workspace, 8.5 MB, and up to 1.6 MB of index arrays while it
+#: reduces a chunk.  The threads and their workspaces then stay, idle, for
+#: the next pass, and a process with no pool keeps one workspace (see
+#: :class:`_Reserve`).
 MAX_THREADS = 256
-#: Most draws one estimate may take: 1e5 chunks at the default chunk size.
+#: Most draws one estimate may take: 1e5 chunks.
 MAX_SAMPLES = 10**10
 
 
@@ -109,35 +111,28 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling budget plus the determinism contract knobs."""
+    """Sampling budget, at least two draws so ``stderr`` exists, and seed."""
 
     n_samples: int = 10**6
     seed: int = 0
-    chunk_size: int = 100_000
 
     def __post_init__(self):
-        if not 1 <= self.n_samples <= MAX_SAMPLES:
-            raise ValueError(f"n_samples must be in [1, {MAX_SAMPLES}], got {self.n_samples}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if not 2 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"n_samples must be in [2, {MAX_SAMPLES}], got {self.n_samples}")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def n_chunks(self) -> int:
-        return -(-self.n_samples // self.chunk_size)
+        return -(-self.n_samples // CHUNK_SIZE)
 
     def chunk_counts(self) -> list[int]:
         """Sample count per chunk, in chunk order (last may be short)."""
-        full, rest = divmod(self.n_samples, self.chunk_size)
-        counts = [self.chunk_size] * full
+        full, rest = divmod(self.n_samples, CHUNK_SIZE)
+        counts = [CHUNK_SIZE] * full
         if rest:
             counts.append(rest)
         return counts
-
-
-#: The most draws a kept workspace may hold: one default chunk, 8.5 MB.
-_KEPT_CAPACITY = McConfig().chunk_size
 
 
 def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -166,8 +161,8 @@ def resolve_workers(n_tasks: int) -> int:
 class _Reserve:
     """The worker threads and chunk workspaces that Monte Carlo passes hand
     on to the next: one pool, remade when a pass asks for another thread
-    count, and one workspace per worker, all of one capacity and never more
-    than the pool has threads, or one before there is a pool.  A pass holds
+    count, and one workspace of one full chunk per worker, never more than
+    the pool has threads, or one before there is a pool.  A pass holds
     :attr:`lock` from start to end."""
 
     def __init__(self):
@@ -186,18 +181,14 @@ class _Reserve:
             del self.workspaces[n_workers:]
         return self._pool
 
-    def workspaces_for(self, n_workers: int, capacity: int) -> list[Workspace]:
-        """A workspace of ``capacity`` for each of ``n_workers`` workers, the
-        kept ones first; the caller holds the lock.  Missing ones are made on
-        the calling thread: made in the arena of whichever pool thread ran
-        first, one arena's memory could sit idle while another's fills.  They
-        are kept unless they hold more than a default chunk."""
-        if self.workspaces and self.workspaces[0].capacity != capacity:
-            self.workspaces.clear()
-        made = [Workspace(capacity) for _ in range(n_workers - len(self.workspaces))]
-        if capacity > _KEPT_CAPACITY:
-            return made
-        self.workspaces += made
+    def workspaces_for(self, n_workers: int) -> list[Workspace]:
+        """A workspace for each of ``n_workers`` workers, the kept ones first;
+        the caller holds the lock.  Missing ones are made, and kept, on the
+        calling thread: made in the arena of whichever pool thread ran first,
+        one arena's memory could sit idle while another's fills.  A short
+        pass leaves the pages it never writes unfaulted."""
+        while len(self.workspaces) < n_workers:
+            self.workspaces.append(Workspace(CHUNK_SIZE))
         return self.workspaces[:n_workers]
 
 
@@ -223,17 +214,16 @@ def draw_chunk(
     The draws, their cells and what the rules keep live in ``workspace``, a
     worker's own (see :func:`_sample`), until it takes its next chunk.  A
     workspace that still holds this chunk's standard draw
-    (:attr:`~crul.protocols.Workspace.drawn`) rescales it to ``scenario``
-    instead of drawing it again, with the same bits.
+    (:attr:`~crul.protocols.Workspace.drawn`) does not draw it again; either
+    way the SNRs are that draw scaled to ``scenario``.
     """
-    out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
     logs = workspace.buffer("log_pu", count), workspace.buffer("log_su", count)
-    if workspace.drawn == (seed, index, count):
-        gamma_pu, gamma_su = scale_snrs(scenario, logs, out)
-    else:
+    if workspace.drawn != (seed, index, count):
         workspace.drawn = None  # until the new draw is complete
-        gamma_pu, gamma_su = sample_snrs(scenario, chunk_stream(seed, index), count, out, logs)
+        sample_snrs(chunk_stream(seed, index), count, logs)
         workspace.drawn = (seed, index, count)
+    out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
+    gamma_pu, gamma_su = scale_snrs(scenario, logs, out)
     cells = sic_case_array(gamma_pu, gamma_su, scenario.theta, workspace)
     return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace)
 
@@ -275,9 +265,6 @@ def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count
     reads them, and a pass builds one full-power array (see
     :data:`_KERNEL_ORDER`).  The sums come back in the order of ``families``.
     """
-    for family in families:
-        if family not in _KERNEL_ORDER:
-            raise ValueError(f"no per-realization rate rule for {family}")
     draws = draw_chunk(scenario, seed, index, count, workspace)
     sums = {}
     for family in _KERNEL_ORDER:
@@ -292,13 +279,15 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     """One pass over the draws: the estimate of every family, by family.
 
     On ``n`` workers, worker ``w`` runs the chunks ``w, w + n, ...`` in its
-    own workspace, ``_reserve.workspaces[w]`` while chunks are no larger
-    than the default, starting with the chunk that workspace still holds,
-    so it is rescaled, not drawn.  One worker runs in the calling
-    thread.  The pass holds the reserve's lock throughout, so passes take
-    turns.  After a chunk fails, the pass waits for every worker to stop
-    before it raises the first worker's error.
+    own workspace, ``_reserve.workspaces[w]``, starting with the chunk that
+    workspace still holds, so it is rescaled, not drawn.  One worker runs
+    in the calling thread.  The pass holds the reserve's lock throughout, so
+    passes take turns.  After a chunk fails, the pass waits for every worker
+    to stop before it raises the first worker's error.
     """
+    for family in families:
+        if family not in _KERNEL_ORDER:
+            raise ValueError(f"no per-realization rate rule for {family}")
     counts = mc.chunk_counts()
     n_workers = resolve_workers(len(counts))
     chunks = [None] * len(counts)
@@ -309,7 +298,7 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
             chunks[index] = _chunk_sums(scenario, families, mc.seed, index, counts[index], workspace)
 
     with _reserve.lock:
-        jobs = enumerate(_reserve.workspaces_for(n_workers, min(mc.chunk_size, mc.n_samples)))
+        jobs = enumerate(_reserve.workspaces_for(n_workers))
         if n_workers == 1:
             work(*next(jobs))
         else:
@@ -317,26 +306,18 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
             wait(futures)
             for future in futures:
                 future.result()
-    results = {}
-    # Fold each family's chunks in chunk order, so the totals do not
-    # depend on scheduling.
-    for family, parts in zip(families, zip(*chunks)):
-        sums, squares = zip(*parts)
-        results[family] = _finish(math.fsum(sums), math.fsum(squares), mc)
-    return results
+    by_family = zip(families, zip(*chunks))
+    return {family: _finish(parts, mc.n_samples) for family, parts in by_family}
 
 
-def _finish(total, square_sum, mc) -> EstimateResult:
-    n = mc.n_samples
-    # ``total`` is the chunk sums' ``fsum``, rounded once, so neither the
-    # chunk order nor the thread count can move the mean.
-    value = total / n
-    if n > 1:
-        variance = max(0.0, (square_sum - n * value * value) / (n - 1))
-        stderr = math.sqrt(variance / n)
-    else:
-        stderr = 0.0
-    return EstimateResult(value=value, stderr=stderr, n_samples=n)
+def _finish(parts, n: int) -> EstimateResult:
+    """The estimate from one family's sum and squared sum of each chunk."""
+    sums, squares = zip(*parts)
+    # One ``fsum`` of the chunk sums, rounded once, so neither the chunk
+    # order nor the thread count can move the mean.
+    value = math.fsum(sums) / n
+    variance = max(0.0, (math.fsum(squares) - n * value * value) / (n - 1))
+    return EstimateResult(value=value, stderr=math.sqrt(variance / n), n_samples=n)
 
 
 def sample_point(

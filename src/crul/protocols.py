@@ -151,12 +151,13 @@ class Workspace:
     """Per-draw buffers that one Monte Carlo worker keeps from pass to pass.
 
     They are made at once, one block per dtype with room for ``capacity``
-    draws, and ``buffer(name, size)`` is the first ``size`` entries of one.
-    The classifier and :class:`CellDraws` keep every per-draw array in
-    them, so a chunk drawn into a used workspace makes no array the size
-    of the chunk, and the allocator has no pages to hand back to the
-    system and fault in again for the next chunk.  What is left in a
-    workspace belongs to the last chunk classified into it.
+    draws (a worker's hold a full chunk, ``montecarlo.CHUNK_SIZE``), and
+    ``buffer(name, size)`` is the first ``size`` entries of one.  The
+    classifier and :class:`CellDraws` keep every per-draw array in them, so
+    a chunk drawn into a used workspace makes no array the size of the
+    chunk, and the allocator has no pages to hand back to the system and
+    fault in again for the next chunk.  What is left in a workspace belongs
+    to the last chunk classified into it.
 
     The standard draw of the last chunk drawn, both links' ``log(1 - u)``
     (see :func:`crul.channel.sample_snrs`), stays in "log_pu" and "log_su"

@@ -30,6 +30,7 @@ import scipy.special
 from .channel import ScenarioConfig
 from .crosscheck import deviation_report, evaluate, relative_deviation
 from .montecarlo import (
+    CHUNK_SIZE,
     McConfig,
     draw_chunk,
     estimate,
@@ -80,7 +81,7 @@ def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
     """Yield the classified draws of each chunk of the seeded substreams,
     all in one workspace, so each holds until the next is drawn."""
     mc = McConfig(n_samples=samples, seed=seed)
-    workspace = Workspace(min(mc.chunk_size, mc.n_samples))
+    workspace = Workspace(CHUNK_SIZE)
     for index, count in enumerate(mc.chunk_counts()):
         yield draw_chunk(scenario, seed, index, count, workspace)
 
@@ -485,7 +486,7 @@ def run_all(
     figure2_grid = _QUICK_FIGURE2_GRID if quick else FIGURE2_GRID_DB
     # Even a quick determinism check needs several chunks in flight, or the
     # thread counts being compared never actually diverge in behavior.
-    sweep_samples = 2 * McConfig().chunk_size if quick else samples
+    sweep_samples = 2 * CHUNK_SIZE if quick else samples
 
     results = [
         criterion_quadrature(),

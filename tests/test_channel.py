@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from crul.channel import (
     ScenarioConfig,
     db_to_linear,
-    exponential_from_uniform,
     path_loss,
     qos_threshold,
     sample_snrs,
+    scale_snrs,
 )
 
 
@@ -188,42 +188,65 @@ def test_secondary_scaling_rejects_a_nonpositive_factor(factor):
 # ------------------------------------------------------------- sampling
 
 
-def test_inverse_cdf_fixed_points():
-    assert exponential_from_uniform(math.exp(-1.0), 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert exponential_from_uniform(1.0, 1.0) == 0.0
-    assert exponential_from_uniform(math.exp(-2.0), 4.0) == pytest.approx(0.5, rel=1e-14)
+class _Constant:
+    """A stream whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out.fill(self.u)
+        return out
 
 
-def test_inverse_cdf_rejects_out_of_range():
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            exponential_from_uniform(bad, 1.0)
-    with pytest.raises(ValueError):
-        exponential_from_uniform(0.5, 0.0)
-
-
-@given(
-    st.floats(min_value=1e-12, max_value=1.0),
-    st.floats(min_value=1e-3, max_value=1e3),
-)
-def test_inverse_cdf_properties(u, rate):
-    value = exponential_from_uniform(u, rate)
-    assert value >= 0.0
-    assert math.isfinite(value)
-    if u < 1.0:
-        # strictly decreasing in u
-        assert exponential_from_uniform(min(1.0, u * 1.5), rate) < value or u * 1.5 > 1.0
-
-
-def test_inverse_cdf_vectorized():
-    u = np.array([1.0, math.exp(-1.0), math.exp(-3.0)])
-    out = exponential_from_uniform(u, 1.0)
-    assert out == pytest.approx([0.0, 1.0, 3.0], rel=1e-12)
+def standard_draw(rng, count):
+    logs = np.empty(count), np.empty(count)
+    sample_snrs(rng, count, logs)
+    return logs
 
 
 def draw(scenario, rng, count):
-    out, logs = (np.empty(count), np.empty(count)), (np.empty(count), np.empty(count))
-    return sample_snrs(scenario, rng, count, out, logs)
+    return scale_snrs(scenario, standard_draw(rng, count), (np.empty(count), np.empty(count)))
+
+
+def test_a_uniform_of_zero_gives_snr_zero():
+    gamma_pu, gamma_su = draw(make_scenario(), _Constant(0.0), 3)
+    assert np.all(gamma_pu == 0.0) and np.all(gamma_su == 0.0)
+
+
+def test_the_largest_uniform_below_one_gives_a_finite_snr():
+    # 1 - u is then 2**-53, the smallest value the draw can take.
+    scenario = make_scenario()
+    gamma_pu, gamma_su = draw(scenario, _Constant(np.nextafter(1.0, 0.0)), 3)
+    for values, rate in ((gamma_pu, scenario.lambda_pu), (gamma_su, scenario.lambda_su)):
+        assert np.all(np.isfinite(values))
+        assert values == pytest.approx(53.0 * math.log(2.0) / rate, rel=1e-14)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_a_standard_draw_is_log_of_one_minus_u(u):
+    logs = standard_draw(_Constant(u), 2)
+    for block in logs:
+        assert block.tolist() == pytest.approx([math.log(1.0 - u)] * 2, rel=1e-12)
+        assert np.all(block <= 0.0)
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", [(20.0, 20.0), (-100.0, 37.5), (100.0, 0.0)])
+def test_scaling_divides_by_minus_the_rate_bit_for_bit(primary_db, secondary_db):
+    scenario = make_scenario(primary_db, secondary_db)
+    logs = standard_draw(np.random.Generator(np.random.Philox(5)), 1_000)
+    gamma_pu, gamma_su = draw(scenario, np.random.Generator(np.random.Philox(5)), 1_000)
+    assert np.array_equal(gamma_pu, -logs[0] / scenario.lambda_pu)
+    assert np.array_equal(gamma_su, -logs[1] / scenario.lambda_su)
+
+
+def test_scaling_hand_values():
+    logs = np.array([0.0, -1.0, -3.0]), np.array([-2.0, -1.0, 0.0])
+    out = np.empty(3), np.empty(3)
+    gamma_pu, gamma_su = scale_snrs(ScenarioConfig(1.0, 4.0, THETA), logs, out)
+    assert gamma_pu is out[0] and gamma_su is out[1]
+    assert gamma_pu.tolist() == [0.0, 1.0, 3.0]
+    assert gamma_su.tolist() == [0.5, 0.25, 0.0]
 
 
 def test_sample_mean_matches_exponential():

@@ -256,7 +256,7 @@ class TestUsageErrors:
 
     # The bounds are checked on resolved settings alone: past them a run
     # would start thousands of threads or list 1e10 chunk sizes.
-    @pytest.mark.parametrize("samples", ["0", "10000000001", str(10**15)])
+    @pytest.mark.parametrize("samples", ["0", "1", "10000000001", str(10**15)])
     def test_sample_count_out_of_range_is_usage_error_naming_it(self, samples):
         args = cli.build_parser().parse_args(["point", "--gamma0", "10", "--samples", samples])
         with pytest.raises(cli.UsageError, match="--samples must be"):
@@ -651,9 +651,10 @@ class TestValidate:
         assert status == 0
         assert "criterion_9 PASS" in out
 
-    @pytest.mark.parametrize("samples", ["1", "3"])
+    @pytest.mark.parametrize("samples", ["2", "3"])
     def test_tiny_budget_reports_every_criterion(self, capsys, tmp_path, samples):
-        # Criterion 6 used to divide by a zero standard error (exit 1).
+        # Criterion 6 used to divide by a zero standard error (exit 1); two
+        # draws are the fewest a run takes.
         argv = ["validate", "--quick", "--samples", samples,
                 "--out", str(tmp_path / "report.json")]
         status, out = run_cli(capsys, argv)

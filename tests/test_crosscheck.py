@@ -164,10 +164,14 @@ class TestTermReports:
     @pytest.mark.parametrize(
         "protocol", [ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM]
     )
-    def test_zero_threshold_reports_only_the_clear_channel(self, protocol, gamma0_db):
-        # Without a rate target every draw is in the clear-channel region.
+    def test_zero_threshold_leaves_only_the_clear_channel(self, protocol, gamma0_db):
+        # Without a rate target every draw is in the clear-channel region,
+        # so every other term is exactly zero by both routes.
         scenario = ScenarioConfig.from_snr_db(gamma0_db, gamma0_db, rate_threshold=0.0)
-        (report,) = term_reports(protocol, scenario)
+        *others, report = term_reports(protocol, scenario)
+        assert others
+        for other in others:
+            assert (other.routes["derived"], other.oracle_value) == (0.0, 0.0), other.term
         assert report.term == "clear_channel"
         assert report.chosen_route != "oracle"  # a closed form carries the term
         reference = ergodic_rate_oracle(protocol, scenario)

@@ -1,5 +1,6 @@
 """Tests for the chunked, parallel-deterministic Monte Carlo estimator."""
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crul import montecarlo
-from crul.channel import ScenarioConfig, sample_snrs
+from crul.channel import ScenarioConfig, sample_snrs, scale_snrs
 from crul.montecarlo import (
+    CHUNK_SIZE,
     MAX_SAMPLES,
     MAX_THREADS,
     EstimateResult,
@@ -48,6 +50,16 @@ SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 UNIT_SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, secondary_distance=1.0)
 
 
+@contextlib.contextmanager
+def chunk_size(size: int):
+    """Chunks of ``size`` draws, in a process with no kept pool or
+    workspaces, whose new workspaces then hold ``size`` draws; both are
+    restored on exit."""
+    with mock.patch.object(montecarlo, "CHUNK_SIZE", size):
+        with mock.patch.object(montecarlo, "_reserve", montecarlo._Reserve()):
+            yield
+
+
 def _estimate(protocol, scenario, mc):
     """``estimate``, or ``sample_point`` for the normalized protocol, which
     needs the power scale of the same draws first."""
@@ -62,12 +74,13 @@ def _estimate(protocol, scenario, mc):
 class TestMcConfig:
     def test_defaults(self):
         mc = McConfig(seed=1)
+        assert [field.name for field in fields(mc)] == ["n_samples", "seed"]
         assert mc.n_samples == 10**6
-        assert mc.chunk_size == 100_000
+        assert CHUNK_SIZE == 100_000
         assert mc.n_chunks == 10
 
     def test_chunk_counts_cover_exactly(self):
-        mc = McConfig(n_samples=250_001, seed=0, chunk_size=100_000)
+        mc = McConfig(n_samples=250_001, seed=0)
         assert mc.chunk_counts() == [100_000, 100_000, 50_001]
         assert sum(mc.chunk_counts()) == mc.n_samples
         assert mc.n_chunks == 3
@@ -79,7 +92,8 @@ class TestMcConfig:
             {"n_samples": -5},
             # 1e10 draws are 1e5 chunks; more would build a list per chunk.
             {"n_samples": MAX_SAMPLES + 1},
-            {"chunk_size": 0},
+            # One draw has no sample variance, so no stderr.
+            {"n_samples": 1},
             {"seed": 1 << 64},
             {"seed": -(1 << 63) - 1},
             # Negative seeds used to be masked onto the top of the range,
@@ -88,7 +102,7 @@ class TestMcConfig:
         ],
     )
     def test_rejects_bad_config(self, kwargs):
-        base = dict(n_samples=10, seed=0, chunk_size=5)
+        base = dict(n_samples=10, seed=0)
         base.update(kwargs)
         with pytest.raises(ValueError):
             McConfig(**base)
@@ -159,10 +173,10 @@ class TestDeterminism:
         "protocol", [ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC_NORM]
     )
     def test_bit_identical_across_worker_counts(self, protocol):
-        mc = McConfig(n_samples=200_000, seed=42, chunk_size=25_000)
+        mc = McConfig(n_samples=200_000, seed=42)
         values = {}
         for count in (1, 4, 16):
-            with threads(count):
+            with threads(count), chunk_size(25_000):
                 values[count] = _estimate(protocol, SCENARIO_20DB, mc)
         assert values[1] == values[4] == values[16]
 
@@ -170,13 +184,13 @@ class TestDeterminism:
         # Many short chunks and a short switch interval, so the pool's
         # threads trade workspaces often; one lent to two chunks at once
         # would mix their draws.
-        mc = McConfig(n_samples=20_000, seed=42, chunk_size=500)
+        mc = McConfig(n_samples=20_000, seed=42)
         results = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for count in (1, 2, 16):
-                with threads(count):
+                with threads(count), chunk_size(500):
                     results[count] = sample_point(
                         SCENARIO_20DB, mc, [ProtocolKind.CR_SIC_NORM, ProtocolKind.CR_RSMA]
                     )
@@ -185,11 +199,12 @@ class TestDeterminism:
         assert results[1] == results[2] == results[16]
 
     def test_env_thread_cap_does_not_change_values(self, monkeypatch):
-        mc = McConfig(n_samples=100_000, seed=9, chunk_size=10_000)
-        monkeypatch.setenv("CRUL_THREADS", "16")
-        with_env = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        monkeypatch.setenv("CRUL_THREADS", "1")
-        serial = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
+        mc = McConfig(n_samples=100_000, seed=9)
+        with chunk_size(10_000):
+            monkeypatch.setenv("CRUL_THREADS", "16")
+            with_env = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
+            monkeypatch.setenv("CRUL_THREADS", "1")
+            serial = estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
         assert with_env == serial
 
     def test_seed_separates_streams(self):
@@ -197,15 +212,6 @@ class TestDeterminism:
         mc_b = McConfig(n_samples=10_000, seed=2)
         a = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, mc_a).value
         b = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, mc_b).value
-        assert a != b
-
-    def test_chunk_size_is_part_of_the_stream_key(self):
-        # Rechunking rekeys the substreams, so it legitimately changes the
-        # draw set; determinism is promised per (seed, n, chunk_size).
-        coarse = McConfig(n_samples=10_000, seed=3, chunk_size=10_000)
-        fine = McConfig(n_samples=10_000, seed=3, chunk_size=1_000)
-        a = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, coarse).value
-        b = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, fine).value
         assert a != b
 
     def test_chunk_streams_are_reproducible(self):
@@ -220,10 +226,10 @@ class TestDeterminism:
         protocol=st.sampled_from(list(ProtocolKind)),
     )
     def test_parallel_replay_property(self, seed, protocol):
-        mc = McConfig(n_samples=256, seed=seed, chunk_size=64)
-        with threads(1):
+        mc = McConfig(n_samples=256, seed=seed)
+        with threads(1), chunk_size(64):
             serial = _estimate(protocol, SCENARIO_20DB, mc)
-        with threads(4):
+        with threads(4), chunk_size(64):
             parallel = _estimate(protocol, SCENARIO_20DB, mc)
         assert serial == parallel
         assert math.isfinite(serial.value)
@@ -249,23 +255,30 @@ class TestEstimate:
         reference = evaluate(ProtocolKind.CR_RSMA, SCENARIO_20DB, "analytic").value
         assert abs(result.value - reference) <= 3.0 * result.stderr
 
-    def test_single_sample_equals_per_realization_rate(self):
-        mc = McConfig(n_samples=1, seed=7)
-        out, logs = (np.empty(1), np.empty(1)), (np.empty(1), np.empty(1))
-        gamma_pu, gamma_su = sample_snrs(SCENARIO_20DB, chunk_stream(7, 0), 1, out, logs)
-        draw = (float(gamma_pu[0]), float(gamma_su[0]))
+    def test_two_samples_give_the_mean_of_the_per_realization_rates(self):
+        """Two draws: the mean of their two rates, and a stderr of half their
+        gap, the sample standard deviation over the square root of two."""
+        mc = McConfig(n_samples=2, seed=7)
+        logs = np.empty(2), np.empty(2)
+        sample_snrs(chunk_stream(7, 0), 2, logs)
+        gamma_pu, gamma_su = scale_snrs(SCENARIO_20DB, logs, (np.empty(2), np.empty(2)))
         theta = SCENARIO_20DB.theta
-        expected = {
-            ProtocolKind.CR_RSMA: rsma_rates(*draw, theta).su_rate,
-            ProtocolKind.CR_SIC: sic_rates(*draw, theta).su_rate,
-            ProtocolKind.BENCH_CSI: benchmark_su_rate(ProtocolKind.BENCH_CSI, *draw, theta),
-            ProtocolKind.BENCH_QOS: benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw, theta),
+        rules = {
+            ProtocolKind.CR_RSMA: lambda pu, su: rsma_rates(pu, su, theta).su_rate,
+            ProtocolKind.CR_SIC: lambda pu, su: sic_rates(pu, su, theta).su_rate,
+            ProtocolKind.BENCH_CSI: lambda pu, su: benchmark_su_rate(
+                ProtocolKind.BENCH_CSI, pu, su, theta
+            ),
+            ProtocolKind.BENCH_QOS: lambda pu, su: benchmark_su_rate(
+                ProtocolKind.BENCH_QOS, pu, su, theta
+            ),
         }
-        for protocol, reference in expected.items():
+        for protocol, rule in rules.items():
+            first, second = (rule(pu, su) for pu, su in zip(gamma_pu.tolist(), gamma_su.tolist()))
             result = estimate(protocol, SCENARIO_20DB, mc)
-            assert result.value == reference
-            assert result.stderr == 0.0
-            assert result.n_samples == 1
+            assert result.value == (first + second) / 2, protocol
+            assert result.stderr == pytest.approx(abs(first - second) / 2, rel=1e-9, abs=1e-12)
+            assert result.n_samples == 2
 
     def test_stderr_scaling(self):
         # Quadrupling the budget should halve the stderr, give or take
@@ -289,11 +302,16 @@ class TestEstimate:
         sic = estimate(ProtocolKind.CR_SIC, scenario, mc).value
         assert rsma >= sic - 1e-12
 
-    def test_normalized_protocol_is_sampled_with_its_scale(self):
-        # Its one-protocol pass would have no power scale to boost by.
+    def test_normalized_protocol_is_sampled_with_its_scale(
+        self, fresh_reserve, made_workspaces, streams
+    ):
+        """Its one-protocol pass would have no power scale to boost by, so
+        the pass refuses it before it makes a workspace or opens a stream."""
         mc = McConfig(n_samples=10, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no per-realization rate rule"):
             estimate(ProtocolKind.CR_SIC_NORM, SCENARIO_20DB, mc)
+        assert made_workspaces == []
+        assert streams == []
 
     def test_normalization_boosts_sic(self):
         # The estimated power scale is < 1, so the normalized run gives
@@ -342,13 +360,14 @@ class TestChunkFold:
         """The estimate is the ``fsum`` of every chunk's ``np.sum`` of the
         kernel's rates, over the sample count, bit for bit."""
         # Several chunks, so the fold is part of what must match.
-        mc = McConfig(n_samples=100_000, seed=13, chunk_size=30_000)
-        plain, scenario = _plain(protocol, SCENARIO_20DB, mc)
-        sums = [
-            np.sum(_rates(plain, draw_chunk(scenario, mc.seed, index, count, Workspace(count))))
-            for index, count in enumerate(mc.chunk_counts())
-        ]
-        total = _estimate(protocol, SCENARIO_20DB, mc).value
+        mc = McConfig(n_samples=100_000, seed=13)
+        with chunk_size(30_000):
+            plain, scenario = _plain(protocol, SCENARIO_20DB, mc)
+            sums = [
+                np.sum(_rates(plain, draw_chunk(scenario, mc.seed, index, count, Workspace(count))))
+                for index, count in enumerate(mc.chunk_counts())
+            ]
+            total = _estimate(protocol, SCENARIO_20DB, mc).value
         assert total == math.fsum(sums) / mc.n_samples
 
 
@@ -391,9 +410,9 @@ class TestSamplePoint:
         seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
     def test_equals_single_quantity_entries(self, subset, seed):
-        mc = McConfig(n_samples=300, seed=seed, chunk_size=64)
+        mc = McConfig(n_samples=300, seed=seed)
         protocols = [p for p in ProtocolKind if p in subset]
-        with threads(1):
+        with threads(1), chunk_size(64):
             power = mean_power_factor(SCENARIO_20DB, mc)
             boosted = SCENARIO_20DB.with_secondary_snr_scaled(1.0 / power.value)
             singles = {
@@ -403,7 +422,7 @@ class TestSamplePoint:
                 for p in protocols
             }
         for count in (1, 4):
-            with threads(count):
+            with threads(count), chunk_size(64):
                 estimates, scale = sample_point(SCENARIO_20DB, mc, protocols)
             assert estimates == singles
             assert scale == power
@@ -429,12 +448,13 @@ class TestSamplePoint:
         workers open theirs at once."""
         in_order = list if threads == "1" else sorted
         monkeypatch.setenv("CRUL_THREADS", threads)
-        mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
-        sample_point(SCENARIO_20DB, mc, protocols)
-        assert in_order(streams) == [(mc.seed, index) for index in first]
-        streams.clear()
-        sample_point(SCENARIO_20DB, mc, protocols)
-        assert in_order(streams) == [(mc.seed, index) for index in second]
+        mc = McConfig(n_samples=1_000, seed=5)
+        with chunk_size(250):
+            sample_point(SCENARIO_20DB, mc, protocols)
+            assert in_order(streams) == [(mc.seed, index) for index in first]
+            streams.clear()
+            sample_point(SCENARIO_20DB, mc, protocols)
+            assert in_order(streams) == [(mc.seed, index) for index in second]
 
     @pytest.mark.parametrize(
         "protocols,passes",
@@ -449,9 +469,10 @@ class TestSamplePoint:
 
         monkeypatch.setattr(montecarlo, "sic_case_array", counted)
         monkeypatch.setenv("CRUL_THREADS", "1")
-        mc = McConfig(n_samples=1_000, seed=5, chunk_size=250)
-        sample_point(SCENARIO_20DB, mc, protocols)
-        assert sizes == mc.chunk_counts() * passes
+        mc = McConfig(n_samples=1_000, seed=5)
+        with chunk_size(250):
+            sample_point(SCENARIO_20DB, mc, protocols)
+            assert sizes == mc.chunk_counts() * passes
 
 
 # ------------------------------------------------------------ workspaces
@@ -483,9 +504,9 @@ class TestWorkspace:
             for pu, su in ((20.0, 20.0), (0.0, 60.0), (60.0, 0.0), (51.217, 31.017))
             for rate_th in (0.0, 2.5, 6.0)
         ]
-        mc = McConfig(n_samples=250_001, seed=21, chunk_size=100_000)
+        mc = McConfig(n_samples=250_001, seed=21)
         first, second, short = enumerate(mc.chunk_counts())
-        workspace = Workspace(mc.chunk_size)
+        workspace = Workspace(CHUNK_SIZE)
         for index, count in (first, short, second):
             for scenario in scenarios:
                 boosted = scenario.with_secondary_snr_scaled(2.0)
@@ -640,12 +661,12 @@ class TestKeptThreadsAndWorkspaces:
         monkeypatch.setenv("CRUL_THREADS", "2")
         mc = McConfig(n_samples=400_000, seed=4)
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        assert made_workspaces == [mc.chunk_size] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
         running, warm_workers = threading.active_count(), set(workers)
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
         mean_power_factor(SCENARIO_20DB, replace(mc, seed=5))
-        assert made_workspaces == [mc.chunk_size] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
         assert threading.active_count() == running
         assert set(workers) == warm_workers
 
@@ -669,7 +690,7 @@ class TestKeptThreadsAndWorkspaces:
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, replace(mc, seed=7))
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        assert made_workspaces == [mc.chunk_size]
+        assert made_workspaces == [CHUNK_SIZE]
         assert montecarlo._reserve.workers == 0
         assert len(montecarlo._reserve.workspaces) == 1
 
@@ -683,39 +704,38 @@ class TestKeptThreadsAndWorkspaces:
         pooled = sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
         monkeypatch.setenv("CRUL_THREADS", "1")
         assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == pooled
-        assert made_workspaces == [mc.chunk_size] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
         assert len(montecarlo._reserve.workspaces) == 2
 
-    def test_a_workspace_past_the_default_chunk_is_not_kept(
+    def test_thread_count_changes_within_a_process(self, monkeypatch):
+        mc = McConfig(n_samples=40_000, seed=42)
+        with chunk_size(5_000):
+            serial = _serial_point(SCENARIO_20DB, mc)
+            for count in (2, 1, 4, 2):
+                monkeypatch.setenv("CRUL_THREADS", str(count))
+                assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial, count
+                assert len(montecarlo._reserve.workspaces) <= max(count, 2)
+            assert montecarlo._reserve.workers == 2
+            assert len(montecarlo._reserve.workspaces) == 2
+
+    def test_short_and_long_passes_share_two_full_chunk_workspaces(
         self, monkeypatch, fresh_reserve, made_workspaces
     ):
+        """Passes below one chunk and passes of several chunks, in turn on
+        two threads, each give their serial value, and all of them run in
+        the same two workspaces of a full chunk each."""
+        short = McConfig(n_samples=640, seed=11)
+        long = McConfig(n_samples=250_001, seed=11)
+        with mock.patch.object(montecarlo, "_reserve", montecarlo._Reserve()):
+            serial = {mc: _serial_point(SCENARIO_20DB, mc) for mc in (short, long)}
+        made_workspaces.clear()
         monkeypatch.setenv("CRUL_THREADS", "2")
-        mc = McConfig(n_samples=300_000, seed=8, chunk_size=150_000)
-        for _ in range(2):
-            estimate(ProtocolKind.BENCH_CSI, SCENARIO_20DB, mc)
-        assert made_workspaces == [mc.chunk_size] * 4
-        assert montecarlo._reserve.workspaces == []
-
-    def test_thread_count_changes_within_a_process(self, monkeypatch, fresh_reserve):
-        mc = McConfig(n_samples=40_000, seed=42, chunk_size=5_000)
-        serial = _serial_point(SCENARIO_20DB, mc)
-        for count in (2, 1, 4, 2):
-            monkeypatch.setenv("CRUL_THREADS", str(count))
-            assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial, count
-            assert len(montecarlo._reserve.workspaces) <= max(count, 2)
-        assert montecarlo._reserve.workers == 2
-        assert len(montecarlo._reserve.workspaces) == 2
-
-    def test_chunk_capacity_changes_between_calls(self, monkeypatch, fresh_reserve):
-        small = McConfig(n_samples=640, seed=11, chunk_size=64)
-        large = McConfig(n_samples=200_000, seed=11)
-        serial = {mc: _serial_point(SCENARIO_20DB, mc) for mc in (small, large)}
-        monkeypatch.setenv("CRUL_THREADS", "2")
-        for mc in (small, large, small):
+        for mc in (short, long, short, long):
             assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial[mc]
-            assert {w.capacity for w in montecarlo._reserve.workspaces} == {mc.chunk_size}
+        assert made_workspaces == [CHUNK_SIZE] * 2
+        assert [w.capacity for w in montecarlo._reserve.workspaces] == [CHUNK_SIZE] * 2
 
-    def test_two_python_threads_sampling_at_once(self, monkeypatch, fresh_reserve):
+    def test_two_python_threads_sampling_at_once(self, monkeypatch):
         """Two callers share the pool and the kept workspaces by taking turns:
         a pass holds them from its start to its end, so the callers never
         share the pool mid-pass.  Each chunk dwells in its workspace a little,
@@ -724,41 +744,43 @@ class TestKeptThreadsAndWorkspaces:
         switch often."""
         boosted = SCENARIO_20DB.with_secondary_snr_scaled(3.0)
         jobs = [
-            (SCENARIO_20DB, McConfig(n_samples=8_000, seed=1, chunk_size=500)),
-            (boosted, McConfig(n_samples=8_000, seed=2, chunk_size=500)),
+            (SCENARIO_20DB, McConfig(n_samples=8_000, seed=1)),
+            (boosted, McConfig(n_samples=8_000, seed=2)),
         ]
-        serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
-        clashes, results, workers = _sample_at_once(monkeypatch, jobs)
+        with chunk_size(500):
+            serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
+            clashes, results, workers = _sample_at_once(monkeypatch, jobs)
+            assert len(montecarlo._reserve.workspaces) == min(workers, jobs[0][1].n_chunks)
         assert clashes == []
         assert results == [[expected] * 3 for expected in serial]
-        assert len(montecarlo._reserve.workspaces) == min(workers, jobs[0][1].n_chunks)
 
-    def test_a_failed_chunk_leaves_no_chunk_running(self, monkeypatch, fresh_reserve):
+    def test_a_failed_chunk_leaves_no_chunk_running(self, monkeypatch):
         """A pass whose chunk raises returns only once no other chunk of it
         runs in the kept workspaces, and the next call still matches."""
-        mc = McConfig(n_samples=20_000, seed=3, chunk_size=500)
-        serial = _serial_point(SCENARIO_20DB, mc)
-        monkeypatch.setenv("CRUL_THREADS", "2")
-        running, original = set(), montecarlo._chunk_sums
+        mc = McConfig(n_samples=20_000, seed=3)
+        with chunk_size(500):
+            serial = _serial_point(SCENARIO_20DB, mc)
+            monkeypatch.setenv("CRUL_THREADS", "2")
+            running, original = set(), montecarlo._chunk_sums
 
-        # Chunk 2 is the first worker's second; every other chunk dwells a
-        # little, so the second worker is still mid-chunk when it fails.
-        def failing(scenario, families, seed, index, count, workspace):
-            running.add(index)
-            try:
-                if index == 2:
-                    raise RuntimeError("chunk 2")
-                time.sleep(1e-3)
-                return original(scenario, families, seed, index, count, workspace)
-            finally:
-                running.discard(index)
+            # Chunk 2 is the first worker's second; every other chunk dwells a
+            # little, so the second worker is still mid-chunk when it fails.
+            def failing(scenario, families, seed, index, count, workspace):
+                running.add(index)
+                try:
+                    if index == 2:
+                        raise RuntimeError("chunk 2")
+                    time.sleep(1e-3)
+                    return original(scenario, families, seed, index, count, workspace)
+                finally:
+                    running.discard(index)
 
-        monkeypatch.setattr(montecarlo, "_chunk_sums", failing)
-        with pytest.raises(RuntimeError, match="chunk 2"):
-            sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        assert running == set()
-        monkeypatch.setattr(montecarlo, "_chunk_sums", original)
-        assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial
+            monkeypatch.setattr(montecarlo, "_chunk_sums", failing)
+            with pytest.raises(RuntimeError, match="chunk 2"):
+                sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
+            assert running == set()
+            monkeypatch.setattr(montecarlo, "_chunk_sums", original)
+            assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
@@ -787,11 +809,18 @@ class TestKeptThreadsAndWorkspaces:
 # ------------------------------------------------------------ kept draws
 
 
-class _Ones:
-    """A stream whose every uniform is 1, so ``1 - u`` is 0: out of range."""
+class _FailsOnSecondBlock:
+    """A stream that fills the primary block and then fails, half way into
+    a chunk's standard draw."""
+
+    def __init__(self):
+        self.blocks = 0
 
     def random(self, out):
-        out.fill(1.0)
+        if self.blocks:
+            raise RuntimeError("stream failed")
+        self.blocks += 1
+        out.fill(0.5)
         return out
 
 
@@ -805,9 +834,9 @@ class TestKeptDraws:
         ],
     )
     def test_a_rescaled_chunk_sums_as_a_new_draw(self, streams, other):
-        mc = McConfig(n_samples=250_001, seed=21, chunk_size=100_000)
+        mc = McConfig(n_samples=250_001, seed=21)
         for index, count in enumerate(mc.chunk_counts()):
-            workspace = Workspace(mc.chunk_size)
+            workspace = Workspace(CHUNK_SIZE)
             montecarlo._chunk_sums(SCENARIO_20DB, PLAIN, mc.seed, index, count, workspace)
             streams.clear()
             kept = montecarlo._chunk_sums(other, PLAIN, mc.seed, index, count, workspace)
@@ -832,12 +861,13 @@ class TestKeptDraws:
         assert np.array_equal(kept.gamma_su, fresh.gamma_su)
 
     def test_a_draw_that_raises_leaves_no_key(self, monkeypatch, streams):
-        """The range check rejects a stream of ones half way into the logs;
-        the workspace then holds no chunk, and its old chunk is drawn anew."""
+        """A stream that fails after the primary block leaves the workspace
+        holding no chunk, and its old chunk, whose primary logs were written
+        over, is drawn anew."""
         workspace = Workspace(1_000)
         draw_chunk(SCENARIO_20DB, 21, 0, 1_000, workspace)
-        monkeypatch.setattr(montecarlo, "chunk_stream", lambda seed, index: _Ones())
-        with pytest.raises(ValueError, match="uniform input"):
+        monkeypatch.setattr(montecarlo, "chunk_stream", lambda seed, index: _FailsOnSecondBlock())
+        with pytest.raises(RuntimeError, match="stream failed"):
             draw_chunk(SCENARIO_20DB, 21, 1, 1_000, workspace)
         assert workspace.drawn is None
         monkeypatch.setattr(montecarlo, "chunk_stream", chunk_stream)
@@ -846,13 +876,11 @@ class TestKeptDraws:
         assert np.array_equal(again.gamma_pu, fresh.gamma_pu)
         assert np.array_equal(again.gamma_su, fresh.gamma_su)
 
-    def test_each_worker_runs_a_fixed_stride_in_its_own_workspace(
-        self, monkeypatch, fresh_reserve
-    ):
+    def test_each_worker_runs_a_fixed_stride_in_its_own_workspace(self, monkeypatch):
         """On two workers, chunk ``i`` runs in ``_reserve.workspaces[i % 2]``
         on every pass: plain and boosted, and again under another seed."""
         monkeypatch.setenv("CRUL_THREADS", "2")
-        mc = McConfig(n_samples=5_500, seed=4, chunk_size=1_000)
+        mc = McConfig(n_samples=5_500, seed=4)
         ran, original = [], montecarlo._chunk_sums
 
         def recorded(scenario, families, seed, index, count, workspace):
@@ -860,11 +888,12 @@ class TestKeptDraws:
             return original(scenario, families, seed, index, count, workspace)
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", recorded)
-        for seed in (4, 4, 5):
-            sample_point(SCENARIO_20DB, replace(mc, seed=seed), EVERY_PROTOCOL)
-        workspaces = montecarlo._reserve.workspaces
+        with chunk_size(1_000):
+            for seed in (4, 4, 5):
+                sample_point(SCENARIO_20DB, replace(mc, seed=seed), EVERY_PROTOCOL)
+            workspaces = montecarlo._reserve.workspaces
+            assert len(ran) == 3 * 2 * mc.n_chunks
         assert len(workspaces) == 2
-        assert len(ran) == 3 * 2 * mc.n_chunks
         for seed, families, index, workspace in ran:
             assert workspace is workspaces[index % 2], (seed, families, index)
 
@@ -879,21 +908,22 @@ class TestKeptDraws:
         assert streams == []
 
     def test_two_python_threads_sharing_a_seed_never_share_a_workspace(
-        self, monkeypatch, fresh_reserve, streams
+        self, monkeypatch, streams
     ):
         """Two callers under one seed and chunk layout sample two scenarios at
         once.  Their passes take turns in the kept workspaces, so either may
         rescale a chunk that the other's last pass drew."""
-        mc = McConfig(n_samples=8_000, seed=1, chunk_size=500)
+        mc = McConfig(n_samples=8_000, seed=1)
         jobs = [(SCENARIO_20DB, mc), (SCENARIO_20DB.with_secondary_snr_scaled(3.0), mc)]
-        serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
-        streams.clear()
-        clashes, results, _ = _sample_at_once(monkeypatch, jobs)
+        with chunk_size(500):
+            serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
+            streams.clear()
+            clashes, results, _ = _sample_at_once(monkeypatch, jobs)
+            # The warm-up opens at least one stream per chunk; had the six
+            # calls rescaled nothing, they would open one per chunk and pass.
+            assert len(streams) < mc.n_chunks * (1 + 6 * 2)
         assert clashes == []
         assert results == [[expected] * 3 for expected in serial]
-        # The warm-up opens at least one stream per chunk; had the six calls
-        # rescaled nothing, they would open one per chunk and pass.
-        assert len(streams) < mc.n_chunks * (1 + 6 * 2)
 
 
 # ------------------------------------------------------------ power factor
