@@ -12,9 +12,9 @@ rate for each protocol decomposes over the decision regions:
   where the two protocols differ;
 * clear-channel term -- the primary tolerates the secondary at full power.
 
-Every form reads a :class:`crul.channel.ScenarioConfig`, the triple
-``(lambda_pu, lambda_su, theta)``.  A form with a quadrature also takes
-its half-line rule, which drives every sum it makes.
+Every form takes only a :class:`crul.channel.ScenarioConfig`, the triple
+``(lambda_pu, lambda_su, theta)``; a form with a quadrature reads the one
+stored half-line rule itself.
 
 Every piece is available in more than one route, each its own function,
 so they can be cross-checked term by term:
@@ -60,11 +60,10 @@ from .panels import REL_TOL, panel_integral
 from .specfun import (
     E1_SERIES_MAX,
     EULER_GAMMA,
-    QuadratureRule,
     e1_cf_factor,
     ei_series_sum,
     expint_ei,
-    gauss_laguerre,  # noqa: F401 - crosscheck builds its rule by this name, which perfbench spans
+    gauss_laguerre,
     log_e1,
 )
 
@@ -76,8 +75,7 @@ LN2 = math.log(2.0)
 #: derivative about the width's square; next to the switch both reach ~6e-10.
 MIDPOINT_REL_GAP = 3e-5
 
-#: Order of the half-line rule the fixed-rule closed forms are evaluated
-#: on unless the caller asks for another.
+#: Order of the half-line rule every fixed-rule closed form is evaluated on.
 DEFAULT_NODES = 100
 
 
@@ -120,12 +118,13 @@ def ratio_density(z, scenario: ScenarioConfig):
     return result
 
 
-def below_threshold_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
+def below_threshold_term(scenario: ScenarioConfig) -> float:
     """Rate contribution of the protected-primary event, by quadrature.
 
     Weighted sum of ``log2(1+z)`` times the ratio density over the
     half-line rule's nodes.
     """
+    rule = gauss_laguerre(DEFAULT_NODES)
     density = ratio_density(rule.nodes, scenario)
     return float(np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density))
 
@@ -197,8 +196,9 @@ def _stated_density(z, scenario: ScenarioConfig):
     )
 
 
-def below_threshold_stated(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
+def below_threshold_stated(scenario: ScenarioConfig) -> float:
     """:func:`below_threshold_term` on the printed ratio density."""
+    rule = gauss_laguerre(DEFAULT_NODES)
     density = _stated_density(rule.nodes, scenario)
     return float(np.sum(rule.integration_weights * np.log2(1.0 + rule.nodes) * density))
 
@@ -315,15 +315,16 @@ def _band_decay(scenario: ScenarioConfig) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _sic_cells(scenario: ScenarioConfig, rule: QuadratureRule) -> tuple[float, float]:
+def _sic_cells(scenario: ScenarioConfig) -> tuple[float, float]:
     """The reduced-power and preferred-order terms from one pass over the rule.
 
     The rule's unit is the ``v`` where the preferred kernel's exponent ``a v
     + b v**2`` reaches 1.  The reduced cell is the band's ``ln(1 + v)
     exp(-lambda_su v)`` part in closed form less the preferred kernel's log
     part; its own kernel's long tail would fall past the rule.  Memoised
-    per scenario and rule (by identity), so the two terms share the pass.
+    per scenario, so the two terms share the pass.
     """
+    rule = gauss_laguerre(DEFAULT_NODES)
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     a, b = lam_p * theta + lam_s * (1.0 + theta), lam_s * theta
     unit = 2.0 / (a + math.sqrt(a * a + 4.0 * b))
@@ -335,9 +336,9 @@ def _sic_cells(scenario: ScenarioConfig, rule: QuadratureRule) -> tuple[float, f
     return head - log_part, log_part + math.fsum(weights * tails)
 
 
-def reduced_power_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
+def reduced_power_term(scenario: ScenarioConfig) -> float:
     """Rate contribution of the reduced-power event, on the scaled rule."""
-    return _sic_cells(scenario, rule)[0]
+    return _sic_cells(scenario)[0]
 
 
 def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
@@ -346,9 +347,9 @@ def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
     return panel_integral(kernel, 1.0 / _band_decay(scenario), REL_TOL)
 
 
-def preferred_order_term(scenario: ScenarioConfig, rule: QuadratureRule) -> float:
+def preferred_order_term(scenario: ScenarioConfig) -> float:
     """Rate contribution of the swapped decoding order, on the scaled rule."""
-    return _sic_cells(scenario, rule)[1]
+    return _sic_cells(scenario)[1]
 
 
 def preferred_order_term_integral(scenario: ScenarioConfig) -> float:

@@ -32,7 +32,7 @@ from .montecarlo import MAX_SAMPLES, McConfig, resolve_workers, sample_point
 from .montecarlo import mean_power_factor  # noqa: F401 - perfbench/spans.py patches this name
 from .oracle import OracleAccuracyError, mean_power_factor_oracle
 from .protocols import ProtocolKind
-from .specfun import MAX_ORDER, ConvergenceError
+from .specfun import ConvergenceError
 
 CSV_HEADER = "protocol,gamma0P_db,gamma0S_db,method,value_bpshz,stderr,n_samples,mean_c"
 ALL_PROTOCOLS = tuple(ProtocolKind)
@@ -83,7 +83,9 @@ class Settings:
     methods: tuple[str, ...]
     samples: int
     seed: int
-    nodes: int
+    #: Not a field, and no flag sets it: only perfbench/worker.py reads it,
+    #: to build the closed forms' one rule at set-up.
+    nodes = DEFAULT_NODES
 
 
 def load_config(path: str) -> list[tuple[int, str, str]]:
@@ -136,9 +138,9 @@ def _parse_methods(spec: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
-def _require(flag: str, value, valid: bool, rule: str) -> None:
+def _require(flag: str, value, valid: bool, requirement: str) -> None:
     if not valid:
-        raise UsageError(f"--{flag} must be {rule}, got {value}")
+        raise UsageError(f"--{flag} must be {requirement}, got {value}")
 
 
 def _budget(args: argparse.Namespace) -> tuple[int, int]:
@@ -178,7 +180,6 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise UsageError("--gamma0 conflicts with --gamma0-pu/--gamma0-su")
         gamma0_pu = gamma0_su = gamma0
     samples, seed = _budget(args)
-    _require("nodes", args.nodes, 1 <= args.nodes <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
 
     settings = Settings(
         gamma0_pu=gamma0_pu,
@@ -191,7 +192,6 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         methods=_parse_methods(args.method),
         samples=samples,
         seed=seed,
-        nodes=args.nodes,
     )
     if not _row_pairs(settings):
         raise UsageError(
@@ -205,8 +205,9 @@ def _scenario(settings: Settings, gamma0_pu: float, gamma0_su: float) -> Scenari
     low, high = LINK_SNR_DB_RANGE
     links = (("pu", gamma0_pu, settings.dist_pu), ("su", gamma0_su, settings.dist_su))
     for link, snr_db, distance in links:
-        # In logs, so a path loss that overflows a float is still caught.
-        link_db = snr_db - 10.0 * settings.u * math.log10(distance)
+        # In logs, so a path loss that overflows a float is still caught; the
+        # log goes first, so a lossless link (distance 1) is 0 dB at any --u.
+        link_db = snr_db - 10.0 * math.log10(distance) * settings.u
         if not low <= link_db <= high:
             raise UsageError(
                 f"--dist-{link} {distance:g} with --u {settings.u:g} puts the {link.upper()} "
@@ -294,7 +295,7 @@ def make_rows(settings: Settings, points: list[tuple[float, float]]) -> list[str
             if method == "mc":
                 result = sampled[protocol]
             else:
-                result = evaluate(protocol, scenario, method, nodes=settings.nodes)
+                result = evaluate(protocol, scenario, method)
             if protocol is ProtocolKind.CR_SIC:
                 mean_c = mean_c_mc if method == "mc" else mean_c_exact
             else:
@@ -439,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--protocol", default="all", help="comma-separated protocols, or 'all'")
     methods = ",".join(METHODS)
     scenario.add_argument("--method", default=methods, help=f"comma-separated subset of {methods}")
-    scenario.add_argument("--nodes", type=int, default=DEFAULT_NODES, help="quadrature order")
     su.add_argument("--gamma0-su", type=float, help="secondary mean SNR (dB)")
     split.add_argument("--gamma0", type=float, help="mean SNR of both links (dB)")
     split.add_argument("--gamma0-pu", type=float, help="primary mean SNR (dB)")

@@ -9,8 +9,7 @@ relative, with no absolute floor: a derived 0.0 against a tiny term (a
 weak secondary's) is wholly off.  The region integrals are the per-case
 terms that :mod:`crul.oracle` owns and memoises, so the oracle rows and
 the arbitration share one integration per term, and the fallback costs
-nothing more.  Every route is a callable of the scenario and the
-half-line rule, ``analytic.gauss_laguerre(nodes)``.
+nothing more.  Every route is a callable of the scenario alone.
 
 A term's routes are written once, in one table keyed by the oracle's term
 name, and run by one loop, :func:`term_reports`.  An analytic row
@@ -35,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import analytic
-from .analytic import DEFAULT_NODES
 from .channel import ScenarioConfig
 from .montecarlo import EstimateResult, estimate  # noqa: F401 - perfbench/spans.py patches estimate
 from .oracle import TERMS, case_terms, ergodic_rate_oracle, normalized
@@ -97,14 +95,14 @@ class TermReport:
         )
 
 
-def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True) -> TermReport:
+def _report(protocol, term, routes, oracle_value, scenario, in_total=True) -> TermReport:
     """Evaluate every route, NaN with a reason if it raised; the ``derived``
     one is chosen where it is within tolerance of the oracle, and the
     oracle value where it is not."""
     values, errors = {}, {}
     for name, route in routes.items():
         try:
-            values[name] = route(scenario, rule)
+            values[name] = route(scenario)
         except _ROUTE_ERRORS as exc:
             values[name] = math.nan
             errors[name] = f"{type(exc).__name__}: {exc}"
@@ -131,41 +129,38 @@ def _report(protocol, term, routes, oracle_value, scenario, rule, in_total=True)
 #: :func:`deviation_report` runs.  Routes look up their function when run.
 _ROUTES = {
     "below": ("interference_limited", {
-        "stated": lambda s, r: analytic.below_threshold_stated(s, r),
-        "derived": lambda s, r: analytic.below_threshold_term(s, r),
-        "integral": lambda s, r: analytic.below_threshold_term_integral(s),
+        "stated": lambda s: analytic.below_threshold_stated(s),
+        "derived": lambda s: analytic.below_threshold_term(s),
+        "integral": lambda s: analytic.below_threshold_term_integral(s),
     }),
     "band": ("split_band", {
-        "stated": lambda s, r: analytic.split_band_stated(s),
-        "derived": lambda s, r: analytic.split_band_term(s),
+        "stated": lambda s: analytic.split_band_stated(s),
+        "derived": lambda s: analytic.split_band_term(s),
     }),
     "reduced": ("reduced_power", {
-        "derived": lambda s, r: analytic.reduced_power_term(s, r),
-        "integral": lambda s, r: analytic.reduced_power_term_integral(s),
+        "derived": lambda s: analytic.reduced_power_term(s),
+        "integral": lambda s: analytic.reduced_power_term_integral(s),
     }),
     "preferred": ("preferred_order", {
-        "derived": lambda s, r: analytic.preferred_order_term(s, r),
-        "integral": lambda s, r: analytic.preferred_order_term_integral(s),
+        "derived": lambda s: analytic.preferred_order_term(s),
+        "integral": lambda s: analytic.preferred_order_term_integral(s),
     }),
     "clear": ("clear_channel", {
-        "stated": lambda s, r: analytic.clear_channel_stated(s),
-        "derived": lambda s, r: analytic.clear_channel_term(s),
+        "stated": lambda s: analytic.clear_channel_stated(s),
+        "derived": lambda s: analytic.clear_channel_term(s),
     }),
 }
 #: The band and clear-channel terms as the rate-splitting headline groups
 #: them behind one exponential factor; report-only, since those two terms
 #: already cover the total.
 _COMBINED_TAIL = {
-    "stated": lambda s, r: analytic.merged_tail_stated(s),
-    "derived": lambda s, r: analytic.split_band_term(s) + analytic.clear_channel_term(s),
+    "stated": lambda s: analytic.merged_tail_stated(s),
+    "derived": lambda s: analytic.split_band_term(s) + analytic.clear_channel_term(s),
 }
 
 
 def term_reports(
-    protocol: ProtocolKind,
-    scenario: ScenarioConfig,
-    nodes: int = DEFAULT_NODES,
-    every_route: bool = False,
+    protocol: ProtocolKind, scenario: ScenarioConfig, every_route: bool = False
 ) -> list[TermReport]:
     """Each term of the total, its closed form against its own oracle: a
     row's ``derived`` route only, or every route of :data:`_ROUTES`.
@@ -177,7 +172,6 @@ def term_reports(
         raise ValueError(f"no closed-form decomposition for {protocol}")
     if protocol is ProtocolKind.CR_SIC_NORM:
         protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
-    rule = analytic.gauss_laguerre(nodes)
     oracle_values = case_terms(protocol, scenario)
     reports = []
     for name in TERMS[protocol]:
@@ -185,24 +179,18 @@ def term_reports(
         # The SIC headline prints its clear-channel term as derived.
         if not every_route or (protocol is ProtocolKind.CR_SIC and name == "clear"):
             routes = {"derived": routes["derived"]}
-        reports.append(_report(protocol, term, routes, oracle_values[name], scenario, rule))
+        reports.append(_report(protocol, term, routes, oracle_values[name], scenario))
     return reports
 
 
-def evaluate(
-    protocol: ProtocolKind,
-    scenario: ScenarioConfig,
-    method: str,
-    *,
-    nodes: int = DEFAULT_NODES,
-) -> EstimateResult:
+def evaluate(protocol: ProtocolKind, scenario: ScenarioConfig, method: str) -> EstimateResult:
     """Front door over the two deterministic routes, which record zero samples:
     ``analytic`` (the sum of the arbitrated terms, defined only for the
     protocols that have one) and ``oracle``.  Monte Carlo rows come from
     :func:`crul.montecarlo.sample_point`.
     """
     if method == "analytic":
-        reports = term_reports(protocol, scenario, nodes=nodes)
+        reports = term_reports(protocol, scenario)
         value = math.fsum(report.chosen_value for report in reports)
     elif method == "oracle":
         value = ergodic_rate_oracle(protocol, scenario)
@@ -213,8 +201,7 @@ def evaluate(
 
 def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     """JSON-ready table of every route of every term at every config,
-    with the closed forms on the default rule and the report-only routes
-    beside the rows' own: the printed forms, the kernel checks and rate
+    with the report-only routes beside the rows' own: the printed forms, the kernel checks and rate
     splitting's merged tail.
 
     ``flagged`` summarizes the routes that miss their term oracle by more
@@ -222,7 +209,6 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
     """
     entries = []
     flagged = []
-    rule = analytic.gauss_laguerre(DEFAULT_NODES)
     for label, scenario in scenarios.items():
         # The normalized protocol's terms are pure SIC's at another scenario.
         for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC):
@@ -231,7 +217,7 @@ def deviation_report(scenarios: dict[str, ScenarioConfig]) -> dict:
             if "split_band" in by_term:
                 tail = by_term["split_band"].oracle_value + by_term["clear_channel"].oracle_value
                 reports.append(_report(
-                    protocol, "combined_tail", _COMBINED_TAIL, tail, scenario, rule, in_total=False
+                    protocol, "combined_tail", _COMBINED_TAIL, tail, scenario, in_total=False
                 ))
             for report in reports:
                 entry = {

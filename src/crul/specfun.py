@@ -57,7 +57,8 @@ class ConvergenceError(RuntimeError):
 class QuadratureRule:
     """A Gauss-Laguerre rule for integrals against ``exp(-x)`` on ``[0, inf)``.
 
-    Rules compare and hash by identity, so a cache can key on the rule.
+    Rules compare and hash by identity: a generated ``__eq__`` would
+    compare the node arrays.
 
     Attributes
     ----------

@@ -13,7 +13,6 @@ import scipy.integrate
 from hypothesis import given, strategies as st
 
 from crul import analytic
-from crul.analytic import DEFAULT_NODES
 from crul.channel import ScenarioConfig
 from crul.crosscheck import ARBITRATION_REL_TOL, relative_deviation
 from crul.oracle import (
@@ -27,13 +26,9 @@ from crul.oracle import (
 )
 from crul.panels import panel_integral
 from crul.protocols import ProtocolKind, switch_edge
-from crul.specfun import QuadratureRule, expint_ei, gauss_laguerre
+from crul.specfun import expint_ei, gauss_laguerre
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
-
-
-#: The half-line rule of every fixed-rule form below, unless a test says otherwise.
-RULE = gauss_laguerre(DEFAULT_NODES)
 
 
 def scenario_at(gamma0_db: float) -> ScenarioConfig:
@@ -44,10 +39,10 @@ def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
-def rsma_total(p: ScenarioConfig, rule=RULE) -> float:
+def rsma_total(p: ScenarioConfig) -> float:
     """Rate splitting's closed-form total: its three region terms."""
     return (
-        analytic.below_threshold_term(p, rule)
+        analytic.below_threshold_term(p)
         + analytic.split_band_term(p)
         + analytic.clear_channel_term(p)
     )
@@ -56,9 +51,9 @@ def rsma_total(p: ScenarioConfig, rule=RULE) -> float:
 def sic_total(p: ScenarioConfig) -> float:
     """Pure SIC's fixed-rule total: its four region terms."""
     return (
-        analytic.below_threshold_term(p, RULE)
-        + analytic.reduced_power_term(p, RULE)
-        + analytic.preferred_order_term(p, RULE)
+        analytic.below_threshold_term(p)
+        + analytic.reduced_power_term(p)
+        + analytic.preferred_order_term(p)
         + analytic.clear_channel_term(p)
     )
 
@@ -168,7 +163,7 @@ class TestRatioDensity:
 
 class TestBelowThresholdTerm:
     def test_quadrature_matches_adaptive_integral(self, p20):
-        quad = analytic.below_threshold_term(p20, RULE)
+        quad = analytic.below_threshold_term(p20)
         integral = analytic.below_threshold_term_integral(p20)
         assert rel_err(quad, integral) < 1e-6
 
@@ -180,14 +175,14 @@ class TestBelowThresholdTerm:
             p20.lambda_pu,
             p20.lambda_su,
         )
-        assert rel_err(analytic.below_threshold_term(p20, RULE), reference) < 1e-3
+        assert rel_err(analytic.below_threshold_term(p20), reference) < 1e-3
         assert rel_err(analytic.below_threshold_term_integral(p20), reference) < 1e-6
 
     def test_stated_variant_deviates_at_unequal_rates(self, p20):
         # This is the headline symptom of the swapped rate parameters:
         # at the reference geometry the stated value is off by ~57%.
-        derived = analytic.below_threshold_term(p20, RULE)
-        stated = analytic.below_threshold_stated(p20, RULE)
+        derived = analytic.below_threshold_term(p20)
+        stated = analytic.below_threshold_stated(p20)
         assert rel_err(stated, derived) > 0.01
 
 
@@ -548,10 +543,15 @@ class TestRsmaTotal:
         assert rel_err(rsma_total(p), reference) < 1e-3
 
     def test_node_count_converged(self, p20):
-        # Order 100 against order 120: the approximation is already
-        # settled well past the headline tolerance.
-        coarse = rsma_total(p20, rule=gauss_laguerre(100))
-        fine = rsma_total(p20, rule=gauss_laguerre(120))
+        # The stored order-100 rule against order 120: the approximation is
+        # already settled well past the headline tolerance.
+        fine_rule = gauss_laguerre(120)
+        density = analytic.ratio_density(fine_rule.nodes, p20)
+        fine_below = float(
+            np.sum(fine_rule.integration_weights * np.log2(1.0 + fine_rule.nodes) * density)
+        )
+        coarse = rsma_total(p20)
+        fine = coarse - analytic.below_threshold_term(p20) + fine_below
         assert rel_err(coarse, fine) < 1e-6
 
     def test_huge_threshold_collapses_to_first_term(self):
@@ -573,7 +573,7 @@ class TestRsmaTotal:
     def test_stated_total_deviates(self, p20):
         scenario = ScenarioConfig.from_snr_db(20.0, 20.0)
         reference = ergodic_rate_oracle(ProtocolKind.CR_RSMA, scenario)
-        stated = analytic.below_threshold_stated(p20, RULE) + analytic.merged_tail_stated(p20)
+        stated = analytic.below_threshold_stated(p20) + analytic.merged_tail_stated(p20)
         assert rel_err(stated, reference) > 0.01
 
 
@@ -618,7 +618,7 @@ class TestPureSicCells:
         terms = case_terms(ProtocolKind.CR_SIC, p)
         routes = {"reduced": analytic.reduced_power_term, "preferred": analytic.preferred_order_term}
         for (name, route), frozen in zip(routes.items(), FROZEN_CELLS[point]):
-            value = route(p, RULE)
+            value = route(p)
             accepted = relative_deviation(value, terms[name]) <= ARBITRATION_REL_TOL
             assert accepted == ((point, name) not in RULE_MISSES)
             if accepted:
@@ -630,30 +630,10 @@ class TestPureSicCells:
         # cells' mass; scaled to the kernel it keeps it.
         p = scenario_at(gamma0_db)
         terms = case_terms(ProtocolKind.CR_SIC, p)
-        assert rel_err(analytic.reduced_power_term(p, RULE), terms["reduced"]) < 1e-6
-        assert rel_err(analytic.preferred_order_term(p, RULE), terms["preferred"]) < 1e-5
+        assert rel_err(analytic.reduced_power_term(p), terms["reduced"]) < 1e-6
+        assert rel_err(analytic.preferred_order_term(p), terms["preferred"]) < 1e-5
         assert rel_err(analytic.reduced_power_term_integral(p), terms["reduced"]) < 1e-9
         assert rel_err(analytic.preferred_order_term_integral(p), terms["preferred"]) < 1e-9
-
-    def test_a_custom_rule_is_its_own_cache_key(self, p20):
-        # The pass is memoised per scenario and rule object: a rule with
-        # other nodes but the default's order must not get the default's.
-        default = gauss_laguerre(100)
-        stretched = QuadratureRule(
-            order=100, nodes=2.0 * default.nodes, log_weights=default.log_weights - math.log(2.0)
-        )
-        copied = QuadratureRule(
-            order=100, nodes=default.nodes.copy(), log_weights=default.log_weights.copy()
-        )
-        analytic._sic_cells.cache_clear()
-        value = analytic.reduced_power_term(p20, default)
-        for rule in (stretched, copied):
-            own = analytic._sic_cells.__wrapped__(p20, rule)
-            assert (analytic.reduced_power_term(p20, rule),
-                    analytic.preferred_order_term(p20, rule)) == own
-        assert analytic._sic_cells.cache_info().misses == 3
-        assert analytic.reduced_power_term(p20, copied) == value
-        assert analytic.reduced_power_term(p20, stretched) != value
 
     def test_scaled_e1_array_matches_the_scalar(self):
         # Both branches, the series up to 4 and the continued fraction past it.
@@ -665,8 +645,8 @@ class TestPureSicCells:
 
     def test_empty_band_gives_zero_cells(self):
         p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=0.0)
-        assert analytic.reduced_power_term(p, RULE) == 0.0
-        assert analytic.preferred_order_term(p, RULE) == 0.0
+        assert analytic.reduced_power_term(p) == 0.0
+        assert analytic.preferred_order_term(p) == 0.0
 
     @staticmethod
     def stated_kernel(x: float, p: ScenarioConfig) -> float:

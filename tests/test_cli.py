@@ -7,6 +7,8 @@ sampling itself.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crul import cli
 from crul.crosscheck import ARBITRATION_REL_TOL
@@ -188,8 +191,6 @@ class TestUsageErrors:
             ("--u", "-1"),
             ("--rate-th", "nan"),
             ("--rate-th", "-1"),
-            ("--nodes", "0"),
-            ("--nodes", "257"),
             ("--seed", "-1"),
             ("--seed", "18446744073709551616"),
         ],
@@ -231,6 +232,8 @@ class TestUsageErrors:
             # The path loss overflowed a float (exit 1).
             (["--dist-su", "1e-300"], "--dist-su"),
             (["--dist-pu", "10", "--u", "1e300"], "--dist-pu"),
+            # The lossless PU link read 10 u log10(1) = inf * 0, "at nan dB".
+            (["--u", "1e308"], "--dist-su"),
         ],
     )
     def test_extreme_link_snr_is_usage_error_naming_the_flag(self, argv, flag):
@@ -240,6 +243,7 @@ class TestUsageErrors:
         done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert flag in done.stderr and "--u" in done.stderr
+        assert "nan" not in done.stderr
 
     def test_strong_near_link_inside_the_bound_runs(self, capsys):
         # 140 dB at the receiver: 20 dB of reference SNR and 120 dB of path gain.
@@ -247,6 +251,14 @@ class TestUsageErrors:
         status, out = run_cli(capsys, argv)
         assert status == 0
         assert all(math.isfinite(float(row[4])) for row in data_rows(out))
+
+    def test_a_lossless_link_takes_any_path_loss_exponent(self, capsys):
+        # 10 u log10(1) was inf * 0 = nan past u ~ 1.8e307, so this exited 2
+        # with the PU link's mean SNR "at nan dB"; both links are at 20 dB.
+        argv = ["point", "--gamma0", "20", "--dist-su", "1", "--samples", "2000"]
+        status, out = run_cli(capsys, [*argv, "--u", "1e308"])
+        assert status == 0
+        assert (status, out) == run_cli(capsys, argv)
 
     @pytest.mark.parametrize("value", ["many", "-1"])
     def test_bad_thread_count_is_usage_error_naming_it(self, capsys, monkeypatch, value):
@@ -375,12 +387,75 @@ class TestUsageErrors:
         assert not target.with_suffix(".gp").exists()
 
 
+def _any_float(low: float, high: float):
+    """Floats in ``[low, high]``, and any float: NaN, infinities and huge ones."""
+    return st.one_of(st.floats(low, high), st.floats())
+
+
+#: ``point``'s numeric flags of README's flag table, each in range and out
+#: of it.  ``--samples`` is always set, to at most 3000 draws.
+POINT_SNR_FLAGS = ("--gamma0", "--gamma0-pu", "--gamma0-su")
+POINT_VALUES = {
+    "--samples": st.integers(max_value=3000),
+    **{flag: _any_float(-100.0, 100.0) for flag in POINT_SNR_FLAGS},
+    "--dist-pu": _any_float(1e-3, 1e3),
+    "--dist-su": _any_float(1e-3, 1e3),
+    "--u": _any_float(0.0, 8.0),
+    "--rate-th": _any_float(0.0, 8.0),
+    "--seed": st.one_of(st.integers(0, 2**64 - 1), st.integers()),
+}
+#: Values for ``--samples``, one SNR flag or more, and any of the others.
+POINT_NUMBERS = st.builds(
+    lambda snr, value, others: {snr: value, **others},
+    st.sampled_from(POINT_SNR_FLAGS),
+    _any_float(-100.0, 100.0),
+    st.fixed_dictionaries(
+        {"--samples": POINT_VALUES["--samples"]},
+        optional={flag: value for flag, value in POINT_VALUES.items() if flag != "--samples"},
+    ),
+)
+
+
+class TestEveryNumericInput:
+    """Every numeric input of ``point`` works or is a usage error naming a
+    flag it was given, on the command line or in a config file.  Monte
+    Carlo only, since an exact route at a -100 dB secondary takes seconds;
+    the numbers themselves are other tests' business."""
+
+    @settings(max_examples=200)
+    @given(numbers=POINT_NUMBERS, in_config=st.sets(st.sampled_from(list(POINT_VALUES))))
+    @example(numbers={"--gamma0": 20.0, "--u": 1e308, "--dist-su": 1.0, "--samples": 3000},
+             in_config=set())
+    @example(numbers={"--gamma0": 20.0, "--nodes": 100, "--samples": 3000}, in_config=set())
+    @example(numbers={"--gamma0": 20.0, "--nodes": 100, "--samples": 3000},
+             in_config={"--nodes"})
+    def test_exits_0_or_2_naming_a_flag_it_was_given(self, tmp_path_factory, numbers, in_config):
+        cfg = tmp_path_factory.getbasetemp() / "numeric_inputs.cfg"
+        cfg.write_text("".join(
+            f"{flag[2:].replace('-', '_')} = {value!r}\n"
+            for flag, value in numbers.items() if flag in in_config
+        ), encoding="utf-8")
+        argv = ["point", "--method", "mc", "--config", str(cfg)]
+        argv += [f"{flag}={value!r}" for flag, value in numbers.items() if flag not in in_config]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+        err = err.getvalue()
+        assert status in (0, 2), err
+        if status == 0:
+            assert len(out.getvalue().splitlines()) == 1 + len(cli.ALL_PROTOCOLS)
+        else:
+            assert any(_named(flag, err) for flag in numbers), err
+            # A NaN given is echoed back; none may come out of the checks.
+            assert "nan" not in err.replace("got nan", ""), err
+
+
 #: Flags each subcommand does not take: no run of it would read them.
 NOT_TAKEN = {
-    "point": ["--emit-plot"],
-    "sweep": ["--gamma0", "--gamma0-pu"],
-    "figure2": ["--gamma0", "--gamma0-pu", "--gamma0-su"],
-    "figure3": ["--gamma0", "--gamma0-pu"],
+    "point": ["--emit-plot", "--nodes"],
+    "sweep": ["--gamma0", "--gamma0-pu", "--nodes"],
+    "figure2": ["--gamma0", "--gamma0-pu", "--gamma0-su", "--nodes"],
+    "figure3": ["--gamma0", "--gamma0-pu", "--nodes"],
     "validate": [
         "--gamma0", "--gamma0-pu", "--gamma0-su", "--dist-pu", "--dist-su", "--u",
         "--rate-th", "--protocol", "--method", "--nodes", "--emit-plot",
@@ -391,7 +466,8 @@ NOT_TAKEN_PAIRS = [(command, flag) for command, flags in NOT_TAKEN.items() for f
 
 
 def _named(flag: str, err: str) -> bool:
-    return flag in re.split(r"[\s=]", err)
+    """Whether ``err`` names ``flag`` as a whole word, not as part of a longer flag."""
+    return re.search(r"(?<![\w-])" + re.escape(flag) + r"(?![\w-])", err) is not None
 
 
 class TestInputsASubcommandDoesNotRead:

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from crul import analytic, cli, crosscheck, validation
-from crul.analytic import DEFAULT_NODES
 from crul.channel import ScenarioConfig
 from crul.crosscheck import (
     ANALYTIC_PROTOCOLS,
@@ -19,7 +18,6 @@ from crul.crosscheck import (
 )
 from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle, normalized
 from crul.protocols import ProtocolKind
-from crul.specfun import gauss_laguerre
 
 SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 SCENARIO_40DB = ScenarioConfig.from_snr_db(40.0, 40.0)
@@ -130,30 +128,15 @@ class TestTermReports:
     def test_zero_derived_term_falls_back_to_a_tiny_oracle(self):
         # A derived term of 0.0 against an oracle of 6.25e-13 is wholly
         # wrong, not within an absolute floor of it.
-        rule = gauss_laguerre(DEFAULT_NODES)
         for oracle_value, chosen in ((6.25e-13, "oracle"), (0.0, "derived")):
             report = crosscheck._report(
                 ProtocolKind.CR_RSMA,
                 "interference_limited",
-                {"derived": lambda scenario, rule: 0.0},
+                {"derived": lambda scenario: 0.0},
                 oracle_value,
                 SCENARIO_20DB,
-                rule,
             )
             assert (report.chosen_route, report.chosen_value) == (chosen, oracle_value)
-
-    def test_nodes_pick_the_rule(self):
-        scenario = ScenarioConfig.from_snr_db(10.0, 10.0)
-        derived = {}
-        for nodes in (40, DEFAULT_NODES):
-            rule = gauss_laguerre(nodes)
-            reports = {r.term: r for r in term_reports(ProtocolKind.CR_SIC, scenario, nodes=nodes)}
-            derived[nodes] = reports["preferred_order"].routes["derived"]
-            assert derived[nodes] == analytic.preferred_order_term(scenario, rule)
-            assert reports["interference_limited"].routes["derived"] == (
-                analytic.below_threshold_term(scenario, rule)
-            )
-        assert derived[40] != derived[DEFAULT_NODES]
 
     def test_benchmarks_have_no_decomposition(self):
         for protocol in (ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS):

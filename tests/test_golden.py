@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from crul import cli, validation
+from crul import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -97,8 +97,17 @@ def _close(value: float, stored: float, *, rel: float = 0.0, abs_: float = 0.0) 
     return value == stored or abs(value - stored) <= max(rel * abs(stored), abs_)
 
 
+def _script(name: str):
+    """The generator ``scripts/<name>.py``, loaded as a module, so a test
+    and the script that writes its golden file cannot drift apart."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_deviation_report_matches_golden():
-    _, report = validation.criterion_analytic_oracle(validation._QUICK_ANALYTIC_GRID)
+    report = _script("deviation_golden").quick_report()
     report = json.loads(json.dumps(report))  # the types the stored file reads back as
     stored = json.loads((GOLDEN / "deviation_quick.json").read_text(encoding="utf-8"))
     assert list(report) == list(stored), REGENERATE
@@ -134,11 +143,7 @@ def test_deviation_report_matches_golden():
 def test_chunk_sums_match_golden_bits():
     """Every family's sum and squared sum of each stored chunk, compared as
     the hex of their doubles."""
-    path = SCRIPTS / "chunk_sums_golden.py"
-    spec = importlib.util.spec_from_file_location("chunk_sums_golden", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    written = script.chunk_sums()
+    written = _script("chunk_sums_golden").chunk_sums()
     stored = json.loads((GOLDEN / "chunk_sums.json").read_text(encoding="utf-8"))
     regenerate = "regenerate it with scripts/chunk_sums_golden.py and explain the diff"
     entries, golden_entries = written.pop("entries"), stored.pop("entries")
