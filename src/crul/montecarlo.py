@@ -32,12 +32,12 @@ Chunks within a pass cost about the same, so the fixed stride balances the
 work as well as a queue would.  Fresh chunk-sized arrays cost more than the
 arithmetic on them, because the allocator returned their pages to the
 system after every chunk and faulted them in again for the next.  For the
-same reason the process keeps its worker threads and their workspaces from
-one pass to the next (see :class:`_Reserve`), instead of starting threads
-and faulting in new workspaces at every grid point; passes take turns, so
-no workspace is ever in two at once.  Nor does any step store through a
-data-dependent mask, which costs several times more on mixed cells than on
-uniform ones.  Workspaces change where values are stored, not how they are
+same reason the process keeps the workspaces, one per CPU at most, from one
+pass to the next (see :class:`_Reserve`), instead of faulting in new ones
+at every grid point; the threads live for one pass only.  Passes take
+turns, so no workspace is ever in two at once.  Nor does any step store
+through a data-dependent mask, which costs several times more on mixed
+cells than on uniform ones.  Workspaces change where values are stored, not how they are
 computed, so the sums are those of new arrays.
 
 A chunk's SNRs are its standard draw divided by minus each link's rate
@@ -55,7 +55,7 @@ import math
 import os
 import threading
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +81,8 @@ _POWER = "power scale"
 CHUNK_SIZE = 100_000
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each worker has one
 #: chunk workspace, 8.5 MB, and up to 1.6 MB of index arrays while it
-#: reduces a chunk.  The threads and their workspaces then stay, idle, for
-#: the next pass, and a process with no pool keeps one workspace (see
-#: :class:`_Reserve`).
+#: reduces a chunk.  The threads end with the pass, and at most one
+#: workspace per CPU stays for the next (see :class:`_Reserve`).
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks.
 MAX_SAMPLES = 10**10
@@ -159,34 +158,21 @@ def resolve_workers(n_tasks: int) -> int:
 
 
 class _Reserve:
-    """The worker threads and chunk workspaces that Monte Carlo passes hand
-    on to the next: one pool, remade when a pass asks for another thread
-    count, and one workspace of one full chunk per worker, never more than
-    the pool has threads, or one before there is a pool.  A pass holds
+    """The chunk workspaces, of one full chunk each, that Monte Carlo passes
+    hand on to the next: one per worker of the last pass, but never more
+    than ``os.cpu_count()``, the workers that can run at once.  A pass holds
     :attr:`lock` from start to end."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.workers = 0
         self.workspaces: list[Workspace] = []
-        self._pool: ThreadPoolExecutor | None = None
-
-    def pool(self, n_workers: int) -> ThreadPoolExecutor:
-        """The pool of ``n_workers`` threads; the caller holds the lock."""
-        if n_workers != self.workers:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(n_workers, thread_name_prefix="crul-mc")
-            self.workers = n_workers
-            del self.workspaces[n_workers:]
-        return self._pool
 
     def workspaces_for(self, n_workers: int) -> list[Workspace]:
         """A workspace for each of ``n_workers`` workers, the kept ones first;
-        the caller holds the lock.  Missing ones are made, and kept, on the
-        calling thread: made in the arena of whichever pool thread ran first,
-        one arena's memory could sit idle while another's fills.  A short
-        pass leaves the pages it never writes unfaulted."""
+        the caller holds the lock.  Missing ones are made on the calling
+        thread: made in the arena of whichever worker thread ran first, one
+        arena's memory could sit idle while another's fills.  A short pass
+        leaves the pages it never writes unfaulted."""
         while len(self.workspaces) < n_workers:
             self.workspaces.append(Workspace(CHUNK_SIZE))
         return self.workspaces[:n_workers]
@@ -196,8 +182,9 @@ _reserve = _Reserve()
 
 
 def _start_clean() -> None:
-    """A forked child has none of its parent's pool threads, and the lock
-    may have been held by one of them: start from nothing."""
+    """A forked child has no thread of its parent but the one that forked,
+    and the lock may have been held mid-pass by another: start from
+    nothing."""
     global _reserve
     _reserve = _Reserve()
 
@@ -281,9 +268,11 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     On ``n`` workers, worker ``w`` runs the chunks ``w, w + n, ...`` in its
     own workspace, ``_reserve.workspaces[w]``, starting with the chunk that
     workspace still holds, so it is rescaled, not drawn.  One worker runs
-    in the calling thread.  The pass holds the reserve's lock throughout, so
-    passes take turns.  After a chunk fails, the pass waits for every worker
-    to stop before it raises the first worker's error.
+    in the calling thread, and more run on threads that end with the pass.
+    The pass holds the reserve's lock throughout, so passes take turns.
+    After a chunk fails, the pass waits for every worker to stop before it
+    raises the first worker's error.  Either way, at most one workspace per
+    CPU is kept for the next pass.
     """
     for family in families:
         if family not in _KERNEL_ORDER:
@@ -299,13 +288,16 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
 
     with _reserve.lock:
         jobs = enumerate(_reserve.workspaces_for(n_workers))
-        if n_workers == 1:
-            work(*next(jobs))
-        else:
-            futures = [_reserve.pool(n_workers).submit(work, *job) for job in jobs]
-            wait(futures)
-            for future in futures:
-                future.result()
+        try:
+            if n_workers == 1:
+                work(*next(jobs))
+            else:
+                with ThreadPoolExecutor(n_workers, thread_name_prefix="crul-mc") as pool:
+                    futures = [pool.submit(work, *job) for job in jobs]
+                for future in futures:
+                    future.result()
+        finally:
+            del _reserve.workspaces[os.cpu_count() or 1:]
     by_family = zip(families, zip(*chunks))
     return {family: _finish(parts, mc.n_samples) for family, parts in by_family}
 

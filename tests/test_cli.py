@@ -450,6 +450,86 @@ class TestEveryNumericInput:
             assert "nan" not in err.replace("got nan", ""), err
 
 
+def _sweep_grid(start: float, step: float, count: int) -> dict:
+    return {"--start": start, "--stop": start + count * step, "--step": step}
+
+
+#: ``sweep``'s grid flags, each in range and out of it.  In range, a grid
+#: has at most five points (a stop below the start or past the SNR range
+#: is a usage error); a step too fine for any grid but one point comes with
+#: a grid of at least 0.1 dB, which the point cap rejects.
+SWEEP_GRIDS = st.one_of(
+    st.builds(_sweep_grid, st.floats(-100.0, 100.0), st.floats(1e-9, 200.0), st.integers(-2, 4)),
+    st.builds(_sweep_grid, st.floats(-100.0, 100.0), st.floats(0.0, 1e-9, exclude_min=True),
+              st.just(0)),
+    st.builds(
+        lambda start, width, step: {"--start": start, "--stop": start + width, "--step": step},
+        st.floats(-100.0, 100.0), st.floats(0.1, 200.0), st.floats(0.0, 1e-6, exclude_min=True),
+    ),
+)
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_PAST_SNR_RANGE = st.one_of(
+    _NOT_FINITE, st.floats(min_value=100.0, exclude_min=True),
+    st.floats(max_value=-100.0, exclude_max=True),
+)
+#: Values that replace a grid's own: ends past the SNR range, and steps
+#: that are not positive and finite, or so huge that the grid has one point.
+SWEEP_REPLACEMENTS = {
+    "--start": _PAST_SNR_RANGE,
+    "--stop": _PAST_SNR_RANGE,
+    "--step": st.one_of(_NOT_FINITE, st.floats(max_value=0.0), st.floats(min_value=1e3)),
+}
+#: A grid as built, half the time, or with some of its values replaced.
+SWEEP_NUMBERS = st.builds(
+    lambda grid, replaced: {**grid, **replaced},
+    SWEEP_GRIDS,
+    st.one_of(st.just({}), st.fixed_dictionaries({}, optional=SWEEP_REPLACEMENTS)),
+)
+
+
+class TestEverySweepInput:
+    """Every grid flag of ``sweep`` works or is a usage error naming a flag
+    it was given, on the command line or in a config file, and a usage
+    error writes no CSV.  Monte Carlo at 3000 draws on grids of at most five
+    points, so each call is quick."""
+
+    @settings(max_examples=200)
+    @given(numbers=SWEEP_NUMBERS, in_config=st.sets(st.sampled_from(list(SWEEP_REPLACEMENTS))),
+           sweep_var=st.sampled_from(["both", "pu"]))
+    @example(numbers={"--start": 0.0, "--stop": 40.0, "--step": 5e-324}, in_config=set(),
+             sweep_var="both")
+    @example(numbers={"--start": -100.0, "--stop": 100.0, "--step": 0.00999},
+             in_config={"--step"}, sweep_var="pu")
+    @example(numbers={"--start": 0.0, "--stop": 0.0, "--step": math.nan},
+             in_config={"--step"}, sweep_var="both")
+    def test_exits_0_or_2_naming_a_flag_it_was_given(
+        self, tmp_path_factory, numbers, in_config, sweep_var
+    ):
+        cfg = tmp_path_factory.getbasetemp() / "sweep_inputs.cfg"
+        cfg.write_text("".join(
+            f"{flag[2:]} = {value!r}\n" for flag, value in numbers.items() if flag in in_config
+        ), encoding="utf-8")
+        target = tmp_path_factory.getbasetemp() / "sweep_inputs.csv"
+        target.unlink(missing_ok=True)
+        argv = ["sweep", "--method", "mc", "--samples", "3000", "--sweep-var", sweep_var,
+                "--config", str(cfg), "--out", str(target)]
+        argv += [f"{flag}={value!r}" for flag, value in numbers.items() if flag not in in_config]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+        err = err.getvalue()
+        assert status in (0, 2), err
+        if status == 0:
+            rows = data_rows(target.read_text(encoding="utf-8"))
+            points, rest = divmod(len(rows), len(cli.ALL_PROTOCOLS))
+            assert 1 <= points <= 5 and rest == 0, numbers
+        else:
+            assert any(_named(flag, err) for flag in numbers), err
+            # A NaN given is echoed back; none may come out of the checks.
+            assert "nan" not in err.replace("got nan", ""), err
+            assert not target.exists()
+
+
 #: Flags each subcommand does not take: no run of it would read them.
 NOT_TAKEN = {
     "point": ["--emit-plot", "--nodes"],
@@ -606,7 +686,7 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
 
     def test_thread_env_does_not_change_bytes(self, capsys, tmp_path, monkeypatch):
-        # Enough samples for several chunks so the pool has real work to race.
+        # Enough samples for several chunks so the workers have real work to race.
         argv = [
             "sweep", "--start", "0", "--stop", "5", "--step", "5",
             "--method", "mc", "--samples", "300000", "--seed", "11",

@@ -52,9 +52,9 @@ UNIT_SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, secondary_distance=1.0)
 
 @contextlib.contextmanager
 def chunk_size(size: int):
-    """Chunks of ``size`` draws, in a process with no kept pool or
-    workspaces, whose new workspaces then hold ``size`` draws; both are
-    restored on exit."""
+    """Chunks of ``size`` draws, in a process with no kept workspaces,
+    whose new workspaces then hold ``size`` draws; both are restored on
+    exit."""
     with mock.patch.object(montecarlo, "CHUNK_SIZE", size):
         with mock.patch.object(montecarlo, "_reserve", montecarlo._Reserve()):
             yield
@@ -158,8 +158,8 @@ class TestResolveWorkers:
 
     @pytest.mark.parametrize("value", [str(MAX_THREADS + 1), "5000", "9" * 5000])
     def test_rejects_more_than_the_cap(self, monkeypatch, value):
-        # Each worker holds a chunk workspace, and the pool starts a thread
-        # per task up to its cap, so 5000 would start 5000 threads.
+        # Each worker holds a chunk workspace, and a pass starts a thread
+        # per worker, so 5000 would start 5000 threads.
         monkeypatch.setenv("CRUL_THREADS", value)
         with pytest.raises(ValueError, match="CRUL_THREADS"):
             resolve_workers(10**4)
@@ -181,9 +181,9 @@ class TestDeterminism:
         assert values[1] == values[4] == values[16]
 
     def test_sample_point_bit_identical_across_worker_counts(self):
-        # Many short chunks and a short switch interval, so the pool's
-        # threads trade workspaces often; one lent to two chunks at once
-        # would mix their draws.
+        # Many short chunks and a short switch interval, so a pass's
+        # threads switch often; a workspace in two chunks at once would mix
+        # their draws.
         mc = McConfig(n_samples=20_000, seed=42)
         results = {}
         interval = sys.getswitchinterval()
@@ -548,7 +548,7 @@ class TestWorkspace:
             assert np.array_equal(cells[index], fresh.cells)
 
 
-# ------------------------------------------------ kept threads and workspaces
+# ------------------------------------------------ per-pass threads, kept workspaces
 
 #: Every protocol of a grid point, the normalized one included, so a call
 #: makes both passes.
@@ -557,7 +557,7 @@ EVERY_PROTOCOL = tuple(ProtocolKind)
 
 @pytest.fixture
 def fresh_reserve(monkeypatch):
-    """A process with no kept pool or workspaces, as at start-up."""
+    """A process with no kept workspaces, as at start-up."""
     monkeypatch.setattr(montecarlo, "_reserve", montecarlo._Reserve())
 
 
@@ -588,6 +588,11 @@ def streams(monkeypatch):
     return opened
 
 
+def _mc_threads():
+    """The Monte Carlo worker threads alive now."""
+    return [thread for thread in threading.enumerate() if thread.name.startswith("crul-mc")]
+
+
 def _serial_point(scenario, mc):
     with threads(1):
         return sample_point(scenario, mc, EVERY_PROTOCOL)
@@ -595,12 +600,12 @@ def _serial_point(scenario, mc):
 
 def _sample_at_once(monkeypatch, jobs):
     """Each of two Python threads calls ``sample_point`` on its job three
-    times, all at once, on a pool of twice the CPU count with a short switch
-    interval, after one warm-up call on the first job.  The calls' passes
-    take turns in the kept workspaces; each chunk dwells in its workspace a
-    little, so had two passes run at once, a workspace would be seen in use
-    twice.  Returns the chunks seen in a workspace already in use,
-    each thread's results and the pool's thread count."""
+    times, all at once, on twice as many worker threads as the host has
+    CPUs with a short switch interval, after one warm-up call on the first
+    job.  The calls' passes take turns in the kept workspaces; each chunk
+    dwells in its workspace a little, so had two passes run at once, a
+    workspace would be seen in use twice.  Returns the chunks seen in a
+    workspace already in use, each thread's results and the worker count."""
     in_use, clashes, guard = set(), [], threading.Lock()
     original = montecarlo._chunk_sums
 
@@ -647,28 +652,36 @@ def _child_estimate(conn):
     conn.close()
 
 
-class TestKeptThreadsAndWorkspaces:
+class TestKeptWorkspaces:
     def test_warm_calls_make_no_workspace_and_start_no_thread(
         self, monkeypatch, fresh_reserve, made_workspaces
     ):
+        """Warm calls make no workspace, and every worker thread a call
+        starts has ended by the time it returns."""
         workers, original = [], montecarlo._chunk_sums
 
         def recorded(*args):
-            workers.append(threading.current_thread())
+            workers.append(threading.current_thread().name)
             return original(*args)
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("CRUL_THREADS", "2")
         mc = McConfig(n_samples=400_000, seed=4)
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
         assert made_workspaces == [CHUNK_SIZE] * 2
-        running, warm_workers = threading.active_count(), set(workers)
-        sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
-        mean_power_factor(SCENARIO_20DB, replace(mc, seed=5))
+        for call in (
+            lambda: sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL),
+            lambda: estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc),
+            lambda: mean_power_factor(SCENARIO_20DB, replace(mc, seed=5)),
+        ):
+            running = threading.active_count()
+            workers.clear()
+            call()
+            assert workers and all(name.startswith("crul-mc") for name in workers)
+            assert _mc_threads() == []
+            assert threading.active_count() == running
         assert made_workspaces == [CHUNK_SIZE] * 2
-        assert threading.active_count() == running
-        assert set(workers) == warm_workers
 
     def test_warm_calls_take_few_page_faults(self, monkeypatch, fresh_reserve):
         """Three warm grid points of 1e6 draws on two threads fault in under
@@ -691,7 +704,6 @@ class TestKeptThreadsAndWorkspaces:
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, replace(mc, seed=7))
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
         assert made_workspaces == [CHUNK_SIZE]
-        assert montecarlo._reserve.workers == 0
         assert len(montecarlo._reserve.workspaces) == 1
 
     def test_a_serial_call_after_a_pooled_one_adds_no_workspace(
@@ -708,15 +720,17 @@ class TestKeptThreadsAndWorkspaces:
         assert len(montecarlo._reserve.workspaces) == 2
 
     def test_thread_count_changes_within_a_process(self, monkeypatch):
+        """On two CPUs, the first two-thread pass leaves two workspaces, and
+        no later pass, on fewer threads or more, leaves another count."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         mc = McConfig(n_samples=40_000, seed=42)
         with chunk_size(5_000):
             serial = _serial_point(SCENARIO_20DB, mc)
+            assert len(montecarlo._reserve.workspaces) == 1
             for count in (2, 1, 4, 2):
                 monkeypatch.setenv("CRUL_THREADS", str(count))
                 assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial, count
-                assert len(montecarlo._reserve.workspaces) <= max(count, 2)
-            assert montecarlo._reserve.workers == 2
-            assert len(montecarlo._reserve.workspaces) == 2
+                assert len(montecarlo._reserve.workspaces) == 2, count
 
     def test_short_and_long_passes_share_two_full_chunk_workspaces(
         self, monkeypatch, fresh_reserve, made_workspaces
@@ -736,12 +750,12 @@ class TestKeptThreadsAndWorkspaces:
         assert [w.capacity for w in montecarlo._reserve.workspaces] == [CHUNK_SIZE] * 2
 
     def test_two_python_threads_sampling_at_once(self, monkeypatch):
-        """Two callers share the pool and the kept workspaces by taking turns:
-        a pass holds them from its start to its end, so the callers never
-        share the pool mid-pass.  Each chunk dwells in its workspace a little,
-        so had both callers' passes run at once, a workspace would be seen in
-        use twice; the pool has more threads than the host has CPUs, and they
-        switch often."""
+        """Two callers share the kept workspaces by taking turns: a pass holds
+        them from its start to its end, so the callers never share one
+        mid-pass.  Each chunk dwells in its workspace a little, so had both
+        callers' passes run at once, a workspace would be seen in use twice;
+        each pass runs more threads than the host has CPUs, and they switch
+        often."""
         boosted = SCENARIO_20DB.with_secondary_snr_scaled(3.0)
         jobs = [
             (SCENARIO_20DB, McConfig(n_samples=8_000, seed=1)),
@@ -750,7 +764,8 @@ class TestKeptThreadsAndWorkspaces:
         with chunk_size(500):
             serial = [_serial_point(scenario, mc) for scenario, mc in jobs]
             clashes, results, workers = _sample_at_once(monkeypatch, jobs)
-            assert len(montecarlo._reserve.workspaces) == min(workers, jobs[0][1].n_chunks)
+            kept = min(workers, jobs[0][1].n_chunks, os.cpu_count() or 1)
+            assert len(montecarlo._reserve.workspaces) == kept
         assert clashes == []
         assert results == [[expected] * 3 for expected in serial]
 
@@ -782,19 +797,45 @@ class TestKeptThreadsAndWorkspaces:
             monkeypatch.setattr(montecarlo, "_chunk_sums", original)
             assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial
 
+    def test_more_threads_than_cpus_keep_one_workspace_per_cpu(
+        self, monkeypatch, fresh_reserve, made_workspaces
+    ):
+        """Release check 9's shape: 16 threads over 10 chunks give the
+        serial value, and on two CPUs each pass makes the eight workspaces it
+        lacks and keeps two, whether it succeeds or fails."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        mc = McConfig(n_samples=10_000, seed=8)
+        with chunk_size(1_000):
+            serial = _serial_point(SCENARIO_20DB, mc)
+            monkeypatch.setenv("CRUL_THREADS", "16")
+            assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial
+            assert len(made_workspaces) == 1 + 9 + 8  # serial, plain and boosted passes
+            assert len(montecarlo._reserve.workspaces) == 2
+            assert _mc_threads() == []
+
+            def failing(scenario, families, seed, index, count, workspace):
+                raise RuntimeError(f"chunk {index}")
+
+            monkeypatch.setattr(montecarlo, "_chunk_sums", failing)
+            with pytest.raises(RuntimeError, match="chunk 0"):
+                estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
+            assert len(made_workspaces) == 1 + 9 + 8 + 8
+            assert len(montecarlo._reserve.workspaces) == 2
+            assert _mc_threads() == []
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
     )
     def test_a_forked_child_starts_clean(self, monkeypatch):
-        """A child forked after the parent used the pool has none of its
-        threads; it must make its own pool, not queue chunks for threads
-        that did not survive the fork."""
+        """A child forked while a pass in another thread holds the reserve's
+        lock has no such thread to release it; it must start with a reserve
+        of its own, not wait for that lock forever."""
         monkeypatch.setenv("CRUL_THREADS", "2")
         expected = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, McConfig(n_samples=200_000))
-        assert montecarlo._reserve.workers == 2
         receiver, sender = multiprocessing.Pipe(duplex=False)
         child = multiprocessing.get_context("fork").Process(target=_child_estimate, args=(sender,))
-        child.start()
+        with montecarlo._reserve.lock:  # as a pass running in another thread would
+            child.start()
         try:
             assert receiver.poll(60.0), "the forked child's estimate never came back"
             assert receiver.recv() == expected
