@@ -2,12 +2,12 @@
 """Write the stored per-chunk sums of the Monte Carlo chunk kernel.
 
 ``tests/golden/chunk_sums.json`` holds what ``montecarlo._chunk_sums``
-returns for single chunks: every family's sum and its squared sum, each as
-the hex of its double.  It covers primaries of 0, 12, 18, 24 and 60 dB at
-a 20 dB secondary, with ``rate_th`` 0, 2.5 and 6, on a full chunk and on
-a short last chunk, each by a plain pass (the four plain
-protocols and the power scale) and a boosted pass (pure SIC with the
-secondary's mean SNR doubled).  ``tests/test_golden.py`` holds the kernel
+returns for single chunks, reduced in a worker's block workspace: every
+family's sum and its squared sum, each as the hex of its double.  It
+covers primaries of 0, 12, 18, 24 and 60 dB at a 20 dB secondary, with
+``rate_th`` 0, 2.5 and 6, on a full chunk and on a short last chunk, each
+by a plain pass (the four plain protocols and the power scale) and a
+boosted pass (pure SIC with the secondary's mean SNR doubled).  ``tests/test_golden.py`` holds the kernel
 to this file bit for bit, so a rewrite of the kernel that claims to keep
 its arithmetic shows it here.  A change that moves the sums regenerates the
 file with this script and explains the diff:
@@ -49,17 +49,17 @@ def _name(family) -> str:
 def chunk_sums() -> dict:
     """The stored file's content, from the kernel as it is now."""
     counts = list(enumerate(MC.chunk_counts()))
-    workspace = Workspace(montecarlo.CHUNK_SIZE)
+    stored = (counts[0], counts[-1])
+    logs = {index: montecarlo._standard_draw(MC.seed, index, count) for index, count in stored}
+    workspace = Workspace(montecarlo.BLOCK_SIZE)
     entries = []
     for primary_db in PRIMARIES_DB:
         for rate_th in RATE_THRESHOLDS:
             scenario = ScenarioConfig.from_snr_db(primary_db, SECONDARY_DB, rate_threshold=rate_th)
             targets = {"plain": scenario, "boosted": scenario.with_secondary_snr_scaled(BOOST)}
-            for index, count in (counts[0], counts[-1]):
+            for index, count in stored:
                 for name, families in PASSES.items():
-                    sums = montecarlo._chunk_sums(
-                        targets[name], families, MC.seed, index, count, workspace
-                    )
+                    sums = montecarlo._chunk_sums(targets[name], families, logs[index], workspace)
                     entries.append(
                         {
                             "primary_db": primary_db,

@@ -13,8 +13,9 @@ bit-for-bit.  Because the stream key ignores the protocol, estimates for
 different protocols under one config share realizations — per-draw
 dominance claims can be checked sample by sample.
 
-One chunk kernel serves every quantity: it draws a chunk once, classifies
-it once into the decision cells of :mod:`crul.protocols`, and reduces it
+One chunk kernel serves every quantity: it scales a chunk's standard draw
+to the scenario, classifies it once into the decision cells of
+:mod:`crul.protocols`, and reduces it
 for each requested family (the four plain protocols, and the SIC power
 scale) into one sum and one squared sum, building each family's rates from
 the cells and the per-draw logs the families share; a plain pass builds
@@ -27,26 +28,27 @@ are the same pass over a single family.
 
 A pass on ``n`` worker threads gives worker ``w`` the chunks ``w, w + n,
 w + 2n, ...``, and it runs them in its own :class:`~crul.protocols.Workspace`
-of buffers for a full chunk, where each chunk draws, classifies and reduces.
-Chunks within a pass cost about the same, so the fixed stride balances the
-work as well as a queue would.  Fresh chunk-sized arrays cost more than the
-arithmetic on them, because the allocator returned their pages to the
-system after every chunk and faulted them in again for the next.  For the
-same reason the process keeps the workspaces, one per CPU at most, from one
-pass to the next (see :class:`_Reserve`), instead of faulting in new ones
-at every grid point; the threads live for one pass only.  Passes take
-turns, so no workspace is ever in two at once.  Nor does any step store
-through a data-dependent mask, which costs several times more on mixed
-cells than on uniform ones.  Workspaces change where values are stored, not how they are
-computed, so the sums are those of new arrays.
+of buffers for one block of ``BLOCK_SIZE`` draws, half a chunk, where each
+block is classified and reduced.  Chunks within a pass cost about the
+same, so the fixed stride balances the work as well as a queue would.
+Fresh chunk-sized arrays cost more than the arithmetic on them, because the
+allocator returned their pages to the system after every chunk and faulted
+them in again for the next.  For the same reason the process keeps the
+workspaces, one per CPU at most, from one pass to the next (see
+:class:`_Reserve`), instead of faulting in new ones at every grid point;
+the threads live for one pass only.  Passes take turns, so no workspace is
+ever in two at once.  Nor does any step store through a data-dependent
+mask, which costs several times more on mixed cells than on uniform ones.
+Workspaces change where values are stored, not how they are computed, and
+a chunk is cut into blocks where numpy's pairwise ``np.sum`` cuts it, so
+the sums are those of new arrays holding the whole chunk.
 
 A chunk's SNRs are its standard draw divided by minus each link's rate
-(``channel.scale_snrs``), so a workspace keeps the standard draw of the
-last chunk it drew.  Each worker starts its chunks with the one its
-workspace still holds, so the boosted pass of a grid point, and the next
-point of a sweep under one seed, rescale that chunk instead of drawing it
-again; the bits are those of a new draw, so which worker runs a chunk
-never changes its sums.
+(``channel.scale_snrs``), and the draw depends on the seed and the chunk
+only.  So the process keeps the standard draws of the first
+``KEPT_CHUNKS`` chunks under the last seed, and the boosted pass of a grid
+point, and every later point of a sweep under one seed, rescale them
+instead of drawing them again; the bits are those of a new draw.
 """
 
 from __future__ import annotations
@@ -79,9 +81,16 @@ from .protocols import (
 _POWER = "power scale"
 #: Draws per chunk: every chunk but a pass's last holds this many.
 CHUNK_SIZE = 100_000
+#: Draws a worker's workspace holds: a longer chunk is reduced a block at a
+#: time (see :func:`_chunk_sums`).  At least 129, where numpy's pairwise
+#: sum starts to split.
+BLOCK_SIZE = 50_000
+#: Chunks whose standard draws the process keeps, 1.6 MB each: one
+#: default pass of 1e6 draws.
+KEPT_CHUNKS = 10
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each worker has one
-#: chunk workspace, 8.5 MB, and up to 1.6 MB of index arrays while it
-#: reduces a chunk.  The threads end with the pass, and at most one
+#: block workspace, 3.45 MB, and up to 0.8 MB of index arrays while it
+#: reduces a block.  The threads end with the pass, and at most one
 #: workspace per CPU stays for the next (see :class:`_Reserve`).
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks.
@@ -157,15 +166,33 @@ def resolve_workers(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
+def _standard_draw(seed: int, index: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Chunk ``index``'s standard draw (see ``channel.sample_snrs``): both
+    links' ``log(1 - u)``, the rows of a ``(2, count)`` array, drawn into
+    the first ``count`` columns of ``out`` or into a new array."""
+    logs = np.empty((2, count)) if out is None else out[:, :count]
+    sample_snrs(chunk_stream(seed, index), count, logs)
+    return logs
+
+
 class _Reserve:
-    """The chunk workspaces, of one full chunk each, that Monte Carlo passes
-    hand on to the next: one per worker of the last pass, but never more
-    than ``os.cpu_count()``, the workers that can run at once.  A pass holds
-    :attr:`lock` from start to end."""
+    """What Monte Carlo passes hand on to the next.  A pass holds
+    :attr:`lock` from start to end.
+
+    The block workspaces: one per worker of the last pass, but never more
+    than ``os.cpu_count()``, the workers that can run at once.  The
+    standard draws of the first ``KEPT_CHUNKS`` chunks, each in its own
+    array of :attr:`draws`, made on its first draw, which :attr:`kept`
+    names by the chunk's ``(seed, index, count)``, set only once the draw
+    is complete, and None while none is.  A new seed's chunks are drawn
+    over the old seed's, so the pages are faulted in once.
+    """
 
     def __init__(self):
         self.lock = threading.Lock()
         self.workspaces: list[Workspace] = []
+        self.draws: list[np.ndarray | None] = [None] * KEPT_CHUNKS
+        self.kept: list[tuple[int, int, int] | None] = [None] * KEPT_CHUNKS
 
     def workspaces_for(self, n_workers: int) -> list[Workspace]:
         """A workspace for each of ``n_workers`` workers, the kept ones first;
@@ -174,11 +201,40 @@ class _Reserve:
         arena's memory could sit idle while another's fills.  A short pass
         leaves the pages it never writes unfaulted."""
         while len(self.workspaces) < n_workers:
-            self.workspaces.append(Workspace(CHUNK_SIZE))
+            self.workspaces.append(Workspace(BLOCK_SIZE))
         return self.workspaces[:n_workers]
+
+    def keep_seed(self, seed: int) -> None:
+        """Drop the draws of every other seed; the caller holds the lock."""
+        self.kept = [key if key is not None and key[0] == seed else None for key in self.kept]
+
+    def standard_draw(
+        self, seed: int, index: int, count: int, scratch: np.ndarray | None
+    ) -> np.ndarray:
+        """Chunk ``index``'s standard draw: the kept one, or drawn and kept
+        once complete, or past the first ``KEPT_CHUNKS`` chunks drawn into
+        ``scratch``, a worker's own.  The caller holds the lock."""
+        if index >= KEPT_CHUNKS:
+            return _standard_draw(seed, index, count, scratch)
+        key = (seed, index, count)
+        if self.kept[index] != key:
+            self.kept[index] = None  # until the new draw is complete
+            if self.draws[index] is None:
+                self.draws[index] = np.empty((2, CHUNK_SIZE))
+            _standard_draw(seed, index, count, self.draws[index])
+            self.kept[index] = key
+        return self.draws[index][:, :count]
 
 
 _reserve = _Reserve()
+
+
+def forget_draws() -> None:
+    """Drop every kept standard draw, so each chunk of the next pass is drawn
+    anew: a check that the thread count never moves a result compares
+    draws, not one draw rescaled."""
+    with _reserve.lock:
+        _reserve.kept = [None] * KEPT_CHUNKS
 
 
 def _start_clean() -> None:
@@ -193,26 +249,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_clean)
 
 
-def draw_chunk(
-    scenario: ScenarioConfig, seed: int, index: int, count: int, workspace: Workspace
-) -> CellDraws:
-    """Chunk ``index`` of the seeded substreams, drawn, classified once and wrapped.
-
-    The draws, their cells and what the rules keep live in ``workspace``, a
-    worker's own (see :func:`_sample`), until it takes its next chunk.  A
-    workspace that still holds this chunk's standard draw
-    (:attr:`~crul.protocols.Workspace.drawn`) does not draw it again; either
-    way the SNRs are that draw scaled to ``scenario``.
-    """
-    logs = workspace.buffer("log_pu", count), workspace.buffer("log_su", count)
-    if workspace.drawn != (seed, index, count):
-        workspace.drawn = None  # until the new draw is complete
-        sample_snrs(chunk_stream(seed, index), count, logs)
-        workspace.drawn = (seed, index, count)
+def _classify(scenario: ScenarioConfig, logs: np.ndarray, workspace: Workspace) -> CellDraws:
+    """A standard draw scaled to ``scenario`` and classified once, in ``workspace``."""
+    count = logs.shape[1]
     out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
     gamma_pu, gamma_su = scale_snrs(scenario, logs, out)
     cells = sic_case_array(gamma_pu, gamma_su, scenario.theta, workspace)
     return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace)
+
+
+def draw_chunk(
+    scenario: ScenarioConfig, seed: int, index: int, count: int, workspace: Workspace
+) -> CellDraws:
+    """Chunk ``index`` of the seeded substreams, drawn whole, classified once
+    and wrapped.
+
+    The SNRs, their cells and what the rules keep live in ``workspace``,
+    which must hold ``count`` draws, until it classifies its next draws.
+    """
+    return _classify(scenario, _standard_draw(seed, index, count), workspace)
 
 
 def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
@@ -244,15 +299,32 @@ _KERNEL_ORDER = (
 )
 
 
-def _chunk_sums(scenario: ScenarioConfig, families, seed: int, index: int, count: int, workspace):
-    """Draw one chunk once (or rescale the draw ``workspace`` holds) and
-    classify it once, then reduce it for each family.
+def _split(count: int) -> int:
+    """Where numpy's pairwise sum splits ``count`` values, if more than 128:
+    half of them, rounded down to a multiple of 8."""
+    half = count // 2
+    return half - half % 8
 
-    The shared per-draw logs are computed once, by the first family that
-    reads them, and a pass builds one full-power array (see
-    :data:`_KERNEL_ORDER`).  The sums come back in the order of ``families``.
+
+def _chunk_sums(scenario: ScenarioConfig, families, logs: np.ndarray, workspace: Workspace):
+    """One chunk's sums, from its standard draw ``logs``, by family in the
+    order of ``families``.
+
+    A chunk that ``workspace`` holds is classified once and reduced for each
+    family; the shared per-draw logs are computed once, by the first family
+    that reads them, and a pass builds one full-power array (see
+    :data:`_KERNEL_ORDER`).  A longer chunk is cut in two where numpy's
+    pairwise ``np.sum`` cuts it (:func:`_split`), each half is reduced the
+    same way, and their sums are added once: the bits ``np.sum`` gives over
+    the whole chunk.
     """
-    draws = draw_chunk(scenario, seed, index, count, workspace)
+    count = logs.shape[1]
+    if count > workspace.capacity:
+        cut = _split(count)
+        halves = np.split(logs, [cut], axis=1)
+        left, right = (_chunk_sums(scenario, families, half, workspace) for half in halves)
+        return [(a + c, b + d) for (a, b), (c, d) in zip(left, right)]
+    draws = _classify(scenario, logs, workspace)
     sums = {}
     for family in _KERNEL_ORDER:
         if family in families:
@@ -266,13 +338,13 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     """One pass over the draws: the estimate of every family, by family.
 
     On ``n`` workers, worker ``w`` runs the chunks ``w, w + n, ...`` in its
-    own workspace, ``_reserve.workspaces[w]``, starting with the chunk that
-    workspace still holds, so it is rescaled, not drawn.  One worker runs
-    in the calling thread, and more run on threads that end with the pass.
-    The pass holds the reserve's lock throughout, so passes take turns.
-    After a chunk fails, the pass waits for every worker to stop before it
-    raises the first worker's error.  Either way, at most one workspace per
-    CPU is kept for the next pass.
+    own workspace, ``_reserve.workspaces[w]``, rescaling each kept standard
+    draw and drawing the rest.  One worker runs in the calling thread, and
+    more run on threads that end with the pass.  The pass holds the
+    reserve's lock throughout, so passes take turns.  After a chunk fails,
+    the pass waits for every worker to stop before it raises the first
+    worker's error.  Either way, at most one workspace per CPU is kept for
+    the next pass.
     """
     for family in families:
         if family not in _KERNEL_ORDER:
@@ -280,14 +352,18 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
     counts = mc.chunk_counts()
     n_workers = resolve_workers(len(counts))
     chunks = [None] * len(counts)
+    reserve = _reserve
 
     def work(worker: int, workspace: Workspace) -> None:
-        mine = range(worker, len(counts), n_workers)
-        for index in sorted(mine, key=lambda i: workspace.drawn != (mc.seed, i, counts[i])):
-            chunks[index] = _chunk_sums(scenario, families, mc.seed, index, counts[index], workspace)
+        # Where the chunks past the kept ones are drawn, if the pass has any.
+        scratch = np.empty((2, CHUNK_SIZE)) if len(counts) > KEPT_CHUNKS else None
+        for index in range(worker, len(counts), n_workers):
+            logs = reserve.standard_draw(mc.seed, index, counts[index], scratch)
+            chunks[index] = _chunk_sums(scenario, families, logs, workspace)
 
-    with _reserve.lock:
-        jobs = enumerate(_reserve.workspaces_for(n_workers))
+    with reserve.lock:
+        reserve.keep_seed(mc.seed)
+        jobs = enumerate(reserve.workspaces_for(n_workers))
         try:
             if n_workers == 1:
                 work(*next(jobs))
@@ -297,7 +373,7 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
                 for future in futures:
                     future.result()
         finally:
-            del _reserve.workspaces[os.cpu_count() or 1:]
+            del reserve.workspaces[os.cpu_count() or 1:]
     by_family = zip(families, zip(*chunks))
     return {family: _finish(parts, mc.n_samples) for family, parts in by_family}
 

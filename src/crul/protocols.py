@@ -129,19 +129,15 @@ def switch_edge(gamma_su, theta: float):
 # ------------------------------------------------------------ workspace
 
 
-#: The named per-draw buffers of a workspace, by dtype.  Ten of floats:
-#: the standard draw of both links (see :attr:`Workspace.drawn`), the two
-#: SNR draws, the interference-limited log, the clean log of the tolerant
-#: draws, a family's rates and three of scratch; the cells and rate
-#: splitting's cases, which :attr:`CellDraws.band` selects from;
+#: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
+#: the two SNR draws, the interference-limited log, the clean log of the
+#: tolerant draws, a family's rates and three of scratch; the cells and
+#: rate splitting's cases, which :attr:`CellDraws.band` selects from;
 #: ``bench-qos``'s admission mask and two of scratch.  Scratch (``s*``,
 #: ``b*``) lives only inside one step of a rule, but for the band's power
 #: scale (see :meth:`CellDraws.band_scale`).
 _BUFFERS = {
-    np.float64: (
-        "log_pu", "log_su", "gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1",
-        "s2",
-    ),
+    np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
     np.int8: ("cells", "cases"),
     np.bool_: ("admitted", "b0", "b1"),
 }
@@ -151,24 +147,19 @@ class Workspace:
     """Per-draw buffers that one Monte Carlo worker keeps from pass to pass.
 
     They are made at once, one block per dtype with room for ``capacity``
-    draws (a worker's hold a full chunk, ``montecarlo.CHUNK_SIZE``), and
-    ``buffer(name, size)`` is the first ``size`` entries of one.  The
-    classifier and :class:`CellDraws` keep every per-draw array in them, so
-    a chunk drawn into a used workspace makes no array the size of the
-    chunk, and the allocator has no pages to hand back to the system and
-    fault in again for the next chunk.  What is left in a workspace belongs
-    to the last chunk classified into it.
-
-    The standard draw of the last chunk drawn, both links' ``log(1 - u)``
-    (see :func:`crul.channel.sample_snrs`), stays in "log_pu" and "log_su"
-    until another is drawn, and :attr:`drawn` names it: the chunk's
-    ``(seed, index, count)``, set only once a draw is complete, and None
-    while none is.
+    draws (a worker's hold half a chunk, ``montecarlo.BLOCK_SIZE``, and it
+    reduces a longer chunk a block at a time), and ``buffer(name, size)`` is
+    the first ``size`` entries of one.  The classifier and
+    :class:`CellDraws` keep every per-draw array in them, so draws
+    classified into a used workspace make no array of their size, and the
+    allocator has no pages to hand back to the system and fault in again
+    for the next block.  What is left in a workspace belongs to the last
+    draws classified into it; the standard draws they were scaled from are
+    not kept here (see ``montecarlo._Reserve``).
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.drawn: tuple[int, int, int] | None = None
         self._buffers: dict[str, np.ndarray] = {}
         for dtype, names in _BUFFERS.items():
             self._buffers.update(zip(names, np.empty((len(names), capacity), dtype)))

@@ -34,6 +34,7 @@ from .montecarlo import (
     McConfig,
     draw_chunk,
     estimate,
+    forget_draws,
     mean_power_factor,
     sample_point,
 )
@@ -427,7 +428,11 @@ def criterion_figure3_asymptote() -> CheckResult:
 
 
 def criterion_parallel_determinism(seed: int = 7, samples: int = 10**6) -> CheckResult:
-    """Sweep output must be byte-identical across worker-thread counts."""
+    """Sweep output must be byte-identical across worker-thread counts.
+
+    Each thread count's sweep starts with no kept standard draws, so every
+    one of them draws its chunks rather than rescale the draws of the last.
+    """
     from . import cli  # imported here: cli already imports this module
 
     start = time.perf_counter()
@@ -438,6 +443,7 @@ def criterion_parallel_determinism(seed: int = 7, samples: int = 10**6) -> Check
             for threads in (1, 4, 16):
                 out_path = Path(workdir) / f"sweep_{threads}.csv"
                 os.environ["CRUL_THREADS"] = str(threads)
+                forget_draws()
                 with contextlib.redirect_stdout(io.StringIO()):
                     status = cli.main(
                         [

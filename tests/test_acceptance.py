@@ -13,7 +13,8 @@ comfortably even though every check runs at its complete grid.
 
 import re
 
-from crul import validation
+from crul import cli, montecarlo, validation
+from crul.montecarlo import CHUNK_SIZE
 from crul.validation import CheckResult
 
 
@@ -119,3 +120,23 @@ def test_criterion_8_strong_primary_asymptote():
 
 def test_criterion_9_parallel_sweep_determinism():
     report(validation.criterion_parallel_determinism(seed=7, samples=10**6))
+
+
+def test_criterion_9_draws_its_chunks_at_every_thread_count(monkeypatch):
+    """Each thread count's sweep opens one stream per chunk: it starts with
+    no kept draws, so it never only rescales the draws of the sweep before."""
+    opened, per_sweep = [], []
+    stream, main = montecarlo.chunk_stream, cli.main
+    monkeypatch.setattr(
+        montecarlo, "chunk_stream", lambda seed, index: opened.append(index) or stream(seed, index)
+    )
+
+    def sweep(argv):
+        opened.clear()
+        status = main(argv)
+        per_sweep.append(sorted(opened))
+        return status
+
+    monkeypatch.setattr(cli, "main", sweep)
+    report(validation.criterion_parallel_determinism(seed=7, samples=2 * CHUNK_SIZE + 1))
+    assert per_sweep == [[0, 1, 2]] * 3

@@ -6,7 +6,8 @@ method; the equal-SNR one reaches 40 dB, where term arbitration falls back
 to the oracle's own term value.  The two figure presets pin every
 analytic and oracle row of their full grids.  The Monte Carlo sweep draws
 two full chunks and a short one per pass, so it pins how chunks are
-scheduled and folded; it runs on one worker thread and on two.  A change
+scheduled and folded; it runs on one worker thread and on two, each from
+a process with no kept draws, so each draws its chunks.  A change
 that claims to keep results must keep these bytes; one that moves them
 regenerates the files with the same arguments and explains the diff.
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from crul import cli
+from crul import cli, montecarlo
 
 GOLDEN = Path(__file__).parent / "golden"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -65,6 +66,8 @@ def _first_difference(written: bytes, stored: bytes) -> str:
     ],
 )
 def test_sweep_matches_golden_bytes(name, threads, tmp_path, monkeypatch, capsys):
+    # As in a new process: no workspace or standard draw is kept from before.
+    monkeypatch.setattr(montecarlo, "_reserve", montecarlo._Reserve())
     if threads is not None:
         monkeypatch.setenv("CRUL_THREADS", threads)
     out = tmp_path / name
