@@ -45,8 +45,8 @@ the sums are those of new arrays holding the whole chunk.
 
 A chunk's SNRs are its standard draw divided by minus each link's rate
 (``channel.scale_snrs``), and the draw depends on the seed and the chunk
-only.  So the process keeps the standard draws of the first
-``KEPT_CHUNKS`` chunks under the last seed, and the boosted pass of a grid
+only.  So the process keeps the last standard draw of each of the first
+``KEPT_CHUNKS`` chunks, whatever its seed, and the boosted pass of a grid
 point, and every later point of a sweep under one seed, rescale them
 instead of drawing them again; the bits are those of a new draw.
 """
@@ -85,8 +85,8 @@ CHUNK_SIZE = 100_000
 #: time (see :func:`_chunk_sums`).  At least 129, where numpy's pairwise
 #: sum starts to split.
 BLOCK_SIZE = 50_000
-#: Chunks whose standard draws the process keeps, 1.6 MB each: one
-#: default pass of 1e6 draws.
+#: Chunks whose last standard draw the process keeps, whatever its seed,
+#: 1.6 MB each: one default pass of 1e6 draws.
 KEPT_CHUNKS = 10
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each worker has one
 #: block workspace, 3.45 MB, and up to 0.8 MB of index arrays while it
@@ -180,12 +180,12 @@ class _Reserve:
     :attr:`lock` from start to end.
 
     The block workspaces: one per worker of the last pass, but never more
-    than ``os.cpu_count()``, the workers that can run at once.  The
-    standard draws of the first ``KEPT_CHUNKS`` chunks, each in its own
-    array of :attr:`draws`, made on its first draw, which :attr:`kept`
-    names by the chunk's ``(seed, index, count)``, set only once the draw
-    is complete, and None while none is.  A new seed's chunks are drawn
-    over the old seed's, so the pages are faulted in once.
+    than ``os.cpu_count()``, the workers that can run at once.  The last
+    standard draw of each of the first ``KEPT_CHUNKS`` chunks, whatever its
+    seed, each in its own array of :attr:`draws`, made on its first draw,
+    which :attr:`kept` names by the chunk's ``(seed, index, count)``, set
+    only once the draw is complete, and None while none is.  Another key's
+    draw is drawn over the last, so the pages are faulted in once.
     """
 
     def __init__(self):
@@ -203,10 +203,6 @@ class _Reserve:
         while len(self.workspaces) < n_workers:
             self.workspaces.append(Workspace(BLOCK_SIZE))
         return self.workspaces[:n_workers]
-
-    def keep_seed(self, seed: int) -> None:
-        """Drop the draws of every other seed; the caller holds the lock."""
-        self.kept = [key if key is not None and key[0] == seed else None for key in self.kept]
 
     def standard_draw(
         self, seed: int, index: int, count: int, scratch: np.ndarray | None
@@ -362,7 +358,6 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
             chunks[index] = _chunk_sums(scenario, families, logs, workspace)
 
     with reserve.lock:
-        reserve.keep_seed(mc.seed)
         jobs = enumerate(reserve.workspaces_for(n_workers))
         try:
             if n_workers == 1:

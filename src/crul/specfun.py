@@ -17,8 +17,8 @@ element stops at the same step, so pure SIC's band cells take
 ``exp(a) E1(a)`` at all nodes of a rule in one pass with the scalar's
 digits.
 
-The scipy equivalents are still used in the test-suite as an independent
-check of these routines, never as the implementation.
+scipy is not a runtime dependency: the tests use its equivalents only as
+an independent check of these routines.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.special
 
 from .channel import ScenarioConfig
 from .crosscheck import deviation_report, evaluate, relative_deviation
@@ -136,27 +135,23 @@ _EI_NEGATIVE_REFERENCE = {
 def criterion_special_functions() -> CheckResult:
     """Negative-axis exponential integral vs. the frozen reference table.
 
-    Also enforces Ei(-x) == -E1(x) against scipy's independent E1 to a
-    tighter 1e-12, since the identity has no cancellation to hide behind.
+    Minus each entry is ``E1(x)`` to 30 digits, so the deviation is also
+    that of ``Ei(-x) == -E1(x)``, held to a tighter 1e-12 than the value's
+    1e-10, since the identity has no cancellation to hide behind.
     """
     start = time.perf_counter()
-    worst_value = max(
+    worst = max(
         abs(expint_ei(-x) - reference) / abs(reference)
         for x, reference in _EI_NEGATIVE_REFERENCE.items()
     )
-    worst_identity = max(
-        abs(expint_ei(-x) + scipy.special.exp1(x)) / scipy.special.exp1(x)
-        for x in _EI_NEGATIVE_REFERENCE
-    )
-    passed = bool(worst_value <= 1e-10 and worst_identity <= 1e-12)
     return CheckResult(
         id=2,
         name="exponential integral accuracy",
-        passed=passed,
-        measured=worst_value,
+        passed=bool(worst <= 1e-12),
+        measured=worst,
         tolerance=1e-10,
         runtime_s=time.perf_counter() - start,
-        detail=f"identity vs scipy E1 deviates {worst_identity:.3g} (limit 1e-12)",
+        detail=f"identity vs 30-digit E1 deviates {worst:.3g} (limit 1e-12)",
     )
 
 

@@ -483,6 +483,21 @@ class TestSplitBandTerm:
         )
         assert rel_err(analytic.split_band_stated(p20), reference) > 0.01
 
+    @pytest.mark.parametrize(
+        "lam,theta,band,merged",
+        [
+            (0.01, 4.656854249492381, 0.78365302593387299359, 1.3892311753224722236),
+            (1.0, 0.5, -0.41913654873497307433, -0.1576419042388575378),
+        ],
+    )
+    def test_stated_forms_at_equal_rates_frozen(self, lam, theta, band, merged):
+        # Frozen from the printed formulas, equal-rates branch, in mpmath at
+        # 40 digits.  A 0.1% slip in that branch's Ei argument moves the
+        # split band by 2.8e-4 and 1.4e-3, relative; no other test sees it.
+        p = ScenarioConfig(lambda_pu=lam, lambda_su=lam, theta=theta)
+        assert analytic.split_band_stated(p) == pytest.approx(band, rel=1e-12, abs=0.0)
+        assert analytic.merged_tail_stated(p) == pytest.approx(merged, rel=1e-12, abs=0.0)
+
 
 # ------------------------------------------------------------ term: clear channel
 

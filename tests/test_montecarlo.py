@@ -671,7 +671,7 @@ def _sample_at_once(monkeypatch, chunk_index, jobs):
 
 def _child_estimate(conn):
     """The child's kept workspaces and draws as it starts, then its estimate."""
-    started = len(montecarlo._reserve.workspaces), montecarlo._reserve.kept
+    started = len(montecarlo._reserve.workspaces), list(montecarlo._reserve.kept)
     rate = estimate(ProtocolKind.CR_RSMA, SCENARIO_20DB, McConfig(n_samples=200_000))
     conn.send((*started, rate))
     conn.close()
@@ -946,10 +946,11 @@ class TestKeptDraws:
         again = reserve.standard_draw(21, 0, 1_000, None)
         assert np.array_equal(again, montecarlo._standard_draw(21, 0, 1_000))
 
-    def test_a_pass_keeps_at_most_the_first_chunks_under_its_seed(self, monkeypatch, streams):
+    def test_a_pass_keeps_at_most_the_first_chunks_whatever_its_seed(self, monkeypatch, streams):
         """A pass of 2e6 draws keeps the first ``KEPT_CHUNKS`` of its 20
-        chunks, in a store of that many chunks; a pass under another seed
-        drops them all, though it draws fewer chunks."""
+        chunks, in a store of that many chunks; a 2-chunk pass under another
+        seed replaces the draws of chunks 0 and 1 only, so a later pass under
+        the first seed draws those two again and no other kept chunk."""
         monkeypatch.setenv("CRUL_THREADS", "2")
         reserve = montecarlo._Reserve()
         with mock.patch.object(montecarlo, "_reserve", reserve):
@@ -958,8 +959,12 @@ class TestKeptDraws:
             assert [draw.shape for draw in reserve.draws] == [(2, CHUNK_SIZE)] * KEPT_CHUNKS
             assert len(streams) == 20
             estimate(ProtocolKind.BENCH_CSI, SCENARIO_20DB, McConfig(n_samples=150_000, seed=4))
-        assert reserve.kept[:2] == [(4, 0, CHUNK_SIZE), (4, 1, 50_000)]
-        assert reserve.kept[2:] == [None] * (KEPT_CHUNKS - 2)
+            assert reserve.kept[:2] == [(4, 0, CHUNK_SIZE), (4, 1, 50_000)]
+            assert reserve.kept[2:] == [(3, index, CHUNK_SIZE) for index in range(2, KEPT_CHUNKS)]
+            streams.clear()
+            estimate(ProtocolKind.BENCH_CSI, SCENARIO_20DB, McConfig(n_samples=10**6, seed=3))
+        assert sorted(streams) == [(3, 0), (3, 1)]
+        assert reserve.kept == [(3, index, CHUNK_SIZE) for index in range(KEPT_CHUNKS)]
 
     def test_each_worker_runs_a_fixed_stride_in_its_own_workspace(
         self, monkeypatch, chunk_index
