@@ -10,11 +10,14 @@ stays evidence rather than tautology.
 The estimands are integrals against ``rate * exp(-rate * t)`` on a
 half-line.  With rates as small as 1e-8 the mass sits in a sliver of an
 enormous interval, so each axis is cut into geometrically doubling
-panels (the first an eighth of the decay length ``1/rate``) and
-truncated where the neglected relative mass falls below ``exp(-45)``
-times the tolerance.  Each panel carries the 21-point Gauss-Kronrod rule
-and, as in QUADPACK (Piessens et al., 1983), ``|K21 - G10|`` -- the
-distance to the embedded 10-point Gauss rule -- as its error estimate.
+panels and truncated where the neglected relative mass falls below
+``exp(-45)`` times the tolerance.  The first panel is an eighth of the
+decay length ``1/rate``, but never wider than 16: the integrands vary on
+the scale of the ``1 +`` in their logs and of the threshold, whatever the
+decay length, and bisection would pay one round per halving to reach it.
+Each panel carries the 21-point Gauss-Kronrod rule and, as in QUADPACK
+(Piessens et al., 1983), ``|K21 - G10|`` -- the distance to the embedded
+10-point Gauss rule -- as its error estimate.
 Panels are evaluated in numpy array passes of at most 512 panels, so each
 pass's temporaries stay in L2 and under the allocator's mmap threshold,
 and only the panels of the integrals that miss their budget are bisected.
@@ -106,6 +109,8 @@ for _array in (NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS, _RULES):
 # relative mass is ignored, far below any tolerance this module accepts.
 _TAIL_HORIZON = 45.0
 _FIRST_PANEL_FRACTION = 0.125
+# Widest first panel, in SNR units (see the module docstring).
+_FIRST_PANEL_MAX = 16.0
 # An integral stops refining once its summed |K21 - G10| is within its
 # relative target (no absolute floor: a region whose mass the first nodes
 # barely touch must still be resolved) or once it has _MAX_PANELS panels;
@@ -138,12 +143,14 @@ def tail_horizon(rel_tol: float) -> float:
 def geometric_edges(lower: float, upper: float, scale: float) -> np.ndarray:
     """Edges of doubling panels from ``lower`` to ``upper``.
 
-    The first panel is an eighth of ``scale``; the last is cut at ``upper``.
+    The first panel is an eighth of ``scale``, at most ``_FIRST_PANEL_MAX``
+    wide; the last is cut at ``upper``.
     """
     width = scale * _FIRST_PANEL_FRACTION
     # A zero first panel would never grow, and the loop below never end.
     if not 0.0 < width < math.inf:
         raise ValueError(f"panel scale must be finite and > 0, got {scale}")
+    width = min(width, _FIRST_PANEL_MAX)
     edges = [lower]
     position = lower
     while position + width < upper:
@@ -295,7 +302,8 @@ def exponential_expectation(
 
     # A slice's mass can fall off along the outer axis at the inner rate
     # (the band regions hug x = theta when the secondary is weak), so the
-    # outer panels start from the shorter of the two decay lengths.
+    # outer panels start from the shorter of the two decay lengths, or from
+    # geometric_edges' cap where both are long.
     edges = geometric_edges(x_lower, x_high, min(1.0 / rate_x, 1.0 / rate_y))
     rows = np.zeros(edges.size - 1, dtype=np.intp)
     total, error = _integrate_rows(outer, rows, edges[:-1], edges[1:], 1, rel_tol / 2.0)

@@ -553,6 +553,25 @@ def test_preferred_cell_of_a_strong_secondary_is_not_silently_zero():
     assert preferred == pytest.approx(reference, rel=1e-8)
 
 
+#: Pure SIC's preferred-order term at strong links and the default target,
+#: frozen from mpmath at 50 digits: the one-dimensional preferred kernel
+#: over the primary excess ``v`` (``analytic._preferred_order_parts``),
+#: which two sets of breakpoints agreed on to 25 digits.
+FROZEN_STRONG_PREFERRED = {
+    (50.0, 60.0): "0.08799048718156352492911267",
+    (80.0, 70.0): "0.000331393291724324893703962",
+}
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", FROZEN_STRONG_PREFERRED)
+def test_strong_link_preferred_term_matches_mpmath(primary_db, secondary_db):
+    # Both links' decay lengths are 1e5 to 1e8: the first panels must still
+    # resolve the kernel's bend within a few SNR units of the origin.
+    preferred = case_terms(ProtocolKind.CR_SIC, scenario(primary_db, secondary_db))["preferred"]
+    expected = float(FROZEN_STRONG_PREFERRED[primary_db, secondary_db])
+    assert preferred == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def agreement_scenarios():
     """The figure2 diagonal, the figure3 line, their power-normalized twins
     and the benchmark's eight off-diagonal points."""

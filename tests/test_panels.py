@@ -144,6 +144,10 @@ def test_geometric_edges_double_and_stop_at_upper():
     edges = geometric_edges(1.0, 10.0, 8.0)
     np.testing.assert_allclose(edges, [1.0, 2.0, 4.0, 8.0, 10.0])
     np.testing.assert_allclose(geometric_edges(0.0, 0.5, 8.0), [0.0, 0.5])
+    # An eighth of the scale would be 125,000 wide; the first panel stops at 16.
+    np.testing.assert_allclose(
+        geometric_edges(0.0, 1000.0, 1e6), [0.0, 16.0, 48.0, 112.0, 240.0, 496.0, 1000.0]
+    )
 
 
 @pytest.mark.parametrize("scale", [0.0, 5e-324, -1.0, math.inf, math.nan])
@@ -245,6 +249,25 @@ def test_blocked_outer_integrand_forms_the_same_inner_batches(monkeypatch):
     monkeypatch.setattr(panels, "_BLOCK", 10**9)
     assert EXPECTATIONS["band rate"](scenario) == blocked
     assert spans == blocked_spans
+
+
+STRONG_LINKS = [(40.0, 40.0), (60.0, 60.0), (80.0, 80.0), (100.0, 90.0), (100.0, 100.0)]
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", STRONG_LINKS)
+def test_strong_link_terms_take_few_bisection_rounds(monkeypatch, primary_db, secondary_db):
+    # Every integrand bends within a few SNR units of the origin.  A first
+    # panel of an eighth of a decay length up to 1e10 would need one
+    # bisection round, one _kronrod call, per halving to reach that bend.
+    config = ScenarioConfig.from_snr_db(primary_db, secondary_db)
+    names = sorted({name for terms in oracle.TERMS.values() for name in terms})
+    assert len(names) == 6
+    spans = spans_of_kronrod(monkeypatch)
+    for scenario in (config, oracle.normalized(config)):
+        for name in names:
+            spans.clear()
+            oracle._case_term.__wrapped__(name, scenario)
+            assert len(spans) <= 8, (name, scenario)
 
 
 # ------------------------------------------------------------ 1-D integral
