@@ -26,7 +26,7 @@ power scale from one such pass, plus the boosted pass of the
 power-normalized protocol; :func:`estimate` and :func:`mean_power_factor`
 are the same pass over a single family.
 
-A pass on ``n`` worker threads gives worker ``w`` the chunks ``w, w + n,
+A pass on ``n`` workers gives worker ``w`` the chunks ``w, w + n,
 w + 2n, ...``, and it runs them in its own :class:`~crul.protocols.Workspace`
 of buffers for one block of ``BLOCK_SIZE`` draws, half a chunk, where each
 block is classified and reduced.  Chunks within a pass cost about the
@@ -35,10 +35,11 @@ Fresh chunk-sized arrays cost more than the arithmetic on them, because the
 allocator returned their pages to the system after every chunk and faulted
 them in again for the next.  For the same reason the process keeps the
 workspaces, one per CPU at most, from one pass to the next (see
-:class:`_Reserve`), instead of faulting in new ones at every grid point;
-the threads live for one pass only.  Passes take turns, so no workspace is
-ever in two at once.  Nor does any step store through a data-dependent
-mask, which costs several times more on mixed cells than on uniform ones.
+:class:`_Reserve`), instead of faulting in new ones at every grid point.
+Worker 0 runs in the calling thread, and the other workers' threads live
+for one pass only.  Passes take turns, so no workspace is ever in two at
+once.  Nor does any step store through a data-dependent mask, which costs
+several times more on mixed cells than on uniform ones.
 Workspaces change where values are stored, not how they are computed, and
 a chunk is cut into blocks where numpy's pairwise ``np.sum`` cuts it, so
 the sums are those of new arrays holding the whole chunk.
@@ -335,12 +336,12 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
 
     On ``n`` workers, worker ``w`` runs the chunks ``w, w + n, ...`` in its
     own workspace, ``_reserve.workspaces[w]``, rescaling each kept standard
-    draw and drawing the rest.  One worker runs in the calling thread, and
-    more run on threads that end with the pass.  The pass holds the
-    reserve's lock throughout, so passes take turns.  After a chunk fails,
-    the pass waits for every worker to stop before it raises the first
-    worker's error.  Either way, at most one workspace per CPU is kept for
-    the next pass.
+    draw and drawing the rest.  Worker 0 runs in the calling thread and
+    the others on threads that end with the pass, so a one-worker pass
+    starts none.  The pass holds the reserve's lock throughout, so passes
+    take turns.  After a chunk fails, the pass waits for every worker to
+    stop before it raises the first failing worker's error.  Either way, at
+    most one workspace per CPU is kept for the next pass.
     """
     for family in families:
         if family not in _KERNEL_ORDER:
@@ -358,15 +359,13 @@ def _sample(scenario: ScenarioConfig, mc: McConfig, families) -> dict:
             chunks[index] = _chunk_sums(scenario, families, logs, workspace)
 
     with reserve.lock:
-        jobs = enumerate(reserve.workspaces_for(n_workers))
+        first, *rest = enumerate(reserve.workspaces_for(n_workers))
         try:
-            if n_workers == 1:
-                work(*next(jobs))
-            else:
-                with ThreadPoolExecutor(n_workers, thread_name_prefix="crul-mc") as pool:
-                    futures = [pool.submit(work, *job) for job in jobs]
-                for future in futures:
-                    future.result()
+            with ThreadPoolExecutor(n_workers, thread_name_prefix="crul-mc") as pool:
+                futures = [pool.submit(work, *job) for job in rest]
+                work(*first)
+            for future in futures:
+                future.result()
         finally:
             del reserve.workspaces[os.cpu_count() or 1:]
     by_family = zip(families, zip(*chunks))

@@ -35,10 +35,6 @@ MAX_ORDER = 256
 
 _NEWTON_REL_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
-# Rescale threshold for the three-term recurrence.  Laguerre polynomial
-# magnitudes reach ~exp(node/2); for order 256 the largest node is ~1050,
-# far past double range, so the recurrence tracks an explicit log scale.
-_RESCALE_AT = 1e100
 
 # Series/continued-fraction switch for E1.  The alternating series loses
 # roughly exp(2x)/sqrt(2 pi x) * eps of relative accuracy to cancellation;
@@ -88,28 +84,23 @@ class QuadratureRule:
 def _recurrence_steps(order: int) -> tuple[tuple[float, float, float], ...]:
     """The coefficients ``(2k - 1, k - 1, k)`` of the Laguerre recurrence
     as floats, for ``k = 1..order``; a build makes them once for all its
-    :func:`_laguerre_pair_scaled` calls."""
+    :func:`_laguerre_pair` calls."""
     return tuple((2.0 * k - 1.0, k - 1.0, float(k)) for k in range(1, order + 1))
 
 
-def _laguerre_pair_scaled(x: float, steps) -> tuple[float, float, float]:
-    """Return ``(L_n(x), L_{n-1}(x))`` up to a common scale, where ``steps``
-    is ``_recurrence_steps(n)``.
+def _laguerre_pair(x: float, steps) -> tuple[float, float]:
+    """Return ``(L_n(x), L_{n-1}(x))``, where ``steps`` is
+    ``_recurrence_steps(n)``.
 
-    The third element is ``log`` of the scale, i.e. the true values are
-    ``returned * exp(log_scale)``.  Ratios of the pair (all Newton needs)
-    are exact; the scale matters only for the weight computation.
+    No rescaling is needed: for ``x >= 0``, ``|L_k(x)| <= exp(x / 2)``
+    (Szego, eq. 7.21.3), and every node of order ``n`` lies below about
+    ``4n + 2``, so at :data:`MAX_ORDER` the recurrence stays below
+    ``exp(513) ~ 1e223``.
     """
     current, previous = 1.0, 0.0
-    log_scale = 0.0
     for odd, below, k in steps:
         current, previous = ((odd - x) * current - below * previous) / k, current
-        if current > _RESCALE_AT or current < -_RESCALE_AT:
-            magnitude = abs(current)
-            current /= magnitude
-            previous /= magnitude
-            log_scale += math.log(magnitude)
-    return current, previous, log_scale
+    return current, previous
 
 
 def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +128,7 @@ def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
         previous_step = math.inf
         for _ in range(_NEWTON_MAX_ITER):
-            value, lower, _ = _laguerre_pair_scaled(z, steps)
+            value, lower = _laguerre_pair(z, steps)
             derivative = order * (value - lower) / z
             step = value / derivative
             z -= step
@@ -156,13 +147,11 @@ def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
             )
 
         nodes.append(z)
-        value, lower, log_scale = _laguerre_pair_scaled(z, steps)
+        value, lower = _laguerre_pair(z, steps)
         # One extra recurrence step gives L_{order+1} at the root, which
         # the classical weight formula w = z / ((n+1) L_{n+1}(z))^2 needs.
         above = ((2 * order + 1 - z) * value - order * lower) / (order + 1)
-        log_weights.append(
-            math.log(z) - 2.0 * (math.log((order + 1) * abs(above)) + log_scale)
-        )
+        log_weights.append(math.log(z) - 2.0 * math.log((order + 1) * abs(above)))
     return np.array(nodes), np.array(log_weights)
 
 

@@ -119,8 +119,8 @@ def criterion_quadrature() -> CheckResult:
 
 # --------------------------------------------------------------- criterion 2
 
-# Frozen from mpmath.ei at 30 significant digits (same table the unit
-# tests pin); doubles carry ~16 of those digits.
+# Frozen from mpmath.ei at 30 significant digits (the unit tests read this
+# table too); doubles carry ~16 of those digits.
 _EI_NEGATIVE_REFERENCE = {
     1e-4: -8.63322470457470543,
     0.1: -1.8229239584193906661,
@@ -136,10 +136,11 @@ def criterion_special_functions() -> CheckResult:
     """Negative-axis exponential integral vs. the frozen reference table.
 
     Minus each entry is ``E1(x)`` to 30 digits, so the deviation is also
-    that of ``Ei(-x) == -E1(x)``, held to a tighter 1e-12 than the value's
-    1e-10, since the identity has no cancellation to hide behind.
+    that of ``Ei(-x) == -E1(x)``, held to 1e-12 relative, the bar the check
+    reports, since the identity has no cancellation to hide behind.
     """
     start = time.perf_counter()
+    tolerance = 1e-12
     worst = max(
         abs(expint_ei(-x) - reference) / abs(reference)
         for x, reference in _EI_NEGATIVE_REFERENCE.items()
@@ -147,11 +148,11 @@ def criterion_special_functions() -> CheckResult:
     return CheckResult(
         id=2,
         name="exponential integral accuracy",
-        passed=bool(worst <= 1e-12),
+        passed=bool(worst <= tolerance),
         measured=worst,
-        tolerance=1e-10,
+        tolerance=tolerance,
         runtime_s=time.perf_counter() - start,
-        detail=f"identity vs 30-digit E1 deviates {worst:.3g} (limit 1e-12)",
+        detail=f"identity vs 30-digit E1 deviates {worst:.3g} (limit {tolerance:g})",
     )
 
 

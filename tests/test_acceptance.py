@@ -40,6 +40,12 @@ def test_criterion_2_exponential_integral_accuracy():
     report(validation.criterion_special_functions(), budget_s=1.0)
 
 
+def test_criterion_2_reports_the_bar_it_applies():
+    check = validation.criterion_special_functions()
+    assert check.tolerance == 1e-12
+    assert check.passed == (check.measured <= check.tolerance)
+
+
 def test_criterion_3_primary_user_protection():
     report(validation.criterion_pu_protection(seed=0, samples=10**6), budget_s=30.0)
 

@@ -624,8 +624,10 @@ class TestPureSicCells:
     def test_integral_routes_match_frozen_values(self, point):
         p = ScenarioConfig.from_snr_db(*point)
         reduced, preferred = FROZEN_CELLS[point]
-        assert analytic.reduced_power_term_integral(p) == pytest.approx(reduced, rel=1e-11)
-        assert analytic.preferred_order_term_integral(p) == pytest.approx(preferred, rel=1e-11)
+        reduced_integral = analytic.reduced_power_term_integral(p)
+        preferred_integral = analytic.preferred_order_term_integral(p)
+        assert reduced_integral == pytest.approx(reduced, rel=1e-11, abs=0.0)
+        assert preferred_integral == pytest.approx(preferred, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("point", list(FROZEN_CELLS))
     def test_rule_routes_match_frozen_values_where_accepted(self, point):
@@ -637,7 +639,7 @@ class TestPureSicCells:
             accepted = relative_deviation(value, terms[name]) <= ARBITRATION_REL_TOL
             assert accepted == ((point, name) not in RULE_MISSES)
             if accepted:
-                assert value == pytest.approx(frozen, rel=1e-5)
+                assert value == pytest.approx(frozen, rel=1e-5, abs=0.0)
 
     @pytest.mark.parametrize("gamma0_db", [20.0, 40.0])
     def test_routes_match_the_region_oracle(self, gamma0_db):
@@ -691,7 +693,7 @@ class TestPureSicCells:
                 limit=300,
             )
             reference = value * lam_s * math.exp(-lam_s * x)
-            assert self.stated_kernel(x, p) == pytest.approx(reference, rel=1e-9)
+            assert self.stated_kernel(x, p) == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 class TestOrderSwitchGeometry:

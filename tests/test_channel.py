@@ -227,7 +227,7 @@ def test_the_largest_uniform_below_one_gives_a_finite_snr():
 def test_a_standard_draw_is_log_of_one_minus_u(u):
     logs = standard_draw(_Constant(u), 2)
     for block in logs:
-        assert block.tolist() == pytest.approx([math.log(1.0 - u)] * 2, rel=1e-12)
+        assert block.tolist() == pytest.approx([math.log(1.0 - u)] * 2, rel=1e-12, abs=0.0)
         assert np.all(block <= 0.0)
 
 

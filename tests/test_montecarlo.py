@@ -679,14 +679,15 @@ def _child_estimate(conn):
 
 class TestKeptWorkspaces:
     def test_warm_calls_make_no_workspace_and_start_no_thread(
-        self, monkeypatch, fresh_reserve, made_workspaces
+        self, monkeypatch, fresh_reserve, made_workspaces, chunk_index
     ):
-        """Warm calls make no workspace, and every worker thread a call
-        starts has ended by the time it returns."""
+        """Warm calls make no workspace, worker 0 runs in the calling thread,
+        and every worker thread a call starts has ended by the time it
+        returns."""
         workers, original = [], montecarlo._chunk_sums
 
         def recorded(*args):
-            workers.append(threading.current_thread().name)
+            workers.append((chunk_index(), threading.current_thread().name))
             return original(*args)
 
         monkeypatch.setattr(montecarlo, "_chunk_sums", recorded)
@@ -703,7 +704,10 @@ class TestKeptWorkspaces:
             running = threading.active_count()
             workers.clear()
             call()
-            assert workers and all(name.startswith("crul-mc") for name in workers)
+            caller = threading.current_thread().name
+            on_caller = {index for index, name in workers if name == caller}
+            on_pool = {index for index, name in workers if name.startswith("crul-mc")}
+            assert (on_caller, on_pool) == ({0, 2}, {1, 3})
             assert _mc_threads() == []
             assert threading.active_count() == running
         assert made_workspaces == [BLOCK_SIZE] * 2

@@ -211,7 +211,7 @@ def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
     3e-7, 2e-6 and 7e-5 relative off)."""
     config = scenario(primary_db, 0.0)
     terms = case_terms(ProtocolKind.CR_SIC, config)
-    assert terms["preferred"] == pytest.approx(preferred_order_term(config), rel=1e-6)
+    assert terms["preferred"] == pytest.approx(preferred_order_term(config), rel=1e-6, abs=0.0)
     assert terms["reduced"] == pytest.approx(reduced_power_term(config), rel=1e-9, abs=0.0)
     assert terms["reduced"] > 0.0
 
@@ -548,9 +548,9 @@ def test_preferred_cell_of_a_strong_secondary_is_not_silently_zero():
     x_max = theta + math.sqrt(80.0 * theta / lam_su)
     edges = [theta + 2.0**k - 1.0 for k in range(64) if theta + 2.0**k - 1.0 < x_max]
     reference = quad(lambda x: inner(x) * lam_pu * math.exp(-lam_pu * x), [*edges, x_max])
-    assert reference == pytest.approx(2.2185841577e-06, rel=1e-10)
+    assert reference == pytest.approx(2.2185841577e-06, rel=1e-10, abs=0.0)
     preferred = case_terms(ProtocolKind.CR_SIC, config)["preferred"]
-    assert preferred == pytest.approx(reference, rel=1e-8)
+    assert preferred == pytest.approx(reference, rel=1e-8, abs=0.0)
 
 
 #: Pure SIC's preferred-order term at strong links and the default target,

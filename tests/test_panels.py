@@ -280,7 +280,7 @@ def test_panel_integral_of_exponential_moments(rate):
         value = panel_integral(
             lambda t: t**k * rate * np.exp(-rate * t), 1.0 / rate, 1e-10
         )
-        assert value == pytest.approx(math.factorial(k) / rate**k, rel=1e-10)
+        assert value == pytest.approx(math.factorial(k) / rate**k, rel=1e-10, abs=0.0)
 
 
 def test_panel_integral_resolves_a_jump_by_bisection():
@@ -334,7 +334,7 @@ def test_region_integrals_match_nested_quadpack(label):
     for name, region, scalar, vector in case_integrals(scenario.theta):
         value = restricted_expectation(vector, region, lam_pu, lam_su)
         reference = reference_expectation(scalar, region, lam_pu, lam_su)
-        assert value == pytest.approx(reference, rel=1e-10), name
+        assert value == pytest.approx(reference, rel=1e-10, abs=0.0), name
 
 
 @pytest.mark.parametrize("primary_db", [90.0, 100.0])
@@ -347,7 +347,7 @@ def test_strong_primary_band_regions_match_nested_quadpack(primary_db):
         if name in ("reduced", "preferred"):
             value = restricted_expectation(vector, region, lam_pu, lam_su)
             reference = reference_expectation(scalar, region, lam_pu, lam_su)
-            assert value == pytest.approx(reference, rel=1e-10), name
+            assert value == pytest.approx(reference, rel=1e-10, abs=0.0), name
 
 
 def test_boosted_60db_scenario_matches_nested_quadpack():

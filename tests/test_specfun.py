@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crul import specfun
+from crul import specfun, validation
 from crul.analytic import DEFAULT_NODES
 from crul.specfun import (
     MAX_ORDER,
@@ -27,16 +27,7 @@ from crul.specfun import (
     log_e1,
 )
 
-# Frozen from mpmath.ei / mpmath.e1 at 30-digit precision.
-EI_NEGATIVE = {
-    1e-4: -8.63322470457470543,
-    0.1: -1.8229239584193906661,
-    0.5: -0.55977359477616081175,
-    1.0: -0.21938393439552027368,
-    5.0: -0.0011482955912753257973,
-    20.0: -9.8355252906498816904e-11,
-    100.0: -3.6835977616820321802e-46,
-}
+# Frozen from mpmath.e1 at 30-digit precision.
 LOG_E1 = {
     20.0: -23.042435162184236996,
     100.0: -104.6150243505053549,
@@ -118,19 +109,13 @@ def test_the_stored_order_is_the_default_order():
     assert set(specfun._STORED_RULES) == {DEFAULT_NODES}
 
 
-def reference_pair_scaled(order, x):
+def reference_pair(order, x):
     """The three-term recurrence one step per ``k``, with integer
-    coefficients and the rescale test on ``abs``."""
+    coefficients."""
     current, previous = 1.0, 0.0
-    log_scale = 0.0
     for k in range(1, order + 1):
         current, previous = ((2 * k - 1 - x) * current - (k - 1) * previous) / k, current
-        magnitude = abs(current)
-        if magnitude > specfun._RESCALE_AT:
-            current /= magnitude
-            previous /= magnitude
-            log_scale += math.log(magnitude)
-    return current, previous, log_scale
+    return current, previous
 
 
 @pytest.mark.parametrize(
@@ -140,11 +125,21 @@ def reference_pair_scaled(order, x):
     + [(order, x) for order in (1, 100, 256) for x in (math.nan, math.inf, -math.inf)],
 )
 def test_recurrence_is_the_per_step_reference_bit_for_bit(order, x):
-    expected = reference_pair_scaled(order, x)
-    if 0.0 < x < math.inf:
-        assert expected[2] > 0.0  # past x ~ 465 the rescale branch runs
-    actual = specfun._laguerre_pair_scaled(x, specfun._recurrence_steps(order))
-    assert struct.pack("3d", *actual) == struct.pack("3d", *expected)
+    expected = reference_pair(order, x)
+    actual = specfun._laguerre_pair(x, specfun._recurrence_steps(order))
+    assert struct.pack("2d", *actual) == struct.pack("2d", *expected)
+
+
+def test_recurrence_stays_in_double_range_past_the_largest_node():
+    # Every node of order n lies below about 4n + 2, and |L_k(x)| <= e^{x/2}
+    # for x >= 0, so the unscaled recurrence is finite at every supported
+    # order; past order ~354 e^{x/2} leaves double range and this fails.
+    x = 4.0 * MAX_ORDER + 2.0
+    assert gauss_laguerre(MAX_ORDER).nodes[-1] < x
+    bound = math.exp(x / 2.0)
+    for value in specfun._laguerre_pair(x, specfun._recurrence_steps(MAX_ORDER)):
+        assert math.isfinite(value)
+        assert abs(value) <= bound
 
 
 @pytest.mark.parametrize("order", [0, -1, 257, 2.5, "10"])
@@ -182,9 +177,11 @@ def test_weighted_monomials_integrate_to_factorials(k):
 # ------------------------------------------------------- exponential Ei
 
 
-@pytest.mark.parametrize("x,expected", sorted(EI_NEGATIVE.items()))
+@pytest.mark.parametrize(
+    "x,expected", sorted(validation._EI_NEGATIVE_REFERENCE.items())
+)
 def test_ei_negative_frozen(x, expected):
-    assert expint_ei(-x) == pytest.approx(expected, rel=1e-12)
+    assert expint_ei(-x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @given(st.floats(min_value=1e-4, max_value=500.0))
@@ -264,7 +261,8 @@ ROUNDING_BOUND_ARGUMENTS = [1.073741823e17, 4.2949673e17, 245690564412334.34]
 @pytest.mark.parametrize("x", ROUNDING_BOUND_ARGUMENTS)
 def test_continued_fraction_stops_where_rounding_holds_every_factor_off_one(x):
     # K = 1/x - 1/x^2 + 2/x^3 - ... to far below an ulp here.
-    assert e1_cf_factor(x) == pytest.approx(1.0 / x - 1.0 / x**2 + 2.0 / x**3, rel=1e-15)
+    expected = 1.0 / x - 1.0 / x**2 + 2.0 / x**3
+    assert e1_cf_factor(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
     value = e1_cf_factor(np.array([5.0, x]))
     np.testing.assert_array_equal(value, [e1_cf_factor(5.0), e1_cf_factor(x)])
 
