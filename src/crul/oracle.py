@@ -11,12 +11,12 @@ Gauss-Laguerre rules, no exponential-integral identities -- so that
 agreement between the two routes is evidence, not tautology.
 
 The integrals run on :mod:`crul.panels`: 21-point Gauss-Kronrod rules on
-geometrically doubling panels along both axes, truncated where the
-neglected tail is below a tenth of the tolerance, with the inner slices
-of up to 512 outer nodes integrated together, their nodes evaluated in
-numpy passes of 512 panels (so each pass's working set stays in L2 and its
-temporaries under the allocator's mmap threshold), and ``|K21 - G10|``
-deciding which panels are bisected.  A slice or region whose error
+geometrically growing panels along both axes, truncated at the tail
+horizon that module sets, with the inner slices of up to 512 outer nodes
+integrated together, their nodes evaluated in numpy passes of 512 panels
+(so each pass's working set stays in L2 and its temporaries under the
+allocator's mmap threshold), and ``|K21 - G10|`` deciding which panels
+are bisected.  A slice or region whose error
 estimate misses its budget raises :class:`OracleAccuracyError`.
 Integrands take numpy arrays.
 

@@ -9,12 +9,13 @@ stays evidence rather than tautology.
 
 The estimands are integrals against ``rate * exp(-rate * t)`` on a
 half-line.  With rates as small as 1e-8 the mass sits in a sliver of an
-enormous interval, so each axis is cut into geometrically doubling
-panels and truncated where the neglected relative mass falls below
-``exp(-45)`` times the tolerance.  The first panel is an eighth of the
-decay length ``1/rate``, but never wider than 16: the integrands vary on
-the scale of the ``1 +`` in their logs and of the threshold, whatever the
-decay length, and bisection would pay one round per halving to reach it.
+enormous interval, so each axis is cut into panels, each three times
+wider than the one before, and truncated where the neglected relative
+mass falls below ``exp(-24)`` times the tolerance (about 4e-20 at
+:data:`REL_TOL`).  The first panel is an eighth of the decay length
+``1/rate``, but never wider than 16: the integrands vary on the scale of
+the ``1 +`` in their logs and of the threshold, whatever the decay
+length, and bisection would pay one round per halving to reach it.
 Each panel carries the 21-point Gauss-Kronrod rule and, as in QUADPACK
 (Piessens et al., 1983), ``|K21 - G10|`` -- the distance to the embedded
 10-point Gauss rule -- as its error estimate.
@@ -105,23 +106,31 @@ _RULES = np.stack((KRONROD_WEIGHTS, GAUSS_WEIGHTS), axis=1)
 for _array in (NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS, _RULES):
     _array.flags.writeable = False
 
-# Tail horizon in units of the decay length 1/rate: exp(-45) ~ 3e-20 of
-# relative mass is ignored, far below any tolerance this module accepts.
-_TAIL_HORIZON = 45.0
+# Tail horizon in units of the decay length 1/rate, on top of
+# |ln(rel_tol)|: at REL_TOL the horizon is 44.7 decay lengths and the
+# neglected mass exp(-44.7) ~ 4e-20, four orders below a double's
+# resolution.  A horizon of 65.7 would add a whole last panel, [45.5,
+# 65.7], for about 2e-20 of the mass.
+_TAIL_HORIZON = 24.0
 _FIRST_PANEL_FRACTION = 0.125
+# Each panel is this many times wider than the one before, so uncapped
+# edges fall at 0.125, 0.5, 1.625, 5, 15.125 and 45.5 decay lengths.
+# Tripling takes about half the panels of doubling for the same
+# tolerance; a factor of 4 doubles the bisection rounds and saves no time.
+_PANEL_GROWTH = 3.0
 # Widest first panel, in SNR units (see the module docstring).
 _FIRST_PANEL_MAX = 16.0
 # An integral stops refining once its summed |K21 - G10| is within its
 # relative target (no absolute floor: a region whose mass the first nodes
-# barely touch must still be resolved) or once it has _MAX_PANELS panels;
-# then the caller's budget decides.
+# barely touch must still be resolved) or once a bisection round would
+# take it past _MAX_PANELS panels; then the caller's budget decides.
 _MAX_PANELS = 200
 # Budgets checked after refinement: per inner slice and per integral.
 _INNER_BUDGET = 20.0
 _OUTER_BUDGET = 10.0
 _BUDGET_FLOOR = 1e-12
-# Inner slices integrated together, about 5,000 panels as each starts with
-# ten; _kronrod evaluates their nodes _BLOCK panels at a time.
+# Inner slices integrated together, about 3,000 panels as each starts with
+# six; _kronrod evaluates their nodes _BLOCK panels at a time.
 _SLICE_BATCH = 512
 # Panels whose nodes and integrand _kronrod evaluates per numpy pass.  A
 # block's temporaries, 512 x 21 floats (86 kB), stay in L2 and under the
@@ -141,10 +150,11 @@ def tail_horizon(rel_tol: float) -> float:
 
 
 def geometric_edges(lower: float, upper: float, scale: float) -> np.ndarray:
-    """Edges of doubling panels from ``lower`` to ``upper``.
+    """Edges of geometrically growing panels from ``lower`` to ``upper``.
 
     The first panel is an eighth of ``scale``, at most ``_FIRST_PANEL_MAX``
-    wide; the last is cut at ``upper``.
+    wide; each next one is ``_PANEL_GROWTH`` times wider, and the last is
+    cut at ``upper``.
     """
     width = scale * _FIRST_PANEL_FRACTION
     # A zero first panel would never grow, and the loop below never end.
@@ -156,7 +166,7 @@ def geometric_edges(lower: float, upper: float, scale: float) -> np.ndarray:
     while position + width < upper:
         position += width
         edges.append(position)
-        width *= 2.0
+        width *= _PANEL_GROWTH
     edges.append(upper)
     return np.array(edges)
 
@@ -185,19 +195,25 @@ def _integrate_rows(f, rows, a, b, n_rows: int, rel: float):
     ``f(rows, nodes)`` evaluates each panel's integrand at its nodes.  An
     integral whose summed error misses ``rel * |value|`` has every panel
     above its mean share of that target bisected, and only those panels
-    are evaluated again, until every integral meets its target or has
-    ``_MAX_PANELS`` panels.  Returns the value and the summed error
+    are evaluated again, until every integral meets its target or would
+    pass ``_MAX_PANELS`` panels in the next round: no integral ever holds
+    more than ``_MAX_PANELS``.  Returns the value and the summed error
     estimate of each integral.
     """
     value, error = _kronrod(f, rows, a, b)
     while True:
-        target = rel * np.abs(np.bincount(rows, value, n_rows))
+        total = np.bincount(rows, value, n_rows)
+        summed = np.bincount(rows, error, n_rows)
+        target = rel * np.abs(total)
+        missing = summed > target
+        if not missing.any():
+            return total, summed
         count = np.bincount(rows, minlength=n_rows)
-        missing = (np.bincount(rows, error, n_rows) > target) & (count < _MAX_PANELS)
         share = target / np.maximum(count, 1)
         split = missing[rows] & (error > share[rows])
+        split &= (count + np.bincount(rows, split, n_rows) <= _MAX_PANELS)[rows]
         if not split.any():
-            break
+            return total, summed
         middle = 0.5 * (a[split] + b[split])
         new_rows = np.concatenate((rows[split], rows[split]))
         new_a = np.concatenate((a[split], middle))
@@ -209,7 +225,6 @@ def _integrate_rows(f, rows, a, b, n_rows: int, rel: float):
         b = np.concatenate((b[keep], new_b))
         value = np.concatenate((value[keep], new_value))
         error = np.concatenate((error[keep], new_error))
-    return np.bincount(rows, value, n_rows), np.bincount(rows, error, n_rows)
 
 
 def _checked(value: float, error: float, rel_tol: float) -> float:
@@ -225,7 +240,7 @@ def panel_integral(
     scale: float,
     rel_tol: float,
 ) -> float:
-    """``int f`` over ``[0, horizon * scale]`` on doubling panels.
+    """``int f`` over ``[0, horizon * scale]`` on geometric panels.
 
     ``scale`` is the decay length of ``f``.  Raises
     :class:`QuadratureError` when the summed error estimate exceeds
@@ -253,7 +268,7 @@ def exponential_expectation(
 
     ``x`` and ``y`` have rates ``rate_x`` and ``rate_y``; the region is
     ``x_lower <= x < x_upper`` and ``max(0, y_lower(x)) <= y < y_upper(x)``
-    (``None`` meaning 0 and infinity).  Both axes are cut into doubling
+    (``None`` meaning 0 and infinity).  Both axes are cut into geometric
     panels; the inner ones start at each slice's lower bound and stop at
     its upper bound or the tail horizon, whichever comes first, and the
     slices of up to 512 outer nodes are integrated together.  Raises

@@ -5,7 +5,7 @@ closed forms, and the 2-D region integrals against a slow reference made
 of nested ``scipy.integrate.quad`` calls (QUADPACK, one Python callback
 per point).  That reference was the oracle's implementation before the
 panel integrator replaced it; here its inner axis is also cut into the
-doubling panels, without which it cannot integrate the boosted 60 dB
+geometric panels, without which it cannot integrate the boosted 60 dB
 scenario at all.
 """
 
@@ -34,13 +34,14 @@ from crul.panels import (
     panel_integral,
     tail_horizon,
 )
+from crul.protocols import ProtocolKind
 
 
 def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9):
     """``E[integrand ; region]`` by nested adaptive QUADPACK quadrature.
 
     Scalar integrand; the outer integral runs over the region's sliced
-    SNR, and both axes are cut into the doubling panels, the inner ones
+    SNR, and both axes are cut into the geometric panels, the inner ones
     starting at each slice's lower bound.  The outer panels start from
     the shorter of the two decay lengths: a slice's mass can decay along
     the outer axis at the inner rate, and QUADPACK pays for finding that
@@ -140,19 +141,19 @@ def test_embedded_gauss_rule_is_the_10_point_legendre_rule():
     assert np.all(np.diff(NODES) > 0.0)
 
 
-def test_geometric_edges_double_and_stop_at_upper():
+def test_geometric_edges_triple_and_stop_at_upper():
     edges = geometric_edges(1.0, 10.0, 8.0)
-    np.testing.assert_allclose(edges, [1.0, 2.0, 4.0, 8.0, 10.0])
+    np.testing.assert_allclose(edges, [1.0, 2.0, 5.0, 10.0])
     np.testing.assert_allclose(geometric_edges(0.0, 0.5, 8.0), [0.0, 0.5])
     # An eighth of the scale would be 125,000 wide; the first panel stops at 16.
     np.testing.assert_allclose(
-        geometric_edges(0.0, 1000.0, 1e6), [0.0, 16.0, 48.0, 112.0, 240.0, 496.0, 1000.0]
+        geometric_edges(0.0, 1000.0, 1e6), [0.0, 16.0, 64.0, 208.0, 640.0, 1000.0]
     )
 
 
 @pytest.mark.parametrize("scale", [0.0, 5e-324, -1.0, math.inf, math.nan])
 def test_geometric_edges_reject_a_scale_without_a_first_panel(scale):
-    # A zero-width first panel never doubles, so the edges never reach upper.
+    # A zero-width first panel never grows, so the edges never reach upper.
     with pytest.raises(ValueError, match="scale"):
         geometric_edges(0.0, 1.0, scale)
 
@@ -222,7 +223,8 @@ EXPECTATIONS = {
 
 @pytest.mark.parametrize("name", EXPECTATIONS)
 def test_expectation_is_bit_identical_to_one_pass_per_inner_batch(monkeypatch, name):
-    scenario = ScenarioConfig.from_snr_db(20.0, 20.0, rate_threshold=2.5)
+    # At 60 dB the largest inner batch spans over 2,000 panels, several blocks.
+    scenario = ScenarioConfig.from_snr_db(60.0, 60.0, rate_threshold=2.5)
     spans = spans_of_kronrod(monkeypatch)
     blocked = EXPECTATIONS[name](scenario)
     inner = max(size for f, size in spans if f != "outer")
@@ -268,6 +270,39 @@ def test_strong_link_terms_take_few_bisection_rounds(monkeypatch, primary_db, se
             spans.clear()
             oracle._case_term.__wrapped__(name, scenario)
             assert len(spans) <= 8, (name, scenario)
+
+
+#: Panels the 10 oracle terms of a figure2 point may take, by SNR in dB.
+#: Threefold panels take 5,627, 4,450 and 10,574 there; doubling ones out
+#: to 65.7 decay lengths took 13,252, 10,211 and 22,657.
+FIGURE2_PANEL_BUDGET = {0.0: 6_000, 20.0: 5_000, 40.0: 11_500}
+
+
+@pytest.mark.parametrize("snr_db", FIGURE2_PANEL_BUDGET)
+def test_figure2_point_terms_stay_within_their_panel_budget(monkeypatch, snr_db):
+    config = ScenarioConfig.from_snr_db(snr_db, snr_db)
+    spans = spans_of_kronrod(monkeypatch)
+    # Every term at the point, and pure SIC's at its normalized twin.
+    for name in {name for terms in oracle.TERMS.values() for name in terms}:
+        oracle._case_term.__wrapped__(name, config)
+    for name in oracle.TERMS[ProtocolKind.CR_SIC]:
+        oracle._case_term.__wrapped__(name, oracle.normalized(config))
+    assert sum(size for _, size in spans) <= FIGURE2_PANEL_BUDGET[snr_db]
+
+
+def test_bisection_never_takes_an_integral_past_the_panel_cap(monkeypatch):
+    # A wiggle no panel resolves: every round bisects every panel, so only
+    # the cap stops it.  Each later _kronrod call evaluates both halves of
+    # the panels it splits, adding half its size to the integral's count.
+    spans = spans_of_kronrod(monkeypatch)
+    edges = np.linspace(0.0, 1.0, 11)
+    panels._integrate_rows(
+        lambda _, x: 1.0 + 1e-6 * np.sin(1e9 * x),
+        np.zeros(10, dtype=np.intp), edges[:-1], edges[1:], 1, 1e-12,
+    )
+    sizes = [size for _, size in spans]
+    assert len(sizes) > 1
+    assert sizes[0] + sum(size // 2 for size in sizes[1:]) <= panels._MAX_PANELS
 
 
 # ------------------------------------------------------------ 1-D integral

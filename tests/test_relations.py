@@ -1,0 +1,47 @@
+"""Relations the model must obey, checked over drawn scenarios.
+
+Each relation follows from the model's structure, so it needs no
+tabulated reference and can judge every route, the oracle included,
+anywhere in the documented domain.
+"""
+
+import math
+from datetime import timedelta
+
+import pytest
+import scipy.special
+from hypothesis import assume, given, settings, strategies as st
+
+from crul import crosscheck
+from crul.channel import ScenarioConfig
+from crul.protocols import ProtocolKind
+
+#: The rows that reduce to the clean channel when the primary sets no rate
+#: target: rate splitting and both SIC variants never cut the secondary's
+#: power, and the QoS gate admits every draw.
+CLEAN_ROWS = [(protocol, method) for protocol in crosscheck.ANALYTIC_PROTOCOLS
+              for method in ("analytic", "oracle")] + [(ProtocolKind.BENCH_QOS, "oracle")]
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=1))
+@given(
+    primary_db=st.floats(-100.0, 100.0),
+    secondary_db=st.floats(-100.0, 100.0),
+    dist_su=st.floats(0.1, 5.0),
+    u=st.floats(1.5, 5.0),
+)
+def test_rows_without_a_rate_target_are_the_clean_channel_rate(
+    primary_db, secondary_db, dist_su, u
+):
+    # With theta = 0 every row is E[log2(1 + gamma_su)] = e^lam E1(lam) / ln 2.
+    # The bound on lam keeps e^lam finite.
+    config = ScenarioConfig.from_snr_db(
+        primary_db, secondary_db, secondary_distance=dist_su, path_loss_exponent=u,
+        rate_threshold=0.0,
+    )
+    lam = config.lambda_su
+    assume(lam <= 700.0)
+    expected = math.exp(lam) * scipy.special.exp1(lam) / math.log(2.0)
+    for protocol, method in CLEAN_ROWS:
+        value = crosscheck.evaluate(protocol, config, method).value
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (protocol, method)
