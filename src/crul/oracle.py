@@ -12,13 +12,10 @@ agreement between the two routes is evidence, not tautology.
 
 The integrals run on :mod:`crul.panels`: 21-point Gauss-Kronrod rules on
 geometrically growing panels along both axes, truncated at the tail
-horizon that module sets, with the inner slices of up to 512 outer nodes
-integrated together, their nodes evaluated in numpy passes of 512 panels
-(so each pass's working set stays in L2 and its temporaries under the
-allocator's mmap threshold), and ``|K21 - G10|`` deciding which panels
-are bisected.  A slice or region whose error
-estimate misses its budget raises :class:`OracleAccuracyError`.
-Integrands take numpy arrays.
+horizon that module sets, with ``|K21 - G10|`` deciding which panels are
+bisected; that module says how it batches and blocks the work.  A slice
+or region whose error estimate misses its budget raises
+:class:`OracleAccuracyError`.  Integrands take numpy arrays.
 
 The decision regions are the cells of :mod:`crul.protocols`, bounded by
 its level functions and their inverses, so the regions and the Monte
@@ -36,9 +33,10 @@ benchmarks), :func:`case_regions` gives their regions and
 scenario, so protocols share the regions they have in common (the
 hard-QoS benchmark's is the rate-splitting clear channel): every oracle
 row is the sum of its protocol's terms, and :mod:`crul.crosscheck`
-arbitrates every closed-form term against the same values, so one grid
-point integrates each region once.  :func:`normalized` builds the boosted
-scenario of the power-normalized protocol for all of them.
+arbitrates every closed-form term against the same values, as does
+release check 4 with the ergodic gap, so one grid point integrates each
+region once.  :func:`normalized` builds the boosted scenario of the
+power-normalized protocol for all of them.
 
 The one elementary quantity, the mean power scale of pure SIC, is not
 integrated: :func:`mean_power_factor_oracle` is its closed form, and the
@@ -68,7 +66,6 @@ __all__ = [
     "case_terms",
     "normalized",
     "ergodic_rate_oracle",
-    "ergodic_delta_oracle",
     "mean_power_factor_oracle",
 ]
 
@@ -256,28 +253,6 @@ def ergodic_rate_oracle(protocol: ProtocolKind, scenario: ScenarioConfig) -> flo
     if protocol is ProtocolKind.CR_SIC_NORM:
         protocol, scenario = ProtocolKind.CR_SIC, normalized(scenario)
     return math.fsum(case_terms(protocol, scenario).values())
-
-
-def ergodic_delta_oracle(scenario: ScenarioConfig) -> float:
-    """Ergodic-rate gap (rate splitting minus pure SIC) as a region integral.
-
-    Outside the split band the two protocols act identically, so the gap
-    is integrated only there, split along the order-preference boundary
-    where the SIC rate changes formula.  Cross-checking this against the
-    difference of the two full oracles is a consistency test of all the
-    region plumbing.
-    """
-    lam_pu, lam_su, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    # Without a threshold both regions are empty and the gap is zero.
-    regions = case_regions(theta)
-    split_rate = _INTEGRANDS["band"]
-    return sum(
-        restricted_expectation(
-            lambda x, y, rate=_INTEGRANDS[name]: split_rate(x, y, theta) - rate(x, y, theta),
-            regions[name], lam_pu, lam_su,
-        )
-        for name in ("reduced", "preferred")
-    )
 
 
 def mean_power_factor_oracle(scenario: ScenarioConfig) -> float:

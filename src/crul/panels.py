@@ -129,8 +129,11 @@ _MAX_PANELS = 200
 _INNER_BUDGET = 20.0
 _OUTER_BUDGET = 10.0
 _BUDGET_FLOOR = 1e-12
-# Inner slices integrated together, about 3,000 panels as each starts with
-# six; _kronrod evaluates their nodes _BLOCK panels at a time.
+# The most inner slices integrated in one batch (about 3,000 panels, six
+# each), which bounds a call's arrays.  Figure grids ask for a few hundred,
+# but a weak secondary asks for up to 3,700: taken whole, `crul point
+# --gamma0-pu 20 --gamma0-su -100 --method analytic,oracle --protocol all`
+# peaked at 143 MB, not 68 MB, with the same output (2-CPU x86 host).
 _SLICE_BATCH = 512
 # Panels whose nodes and integrand _kronrod evaluates per numpy pass.  A
 # block's temporaries, 512 x 21 floats (86 kB), stay in L2 and under the

@@ -81,16 +81,9 @@ class QuadratureRule:
         return np.exp(self.nodes + self.log_weights)
 
 
-def _recurrence_steps(order: int) -> tuple[tuple[float, float, float], ...]:
-    """The coefficients ``(2k - 1, k - 1, k)`` of the Laguerre recurrence
-    as floats, for ``k = 1..order``; a build makes them once for all its
-    :func:`_laguerre_pair` calls."""
-    return tuple((2.0 * k - 1.0, k - 1.0, float(k)) for k in range(1, order + 1))
-
-
-def _laguerre_pair(x: float, steps) -> tuple[float, float]:
-    """Return ``(L_n(x), L_{n-1}(x))``, where ``steps`` is
-    ``_recurrence_steps(n)``.
+def _laguerre_pair(x: float, order: int) -> tuple[float, float]:
+    """Return ``(L_n(x), L_{n-1}(x))`` for ``n = order``, by the three-term
+    recurrence one step per ``k``.
 
     No rescaling is needed: for ``x >= 0``, ``|L_k(x)| <= exp(x / 2)``
     (Szego, eq. 7.21.3), and every node of order ``n`` lies below about
@@ -98,8 +91,8 @@ def _laguerre_pair(x: float, steps) -> tuple[float, float]:
     ``exp(513) ~ 1e223``.
     """
     current, previous = 1.0, 0.0
-    for odd, below, k in steps:
-        current, previous = ((odd - x) * current - below * previous) / k, current
+    for k in range(1, order + 1):
+        current, previous = ((2 * k - 1 - x) * current - (k - 1) * previous) / k, current
     return current, previous
 
 
@@ -112,7 +105,6 @@ def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     at most 100 iterations or the build fails loudly.  All arithmetic is
     on Python floats, which cost less per operation than numpy scalars.
     """
-    steps = _recurrence_steps(order)
     nodes: list[float] = []
     log_weights: list[float] = []
 
@@ -128,7 +120,7 @@ def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
         previous_step = math.inf
         for _ in range(_NEWTON_MAX_ITER):
-            value, lower = _laguerre_pair(z, steps)
+            value, lower = _laguerre_pair(z, order)
             derivative = order * (value - lower) / z
             step = value / derivative
             z -= step
@@ -147,7 +139,7 @@ def _newton_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
             )
 
         nodes.append(z)
-        value, lower = _laguerre_pair(z, steps)
+        value, lower = _laguerre_pair(z, order)
         # One extra recurrence step gives L_{order+1} at the root, which
         # the classical weight formula w = z / ((n+1) L_{n+1}(z))^2 needs.
         above = ((2 * order + 1 - z) * value - order * lower) / (order + 1)

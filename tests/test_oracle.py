@@ -16,7 +16,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from crul import cli, oracle
+from crul import cli, oracle, validation
 from crul.analytic import preferred_order_term, reduced_power_term
 from crul.channel import ScenarioConfig
 from crul.montecarlo import McConfig, draw_chunk, sample_point
@@ -27,7 +27,6 @@ from crul.oracle import (
     RegionSpec,
     case_regions,
     case_terms,
-    ergodic_delta_oracle,
     ergodic_rate_oracle,
     mean_power_factor_oracle,
     restricted_expectation,
@@ -432,14 +431,27 @@ def test_protocol_ordering(primary_db, secondary_db):
     assert sic >= qos - 1e-9
 
 
-def test_delta_oracle_equals_difference_of_totals():
-    config = scenario(10.0, 20.0)
-    delta = ergodic_delta_oracle(config)
-    difference = ergodic_rate_oracle(ProtocolKind.CR_RSMA, config) - ergodic_rate_oracle(
-        ProtocolKind.CR_SIC, config
+@pytest.mark.parametrize(
+    "primary_db,secondary_db,rate_th",
+    [(0.0, 0.0, 2.5), (10.0, 20.0, 2.5), (20.0, 20.0, 2.5), (40.0, 40.0, 2.5),
+     (20.0, -20.0, 0.5), (60.0, 30.0, 6.0)],
+)
+def test_pure_sic_cells_tile_the_split_band(primary_db, secondary_db, rate_th):
+    """The band's rate integrated over pure SIC's two cells is rate
+    splitting's band term: the ergodic gap of release check 4, the band
+    term less the two cell terms, rests on this tiling."""
+    config = ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_th)
+    regions = case_regions(config.theta)
+    tiled = sum(
+        restricted_expectation(
+            lambda x, y: np.log2((1.0 + x + y) / (1.0 + config.theta)),
+            regions[name], config.lambda_pu, config.lambda_su,
+        )
+        for name in ("reduced", "preferred")
     )
-    assert delta == pytest.approx(difference, abs=1e-8)
-    assert delta >= 0.0
+    band = case_terms(ProtocolKind.CR_RSMA, config)["band"]
+    assert band > 0.0
+    assert tiled == pytest.approx(band, rel=1e-12, abs=0.0)
 
 
 def test_power_normalized_variant_boosts_the_secondary():
@@ -494,13 +506,10 @@ def test_power_normalized_sic_at_60db_matches_sampling():
     assert abs(value - sampled.value) < 4.0 * sampled.stderr
 
 
-def test_one_point_integrates_each_region_once(monkeypatch):
-    """Every protocol by analytic and oracle at one point needs 10 region
-    integrals: 3 rate-splitting terms, the 2 SIC terms of its own at the
-    point and 4 at its power-normalized twin, 1 for the CSI benchmark.
-    The SIC below-threshold and clear-channel terms are the rate-splitting
-    ones; the QoS benchmark and the term arbitration reuse the terms too,
-    and the mean power scale is a closed form."""
+@pytest.fixture
+def integral_calls(monkeypatch):
+    """The region of every oracle integral made from here on, with the
+    term cache cleared first."""
     oracle._case_term.cache_clear()
     calls = []
     integrate = oracle.restricted_expectation
@@ -510,11 +519,29 @@ def test_one_point_integrates_each_region_once(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "restricted_expectation", counting)
+    return calls
+
+
+def test_one_point_integrates_each_region_once(integral_calls):
+    """Every protocol by analytic and oracle at one point needs 10 region
+    integrals: 3 rate-splitting terms, the 2 SIC terms of its own at the
+    point and 4 at its power-normalized twin, 1 for the CSI benchmark.
+    The SIC below-threshold and clear-channel terms are the rate-splitting
+    ones; the QoS benchmark and the term arbitration reuse the terms too,
+    and the mean power scale is a closed form."""
     argv = ["point", "--gamma0", "20", "--method", "analytic,oracle"]
     settings = cli.resolve_settings(cli.build_parser().parse_args(argv))
     rows = cli.make_rows(settings, [(20.0, 20.0)])
     assert len(rows) == 8
-    assert len(calls) == 10, calls
+    assert len(integral_calls) == 10, integral_calls
+
+
+def test_release_checks_integrate_only_through_the_term_cache(integral_calls):
+    """Every region integral of the quick battery is a memoised term, so
+    no check pays for a region the rows have already integrated."""
+    results, _ = validation.run_all(2_000, quick=True)
+    assert [result.id for result in results] == list(range(1, 10))
+    assert len(integral_calls) == oracle._case_term.cache_info().misses, integral_calls
 
 
 # ------------------------------------------- slicing the split band along y

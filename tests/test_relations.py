@@ -45,3 +45,34 @@ def test_rows_without_a_rate_target_are_the_clean_channel_rate(
     for protocol, method in CLEAN_ROWS:
         value = crosscheck.evaluate(protocol, config, method).value
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (protocol, method)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(
+    primary_db=st.floats(-100.0, 100.0),
+    secondary_db=st.floats(-100.0, 100.0),
+    rate_th=st.floats(0.0, 40.0),
+    dist_su=st.floats(0.1, 5.0),
+    u=st.floats(1.5, 5.0),
+)
+def test_oracle_rows_are_ordered_by_what_each_protocol_may_do(
+    primary_db, secondary_db, rate_th, dist_su, u
+):
+    # Draw by draw, rate splitting gets at least pure SIC's rate, and pure
+    # SIC at least the interference-limited rate of bench-csi and the clean
+    # rate wherever bench-qos admits the secondary.  So the ordering, and
+    # with it the ergodic gap release check 4 takes at one point, holds at
+    # every point of the domain.
+    config = ScenarioConfig.from_snr_db(
+        primary_db, secondary_db, secondary_distance=dist_su, path_loss_exponent=u,
+        rate_threshold=rate_th,
+    )
+    # A weaker secondary holds too, but its band integrals take seconds.
+    assume(config.lambda_su <= 1e7)
+    rsma, sic, csi, qos = (
+        crosscheck.evaluate(protocol, config, "oracle").value
+        for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC, ProtocolKind.BENCH_CSI,
+                         ProtocolKind.BENCH_QOS)
+    )
+    assert rsma >= sic * (1.0 - 1e-9), (rsma, sic)
+    assert sic >= max(csi, qos) * (1.0 - 1e-9), (sic, csi, qos)

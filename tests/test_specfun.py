@@ -126,7 +126,7 @@ def reference_pair(order, x):
 )
 def test_recurrence_is_the_per_step_reference_bit_for_bit(order, x):
     expected = reference_pair(order, x)
-    actual = specfun._laguerre_pair(x, specfun._recurrence_steps(order))
+    actual = specfun._laguerre_pair(x, order)
     assert struct.pack("2d", *actual) == struct.pack("2d", *expected)
 
 
@@ -137,7 +137,7 @@ def test_recurrence_stays_in_double_range_past_the_largest_node():
     x = 4.0 * MAX_ORDER + 2.0
     assert gauss_laguerre(MAX_ORDER).nodes[-1] < x
     bound = math.exp(x / 2.0)
-    for value in specfun._laguerre_pair(x, specfun._recurrence_steps(MAX_ORDER)):
+    for value in specfun._laguerre_pair(x, MAX_ORDER):
         assert math.isfinite(value)
         assert abs(value) <= bound
 
