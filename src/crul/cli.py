@@ -409,7 +409,7 @@ def run_validate(args: argparse.Namespace) -> int:
         failed += 0 if check.passed else 1
         print(
             f"criterion_{check.id} {status} measured={check.measured:.6g} "
-            f"tolerance={check.tolerance:.6g} runtime={check.runtime_s:.1f}s "
+            f"tolerance={check.tolerance:.6g} runtime={check.runtime_s * 1e3:.2f}ms "
             f"# {check.name}: {check.detail}"
         )
     print(f"deviation report: {out_path}")

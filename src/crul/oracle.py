@@ -13,16 +13,17 @@ agreement between the two routes is evidence, not tautology.
 The integrals run on :mod:`crul.panels`: 21-point Gauss-Kronrod rules on
 geometrically growing panels along both axes, truncated at the tail
 horizon that module sets, with ``|K21 - G10|`` deciding which panels are
-bisected; that module says how it batches and blocks the work.  A slice
-or region whose error estimate misses its budget raises
-:class:`OracleAccuracyError`.  Integrands take numpy arrays.
+bisected.  A slice or region whose error estimate misses its budget
+raises :class:`OracleAccuracyError`.  Integrands take numpy arrays.
 
 The decision regions are the cells of :mod:`crul.protocols`, bounded by
-its level functions and their inverses, so the regions and the Monte
+its tolerance level and switch curve, so the regions and the Monte
 Carlo cells are one partition.  Each region is sliced along the SNR that
 keeps its slices short and its integrand smooth on them: the split band
 and its two pure-SIC cells along the secondary SNR, the other regions
-along the primary.
+along the primary.  The split band and its cells are written in the
+primary SNR's offset ``u = x - theta``, so their slices, ``theta*y``
+wide, keep their digits however weak the secondary is.
 
 Every integral is held to :data:`crul.panels.REL_TOL` (1e-9 relative).
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from .channel import ScenarioConfig
 from .panels import REL_TOL, QuadratureError, exponential_expectation
-from .protocols import ProtocolKind, switch_edge, tolerance_edge, tolerance_level
+from .protocols import ProtocolKind, switch_offset, tolerance_level
 
 __all__ = [
     "OracleAccuracyError",
@@ -88,7 +89,9 @@ class RegionSpec:
     of it, the lower one floored at 0.  ``None`` bounds mean 0 / infinity.
     Sliced along ``x``, the region holds ``pu_lower <= x < pu_upper`` and,
     for each such ``x``, ``su_lower(x) <= y < su_upper(x)``; sliced along
-    ``y`` the roles swap.
+    ``y`` the roles swap.  The primary SNR is measured from
+    ``pu_origin``: its bounds, and the integrand's first argument, are
+    offsets ``x - pu_origin``.
     """
 
     description: str
@@ -97,6 +100,7 @@ class RegionSpec:
     su_lower: Bound = None
     su_upper: Bound = None
     axis: str = "primary"
+    pu_origin: float = 0.0
 
 
 FULL_QUADRANT = RegionSpec("both SNRs unconstrained")
@@ -112,7 +116,10 @@ def restricted_expectation(
 
     ``integrand`` takes arrays and returns an array broadcastable to
     their shape; it must be smooth inside the region (split piecewise
-    integrands into one region per piece).  The region's sliced SNR is
+    integrands into one region per piece), and it takes the primary SNR
+    as its offset from ``region.pu_origin``.  The exponential density
+    forgets its origin, so the integral over offsets times
+    ``exp(-lambda_pu * pu_origin)`` is exact.  The region's sliced SNR is
     the outer variable of the integration.  Raises
     :class:`OracleAccuracyError` when the quadrature error cannot be
     reconciled with :data:`~crul.panels.REL_TOL`.
@@ -128,7 +135,7 @@ def restricted_expectation(
     else:
         raise ValueError(f"unknown slicing axis {region.axis!r} ({region.description})")
     try:
-        return exponential_expectation(
+        return math.exp(-lambda_pu * region.pu_origin) * exponential_expectation(
             f,
             *rates,
             REL_TOL,
@@ -160,14 +167,16 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
     """The region of every per-case term, by name.
 
     The band and the clear channel meet at the tolerance level of
-    :mod:`crul.protocols`.  Pure SIC cuts the band at the switch level,
+    :mod:`crul.protocols`.  Pure SIC cuts the band at the switch curve,
     where the SU's full-power rate under PU interference matches the
     reduced-power rate.  The band and its two cells are sliced along the
-    secondary SNR: at each ``y`` they hold a primary span of width
-    ``theta*y`` or less from ``theta``, where their integrands are
-    bounded and smooth.  Sliced along the primary they start at ``y ~ 0``
-    near ``x = theta``, where the power scale ``(x/theta - 1)/y`` varies
-    on that tiny scale.
+    secondary SNR: at each ``y`` they hold offsets ``u = x - theta`` in
+    ``[0, theta*y]``, cut at :func:`~crul.protocols.switch_offset`, where
+    their integrands are bounded and smooth.  Sliced along the primary
+    they start at ``y ~ 0`` near ``x = theta``, where the power scale
+    ``u/(theta*y)`` varies on that tiny scale.  In absolute ``x`` the
+    nodes of a slice ``theta*y`` wide would sit at ``x ~ theta``, to
+    ``theta``'s ulp, some 1e-6 of the slice at a -100 dB secondary.
     """
     if theta < 0.0:
         raise ValueError(f"threshold must be >= 0, got {theta}")
@@ -177,18 +186,14 @@ def case_regions(theta: float) -> dict[str, RegionSpec]:
         regions = dict.fromkeys(("below", "band", "reduced", "preferred"), empty)
         return {**regions, "clear": RegionSpec("no protection constraint"), "full": FULL_QUADRANT}
     tolerance = functools.partial(tolerance_level, theta=theta)
-    floor = functools.partial(np.full_like, fill_value=theta)
-    edge = functools.partial(tolerance_edge, theta=theta)
-    switch = functools.partial(switch_edge, theta=theta)
+    edge = functools.partial(np.multiply, theta)
+    switch = functools.partial(switch_offset, theta=theta)
+    band_cell = functools.partial(RegionSpec, axis="secondary", pu_origin=theta)
     return {
         "below": RegionSpec("primary below threshold", pu_upper=theta),
-        "band": RegionSpec("split band", pu_lower=floor, pu_upper=edge, axis="secondary"),
-        "reduced": RegionSpec(
-            "reduced power", pu_lower=switch, pu_upper=edge, axis="secondary"
-        ),
-        "preferred": RegionSpec(
-            "secondary first preferred", pu_lower=floor, pu_upper=switch, axis="secondary"
-        ),
+        "band": band_cell("split band", pu_upper=edge),
+        "reduced": band_cell("reduced power", pu_lower=switch, pu_upper=edge),
+        "preferred": band_cell("secondary first preferred", pu_upper=switch),
         "clear": RegionSpec("interference tolerant", pu_lower=theta, su_upper=tolerance),
         "full": FULL_QUADRANT,
     }
@@ -209,12 +214,13 @@ def _interference_limited(x, y, theta):
     return _log2_1p(y / (1.0 + x))
 
 
-#: The SU rate of every per-case term at PU SNR ``x`` and SU SNR ``y``.
+#: The SU rate of every per-case term at SU SNR ``y`` and PU SNR ``x``,
+#: or, in the split band and its cells, PU SNR ``theta + u``.
 _INTEGRANDS = {
     "below": _interference_limited,
-    "band": lambda x, y, theta: np.log2((1.0 + x + y) / (1.0 + theta)),
-    "reduced": lambda x, y, theta: np.log2(x / theta),
-    "preferred": _interference_limited,
+    "band": lambda u, y, theta: _log2_1p((u + y) / (1.0 + theta)),
+    "reduced": lambda u, y, theta: _log2_1p(u / theta),
+    "preferred": lambda u, y, theta: _log2_1p(y / (1.0 + theta + u)),
     "clear": lambda x, y, theta: _log2_1p(y),
     "full": _interference_limited,
 }
@@ -230,7 +236,10 @@ def _case_term(name: str, scenario: ScenarioConfig) -> float:
     """
     integrand = functools.partial(_INTEGRANDS[name], theta=scenario.theta)
     region = case_regions(scenario.theta)[name]
-    return restricted_expectation(integrand, region, scenario.lambda_pu, scenario.lambda_su)
+    try:
+        return restricted_expectation(integrand, region, scenario.lambda_pu, scenario.lambda_su)
+    except OracleAccuracyError as exc:
+        raise OracleAccuracyError(f"{exc} at {scenario}") from None
 
 
 def case_terms(protocol: ProtocolKind, scenario: ScenarioConfig) -> dict[str, float]:

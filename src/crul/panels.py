@@ -129,21 +129,14 @@ _MAX_PANELS = 200
 _INNER_BUDGET = 20.0
 _OUTER_BUDGET = 10.0
 _BUDGET_FLOOR = 1e-12
-# The most inner slices integrated in one batch (about 3,000 panels, six
-# each), which bounds a call's arrays.  Figure grids ask for a few hundred,
-# but a weak secondary asks for up to 3,700: taken whole, `crul point
-# --gamma0-pu 20 --gamma0-su -100 --method analytic,oracle --protocol all`
-# peaked at 143 MB, not 68 MB, with the same output (2-CPU x86 host).
-_SLICE_BATCH = 512
 # Panels whose nodes and integrand _kronrod evaluates per numpy pass.  A
 # block's temporaries, 512 x 21 floats (86 kB), stay in L2 and under the
 # allocator's mmap threshold (128 kB), so each pass reuses warm memory
 # where a whole batch would map, and page-fault, fresh arrays.  Only the
 # elementwise work is blocked: BLAS picks its kernels by row count, so the
 # K21/G10 matmul stays one product over all panels to keep its last bits.
-# A block of outer panels holds whole slice batches of nodes (512 * 21 is
-# a multiple of _SLICE_BATCH), so the outer integrand forms the same inner
-# batches blocked or not.
+# Blocked too, the outer integrand of a two-dimensional integral takes at
+# most 512 x 21 inner slices a call, and a bisection round 200 x 21.
 _BLOCK = 512
 
 
@@ -274,9 +267,9 @@ def exponential_expectation(
     (``None`` meaning 0 and infinity).  Both axes are cut into geometric
     panels; the inner ones start at each slice's lower bound and stop at
     its upper bound or the tail horizon, whichever comes first, and the
-    slices of up to 512 outer nodes are integrated together.  Raises
-    :class:`QuadratureError` when a slice misses ``20 * rel_tol * |v| +
-    1e-12`` or the whole misses ``10 * rel_tol * |total| + 1e-12``.
+    slices at all the outer nodes of a pass are integrated together.
+    Raises :class:`QuadratureError` when a slice misses ``20 * rel_tol *
+    |v| + 1e-12`` or the whole misses ``10 * rel_tol * |total| + 1e-12``.
     """
     horizon = tail_horizon(rel_tol)
     x_high = min(x_upper, x_lower + horizon / rate_x)
@@ -285,7 +278,8 @@ def exponential_expectation(
     offsets = geometric_edges(0.0, horizon / rate_y, 1.0 / rate_y)
     span = offsets[-1]
 
-    def slices(xs: np.ndarray) -> np.ndarray:
+    def outer(_, nodes: np.ndarray) -> np.ndarray:
+        xs = nodes.ravel()
         low = np.zeros_like(xs) if y_lower is None else np.maximum(0.0, y_lower(xs))
         high = low + span
         if y_upper is not None:
@@ -309,14 +303,7 @@ def exponential_expectation(
                 f"inner quadrature error {error[i]:.3e} at x={xs[i]:.5g} "
                 f"for value {value[i]:.6e}"
             )
-        return value
-
-    def outer(_, nodes: np.ndarray) -> np.ndarray:
-        xs = nodes.ravel()
-        inner = np.concatenate(
-            [slices(xs[start : start + _SLICE_BATCH]) for start in range(0, xs.size, _SLICE_BATCH)]
-        )
-        return inner.reshape(nodes.shape) * (rate_x * np.exp(-rate_x * nodes))
+        return value.reshape(nodes.shape) * (rate_x * np.exp(-rate_x * nodes))
 
     # A slice's mass can fall off along the outer axis at the inner rate
     # (the band regions hug x = theta when the secondary is weak), so the

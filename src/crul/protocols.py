@@ -22,18 +22,18 @@ always decodes the SU first (full interference from the PU), and
 
 This module is the one home of the decision cells.  Pure SIC's four
 cells refine rate splitting's three cases (its split band is the reduced
-and preferred cells together), and ``bench-qos`` admits the tolerant cell
-off its edge.  :func:`sic_case_array` classifies a batch of fading draws
-``(gamma_pu, gamma_su)`` once, every rule builds its rates from the
-cells, and the oracle's regions slice the same cells with
-:func:`tolerance_level`, its inverse :func:`tolerance_edge` and the
-switch curve :func:`switch_edge`.  The classifier and the rules write
-into the buffers of a :class:`Workspace`, which Monte Carlo workers
-reuse from chunk to chunk and call to call, so a chunk makes no array of
-its own size.  No step stores through a data-dependent mask: the cells
-are integer arithmetic on the classifier's masks, and the rules gather
-and scatter by index, taking each log only on the draws that read it.
-Averaging over fading lives in :mod:`crul.montecarlo`,
+and preferred cells together), and ``bench-qos`` admits the tolerant
+cell off its edge.  :func:`sic_case_array` classifies a batch of fading
+draws ``(gamma_pu, gamma_su)`` once, every rule builds its rates from
+the cells, and the oracle's regions slice the same cells with
+:func:`tolerance_level` and, measured from ``theta`` along the primary
+SNR, the switch curve :func:`switch_offset`.  The classifier and the
+rules write into the buffers of a :class:`Workspace`, which Monte Carlo
+workers reuse from chunk to chunk and call to call, so a chunk makes no
+array of its own size.  No step stores through a data-dependent mask:
+the cells are integer arithmetic on the classifier's masks, and the
+rules gather and scatter by index, taking each log only on the draws
+that read it.  Averaging over fading lives in :mod:`crul.montecarlo`,
 :mod:`crul.analytic` and :mod:`crul.oracle`.
 """
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +51,7 @@ __all__ = [
     "PREFERRED",
     "TOLERANT",
     "tolerance_level",
-    "tolerance_edge",
-    "switch_edge",
+    "switch_offset",
     "Workspace",
     "sic_case_array",
     "rsma_case_array",
@@ -102,28 +100,21 @@ def tolerance_level(gamma_pu, theta: float, out=None):
     return np.subtract(np.divide(gamma_pu, theta, out=out), 1.0, out=out)
 
 
-def tolerance_edge(gamma_su, theta: float, out=None):
-    """Least PU SNR that tolerates SU SNR ``gamma_su`` at full power:
-    ``theta*(1 + gamma_su)``, the inverse of :func:`tolerance_level`.
-
-    Scalars or arrays; ``out`` is the ufuncs' ``out``.
-    """
-    return np.multiply(np.add(1.0, gamma_su, out=out), theta, out=out)
-
-
-def switch_edge(gamma_su, theta: float):
-    """PU SNR below which the SU goes first at SU SNR ``gamma_su``: where
-    decoding it first (``log2(1 + y/(1+x))``) stops beating backing its
-    power off (``log2(x/theta)``), the root ``x >= theta`` of
-    ``(1 + x)(x/theta - 1) = gamma_su``.  Scalars or arrays, ``theta > 0``
-    and ``gamma_su >= 0``.
+def switch_offset(gamma_su, theta: float):
+    """The switch curve's offset above ``theta`` at SU SNR ``gamma_su``: at
+    PU SNR ``theta + d`` decoding the SU first (``log2(1 + y/(1+x))``) stops
+    beating backing its power off (``log2(x/theta)``), the root ``d >= 0``
+    of ``d*(1 + theta + d) = theta*gamma_su``, written without the
+    quadratic formula's cancellation.  Scalars or arrays, ``theta > 0`` and
+    ``gamma_su >= 0``.
     """
     if theta <= 0.0:
         raise ValueError(f"threshold must be > 0, got {theta}")
     # One reduction: np.any would cost more than the curve on a scalar.
     if np.minimum.reduce(gamma_su, axis=None, initial=0.0) < 0.0:
         raise ValueError("secondary SNR must be >= 0")
-    return 0.5 * (theta - 1.0 + np.sqrt((theta + 1.0) ** 2 + 4.0 * theta * gamma_su))
+    product = theta * gamma_su
+    return 2.0 * product / (1.0 + theta + np.sqrt((1.0 + theta) ** 2 + 4.0 * product))
 
 
 # ------------------------------------------------------------ workspace
@@ -199,7 +190,7 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
     else:
         mask.fill(False)
     np.add(mask.view(np.int8), REDUCED, out=cells)
-    edge = tolerance_edge(gamma_su, theta, out=scratch)
+    edge = np.multiply(np.add(1.0, gamma_su, out=scratch), theta, out=scratch)
     np.greater(gamma_pu, edge, out=workspace.buffer("admitted", size))
     tolerant = np.greater_equal(gamma_pu, edge, out=mask).view(np.int8)
     np.bitwise_or(np.add(cells, tolerant, out=cells), tolerant, out=cells)
@@ -220,11 +211,13 @@ def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
 class CellDraws:
     """Fading draws with what :func:`sic_case_array` left in ``workspace``.
 
-    What several rules read is computed on first use and kept in the
-    workspace's buffers, so it holds until the workspace classifies its
-    next chunk.  Selections are index arrays from ``np.flatnonzero``:
-    gathering and scattering by index is several times cheaper than by
-    boolean mask, and a log is taken only on the draws that read it.
+    What several rules read is computed on first use, kept in the
+    workspace's buffers until it classifies its next chunk, and held in
+    plain attributes: ``cached_property`` on Python 3.10 and 3.11 takes
+    one lock per class, which Monte Carlo workers would wait on.
+    Selections are index arrays from ``np.flatnonzero``: gathering and
+    scattering by index is several times cheaper than by boolean mask,
+    and a log is taken only on the draws that read it.
     """
 
     def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray, workspace: Workspace):
@@ -233,7 +226,8 @@ class CellDraws:
         self.theta = theta
         self.cells = cells
         self.workspace = workspace
-        self._band_scale = None
+        self._band = self._tolerant = self._band_scale = None
+        self._interference_limited = self._clean = None
 
     def buffer(self, name: str, size: int | None = None) -> np.ndarray:
         """The workspace's named buffer, one entry per draw unless ``size`` says."""
@@ -250,17 +244,21 @@ class CellDraws:
         """Indices of the draws in one cell."""
         return np.flatnonzero(np.equal(self.cells, code, out=self.buffer("b0")))
 
-    @cached_property
+    @property
     def band(self) -> np.ndarray:
         """Indices of rate splitting's split band, its case 1 by
         :func:`rsma_case_array`: the reduced and preferred cells."""
-        cases = rsma_case_array(self.cells, self.buffer("cases"))
-        return np.flatnonzero(np.equal(cases, 1, out=self.buffer("b0")))
+        if self._band is None:
+            cases = rsma_case_array(self.cells, self.buffer("cases"))
+            self._band = np.flatnonzero(np.equal(cases, 1, out=self.buffer("b0")))
+        return self._band
 
-    @cached_property
+    @property
     def tolerant(self) -> np.ndarray:
         """Indices of the tolerant cell, where the SU is decoded clean."""
-        return self.cell(TOLERANT)
+        if self._tolerant is None:
+            self._tolerant = self.cell(TOLERANT)
+        return self._tolerant
 
     def band_scale(self) -> tuple[np.ndarray, np.ndarray]:
         """The band's pure-SIC power scale ``(gamma_pu/theta - 1)/gamma_su``,
@@ -281,21 +279,25 @@ class CellDraws:
         ``theta`` under full interference, so the tolerant cell less its edge."""
         return self.buffer("admitted")
 
-    @cached_property
+    @property
     def interference_limited(self) -> np.ndarray:
         """SU decoded first at full power: ``log2(1 + gamma_su/(1 + gamma_pu))``,
         the log taken of the classifier's ratio in place."""
-        ratio = self.buffer("interference")
-        np.add(1.0, ratio, out=ratio)
-        return np.log2(ratio, out=ratio)
+        if self._interference_limited is None:
+            ratio = self.buffer("interference")
+            np.add(1.0, ratio, out=ratio)
+            self._interference_limited = np.log2(ratio, out=ratio)
+        return self._interference_limited
 
-    @cached_property
+    @property
     def clean(self) -> np.ndarray:
         """SU decoded after the PU at full power, ``log2(1 + gamma_su)``, on
         the tolerant cell only: one value per index of :attr:`tolerant`."""
-        clean = self.gather(self.gamma_su, "clean", self.tolerant)
-        np.add(1.0, clean, out=clean)
-        return np.log2(clean, out=clean)
+        if self._clean is None:
+            clean = self.gather(self.gamma_su, "clean", self.tolerant)
+            np.add(1.0, clean, out=clean)
+            self._clean = np.log2(clean, out=clean)
+        return self._clean
 
     def full_power(self, out: np.ndarray) -> np.ndarray:
         """The full-power SU rate, clean where tolerant, into ``out``: the

@@ -24,7 +24,7 @@ from crul.oracle import (
     restricted_expectation,
 )
 from crul.panels import panel_integral
-from crul.protocols import ProtocolKind, switch_edge
+from crul.protocols import ProtocolKind, switch_offset
 from crul.specfun import expint_ei, gauss_laguerre
 
 THETA_DEFAULT = 2.0**2.5 - 1.0
@@ -32,6 +32,11 @@ THETA_DEFAULT = 2.0**2.5 - 1.0
 
 def scenario_at(gamma0_db: float) -> ScenarioConfig:
     return ScenarioConfig.from_snr_db(gamma0_db, gamma0_db)
+
+
+def switch_edge(gamma_su, theta: float):
+    """The switch curve in absolute PU SNR: ``theta`` plus its offset."""
+    return theta + switch_offset(gamma_su, theta)
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -397,7 +402,7 @@ class TestSplitBandTerm:
         p = scenario_at(gamma0_db)
         band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
-            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
+            lambda u, y: np.log2((1.0 + band.pu_origin + u + y) / (1.0 + p.theta)),
             band,
             p.lambda_pu,
             p.lambda_su,
@@ -409,7 +414,7 @@ class TestSplitBandTerm:
         p = ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=theta)
         band = case_regions(p.theta)["band"]
         reference = restricted_expectation(
-            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p.theta)),
+            lambda u, y: np.log2((1.0 + band.pu_origin + u + y) / (1.0 + p.theta)),
             band,
             p.lambda_pu,
             p.lambda_su,
@@ -475,7 +480,7 @@ class TestSplitBandTerm:
     def test_stated_variant_deviates(self, p20):
         band = case_regions(p20.theta)["band"]
         reference = restricted_expectation(
-            lambda x, y: np.log2((1.0 + x + y) / (1.0 + p20.theta)),
+            lambda u, y: np.log2((1.0 + band.pu_origin + u + y) / (1.0 + p20.theta)),
             band,
             p20.lambda_pu,
             p20.lambda_su,

@@ -782,9 +782,11 @@ class TestValidate:
         lines = [line for line in out.splitlines() if line.startswith("criterion_")]
         assert len(lines) == 9
         pattern = re.compile(
-            r"^criterion_(\d) PASS measured=\S+ tolerance=\S+ runtime=\d+\.\ds # .+$"
+            r"^criterion_(\d) PASS measured=\S+ tolerance=\S+ runtime=(\d+\.\d\d)ms # .+$"
         )
-        assert [int(pattern.match(line).group(1)) for line in lines] == list(range(1, 10))
+        matches = [pattern.match(line) for line in lines]
+        assert [int(match.group(1)) for match in matches] == list(range(1, 10))
+        assert all(float(match.group(2)) > 0.0 for match in matches)
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert {"arbitration_rel_tol", "report_rel_tol", "entries", "flagged"} <= set(report)
         assert report["entries"], "deviation report should tabulate terms"

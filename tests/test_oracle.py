@@ -17,7 +17,12 @@ import scipy.integrate
 import scipy.special
 
 from crul import cli, oracle, validation
-from crul.analytic import preferred_order_term, reduced_power_term
+from crul.analytic import (
+    preferred_order_term,
+    preferred_order_term_integral,
+    reduced_power_term,
+    reduced_power_term_integral,
+)
 from crul.channel import ScenarioConfig
 from crul.montecarlo import McConfig, draw_chunk, sample_point
 from crul.oracle import (
@@ -65,7 +70,9 @@ def classified(gamma_pu, gamma_su, theta):
 
 
 def in_region(region, gamma_pu, gamma_su):
-    """Which draws the region's slice bounds hold, along the region's axis."""
+    """Which draws the region's slice bounds hold, along the region's axis,
+    with the primary SNR measured from the region's origin."""
+    gamma_pu = gamma_pu - region.pu_origin
     if region.axis == "primary":
         sliced, other = gamma_pu, gamma_su
         bounds = region.pu_lower, region.pu_upper, region.su_lower, region.su_upper
@@ -364,7 +371,8 @@ def mean_power_factor_by_regions(config):
     the threshold and on the clear channel, ``(x/theta - 1)/y`` on the band."""
     regions = case_regions(config.theta)
     rates = config.lambda_pu, config.lambda_su
-    scaled = lambda x, y: tolerance_level(x, config.theta) / y
+    origin = regions["band"].pu_origin
+    scaled = lambda u, y: tolerance_level(origin + u, config.theta) / y
     return math.fsum((
         region_probability(regions["below"], *rates),
         region_probability(regions["clear"], *rates),
@@ -444,7 +452,7 @@ def test_pure_sic_cells_tile_the_split_band(primary_db, secondary_db, rate_th):
     regions = case_regions(config.theta)
     tiled = sum(
         restricted_expectation(
-            lambda x, y: np.log2((1.0 + x + y) / (1.0 + config.theta)),
+            lambda u, y: np.log2((1.0 + regions[name].pu_origin + u + y) / (1.0 + config.theta)),
             regions[name], config.lambda_pu, config.lambda_su,
         )
         for name in ("reduced", "preferred")
@@ -469,7 +477,7 @@ def test_high_snr_localized_mass_is_not_lost():
     config = scenario(40.0, 40.0)
     reduced = case_regions(config.theta)["reduced"]
     value = restricted_expectation(
-        lambda x, y: np.log2(x / config.theta),
+        lambda u, y: np.log2((reduced.pu_origin + u) / config.theta),
         reduced,
         config.lambda_pu,
         config.lambda_su,
@@ -580,6 +588,31 @@ def test_preferred_cell_of_a_strong_secondary_is_not_silently_zero():
     assert preferred == pytest.approx(reference, rel=1e-8, abs=0.0)
 
 
+#: Weak-secondary scenarios, as (primary dB, secondary dB, rate target,
+#: power-normalized): at -100 dB the band's primary span ``theta*y`` is
+#: some 1e-11 of ``theta``.  The last is where the normalized preferred
+#: term, 2.8e-19, once passed on the budget's absolute floor alone.
+WEAK_SECONDARY = [
+    (pu, su, rate_th, twin)
+    for pu, su in ((20.0, -100.0), (40.0, -80.0), (60.0, -100.0), (100.0, -100.0))
+    for rate_th in (0.5, 2.5, 6.0)
+    for twin in (False, True)
+] + [(40.0, -60.0, 6.0, True)]
+
+
+@pytest.mark.parametrize("primary_db,secondary_db,rate_th,twin", WEAK_SECONDARY)
+def test_weak_secondary_cells_match_their_kernel_integrals(primary_db, secondary_db, rate_th, twin):
+    # Integrated in the primary SNR's offset from theta, the cells keep the
+    # digits a slice theta*y wide at x ~ theta would lose to theta's ulp.
+    config = ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_th)
+    config = oracle.normalized(config) if twin else config
+    terms = case_terms(ProtocolKind.CR_SIC, config)
+    reduced = reduced_power_term_integral(config)
+    preferred = preferred_order_term_integral(config)
+    assert terms["reduced"] == pytest.approx(reduced, rel=1e-12, abs=0.0)
+    assert terms["preferred"] == pytest.approx(preferred, rel=1e-12, abs=0.0)
+
+
 #: Pure SIC's preferred-order term at strong links and the default target,
 #: frozen from mpmath at 50 digits: the one-dimensional preferred kernel
 #: over the primary excess ``v`` (``analytic._preferred_order_parts``),
@@ -625,6 +658,7 @@ def test_split_band_along_y_matches_the_band_sliced_along_x():
         rsma = case_terms(ProtocolKind.CR_RSMA, config)
         sic = case_terms(ProtocolKind.CR_SIC, config)
         scale = lambda x, y: tolerance_level(x, theta) / y
+        band = case_regions(theta)["band"]
         checks = (
             ("band", rsma["band"], lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta)),
              tolerance, None),
@@ -632,7 +666,7 @@ def test_split_band_along_y_matches_the_band_sliced_along_x():
             ("preferred", sic["preferred"], lambda x, y: np.log2(1.0 + y / (1.0 + x)),
              switch, None),
             ("power scale", restricted_expectation(
-                scale, case_regions(theta)["band"], lam_pu, lam_su
+                lambda u, y: scale(band.pu_origin + u, y), band, lam_pu, lam_su
             ), scale, tolerance, None),
         )
         for name, value, integrand, lower, upper in checks:

@@ -40,9 +40,10 @@ from crul.protocols import ProtocolKind
 def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9):
     """``E[integrand ; region]`` by nested adaptive QUADPACK quadrature.
 
-    Scalar integrand; the outer integral runs over the region's sliced
-    SNR, and both axes are cut into the geometric panels, the inner ones
-    starting at each slice's lower bound.  The outer panels start from
+    Scalar integrand, taking the primary SNR as its offset from the
+    region's ``pu_origin`` as the oracle's do; the outer integral runs
+    over the region's sliced SNR, and both axes are cut into the
+    geometric panels, the inner ones starting at each slice's lower bound.  The outer panels start from
     the shorter of the two decay lengths: a slice's mass can decay along
     the outer axis at the inner rate, and QUADPACK pays for finding that
     with thousands of inner integrations.
@@ -98,7 +99,7 @@ def reference_expectation(integrand, region, lambda_pu, lambda_su, rel_tol=1e-9)
             full_output=1,
         )
         total += value
-    return total
+    return math.exp(-lambda_pu * region.pu_origin) * total
 
 
 def boosted_60db():
@@ -107,11 +108,12 @@ def boosted_60db():
 
 
 def case_integrals(theta):
-    """(name, region, scalar integrand, array integrand) of each rate region."""
+    """(name, region, scalar integrand, array integrand) of each rate region,
+    the integrands taking the primary SNR from the region's origin."""
     regions = case_regions(theta)
     limited = (lambda x, y: math.log2(1.0 + y / (1.0 + x)),
                lambda x, y: np.log2(1.0 + y / (1.0 + x)))
-    return [
+    absolute = [
         ("below", regions["below"], *limited),
         ("band", regions["band"], lambda x, y: math.log2((1.0 + x + y) / (1.0 + theta)),
          lambda x, y: np.log2((1.0 + x + y) / (1.0 + theta))),
@@ -121,6 +123,16 @@ def case_integrals(theta):
         ("clear", regions["clear"], lambda x, y: math.log2(1.0 + y), lambda x, y: np.log2(1.0 + y)),
         ("full", FULL_QUADRANT, *limited),
     ]
+    return [
+        (name, region, *(from_origin(f, region) for f in integrands))
+        for name, region, *integrands in absolute
+    ]
+
+
+def from_origin(integrand, region):
+    """``integrand(x, y)`` as the oracle calls it, with ``x`` offset from the
+    region's ``pu_origin``."""
+    return lambda u, y: integrand(region.pu_origin + u, y)
 
 
 # ------------------------------------------------------------------ rules
@@ -211,7 +223,7 @@ def spans_of_kronrod(monkeypatch):
 
 EXPECTATIONS = {
     "band rate": lambda scenario: restricted_expectation(
-        lambda x, y: np.log2((1.0 + x + y) / (1.0 + scenario.theta)),
+        lambda u, y: np.log2((1.0 + scenario.theta + u + y) / (1.0 + scenario.theta)),
         case_regions(scenario.theta)["band"], scenario.lambda_pu, scenario.lambda_su,
     ),
     "region probability": lambda scenario: restricted_expectation(
@@ -233,24 +245,20 @@ def test_expectation_is_bit_identical_to_one_pass_per_inner_batch(monkeypatch, n
     assert EXPECTATIONS[name](scenario) == blocked
 
 
-def test_blocked_outer_integrand_forms_the_same_inner_batches(monkeypatch):
-    # The outer integrand's node values are inner integrations batched by
-    # _SLICE_BATCH slices.  A block of outer panels holds whole batches, so
-    # blocking it forms the same batches.  A first outer pass spans several
-    # blocks here, at small sizes, and at extreme rate ratios (over 512
-    # panels with the links at +1000 and -1000 dB).
-    assert panels._BLOCK * NODES.size % panels._SLICE_BATCH == 0
+def test_blocked_outer_integrand_is_bit_identical_to_one_pass(monkeypatch):
+    # The outer integrand's node values are inner integrations, one per
+    # node of the outer panels it is given.  Blocking the outer panels
+    # splits them into several inner integrations with the same values.
+    # A first outer pass spans several blocks here, at small sizes, and at
+    # extreme rate ratios (over 512 panels with the links at +1000 and
+    # -1000 dB).
     scenario = ScenarioConfig.from_snr_db(20.0, 20.0, rate_threshold=2.5)
-    monkeypatch.setattr(panels, "_SLICE_BATCH", 4)
     monkeypatch.setattr(panels, "_BLOCK", 4)
     spans = spans_of_kronrod(monkeypatch)
     blocked = EXPECTATIONS["band rate"](scenario)
-    blocked_spans = spans.copy()
     assert max(size for f, size in spans if f == "outer") > panels._BLOCK
-    spans.clear()
     monkeypatch.setattr(panels, "_BLOCK", 10**9)
     assert EXPECTATIONS["band rate"](scenario) == blocked
-    assert spans == blocked_spans
 
 
 STRONG_LINKS = [(40.0, 40.0), (60.0, 60.0), (80.0, 80.0), (100.0, 90.0), (100.0, 100.0)]
@@ -270,6 +278,31 @@ def test_strong_link_terms_take_few_bisection_rounds(monkeypatch, primary_db, se
             spans.clear()
             oracle._case_term.__wrapped__(name, scenario)
             assert len(spans) <= 8, (name, scenario)
+
+
+@pytest.mark.parametrize("primary_db,secondary_db", [(20.0, -100.0), (40.0, -80.0),
+                                                     (60.0, -100.0), (100.0, -100.0)])
+def test_weak_secondary_terms_integrate_few_slices(monkeypatch, primary_db, secondary_db):
+    # The rows of _integrate_rows are the integrals it takes at once: the
+    # inner slices of the outer nodes, one per node.  The band cells once
+    # took up to 8,200 slices a term there, in batches to bound a call's
+    # arrays; measured from theta they take a few hundred, and no term
+    # more than the 1,050 slices of the primary-sliced regions.
+    rows, integrate = [], panels._integrate_rows
+
+    def spy(f, rows_of, a, b, n_rows, rel):
+        rows.append(n_rows)
+        return integrate(f, rows_of, a, b, n_rows, rel)
+
+    monkeypatch.setattr(panels, "_integrate_rows", spy)
+    names = sorted({name for terms in oracle.TERMS.values() for name in terms})
+    for rate_th in (0.5, 2.5, 6.0):
+        config = ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_th)
+        for scenario in (config, oracle.normalized(config)):
+            for name in names:
+                rows.clear()
+                oracle._case_term.__wrapped__(name, scenario)
+                assert sum(rows) <= 1_100, (name, rate_th, scenario)
 
 
 #: Panels the 10 oracle terms of a figure2 point may take, by SNR in dB.
@@ -351,6 +384,20 @@ def test_oracle_reports_region_of_a_miss():
         restricted_expectation(lambda x, y: 1.0 / y, region, 1.0, 1.0)
 
 
+def test_oracle_term_miss_names_its_scenario(monkeypatch):
+    def missing(*args, **kwargs):
+        raise QuadratureError("inner quadrature error")
+
+    monkeypatch.setattr(oracle, "exponential_expectation", missing)
+    config = ScenarioConfig.from_snr_db(20.0, -100.0)
+    with pytest.raises(OracleAccuracyError) as caught:
+        oracle._case_term.__wrapped__("reduced", config)
+    assert str(caught.value) == (
+        f"inner quadrature error (reduced power) at ScenarioConfig(lambda_pu="
+        f"{config.lambda_pu!r}, lambda_su={config.lambda_su!r}, theta={config.theta!r})"
+    )
+
+
 # ------------------------------------------------------ against QUADPACK
 
 
@@ -401,10 +448,7 @@ def test_band_corner_power_scale_matches_nested_quadpack():
     scenario = ScenarioConfig.from_snr_db(20.0, 20.0)
     theta = scenario.theta
     band = case_regions(theta)["band"]
-    value = restricted_expectation(
-        lambda x, y: (x / theta - 1.0) / y, band, scenario.lambda_pu, scenario.lambda_su
-    )
-    reference = reference_expectation(
-        lambda x, y: (x / theta - 1.0) / y, band, scenario.lambda_pu, scenario.lambda_su
-    )
+    scale = from_origin(lambda x, y: (x / theta - 1.0) / y, band)
+    value = restricted_expectation(scale, band, scenario.lambda_pu, scenario.lambda_su)
+    reference = reference_expectation(scale, band, scenario.lambda_pu, scenario.lambda_su)
     assert value == pytest.approx(reference, rel=1e-10)

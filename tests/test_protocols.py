@@ -7,6 +7,7 @@ hypothesis properties over the whole positive quadrant.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -397,6 +398,39 @@ def test_without_a_threshold_every_draw_is_tolerant():
         assert sic_case_index(*draw, 0.0) == TOLERANT
         reference = benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw, 0.0)
         assert qos[i] == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["band", "tolerant", "interference_limited", "clean"])
+def test_one_worker_draws_do_not_wait_on_another_workers(monkeypatch, name):
+    # Monte Carlo workers each classify into their own workspace.  While
+    # one worker's draws compute a kept selection or log, another's must
+    # still compute theirs: a cache lock shared by every instance would
+    # hold the second until the first is done.
+    rng = np.random.Generator(np.random.Philox(11))
+    held, other = (classified(rng.exponential(30.0, 100), rng.exponential(25.0, 100), THETA)
+                   for _ in range(2))
+    entered, release = threading.Event(), threading.Event()
+    buffer = CellDraws.buffer
+
+    def holding(self, *args):
+        if self is held:
+            entered.set()
+            release.wait(timeout=30.0)
+        return buffer(self, *args)
+
+    monkeypatch.setattr(CellDraws, "buffer", holding)
+    first = threading.Thread(target=getattr, args=(held, name))
+    second = threading.Thread(target=getattr, args=(other, name))
+    first.start()
+    try:
+        assert entered.wait(timeout=10.0)
+        second.start()
+        second.join(timeout=5.0)
+        assert not second.is_alive()
+    finally:
+        release.set()
+        first.join(timeout=30.0)
+    assert not first.is_alive()
 
 
 @given(

@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 from hypothesis import assume, given, settings, strategies as st
 
-from crul import crosscheck
+from crul import crosscheck, oracle
 from crul.channel import ScenarioConfig
 from crul.protocols import ProtocolKind
 
@@ -76,3 +76,26 @@ def test_oracle_rows_are_ordered_by_what_each_protocol_may_do(
     )
     assert rsma >= sic * (1.0 - 1e-9), (rsma, sic)
     assert sic >= max(csi, qos) * (1.0 - 1e-9), (sic, csi, qos)
+
+
+@pytest.mark.parametrize("primary_db", [20.0, 60.0])
+@pytest.mark.parametrize("rate_th", [0.5, 6.0])
+def test_weak_secondary_terms_follow_their_power_law(primary_db, rate_th):
+    # As the secondary's mean SNR s falls, the terms whose secondary SNR y
+    # enters only a log2(1 + ...) of it fall as s, and the band and its
+    # cells, whose primary span theta*y shrinks with y too, as s**2.  Ten
+    # dB less secondary divides them by 10 and 100.
+    terms = [
+        {
+            name: value
+            for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC)
+            for name, value in oracle.case_terms(
+                protocol,
+                ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_th),
+            ).items()
+        }
+        for secondary_db in (-90.0, -100.0)
+    ]
+    falls = {"below": 10.0, "clear": 10.0, "band": 100.0, "reduced": 100.0, "preferred": 100.0}
+    for name, fall in falls.items():
+        assert terms[0][name] / terms[1][name] == pytest.approx(fall, rel=2e-9, abs=0.0), name
