@@ -13,8 +13,8 @@ rate for each protocol decomposes over the decision regions:
 * clear-channel term -- the primary tolerates the secondary at full power.
 
 Every form takes only a :class:`crul.channel.ScenarioConfig`, the triple
-``(lambda_pu, lambda_su, theta)``; a form with a quadrature reads the one
-stored half-line rule itself.
+``(lambda_pu, lambda_su, theta)``; the below-threshold sums read the one
+stored half-line rule themselves.
 
 Every piece is available in more than one route, each its own function,
 so they can be cross-checked term by term:
@@ -23,34 +23,32 @@ so they can be cross-checked term by term:
   of exponentials with the exponential integral are formed as
   ``exp(a) E1(a)``, the continued fraction itself past the series range
   and ``exp(a + log_e1(a))`` below it, so extreme rate parameters neither
-  overflow nor cancel away their digits.  Where a term needs a
-  quadrature, it is a fixed half-line rule (the headline approximation
-  route): on the below-threshold ratio's unscaled axis, whose largest
-  order-100 node is near 375, so the sum loses visible mass once
-  ``1/lambda_su`` grows past it; and scaled to the kernel for pure SIC's
-  two band cells, which reduce to one integral over the primary SNR and
-  share one memoised pass.
+  overflow nor cancel away their digits.  Two kinds of term need a
+  quadrature.  The below-threshold ratio is summed on the fixed half-line
+  rule's unscaled axis, whose largest order-100 node is near 375, so the
+  sum loses visible mass once ``1/lambda_su`` grows past it.  Pure SIC's
+  two band cells reduce to one integral over the primary SNR each, and
+  each cell's kernel is integrated on the adaptive Gauss-Kronrod panels of
+  :mod:`crul.panels` at its own decay length.
 * ``stated`` closed forms (``*_stated``) of the terms whose printed form
   differs from the derived one, transcribed verbatim from the derivation
   these formulas originate from -- including its transcription slips --
   so the validation report can show exactly where they deviate.  Being
   literal transcriptions they use plain products and may overflow outside
   the moderate-parameter regime they were stated for.
-* adaptive panel integration of the same kernels on the Gauss-Kronrod
-  panels of :mod:`crul.panels` (the ``*_integral`` functions), with none
-  of a fixed rule's tail truncation: checks of the kernels against the
-  oracle.
+* adaptive panel integration of the below-threshold kernel on the same
+  panels (:func:`below_threshold_term_integral`), with none of the fixed
+  rule's tail truncation: a check of that kernel against the oracle.
 
 :mod:`crul.crosscheck` puts one route per term on the rate path: the
 ``derived`` form where it is within tolerance of the oracle's term, and
 that term otherwise.  The ``stated`` forms, the merged tail and the
-adaptive kernel integrals are report-only: the deviation report
+adaptive below-threshold integral are report-only: the deviation report
 tabulates them, and an arbitrated rate never runs them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -283,20 +281,20 @@ def _scaled_e1_array(args: np.ndarray) -> np.ndarray:
     return result
 
 
-def _preferred_order_parts(v, scenario: ScenarioConfig):
-    """The preferred-order kernel at primary excess ``v``, in two parts.
+def _preferred_kernel(v, scenario: ScenarioConfig):
+    """The preferred-order kernel at primary excess ``v``.
 
     Pure SIC's band cells are written over ``v``, with the primary SNR ``x
     = theta (1 + v)`` and the secondary SNR ``y`` integrated out exactly:
     the band holds ``y > v`` and the cells meet at ``s = (1 + x) v``.  Over
     ``y > s`` the rate ``log2(1 + y/(1+x))`` averages to ``ln(1 + v) +
     g(lambda_su (1 + x)(1 + v))`` over ``ln 2``, ``g(a) = exp(a) E1(a)``;
-    the parts are its two terms times the primary density and ``Pr{y > s}``.
+    the kernel is that average times the primary density and ``Pr{y > s}``.
     """
     lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
     pu = theta * (1.0 + v)
     weight = lam_p * theta * np.exp(-lam_p * pu - lam_s * (1.0 + pu) * v) / LN2
-    return weight * np.log1p(v), weight * _scaled_e1_array(lam_s * (1.0 + pu) * (1.0 + v))
+    return weight * (np.log1p(v) + _scaled_e1_array(lam_s * (1.0 + pu) * (1.0 + v)))
 
 
 def _reduced_kernel(v, scenario: ScenarioConfig):
@@ -309,50 +307,24 @@ def _reduced_kernel(v, scenario: ScenarioConfig):
     return density * np.log1p(v) * -np.expm1(-lam_s * pu * v)
 
 
-def _band_decay(scenario: ScenarioConfig) -> float:
-    """The rate of the band's ``ln(1 + v) exp(-lambda_su v)`` part in ``v``."""
-    return scenario.lambda_pu * scenario.theta + scenario.lambda_su
-
-
-@functools.lru_cache(maxsize=64)
-def _sic_cells(scenario: ScenarioConfig) -> tuple[float, float]:
-    """The reduced-power and preferred-order terms from one pass over the rule.
-
-    The rule's unit is the ``v`` where the preferred kernel's exponent ``a v
-    + b v**2`` reaches 1.  The reduced cell is the band's ``ln(1 + v)
-    exp(-lambda_su v)`` part in closed form less the preferred kernel's log
-    part; its own kernel's long tail would fall past the rule.  Memoised
-    per scenario, so the two terms share the pass.
-    """
-    rule = gauss_laguerre(DEFAULT_NODES)
-    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
-    a, b = lam_p * theta + lam_s * (1.0 + theta), lam_s * theta
-    unit = 2.0 / (a + math.sqrt(a * a + 4.0 * b))
-    logs, tails = _preferred_order_parts(unit * rule.nodes, scenario)
-    weights = unit * rule.integration_weights
-    log_part = math.fsum(weights * logs)
-    decay = _band_decay(scenario)
-    head = lam_p * theta * math.exp(-lam_p * theta) * _scaled_e1(decay) / (decay * LN2)
-    return head - log_part, log_part + math.fsum(weights * tails)
-
-
 def reduced_power_term(scenario: ScenarioConfig) -> float:
-    """Rate contribution of the reduced-power event, on the scaled rule."""
-    return _sic_cells(scenario)[0]
-
-
-def reduced_power_term_integral(scenario: ScenarioConfig) -> float:
-    """Same contribution by adaptive integration of its own kernel."""
+    """Rate contribution of the reduced-power event, by adaptive integration
+    of its kernel, which decays at ``lambda_pu theta + lambda_su`` in ``v``."""
     kernel = lambda v: _reduced_kernel(v, scenario)
-    return panel_integral(kernel, 1.0 / _band_decay(scenario), REL_TOL)
+    decay = scenario.lambda_pu * scenario.theta + scenario.lambda_su
+    return panel_integral(kernel, 1.0 / decay, REL_TOL)
 
 
 def preferred_order_term(scenario: ScenarioConfig) -> float:
-    """Rate contribution of the swapped decoding order, on the scaled rule."""
-    return _sic_cells(scenario)[1]
+    """Rate contribution of the swapped decoding order, by adaptive
+    integration of its kernel, on the scale of the ``v`` where the kernel's
+    exponent ``a v + b v**2`` reaches 1."""
+    lam_p, lam_s, theta = scenario.lambda_pu, scenario.lambda_su, scenario.theta
+    a, b = lam_p * theta + lam_s * (1.0 + theta), lam_s * theta
+    kernel = lambda v: _preferred_kernel(v, scenario)
+    return panel_integral(kernel, 2.0 / (a + math.sqrt(a * a + 4.0 * b)), REL_TOL)
 
 
-def preferred_order_term_integral(scenario: ScenarioConfig) -> float:
-    """Same contribution by adaptive integration of its kernel."""
-    kernel = lambda v: sum(_preferred_order_parts(v, scenario))
-    return panel_integral(kernel, 1.0 / _band_decay(scenario), REL_TOL)
+# perfbench/spans.py wraps these two names; they are the routes above.
+reduced_power_term_integral = reduced_power_term
+preferred_order_term_integral = preferred_order_term

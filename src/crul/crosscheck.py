@@ -18,14 +18,15 @@ release check 5 compares those rows with the oracle's.  The other routes
 are report-only, tabulated by :func:`deviation_report`: the printed
 transcriptions (``stated``, slips included, the ``analytic.*_stated``
 functions), rate splitting's merged tail (``combined_tail``, the band and
-clear-channel terms as its headline groups them), and adaptive
-integrations of three derived kernels (``integral``), which check those
-kernels against the oracle.  The report shows exactly which written forms
-disagree with the integrals they claim to equal, by how much, and what a
-row used instead.  A route that raises (an as-printed form overflowing
-outside the regime it was stated for, say) is recorded as NaN with the
-reason, on either path, so it cannot take the row down with it.  The two
-benchmarks have oracle terms but no closed forms yet.
+clear-channel terms as its headline groups them), and the adaptive
+integration of the below-threshold kernel (``integral``), which checks
+that kernel against the oracle where its fixed-rule sum saturates.  The
+report shows exactly which written forms disagree with the integrals
+they claim to equal, by how much, and what a row used instead.  A route
+that raises (an as-printed form overflowing outside the regime it was
+stated for, say) is recorded as NaN with the reason, on either path, so
+it cannot take the row down with it.  The two benchmarks have oracle
+terms but no closed forms yet.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from .oracle import mean_power_factor_oracle, restricted_expectation  # noqa: F4
 from .protocols import ProtocolKind
 from .specfun import ConvergenceError
 
-#: A derived closed form agrees with its term oracle to ~1e-8 unless its
-#: fixed-order rule saturates, missing kernel mass at strong links; past
-#: this tolerance the row takes the oracle's term instead.
+#: A derived closed form agrees with its term oracle to ~1e-8 unless the
+#: below-threshold term's fixed-order rule saturates, missing kernel mass
+#: at strong links; past this tolerance the row takes the oracle's term
+#: instead.
 ARBITRATION_REL_TOL = 1e-4
 #: Routes further off than this from the term oracle are flagged in the
 #: deviation report.
@@ -124,8 +126,8 @@ def _report(protocol, term, routes, oracle_value, scenario, in_total=True) -> Te
 #: Every closed-form route of each oracle term, by the oracle's term name:
 #: the term's report name and its routes in report order.  ``derived`` is
 #: the row's route (``analytic.*_term``); ``stated`` is the printed
-#: transcription (``analytic.*_stated``) and ``integral`` an adaptive
-#: integration of the derived one-dimensional kernel, which only
+#: transcription (``analytic.*_stated``) and ``integral`` the adaptive
+#: integration of the below-threshold kernel, which only
 #: :func:`deviation_report` runs.  Routes look up their function when run.
 _ROUTES = {
     "below": ("interference_limited", {
@@ -139,11 +141,9 @@ _ROUTES = {
     }),
     "reduced": ("reduced_power", {
         "derived": lambda s: analytic.reduced_power_term(s),
-        "integral": lambda s: analytic.reduced_power_term_integral(s),
     }),
     "preferred": ("preferred_order", {
         "derived": lambda s: analytic.preferred_order_term(s),
-        "integral": lambda s: analytic.preferred_order_term_integral(s),
     }),
     "clear": ("clear_channel", {
         "stated": lambda s: analytic.clear_channel_stated(s),

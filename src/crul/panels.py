@@ -305,10 +305,15 @@ def exponential_expectation(
             )
         return value.reshape(nodes.shape) * (rate_x * np.exp(-rate_x * nodes))
 
-    # A slice's mass can fall off along the outer axis at the inner rate
-    # (the band regions hug x = theta when the secondary is weak), so the
-    # outer panels start from the shorter of the two decay lengths, or from
-    # geometric_edges' cap where both are long.
+    # The outer panels start from the shorter of the two decay lengths, or
+    # from geometric_edges' cap where both are long.  The inner one serves
+    # the regions whose slice bound moves with the outer SNR, so a slice's
+    # mass levels off on the inner axis's scale: the clear channel, whose
+    # slices fill up within theta/rate_y of theta (on the outer rate alone
+    # its term is 3e-11 off at a -100 dB secondary), and the band and its
+    # cells, theta*y wide, at a weak primary.  Regions with fixed slice
+    # bounds (below the threshold, the whole quadrant) only pay for it in
+    # panels, most at a weak secondary.
     edges = geometric_edges(x_lower, x_high, min(1.0 / rate_x, 1.0 / rate_y))
     rows = np.zeros(edges.size - 1, dtype=np.intp)
     total, error = _integrate_rows(outer, rows, edges[:-1], edges[1:], 1, rel_tol / 2.0)

@@ -5,6 +5,7 @@ Ground truth throughout is the adaptive-integration engine in
 plus a handful of values frozen from scipy adaptive quadrature runs.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from crul.oracle import (
     case_regions,
     case_terms,
     ergodic_rate_oracle,
+    normalized,
     restricted_expectation,
 )
 from crul.panels import panel_integral
@@ -617,44 +619,46 @@ FROZEN_CELLS = {
     (20.0, -60.0): (3.8827044866240094e-15, 2.5049707377423503e-16),
     (80.0, 90.0): (21.549680759082382, 0.0043246462122020033),
 }
-#: The cells whose scaled-rule route misses its oracle term, so a row takes
-#: the oracle's: at a 90 dB secondary ``g``'s argument spans many decades,
-#: and one scale of the rule does not fit it.
-RULE_MISSES = {((80.0, 90.0), "preferred")}
 
 
 class TestPureSicCells:
     @pytest.mark.parametrize("point", list(FROZEN_CELLS))
     def test_integral_routes_match_frozen_values(self, point):
+        # The rows' own routes: at (80, 90) dB a scaled fixed rule once
+        # missed the preferred cell by 6.4e-4, where ``g``'s argument spans
+        # many decades and one scale of the rule did not fit it.
         p = ScenarioConfig.from_snr_db(*point)
         reduced, preferred = FROZEN_CELLS[point]
-        reduced_integral = analytic.reduced_power_term_integral(p)
-        preferred_integral = analytic.preferred_order_term_integral(p)
-        assert reduced_integral == pytest.approx(reduced, rel=1e-11, abs=0.0)
-        assert preferred_integral == pytest.approx(preferred, rel=1e-11, abs=0.0)
-
-    @pytest.mark.parametrize("point", list(FROZEN_CELLS))
-    def test_rule_routes_match_frozen_values_where_accepted(self, point):
-        p = ScenarioConfig.from_snr_db(*point)
-        terms = case_terms(ProtocolKind.CR_SIC, p)
-        routes = {"reduced": analytic.reduced_power_term, "preferred": analytic.preferred_order_term}
-        for (name, route), frozen in zip(routes.items(), FROZEN_CELLS[point]):
-            value = route(p)
-            accepted = relative_deviation(value, terms[name]) <= ARBITRATION_REL_TOL
-            assert accepted == ((point, name) not in RULE_MISSES)
-            if accepted:
-                assert value == pytest.approx(frozen, rel=1e-5, abs=0.0)
+        assert analytic.reduced_power_term(p) == pytest.approx(reduced, rel=1e-11, abs=0.0)
+        assert analytic.preferred_order_term(p) == pytest.approx(preferred, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("gamma0_db", [20.0, 40.0])
     def test_routes_match_the_region_oracle(self, gamma0_db):
         # At 40 dB the unscaled order-100 rule once saw almost none of the
-        # cells' mass; scaled to the kernel it keeps it.
+        # cells' mass; the adaptive panels keep it.
         p = scenario_at(gamma0_db)
         terms = case_terms(ProtocolKind.CR_SIC, p)
-        assert rel_err(analytic.reduced_power_term(p), terms["reduced"]) < 1e-6
-        assert rel_err(analytic.preferred_order_term(p), terms["preferred"]) < 1e-5
-        assert rel_err(analytic.reduced_power_term_integral(p), terms["reduced"]) < 1e-9
-        assert rel_err(analytic.preferred_order_term_integral(p), terms["preferred"]) < 1e-9
+        assert rel_err(analytic.reduced_power_term(p), terms["reduced"]) < 1e-9
+        assert rel_err(analytic.preferred_order_term(p), terms["preferred"]) < 1e-9
+
+    def test_routes_land_on_the_region_oracle_off_the_figure_grids(self):
+        # Weak to strong links on both sides, each rate target with its
+        # power-normalized twin.  At the twins a scaled fixed rule was 356
+        # times off the reduced cell at (20, 90) dB with a 0.5 bit/s/Hz
+        # target, and 6.4e-4 off the preferred one at (100, 90) dB with 6.
+        misses = []
+        for pu, su, rate_th in itertools.product(
+            (-20.0, 20.0, 40.0, 80.0, 100.0), (-100.0, -60.0, 0.0, 60.0, 90.0), (0.5, 2.5, 6.0)
+        ):
+            plain = ScenarioConfig.from_snr_db(pu, su, rate_threshold=rate_th)
+            for p in (plain, normalized(plain)):
+                terms = case_terms(ProtocolKind.CR_SIC, p)
+                for name, route in (("reduced", analytic.reduced_power_term),
+                                    ("preferred", analytic.preferred_order_term)):
+                    deviation = relative_deviation(route(p), terms[name])
+                    if not deviation <= 1e-9:
+                        misses.append((pu, su, rate_th, p, name, deviation))
+        assert misses == []
 
     def test_scaled_e1_array_matches_the_scalar(self):
         # Both branches, the series up to 4 and the continued fraction past it.

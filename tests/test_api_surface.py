@@ -8,8 +8,8 @@ run can change: it fails here until it is deleted or a caller sets it.
 A parameter that every call, tests included, passes as the same literal
 is a constant and fails here too.
 The benchmark's tracer reaches the package by name too, so each name it
-wraps must keep resolving, and an import that nothing reads must be one it
-wraps.
+wraps must keep resolving, and an import or alias that nothing reads must
+be one it wraps.
 """
 
 import ast
@@ -228,10 +228,11 @@ def test_the_benchmark_tracer_finds_and_restores_every_name(monkeypatch):
         assert changed == [], module.__name__
 
 
-def unread_imports(source: Path = SOURCE) -> list[str]:
-    """``module.name`` of each top-level import that its module never reads
-    and that no other module in ``source`` reads through it, by a
-    from-import of the module or as its attribute."""
+def _unread(source: Path, bound) -> list[str]:
+    """``module.name`` of each name that ``bound(node)`` gives for a
+    top-level statement, that its module never loads and that no other
+    module in ``source`` reads through it, by a from-import of the module or
+    as its attribute."""
     trees = _trees(source)
     through = Counter()  # (module, name) read from another module
     for tree in trees.values():
@@ -242,23 +243,45 @@ def unread_imports(source: Path = SOURCE) -> list[str]:
                 through[(node.value.id, node.attr)] += 1
     unread = []
     for module, tree in trees.items():
-        loaded = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        loaded = Counter(
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
         for node in tree.body:
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
+            for name in bound(node):
                 if not loaded[name] and not through[(module, name)]:
                     unread.append(f"{module}.{name}")
     return unread
 
 
-def test_every_unread_import_is_a_name_the_benchmark_tracer_patches(monkeypatch):
-    """An import kept only for ``perfbench/spans.py`` to replace is pinned
-    by the tracer; once the tracer stops patching it, the import is dead
-    and must go."""
+def _imported(node) -> list[str]:
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return []
+
+
+def _aliased(node) -> list[str]:
+    """The targets of a plain alias, ``name = other``."""
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    return []
+
+
+def unread_imports(source: Path = SOURCE) -> list[str]:
+    """``module.name`` of each top-level import that nothing reads."""
+    return _unread(source, _imported)
+
+
+def unread_aliases(source: Path = SOURCE) -> list[str]:
+    """``module.name`` of each top-level alias that nothing reads."""
+    return _unread(source, _aliased)
+
+
+def _patched_by_the_tracer(monkeypatch) -> set[str]:
+    """``module.name`` of each package attribute the benchmark tracer replaces."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     modules = {
@@ -270,7 +293,7 @@ def test_every_unread_import_is_a_name_the_benchmark_tracer_patches(monkeypatch)
     tracer = spans.Tracer()
     try:
         tracer.install()
-        patched = {
+        return {
             f"{name}.{attr}"
             for name, module in modules.items()
             for attr, value in before[name].items()
@@ -278,4 +301,18 @@ def test_every_unread_import_is_a_name_the_benchmark_tracer_patches(monkeypatch)
         }
     finally:
         tracer.uninstall()
+
+
+def test_every_unread_import_is_a_name_the_benchmark_tracer_patches(monkeypatch):
+    """An import kept only for ``perfbench/spans.py`` to replace is pinned
+    by the tracer; once the tracer stops patching it, the import is dead
+    and must go."""
+    patched = _patched_by_the_tracer(monkeypatch)
     assert [name for name in unread_imports() if name not in patched] == []
+
+
+def test_every_unread_alias_is_a_name_the_benchmark_tracer_patches(monkeypatch):
+    """Likewise a second name for a function, kept only so the tracer finds
+    the name it wraps, goes once the tracer stops wrapping it."""
+    patched = _patched_by_the_tracer(monkeypatch)
+    assert [name for name in unread_aliases() if name not in patched] == []

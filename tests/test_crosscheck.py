@@ -16,7 +16,7 @@ from crul.crosscheck import (
     relative_deviation,
     term_reports,
 )
-from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle, normalized
+from crul.oracle import ergodic_rate_oracle, mean_power_factor_oracle
 from crul.protocols import ProtocolKind
 
 SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
@@ -233,11 +233,10 @@ class TestDeviationReport:
         assert report["report_rel_tol"] == REPORT_REL_TOL
 
     def test_tabulates_the_kernel_checks_but_never_chooses_them(self, report):
-        checked = {"interference_limited", "reduced_power", "preferred_order"}
         for entry in report["entries"]:
-            assert ("integral" in entry["routes"]) == (entry["term"] in checked)
+            assert ("integral" in entry["routes"]) == (entry["term"] == "interference_limited")
             assert entry["chosen_route"] != "integral"
-        assert sum(entry["term"] in checked for entry in report["entries"]) == 4
+        assert sum(entry["term"] == "interference_limited" for entry in report["entries"]) == 2
 
 
 class TestOnePath:
@@ -285,8 +284,6 @@ class TestOnePath:
 
 REPORT_ONLY = (
     "below_threshold_term_integral",
-    "reduced_power_term_integral",
-    "preferred_order_term_integral",
     "below_threshold_stated",
     "split_band_stated",
     "clear_channel_stated",
@@ -396,26 +393,6 @@ class TestRouteIsolation:
         assert all("stated" in e["flagged_routes"] for e in failed)
 
 
-def test_each_scenario_runs_one_pass_for_both_cells(monkeypatch):
-    """A ``cr-sic`` or ``cr-sic-norm`` row takes its reduced-power and
-    preferred-order terms from one pass over the rule, and the deviation
-    report reuses it."""
-    analytic._sic_cells.cache_clear()
-    passes = []
-    parts = analytic._preferred_order_parts
-    monkeypatch.setattr(
-        analytic,
-        "_preferred_order_parts",
-        lambda v, scenario: passes.append(scenario) or parts(v, scenario),
-    )
-    scenario = ScenarioConfig.from_snr_db(16.0, 16.0)
-    for protocol in (ProtocolKind.CR_SIC, ProtocolKind.CR_SIC_NORM):
-        evaluate(protocol, scenario, "analytic")
-    terms = {report.term for report in term_reports(ProtocolKind.CR_SIC_NORM, scenario)}
-    assert {"reduced_power", "preferred_order"} <= terms
-    assert passes == [scenario, normalized(scenario)]
-
-
 def _figure_grids():
     """Every ``cr-sic`` and ``cr-sic-norm`` scenario of the two figures."""
     points = [(db, db) for db in range(0, 41, 2)] + [(db, 20) for db in range(0, 61, 2)]
@@ -428,14 +405,14 @@ def _figure_grids():
 
 def test_no_band_cell_falls_back_on_the_figure_grids():
     """Pure SIC's reduced-power and preferred-order rows are evidence on
-    both figures: each takes its derived form, within 1e-5 of its oracle."""
+    both figures: each takes its derived form, within 1e-9 of its oracle."""
     misses = []
     for protocol, scenario in _figure_grids():
         for report in term_reports(protocol, scenario):
             if report.term not in ("reduced_power", "preferred_order"):
                 continue
             deviation = relative_deviation(report.routes["derived"], report.oracle_value)
-            if report.chosen_route != "derived" or not deviation <= 1e-5:
+            if report.chosen_route != "derived" or not deviation <= 1e-9:
                 misses.append((protocol.value, scenario, report.term, deviation))
     assert misses == []
 

@@ -17,12 +17,7 @@ import scipy.integrate
 import scipy.special
 
 from crul import cli, oracle, validation
-from crul.analytic import (
-    preferred_order_term,
-    preferred_order_term_integral,
-    reduced_power_term,
-    reduced_power_term_integral,
-)
+from crul.analytic import preferred_order_term, reduced_power_term
 from crul.channel import ScenarioConfig
 from crul.montecarlo import McConfig, draw_chunk, sample_point
 from crul.oracle import (
@@ -212,12 +207,13 @@ def test_rsma_region_probabilities_match_closed_forms_on_a_wide_grid():
 @pytest.mark.parametrize("primary_db", [80.0, 90.0, 100.0])
 def test_strong_primary_band_terms_match_the_fixed_order_route(primary_db):
     """The band's mass sits within a few units of theta, where all 21 outer
-    nodes can miss it.  The fixed-order terms must keep their digits there
-    too (a bracket that cancelled O(1) pieces of an O(lambda_pu) result was
-    3e-7, 2e-6 and 7e-5 relative off)."""
+    nodes can miss it.  The cells' derived routes, their kernels integrated
+    over the primary excess, must keep their digits there too (a bracket
+    that cancelled O(1) pieces of an O(lambda_pu) result was 3e-7, 2e-6 and
+    7e-5 relative off)."""
     config = scenario(primary_db, 0.0)
     terms = case_terms(ProtocolKind.CR_SIC, config)
-    assert terms["preferred"] == pytest.approx(preferred_order_term(config), rel=1e-6, abs=0.0)
+    assert terms["preferred"] == pytest.approx(preferred_order_term(config), rel=1e-9, abs=0.0)
     assert terms["reduced"] == pytest.approx(reduced_power_term(config), rel=1e-9, abs=0.0)
     assert terms["reduced"] > 0.0
 
@@ -368,11 +364,12 @@ def test_mean_power_factor_without_a_rate_target_is_one():
 
 def mean_power_factor_by_regions(config):
     """The mean power scale as three region integrals: the scale is 1 below
-    the threshold and on the clear channel, ``(x/theta - 1)/y`` on the band."""
+    the threshold and on the clear channel, ``(x/theta - 1)/y`` on the band,
+    written ``u/(theta*y)`` in the band's offset ``u = x - theta`` so that
+    a weak secondary's slice does not cancel in ``(theta + u)/theta - 1``."""
     regions = case_regions(config.theta)
     rates = config.lambda_pu, config.lambda_su
-    origin = regions["band"].pu_origin
-    scaled = lambda u, y: tolerance_level(origin + u, config.theta) / y
+    scaled = lambda u, y: u / (config.theta * y)
     return math.fsum((
         region_probability(regions["below"], *rates),
         region_probability(regions["clear"], *rates),
@@ -607,15 +604,15 @@ def test_weak_secondary_cells_match_their_kernel_integrals(primary_db, secondary
     config = ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_th)
     config = oracle.normalized(config) if twin else config
     terms = case_terms(ProtocolKind.CR_SIC, config)
-    reduced = reduced_power_term_integral(config)
-    preferred = preferred_order_term_integral(config)
+    reduced = reduced_power_term(config)
+    preferred = preferred_order_term(config)
     assert terms["reduced"] == pytest.approx(reduced, rel=1e-12, abs=0.0)
     assert terms["preferred"] == pytest.approx(preferred, rel=1e-12, abs=0.0)
 
 
 #: Pure SIC's preferred-order term at strong links and the default target,
 #: frozen from mpmath at 50 digits: the one-dimensional preferred kernel
-#: over the primary excess ``v`` (``analytic._preferred_order_parts``),
+#: over the primary excess ``v`` (``analytic._preferred_kernel``),
 #: which two sets of breakpoints agreed on to 25 digits.
 FROZEN_STRONG_PREFERRED = {
     (50.0, 60.0): "0.08799048718156352492911267",

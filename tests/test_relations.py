@@ -99,3 +99,19 @@ def test_weak_secondary_terms_follow_their_power_law(primary_db, rate_th):
     falls = {"below": 10.0, "clear": 10.0, "band": 100.0, "reduced": 100.0, "preferred": 100.0}
     for name, fall in falls.items():
         assert terms[0][name] / terms[1][name] == pytest.approx(fall, rel=2e-9, abs=0.0), name
+
+
+@pytest.mark.parametrize("primary_db", [20.0, 60.0])
+@pytest.mark.parametrize("rate_th", [0.5, 6.0])
+def test_weak_secondary_derived_routes_follow_their_power_law(primary_db, rate_th):
+    # The same law for the rows' own closed forms.  The below-threshold sum
+    # is left out: its fixed rule reads 0 at these secondaries, and only an
+    # exact closed form for that term can be held to the law.
+    falls = {"clear": 10.0, "band": 100.0, "reduced": 100.0, "preferred": 100.0}
+    for name, fall in falls.items():
+        derived = crosscheck._ROUTES[name][1]["derived"]
+        strong, weak = (
+            derived(ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=rate_th))
+            for secondary_db in (-90.0, -100.0)
+        )
+        assert strong / weak == pytest.approx(fall, rel=2e-9, abs=0.0), name
