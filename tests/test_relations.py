@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crul import crosscheck, oracle
 from crul.channel import ScenarioConfig
+from crul.panels import REL_TOL
 from crul.protocols import ProtocolKind
 
 #: The rows that reduce to the clean channel when the primary sets no rate
@@ -34,14 +35,19 @@ def test_rows_without_a_rate_target_are_the_clean_channel_rate(
     primary_db, secondary_db, dist_su, u
 ):
     # With theta = 0 every row is E[log2(1 + gamma_su)] = e^lam E1(lam) / ln 2.
-    # The bound on lam keeps e^lam finite.
+    # Past lam = 700, where e^lam nears overflow, e^lam E1(lam) is taken
+    # from its asymptotic series, whose relative error is below 720/lam**6,
+    # 6.1e-15 at 700.
     config = ScenarioConfig.from_snr_db(
         primary_db, secondary_db, secondary_distance=dist_su, path_loss_exponent=u,
         rate_threshold=0.0,
     )
     lam = config.lambda_su
-    assume(lam <= 700.0)
-    expected = math.exp(lam) * scipy.special.exp1(lam) / math.log(2.0)
+    if lam <= 700.0:
+        scaled_e1 = math.exp(lam) * scipy.special.exp1(lam)
+    else:
+        scaled_e1 = sum((-1) ** k * math.factorial(k) / lam**k for k in range(6)) / lam
+    expected = scaled_e1 / math.log(2.0)
     for protocol, method in CLEAN_ROWS:
         value = crosscheck.evaluate(protocol, config, method).value
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (protocol, method)
@@ -76,6 +82,30 @@ def test_oracle_rows_are_ordered_by_what_each_protocol_may_do(
     )
     assert rsma >= sic * (1.0 - 1e-9), (rsma, sic)
     assert sic >= max(csi, qos) * (1.0 - 1e-9), (sic, csi, qos)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=1))
+@given(
+    primary_db=st.floats(-100.0, 100.0),
+    secondary_db=st.floats(-100.0, 90.0),
+    rise_db=st.floats(0.01, 10.0),
+    dist_su=st.floats(0.1, 5.0),
+    u=st.floats(1.5, 5.0),
+)
+def test_bench_csi_rises_with_the_secondary_snr(primary_db, secondary_db, rise_db, dist_su, u):
+    # Draw by draw, bench-csi's rate log2(1 + y/(1 + x)) rises with the
+    # secondary SNR y, and scaling the mean scales every draw of y.
+    lower, higher = (
+        crosscheck.evaluate(
+            ProtocolKind.BENCH_CSI,
+            ScenarioConfig.from_snr_db(
+                primary_db, db, secondary_distance=dist_su, path_loss_exponent=u
+            ),
+            "oracle",
+        ).value
+        for db in (secondary_db, secondary_db + rise_db)
+    )
+    assert higher >= lower * (1.0 - 2.0 * REL_TOL), (lower, higher)
 
 
 @pytest.mark.parametrize("primary_db", [20.0, 60.0])

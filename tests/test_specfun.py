@@ -252,9 +252,11 @@ def test_continued_fraction_over_an_array_is_the_scalar_one_bit_for_bit():
     np.testing.assert_array_equal(e1_cf_factor(x), [e1_cf_factor(float(v)) for v in x])
 
 
-#: Arguments where every factor of the fraction rounds to an ulp off one:
-#: past 2**54, ``b + 2`` rounds back to ``b`` and ``b * (1/b)`` is
-#: 0.9999999999999999, and near 2.5e14 ``c`` and ``1/d`` round apart.
+#: Arguments where the earlier forward (Lentz) evaluation held every step
+#: factor an ulp off one and never stopped: past 2**54, ``b + 2`` rounds
+#: back to ``b`` and ``b * (1/b)`` is 0.9999999999999999, and near 2.5e14
+#: ``c`` and ``1/d`` round apart.  They stay as the fraction's far end,
+#: where ``x + 1`` itself rounds.
 ROUNDING_BOUND_ARGUMENTS = [1.073741823e17, 4.2949673e17, 245690564412334.34]
 
 
@@ -265,6 +267,67 @@ def test_continued_fraction_stops_where_rounding_holds_every_factor_off_one(x):
     assert e1_cf_factor(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
     value = e1_cf_factor(np.array([5.0, x]))
     np.testing.assert_array_equal(value, [e1_cf_factor(5.0), e1_cf_factor(x)])
+
+
+#: ``exp(x) E1(x)`` on each side of every depth switch of the backward
+#: fraction, far out, and at :data:`ROUNDING_BOUND_ARGUMENTS`: mpmath at 40
+#: digits, printed by scripts/e1_references.py.
+E1_SCALED = {
+    4.000000000001: 0.20634564990101217,
+    5.999: 0.14528903146117,
+    6.0: 0.1452676292338869,
+    9.999: 0.09157177138758804,
+    10.0: 0.09156333393978808,
+    29.99: 0.032300178081643774,
+    30.0: 0.03228973875898013,
+    99.99: 0.009902922960989645,
+    100.0: 0.009901942286733018,
+    10000.0: 9.999000199940023e-05,
+    100000000.0: 9.999999900000002e-09,
+    1.073741823e+17: 9.313225754828402e-18,
+    4.2949673e+17: 2.328306434370292e-18,
+    245690564412334.34: 4.0701603758853715e-15,
+}
+
+
+@pytest.mark.parametrize("x,expected", sorted(E1_SCALED.items()))
+def test_continued_fraction_matches_frozen_references(x, expected):
+    # Two ulp: the truncation at each depth is within 0.31 ulp, the rest
+    # is the backward steps' rounding.
+    assert e1_cf_factor(x) == pytest.approx(expected, rel=4.5e-16, abs=0.0)
+
+
+def test_continued_fraction_over_an_array_matches_frozen_references():
+    # One array runs every point at the depth of its smallest, 4 + 1e-12.
+    x, expected = (np.array(values) for values in zip(*sorted(E1_SCALED.items())))
+    np.testing.assert_allclose(e1_cf_factor(x), expected, rtol=4.5e-16, atol=0.0)
+
+
+def test_continued_fraction_over_an_array_is_within_an_ulp_of_the_scalar():
+    # An array runs its larger elements deeper than their scalar depth,
+    # which can round the last bit the other way just above a switch.
+    x = np.concatenate([[4.5], np.linspace(6.0, 14.0, 4001), np.linspace(29.0, 102.0, 2001)])
+    scalar = np.array([e1_cf_factor(float(v)) for v in x])
+    np.testing.assert_array_less(np.abs(e1_cf_factor(x) - scalar), np.spacing(scalar) * 1.5)
+
+
+def per_term_series(x):
+    """``S(x)`` stopped at the first term within ``1e-18`` of the sum."""
+    total, power = 0.0, 1.0
+    for k in range(1, 500):
+        power *= x / k
+        term = power / k
+        total += term
+        if abs(term) <= 1e-18 * abs(total):
+            return total
+    raise AssertionError(f"no stop at {x}")
+
+
+def test_series_checked_every_eighth_term_is_the_per_term_stop_bit_for_bit():
+    x = -np.geomspace(1e-300, 4.0, 500)
+    expected = [per_term_series(float(v)) for v in x]
+    np.testing.assert_array_equal([ei_series_sum(float(v)) for v in x], expected)
+    np.testing.assert_array_equal(ei_series_sum(x), expected)
 
 
 @pytest.mark.parametrize("routine,x", [(ei_series_sum, -1.0), (e1_cf_factor, 6.0)])
