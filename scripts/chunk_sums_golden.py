@@ -2,7 +2,7 @@
 """Write the stored per-chunk sums of the Monte Carlo chunk kernel.
 
 ``tests/golden/chunk_sums.json`` holds what ``montecarlo._chunk_sums``
-returns for single chunks, reduced in a worker's block workspace: every
+returns for single chunks, reduced in a worker's chunk workspace: every
 family's sum and its squared sum, each as the hex of its double.  It
 covers primaries of 0, 12, 18, 24 and 60 dB at a 20 dB secondary, with
 ``rate_th`` 0, 2.5 and 6, on a full chunk and on a short last chunk, each
@@ -51,7 +51,7 @@ def chunk_sums() -> dict:
     counts = list(enumerate(MC.chunk_counts()))
     stored = (counts[0], counts[-1])
     logs = {index: montecarlo._standard_draw(MC.seed, index, count) for index, count in stored}
-    workspace = Workspace(montecarlo.BLOCK_SIZE)
+    workspace = Workspace(montecarlo.CHUNK_SIZE)
     entries = []
     for primary_db in PRIMARIES_DB:
         for rate_th in RATE_THRESHOLDS:

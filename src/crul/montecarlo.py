@@ -15,34 +15,31 @@ dominance claims can be checked sample by sample.
 
 One chunk kernel serves every quantity: it scales a chunk's standard draw
 to the scenario, classifies it once into the decision cells of
-:mod:`crul.protocols`, and reduces it
-for each requested family (the four plain protocols, and the SIC power
-scale) into one sum and one squared sum, building each family's rates from
-the cells and the per-draw logs the families share; a plain pass builds
-one full-power rate array, which pure SIC and then rate splitting write
-their own cells over.  One ``math.fsum`` per family combines the chunks.
+:mod:`crul.protocols`, and reduces it for each requested family (the four
+plain protocols, and the SIC power scale) into one sum and one squared
+sum, building each family's rates from the cells and the per-draw logs the
+families share, each over the last in one rates array.  One
+``math.fsum`` per family combines the chunks.
 :func:`sample_point` takes every protocol of a grid point and the mean
 power scale from one such pass, plus the boosted pass of the
 power-normalized protocol; :func:`estimate` and :func:`mean_power_factor`
 are the same pass over a single family.
 
-A pass on ``n`` workers gives worker ``w`` the chunks ``w, w + n,
-w + 2n, ...``, and it runs them in its own :class:`~crul.protocols.Workspace`
-of buffers for one block of ``BLOCK_SIZE`` draws, half a chunk, where each
-block is classified and reduced.  Chunks within a pass cost about the
-same, so the fixed stride balances the work as well as a queue would.
-Fresh chunk-sized arrays cost more than the arithmetic on them, because the
-allocator returned their pages to the system after every chunk and faulted
-them in again for the next.  For the same reason the process keeps the
-workspaces, one per CPU at most, from one pass to the next (see
-:class:`_Reserve`), instead of faulting in new ones at every grid point.
-Worker 0 runs in the calling thread, and the other workers' threads live
-for one pass only.  Passes take turns, so no workspace is ever in two at
-once.  Nor does any step store through a data-dependent mask, which costs
-several times more on mixed cells than on uniform ones.
-Workspaces change where values are stored, not how they are computed, and
-a chunk is cut into blocks where numpy's pairwise ``np.sum`` cuts it, so
-the sums are those of new arrays holding the whole chunk.
+A pass on ``n`` workers gives worker ``w`` the chunks ``w, w + n, w + 2n,
+...``, and it runs them in its own :class:`~crul.protocols.Workspace` of
+buffers for one chunk, where each chunk is classified and reduced whole.
+Chunks within a pass cost about the same, so the fixed stride balances the
+work as well as a queue would.  Fresh chunk-sized arrays cost more than
+the arithmetic on them, because the allocator returned their pages to the
+system after every chunk and faulted them in again for the next.  For the
+same reason the process keeps the workspaces, one per CPU at most, from
+one pass to the next (see :class:`_Reserve`), instead of faulting in new
+ones at every grid point.  Worker 0 runs in the calling thread, and the
+other workers' threads live for one pass only.  Passes take turns, so no
+workspace is ever in two at once.  Nor does any step store through a
+data-dependent mask, which costs several times more on mixed cells than on
+uniform ones.  Workspaces change where values are stored, not how they are
+computed.
 
 A chunk's SNRs are its standard draw divided by minus each link's rate
 (``channel.scale_snrs``), and the draw depends on the seed and the chunk
@@ -82,16 +79,12 @@ from .protocols import (
 _POWER = "power scale"
 #: Draws per chunk: every chunk but a pass's last holds this many.
 CHUNK_SIZE = 100_000
-#: Draws a worker's workspace holds: a longer chunk is reduced a block at a
-#: time (see :func:`_chunk_sums`).  At least 129, where numpy's pairwise
-#: sum starts to split.
-BLOCK_SIZE = 50_000
 #: Chunks whose last standard draw the process keeps, whatever its seed,
 #: 1.6 MB each: one default pass of 1e6 draws.
 KEPT_CHUNKS = 10
 #: Most worker threads ``CRUL_THREADS`` may ask for.  Each worker has one
-#: block workspace, 3.45 MB, and up to 0.8 MB of index arrays while it
-#: reduces a block.  The threads end with the pass, and at most one
+#: chunk workspace, 3.6 MB, and up to 0.8 MB of index arrays while it
+#: reduces a chunk.  The threads end with the pass, and at most one
 #: workspace per CPU stays for the next (see :class:`_Reserve`).
 MAX_THREADS = 256
 #: Most draws one estimate may take: 1e5 chunks.
@@ -180,7 +173,7 @@ class _Reserve:
     """What Monte Carlo passes hand on to the next.  A pass holds
     :attr:`lock` from start to end.
 
-    The block workspaces: one per worker of the last pass, but never more
+    The chunk workspaces: one per worker of the last pass, but never more
     than ``os.cpu_count()``, the workers that can run at once.  The last
     standard draw of each of the first ``KEPT_CHUNKS`` chunks, whatever its
     seed, each in its own array of :attr:`draws`, made on its first draw,
@@ -202,7 +195,7 @@ class _Reserve:
         arena's memory could sit idle while another's fills.  A short pass
         leaves the pages it never writes unfaulted."""
         while len(self.workspaces) < n_workers:
-            self.workspaces.append(Workspace(BLOCK_SIZE))
+            self.workspaces.append(Workspace(CHUNK_SIZE))
         return self.workspaces[:n_workers]
 
     def standard_draw(
@@ -269,9 +262,9 @@ def draw_chunk(
 
 def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
     """The sum and the squared sum of one family's rates over one chunk's draws."""
-    rates = draws.buffer("rates")
+    rates, scratch = draws.buffer("rates"), draws.buffer("scratch")
     if family is _POWER:
-        rates = sic_power_factor_array(draws, draws.buffer("s2"))
+        rates = sic_power_factor_array(draws, scratch)
     elif family is ProtocolKind.CR_RSMA:
         rates = rsma_rate_arrays(draws, rates)
     elif family is ProtocolKind.CR_SIC:
@@ -279,49 +272,36 @@ def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
     elif family is ProtocolKind.BENCH_CSI:
         rates = csi_rate_array(draws)
     elif family is ProtocolKind.BENCH_QOS:
-        rates = qos_rate_array(draws, rates)
-    total = float(np.sum(rates))  # first: the power scale's rates are in "s2"
-    squares = np.square(rates, out=draws.buffer("s2"))
+        rates = qos_rate_array(draws, scratch)
+    total = float(np.sum(rates))  # first: some families' rates are in scratch
+    squares = np.square(rates, out=scratch)
     return total, float(np.sum(squares))
 
 
 #: The order a chunk reduces its families in, whatever order they are asked
-#: in.  The plain protocols' rates go into the one rates buffer: pure SIC
-#: builds the full-power rates there and writes its reduced cell over them,
-#: and rate splitting writes its band (which holds that cell) over pure
-#: SIC's rates last.  The power scale goes between them, into scratch, so
-#: the band's power scale, made once, serves it and then rate splitting.
+#: in.  The rates buffer holds the interference-limited log of ``bench-csi``
+#: first, then the full-power rates built over it, which ``bench-qos``
+#: multiplies by its admission into scratch; pure SIC writes its reduced
+#: cell over them, and rate splitting its band (which holds that cell)
+#: last.  The power scale goes between them, into scratch, so the band's
+#: power scale, made once, serves it and then rate splitting; by then no
+#: family reads the SNRs off the band.
 _KERNEL_ORDER = (
     ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS, ProtocolKind.CR_SIC, _POWER, ProtocolKind.CR_RSMA
 )
-
-
-def _split(count: int) -> int:
-    """Where numpy's pairwise sum splits ``count`` values, if more than 128:
-    half of them, rounded down to a multiple of 8."""
-    half = count // 2
-    return half - half % 8
 
 
 def _chunk_sums(scenario: ScenarioConfig, families, logs: np.ndarray, workspace: Workspace):
     """One chunk's sums, from its standard draw ``logs``, by family in the
     order of ``families``.
 
-    A chunk that ``workspace`` holds is classified once and reduced for each
-    family; the shared per-draw logs are computed once, by the first family
-    that reads them, and a pass builds one full-power array (see
-    :data:`_KERNEL_ORDER`).  A longer chunk is cut in two where numpy's
-    pairwise ``np.sum`` cuts it (:func:`_split`), each half is reduced the
-    same way, and their sums are added once: the bits ``np.sum`` gives over
-    the whole chunk.
+    The chunk is classified once in ``workspace``, which must hold it, and
+    reduced for each family; the shared per-draw logs are computed once, by
+    the first family that reads them, and a pass builds one full-power
+    array (see :data:`_KERNEL_ORDER`).
     """
-    count = logs.shape[1]
-    if count > workspace.capacity:
-        cut = _split(count)
-        halves = np.split(logs, [cut], axis=1)
-        left, right = (_chunk_sums(scenario, families, half, workspace) for half in halves)
-        return [(a + c, b + d) for (a, b), (c, d) in zip(left, right)]
     draws = _classify(scenario, logs, workspace)
+    draws.standard = logs, (scenario.lambda_pu, scenario.lambda_su)
     sums = {}
     for family in _KERNEL_ORDER:
         if family in families:

@@ -120,16 +120,13 @@ def switch_offset(gamma_su, theta: float):
 # ------------------------------------------------------------ workspace
 
 
-#: The named per-draw buffers of a workspace, by dtype.  Eight of floats:
-#: the two SNR draws, the interference-limited log, the clean log of the
-#: tolerant draws, a family's rates and three of scratch; the cells and
-#: rate splitting's cases, which :attr:`CellDraws.band` selects from;
-#: ``bench-qos``'s admission mask and two of scratch.  Scratch (``s*``,
-#: ``b*``) lives only inside one step of a rule, but for the band's power
-#: scale (see :meth:`CellDraws.band_scale`).
+#: The named per-draw buffers of a workspace, by dtype: the two SNR draws,
+#: the rates, where the classifier's ratio becomes each family's rates in
+#: turn, and scratch; the cells, ``bench-qos``'s admission mask and two
+#: masks of scratch.  Scratch lives only inside one step of a rule.
 _BUFFERS = {
-    np.float64: ("gamma_pu", "gamma_su", "interference", "clean", "rates", "s0", "s1", "s2"),
-    np.int8: ("cells", "cases"),
+    np.float64: ("gamma_pu", "gamma_su", "rates", "scratch"),
+    np.int8: ("cells",),
     np.bool_: ("admitted", "b0", "b1"),
 }
 
@@ -137,23 +134,20 @@ _BUFFERS = {
 class Workspace:
     """Per-draw buffers that one Monte Carlo worker keeps from pass to pass.
 
-    They are made at once, one block per dtype with room for ``capacity``
-    draws (a worker's hold half a chunk, ``montecarlo.BLOCK_SIZE``, and it
-    reduces a longer chunk a block at a time), and ``buffer(name, size)`` is
-    the first ``size`` entries of one.  The classifier and
-    :class:`CellDraws` keep every per-draw array in them, so draws
-    classified into a used workspace make no array of their size, and the
-    allocator has no pages to hand back to the system and fault in again
-    for the next block.  What is left in a workspace belongs to the last
-    draws classified into it; the standard draws they were scaled from are
-    not kept here (see ``montecarlo._Reserve``).
+    Each is its own array for ``capacity`` draws (a worker's hold a chunk),
+    under numpy's 4 MiB huge-page threshold at 1e5 draws: one 6.4 MB block
+    of every float row crossed it, for 12% more peak RSS.  The classifier
+    and :class:`CellDraws` keep every per-draw array in them, so a used
+    workspace makes no array of a chunk's size and has no pages to fault
+    in again for the next; what is left belongs to the last draws
+    classified into it.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._buffers: dict[str, np.ndarray] = {}
-        for dtype, names in _BUFFERS.items():
-            self._buffers.update(zip(names, np.empty((len(names), capacity), dtype)))
+        self._buffers = {
+            name: np.empty(capacity, dtype) for dtype, names in _BUFFERS.items() for name in names
+        }
 
     def buffer(self, name: str, size: int) -> np.ndarray:
         if size > self.capacity:
@@ -180,9 +174,9 @@ def sic_case_array(gamma_pu, gamma_su, theta: float, workspace: Workspace) -> np
     theta*(1 + gamma_su)`` off the same edge are left in ``workspace``.
     """
     size = gamma_pu.size
-    cells, ratio = workspace.buffer("cells", size), workspace.buffer("interference", size)
+    cells, ratio = workspace.buffer("cells", size), workspace.buffer("rates", size)
     mask, other = workspace.buffer("b0", size), workspace.buffer("b1", size)
-    scratch = workspace.buffer("s0", size)
+    scratch = workspace.buffer("scratch", size)
     np.divide(gamma_su, np.add(1.0, gamma_pu, out=ratio), out=ratio)
     if theta > 0.0:
         np.greater(ratio, tolerance_level(gamma_pu, theta, out=scratch), out=mask)
@@ -218,6 +212,13 @@ class CellDraws:
     Selections are index arrays from ``np.flatnonzero``: gathering and
     scattering by index is several times cheaper than by boolean mask,
     and a log is taken only on the draws that read it.
+
+    A Monte Carlo chunk sets :attr:`standard` to the standard draw its
+    SNRs were scaled from, ``(logs, (lambda_pu, lambda_su))``, and runs its
+    rules in ``montecarlo._KERNEL_ORDER``, each over the last in the rates
+    buffer and the full-power rates over the interference-limited log; the
+    band's SNRs are then rescaled from the standard draw into the spent SNR
+    buffers.  Other draws keep every array they hand out.
     """
 
     def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray, workspace: Workspace):
@@ -226,16 +227,15 @@ class CellDraws:
         self.theta = theta
         self.cells = cells
         self.workspace = workspace
-        self._band = self._tolerant = self._band_scale = None
-        self._interference_limited = self._clean = None
+        self.standard = None
+        self._band = self._band_scale = self._interference_limited = self._full_power = None
 
     def buffer(self, name: str, size: int | None = None) -> np.ndarray:
         """The workspace's named buffer, one entry per draw unless ``size`` says."""
         return self.workspace.buffer(name, self.cells.size if size is None else size)
 
-    def gather(self, values: np.ndarray, name: str, index=None) -> np.ndarray:
-        """``values[index]``, the band unless ``index`` says, into the named buffer."""
-        index = self.band if index is None else index
+    def gather(self, values: np.ndarray, name: str, index: np.ndarray) -> np.ndarray:
+        """``values[index]`` into the named buffer."""
         # In "raise" mode take() fills a copy before ``out``; these indices
         # are always in range, so "clip" never clips.
         return np.take(values, index, out=self.buffer(name, index.size), mode="clip")
@@ -249,27 +249,34 @@ class CellDraws:
         """Indices of rate splitting's split band, its case 1 by
         :func:`rsma_case_array`: the reduced and preferred cells."""
         if self._band is None:
-            cases = rsma_case_array(self.cells, self.buffer("cases"))
+            cases = rsma_case_array(self.cells, self.buffer("b1").view(np.int8))
             self._band = np.flatnonzero(np.equal(cases, 1, out=self.buffer("b0")))
         return self._band
 
     @property
     def tolerant(self) -> np.ndarray:
         """Indices of the tolerant cell, where the SU is decoded clean."""
-        if self._tolerant is None:
-            self._tolerant = self.cell(TOLERANT)
-        return self._tolerant
+        return self.cell(TOLERANT)
+
+    def band_snr(self, link: int, name: str) -> np.ndarray:
+        """The primary's (``link`` 0) or secondary's SNRs on the band; a
+        chunk's, into the named buffer from the standard draw, elementwise
+        the division ``channel.scale_snrs`` made."""
+        if self.standard is None:
+            return np.take((self.gamma_pu, self.gamma_su)[link], self.band)
+        logs, rates = self.standard
+        values = self.gather(logs[link], name, self.band)
+        return np.divide(values, -rates[link], out=values)
 
     def band_scale(self) -> tuple[np.ndarray, np.ndarray]:
         """The band's pure-SIC power scale ``(gamma_pu/theta - 1)/gamma_su``,
         one minus rate splitting's early fraction ``alpha``, and its
-        ``gamma_su``, in scratch "s0" and "s1".  Made once and kept there
-        until rate splitting's split writes over them, which drops them; no
-        other rule writes those two buffers."""
+        ``gamma_su``, in a chunk's SNR buffers.  Made once and kept until
+        rate splitting's split writes over them, which drops them."""
         if self._band_scale is None:
-            scale = self.gather(self.gamma_pu, "s0")
+            scale = self.band_snr(0, "gamma_pu")
             tolerance_level(scale, self.theta, out=scale)
-            band_su = self.gather(self.gamma_su, "s1")
+            band_su = self.band_snr(1, "gamma_su")
             self._band_scale = np.divide(scale, band_su, out=scale), band_su
         return self._band_scale
 
@@ -284,7 +291,7 @@ class CellDraws:
         """SU decoded first at full power: ``log2(1 + gamma_su/(1 + gamma_pu))``,
         the log taken of the classifier's ratio in place."""
         if self._interference_limited is None:
-            ratio = self.buffer("interference")
+            ratio = self.buffer("rates")
             np.add(1.0, ratio, out=ratio)
             self._interference_limited = np.log2(ratio, out=ratio)
         return self._interference_limited
@@ -293,18 +300,26 @@ class CellDraws:
     def clean(self) -> np.ndarray:
         """SU decoded after the PU at full power, ``log2(1 + gamma_su)``, on
         the tolerant cell only: one value per index of :attr:`tolerant`."""
-        if self._clean is None:
-            clean = self.gather(self.gamma_su, "clean", self.tolerant)
-            np.add(1.0, clean, out=clean)
-            self._clean = np.log2(clean, out=clean)
-        return self._clean
+        return self._clean(self.tolerant)
+
+    def _clean(self, tolerant: np.ndarray) -> np.ndarray:
+        clean = self.gather(self.gamma_su, "scratch", tolerant)
+        return np.log2(np.add(1.0, clean, out=clean), out=clean)
 
     def full_power(self, out: np.ndarray) -> np.ndarray:
-        """The full-power SU rate, clean where tolerant, into ``out``: the
-        interference-limited log with the clean log scattered over it."""
-        np.copyto(out, self.interference_limited)
-        out[self.tolerant] = self.clean
-        return out
+        """The full-power SU rate, clean where tolerant: the interference-limited
+        log with the clean log scattered over it, into ``out``, or once in
+        place over the log for a chunk."""
+        rates = self.interference_limited
+        if self.standard is None:
+            np.copyto(out, rates)
+            rates = out
+        elif self._full_power:
+            return rates
+        tolerant = self.tolerant
+        rates[tolerant] = self._clean(tolerant)
+        self._full_power = True  # read only for a chunk
+        return rates
 
 
 # -------------------------------------------------------------- the rules
@@ -314,11 +329,12 @@ class CellDraws:
 
 def _split_powers(draws: CellDraws):
     """Rate splitting's early fraction ``alpha``, late-part SNR and SU SNR,
-    on the band, in the scratch buffers."""
+    on the band, over the band scale and in a chunk's scratch."""
     scale, band_su = draws.band_scale()
     draws._band_scale = None  # written over below
     alpha = np.subtract(1.0, scale, out=scale)
-    late_power = np.subtract(1.0, alpha, out=draws.buffer("s2", scale.size))
+    out = None if draws.standard is None else draws.buffer("scratch", scale.size)
+    late_power = np.subtract(1.0, alpha, out=out)
     return alpha, np.multiply(late_power, band_su, out=late_power), band_su
 
 
@@ -333,7 +349,7 @@ def rsma_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """
     alpha, late_power, band_su = _split_powers(draws)
     early = np.multiply(alpha, band_su, out=alpha)
-    room = draws.gather(draws.gamma_pu, "s1")  # over band_su, now spent
+    room = draws.band_snr(0, "gamma_su")  # over band_su, now spent
     np.add(np.add(room, late_power, out=room), 1.0, out=room)
     np.divide(early, room, out=early)
     np.log2(np.add(1.0, early, out=early), out=early)
@@ -347,7 +363,7 @@ def sic_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
     rates = draws.full_power(out)
     reduced = draws.cell(REDUCED)
-    backed_off = draws.gather(draws.gamma_pu, "s2", reduced)
+    backed_off = draws.gather(draws.gamma_pu, "scratch", reduced)
     np.divide(backed_off, draws.theta, out=backed_off)
     rates[reduced] = np.log2(backed_off, out=backed_off)
     return rates
@@ -388,7 +404,7 @@ def csi_rate_array(draws: CellDraws) -> np.ndarray:
 
 def qos_rate_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
     """SU rates of ``bench-qos``: the clean rate where admitted, else silent,
-    as the tolerant cell's clean log (zero elsewhere) times the admission."""
-    out.fill(0.0)
-    out[draws.tolerant] = draws.clean
-    return np.multiply(out, draws.qos_admitted, out=out)
+    as the full-power rates times the admission.  Admission lies inside the
+    tolerant cell, and every full-power rate is finite and at least +0, so
+    the product is +0 off it."""
+    return np.multiply(draws.full_power(out), draws.qos_admitted, out=out)

@@ -216,17 +216,21 @@ def e1_cf_factor(x):
     ``E1(x) = exp(-x) K``, ``x > 4``.  Scalars or arrays.
 
     It is evaluated backward, from the tail up, at the depth
-    :data:`_CF_DEPTHS` sets for the smallest argument, so an array takes
-    each step for all its elements at once.  A larger element runs deeper
-    than its scalar would, and may differ from it in the last bit.  A
-    non-finite result raises.
+    :data:`_CF_DEPTHS` sets for each argument.  An array takes each step
+    for all its elements at once, from the depth of its smallest, and the
+    elements past each bound start over at that bound's depth, so each
+    element has its scalar's bits.  A non-finite result raises.
     """
     scalar = isinstance(x, float)
     # ``initial`` lets through an empty array: every argument may be a series one.
     smallest = x if scalar else np.min(x, initial=math.inf)
-    depth = _CF_DEPTHS[bisect.bisect(_CF_BOUNDS, smallest)]
+    level = bisect.bisect(_CF_BOUNDS, smallest)
+    depth = _CF_DEPTHS[level]
+    starts = {} if scalar else dict(zip(_CF_DEPTHS[level + 1:], _CF_BOUNDS[level:]))
     t = x + (2 * depth + 1)
     for k in range(depth, 0, -1):
+        if k in starts:
+            t = np.where(x >= starts[k], x + (2 * k + 1), t)
         t = (x + (2 * k - 1)) - k * k / t
     value = 1.0 / t
     if not (math.isfinite(value) if scalar else np.isfinite(value).all()):

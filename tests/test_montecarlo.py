@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crul import montecarlo
+from crul import montecarlo, protocols
 from crul.channel import ScenarioConfig, sample_snrs, scale_snrs
 from crul.montecarlo import (
-    BLOCK_SIZE,
     CHUNK_SIZE,
     KEPT_CHUNKS,
     MAX_SAMPLES,
@@ -371,17 +370,6 @@ class TestChunkFold:
             total = _estimate(protocol, SCENARIO_20DB, mc).value
         assert total == math.fsum(sums) / mc.n_samples
 
-    @pytest.mark.parametrize("count", [2, 3_000, 50_000, 50_001, 99_999, 100_000])
-    def test_the_halves_sum_as_np_sum_of_the_whole_chunk(self, count):
-        """A chunk longer than a workspace is reduced in two halves, cut
-        where numpy's pairwise sum cuts it, and their sums added once are
-        ``np.sum`` over the whole chunk, bit for bit.  Should numpy cut
-        elsewhere, this names the cause before any golden file moves."""
-        rates = np.log2(1.0 + np.random.default_rng(count).exponential(100.0, count))
-        cut = montecarlo._split(count)
-        halves = float(np.sum(rates[:cut])) + float(np.sum(rates[cut:]))
-        assert halves.hex() == float(np.sum(rates)).hex()
-
 
 def _case_means(protocol, scenario, mc):
     """Restricted mean of each admission case, from the chunk draws:
@@ -504,7 +492,7 @@ def _bits(chunk):
 
 class TestWorkspace:
     def test_a_reused_workspace_leaks_nothing_into_the_next_chunk(self):
-        """One worker's block workspace runs chunks whose cells differ (theta
+        """One worker's chunk workspace runs chunks whose cells differ (theta
         = 0 included), plain and boosted passes and a short last chunk, each
         right after another; every sum must equal the sum the same chunk
         gives whole in a new workspace, bit for bit."""
@@ -515,7 +503,7 @@ class TestWorkspace:
         ]
         mc = McConfig(n_samples=250_001, seed=21)
         first, second, short = enumerate(mc.chunk_counts())
-        workspace = Workspace(BLOCK_SIZE)
+        workspace = Workspace(CHUNK_SIZE)
         for index, count in (first, short, second):
             logs = montecarlo._standard_draw(mc.seed, index, count)
             for scenario in scenarios:
@@ -525,12 +513,50 @@ class TestWorkspace:
                     fresh = montecarlo._chunk_sums(target, families, logs, Workspace(count))
                     assert _bits(reused) == _bits(fresh), (target, families, count)
 
+    @pytest.mark.parametrize("count", [2, 3_000, 50_000, 50_001, 99_999, 100_000])
+    def test_a_used_workspace_sums_as_np_sum_over_new_arrays(self, count):
+        """A chunk reduced in a used chunk workspace gives every family's
+        ``np.sum`` of its rates and of their squares over new arrays holding
+        the whole chunk, bit for bit: should numpy's pairwise sum cut the
+        kernel's buffers elsewhere than a new array, this names the cause
+        before any golden file moves."""
+        workspace = Workspace(CHUNK_SIZE)
+        montecarlo._chunk_sums(
+            SCENARIO_20DB, PLAIN, montecarlo._standard_draw(7, 1, CHUNK_SIZE), workspace
+        )
+        logs = montecarlo._standard_draw(7, 0, count)
+        reused = montecarlo._chunk_sums(SCENARIO_20DB, PLAIN, logs, workspace)
+        expected = []
+        for family in PLAIN:
+            draws = draw_chunk(SCENARIO_20DB, 7, 0, count, Workspace(count))
+            if family is montecarlo._POWER:
+                rates = sic_power_factor_array(draws, np.empty(count))
+            else:
+                rates = _rates(family, draws)
+            expected.append((np.sum(rates), np.sum(np.square(rates))))
+        assert _bits(reused) == _bits(expected)
+
+    def test_every_buffer_is_its_own_array_under_the_huge_page_threshold(self):
+        """numpy asks for transparent huge pages for any array of 4 MiB or
+        more.  One block of every float row of a chunk workspace, 6.4 MB,
+        was backed by 2 MB pages, and a figure's peak RSS rose 12% for it;
+        each buffer is its own array below that threshold."""
+        workspace = Workspace(CHUNK_SIZE)
+        bases = {}
+        for names in protocols._BUFFERS.values():
+            for name in names:
+                buffer = workspace.buffer(name, CHUNK_SIZE)
+                base = buffer if buffer.base is None else buffer.base
+                assert base.nbytes < 1 << 22, name
+                bases[id(base)] = name
+        assert len(bases) == sum(map(len, protocols._BUFFERS.values()))
+
     def test_a_used_workspace_makes_no_chunk_sized_temporaries(self):
         """After a warm-up chunk, a plain and a boosted chunk of 1e5 draws
-        in the same block workspace allocate under 1 MB at their peak.  Only
+        in the same chunk workspace allocate under 1 MB at their peak.  Only
         index selections remain; with the chunk-sized temporaries of every
         step the peak was 7.4 MB."""
-        workspace = Workspace(BLOCK_SIZE)
+        workspace = Workspace(CHUNK_SIZE)
         boosted = SCENARIO_20DB.with_secondary_snr_scaled(2.0)
         first, second = (montecarlo._standard_draw(1, index, 100_000) for index in (0, 1))
         montecarlo._chunk_sums(SCENARIO_20DB, PLAIN, first, workspace)
@@ -695,7 +721,7 @@ class TestKeptWorkspaces:
         monkeypatch.setenv("CRUL_THREADS", "2")
         mc = McConfig(n_samples=400_000, seed=4)
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        assert made_workspaces == [BLOCK_SIZE] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
         for call in (
             lambda: sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL),
             lambda: estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc),
@@ -710,7 +736,7 @@ class TestKeptWorkspaces:
             assert (on_caller, on_pool) == ({0, 2}, {1, 3})
             assert _mc_threads() == []
             assert threading.active_count() == running
-        assert made_workspaces == [BLOCK_SIZE] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
 
     def test_warm_calls_take_few_page_faults(self, monkeypatch, fresh_reserve):
         """Three warm grid points of 1e6 draws on two threads fault in under
@@ -732,7 +758,7 @@ class TestKeptWorkspaces:
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, mc)
         estimate(ProtocolKind.CR_SIC, SCENARIO_20DB, replace(mc, seed=7))
         sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
-        assert made_workspaces == [BLOCK_SIZE]
+        assert made_workspaces == [CHUNK_SIZE]
         assert len(montecarlo._reserve.workspaces) == 1
 
     def test_a_serial_call_after_a_pooled_one_adds_no_workspace(
@@ -745,7 +771,7 @@ class TestKeptWorkspaces:
         pooled = sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL)
         monkeypatch.setenv("CRUL_THREADS", "1")
         assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == pooled
-        assert made_workspaces == [BLOCK_SIZE] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
         assert len(montecarlo._reserve.workspaces) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -771,7 +797,7 @@ class TestKeptWorkspaces:
     ):
         """Passes below one chunk and passes of several chunks, in turn on
         two threads, each give their serial value, and all of them run in
-        the same two workspaces of one block each."""
+        the same two workspaces of one chunk each."""
         short = McConfig(n_samples=640, seed=11)
         long = McConfig(n_samples=250_001, seed=11)
         with mock.patch.object(montecarlo, "_reserve", montecarlo._Reserve()):
@@ -780,8 +806,8 @@ class TestKeptWorkspaces:
         monkeypatch.setenv("CRUL_THREADS", "2")
         for mc in (short, long, short, long):
             assert sample_point(SCENARIO_20DB, mc, EVERY_PROTOCOL) == serial[mc]
-        assert made_workspaces == [BLOCK_SIZE] * 2
-        assert [w.capacity for w in montecarlo._reserve.workspaces] == [BLOCK_SIZE] * 2
+        assert made_workspaces == [CHUNK_SIZE] * 2
+        assert [w.capacity for w in montecarlo._reserve.workspaces] == [CHUNK_SIZE] * 2
 
     def test_two_python_threads_sampling_at_once(self, monkeypatch, chunk_index):
         """Two callers share the kept workspaces by taking turns: a pass holds

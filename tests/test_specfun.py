@@ -248,7 +248,11 @@ def test_series_over_an_array_is_the_scalar_series_bit_for_bit():
 
 
 def test_continued_fraction_over_an_array_is_the_scalar_one_bit_for_bit():
-    x = np.concatenate([np.geomspace(4.0 + 1e-12, 745.0, 300), [5.0, 5.0]])
+    # Every element runs at its own depth, also just above each switch.
+    x = np.concatenate([
+        np.geomspace(4.0 + 1e-12, 745.0, 300), [5.0, 5.0],
+        [4.5], np.linspace(6.0, 14.0, 4001), np.linspace(29.0, 102.0, 2001),
+    ])
     np.testing.assert_array_equal(e1_cf_factor(x), [e1_cf_factor(float(v)) for v in x])
 
 
@@ -298,17 +302,9 @@ def test_continued_fraction_matches_frozen_references(x, expected):
 
 
 def test_continued_fraction_over_an_array_matches_frozen_references():
-    # One array runs every point at the depth of its smallest, 4 + 1e-12.
+    # One array, whose smallest element, 4 + 1e-12, sets the deepest start.
     x, expected = (np.array(values) for values in zip(*sorted(E1_SCALED.items())))
     np.testing.assert_allclose(e1_cf_factor(x), expected, rtol=4.5e-16, atol=0.0)
-
-
-def test_continued_fraction_over_an_array_is_within_an_ulp_of_the_scalar():
-    # An array runs its larger elements deeper than their scalar depth,
-    # which can round the last bit the other way just above a switch.
-    x = np.concatenate([[4.5], np.linspace(6.0, 14.0, 4001), np.linspace(29.0, 102.0, 2001)])
-    scalar = np.array([e1_cf_factor(float(v)) for v in x])
-    np.testing.assert_array_less(np.abs(e1_cf_factor(x) - scalar), np.spacing(scalar) * 1.5)
 
 
 def per_term_series(x):
