@@ -10,8 +10,8 @@ step factor round an ulp off one.  Each value is evaluated by mpmath at
 ``E1_SCALED`` and holds the fraction to it within two ulp; replace that
 block with this script's output, never by hand.
 
-mpmath must be installed, but no extra of ``pyproject.toml`` declares it:
-the tests read the printed table and never import it.
+mpmath comes with the ``refs`` extra of ``pyproject.toml`` (``pip install
+-e .[refs]``); the tests read the printed table and never import it.
 
     python scripts/e1_references.py
 """

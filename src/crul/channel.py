@@ -60,9 +60,11 @@ class ScenarioConfig:
     """A two-user scenario: both SNRs' exponential rates and the primary's
     protection SINR ``theta``.
 
-    Each value is a positive finite number, except that ``theta`` may be 0
-    (a primary with no rate target).  Every rate computed from a scenario
-    is per unit bandwidth, a spectral efficiency.
+    Each value is a finite number of at least ``1e-300``, except that
+    ``theta`` may be 0 (a primary with no rate target): below that, an SNR
+    draw or the classifier's ``gamma_pu/theta`` can overflow to inf.  Every
+    rate computed from a scenario is per unit bandwidth, a spectral
+    efficiency.
     """
 
     lambda_pu: float
@@ -74,8 +76,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if name == "theta" and value == 0.0:
                 continue  # a primary with no rate target: only the clear channel
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 1e-300):
+                raise ValueError(f"{name} must be a finite number >= 1e-300, got {value!r}")
 
     @classmethod
     def from_snr_db(

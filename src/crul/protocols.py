@@ -296,16 +296,6 @@ class CellDraws:
             self._interference_limited = np.log2(ratio, out=ratio)
         return self._interference_limited
 
-    @property
-    def clean(self) -> np.ndarray:
-        """SU decoded after the PU at full power, ``log2(1 + gamma_su)``, on
-        the tolerant cell only: one value per index of :attr:`tolerant`."""
-        return self._clean(self.tolerant)
-
-    def _clean(self, tolerant: np.ndarray) -> np.ndarray:
-        clean = self.gather(self.gamma_su, "scratch", tolerant)
-        return np.log2(np.add(1.0, clean, out=clean), out=clean)
-
     def full_power(self, out: np.ndarray) -> np.ndarray:
         """The full-power SU rate, clean where tolerant: the interference-limited
         log with the clean log scattered over it, into ``out``, or once in
@@ -317,7 +307,8 @@ class CellDraws:
         elif self._full_power:
             return rates
         tolerant = self.tolerant
-        rates[tolerant] = self._clean(tolerant)
+        clean = self.gather(self.gamma_su, "scratch", tolerant)
+        rates[tolerant] = np.log2(np.add(1.0, clean, out=clean), out=clean)
         self._full_power = True  # read only for a chunk
         return rates
 

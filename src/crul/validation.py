@@ -3,9 +3,11 @@
 Each numbered criterion lives in its own function and returns a
 :class:`CheckResult`, so the CLI and the acceptance test suite share one
 implementation: the CLI prints a line per result, the tests assert on the
-same objects at their full budgets.  :func:`run_all` runs the battery in
-order and also returns the closed-form deviation report produced along
-the way (criterion 5), ready to be dumped as JSON.
+same objects at their full budgets.  Each check declares its bar once,
+in its :func:`_check` decorator, which times the body and applies the
+bar; the body returns only what it measured.  :func:`run_all` runs the
+battery in order and also returns the closed-form deviation report
+produced along the way (criterion 5), ready to be dumped as JSON.
 
 The checks deliberately cross implementations: quadrature and special
 functions are judged against frozen independent references, the Monte
@@ -16,6 +18,7 @@ and the CLI against itself under different thread counts.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -71,6 +74,31 @@ class CheckResult:
     detail: str = ""
 
 
+def _check(id: int, name: str, tolerance: float):
+    """Make a check body into release check ``id``.
+
+    The body returns ``(measured, holds, detail)``, where ``holds`` carries
+    the check's conditions other than its bar; criterion 5's body returns
+    its deviation report after them, handed back beside the result.  The
+    check passes only when they hold and ``measured`` is within
+    ``tolerance``, so a NaN measurement fails.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            start = time.perf_counter()
+            measured, holds, detail, *report = body(*args, **kwargs)
+            runtime_s = time.perf_counter() - start
+            passed = bool(holds and measured <= tolerance)
+            result = CheckResult(id, name, passed, measured, tolerance, runtime_s, detail)
+            return (result, *report) if report else result
+
+        return check
+
+    return decorate
+
+
 def _scenario(snr_db: float, secondary_db: float | None = None) -> ScenarioConfig:
     return ScenarioConfig.from_snr_db(
         snr_db, snr_db if secondary_db is None else secondary_db
@@ -89,13 +117,13 @@ def _draw_chunks(scenario: ScenarioConfig, seed: int, samples: int):
 # --------------------------------------------------------------- criterion 1
 
 
+@_check(1, "quadrature moment exactness", tolerance=1e-10)
 def criterion_quadrature() -> CheckResult:
     """An n-point rule must integrate x^k e^{-x} to k! for all k <= 2n-1.
 
     Sums run in log space because the linear weights underflow long before
     order 100; the comparison target log(k!) comes from ``math.lgamma``.
     """
-    start = time.perf_counter()
     worst = 0.0
     for order in _QUADRATURE_ORDERS:
         rule = gauss_laguerre(order)
@@ -106,15 +134,7 @@ def criterion_quadrature() -> CheckResult:
             log_moment = peak + math.log(float(np.exp(log_terms - peak).sum()))
             deviation = abs(math.expm1(log_moment - math.lgamma(power + 1)))
             worst = max(worst, deviation)
-    return CheckResult(
-        id=1,
-        name="quadrature moment exactness",
-        passed=worst <= 1e-10,
-        measured=worst,
-        tolerance=1e-10,
-        runtime_s=time.perf_counter() - start,
-        detail=f"orders {_QUADRATURE_ORDERS}, every moment up to degree 2n-1",
-    )
+    return worst, True, f"orders {_QUADRATURE_ORDERS}, every moment up to degree 2n-1"
 
 
 # --------------------------------------------------------------- criterion 2
@@ -130,35 +150,29 @@ _EI_NEGATIVE_REFERENCE = {
     20.0: -9.8355252906498816904e-11,
     100.0: -3.6835977616820321802e-46,
 }
+#: Criterion 2's bar, relative; its detail line prints it too.
+_EI_TOLERANCE = 1e-12
 
 
+@_check(2, "exponential integral accuracy", tolerance=_EI_TOLERANCE)
 def criterion_special_functions() -> CheckResult:
     """Negative-axis exponential integral vs. the frozen reference table.
 
     Minus each entry is ``E1(x)`` to 30 digits, so the deviation is also
-    that of ``Ei(-x) == -E1(x)``, held to 1e-12 relative, the bar the check
-    reports, since the identity has no cancellation to hide behind.
+    that of ``Ei(-x) == -E1(x)``, held to ``_EI_TOLERANCE`` relative, since
+    the identity has no cancellation to hide behind.
     """
-    start = time.perf_counter()
-    tolerance = 1e-12
     worst = max(
         abs(expint_ei(-x) - reference) / abs(reference)
         for x, reference in _EI_NEGATIVE_REFERENCE.items()
     )
-    return CheckResult(
-        id=2,
-        name="exponential integral accuracy",
-        passed=bool(worst <= tolerance),
-        measured=worst,
-        tolerance=tolerance,
-        runtime_s=time.perf_counter() - start,
-        detail=f"identity vs 30-digit E1 deviates {worst:.3g} (limit {tolerance:g})",
-    )
+    return worst, True, f"identity vs 30-digit E1 deviates {worst:.3g} (limit {_EI_TOLERANCE:g})"
 
 
 # --------------------------------------------------------------- criterion 3
 
 
+@_check(3, "primary-user protection", tolerance=0.0)
 def criterion_pu_protection(seed: int = 0, samples: int = 10**6) -> CheckResult:
     """Whenever the primary link can stand alone, its rate must be kept.
 
@@ -166,7 +180,6 @@ def criterion_pu_protection(seed: int = 0, samples: int = 10**6) -> CheckResult:
     leaves the primary below ``log2(1 + theta)`` (minus a rounding
     allowance).  The pass bar is exactly zero violations.
     """
-    start = time.perf_counter()
     violations = 0
     protected_draws = 0
     worst_margin = math.inf
@@ -182,23 +195,16 @@ def criterion_pu_protection(seed: int = 0, samples: int = 10**6) -> CheckResult:
                 if covered.size:
                     worst_margin = min(worst_margin, float(covered.min()) - floor)
                     violations += int(np.count_nonzero(covered < floor))
-    return CheckResult(
-        id=3,
-        name="primary-user protection",
-        passed=violations == 0,
-        measured=float(violations),
-        tolerance=0.0,
-        runtime_s=time.perf_counter() - start,
-        detail=(
-            f"{protected_draws} protected draws per protocol across 10/20/30 dB; "
-            f"worst margin above floor {worst_margin:.3g}"
-        ),
+    return float(violations), True, (
+        f"{protected_draws} protected draws per protocol across 10/20/30 dB; "
+        f"worst margin above floor {worst_margin:.3g}"
     )
 
 
 # --------------------------------------------------------------- criterion 4
 
 
+@_check(4, "rate-splitting dominance", tolerance=1e-12)
 def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     """Rate splitting never trails pure SIC on shared channel draws.
 
@@ -208,7 +214,6 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     protocols act alike, so the gap is rate splitting's band term less
     pure SIC's reduced-power and preferred-order terms, which tile it.
     """
-    start = time.perf_counter()
     scenario = _scenario(20.0)
     worst_gap = -math.inf
     band_draws = 0
@@ -224,24 +229,16 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     ergodic_gap = (
         case_terms(ProtocolKind.CR_RSMA, scenario)["band"] - cells["reduced"] - cells["preferred"]
     )
-    passed = worst_gap <= 1e-12 and band_ties == 0 and ergodic_gap >= -1e-6
-    return CheckResult(
-        id=4,
-        name="rate-splitting dominance",
-        passed=passed,
-        measured=worst_gap,
-        tolerance=1e-12,
-        runtime_s=time.perf_counter() - start,
-        detail=(
-            f"{band_draws} split-band draws, {band_ties} non-strict; "
-            f"ergodic gap {ergodic_gap:.6g}"
-        ),
+    return worst_gap, band_ties == 0 and ergodic_gap >= -1e-6, (
+        f"{band_draws} split-band draws, {band_ties} non-strict; "
+        f"ergodic gap {ergodic_gap:.6g}"
     )
 
 
 # --------------------------------------------------------------- criterion 5
 
 
+@_check(5, "closed forms vs integration oracle", tolerance=1e-3)
 def criterion_analytic_oracle(
     grid: tuple[float, ...] = ANALYTIC_GRID_DB,
 ) -> tuple[CheckResult, dict]:
@@ -250,7 +247,6 @@ def criterion_analytic_oracle(
     route is tabulated against its term oracle, and routes off by more
     than the report threshold are listed with their alternative values.
     """
-    start = time.perf_counter()
     scenarios = {f"gamma0_{db:g}db": _scenario(db) for db in grid}
     report = deviation_report(scenarios)
     worst = 0.0
@@ -264,25 +260,18 @@ def criterion_analytic_oracle(
             if deviation > worst:
                 worst, worst_at = deviation, f"{protocol.value} at {label}"
     stated = sum(flag["route"] == "stated" for flag in report["flagged"])
-    check = CheckResult(
-        id=5,
-        name="closed forms vs integration oracle",
-        passed=worst <= 1e-3,
-        measured=worst,
-        tolerance=1e-3,
-        runtime_s=time.perf_counter() - start,
-        detail=(
-            f"worst total deviation {worst_at}; "
-            f"{stated} as-printed and {len(report['flagged']) - stated} other "
-            "route(s) past 1% tabulated"
-        ),
+    detail = (
+        f"worst total deviation {worst_at}; "
+        f"{stated} as-printed and {len(report['flagged']) - stated} other "
+        "route(s) past 1% tabulated"
     )
-    return check, report
+    return worst, True, detail, report
 
 
 # --------------------------------------------------------------- criterion 6
 
 
+@_check(6, "Monte Carlo vs oracle", tolerance=3.0)
 def criterion_mc_consistency(
     seed: int = 0,
     samples: int = 10**6,
@@ -295,7 +284,6 @@ def criterion_mc_consistency(
     folding in scale-estimation noise.  The plain protocols of a grid
     point come from one sampling pass, the pinned one from a second.
     """
-    start = time.perf_counter()
     mc = McConfig(n_samples=samples, seed=seed)
     plain = tuple(p for p in ProtocolKind if p is not ProtocolKind.CR_SIC_NORM)
     worst_sigma = 0.0
@@ -317,20 +305,13 @@ def criterion_mc_consistency(
             if sigma > worst_sigma:
                 worst_sigma = sigma
                 worst_at = f"{protocol.value} at {snr_db:g} dB"
-    return CheckResult(
-        id=6,
-        name="Monte Carlo vs oracle",
-        passed=worst_sigma <= 3.0,
-        measured=worst_sigma,
-        tolerance=3.0,
-        runtime_s=time.perf_counter() - start,
-        detail=f"worst deviation {worst_at} ({samples} samples per point)",
-    )
+    return worst_sigma, True, f"worst deviation {worst_at} ({samples} samples per point)"
 
 
 # --------------------------------------------------------------- criterion 7
 
 
+@_check(7, "equal-SNR sweep ordering", tolerance=1e-9)
 def criterion_figure2_shape(
     seed: int = 0,
     samples: int = 10**6,
@@ -342,7 +323,6 @@ def criterion_figure2_shape(
     (strictly splitting > SIC at 20 dB), and the estimated mean power
     scale must fall monotonically along the grid within sampling noise.
     """
-    start = time.perf_counter()
     if 20.0 not in grid:
         raise ValueError("grid must contain the 20 dB reference point")
     mc = McConfig(n_samples=samples, seed=seed)
@@ -366,24 +346,16 @@ def criterion_figure2_shape(
         later - earlier <= 3.0 * math.hypot(se_earlier, se_later)
         for (earlier, se_earlier), (later, se_later) in zip(scales, scales[1:])
     )
-    passed = worst_violation <= 1e-9 and strict_gap_20db > 0.0 and monotone
-    return CheckResult(
-        id=7,
-        name="equal-SNR sweep ordering",
-        passed=passed,
-        measured=worst_violation,
-        tolerance=1e-9,
-        runtime_s=time.perf_counter() - start,
-        detail=(
-            f"strict gap at 20 dB {strict_gap_20db:.3g}; mean power scale "
-            f"{'is' if monotone else 'is NOT'} non-increasing over {len(grid)} points"
-        ),
+    return worst_violation, strict_gap_20db > 0.0 and monotone, (
+        f"strict gap at 20 dB {strict_gap_20db:.3g}; mean power scale "
+        f"{'is' if monotone else 'is NOT'} non-increasing over {len(grid)} points"
     )
 
 
 # --------------------------------------------------------------- criterion 8
 
 
+@_check(8, "strong-primary asymptote", tolerance=0.01)
 def criterion_figure3_asymptote() -> CheckResult:
     """Strong-primary limit of the fixed-secondary sweep.
 
@@ -391,7 +363,6 @@ def criterion_figure3_asymptote() -> CheckResult:
     interference-free secondary rate; at 10 dB the cognitive protocols
     must beat the hard QoS gate by a clear margin.
     """
-    start = time.perf_counter()
     secondary_db = 20.0
     ceiling_scenario = _scenario(60.0, secondary_db)
     # With no rate target the QoS gate admits every draw: its rate is the
@@ -412,22 +383,15 @@ def criterion_figure3_asymptote() -> CheckResult:
         protocol.value: ergodic_rate_oracle(protocol, low_scenario) / gated
         for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC)
     }
-    passed = worst_gap <= 0.01 and all(r >= 1.1 for r in low_ratios.values())
     ratio_text = ", ".join(f"{k} {v:.3f}x" for k, v in sorted(low_ratios.items()))
-    return CheckResult(
-        id=8,
-        name="strong-primary asymptote",
-        passed=passed,
-        measured=worst_gap,
-        tolerance=0.01,
-        runtime_s=time.perf_counter() - start,
-        detail=f"vs QoS at 10 dB: {ratio_text} (need >= 1.1x)",
-    )
+    holds = all(r >= 1.1 for r in low_ratios.values())
+    return worst_gap, holds, f"vs QoS at 10 dB: {ratio_text} (need >= 1.1x)"
 
 
 # --------------------------------------------------------------- criterion 9
 
 
+@_check(9, "parallel sweep determinism", tolerance=0.0)
 def criterion_parallel_determinism(seed: int = 7, samples: int = 10**6) -> CheckResult:
     """Sweep output must be byte-identical across worker-thread counts.
 
@@ -436,7 +400,6 @@ def criterion_parallel_determinism(seed: int = 7, samples: int = 10**6) -> Check
     """
     from . import cli  # imported here: cli already imports this module
 
-    start = time.perf_counter()
     outputs: dict[int, bytes] = {}
     previous = os.environ.get("CRUL_THREADS")
     try:
@@ -465,16 +428,8 @@ def criterion_parallel_determinism(seed: int = 7, samples: int = 10**6) -> Check
             os.environ.pop("CRUL_THREADS", None)
         else:
             os.environ["CRUL_THREADS"] = previous
-    distinct = len(set(outputs.values()))
-    return CheckResult(
-        id=9,
-        name="parallel sweep determinism",
-        passed=distinct == 1,
-        measured=float(distinct - 1),
-        tolerance=0.0,
-        runtime_s=time.perf_counter() - start,
-        detail=f"threads 1/4/16, {samples} samples, {len(outputs[1])} bytes each",
-    )
+    detail = f"threads 1/4/16, {samples} samples, {len(outputs[1])} bytes each"
+    return float(len(set(outputs.values())) - 1), True, detail
 
 
 # ------------------------------------------------------------------ battery

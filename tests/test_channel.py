@@ -139,11 +139,17 @@ def test_scenario_rejects_bad_values(name, bad):
         ScenarioConfig(**{**values, name: bad})
 
 
-@pytest.mark.parametrize("name", ["lambda_pu", "lambda_su"])
-def test_scenario_rejects_a_zero_rate(name):
+@pytest.mark.parametrize(
+    "name,value",
+    [(name, value) for name in ("lambda_pu", "lambda_su") for value in (0.0, 1e-310, 5e-324)]
+    + [("theta", 1e-310), ("theta", 5e-324)],
+)
+def test_scenario_rejects_a_zero_rate(name, value):
+    # Below 1e-300 a rate's SNR draws, or the classifier's gamma_pu/theta,
+    # can overflow to inf.  A theta of 0 is allowed: no rate target.
     values = dict(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
     with pytest.raises(ValueError, match=name):
-        ScenarioConfig(**{**values, name: 0.0})
+        ScenarioConfig(**{**values, name: value})
 
 
 def test_scenario_allows_no_protection():

@@ -42,4 +42,11 @@ def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert [requirement.split(">=")[0] for requirement in project["dependencies"]] == ["numpy"]
-    assert "scipy>=1.9" in project["optional-dependencies"]["test"]
+    extras = project["optional-dependencies"]
+    assert "scipy>=1.9" in extras["test"]
+    # mpmath only makes the reference tables, in the extra of their scripts.
+    declares_mpmath = {
+        name for name, requirements in extras.items()
+        if any(requirement.startswith("mpmath") for requirement in requirements)
+    }
+    assert declares_mpmath == {"refs"}

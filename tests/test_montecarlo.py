@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -328,6 +329,26 @@ class TestEstimate:
         mc = McConfig(n_samples=10, seed=0)
         with pytest.raises(ValueError, match="power scale must be > 0"):
             sample_point(SCENARIO_20DB, mc, [ProtocolKind.CR_SIC_NORM])
+
+    @pytest.mark.parametrize("field", ["lambda_pu", "lambda_su", "theta"])
+    def test_each_value_at_the_scenario_floor_gives_finite_rows(self, field):
+        # At 1e-300 no SNR draw, and no gamma_pu/theta, overflows.  The
+        # normalized row boosts the secondary's mean SNR, so at lambda_su's
+        # floor its scenario would fall below the floor and is refused.
+        values = dict(lambda_pu=1.0, lambda_su=1.0, theta=1.0)
+        scenario = ScenarioConfig(**{**values, field: 1e-300})
+        normalized = field == "lambda_su"
+        protocols = [p for p in ProtocolKind if not (normalized and p is ProtocolKind.CR_SIC_NORM)]
+        mc = McConfig(n_samples=1_000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates, scale = sample_point(scenario, mc, protocols)
+        assert set(estimates) == set(protocols)
+        for result in (*estimates.values(), scale):
+            assert math.isfinite(result.value) and math.isfinite(result.stderr)
+        if normalized:
+            with pytest.raises(ValueError, match="lambda_su"):
+                sample_point(scenario, mc, [ProtocolKind.CR_SIC_NORM])
 
 
 # ------------------------------------------------------------ the chunk fold

@@ -400,7 +400,7 @@ def test_without_a_threshold_every_draw_is_tolerant():
         assert qos[i] == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("name", ["band", "tolerant", "interference_limited", "clean"])
+@pytest.mark.parametrize("name", ["band", "tolerant", "interference_limited"])
 def test_one_worker_draws_do_not_wait_on_another_workers(monkeypatch, name):
     # Monte Carlo workers each classify into their own workspace.  While
     # one worker's draws compute a kept selection or log, another's must

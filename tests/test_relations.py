@@ -108,6 +108,41 @@ def test_bench_csi_rises_with_the_secondary_snr(primary_db, secondary_db, rise_d
     assert higher >= lower * (1.0 - 2.0 * REL_TOL), (lower, higher)
 
 
+#: The rows a higher rate target never raises.  The band and the pure-SIC
+#: cells only move toward the interference-limited rate or a reduced
+#: power, the QoS gate only admits fewer draws, and bench-csi ignores the
+#: target.  ``cr-sic-norm`` is left out: a higher target cuts pure SIC's
+#: mean power scale, and the boost by its inverse can lift the row past
+#: what the target takes away (by 33% from 0 to 10 bit/s/Hz at (0, 60) dB).
+TARGET_ROWS = [(protocol, "oracle") for protocol in (
+    ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC, ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS,
+)] + [(protocol, "analytic") for protocol in (ProtocolKind.CR_RSMA, ProtocolKind.CR_SIC)]
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(
+    primary_db=st.floats(-20.0, 80.0),
+    secondary_db=st.floats(-60.0, 60.0),
+    rate_th=st.floats(0.0, 10.0),
+    rise=st.floats(0.01, 10.0),
+)
+def test_no_row_rises_with_the_rate_target(primary_db, secondary_db, rate_th, rise):
+    # Draw by draw, raising theta moves the tolerance level and the switch
+    # curve so that each draw keeps its rate or takes a lower one.
+    lower, higher = (
+        {
+            (protocol, method): crosscheck.evaluate(
+                protocol, ScenarioConfig.from_snr_db(primary_db, secondary_db, rate_threshold=r),
+                method,
+            ).value
+            for protocol, method in TARGET_ROWS
+        }
+        for r in (rate_th, rate_th + rise)
+    )
+    for row in TARGET_ROWS:
+        assert higher[row] <= lower[row] * (1.0 + 2.0 * REL_TOL), (row, lower[row], higher[row])
+
+
 @pytest.mark.parametrize("primary_db", [20.0, 60.0])
 @pytest.mark.parametrize("rate_th", [0.5, 6.0])
 def test_weak_secondary_terms_follow_their_power_law(primary_db, rate_th):
