@@ -46,10 +46,13 @@ COMMANDS = {
     ],
 }
 DEFAULT_COMMANDS = ("figure2", "figure3", "validate-quick", "tier1")
-#: What a child reports of the interpreter and numpy it runs on.
+#: What a child reports of the interpreter and numpy it runs on, and
+#: whether it writes cached bytecode: a child that may not (as under
+#: ``PYTHONDONTWRITEBYTECODE=1``) compiles ``crul`` from source in every run.
 _VERSIONS = """
-import json, platform, numpy
-info = {"python": platform.python_version(), "numpy": numpy.__version__}
+import json, platform, sys, numpy
+info = {"python": platform.python_version(), "numpy": numpy.__version__,
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 try:
     config = numpy.show_config(mode="dicts")
     info["simd"] = config.get("SIMD Extensions")

@@ -62,9 +62,11 @@ class ScenarioConfig:
 
     Each value is a finite number of at least ``1e-300``, except that
     ``theta`` may be 0 (a primary with no rate target): below that, an SNR
-    draw or the classifier's ``gamma_pu/theta`` can overflow to inf.  Every
-    rate computed from a scenario is per unit bandwidth, a spectral
-    efficiency.
+    draw can overflow to inf.  A standard draw is at most ``53 ln 2``, so
+    with ``theta > 0`` the kernel's ``gamma_pu/theta`` and ``theta*(1 +
+    gamma_su)`` stay finite while ``lambda_pu*theta >= 1e-300`` and
+    ``theta/lambda_su <= 1e300``, which are required too.  Every rate
+    computed from a scenario is per unit bandwidth, a spectral efficiency.
     """
 
     lambda_pu: float
@@ -78,6 +80,14 @@ class ScenarioConfig:
                 continue  # a primary with no rate target: only the clear channel
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 1e-300):
                 raise ValueError(f"{name} must be a finite number >= 1e-300, got {value!r}")
+        if self.theta > 0.0:
+            # In Python floats, which neither warn nor trap on overflow.
+            product = float(self.lambda_pu) * float(self.theta)
+            ratio = float(self.theta) / float(self.lambda_su)
+            if not product >= 1e-300:
+                raise ValueError(f"lambda_pu * theta must be >= 1e-300, got {product!r}")
+            if not ratio <= 1e300:
+                raise ValueError(f"theta / lambda_su must be <= 1e300, got {ratio!r}")
 
     @classmethod
     def from_snr_db(

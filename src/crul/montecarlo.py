@@ -19,7 +19,8 @@ to the scenario, classifies it once into the decision cells of
 plain protocols, and the SIC power scale) into one sum and one squared
 sum, building each family's rates from the cells and the per-draw logs the
 families share, each over the last in one rates array.  One
-``math.fsum`` per family combines the chunks.
+``math.fsum`` per family combines the chunks.  :func:`draw_chunk` hands
+out the same draws, the rules' one mode, to read in :data:`_KERNEL_ORDER`.
 :func:`sample_point` takes every protocol of a grid point and the mean
 power scale from one such pass, plus the boosted pass of the
 power-normalized protocol; :func:`estimate` and :func:`mean_power_factor`
@@ -245,7 +246,8 @@ def _classify(scenario: ScenarioConfig, logs: np.ndarray, workspace: Workspace) 
     out = workspace.buffer("gamma_pu", count), workspace.buffer("gamma_su", count)
     gamma_pu, gamma_su = scale_snrs(scenario, logs, out)
     cells = sic_case_array(gamma_pu, gamma_su, scenario.theta, workspace)
-    return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace)
+    rates = scenario.lambda_pu, scenario.lambda_su
+    return CellDraws(gamma_pu, gamma_su, scenario.theta, cells, workspace, (logs, rates))
 
 
 def draw_chunk(
@@ -262,30 +264,29 @@ def draw_chunk(
 
 def _family_sums(family, draws: CellDraws) -> tuple[float, float]:
     """The sum and the squared sum of one family's rates over one chunk's draws."""
-    rates, scratch = draws.buffer("rates"), draws.buffer("scratch")
     if family is _POWER:
-        rates = sic_power_factor_array(draws, scratch)
+        rates = sic_power_factor_array(draws)
     elif family is ProtocolKind.CR_RSMA:
-        rates = rsma_rate_arrays(draws, rates)
+        rates = rsma_rate_arrays(draws)
     elif family is ProtocolKind.CR_SIC:
-        rates = sic_rate_arrays(draws, rates)
+        rates = sic_rate_arrays(draws)
     elif family is ProtocolKind.BENCH_CSI:
         rates = csi_rate_array(draws)
     elif family is ProtocolKind.BENCH_QOS:
-        rates = qos_rate_array(draws, scratch)
+        rates = qos_rate_array(draws)
     total = float(np.sum(rates))  # first: some families' rates are in scratch
-    squares = np.square(rates, out=scratch)
+    squares = np.square(rates, out=draws.buffer("scratch"))
     return total, float(np.sum(squares))
 
 
-#: The order a chunk reduces its families in, whatever order they are asked
-#: in.  The rates buffer holds the interference-limited log of ``bench-csi``
-#: first, then the full-power rates built over it, which ``bench-qos``
-#: multiplies by its admission into scratch; pure SIC writes its reduced
-#: cell over them, and rate splitting its band (which holds that cell)
-#: last.  The power scale goes between them, into scratch, so the band's
-#: power scale, made once, serves it and then rate splitting; by then no
-#: family reads the SNRs off the band.
+#: The order a chunk reduces its families in, and every caller takes the
+#: rules in.  The rates buffer holds the interference-limited log of
+#: ``bench-csi`` first, then the full-power rates built over it, which
+#: ``bench-qos`` multiplies by its admission into scratch; pure SIC writes
+#: its reduced cell over them, and rate splitting its band (which holds
+#: that cell) last.  The power scale goes between them, into scratch, so
+#: the band's power scale, made once, serves it and then rate splitting;
+#: it writes over the SNR buffers, which no family after it reads.
 _KERNEL_ORDER = (
     ProtocolKind.BENCH_CSI, ProtocolKind.BENCH_QOS, ProtocolKind.CR_SIC, _POWER, ProtocolKind.CR_RSMA
 )
@@ -296,18 +297,13 @@ def _chunk_sums(scenario: ScenarioConfig, families, logs: np.ndarray, workspace:
     order of ``families``.
 
     The chunk is classified once in ``workspace``, which must hold it, and
-    reduced for each family; the shared per-draw logs are computed once, by
-    the first family that reads them, and a pass builds one full-power
-    array (see :data:`_KERNEL_ORDER`).
+    reduced for each family in :data:`_KERNEL_ORDER`; the shared per-draw
+    logs are computed once, by the first family that reads them, and the
+    full-power rates once, by the first of ``bench-qos``, pure SIC and rate
+    splitting.
     """
     draws = _classify(scenario, logs, workspace)
-    draws.standard = logs, (scenario.lambda_pu, scenario.lambda_su)
-    sums = {}
-    for family in _KERNEL_ORDER:
-        if family in families:
-            sums[family] = _family_sums(family, draws)
-        elif family is ProtocolKind.CR_SIC and ProtocolKind.CR_RSMA in families:
-            draws.full_power(draws.buffer("rates"))  # what rate splitting writes over
+    sums = {f: _family_sums(f, draws) for f in _KERNEL_ORDER if f in families}
     return [sums[family] for family in families]
 
 

@@ -29,11 +29,12 @@ the cells, and the oracle's regions slice the same cells with
 :func:`tolerance_level` and, measured from ``theta`` along the primary
 SNR, the switch curve :func:`switch_offset`.  The classifier and the
 rules write into the buffers of a :class:`Workspace`, which Monte Carlo
-workers reuse from chunk to chunk and call to call, so a chunk makes no
-array of its own size.  No step stores through a data-dependent mask:
-the cells are integer arithmetic on the classifier's masks, and the
-rules gather and scatter by index, taking each log only on the draws
-that read it.  Averaging over fading lives in :mod:`crul.montecarlo`,
+workers reuse from chunk to chunk, so a chunk makes no array of its own
+size.  That is the rules' one mode, and every caller runs them in Monte
+Carlo's order.  No step stores through a data-dependent mask: the cells are
+integer arithmetic on the classifier's masks, and the rules gather and
+scatter by index, taking each log only on the draws that read it.
+Averaging over fading lives in :mod:`crul.montecarlo`,
 :mod:`crul.analytic` and :mod:`crul.oracle`.
 """
 
@@ -203,31 +204,27 @@ def rsma_case_array(cells: np.ndarray, out=None) -> np.ndarray:
 
 
 class CellDraws:
-    """Fading draws with what :func:`sic_case_array` left in ``workspace``.
+    """A standard draw ``standard``, ``(logs, (lambda_pu, lambda_su))``,
+    scaled to the SNRs ``gamma_pu`` and ``gamma_su``, with what
+    :func:`sic_case_array` left of them in ``workspace``.
 
     What several rules read is computed on first use, kept in the
-    workspace's buffers until it classifies its next chunk, and held in
+    workspace's buffers until it classifies its next draws, and held in
     plain attributes: ``cached_property`` on Python 3.10 and 3.11 takes
     one lock per class, which Monte Carlo workers would wait on.
     Selections are index arrays from ``np.flatnonzero``: gathering and
     scattering by index is several times cheaper than by boolean mask,
-    and a log is taken only on the draws that read it.
-
-    A Monte Carlo chunk sets :attr:`standard` to the standard draw its
-    SNRs were scaled from, ``(logs, (lambda_pu, lambda_su))``, and runs its
-    rules in ``montecarlo._KERNEL_ORDER``, each over the last in the rates
-    buffer and the full-power rates over the interference-limited log; the
-    band's SNRs are then rescaled from the standard draw into the spent SNR
-    buffers.  Other draws keep every array they hand out.
+    and a log is taken only on the draws that read it.  The rules run in
+    ``montecarlo._KERNEL_ORDER``, each over the last in the rates buffer.
     """
 
-    def __init__(self, gamma_pu, gamma_su, theta: float, cells: np.ndarray, workspace: Workspace):
+    def __init__(self, gamma_pu, gamma_su, theta: float, cells, workspace: Workspace, standard):
         self.gamma_pu = gamma_pu
         self.gamma_su = gamma_su
         self.theta = theta
         self.cells = cells
         self.workspace = workspace
-        self.standard = None
+        self.standard = standard
         self._band = self._band_scale = self._interference_limited = self._full_power = None
 
     def buffer(self, name: str, size: int | None = None) -> np.ndarray:
@@ -258,25 +255,24 @@ class CellDraws:
         """Indices of the tolerant cell, where the SU is decoded clean."""
         return self.cell(TOLERANT)
 
-    def band_snr(self, link: int, name: str) -> np.ndarray:
-        """The primary's (``link`` 0) or secondary's SNRs on the band; a
-        chunk's, into the named buffer from the standard draw, elementwise
-        the division ``channel.scale_snrs`` made."""
-        if self.standard is None:
-            return np.take((self.gamma_pu, self.gamma_su)[link], self.band)
+    def snr(self, link: int, index: np.ndarray, name: str) -> np.ndarray:
+        """The primary's (``link`` 0) or secondary's SNRs at ``index``, into
+        the named buffer, rescaled from the standard draw as
+        ``channel.scale_snrs`` scaled it, so after the band's scale has
+        written over the SNR buffers, which only pure SIC reads, too."""
         logs, rates = self.standard
-        values = self.gather(logs[link], name, self.band)
+        values = self.gather(logs[link], name, index)
         return np.divide(values, -rates[link], out=values)
 
     def band_scale(self) -> tuple[np.ndarray, np.ndarray]:
         """The band's pure-SIC power scale ``(gamma_pu/theta - 1)/gamma_su``,
         one minus rate splitting's early fraction ``alpha``, and its
-        ``gamma_su``, in a chunk's SNR buffers.  Made once and kept until
-        rate splitting's split writes over them, which drops them."""
+        ``gamma_su``, in the SNR buffers.  Made once and kept until rate
+        splitting's split writes over them, which drops them."""
         if self._band_scale is None:
-            scale = self.band_snr(0, "gamma_pu")
+            scale = self.snr(0, self.band, "gamma_pu")
             tolerance_level(scale, self.theta, out=scale)
-            band_su = self.band_snr(1, "gamma_su")
+            band_su = self.snr(1, self.band, "gamma_su")
             self._band_scale = np.divide(scale, band_su, out=scale), band_su
         return self._band_scale
 
@@ -296,63 +292,59 @@ class CellDraws:
             self._interference_limited = np.log2(ratio, out=ratio)
         return self._interference_limited
 
-    def full_power(self, out: np.ndarray) -> np.ndarray:
-        """The full-power SU rate, clean where tolerant: the interference-limited
-        log with the clean log scattered over it, into ``out``, or once in
-        place over the log for a chunk."""
+    def full_power(self) -> np.ndarray:
+        """The full-power SU rate, clean where tolerant: the clean log
+        scattered over the interference-limited log in place, once.  Later
+        calls return the rates buffer as the rules since have left it."""
         rates = self.interference_limited
-        if self.standard is None:
-            np.copyto(out, rates)
-            rates = out
-        elif self._full_power:
-            return rates
-        tolerant = self.tolerant
-        clean = self.gather(self.gamma_su, "scratch", tolerant)
-        rates[tolerant] = np.log2(np.add(1.0, clean, out=clean), out=clean)
-        self._full_power = True  # read only for a chunk
+        if not self._full_power:
+            tolerant = self.tolerant
+            clean = self.snr(1, tolerant, "scratch")
+            rates[tolerant] = np.log2(np.add(1.0, clean, out=clean), out=clean)
+            self._full_power = True
         return rates
 
 
 # -------------------------------------------------------------- the rules
 #
-# Each rule writes its rates into ``out``, one float per draw.
+# Each rule writes its rates where the kernel order puts them.
 
 
 def _split_powers(draws: CellDraws):
     """Rate splitting's early fraction ``alpha``, late-part SNR and SU SNR,
-    on the band, over the band scale and in a chunk's scratch."""
+    on the band, over the band scale and in scratch."""
     scale, band_su = draws.band_scale()
     draws._band_scale = None  # written over below
     alpha = np.subtract(1.0, scale, out=scale)
-    out = None if draws.standard is None else draws.buffer("scratch", scale.size)
-    late_power = np.subtract(1.0, alpha, out=out)
+    late_power = np.subtract(1.0, alpha, out=draws.buffer("scratch", scale.size))
     return alpha, np.multiply(late_power, band_su, out=late_power), band_su
 
 
-def rsma_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
+def rsma_rate_arrays(draws: CellDraws) -> np.ndarray:
     """SU rates under rate splitting: early part, then PU, then late part.
 
     In the band the early part sees the PU and the late part as
     interference.  Outside it ``alpha`` is 1 (below) or 0 (tolerant), where
-    the two parts reduce exactly to the full-power rates, so ``out`` must
-    hold those there: :meth:`CellDraws.full_power`'s, or pure SIC's, which
-    differ from them only in the band.  The band is written over them.
+    the two parts reduce exactly to the full-power rates, so the band is
+    written over :meth:`CellDraws.full_power`'s rates buffer: the full-power
+    rates, or pure SIC's, which differ from them only in the band.
     """
+    rates = draws.full_power()
     alpha, late_power, band_su = _split_powers(draws)
     early = np.multiply(alpha, band_su, out=alpha)
-    room = draws.band_snr(0, "gamma_su")  # over band_su, now spent
+    room = draws.snr(0, draws.band, "gamma_su")  # over band_su, now spent
     np.add(np.add(room, late_power, out=room), 1.0, out=room)
     np.divide(early, room, out=early)
     np.log2(np.add(1.0, early, out=early), out=early)
     np.log2(np.add(1.0, late_power, out=late_power), out=late_power)
-    out[draws.band] = np.add(early, late_power, out=early)
-    return out
+    rates[draws.band] = np.add(early, late_power, out=early)
+    return rates
 
 
-def sic_rate_arrays(draws: CellDraws, out: np.ndarray) -> np.ndarray:
+def sic_rate_arrays(draws: CellDraws) -> np.ndarray:
     """SU rates under pure SIC: ``log2(gamma_pu/theta)`` when backed off
     (``= log2(1 + c*gamma_su)``), else the full-power rate of its order."""
-    rates = draws.full_power(out)
+    rates = draws.full_power()
     reduced = draws.cell(REDUCED)
     backed_off = draws.gather(draws.gamma_pu, "scratch", reduced)
     np.divide(backed_off, draws.theta, out=backed_off)
@@ -368,21 +360,23 @@ def primary_rate_arrays(draws: CellDraws) -> tuple[np.ndarray, np.ndarray]:
     rates = np.log2(1.0 + gamma_pu)
     rates[tolerant] = np.log2(1.0 + gamma_pu[tolerant] / (1.0 + gamma_su[tolerant]))
     splitting, pure = rates, rates.copy()
+    band_pu = gamma_pu[draws.band]  # before the split writes over it
     _, late_power, _ = _split_powers(draws)
-    splitting[draws.band] = np.log2(1.0 + gamma_pu[draws.band] / (late_power + 1.0))
+    splitting[draws.band] = np.log2(1.0 + band_pu / (late_power + 1.0))
     pure[draws.cell(REDUCED)] = math.log2(1.0 + draws.theta)
     return splitting, pure
 
 
-def sic_power_factor_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
-    """The pure-SIC control-law power scale (the energy diagnostic).
+def sic_power_factor_array(draws: CellDraws) -> np.ndarray:
+    """The pure-SIC control-law power scale (the energy diagnostic), in scratch.
 
     In the split band it solves ``gamma_pu / (1 + c*gamma_su) = theta``,
     the secondary-first cell included; elsewhere the SU keeps full power.
     """
-    out.fill(1.0)
-    out[draws.band] = draws.band_scale()[0]
-    return out
+    factor = draws.buffer("scratch")
+    factor.fill(1.0)
+    factor[draws.band] = draws.band_scale()[0]
+    return factor
 
 
 def csi_rate_array(draws: CellDraws) -> np.ndarray:
@@ -393,9 +387,9 @@ def csi_rate_array(draws: CellDraws) -> np.ndarray:
     return draws.interference_limited
 
 
-def qos_rate_array(draws: CellDraws, out: np.ndarray) -> np.ndarray:
-    """SU rates of ``bench-qos``: the clean rate where admitted, else silent,
-    as the full-power rates times the admission.  Admission lies inside the
-    tolerant cell, and every full-power rate is finite and at least +0, so
-    the product is +0 off it."""
-    return np.multiply(draws.full_power(out), draws.qos_admitted, out=out)
+def qos_rate_array(draws: CellDraws) -> np.ndarray:
+    """SU rates of ``bench-qos``, in scratch: the clean rate where admitted,
+    else silent, as the full-power rates times the admission.  Admission
+    lies inside the tolerant cell, and every full-power rate is finite and
+    at least +0, so the product is +0 off it."""
+    return np.multiply(draws.full_power(), draws.qos_admitted, out=draws.buffer("scratch"))

@@ -219,8 +219,8 @@ def criterion_dominance(seed: int = 0, samples: int = 10**6) -> CheckResult:
     band_draws = 0
     band_ties = 0
     for draws in _draw_chunks(scenario, seed, samples):
-        pure = sic_rate_arrays(draws, np.empty(draws.cells.size))
-        splitting = rsma_rate_arrays(draws, pure.copy())
+        pure = sic_rate_arrays(draws).copy()  # rate splitting writes its band over it
+        splitting = rsma_rate_arrays(draws)
         worst_gap = max(worst_gap, float((pure - splitting).max()))
         band = draws.band
         band_draws += band.size

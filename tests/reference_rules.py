@@ -4,7 +4,8 @@ The readable specification the array rules of :mod:`crul.protocols` are
 tested against: every case is decided by comparing the rates (or SINRs)
 the protocol would get, written out here rather than taken from the
 boundary functions of :mod:`crul.protocols`, so agreement stays an
-independent check.
+independent check.  :func:`classified` hands the array rules given SNRs
+the way Monte Carlo hands them a chunk.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-from crul.protocols import ProtocolKind
+import numpy as np
+
+from crul import montecarlo
+from crul.channel import ScenarioConfig
+from crul.protocols import ProtocolKind, Workspace
 
 class DecodingOrder(enum.Enum):
     SU_FIRST = "su-first"
@@ -213,3 +218,16 @@ def benchmark_su_rate(kind: ProtocolKind, gamma_pu: float, gamma_su: float, thet
             return math.log2(1.0 + gamma_su)
         return 0.0
     raise ValueError(f"not a benchmark protocol: {kind}")
+
+
+# ------------------------------------------------------ the array rules' input
+
+
+def classified(gamma_pu, gamma_su, theta: float):
+    """The SNR batches ``gamma_pu`` and ``gamma_su`` as the
+    :class:`~crul.protocols.CellDraws` of a Monte Carlo chunk, in a
+    workspace of their own: the standard draw ``-(gamma_pu, gamma_su)``
+    scaled at rates of 1, which gives back the same SNRs bit for bit
+    (dividing by -1 is exact), and classified at ``theta``."""
+    logs = -np.stack((np.asarray(gamma_pu, float), np.asarray(gamma_su, float)))
+    return montecarlo._classify(ScenarioConfig(1.0, 1.0, theta), logs, Workspace(logs.shape[1]))

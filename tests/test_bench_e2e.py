@@ -1,6 +1,7 @@
 """The end-to-end timing harness, ``scripts/bench_e2e.py``, on one cheap command."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,10 @@ def test_one_round_of_one_command_writes_the_schema(tmp_path):
     assert set(document["host"]) == {"cpu_count", "cpu_model", "platform"}
     (label, tree), = document["trees"].items()
     assert label == "change"
-    assert set(tree) == {"commit", "dirty", "python", "numpy", "simd", "blas"}
+    assert set(tree) == {"commit", "dirty", "python", "numpy", "simd", "blas", "dont_write_bytecode"}
+    # The children inherit this environment, and with it whether they
+    # compile crul from source in every run.
+    assert tree["dont_write_bytecode"] is bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     entry = document["commands"]["point"]
     assert set(entry) == {"argv", "change"}
     runs = entry["change"]

@@ -152,6 +152,18 @@ def test_scenario_rejects_a_zero_rate(name, value):
         ScenarioConfig(**{**values, name: value})
 
 
+@pytest.mark.parametrize(
+    "values,product",
+    [((1e-200, 1.0, 1e-200), "lambda_pu \\* theta"), ((1.0, 1e-300, 1e10), "theta / lambda_su")],
+)
+def test_scenario_rejects_products_that_overflow_the_kernel(values, product):
+    # Each value clears its floor, but a standard draw of up to 53 ln 2
+    # makes gamma_pu/theta overflow at the first, and theta*(1 + gamma_su)
+    # at the second.
+    with pytest.raises(ValueError, match=product):
+        ScenarioConfig(*values)
+
+
 def test_scenario_allows_no_protection():
     assert ScenarioConfig(lambda_pu=1.0, lambda_su=1.0, theta=0.0).theta == 0.0
     assert make_scenario(rate_threshold=0.0).theta == 0.0

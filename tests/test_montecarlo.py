@@ -1,6 +1,7 @@
 """Tests for the chunked, parallel-deterministic Monte Carlo estimator."""
 
 import contextlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -35,7 +36,6 @@ from crul.montecarlo import (
 )
 from crul.oracle import ergodic_rate_oracle
 from crul.protocols import (
-    CellDraws,
     ProtocolKind,
     Workspace,
     csi_rate_array,
@@ -46,7 +46,7 @@ from crul.protocols import (
     sic_power_factor_array,
     sic_rate_arrays,
 )
-from reference_rules import benchmark_su_rate, rsma_rates, sic_rates
+from reference_rules import benchmark_su_rate, classified, rsma_rates, sic_rates
 
 SCENARIO_20DB = ScenarioConfig.from_snr_db(20.0, 20.0)
 UNIT_SCENARIO = ScenarioConfig.from_snr_db(0.0, 0.0, secondary_distance=1.0)
@@ -324,7 +324,7 @@ class TestEstimate:
 
     def test_rejects_nonpositive_power_scale(self, monkeypatch):
         monkeypatch.setattr(
-            montecarlo, "sic_power_factor_array", lambda draws, out: np.zeros_like(out)
+            montecarlo, "sic_power_factor_array", lambda draws: np.zeros(draws.cells.size)
         )
         mc = McConfig(n_samples=10, seed=0)
         with pytest.raises(ValueError, match="power scale must be > 0"):
@@ -350,6 +350,20 @@ class TestEstimate:
             with pytest.raises(ValueError, match="lambda_su"):
                 sample_point(scenario, mc, [ProtocolKind.CR_SIC_NORM])
 
+    @pytest.mark.parametrize("values", [(1e-150, 1.0, 1e-150), (1.0, 1e-200, 1e100)])
+    def test_scenarios_at_the_product_bounds_give_finite_rows(self, values):
+        # lambda_pu*theta at 1e-300 and theta/lambda_su at 1e300, the most
+        # a scenario may take: no plain row overflows, by either route.
+        scenario = ScenarioConfig(*values)
+        plain = [p for p in ProtocolKind if p is not ProtocolKind.CR_SIC_NORM]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates, scale = sample_point(scenario, McConfig(n_samples=1_000, seed=0), plain)
+            exact = [ergodic_rate_oracle(p, scenario) for p in plain]
+        for result in (*estimates.values(), scale):
+            assert math.isfinite(result.value) and math.isfinite(result.stderr)
+        assert all(math.isfinite(value) for value in exact)
+
 
 # ------------------------------------------------------------ the chunk fold
 
@@ -364,15 +378,15 @@ def _plain(protocol, scenario, mc):
 
 
 def _rates(protocol, draws):
-    """A plain protocol's rate on every draw of one chunk."""
-    count = draws.cells.size
+    """A plain protocol's rate on every draw of one chunk, the only rule
+    read off its draws."""
     if protocol is ProtocolKind.CR_RSMA:
-        return rsma_rate_arrays(draws, draws.full_power(np.empty(count)))
+        return rsma_rate_arrays(draws)
     if protocol is ProtocolKind.CR_SIC:
-        return sic_rate_arrays(draws, np.empty(count))
+        return sic_rate_arrays(draws)
     if protocol is ProtocolKind.BENCH_CSI:
         return csi_rate_array(draws)
-    return qos_rate_array(draws, np.empty(count))
+    return qos_rate_array(draws)
 
 
 class TestChunkFold:
@@ -534,6 +548,20 @@ class TestWorkspace:
                     fresh = montecarlo._chunk_sums(target, families, logs, Workspace(count))
                     assert _bits(reused) == _bits(fresh), (target, families, count)
 
+    def test_each_family_sums_alike_whatever_families_it_is_asked_with(self):
+        """Each family's chunk sums are bit for bit those it makes alone,
+        beside every set of the other families: a rule that read an SNR
+        buffer after the band's power scale wrote over it (the full-power
+        rates under rate splitting without pure SIC, say) would move them."""
+        order = montecarlo._KERNEL_ORDER
+        logs, workspace = montecarlo._standard_draw(7, 0, 3_000), Workspace(3_000)
+        alone = [montecarlo._chunk_sums(SCENARIO_20DB, (f,), logs, workspace)[0] for f in order]
+        for size in range(2, len(order) + 1):
+            for families in itertools.combinations(order, size):
+                sums = montecarlo._chunk_sums(SCENARIO_20DB, families, logs, workspace)
+                expected = [alone[order.index(family)] for family in families]
+                assert _bits(sums) == _bits(expected), families
+
     @pytest.mark.parametrize("count", [2, 3_000, 50_000, 50_001, 99_999, 100_000])
     def test_a_used_workspace_sums_as_np_sum_over_new_arrays(self, count):
         """A chunk reduced in a used chunk workspace gives every family's
@@ -551,7 +579,7 @@ class TestWorkspace:
         for family in PLAIN:
             draws = draw_chunk(SCENARIO_20DB, 7, 0, count, Workspace(count))
             if family is montecarlo._POWER:
-                rates = sic_power_factor_array(draws, np.empty(count))
+                rates = sic_power_factor_array(draws)
             else:
                 rates = _rates(family, draws)
             expected.append((np.sum(rates), np.sum(np.square(rates))))
@@ -1099,10 +1127,7 @@ class TestMeanPowerFactor:
 
     def test_control_law_spot_value(self):
         # (pu, su, target) = (6, 2, 4): scale (6/4 - 1)/2 = 1/4 exactly.
-        pu, su, workspace = np.array([6.0]), np.array([2.0]), Workspace(1)
-        cells = sic_case_array(pu, su, 4.0, workspace)
-        draws = CellDraws(pu, su, 4.0, cells, workspace)
-        scale = sic_power_factor_array(draws, np.empty(1))
+        scale = sic_power_factor_array(classified([6.0], [2.0], 4.0))
         assert scale[0] == 0.25
 
     def test_lives_in_unit_interval(self):

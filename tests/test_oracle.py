@@ -33,18 +33,17 @@ from crul.oracle import (
 )
 from crul.panels import REL_TOL, exponential_expectation, panel_integral
 from crul.protocols import (
-    CellDraws,
     ProtocolKind,
     Workspace,
     csi_rate_array,
     qos_rate_array,
     rsma_case_array,
     rsma_rate_arrays,
-    sic_case_array,
     sic_power_factor_array,
     sic_rate_arrays,
     tolerance_level,
 )
+from reference_rules import classified
 
 THETA = 2.0**2.5 - 1.0  # default scenario threshold
 
@@ -56,12 +55,6 @@ def scenario(primary_db, secondary_db):
 def switch_level(gamma_pu, theta):
     """SU SNR where pure SIC's decoding order switches at PU SNR ``gamma_pu``."""
     return (1.0 + gamma_pu) * tolerance_level(gamma_pu, theta)
-
-
-def classified(gamma_pu, gamma_su, theta):
-    workspace = Workspace(gamma_pu.size)
-    cells = sic_case_array(gamma_pu, gamma_su, theta, workspace)
-    return CellDraws(gamma_pu, gamma_su, theta, cells, workspace)
 
 
 def in_region(region, gamma_pu, gamma_su):
@@ -398,7 +391,7 @@ def test_mean_power_factor_matches_direct_sampling():
     gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=400_000)
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=400_000)
     draws = classified(gamma_pu, gamma_su, config.theta)
-    sample = sic_power_factor_array(draws, np.empty(400_000))
+    sample = sic_power_factor_array(draws)
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)
     assert abs(value - float(sample.mean())) < 4.0 * stderr
     assert 0.0 < value <= 1.0
@@ -412,11 +405,11 @@ def test_rates_match_direct_sampling_at_one_point():
     gamma_pu = rng.exponential(1.0 / config.lambda_pu, size=n)
     gamma_su = rng.exponential(1.0 / config.lambda_su, size=n)
     draws = classified(gamma_pu, gamma_su, config.theta)
-    samples = {
-        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws, draws.full_power(np.empty(n))),
-        ProtocolKind.CR_SIC: sic_rate_arrays(draws, np.empty(n)),
-        ProtocolKind.BENCH_CSI: csi_rate_array(draws),
-        ProtocolKind.BENCH_QOS: qos_rate_array(draws, np.empty(n)),
+    samples = {  # in kernel order, each copied before the next writes over it
+        ProtocolKind.BENCH_CSI: csi_rate_array(draws).copy(),
+        ProtocolKind.BENCH_QOS: qos_rate_array(draws).copy(),
+        ProtocolKind.CR_SIC: sic_rate_arrays(draws).copy(),
+        ProtocolKind.CR_RSMA: rsma_rate_arrays(draws),
     }
     for protocol, values in samples.items():
         oracle_value = ergodic_rate_oracle(protocol, config)

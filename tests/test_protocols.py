@@ -21,13 +21,11 @@ from crul.protocols import (
     TOLERANT,
     CellDraws,
     ProtocolKind,
-    Workspace,
     csi_rate_array,
     primary_rate_arrays,
     qos_rate_array,
     rsma_case_array,
     rsma_rate_arrays,
-    sic_case_array,
     sic_power_factor_array,
     sic_rate_arrays,
 )
@@ -36,6 +34,7 @@ from reference_rules import (
     SIC_CASE_LABELS,
     DecodingOrder,
     benchmark_su_rate,
+    classified,
     rsma_alpha,
     rsma_case_index,
     rsma_rates,
@@ -263,13 +262,6 @@ def test_dominance_is_strict_inside_the_split_band(gamma_su, theta, position):
 # --------------------------------------------------- vectorized kernels
 
 
-def classified(gamma_pu, gamma_su, theta):
-    gamma_pu, gamma_su = np.asarray(gamma_pu, float), np.asarray(gamma_su, float)
-    workspace = Workspace(gamma_pu.size)
-    cells = sic_case_array(gamma_pu, gamma_su, theta, workspace)
-    return CellDraws(gamma_pu, gamma_su, theta, cells, workspace)
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_vectorized_kernels_match_scalar_rules(seed):
     rng = np.random.Generator(np.random.Philox(seed))
@@ -278,16 +270,18 @@ def test_vectorized_kernels_match_scalar_rules(seed):
     # sprinkle exact boundary points into the batch
     gamma_pu[:3] = (THETA, THETA * (1.0 + gamma_su[1]), 0.0)
 
+    # As a Monte Carlo chunk runs them: in kernel order, each rule's rates
+    # copied before the next writes over them.
     draws = classified(gamma_pu, gamma_su, THETA)
-    su = rsma_rate_arrays(draws, draws.full_power(np.empty(200)))
+    r_cases = rsma_case_array(draws.cells)
+    csi = csi_rate_array(draws).copy()
+    qos = qos_rate_array(draws).copy()
+    s_su = sic_rate_arrays(draws).copy()
     pu, s_pu = primary_rate_arrays(draws)
+    factor = sic_power_factor_array(draws).copy()
     alpha = np.full(gamma_pu.shape, np.nan)
     alpha[draws.band] = 1.0 - draws.band_scale()[0]
-    r_cases = rsma_case_array(draws.cells)
-    s_su = sic_rate_arrays(draws, np.empty(200))
-    factor = sic_power_factor_array(draws, np.empty(200))
-    csi = csi_rate_array(draws)
-    qos = qos_rate_array(draws, np.empty(200))
+    su = rsma_rate_arrays(draws)
 
     for i in range(len(gamma_pu)):
         draw = (float(gamma_pu[i]), float(gamma_su[i]), THETA)
@@ -336,13 +330,13 @@ def test_exact_ties_fall_in_pinned_cells(gamma_pu, gamma_su, theta, cell, admitt
     draw = (gamma_pu, gamma_su, theta)
     assert draws.cells[0] == cell == sic_case_index(*draw)
     assert rsma_case_array(draws.cells)[0] == (0, 1, 1, 2)[cell] == rsma_case_index(*draw)
-    sic = sic_rate_arrays(draws, np.empty(1))[0]
-    assert sic == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
-    rsma = rsma_rate_arrays(draws, draws.full_power(np.empty(1)))[0]
-    assert rsma == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
-    qos = qos_rate_array(draws, np.empty(1))[0]
+    qos = qos_rate_array(draws)[0]  # the rules in kernel order
     assert qos == (math.log2(1.0 + gamma_su) if admitted else 0.0)
     assert qos == benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw)
+    sic = sic_rate_arrays(draws)[0]
+    assert sic == pytest.approx(sic_rates(*draw).su_rate, abs=1e-15)
+    rsma = rsma_rate_arrays(draws)[0]
+    assert rsma == pytest.approx(rsma_rates(*draw).su_rate, abs=1e-15)
 
 
 def masked_store_cells(gamma_pu, gamma_su, theta):
@@ -375,7 +369,7 @@ def test_ties_in_one_batch_keep_their_cells(theta):
     draws = classified(gamma_pu, gamma_su, theta)
     assert draws.cells.tolist() == expected
     assert np.array_equal(draws.cells, masked_store_cells(gamma_pu, gamma_su, theta))
-    qos = qos_rate_array(draws, np.empty(gamma_pu.size))
+    qos = qos_rate_array(draws)
     for i, draw in enumerate(zip(gamma_pu.tolist(), gamma_su.tolist())):
         assert draws.cells[i] == sic_case_index(*draw, theta)
         assert rsma_case_array(draws.cells)[i] == rsma_case_index(*draw, theta)
@@ -393,7 +387,7 @@ def test_without_a_threshold_every_draw_is_tolerant():
     assert np.array_equal(draws.cells, masked_store_cells(gamma_pu, gamma_su, 0.0))
     # the strict gate still silences the SU where the PU's SNR is 0
     assert np.array_equal(draws.qos_admitted, gamma_pu > 0.0)
-    qos = qos_rate_array(draws, np.empty(gamma_pu.size))
+    qos = qos_rate_array(draws)
     for i, draw in enumerate(zip(gamma_pu.tolist(), gamma_su.tolist())):
         assert sic_case_index(*draw, 0.0) == TOLERANT
         reference = benchmark_su_rate(ProtocolKind.BENCH_QOS, *draw, 0.0)
