@@ -4,12 +4,13 @@
 
 Each run of a command is a fresh interpreter with ``CRUL_THREADS=2`` and
 ``PYTHONPATH`` set to the tree's ``src/``, reaped by ``os.wait4``: its wall
-time, its user plus system CPU and its peak RSS are those of the child
-alone.  With ``--against DIR`` a second source tree (the parent of a
-change) runs the same commands, alternating run for run, and which tree
-goes first changes each round, so a slow stretch of the host falls on both.
-Every output file's SHA-256 is recorded too, so the file also shows whether
-the outputs moved.  Standard library only; run it from anywhere:
+time, its user plus system CPU, its peak RSS and its minor page faults are
+those of the child alone.  With ``--against DIR`` a second source tree (the
+parent of a change) runs the same commands, alternating run for run, and
+which tree goes first changes each round, so a slow stretch of the host
+falls on both.  Every output file's SHA-256 is recorded too, so the file
+also shows whether the outputs moved.  Standard library only; run it from
+anywhere:
 
     python scripts/bench_e2e.py --label mine --runs 5 --against ../parent
 
@@ -119,6 +120,9 @@ def _run(tree: Path, argv: list[str], out: Path) -> dict:
         "cpu_s": usage.ru_utime + usage.ru_stime,
         # Linux reports kilobytes.
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        # Pages first touched: a heap that glibc trims and grows again
+        # faults them afresh, so a swing in the times shows here too.
+        "minor_faults": usage.ru_minflt,
         "load": [load_before, os.getloadavg()[0]],
         "exit": child.returncode,
         "sha256": {
@@ -159,7 +163,7 @@ def bench(trees: dict[str, Path], commands: list[str], runs: int) -> dict:
         for label, records in by_tree.items():
             entry = {
                 key: _summary([record[key] for record in records])
-                for key in ("wall_s", "cpu_s", "peak_rss_mb")
+                for key in ("wall_s", "cpu_s", "peak_rss_mb", "minor_faults")
             }
             entry["load"] = [record["load"] for record in records]
             entry["exit"] = [record["exit"] for record in records]

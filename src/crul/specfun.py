@@ -12,9 +12,10 @@ Both are deliberately hand-rolled rather than taken from scipy:
   scale so those products can be formed without overflow.
 
 The ``Ei`` series sum and the ``E1`` continued fraction take scalars or
-arrays in one loop with no per-element masks: the series tests its stop
-every eighth term, and the fraction runs backward from a depth fixed by
-its smallest argument.  So pure SIC's preferred cell takes
+arrays in one loop with no per-element masks, each at one fixed length for
+every argument: the series sums 34 terms (Abramowitz & Stegun 5.1.11) and
+the fraction runs backward from depth 30 (A&S 5.1.22).  So an array
+element has its scalar's bits, and pure SIC's preferred cell takes
 ``exp(a) E1(a)`` at all nodes of its panels in one pass.
 
 scipy is not a runtime dependency: the tests use its equivalents only as
@@ -23,7 +24,6 @@ an independent check of these routines.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,14 +42,15 @@ _NEWTON_MAX_ITER = 100
 # at x = 4 that is ~1e-13, at x = 5 it already fails a 1e-12 budget.
 E1_SERIES_MAX = 4.0
 
-#: Depths of the backward E1 continued fraction: ``_CF_DEPTHS[i]`` below
-#: ``_CF_BOUNDS[i]``, the last one past them all.  Each truncates within
-#: 0.31 ulp of 40-digit mpmath values over its range (one ulp takes depth
-#: 29 just above 4, 20 at 6, 14 at 10, 7 at 30 and 4 at 100).
-_CF_BOUNDS = (6.0, 10.0, 30.0, 100.0)
-_CF_DEPTHS = (30, 22, 16, 10, 6)
+#: Depth of the backward E1 continued fraction, for every argument past
+#: the switch: one ulp of 40-digit mpmath values takes depth 29 just above
+#: 4, and less further out (20 at 6, 14 at 10, 7 at 30 and 4 at 100).
+_CF_DEPTH = 30
 
-_SERIES_MAX_ITER = 500
+#: Terms of the ``Ei`` series, for every argument in ``[-4, 4]``: at
+#: ``x = -4`` the first term within ``1e-18`` of the sum is the 33rd (the
+#: 32nd at ``+4``), and one more leaves the last term 67 times inside it.
+_SERIES_TERMS = 34
 
 
 class ConvergenceError(RuntimeError):
@@ -182,28 +183,24 @@ def ei_series_sum(x):
     Differences of ``Ei`` at nearby small arguments are better formed from
     ``S``, where the logs cancel analytically rather than in rounding.
 
-    It tests its stop every eighth term, and stops once that term is within
-    ``1e-18`` of its sum, an array once every element's is.  The terms an
-    element adds after its first term within that bound are below half an
-    ulp of its sum and leave it unchanged, so every element equals the
-    scalar result, and both the sum stopped at that first term, bit for bit.
+    It sums :data:`_SERIES_TERMS` terms for every argument.  The terms an
+    element adds after its first term within ``1e-18`` of its sum are below
+    half an ulp of that sum and leave it unchanged, so every element equals
+    the sum stopped at that first term, bit for bit, and an array element
+    its scalar.  A last term past that bound raises, for any element: so a
+    NaN does, and so does an ``x`` below about -4.53 or above 4.93.
     """
     total = 0.0
     power = 1.0
-    for k in range(1, _SERIES_MAX_ITER):
+    for k in range(1, _SERIES_TERMS + 1):
         power *= x / k
         term = power / k
         total += term
-        if k % 8:
-            continue
-        # |term| <= 1e-18 |total|, squared: two products cost less than
-        # two abs calls, and within the series' range neither overflows.
-        converged = term * term <= 1e-36 * (total * total)
-        if converged is False:
-            continue
-        if converged is True or converged.all():
-            return total
-    raise ConvergenceError(f"Ei series did not converge at x = {x}")
+    # |term| <= 1e-18 |total|, squared: two products cost less than two
+    # abs calls, and within the series' range neither overflows.
+    if not np.all(term * term <= 1e-36 * (total * total)):
+        raise ConvergenceError(f"Ei series did not converge at x = {x}")
+    return total
 
 
 def _ei_series(x: float) -> float:
@@ -215,25 +212,16 @@ def e1_cf_factor(x):
     """The continued fraction ``K = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...)))`` with
     ``E1(x) = exp(-x) K``, ``x > 4``.  Scalars or arrays.
 
-    It is evaluated backward, from the tail up, at the depth
-    :data:`_CF_DEPTHS` sets for each argument.  An array takes each step
-    for all its elements at once, from the depth of its smallest, and the
-    elements past each bound start over at that bound's depth, so each
-    element has its scalar's bits.  A non-finite result raises.
+    It is evaluated backward, from the tail up, at depth :data:`_CF_DEPTH`
+    for every argument, so an array takes each step for all its elements
+    at once and each element has its scalar's bits.  A non-finite result
+    raises.
     """
-    scalar = isinstance(x, float)
-    # ``initial`` lets through an empty array: every argument may be a series one.
-    smallest = x if scalar else np.min(x, initial=math.inf)
-    level = bisect.bisect(_CF_BOUNDS, smallest)
-    depth = _CF_DEPTHS[level]
-    starts = {} if scalar else dict(zip(_CF_DEPTHS[level + 1:], _CF_BOUNDS[level:]))
-    t = x + (2 * depth + 1)
-    for k in range(depth, 0, -1):
-        if k in starts:
-            t = np.where(x >= starts[k], x + (2 * k + 1), t)
+    t = x + (2 * _CF_DEPTH + 1)
+    for k in range(_CF_DEPTH, 0, -1):
         t = (x + (2 * k - 1)) - k * k / t
     value = 1.0 / t
-    if not (math.isfinite(value) if scalar else np.isfinite(value).all()):
+    if not np.isfinite(value).all():
         raise ConvergenceError(f"E1 continued fraction is not finite at x = {x}")
     return value
 
@@ -253,9 +241,7 @@ def expint_ei(x: float) -> float:
     magnitude = -x
     if magnitude <= E1_SERIES_MAX:
         return _ei_series(x)
-    if magnitude > 745.0:
-        # exp(-x) underflows; the true value is below 1e-324 anyway.
-        return -0.0
+    # Past 745, exp(-x) underflows to 0 and the result is -0.0.
     return -math.exp(-magnitude) * e1_cf_factor(magnitude)
 
 

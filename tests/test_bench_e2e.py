@@ -30,7 +30,7 @@ def test_one_round_of_one_command_writes_the_schema(tmp_path):
     entry = document["commands"]["point"]
     assert set(entry) == {"argv", "change"}
     runs = entry["change"]
-    for key in ("wall_s", "cpu_s", "peak_rss_mb"):
+    for key in ("wall_s", "cpu_s", "peak_rss_mb", "minor_faults"):
         summary = runs[key]
         assert len(summary["samples"]) == 1
         assert summary["q1"] == summary["median"] == summary["q3"] == summary["samples"][0] > 0.0

@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crul import specfun, validation
+from crul import analytic, specfun, validation
 from crul.analytic import DEFAULT_NODES
 from crul.specfun import (
     MAX_ORDER,
@@ -248,7 +248,8 @@ def test_series_over_an_array_is_the_scalar_series_bit_for_bit():
 
 
 def test_continued_fraction_over_an_array_is_the_scalar_one_bit_for_bit():
-    # Every element runs at its own depth, also just above each switch.
+    # Every element runs at the one depth, just above the series switch
+    # and on each side of the depths the fraction once switched between.
     x = np.concatenate([
         np.geomspace(4.0 + 1e-12, 745.0, 300), [5.0, 5.0],
         [4.5], np.linspace(6.0, 14.0, 4001), np.linspace(29.0, 102.0, 2001),
@@ -273,8 +274,9 @@ def test_continued_fraction_stops_where_rounding_holds_every_factor_off_one(x):
     np.testing.assert_array_equal(value, [e1_cf_factor(5.0), e1_cf_factor(x)])
 
 
-#: ``exp(x) E1(x)`` on each side of every depth switch of the backward
-#: fraction, far out, and at :data:`ROUNDING_BOUND_ARGUMENTS`: mpmath at 40
+#: ``exp(x) E1(x)`` just above the series switch, where the fraction's one
+#: depth is barely enough, on each side of the depths it once switched
+#: between, far out, and at :data:`ROUNDING_BOUND_ARGUMENTS`: mpmath at 40
 #: digits, printed by scripts/e1_references.py.
 E1_SCALED = {
     4.000000000001: 0.20634564990101217,
@@ -296,13 +298,13 @@ E1_SCALED = {
 
 @pytest.mark.parametrize("x,expected", sorted(E1_SCALED.items()))
 def test_continued_fraction_matches_frozen_references(x, expected):
-    # Two ulp: the truncation at each depth is within 0.31 ulp, the rest
+    # Two ulp: the truncation at depth 30 is within 0.31 ulp, the rest
     # is the backward steps' rounding.
     assert e1_cf_factor(x) == pytest.approx(expected, rel=4.5e-16, abs=0.0)
 
 
 def test_continued_fraction_over_an_array_matches_frozen_references():
-    # One array, whose smallest element, 4 + 1e-12, sets the deepest start.
+    # One array, every element at its scalar's depth.
     x, expected = (np.array(values) for values in zip(*sorted(E1_SCALED.items())))
     np.testing.assert_allclose(e1_cf_factor(x), expected, rtol=4.5e-16, atol=0.0)
 
@@ -319,14 +321,56 @@ def per_term_series(x):
     raise AssertionError(f"no stop at {x}")
 
 
-def test_series_checked_every_eighth_term_is_the_per_term_stop_bit_for_bit():
-    x = -np.geomspace(1e-300, 4.0, 500)
+def test_series_of_fixed_length_is_the_per_term_stop_bit_for_bit():
+    # On both sides of 0, up to the switch at |x| = 4 itself.
+    x = np.geomspace(1e-300, 4.0, 500)
+    x = np.concatenate([-x, x])
     expected = [per_term_series(float(v)) for v in x]
     np.testing.assert_array_equal([ei_series_sum(float(v)) for v in x], expected)
     np.testing.assert_array_equal(ei_series_sum(x), expected)
+
+
+@pytest.mark.parametrize("x", [-5.0, 5.0, -10.0])
+def test_series_past_its_range_fails_loudly(x):
+    # Its last term is still past 1e-18 of the sum there.
+    with pytest.raises(ConvergenceError):
+        ei_series_sum(x)
+    with pytest.raises(ConvergenceError):
+        ei_series_sum(np.array([-1.0, x, 4.0]))
+
+
+@pytest.mark.parametrize("routine", [ei_series_sum, e1_cf_factor])
+def test_an_empty_array_comes_back_empty(routine):
+    value = routine(np.array([]))
+    assert value.shape == (0,)
 
 
 @pytest.mark.parametrize("routine,x", [(ei_series_sum, -1.0), (e1_cf_factor, 6.0)])
 def test_a_nan_element_fails_the_array_loudly(routine, x):
     with pytest.raises(ConvergenceError):
         routine(np.array([x, math.nan, 2.0 * x]))
+
+
+#: ``exp(x) E1(x)`` on the series side of the switch, thicker toward 4,
+#: where the series cancels most: mpmath at 40 digits, printed by
+#: scripts/e1_references.py.
+E1_SCALED_SERIES = {
+    0.001: 6.337874070325488,
+    0.1: 2.0146425447084515,
+    0.5: 0.9229106324837305,
+    1.0: 0.5963473623231941,
+    2.0: 0.3613286168882226,
+    3.0: 0.2620837402553185,
+    3.458: 0.23314875079511616,
+    3.86: 0.21264780155263757,
+    4.0: 0.20634564990105583,
+}
+
+
+@pytest.mark.parametrize("x,expected", sorted(E1_SCALED_SERIES.items()))
+def test_scaled_e1_matches_frozen_references_on_the_series_side(x, expected):
+    # The series' cancellation costs up to about 2.5e-13 relative just
+    # below 4 (1.4e-13 at 4 itself), against 4.7e-15 at 2.
+    assert analytic._scaled_e1(x) == pytest.approx(expected, rel=3e-13, abs=0.0)
+    (value,) = analytic._scaled_e1_array(np.array([x]))
+    assert value == pytest.approx(expected, rel=3e-13, abs=0.0)
